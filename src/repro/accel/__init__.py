@@ -1,17 +1,19 @@
-"""Hot-path acceleration layer: fast in-order engine + memoization.
+"""Hot-path acceleration layer: transliterated engines + memoization.
 
 ``repro.accel`` makes single-process sweeps several times faster without
 changing a single simulated number:
 
 * :class:`~repro.accel.engine.AccelEngine` — a bit-identical fast
   execution path for :class:`~repro.core.inorder.InOrderCore`, selected
-  by the ``SoCConfig.accel`` knob (``"on"``/``"off"``).  Generic exec
-  runs are solved in closed form with numpy; everything else goes
-  through a transliterated scalar loop over mirrored component state.
+  by the ``SoCConfig.accel`` knob (``"on"``/``"off"``): one
+  transliterated scalar loop over mirrored component state
+  (:class:`~repro.accel.ooo.OoOAccelEngine` is its out-of-order twin).
+* :mod:`~repro.accel.compile` / :mod:`~repro.accel.batch` — compile a
+  trace once, then run every config of a sweep over the compiled form.
 * :mod:`~repro.accel.memo` — content-digest trace identity, shared
   workload traces across sweep points, and an in-process LRU for
   whole-run results.
-* :mod:`~repro.accel.stats` — per-core fast-path coverage counters and
+* :mod:`~repro.accel.stats` — per-core engine uop counters and
   process-wide memo counters, surfaced through telemetry snapshots as
   ``accel.*`` keys.
 
@@ -20,7 +22,6 @@ cycles, stall attribution, CPI stacks, and all component stats) is
 regression-tested across every named config; see docs/performance.md.
 """
 
-from .fastpath import MIN_SPAN, SPAN_ELIGIBLE, build_spans, segment_spans
 from .memo import (clear_caches, config_digest, memo_enabled, shared_trace,
                    trace_digest)
 from .stats import AccelGlobalStats, AccelStats, global_stats, \
@@ -36,8 +37,4 @@ __all__ = [
     "config_digest",
     "memo_enabled",
     "clear_caches",
-    "SPAN_ELIGIBLE",
-    "MIN_SPAN",
-    "build_spans",
-    "segment_spans",
 ]

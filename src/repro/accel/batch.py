@@ -1,123 +1,28 @@
-"""Config-batched sweep engine: one compiled trace, every config at once.
+"""Config-batched sweep engine: one compiled trace, every config over it.
 
 A configuration sweep re-simulates the *same* dynamic micro-op stream
 under N timing configurations.  The serial path pays the full per-config
-cost N times — trace build, numpy decode, span segmentation, and a
-per-config solve of every span.  This driver exploits the one structural
-fact that makes batching sound: **span layout is config-independent**
-(spans are segmented purely from the op column, see
-:mod:`repro.accel.fastpath`), so every configuration reaches exactly the
-same span boundaries.  That turns the sweep inside out:
+cost N times — trace build, numpy decode, per-uop classification.
+:func:`batched_sweep` pays it once: the trace is compiled a single time
+(:func:`~repro.accel.compile.shared_compiled` — shareable across
+processes through a :class:`~repro.farm.store.SharedResultStore`) and
+every config then runs over that compiled form, one after another in
+input order, through the ordinary ``System.run`` — the in-order engine
+(:mod:`repro.accel.engine`), the out-of-order engine
+(:mod:`repro.accel.ooo`), or the reference models for configs that
+opted out of acceleration.
 
-* the trace is compiled once (:func:`~repro.accel.compile.shared_compiled`
-  — shareable across processes through a
-  :class:`~repro.farm.store.SharedResultStore`),
-* every span is solved for **all** in-order configs in a single
-  config-vectorized call (:func:`~repro.accel.fastpath.solve_span_batch`:
-  the config knobs — latency tables, issue widths, live scoreboards —
-  become a leading broadcast axis over the per-uop arrays),
-* configs that diverge structurally fall back per config: the scalar
-  loop inside each :class:`~repro.accel.engine._InOrderRun` for a span
-  that one config's solver rejects, the out-of-order engine
-  (:mod:`repro.accel.ooo`) for BOOM-like configs, and plain
-  ``System.run`` for configs that opted out of acceleration entirely.
-
-Bit-identity is by construction: the lockstep driver advances the very
-same :class:`~repro.accel.engine._InOrderRun` objects through the very
-same methods as the solo engine — the only difference is who computes
-the span schedule (``solve_span_batch`` vs ``solve_span``), and those
-agree exactly per config.  The ``batch`` tier of :mod:`repro.check`
-enforces the contract end to end (``repro check --tiers batch``).
+Bit-identity with per-config ``Job.kernel`` runs is by construction —
+same memo keys, same ``System.run``, same payload constructor — and the
+``batch`` tier of :mod:`repro.check` enforces it end to end
+(``repro check --tiers batch``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.base import CoreResult
-from repro.core.inorder import InOrderCore
-
-from .engine import _InOrderRun
-from .fastpath import solve_span_batch
-
-__all__ = ["run_batch", "batched_sweep"]
-
-
-def _drive_lockstep(runs: Sequence[_InOrderRun]) -> None:
-    """Advance attached runs to completion in span lockstep.
-
-    Invariant: every run sits at the same trace index ``i`` whenever
-    control returns to the top of the loop — span boundaries are shared,
-    and both failure paths (no convergence, fetch hazard) end at
-    ``sp.end`` just like the solo engine.  Callers own ``close()`` /
-    ``finish()`` (in a ``finally``, as always).
-    """
-    lead = runs[0]
-    spans = lead.spans
-    nspans = len(spans)
-    n = lead.n
-    si = 0
-    while lead.i < n:
-        limit = n
-        if si < nspans:
-            sp = spans[si]
-            if sp.start == lead.i:
-                si += 1
-                lat_arrs = [r.lat_np[sp.op] for r in runs]
-                sols = solve_span_batch(
-                    sp, lat_arrs,
-                    [r.W for r in runs],
-                    [r.cycle for r in runs],
-                    [r.slots for r in runs],
-                    [r.fe_ready for r in runs],
-                    [r.reg_ready for r in runs])
-                for r, lat_arr, sol in zip(runs, lat_arrs, sols):
-                    r.span_att += 1
-                    if sol is None:
-                        r.span_noconv += 1
-                        r.scalar_to(sp.end)
-                    elif not r.commit_span(sp, lat_arr, sol):
-                        if r.i < sp.end:
-                            r.scalar_to(sp.end)
-                continue
-            limit = sp.start
-        for r in runs:
-            r.scalar_to(limit)
-
-
-def run_batch(systems: Sequence[Any], trace) -> list[CoreResult]:
-    """Run *trace* on tile 0 of every system, batching where possible.
-
-    Systems whose tile-0 core is an accelerated in-order core form one
-    lockstep group solved span-by-span across the whole batch; every
-    other system (out-of-order, or acceleration off) runs through its
-    own ``System.run`` — which is the engine path for accelerated OoO
-    configs and the reference path otherwise.  Results are returned in
-    input order and are bit-identical to calling ``system.run(trace)``
-    on each system serially.
-    """
-    results: list[Optional[CoreResult]] = [None] * len(systems)
-    group: list[int] = []
-    for idx, system in enumerate(systems):
-        core = system.tiles[0].core
-        if (type(core) is InOrderCore and core._accel_on
-                and hasattr(core.port, "uncore")
-                and system.instrument is None):
-            group.append(idx)
-        else:
-            results[idx] = system.run(trace)
-    if group:
-        runs: list[_InOrderRun] = []
-        try:
-            for idx in group:
-                runs.append(_InOrderRun(systems[idx].tiles[0].core, trace))
-            _drive_lockstep(runs)
-        finally:
-            for r in runs:
-                r.close()
-        for idx, r in zip(group, runs):
-            results[idx] = r.finish()
-    return results
+__all__ = ["batched_sweep"]
 
 
 def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
@@ -133,11 +38,10 @@ def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
     interchangeable with serial ones everywhere (result cache, figure
     drivers, the farm).
 
-    *on_point* fires once per completed config, in deterministic order
-    (the lockstep in-order group first, then solo configs, each in
-    input order) — the hook the sweep job kind uses for mid-run
-    checkpointing and fault injection.  *skip* names configs whose
-    payloads the caller already holds (checkpoint resume).
+    *on_point* fires once per completed config, in input order (a memo
+    hit counts as completed) — the hook the sweep job kind uses for
+    mid-run checkpointing and fault injection.  *skip* names configs
+    whose payloads the caller already holds (checkpoint resume).
     """
     from ..farm.job import kernel_payload
     from ..soc.system import System
@@ -160,86 +64,36 @@ def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
     if not todo:
         return {}
     eff_scale = max(float(scale), kern.min_harness_scale)
-    ct = shared_compiled(kernel, eff_scale, seed,
-                         lambda: kern.build(scale=eff_scale, seed=seed),
-                         store=store)
-    trace = ct.trace
+    trace = shared_compiled(kernel, eff_scale, seed,
+                            lambda: kern.build(scale=eff_scale, seed=seed),
+                            store=store).trace
     do_warmup = bool(warmup and kern.needs_warmup)
 
     points: dict[str, dict[str, Any]] = {}
-    group: list[tuple[Any, Any, Any, Any]] = []  # (cfg, system, registry, mkey)
-    solo: list[Any] = []
     for cfg in todo:
-        if getattr(cfg, "accel", "off") != "on":
-            solo.append(cfg)  # operator asked for the reference models
-            continue
         system = System(cfg)
         registry = StatsRegistry(system)
-        mkey = None
-        if memo.memo_enabled():
+        # accel="off" asks for the reference models: no memo, exactly
+        # like the serial job runner
+        mkey = payload = None
+        if getattr(cfg, "accel", "off") == "on" and memo.memo_enabled():
             mkey = memo.memo_key(trace, cfg, system.uncore,
                                  extra=("farm_kernel", do_warmup))
-            hit = memo.memo_get(mkey)
-            if hit is not None:
-                hit["workload"] = kern.spec.name
-                hit["seed"] = seed
-                hit["scale"] = eff_scale
-                points[cfg.name] = hit
-                if on_point is not None:  # a served point is a done point
-                    on_point(cfg.name, hit)
-                continue
-        if type(system.tiles[0].core) is InOrderCore:
-            group.append((cfg, system, registry, mkey))
+            payload = memo.memo_get(mkey)
+        if payload is not None:
+            payload["workload"] = kern.spec.name
+            payload["seed"] = seed
+            payload["scale"] = eff_scale
         else:
-            solo.append((cfg, system, registry, mkey))
-
-    def finish_point(cfg, system, registry, mkey, base, result) -> None:
-        payload = kernel_payload(cfg, kern, seed, eff_scale, registry,
-                                 base, result, system)
-        if mkey is not None:
-            memo.memo_put(mkey, payload)
+            if do_warmup:
+                system.run(trace)
+            base = registry.snapshot()
+            result = system.run(trace)
+            payload = kernel_payload(cfg, kern, seed, eff_scale, registry,
+                                     base, result, system)
+            if mkey is not None:
+                memo.memo_put(mkey, payload)
         points[cfg.name] = payload
         if on_point is not None:
             on_point(cfg.name, payload)
-
-    # ---- lockstep in-order group: all configs over one span schedule ----
-    if group:
-        if do_warmup:
-            runs = []
-            try:
-                for _, system, _, _ in group:
-                    runs.append(_InOrderRun(system.tiles[0].core, trace))
-                _drive_lockstep(runs)
-            finally:
-                for r in runs:
-                    r.close()
-            for r in runs:
-                r.finish()
-        bases = [registry.snapshot() for _, _, registry, _ in group]
-        runs = []
-        try:
-            for _, system, _, _ in group:
-                runs.append(_InOrderRun(system.tiles[0].core, trace))
-            _drive_lockstep(runs)
-        finally:
-            for r in runs:
-                r.close()
-        for (cfg, system, registry, mkey), base, r in zip(group, bases, runs):
-            finish_point(cfg, system, registry, mkey, base, r.finish())
-
-    # ---- solo configs: per-config engines or reference models ----
-    for entry in solo:
-        if isinstance(entry, tuple):
-            cfg, system, registry, mkey = entry
-        else:  # accel="off": mirror the serial job runner exactly
-            cfg, mkey = entry, None
-            system = System(cfg)
-            registry = StatsRegistry(system)
-        if do_warmup:
-            system.run(trace)
-        base = registry.snapshot()
-        result = system.run(trace)
-        finish_point(cfg, system, registry, mkey, base, result)
-
-    # reports in input order, resumed points excluded
-    return {cfg.name: points[cfg.name] for cfg in todo}
+    return points

@@ -2,18 +2,13 @@
 
 A config sweep evaluates the *same* dynamic micro-op stream under N
 timing configurations, so everything that depends only on the trace —
-decoding numpy columns to plain-Python lists, classifying each op
-(fetch line, FP-ness, latency class), segmenting and pre-linking the
-span-eligible runs — is computed exactly once here and reused by every
-engine attached to the trace:
+decoding numpy columns to plain-Python lists and classifying each op
+(fetch line, FP-ness) — is computed exactly once here and reused by
+every engine attached to the trace:
 
 * :class:`CompiledTrace` bundles the per-uop arrays: the plain-list
-  columns the scalar fast loops index, dense numpy opcode/operand
-  columns (``ops`` doubles as the latency-class index — per-config
-  latencies are ``lat_np[ct.ops]``), derived per-uop classifications
-  (``lines``, ``is_fp``), and the pre-linked :class:`~repro.accel.fastpath.Span`
-  list whose layout is config-independent (it is a pure function of the
-  op column) — the property the config-batched sweep driver relies on.
+  columns the transliterated engine loops index and the derived per-uop
+  classifications (``lines``, ``is_fp``) the out-of-order engine reads.
 * :func:`compiled_trace` caches one compiled form per live trace object
   (bounded, id-keyed, like :func:`repro.accel.memo.trace_arrays`).
 * :func:`shared_compiled` adds cross-process sharing through a
@@ -52,28 +47,15 @@ _FP_LUT[[int(op) for op in FP_OPS]] = True
 class CompiledTrace:
     """One trace, decoded and pre-analyzed for every engine at once."""
 
-    __slots__ = ("trace", "digest", "n", "cols", "spans",
-                 "ops", "operands", "lines", "is_fp")
+    __slots__ = ("trace", "digest", "n", "cols", "lines", "is_fp")
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
         self.digest = memo.trace_digest(trace)
-        view = memo.trace_arrays(trace)
-        self.cols = view
-        self.spans = view["spans"]
-        self.n = len(view["op"])
-        #: dense opcode column; also the latency-class index — a
-        #: config's per-uop latencies are ``lat_np[ct.ops]``
-        self.ops = trace.op.astype(np.int64)
-        #: (3, n) operand column stack: dst, src1, src2
-        self.operands = np.stack([
-            trace.dst.astype(np.int64),
-            trace.src1.astype(np.int64),
-            trace.src2.astype(np.int64),
-        ])
-        pc = trace.pc.astype(np.int64)
-        #: per-uop 64-byte fetch line (what the front-end replay keys on)
-        self.lines = (pc >> 6).tolist()
+        self.cols = memo.trace_arrays(trace)
+        self.n = len(self.cols["op"])
+        #: per-uop 64-byte fetch line (front-end line-crossing checks)
+        self.lines = (trace.pc.astype(np.int64) >> 6).tolist()
         #: per-uop FP classification (issue-queue steering in the OoO model)
         self.is_fp = _FP_LUT[trace.op].tolist()
 
@@ -81,8 +63,7 @@ class CompiledTrace:
         return self.n
 
     def __repr__(self) -> str:
-        return (f"CompiledTrace(n={self.n}, spans={len(self.spans)}, "
-                f"digest={self.digest[:12]})")
+        return f"CompiledTrace(n={self.n}, digest={self.digest[:12]})"
 
 
 #: id(trace) -> (trace, CompiledTrace); strong reference pins the id

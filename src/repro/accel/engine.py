@@ -22,39 +22,25 @@ How it stays exact
   directory) is reached through the ordinary reference ``access`` calls,
   in exactly the order the reference would make them.
 
-* **Scalar fast loop.**  Micro-ops execute through a transliteration of
+* **One scalar loop.**  Micro-ops execute through a transliteration of
   ``InOrderCore.run`` over pre-decoded Python-list trace columns with
   closure-bound memory/branch operations — the same arithmetic on the
-  same values, minus the interpreter overhead.
+  same values, minus the interpreter overhead.  Every micro-op of the
+  trace retires through this loop, in program order.
 
-* **Vectorized spans.**  Maximal runs of generic exec ops (no memory,
-  control, divide, or vector work — see :mod:`repro.accel.fastpath`) are
-  solved in closed form with numpy.  The solution is optimistic about the
-  front end (``fe_ready`` assumed constant); afterwards each I-cache line
-  crossing inside the span is replayed with real fetches in program
-  order, and if a fetch stalls, only the prefix before it is committed
-  and the scalar loop resumes exactly where the reference would be.
-  Spans whose dependence fixed point does not converge are handed to the
-  scalar loop untouched (the solver has no side effects).
-
-Because all simulated times are integral-valued (possibly float-typed,
-matching the reference, whose bank timelines return floats), float64
-arithmetic in the span solver is exact and the two modes agree value-
-for-value on cycles, stall attribution, and every stats counter.
+The two modes therefore agree value-for-value on cycles, stall
+attribution, and every stats counter.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import CoreResult
 from repro.core.branch import TAGE, BTB, BimodalBHT, BranchUnit, GShare
-from repro.isa.trace import NUM_REGS
 from repro.mem.dram import DRAM
 from repro.mem.tlb import TLB, TwoLevelTLB
 
 from . import memo
-from .fastpath import solve_span
+from .compile import compiled_trace
 
 __all__ = ["AccelEngine"]
 
@@ -846,230 +832,69 @@ def attach_port(port):
 
 # -- the engine ---------------------------------------------------------------
 
-class _InOrderRun:
-    """One attached accelerated run, advanceable in segment-sized steps.
+class AccelEngine:
+    """Drives one :class:`InOrderCore` through the accelerated path."""
 
-    Holds everything :meth:`AccelEngine.run` used to keep in locals —
-    mirrored closures, decoded columns, live scoreboard state, stall and
-    span counters — so a driver can interleave progress across *several*
-    runs.  The solo engine and the config-batched sweep driver
-    (:mod:`repro.accel.batch`) both advance instances of this class
-    through the same methods, which is what keeps lockstep batched
-    execution bit-identical to solo execution by construction: the only
-    difference between the two drivers is who computes the span schedule
-    (``solve_span`` vs ``solve_span_batch``) — and those agree exactly.
+    def __init__(self, core) -> None:
+        self.core = core
 
-    Protocol: construct (attaches mirrors), call :meth:`scalar_to` /
-    :meth:`commit_span` until ``i == n``, then :meth:`close` (always, in
-    a ``finally``) and :meth:`finish` for the CoreResult.
-    """
-
-    __slots__ = (
-        "core", "i", "n", "spans",
-        "op_l", "dst_l", "s1_l", "s2_l", "addr_l", "size_l", "taken_l",
-        "pc_l", "tgt_l", "lat_list", "lat_np",
-        "dload", "dstore", "ifetch", "resolve", "mem_detach", "bru_detach",
-        "reg_ready", "sb", "vcfg", "vu_free", "cycle", "t0", "slots",
-        "mem_used", "ctrl_used", "fe_ready", "cur_line", "line_entry",
-        "div_free", "stall_fe", "stall_dep", "stall_mem", "stall_struct",
-        "l1d_st", "l1i_st", "bst", "l1d_miss0", "l1i_miss0", "br0", "mp0",
-        "sb_depth", "flush_pen", "bubble_pen", "icache_hit", "W",
-        "mem_ports", "pipelined_div", "load_to_use", "amo_extra",
-        "fast_uops", "slow_uops", "span_att", "span_done", "span_noconv",
-        "span_fehaz", "closed",
-    )
-
-    def __init__(self, core, trace, start_time: int = 0) -> None:
+    def run(self, trace, start_time: int = 0) -> CoreResult:
+        core = self.core
         cfg = core.cfg
         port = core.port
         bru = core.bru
-        self.core = core
 
-        from .compile import compiled_trace
         view = compiled_trace(trace).cols
-        self.op_l = view["op"]
-        self.dst_l = view["dst"]
-        self.s1_l = view["src1"]
-        self.s2_l = view["src2"]
-        self.addr_l = view["addr"]
-        self.size_l = view["size"]
-        self.taken_l = view["taken"]
-        self.pc_l = view["pc"]
-        self.tgt_l = view["target"]
-        self.spans = view["spans"]
-        self.n = len(self.op_l)
-        self.lat_list, self.lat_np = memo.latency_lut(cfg.latencies)
+        op_l = view["op"]
+        dst_l = view["dst"]
+        s1_l = view["src1"]
+        s2_l = view["src2"]
+        addr_l = view["addr"]
+        size_l = view["size"]
+        taken_l = view["taken"]
+        pc_l = view["pc"]
+        tgt_l = view["target"]
+        n = len(op_l)
+        lat_list = memo.latency_lut(cfg.latencies)
 
         # ---- attach: build the fast call graph over mirrored state ----
-        self.dload, self.dstore, self.ifetch, self.mem_detach = \
-            attach_port(port)
-        self.resolve, self.bru_detach = _mirror_branch_unit(bru)
+        dload, dstore, ifetch, mem_detach = attach_port(port)
+        resolve, bru_detach = _mirror_branch_unit(bru)
 
         # ---- loop state (identical to the reference prologue) ----
-        self.reg_ready = core._reg_ready
-        self.sb = core._sb
-        self.vcfg = cfg.vector
-        self.vu_free = core._vu_free
-        self.cycle = max(start_time, core._time)
-        self.t0 = self.cycle
-        self.slots = 0
-        self.mem_used = 0
-        self.ctrl_used = 0
-        self.fe_ready = max(core._fe_ready, self.cycle)
-        self.cur_line = core._cur_fetch_line
-        self.line_entry = self.cycle
-        self.div_free = core._div_free
-        self.stall_fe = self.stall_dep = 0
-        self.stall_mem = self.stall_struct = 0
-        self.l1d_st = port.l1d.stats
-        self.l1i_st = port.l1i.stats
-        self.bst = bru.stats
-        self.l1d_miss0 = self.l1d_st.misses
-        self.l1i_miss0 = self.l1i_st.misses
-        self.br0 = self.bst.branches
-        self.mp0 = self.bst.mispredicts
-        self.sb_depth = cfg.store_buffer
-        self.flush_pen = cfg.flush_penalty
-        self.bubble_pen = cfg.bubble_penalty
-        self.icache_hit = core._icache_hit
-        self.W = cfg.issue_width
-        self.mem_ports = cfg.mem_ports
-        self.pipelined_div = cfg.pipelined_div
-        self.load_to_use = cfg.load_to_use
-        self.amo_extra = cfg.latencies.amo_extra
-        self.fast_uops = 0
-        self.slow_uops = 0
-        self.span_att = self.span_done = 0
-        self.span_noconv = self.span_fehaz = 0
-        self.i = 0
-        self.closed = False
+        reg_ready = core._reg_ready
+        sb = core._sb
+        vcfg = cfg.vector
+        vu_free = core._vu_free
+        cycle = max(start_time, core._time)
+        t0 = cycle
+        slots = 0
+        mem_used = 0
+        ctrl_used = 0
+        fe_ready = max(core._fe_ready, cycle)
+        cur_line = core._cur_fetch_line
+        line_entry = cycle
+        div_free = core._div_free
+        stall_fe = stall_dep = stall_mem = stall_struct = 0
+        l1d_st = port.l1d.stats
+        l1i_st = port.l1i.stats
+        bst = bru.stats
+        l1d_miss0 = l1d_st.misses
+        l1i_miss0 = l1i_st.misses
+        br0 = bst.branches
+        mp0 = bst.mispredicts
+        sb_depth = cfg.store_buffer
+        flush_pen = cfg.flush_penalty
+        bubble_pen = cfg.bubble_penalty
+        icache_hit = core._icache_hit
+        W = cfg.issue_width
+        mem_ports = cfg.mem_ports
+        pipelined_div = cfg.pipelined_div
+        load_to_use = cfg.load_to_use
+        amo_extra = cfg.latencies.amo_extra
 
-    def commit_span(self, sp, lat_arr, sol) -> bool:
-        """Apply one solved span: replay I-line crossings with real
-        fetches, commit the hazard-free prefix, update counters.
-
-        Returns True when the whole span committed (the caller moves to
-        the next span); False on a fetch hazard — ``i`` then points at
-        the first uncommitted op and the caller runs the scalar loop to
-        ``sp.end``.
-        """
-        issue, d1, d2 = sol
-        issue_l = issue.tolist()
-        # replay I-line crossings with real fetches; a fetch stall
-        # invalidates the constant-fe assumption from that op on
-        cycle = self.cycle
-        fe_ready = self.fe_ready
-        ifetch = self.ifetch
-        icache_hit = self.icache_hit
-        k_abort = -1
-        lines = sp.lines_l
-        sp_pc = sp.pc_l
-        wl_cur = self.cur_line
-        wl_entry = self.line_entry
-        for k in sp.cross_cand:
-            line = lines[k]
-            if line == wl_cur:
-                continue
-            ec = cycle if k == 0 else issue_l[k - 1]
-            need_at = ec if ec > fe_ready else fe_ready
-            issue_at = (wl_entry if line == wl_cur + 1
-                        else need_at)
-            wl_cur = line
-            done = ifetch(sp_pc[k], issue_at)
-            extra = done - need_at - icache_hit
-            if extra > 0:
-                fe_ready = need_at + extra
-                self.stall_fe += extra
-            wl_entry = fe_ready if fe_ready > ec else ec
-            if extra > 0:
-                k_abort = k
-                break
-        self.fe_ready = fe_ready
-        m = sp.end - sp.start
-        k = m if k_abort < 0 else k_abort
-        if k > 0:
-            reg_ready = self.reg_ready
-            dsts = sp.dst[:k]
-            writer = dsts > 0
-            if writer.any():
-                done_t = issue[:k] + lat_arr[:k]
-                wr = np.full(NUM_REGS, -np.inf)
-                wr[dsts[writer]] = done_t[writer]
-                for r in np.nonzero(wr > -np.inf)[0].tolist():
-                    reg_ready[r] = float(wr[r])
-            ds = float(d1[:k].sum() + d2[:k].sum())
-            if ds:
-                self.stall_dep += ds
-            new_cycle = issue_l[k - 1]
-            same = int(np.count_nonzero(issue[:k] == new_cycle))
-            if new_cycle == cycle:
-                self.slots += same
-            else:
-                self.slots = same
-                self.mem_used = 0
-                self.ctrl_used = 0
-            self.cycle = new_cycle
-            self.fast_uops += k
-            self.i += k
-        self.cur_line = wl_cur
-        self.line_entry = wl_entry
-        if k_abort < 0:
-            self.span_done += 1
-            return True
-        self.span_fehaz += 1
-        return False
-
-    def scalar_to(self, limit: int) -> None:
-        """Transliterated scalar loop over ``[i, limit)``.
-
-        State lives in locals for the duration (the hot loop), loading
-        from and storing back to the instance at the call boundaries.
-        """
-        i = self.i
-        if limit <= i:
-            return
-        self.slow_uops += limit - i
-        op_l = self.op_l
-        dst_l = self.dst_l
-        s1_l = self.s1_l
-        s2_l = self.s2_l
-        addr_l = self.addr_l
-        size_l = self.size_l
-        taken_l = self.taken_l
-        pc_l = self.pc_l
-        tgt_l = self.tgt_l
-        lat_list = self.lat_list
-        dload = self.dload
-        dstore = self.dstore
-        ifetch = self.ifetch
-        resolve = self.resolve
-        reg_ready = self.reg_ready
-        sb = self.sb
-        vcfg = self.vcfg
-        vu_free = self.vu_free
-        cycle = self.cycle
-        slots = self.slots
-        mem_used = self.mem_used
-        ctrl_used = self.ctrl_used
-        fe_ready = self.fe_ready
-        cur_line = self.cur_line
-        line_entry = self.line_entry
-        div_free = self.div_free
-        stall_fe = self.stall_fe
-        stall_dep = self.stall_dep
-        stall_mem = self.stall_mem
-        stall_struct = self.stall_struct
-        sb_depth = self.sb_depth
-        flush_pen = self.flush_pen
-        bubble_pen = self.bubble_pen
-        icache_hit = self.icache_hit
-        W = self.W
-        mem_ports = self.mem_ports
-        pipelined_div = self.pipelined_div
-        load_to_use = self.load_to_use
-        amo_extra = self.amo_extra
         try:
-            for i in range(i, limit):
+            for i in range(n):
                 op = op_l[i]
                 pc = pc_l[i]
 
@@ -1194,115 +1019,33 @@ class _InOrderRun:
                         reg_ready[dst] = t + l
                     if op == 3 and not pipelined_div:
                         div_free = t + l
-            i = limit
         finally:
-            # on an exception (vector op on a vector-less core) the
-            # reference loses its locals too; counters saved here only
-            # feed the stats flush at close(), matching reference totals
-            self.i = i
-            self.vu_free = vu_free
-            self.cycle = cycle
-            self.slots = slots
-            self.mem_used = mem_used
-            self.ctrl_used = ctrl_used
-            self.fe_ready = fe_ready
-            self.cur_line = cur_line
-            self.line_entry = line_entry
-            self.div_free = div_free
-            self.stall_fe = stall_fe
-            self.stall_dep = stall_dep
-            self.stall_mem = stall_mem
-            self.stall_struct = stall_struct
+            # write the mirrors back even when the loop raises (vector op
+            # on a vector-less core): the reference objects stay
+            # authoritative between runs
+            mem_detach()
+            if bru_detach is not None:
+                bru_detach()
+            core.accel_stats.engine_uops += n
+            memo.global_stats().engine_uops += n
 
-    def close(self) -> None:
-        """Flush every mirror and counter back to the reference objects."""
-        if self.closed:
-            return
-        self.closed = True
-        self.mem_detach()
-        if self.bru_detach is not None:
-            self.bru_detach()
-        astats = self.core.accel_stats
-        astats.fastpath_uops += self.fast_uops
-        astats.fallback_uops += self.slow_uops
-        astats.spans += self.span_att
-        astats.spans_completed += self.span_done
-        astats.span_aborts += self.span_noconv + self.span_fehaz
-        astats.aborts_no_converge += self.span_noconv
-        astats.aborts_fe_hazard += self.span_fehaz
-        g = memo.global_stats()
-        g.fastpath_uops += self.fast_uops
-        g.fallback_uops += self.slow_uops
-        g.spans += self.span_att
-        g.spans_completed += self.span_done
-        g.aborts_no_converge += self.span_noconv
-        g.aborts_fe_hazard += self.span_fehaz
-
-    def finish(self) -> CoreResult:
-        """Write end-of-run core state back; build the CoreResult."""
-        core = self.core
-        cfg = core.cfg
-        end = self.cycle + cfg.pipeline_depth - 1
-        core._time = self.cycle + 1
-        core._fe_ready = self.fe_ready
-        core._cur_fetch_line = self.cur_line
-        core._div_free = self.div_free
-        core._vu_free = self.vu_free
+        end = cycle + cfg.pipeline_depth - 1
+        core._time = cycle + 1
+        core._fe_ready = fe_ready
+        core._cur_fetch_line = cur_line
+        core._div_free = div_free
+        core._vu_free = vu_free
         return CoreResult(
-            cycles=end - self.t0,
-            instructions=self.n,
+            cycles=end - t0,
+            instructions=n,
             stalls={
-                "frontend": self.stall_fe,
-                "dep": self.stall_dep,
-                "mem": self.stall_mem,
-                "structural": self.stall_struct,
+                "frontend": stall_fe,
+                "dep": stall_dep,
+                "mem": stall_mem,
+                "structural": stall_struct,
             },
-            branches=self.bst.branches - self.br0,
-            mispredicts=self.bst.mispredicts - self.mp0,
-            l1d_misses=self.l1d_st.misses - self.l1d_miss0,
-            l1i_misses=self.l1i_st.misses - self.l1i_miss0,
+            branches=bst.branches - br0,
+            mispredicts=bst.mispredicts - mp0,
+            l1d_misses=l1d_st.misses - l1d_miss0,
+            l1i_misses=l1i_st.misses - l1i_miss0,
         )
-
-
-class AccelEngine:
-    """Drives one :class:`InOrderCore` through the accelerated path."""
-
-    def __init__(self, core) -> None:
-        self.core = core
-
-    def start(self, trace, start_time: int = 0) -> _InOrderRun:
-        """Attach mirrors and return the stepwise run (batched driver)."""
-        return _InOrderRun(self.core, trace, start_time)
-
-    def run(self, trace, start_time: int = 0) -> CoreResult:
-        r = _InOrderRun(self.core, trace, start_time)
-        spans = r.spans
-        nspans = len(spans)
-        span_idx = 0
-        try:
-            while r.i < r.n:
-                limit = r.n
-                if span_idx < nspans:
-                    sp = spans[span_idx]
-                    if sp.start == r.i:
-                        # ---- vectorized span ----
-                        span_idx += 1
-                        r.span_att += 1
-                        lat_arr = r.lat_np[sp.op]
-                        sol = solve_span(sp, lat_arr, r.W, r.cycle,
-                                         r.slots, r.fe_ready, r.reg_ready)
-                        if sol is None:
-                            r.span_noconv += 1
-                            limit = sp.end
-                        elif r.commit_span(sp, lat_arr, sol):
-                            continue
-                        else:
-                            limit = sp.end
-                            if r.i >= limit:
-                                continue
-                    else:
-                        limit = sp.start
-                r.scalar_to(limit)
-        finally:
-            r.close()
-        return r.finish()

@@ -9,7 +9,7 @@ redundancy without touching semantics:
   (sha-256 over its column arrays, the same hashing the checkpoint layer
   uses), computed once per trace object.
 * :func:`trace_arrays` — per-trace decoded view for the fast engine
-  (python lists of every column plus the pre-segmented eligible spans).
+  (python lists of every column).
 * :func:`shared_trace` — process-wide ``(kernel, scale, seed) -> Trace``
   cache so sweeps share one decoded trace across configurations.
 * :func:`memo_get` / :func:`memo_put` — a bounded in-process LRU keyed on
@@ -102,10 +102,10 @@ _arrays: OrderedDict[int, tuple[Any, dict[str, Any]]] = OrderedDict()
 
 
 def trace_arrays(trace) -> dict[str, Any]:
-    """Python-list views of a trace's columns plus its eligible spans.
+    """Python-list views of a trace's columns.
 
     ``tolist()`` converts numpy scalars to plain ints/bools once, so the
-    scalar fast loop never pays per-element numpy unboxing.  The result is
+    engine loops never pay per-element numpy unboxing.  The result is
     cached per trace object (bounded; traces are immutable).
     """
     key = id(trace)
@@ -115,7 +115,6 @@ def trace_arrays(trace) -> dict[str, Any]:
             _arrays.move_to_end(key)
             return hit[1]
         del _arrays[key]  # id() reuse after an external purge: rebuild
-    from .fastpath import build_spans
     view: dict[str, Any] = {
         "op": trace.op.tolist(),
         "dst": trace.dst.tolist(),
@@ -126,7 +125,6 @@ def trace_arrays(trace) -> dict[str, Any]:
         "taken": trace.taken.tolist(),
         "pc": trace.pc.tolist(),
         "target": trace.target.tolist(),
-        "spans": build_spans(trace),
         "trace": trace,
     }
     _arrays[key] = (trace, view)
@@ -141,17 +139,15 @@ _lat_luts: dict = {}
 
 
 def latency_lut(lat_table):
-    """``(list, ndarray)`` of per-OpClass latencies, cached per table.
+    """List of per-OpClass latencies, cached per table.
 
     ``LatencyTable`` is a frozen (hashable) dataclass, so the table
-    itself keys the cache; the list feeds the scalar loop, the float64
-    array the span solver.
+    itself keys the cache.
     """
     hit = _lat_luts.get(lat_table)
     if hit is None:
         from repro.isa.opcodes import OpClass
-        lut = [lat_table.latency_of(op) for op in OpClass]
-        hit = (lut, np.asarray(lut, dtype=np.float64))
+        hit = [lat_table.latency_of(op) for op in OpClass]
         _lat_luts[lat_table] = hit
     return hit
 

@@ -18,11 +18,6 @@ memory and branch mirrors from :mod:`repro.accel.engine`
 :func:`~repro.accel.engine._mirror_branch_unit`).  Mirrors flush back at
 detach — including when the trace raises — so the reference objects
 always hold the authoritative state between runs.
-
-There is no span fast path here: the OoO model has no span-shaped
-generic rule (every op touches rings, ports, and chains), so all uops
-retire through the transliterated loop and count as ``fallback_uops``
-in the coverage metrics.
 """
 
 from __future__ import annotations
@@ -70,7 +65,7 @@ class OoOAccelEngine:
         lines_l = ct.lines
         fp_l = ct.is_fp
         n = ct.n
-        lat_list, _ = memo.latency_lut(cfg.latencies)
+        lat_list = memo.latency_lut(cfg.latencies)
 
         dload, dstore, ifetch, mem_detach = attach_port(port)
         resolve, bru_detach = _mirror_branch_unit(bru)
@@ -284,8 +279,8 @@ class OoOAccelEngine:
             if bru_detach is not None:
                 bru_detach()
 
-        astats.fallback_uops += n
-        memo.global_stats().fallback_uops += n
+        astats.engine_uops += n
+        memo.global_stats().engine_uops += n
 
         core._fetch_chain = fetch_chain
         core._dispatch_chain = dispatch_chain

@@ -2,12 +2,9 @@
 
 Two scopes:
 
-* :class:`AccelStats` — per-core fast-path coverage.  Each accelerated
-  :class:`~repro.core.inorder.InOrderCore` owns one; the counters say how
-  many micro-ops retired through the vectorized span engine
-  (``fastpath_uops``) versus the transliterated scalar loop
-  (``fallback_uops``), and how often a span had to be abandoned at a
-  front-end hazard (``span_aborts``).
+* :class:`AccelStats` — per-core engine activity.  Each accelerated
+  core owns one; ``engine_uops`` counts the micro-ops it retired through
+  its transliterated engine loop (memo hits retire none).
 * :func:`global_stats` — process-wide memoization counters (result memo,
   shared trace cache, interpreter decode cache).  These live outside any
   :class:`~repro.soc.System` because a memo hit never builds a system at
@@ -29,24 +26,9 @@ __all__ = ["AccelStats", "AccelGlobalStats", "global_stats",
 
 @dataclass
 class AccelStats:
-    """Per-core fast-path coverage counters."""
+    """Per-core accelerated-engine counters."""
 
-    fastpath_uops: int = 0     #: uops retired by the vectorized span engine
-    fallback_uops: int = 0     #: uops retired by the scalar scoreboard path
-    spans: int = 0             #: spans attempted by the vector engine
-    span_aborts: int = 0       #: spans cut short (front-end miss / no converge)
-    spans_completed: int = 0   #: spans solved and retired end to end
-    #: rejection reasons behind ``span_aborts`` (the engagement split
-    #: ``repro bench`` reports): readiness fixed point failed to
-    #: converge vs. a real I-fetch stall invalidating the constant
-    #: front-end assumption mid-span
-    aborts_no_converge: int = 0
-    aborts_fe_hazard: int = 0
-
-    @property
-    def coverage(self) -> float:
-        total = self.fastpath_uops + self.fallback_uops
-        return self.fastpath_uops / total if total else 0.0
+    engine_uops: int = 0       #: uops retired by the transliterated engine loop
 
     def reset(self) -> None:
         self.__init__()
@@ -54,12 +36,11 @@ class AccelStats:
 
 @dataclass
 class AccelGlobalStats:
-    """Process-wide accel counters: memo caches plus aggregate coverage.
+    """Process-wide accel counters: memo caches plus aggregate engine uops.
 
-    ``fastpath_uops``/``fallback_uops`` accumulate across every engine in
-    the process (systems are often built and discarded per run, so the
-    per-core :class:`AccelStats` may be gone by the time a harness wants
-    coverage numbers).
+    ``engine_uops`` accumulates across every engine in the process
+    (systems are often built and discarded per run, so the per-core
+    :class:`AccelStats` may be gone by the time a harness wants totals).
     """
 
     memo_hits: int = 0
@@ -71,17 +52,13 @@ class AccelGlobalStats:
     compile_store_misses: int = 0
     decode_hits: int = 0
     decode_misses: int = 0
-    fastpath_uops: int = 0
-    fallback_uops: int = 0
-    spans: int = 0
-    spans_completed: int = 0
-    aborts_no_converge: int = 0
-    aborts_fe_hazard: int = 0
+    engine_uops: int = 0
 
-    @property
-    def coverage(self) -> float:
-        total = self.fastpath_uops + self.fallback_uops
-        return self.fastpath_uops / total if total else 0.0
+    # the span solver is gone; benchmarks/perf still reads these three,
+    # so they stay as constant zeros until that suite drops its rows
+    spans = property(lambda self: 0)
+    spans_completed = property(lambda self: 0)
+    coverage = property(lambda self: 0.0)
 
     def reset(self) -> None:
         self.__init__()

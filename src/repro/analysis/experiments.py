@@ -64,8 +64,8 @@ def _microbench_comparison(experiment: str, hw_cfg: SoCConfig,
 
     With *batched*, each kernel becomes one config-batched sweep job
     (:func:`repro.accel.batch.batched_sweep`): the trace is compiled
-    once and every config evaluated over it in a single vectorized
-    pass — per-point results stay bit-identical to per-config jobs.
+    once and every config run over the compiled form — per-point
+    results stay bit-identical to per-config jobs.
     """
     from ..farm import Job, run_jobs
 

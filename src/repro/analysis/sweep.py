@@ -15,8 +15,8 @@ in-process result memo.
 ``batched=True`` goes one step further: the whole sweep becomes a single
 :meth:`~repro.farm.job.Job.sweep` job handled by the config-batched
 engine (:func:`repro.accel.batch.batched_sweep`) — the trace is compiled
-once and every configuration is evaluated over it in one vectorized
-pass, with per-point results bit-identical to the per-config jobs (the
+once and every configuration runs over the compiled form, with
+per-point results bit-identical to the per-config jobs (the
 ``batch`` tier of ``repro check`` enforces this).
 """
 
@@ -124,9 +124,9 @@ def sweep_configs(configs: Sequence[SoCConfig], kernel: str,
     """Run *kernel* on each config (the fig-1/fig-2 inner loop, exposed).
 
     With ``batched=True`` the whole sweep runs as one config-batched job:
-    the kernel's trace is compiled once and every config is evaluated
-    over it in a single vectorized pass (bit-identical to per-config
-    jobs, and typically >2x faster across a full config set).
+    the kernel's trace is compiled once and every config runs over the
+    compiled form (bit-identical to per-config jobs, and typically >2x
+    faster across a full config set).
     """
     return _farm_sweep(kernel, [(cfg.name, cfg) for cfg in configs],
                        scale, seed, workers, cache, batched=batched)

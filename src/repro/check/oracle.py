@@ -363,9 +363,9 @@ def diff_batch(kernel: str, config_names: Sequence[str] | None = None,
 
     1. *serial*: one ``Job.kernel`` per config through
        :func:`~repro.farm.job.execute_job` — the farm's ordinary path.
-    2. *batched*: one ``Job.sweep`` over all configs — the compiled
-       trace is shared and the in-order configs solve each span in a
-       single config-vectorized call.
+    2. *batched*: one ``Job.sweep`` over all configs — the trace is
+       compiled once and every config runs over the shared compiled
+       form, in input order.
     3. *resume* (on by default): the batched job again, but killed by an
        injected worker fault after half the configs and restarted from
        its mid-run checkpoint.

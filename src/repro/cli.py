@@ -802,18 +802,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"suite  {s['config']}: {s['kernels']} kernels x scale "
                   f"{s['scale']}: off {s['off_seconds']}s, on "
                   f"{s['on_seconds']}s, speedup x{s['speedup']}, "
-                  f"coverage {s['fastpath_coverage']:.1%}, "
                   f"{'bit-identical' if s['identical'] else 'DIVERGED'}")
-            sp = s.get("span_solver")
-            if sp:
-                elig = sp.get("eligible_frac", 0.0)
-                print(f"spans  {sp['spans']} attempted, "
-                      f"{sp['spans_completed']} completed, aborts: "
-                      f"{sp['aborts_no_converge']} no-converge, "
-                      f"{sp['aborts_fe_hazard']} fe-hazard; "
-                      f"{elig:.1%} of uops span-eligible, "
-                      f"{sp['runs_below_min_span']} runs below min span, "
-                      f"hazard deciles {sp['hazard_density']}")
             bt = record.get("batched")
             if bt:
                 print(f"batched {bt['kernels']} kernels x "

@@ -74,8 +74,8 @@ class InOrderCore(CoreModel):
         self.bru = branch_unit if branch_unit is not None else rocket_branch_unit()
         self._icache_hit = icache_hit_latency
         # accelerated engine (repro.accel): bit-identical fast path, built
-        # lazily on first run so reference-only cores never import numpy
-        # mirrors; accel_stats tracks its fast-path coverage
+        # lazily on first run so reference-only cores never import the
+        # mirrors; accel_stats counts the uops it retires
         self._accel_on = accel
         self._accel = None
         from ..accel.stats import AccelStats

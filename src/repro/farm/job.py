@@ -117,8 +117,8 @@ class Job:
         """One config-batched kernel sweep: every config, one compiled trace.
 
         The worker runs :func:`repro.accel.batch.batched_sweep` — the
-        trace is compiled once and all configurations are evaluated over
-        it in a single config-vectorized pass.  The payload maps config
+        trace is compiled once and the configurations run over it one
+        after another, in input order.  The payload maps config
         name to exactly the payload the matching ``Job.kernel`` would
         produce (the ``batch`` check tier enforces this bit-for-bit).
         Config names must be unique: they key the payload and the
@@ -458,9 +458,10 @@ def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
     by the job's cache key; a retried attempt loads it, skips the
     completed configs, and batches only the remainder — bit-identically,
     because each config's simulation is independent (fresh system per
-    config) and payloads are pure JSON trees.  A ``kill`` fault with an
-    ``after=N`` parameter fires once N configs have completed, modelling
-    a worker crash mid-sweep.
+    config) and payloads are pure JSON trees.  Configs complete in input
+    order, so a ``kill`` fault with an ``after=N`` parameter fires once
+    the first N not-yet-checkpointed configs are done, modelling a
+    worker crash mid-sweep.
     """
     import json
 
@@ -502,9 +503,9 @@ def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
             from ..reliability.faults import apply_worker_fault
             apply_worker_fault(fault, in_process=ctx.in_process)
 
-    # on_point fills `done` as configs complete; merging the returned
-    # points too keeps the payload whole even if a future engine path
-    # stops routing every completion through the callback.
+    # on_point fills `done` as configs complete — in input order, memo
+    # hits included — so a checkpoint always holds the leading configs
+    # of this attempt; the returned points are those same payloads.
     done.update(batched_sweep(configs, job.workload,
                               scale=float(job.param("scale", 1.0)),
                               seed=job.seed,

@@ -39,6 +39,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
+# forked workers inherit this process's modules: load the engines once
+# here, not once in every worker (~10 ms of each short job)
+from ..accel import engine as _engine, ooo as _ooo  # noqa: F401
 from ..telemetry import Snapshot
 from .cache import ResultCache, cache_key
 from .deploy import DeployManager, resolve_deploy
@@ -139,6 +142,9 @@ def _worker_main(conn, job: Job, attempt: int,
                  ctx: ExecContext | None = None) -> None:
     """Child entry point: run one job, report ("ok", payload, meta) or
     ("error", message) over the pipe, exit."""
+    # a forked worker inherits the scheduler's SIGTERM->KeyboardInterrupt
+    # handler; reaped after reporting, it would die with a traceback
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         payload, meta = execute_job_meta(job, attempt=attempt, ctx=ctx)
         conn.send(("ok", payload, meta))

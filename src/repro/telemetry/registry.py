@@ -196,7 +196,7 @@ class StatsRegistry:
             data["watchdog"] = _dump(watchdog.stats)
         # acceleration counters, only when the config opts in.  The memo
         # keys are process-wide, reported relative to this registry's
-        # construction-time baseline; the uop coverage keys are summed
+        # construction-time baseline; the engine uop count is summed
         # from the tiles (per-run state, carried through checkpoints) so
         # a resumed run's snapshot stays bit-identical to an
         # uninterrupted one
@@ -204,10 +204,8 @@ class StatsRegistry:
             from ..accel.stats import global_stats
             now = _dump(global_stats())
             acc = {k: v - self._accel_base.get(k, 0) for k, v in now.items()}
-            acc["fastpath_uops"] = sum(
-                t["accel"]["fastpath_uops"] for t in tiles if "accel" in t)
-            acc["fallback_uops"] = sum(
-                t["accel"]["fallback_uops"] for t in tiles if "accel" in t)
+            acc["engine_uops"] = sum(
+                t["accel"]["engine_uops"] for t in tiles if "accel" in t)
             data["accel"] = acc
         return Snapshot(data)
 

@@ -1,26 +1,17 @@
 """The config-batched sweep engine's contract: one compiled trace,
-every configuration evaluated over it in one pass, each per-config
-result bit-identical to a solo run of that configuration — across the
-full named-config set, on microbench kernels and on NPB-EP- and
-LAMMPS-shaped traces, through the batched span solver."""
+every configuration evaluated over it, each per-config result
+bit-identical to a solo run of that configuration — across the full
+named-config set."""
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.accel import memo
-from repro.accel.batch import batched_sweep, run_batch
-from repro.accel.fastpath import build_spans, solve_span, solve_span_batch
+from repro.accel.batch import batched_sweep
 from repro.accel.stats import reset_global_stats
 from repro.farm.job import Job, execute_job
-from repro.isa.opcodes import OpClass
-from repro.isa.trace import TraceBuilder
 from repro.soc.presets import ALL_CONFIGS, get_config
-from repro.soc.system import System
-from repro.workloads.base import PhaseEmitter
 
 CONFIG_NAMES = sorted(ALL_CONFIGS)
 
@@ -85,76 +76,14 @@ def test_batched_sweep_skip_excludes_completed_points():
     assert part["Rocket2"] == full["Rocket2"]
 
 
-# ----------------------------------------------------------- run_batch
-# NPB EP and the LAMMPS force loop feed the cores PhaseEmitter traces;
-# driving those trace shapes through the lockstep batch driver covers
-# the workloads the sweep engine meets beyond the microbench suite.
-
-def _ep_trace(n=768):
-    """The EP per-rank phase: FP-FMA-dominated, register-resident."""
-    em = PhaseEmitter()
-    loads = (4096 + (np.arange(n) % 64) * 8).astype(np.uint64)
-    return em.emit(loads=loads, fp_per_elem=10.0, int_per_elem=4.0,
-                   fp_op=OpClass.FP_FMA, elems=n)
-
-
-def _lammps_force_trace(npairs=512):
-    """The LJ force loop: three loads and a store per pair."""
-    em = PhaseEmitter()
-    loads = (1 << 20) + np.arange(3 * npairs, dtype=np.uint64) * 8
-    stores = (2 << 20) + np.arange(npairs, dtype=np.uint64) * 24
-    return em.emit(loads=loads.astype(np.uint64),
-                   stores=stores.astype(np.uint64),
-                   fp_per_elem=11.0, int_per_elem=2.0,
-                   fp_op=OpClass.FP_FMA, elems=npairs)
-
-
-@pytest.mark.parametrize("make_trace", [_ep_trace, _lammps_force_trace])
-def test_run_batch_matches_reference_all_configs(make_trace):
-    trace = make_trace()
-    batch = run_batch([System(get_config(n)) for n in CONFIG_NAMES], trace)
-    for name, got in zip(CONFIG_NAMES, batch):
-        ref = System(get_config(name).with_(accel="off")).run(trace)
-        assert dataclasses.asdict(got) == dataclasses.asdict(ref), name
-
-
-def test_run_batch_preserves_input_order_mixed_groups():
-    """In-order lockstep members and solo fallbacks (OoO cores) must
-    come back in the callers' order, not grouped order."""
+def test_batched_sweep_on_point_fires_in_input_order():
+    """Completion order is plain input order for a mixed in-order/OoO
+    list, memo-served points included — what the sweep job's
+    checkpoint and `kill after=N` fault count against."""
     names = ["MediumBOOM", "Rocket1", "LargeBOOM", "Rocket2"]
-    trace = _ep_trace(n=256)
-    batch = run_batch([System(get_config(n)) for n in names], trace)
-    for name, got in zip(names, batch):
-        ref = System(get_config(name).with_(accel="off")).run(trace)
-        assert dataclasses.asdict(got) == dataclasses.asdict(ref), name
-
-
-# ---------------------------------------------------- solve_span_batch
-
-def test_solve_span_batch_matches_scalar_rows():
-    """The batched fixed point must equal per-config solve_span calls
-    value-for-value, across diverging widths/latencies/scoreboards."""
-    b = TraceBuilder()
-    for i in range(48):
-        b.alu(dst=1 + i % 8, src1=1 + (i + 1) % 8, src2=1 + (i + 2) % 8)
-    tr = b.build()
-    (span,) = build_spans(tr)
-    m = len(span)
-
-    rng = np.random.default_rng(7)
-    lats = [np.ones(m), np.full(m, 2.0), rng.integers(1, 5, m).astype(float)]
-    widths = [1, 2, 4]
-    cycles = [10.0, 5.0, 0.0]
-    slots = [0, 1, 0]
-    fe_readys = [0.0, 7.0, 2.0]
-    reg_readys = [rng.integers(0, 20, 64).astype(float).tolist()
-                  for _ in range(3)]
-
-    batch = solve_span_batch(span, lats, widths, cycles, slots,
-                             fe_readys, reg_readys)
-    for c in range(3):
-        solo = solve_span(span, lats[c], widths[c], cycles[c], slots[c],
-                          fe_readys[c], list(reg_readys[c]))
-        assert solo is not None and batch[c] is not None
-        for got, want in zip(batch[c], solo):
-            assert np.array_equal(got, want), c
+    cfgs = [get_config(n) for n in names]
+    batched_sweep(cfgs[2:3], "EI", scale=0.05)   # LargeBOOM -> memo hit
+    seen = []
+    points = batched_sweep(cfgs, "EI", scale=0.05,
+                           on_point=lambda name, p: seen.append(name))
+    assert seen == names == list(points)

@@ -2,7 +2,8 @@
 wall-clock optimization.  Every named configuration must produce results
 bit-identical to the reference path — cycles, stall attribution, CPI
 stacks, per-rank MPI results — on a microbench kernel, an NPB kernel,
-and a LAMMPS step, including through a mid-run checkpoint/restore."""
+a LAMMPS step, and a synthetic straight-line trace, including through a
+mid-run checkpoint/restore."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import pytest
 
 from repro.accel import memo
 from repro.accel.stats import reset_global_stats
+from repro.isa.opcodes import OpClass
+from repro.isa.trace import TraceBuilder
 from repro.soc.presets import ALL_CONFIGS, get_config
 from repro.soc.system import System
 from repro.telemetry import BUCKETS, StatsRegistry, cpi_stack
@@ -76,6 +79,35 @@ def test_lammps_step_bit_identical(name):
     assert a.verified and b.verified
     assert a.cycles == b.cycles
     assert _canon(a) == _canon(b)
+
+
+def _straightline(reps=40, n_alu=48, n_fp=40):
+    """ALU run | load | FP run | divide | branch, repeated: dependence-
+    linked exec runs far longer than any microbench loop body."""
+    b = TraceBuilder()
+    for rep in range(reps):
+        for i in range(n_alu):
+            b.alu(dst=1 + i % 8, src1=1 + (i + 3) % 8, src2=1 + (i + 5) % 8)
+        b.load(dst=9, addr=0x2_0000 + 64 * rep)
+        for i in range(n_fp):
+            b.fp(OpClass.FP_FMA, dst=12 + i % 4, src1=9,
+                 src2=12 + (i + 1) % 4)
+        b.div(dst=10, src1=1, src2=2)
+        b.branch(taken=rep % 7 == 0)
+    return b.build()
+
+
+@pytest.mark.parametrize("name", ["Rocket1", "MediumBOOM"])
+def test_straightline_runs_bit_identical(name):
+    """Long straight-line exec runs broken by a load, a divide and a
+    branch retire identically through the engine loop and the reference
+    model, cold and with a warm front end."""
+    trace = _straightline()
+    off, on = _pair(get_config(name))
+    ref_sys, acc_sys = System(off), System(on)
+    for _ in range(2):
+        assert (dataclasses.asdict(acc_sys.run(trace))
+                == dataclasses.asdict(ref_sys.run(trace)))
 
 
 @pytest.mark.parametrize("name", ["Rocket1", "BananaPi-K1", "MILKVSim"])

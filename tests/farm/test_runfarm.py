@@ -1,10 +1,14 @@
 """RunFarm scheduler tests: determinism, caching, fault tolerance."""
 
 import json
+import multiprocessing
+import signal
+import time
 
 import pytest
 
 from repro.farm import FarmEvent, Job, ResultCache, RunFarm, run_jobs
+from repro.farm.runfarm import _worker_main
 from repro.soc import BANANA_PI_HW, ROCKET1, ROCKET2
 
 KERNELS = ("EI", "MM", "Cca", "DP1f")
@@ -153,6 +157,43 @@ def test_per_job_timeout_overrides_farm_timeout():
     results = farm.run(jobs)
     assert not results[0].ok and "timed out" in results[0].error
     assert results[1].ok
+
+
+class _LingeringPipe:
+    """Worker end of the result pipe that stays busy after the report,
+    holding the worker in the window where the scheduler reaps it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def send(self, msg):
+        self.conn.send(msg)
+
+    def close(self):
+        self.conn.close()
+        time.sleep(30.0)
+
+
+def test_reaped_finished_worker_leaves_stderr_empty(capfd):
+    """A worker terminate()d after it reported must die of the plain
+    SIGTERM, not unwind the scheduler's inherited SIGTERM->
+    KeyboardInterrupt handler into a traceback."""
+    restore = RunFarm(workers=2)._install_sigterm()
+    try:
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_worker_main,
+                           args=(_LingeringPipe(send), Job.selftest("ok"), 1),
+                           daemon=True)
+        proc.start()
+        send.close()
+        assert recv.poll(30.0) and recv.recv()[0] == "ok"
+        proc.terminate()
+        proc.join(timeout=10.0)
+    finally:
+        restore()
+    assert proc.exitcode == -signal.SIGTERM
+    assert capfd.readouterr().err == ""
 
 
 def test_strict_run_jobs_raises_with_every_failure_listed():
