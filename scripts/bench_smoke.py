@@ -13,10 +13,15 @@ Re-runs the tracked benchmark (the same harness behind ``repro bench
    ratios, so they are stable across CI runners — must not regress by
    more than 10% against the baseline;
 3. the interpreter's second pass must decode entirely out of the
-   instruction cache.
+   instruction cache;
+4. building the 39 runnable kernels at scale 1.0 (best of 3) must
+   sustain at least 5e6 uops/s: the column-at-a-time generators do
+   >1.5e7 and one Python call per uop does ~1.7e6, so the floor has 3x
+   slack against host noise yet trips if a per-uop loop creeps back
+   into a generator.
 
-Absolute wall-clock numbers are *not* compared: they measure the host,
-not the code.  Exit code 0 on success; any check failure is a
+Other absolute wall-clock numbers are *not* compared: they measure the
+host, not the code.  Exit code 0 on success; any check failure is a
 regression.
 """
 
@@ -25,15 +30,30 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.accel.bench import run_bench  # noqa: E402
+from repro.workloads.microbench import runnable_kernels  # noqa: E402
 
 BASELINE = ROOT / "BENCH_5.json"
 #: allowed fractional speedup regression vs the committed baseline
 TOLERANCE = 0.10
+#: minimum trace-build rate over the suite at scale 1.0, uops per second
+BUILD_FLOOR = 5e6
+
+
+def _build_rate() -> float:
+    """Best-of-3 uops/s building every runnable kernel at scale 1.0."""
+    kernels = runnable_kernels()
+    best = 0.0
+    for _ in range(3):
+        t0 = time.perf_counter()
+        uops = sum(len(k.build(scale=1.0, seed=0)) for k in kernels)
+        best = max(best, uops / (time.perf_counter() - t0))
+    return best
 
 
 def _gate_speedup(name: str, run: float, base: float) -> bool:
@@ -47,6 +67,13 @@ def _gate_speedup(name: str, run: float, base: float) -> bool:
 
 def main() -> int:
     baseline = json.loads(BASELINE.read_text())
+
+    rate = _build_rate()
+    print(f"trace build: {rate:.3g} uops/s (floor {BUILD_FLOOR:.0e})")
+    if rate < BUILD_FLOOR:
+        print("FAIL: trace build fell below the floor - is a generator "
+              "emitting one Python call per uop again?")
+        return 1
 
     record = run_bench(batched=True)  # same defaults as the baseline
     suite = record["suite"]
@@ -78,7 +105,7 @@ def main() -> int:
         return 1
 
     print("bench smoke OK: bit-identical (suite + batched), "
-          "speedups within tolerance")
+          "speedups within tolerance, trace build above the floor")
     return 0
 
 

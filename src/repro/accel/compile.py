@@ -21,6 +21,7 @@ every engine attached to the trace:
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from typing import Any, Callable, Optional
@@ -38,7 +39,7 @@ __all__ = ["CompiledTrace", "compiled_trace", "shared_compiled",
            "COMPILE_SCHEMA"]
 
 #: payload schema for store-shared compiled traces
-COMPILE_SCHEMA = 1
+COMPILE_SCHEMA = 2
 
 _FP_LUT = np.zeros(256, dtype=bool)
 _FP_LUT[[int(op) for op in FP_OPS]] = True
@@ -104,23 +105,18 @@ def compiled_store_key(workload: str, scale: float, seed: int) -> str:
 
 
 def trace_payload(trace: Trace) -> dict[str, Any]:
-    """JSON form of a trace's columns, stamped with its content digest."""
-    return {
-        "schema": COMPILE_SCHEMA,
-        "digest": memo.trace_digest(trace),
-        "n": len(trace),
-        "columns": {
-            "op": trace.op.tolist(),
-            "dst": trace.dst.tolist(),
-            "src1": trace.src1.tolist(),
-            "src2": trace.src2.tolist(),
-            "addr": trace.addr.tolist(),
-            "size": trace.size.tolist(),
-            "taken": trace.taken.tolist(),
-            "pc": trace.pc.tolist(),
-            "target": trace.target.tolist(),
-        },
-    }
+    """JSON form of a trace's columns, stamped with its content digest.
+
+    Each column travels as base64 of its little-endian bytes plus its
+    dtype string — never as a Python list of numbers."""
+    columns = {}
+    for name in Trace.__slots__:
+        arr = getattr(trace, name)
+        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        columns[name] = {"dtype": arr.dtype.str,
+                         "b64": base64.b64encode(arr.tobytes()).decode("ascii")}
+    return {"schema": COMPILE_SCHEMA, "digest": memo.trace_digest(trace),
+            "n": len(trace), "columns": columns}
 
 
 def trace_from_payload(payload: dict[str, Any]) -> Optional[Trace]:
@@ -132,14 +128,11 @@ def trace_from_payload(payload: dict[str, Any]) -> Optional[Trace]:
     if not isinstance(cols, dict):
         return None
     try:
-        trace = Trace(
-            np.asarray(cols["op"]), np.asarray(cols["dst"]),
-            np.asarray(cols["src1"]), np.asarray(cols["src2"]),
-            np.asarray(cols["addr"]), np.asarray(cols["size"]),
-            np.asarray(cols["taken"]), np.asarray(cols["pc"]),
-            np.asarray(cols["target"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
+        trace = Trace(*(
+            np.frombuffer(base64.b64decode(cols[name]["b64"]),
+                          dtype=np.dtype(cols[name]["dtype"]))
+            for name in Trace.__slots__))
+    except (KeyError, TypeError, ValueError):
         return None
     if memo.trace_digest(trace) != payload.get("digest"):
         return None  # stale or corrupted entry: rebuild from source

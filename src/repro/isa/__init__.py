@@ -2,7 +2,8 @@
 a trace-emitting functional interpreter, and trace serialization."""
 
 from .opcodes import DEFAULT_LATENCIES, ExecUnit, LatencyTable, OpClass
-from .trace import FP_REG_BASE, NUM_REGS, Trace, TraceBuilder, TraceStats
+from .trace import (FP_REG_BASE, NUM_REGS, ColumnBuilder, Trace, TraceBuilder,
+                    TraceStats)
 from .encoding import DecodeError, Instr, decode, encode
 from .assembler import AssemblerError, assemble
 from .interp import ExecutionError, Interpreter, Memory
@@ -15,6 +16,7 @@ __all__ = [
     "DEFAULT_LATENCIES",
     "Trace",
     "TraceBuilder",
+    "ColumnBuilder",
     "TraceStats",
     "NUM_REGS",
     "FP_REG_BASE",

@@ -21,11 +21,18 @@ TRACE_FORMAT_VERSION = 1
 _FIELDS = ("op", "dst", "src1", "src2", "addr", "size", "taken", "pc", "target")
 
 
+def _npz_path(path: str | pathlib.Path) -> str:
+    """*path* as numpy writes it: ``.npz`` is appended when missing."""
+    path = str(path)
+    return path if path.endswith(".npz") else path + ".npz"
+
+
 def save_trace(trace: Trace, path: str | pathlib.Path) -> None:
-    """Write *trace* to *path* (compressed npz)."""
+    """Write *trace* to *path* (compressed npz; ``.npz`` is appended to a
+    path without it, and :func:`load_trace` resolves the same way)."""
     arrays = {name: getattr(trace, name) for name in _FIELDS}
     np.savez_compressed(
-        path,
+        _npz_path(path),
         __version__=np.int64(TRACE_FORMAT_VERSION),
         **arrays,
     )
@@ -33,7 +40,7 @@ def save_trace(trace: Trace, path: str | pathlib.Path) -> None:
 
 def load_trace(path: str | pathlib.Path) -> Trace:
     """Read a trace written by :func:`save_trace`."""
-    with np.load(path) as data:
+    with np.load(_npz_path(path)) as data:
         version = int(data["__version__"])
         if version != TRACE_FORMAT_VERSION:
             raise ValueError(

@@ -2,9 +2,11 @@
 
 A :class:`Trace` is a struct-of-arrays record of a dynamic instruction
 stream: op class, register operands, memory address, and branch outcome per
-micro-op.  Workload kernels build traces with :class:`TraceBuilder` (scalar
-emission) or with the vectorised ``extend_*`` methods, and the core timing
-models in :mod:`repro.core` consume them.
+micro-op.  Loop-shaped workload kernels build traces with
+:class:`ColumnBuilder` (one call per static slot, operands as per-iteration
+arrays), irregular programs with :class:`TraceBuilder` (one call per
+micro-op, plus the bulk ``extend*`` methods), and the core timing models in
+:mod:`repro.core` consume them.
 
 Register ids: integer registers ``x0..x31`` are ids ``0..31`` (writes to
 ``x0`` are discarded, as in hardware), floating-point registers ``f0..f31``
@@ -20,10 +22,15 @@ import numpy as np
 
 from .opcodes import FP_OPS, INT_EXEC_OPS, OpClass
 
-__all__ = ["Trace", "TraceBuilder", "TraceStats", "NUM_REGS", "FP_REG_BASE"]
+__all__ = ["Trace", "TraceBuilder", "ColumnBuilder", "TraceStats", "NUM_REGS",
+           "FP_REG_BASE"]
 
 NUM_REGS = 64
 FP_REG_BASE = 32
+
+#: dtype of each :class:`Trace` column, in constructor order
+_COLUMN_DTYPES = (np.uint8, np.int16, np.int16, np.int16, np.uint64, np.uint8,
+                  np.bool_, np.uint64, np.uint64)
 
 
 def _vbytes(nbytes: int) -> int:
@@ -88,27 +95,11 @@ class Trace:
         target: np.ndarray,
     ) -> None:
         n = len(op)
-        for name, arr in (
-            ("dst", dst),
-            ("src1", src1),
-            ("src2", src2),
-            ("addr", addr),
-            ("size", size),
-            ("taken", taken),
-            ("pc", pc),
-            ("target", target),
-        ):
+        columns = (op, dst, src1, src2, addr, size, taken, pc, target)
+        for name, arr, dtype in zip(self.__slots__, columns, _COLUMN_DTYPES):
             if len(arr) != n:
                 raise ValueError(f"field {name!r} has length {len(arr)}, expected {n}")
-        self.op = np.ascontiguousarray(op, dtype=np.uint8)
-        self.dst = np.ascontiguousarray(dst, dtype=np.int16)
-        self.src1 = np.ascontiguousarray(src1, dtype=np.int16)
-        self.src2 = np.ascontiguousarray(src2, dtype=np.int16)
-        self.addr = np.ascontiguousarray(addr, dtype=np.uint64)
-        self.size = np.ascontiguousarray(size, dtype=np.uint8)
-        self.taken = np.ascontiguousarray(taken, dtype=np.bool_)
-        self.pc = np.ascontiguousarray(pc, dtype=np.uint64)
-        self.target = np.ascontiguousarray(target, dtype=np.uint64)
+            setattr(self, name, np.ascontiguousarray(arr, dtype=dtype))
 
     def __len__(self) -> int:
         return len(self.op)
@@ -407,6 +398,118 @@ class TraceBuilder:
         if len(self._chunks) == 1:
             return self._chunks[0]
         return Trace.concat(self._chunks)
+
+
+class ColumnBuilder:
+    """Assemble *n* iterations of a loop body one column at a time.
+
+    The emit methods mirror :class:`TraceBuilder`'s, but each call is one
+    *static slot* executed by all *n* iterations at once: every argument
+    is a scalar or a length-*n* array (one value per iteration).
+    :attr:`pc` is a length-*n* array — each iteration's current PC —
+    advanced by 4 per slot and redirected, per iteration, by taken
+    branches, jumps, calls and returns; assign to it to start a slot
+    somewhere else.  A slot that only some iterations execute takes a
+    boolean ``where=`` mask.  :meth:`build` interleaves the slots
+    row-major (iteration 0's slots, then iteration 1's, ...) into the
+    same :class:`Trace` the scalar builder would have produced.
+    """
+
+    def __init__(self, n: int, pc0: int = 0x1_0000) -> None:
+        self.n = int(n)
+        self._slots: list[tuple] = []   # one per emit call: 9 columns + mask
+        self.pc = pc0
+
+    @property
+    def pc(self) -> np.ndarray:
+        return self._pc
+
+    @pc.setter
+    def pc(self, value) -> None:
+        self._pc = np.broadcast_to(np.asarray(value, dtype=np.int64), (self.n,))
+
+    def _emit(self, op: OpClass, dst=-1, src1=-1, src2=-1, addr=0, size=8,
+              taken=False, target=0, where=None) -> None:
+        pc = self._pc
+        self._slots.append((int(op), dst, src1, src2, addr, size, taken, pc,
+                            target, where))
+        self._pc = pc + 4 if where is None else np.where(where, pc + 4, pc)
+
+    def _redirect(self, taken, target, where) -> None:
+        if where is not None:
+            taken = taken & where
+        self.pc = np.where(taken, target, self._pc)
+
+    def alu(self, dst, src1=-1, src2=-1, where=None) -> None:
+        self._emit(OpClass.INT_ALU, dst, src1, src2, where=where)
+
+    def mul(self, dst, src1, src2, where=None) -> None:
+        self._emit(OpClass.INT_MUL, dst, src1, src2, where=where)
+
+    def fp(self, opclass: OpClass, dst, src1=-1, src2=-1, where=None) -> None:
+        if opclass not in FP_OPS:
+            raise ValueError(f"{opclass} is not a floating-point op class")
+        self._emit(opclass, dst, src1, src2, where=where)
+
+    def load(self, dst, addr, base=-1, size=8, where=None) -> None:
+        self._emit(OpClass.LOAD, dst, base, -1, addr=addr, size=size, where=where)
+
+    def store(self, src, addr, base=-1, size=8, where=None) -> None:
+        self._emit(OpClass.STORE, -1, base, src, addr=addr, size=size, where=where)
+
+    def branch(self, taken, src1=-1, src2=-1, target=None, where=None) -> None:
+        """Conditional branch; iterations where it is taken continue at
+        *target* (default: fall through either way)."""
+        tgt = self._pc + 4 if target is None else np.asarray(target, np.int64)
+        self._emit(OpClass.BRANCH, -1, src1, src2, taken=taken, target=tgt,
+                   where=where)
+        self._redirect(taken, tgt, where)
+
+    def jump(self, target, where=None) -> None:
+        tgt = np.asarray(target, np.int64)
+        self._emit(OpClass.JUMP, taken=True, target=tgt, where=where)
+        self._redirect(True, tgt, where)
+
+    def call(self, target, link: int = 1, where=None) -> None:
+        tgt = np.asarray(target, np.int64)
+        self._emit(OpClass.CALL, link, taken=True, target=tgt, where=where)
+        self._redirect(True, tgt, where)
+
+    def ret(self, target, src: int = 1, where=None) -> None:
+        tgt = np.asarray(target, np.int64)
+        self._emit(OpClass.RET, -1, src, taken=True, target=tgt, where=where)
+        self._redirect(True, tgt, where)
+
+    def vload(self, dst, addr, nbytes: int, base=-1, where=None) -> None:
+        self._emit(OpClass.VLOAD, dst, base, -1, addr=addr, size=_vbytes(nbytes),
+                   where=where)
+
+    def vstore(self, src, addr, nbytes: int, base=-1, where=None) -> None:
+        self._emit(OpClass.VSTORE, -1, base, src, addr=addr, size=_vbytes(nbytes),
+                   where=where)
+
+    def valu(self, dst, src1=-1, src2=-1, nbytes: int = 32, where=None) -> None:
+        self._emit(OpClass.VALU, dst, src1, src2, size=_vbytes(nbytes), where=where)
+
+    def vfma(self, dst, src1=-1, src2=-1, nbytes: int = 32, where=None) -> None:
+        self._emit(OpClass.VFMA, dst, src1, src2, size=_vbytes(nbytes), where=where)
+
+    def build(self) -> Trace:
+        """The *n* x slots grid flattened row-major, masked slots dropped."""
+        shape = (self.n, len(self._slots))
+        columns = []
+        for j, dtype in enumerate(_COLUMN_DTYPES):
+            grid = np.empty(shape, dtype=dtype)
+            for k, slot in enumerate(self._slots):
+                grid[:, k] = slot[j]
+            columns.append(grid.reshape(-1))
+        if any(slot[-1] is not None for slot in self._slots):
+            keep = np.empty(shape, dtype=np.bool_)
+            for k, slot in enumerate(self._slots):
+                keep[:, k] = True if slot[-1] is None else slot[-1]
+            keep = keep.reshape(-1)
+            columns = [col[keep] for col in columns]
+        return Trace(*columns)
 
 
 def interleave(traces: Iterable[Trace], chunk: int = 64) -> Trace:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..isa.opcodes import OpClass
-from ..isa.trace import Trace, TraceBuilder
+from ..isa.trace import ColumnBuilder, Trace, TraceBuilder
 
 __all__ = ["KernelSpec", "MicroKernel", "LoopEmitter", "PhaseEmitter", "CODE_BASE"]
 
@@ -71,12 +71,12 @@ class MicroKernel(abc.ABC):
 
 
 class LoopEmitter:
-    """Emit a loop body repeatedly at stable static PCs.
+    """Emit a counted loop at stable static PCs, a column at a time.
 
     Re-running a body with the same code addresses is what lets branch
-    predictors and the I-cache behave as they would on a real loop; the
-    builder's PC is rewound to the loop head each iteration, and a backedge
-    branch is emitted automatically.
+    predictors and the I-cache behave as they would on a real loop: every
+    iteration starts at the loop head, and a backedge branch is emitted
+    automatically.
     """
 
     def __init__(self, builder: TraceBuilder | None = None,
@@ -85,21 +85,45 @@ class LoopEmitter:
         self._top = self.b.pc
 
     def loop(self, n: int, body, counter_reg: int = 30) -> TraceBuilder:
-        """Run ``body(b, i)`` *n* times with a backedge branch after each.
+        """Emit *n* iterations of ``body(b, i)`` plus counter and backedge.
 
-        The backedge is taken for every iteration but the last — the
+        ``body`` runs **once**: ``b`` is a :class:`ColumnBuilder` and ``i``
+        is ``np.arange(n)``, so each emit call is one static slot of the
+        loop whose operands are scalars or per-iteration arrays.  The
+        backedge is taken for every iteration but the last — the
         completely-biased pattern real counted loops produce.
         """
-        b = self.b
-        for i in range(n):
-            b.pc = self._top
-            body(b, i)
-            b.alu(counter_reg, counter_reg)          # decrement counter
-            b.branch(i != n - 1, src1=counter_reg, target=self._top)
-        return b
+        cols = ColumnBuilder(n, pc0=self._top)
+        i = np.arange(n)
+        body(cols, i)
+        cols.alu(counter_reg, counter_reg)          # decrement counter
+        cols.branch(i != n - 1, src1=counter_reg, target=self._top)
+        self.b.extend_trace(cols.build())
+        if n:
+            self.b.pc = int(cols.pc[-1])
+        return self.b
 
     def build(self) -> Trace:
         return self.b.build()
+
+
+def _per_elem_counts(rate: float, n: int) -> np.ndarray:
+    """Ops each of *n* elements gets at *rate* ops per element.
+
+    Runs the float accumulator ``acc += rate; while acc >= 1: emit;
+    acc -= 1`` sequentially — its rounding decides which element a
+    fractional op lands on, so it cannot be replaced by a closed form.
+    """
+    if rate == int(rate):
+        return np.full(n, int(rate), dtype=np.int64)
+    counts = np.empty(n, dtype=np.int64)
+    acc = 0.0
+    for i in range(n):
+        acc += rate
+        k = int(acc)
+        counts[i] = k
+        acc -= k        # exact: same value as k subtractions of 1.0
+    return counts
 
 
 class PhaseEmitter:
@@ -130,44 +154,37 @@ class PhaseEmitter:
         per element (the longer one sets the element count unless ``elems``
         is given); ``fp_chain`` makes the FP ops a dependency chain
         (reductions) instead of independent (streaming)."""
-        la = np.asarray(loads, dtype=np.uint64) if loads is not None else None
-        sa = np.asarray(stores, dtype=np.uint64) if stores is not None else None
-        n_l = len(la) if la is not None else 0
-        n_s = len(sa) if sa is not None else 0
-        n = elems if elems is not None else max(n_l, n_s, 1)
-        lpe = n_l / n if n else 0
-        spe = n_s / n if n else 0
+        la = np.asarray(loads if loads is not None else (), dtype=np.uint64)
+        sa = np.asarray(stores if stores is not None else (), dtype=np.uint64)
+        n = elems if elems is not None else max(len(la), len(sa), 1)
+
+        def address_slots(addrs: np.ndarray):
+            """(addresses, their running index, mask) of each slot that
+            walks *addrs* at len/n per element, never past its end."""
+            counts = _per_elem_counts(len(addrs) / n if n else 0.0, n)
+            # addresses consumed after / before each element
+            done = np.minimum(np.cumsum(counts), len(addrs))
+            first = done - np.diff(done, prepend=0)
+            for k in range(int((done - first).max(initial=0))):
+                idx = first + k
+                live = idx < done
+                yield addrs[np.where(live, idx, 0)], idx, live
+
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
+            for addr, li, live in address_slots(la):
+                b.load(40 + li % 4, addr, base=10, where=live)
+            counts = _per_elem_counts(int_per_elem, n)
+            for k in range(int(counts.max(initial=0))):
+                b.alu(10 + i % 4, 10 + i % 4, 11, where=counts > k)
+            counts = _per_elem_counts(fp_per_elem, n)
+            for k in range(int(counts.max(initial=0))):
+                if fp_chain:
+                    b.fp(fp_op, 44, 44, 40 + i % 4, where=counts > k)
+                else:
+                    b.fp(fp_op, 45 + i % 8, 40 + i % 4, 41, where=counts > k)
+            for addr, _, live in address_slots(sa):
+                b.store(45 + i % 8, addr, base=12, where=live)
 
         em = LoopEmitter(pc0=self.pc0)
-        li = si = 0
-        fp_acc = 0.0
-        int_acc = 0.0
-        l_acc = 0.0
-        s_acc = 0.0
-
-        def body(b: TraceBuilder, i: int) -> None:
-            nonlocal li, si, fp_acc, int_acc, l_acc, s_acc
-            l_acc += lpe
-            while l_acc >= 1.0 and li < n_l:
-                b.load(40 + (li % 4), int(la[li]), base=10)
-                li += 1
-                l_acc -= 1.0
-            int_acc += int_per_elem
-            while int_acc >= 1.0:
-                b.alu(10 + (i % 4), 10 + (i % 4), 11)
-                int_acc -= 1.0
-            fp_acc += fp_per_elem
-            while fp_acc >= 1.0:
-                if fp_chain:
-                    b.fp(fp_op, 44, 44, 40 + (i % 4))
-                else:
-                    b.fp(fp_op, 45 + (i % 8), 40 + (i % 4), 41)
-                fp_acc -= 1.0
-            s_acc += spe
-            while s_acc >= 1.0 and si < n_s:
-                b.store(45 + (i % 8), int(sa[si]), base=12)
-                si += 1
-                s_acc -= 1.0
-
         em.loop(n, body)
         return em.build()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...isa.trace import Trace, TraceBuilder
+from ...isa.trace import ColumnBuilder, Trace
 from ..base import CODE_BASE, DATA_BASE, KernelSpec, LoopEmitter, MicroKernel
 
 __all__ = [
@@ -56,7 +56,7 @@ class _ConflictKernel(MicroKernel):
         em = LoopEmitter()
         d = self.distinct
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             addr = _D + (i % d) * self.stride
             b.load(5 + i % 4, addr, base=10)
             if self.with_stores:
@@ -104,12 +104,12 @@ class _ChaseKernel(MicroKernel):
         ]
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for k in range(self.streams):
                 reg = 5 + k
-                b.load(reg, int(stream_addrs[k][i]), base=reg)
+                b.load(reg, stream_addrs[k], base=reg)
                 if self.with_stores:
-                    b.store(14, int(stream_addrs[k][i]) + 8, base=reg)
+                    b.store(14, stream_addrs[k] + np.uint64(8), base=reg)
             for _ in range(self.extra_alu):
                 b.alu(13, 13, 11)
 
@@ -163,8 +163,8 @@ class MI(MicroKernel):
         offs = rng.integers(0, lines, size=n)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
-            b.load(5 + i % 8, _D + 0xC00_0000 + int(offs[i]) * _LINE, base=10)
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
+            b.load(5 + i % 8, _D + 0xC00_0000 + offs * _LINE, base=10)
             b.alu(9, 9, 13)
 
         em.loop(n, body)
@@ -181,7 +181,7 @@ class MIM(MicroKernel):
         lines = self.footprint // _LINE
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             b.load(5 + i % 8, _D + 0xD00_0000 + (i % lines) * _LINE, base=10)
             b.alu(9, 9, 13)
 
@@ -199,7 +199,7 @@ class MIM2(MicroKernel):
         lines = self.footprint // _LINE
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             addr = _D + 0xE00_0000 + (i % lines) * _LINE
             b.load(5, addr, base=10)
             b.load(6, addr + 8, base=10)  # same line: coalesces in the MSHR
@@ -228,14 +228,12 @@ class MIP(MicroKernel):
         nlines = max(256, int(self.code_bytes * min(1.0, scale)) // _LINE)
         rng = np.random.default_rng(seed)
         tour = rng.permutation(nlines)
-        b = TraceBuilder(pc0=CODE_BASE)
         code0 = CODE_BASE + 0x10_0000
-        for i in range(nlines):
-            pc = code0 + int(tour[i]) * _LINE
-            b.pc = pc
-            b.alu(5, 5, 11)
-            b.alu(6, 5, 12)
-            b.jump(code0 + int(tour[(i + 1) % nlines]) * _LINE)
+        b = ColumnBuilder(nlines)
+        b.pc = code0 + tour * _LINE
+        b.alu(5, 5, 11)
+        b.alu(6, 5, 12)
+        b.jump(code0 + np.roll(tour, -1) * _LINE)
         return b.build()
 
 
@@ -254,7 +252,7 @@ class _StreamL2(MicroKernel):
         em = LoopEmitter()
         base = _D + 0xF00_0000
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             addr = base + (i % lines) * _LINE
             if self.do_load:
                 b.load(5 + i % 4, addr, base=10)
@@ -292,7 +290,7 @@ class STL2(MicroKernel):
         lines = self.footprint // _LINE
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             b.store(5, _D + 0x1100_0000 + (i % lines) * _LINE, base=10)
             b.alu(9, 9, 13)
 
@@ -310,7 +308,7 @@ class STL2b(MicroKernel):
         lines = self.footprint // _LINE
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for k in range(7):
                 b.alu(5 + k % 4, 10, 11)
             b.store(5, _D + 0x1200_0000 + (i % lines) * _LINE, base=10)
@@ -328,7 +326,7 @@ class STc(MicroKernel):
         n = self.iters(self.default_ops // 3, scale)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             b.store(5, _D + 0x1300_0000 + (i % 8) * 8, base=10)
             b.store(6, _D + 0x1300_0000 + (i % 8) * 8 + 8, base=10)
             b.alu(9, 9, 13)
@@ -350,8 +348,8 @@ class M_Dyn(MicroKernel):
         em = LoopEmitter()
         base = _D + 0x1400_0000
 
-        def body(b: TraceBuilder, i: int) -> None:
-            addr = base + int(offs[i]) * 8
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
+            addr = base + offs * 8
             b.store(5, addr, base=10)
             b.load(6, addr, base=10)   # store-to-load through memory
             b.alu(5, 6, 11)            # next store value depends on the load

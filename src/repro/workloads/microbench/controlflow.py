@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...isa.trace import Trace, TraceBuilder
+from ...isa.trace import ColumnBuilder, Trace, TraceBuilder
 from ..base import CODE_BASE, DATA_BASE, KernelSpec, LoopEmitter, MicroKernel
 
 __all__ = [
@@ -24,20 +24,20 @@ class _BranchPattern(MicroKernel):
     default_ops = 30_000
     body_alu = 3
 
-    def taken(self, i: int, rng: np.random.Generator) -> bool:
+    def taken(self, i: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Outcome of the studied branch in each iteration *i*."""
         raise NotImplementedError
 
     def build(self, scale: float = 1.0, seed: int = 0) -> Trace:
         rng = np.random.default_rng(seed)
         n = self.iters(self.default_ops // (self.body_alu + 3), scale)
-        outcomes = [self.taken(i, rng) for i in range(n)]
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for k in range(self.body_alu):
                 b.alu(5 + k % 4, 10, 11)
             # the studied branch: skips one ALU op when taken
-            b.branch(outcomes[i], src1=5, target=b.pc + 8)
+            b.branch(self.taken(i, rng), src1=5, target=b.pc + 8)
             b.alu(9, 9, 10)
 
         em.loop(n, body)
@@ -48,28 +48,28 @@ class Cca(_BranchPattern):
     spec = KernelSpec("Cca", "Control Flow", "Completely biased branch")
 
     def taken(self, i, rng):
-        return True
+        return np.ones(len(i), dtype=bool)
 
 
 class Cce(_BranchPattern):
     spec = KernelSpec("Cce", "Control Flow", "Alternating branches")
 
     def taken(self, i, rng):
-        return bool(i % 2)
+        return i % 2 == 1
 
 
 class CCh(_BranchPattern):
     spec = KernelSpec("CCh", "Control Flow", "Random control flow")
 
     def taken(self, i, rng):
-        return bool(rng.integers(0, 2))
+        return rng.integers(0, 2, size=len(i)).astype(bool)
 
 
 class CCm(_BranchPattern):
     spec = KernelSpec("CCm", "Control Flow", "Heavily biased branches")
 
     def taken(self, i, rng):
-        return bool(rng.random() < 0.95)
+        return rng.random(len(i)) < 0.95
 
 
 class CChSt(MicroKernel):
@@ -84,11 +84,11 @@ class CChSt(MicroKernel):
         base = DATA_BASE
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             b.alu(5, 10, 11)
             b.alu(6, 5, 11)
             # unpredictable branch selecting one of two store targets
-            b.branch(bool(outcomes[i]), src1=5, target=b.pc + 12)
+            b.branch(outcomes, src1=5, target=b.pc + 12)
             b.store(6, base + (i % 64) * 8)
             b.jump(b.pc + 8)
             b.store(6, base + 4096 + (i % 64) * 8)
@@ -109,10 +109,10 @@ class CCl(MicroKernel):
         outcomes = rng.integers(0, 2, size=n).astype(bool)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for k in range(self.block):
                 b.alu(5 + k % 8, 14, 15)
-            b.branch(bool(outcomes[i]), src1=5, target=b.pc + 8)
+            b.branch(outcomes, src1=5, target=b.pc + 8)
             b.alu(9, 9, 10)
 
         em.loop(n, body)
@@ -126,24 +126,21 @@ class CF1(MicroKernel):
 
     def build(self, scale: float = 1.0, seed: int = 0) -> Trace:
         n = self.iters(self.default_ops // 24, scale)
-        b = TraceBuilder(pc0=CODE_BASE)
         func = CODE_BASE + 0x400
         loop_top = CODE_BASE
-        for i in range(n):
-            b.pc = loop_top
-            b.alu(5, 10, 11)
-            call_pc = b.pc
-            b.call(func)
-            # inside the function: a 4-iteration counted inner loop
-            inner_top = b.pc
-            for j in range(4):
-                b.pc = inner_top
-                b.alu(6, 6, 11)
-                b.alu(7, 6, 12)
-                b.branch(j != 3, src1=6, target=inner_top)
-            b.ret(call_pc + 4)
-            b.alu(8, 8, 10)
-            b.branch(i != n - 1, src1=30, target=loop_top)
+        b = ColumnBuilder(n, pc0=loop_top)
+        b.alu(5, 10, 11)
+        call_pc = b.pc
+        b.call(func)
+        # inside the function: a 4-iteration counted inner loop
+        for j in range(4):
+            b.pc = func
+            b.alu(6, 6, 11)
+            b.alu(7, 6, 12)
+            b.branch(j != 3, src1=6, target=func)
+        b.ret(call_pc + 4)
+        b.alu(8, 8, 10)
+        b.branch(np.arange(n) != n - 1, src1=30, target=loop_top)
         return b.build()
 
 
@@ -156,25 +153,22 @@ class CRd(MicroKernel):
     def build(self, scale: float = 1.0, seed: int = 0) -> Trace:
         depth = max(8, int(self.depth * min(1.0, scale)))
         rounds = max(1, int(self.default_ops * scale) // (depth * 10))
-        b = TraceBuilder(pc0=CODE_BASE)
         func = CODE_BASE + 0x1000
         sp_base = DATA_BASE + 0x10_0000
-        for _ in range(rounds):
-            # descend: call, push ra, decrement, test
-            for d in range(depth):
-                call_pc = CODE_BASE + 0x100 if d == 0 else func + 24
-                b.pc = call_pc
-                b.call(func)
-                b.store(1, sp_base - d * 16, base=2)  # push ra
-                b.alu(10, 10, 11)                      # depth counter
-                b.branch(d == depth - 1, src1=10, target=func + 40)
-            # unwind: pop ra, return
-            for d in reversed(range(depth)):
-                b.pc = func + 40
-                b.load(1, sp_base - d * 16, base=2)
-                ret_to = (CODE_BASE + 0x100 if d == 0 else func + 24) + 4
-                b.ret(ret_to)
-        return b.build()
+        d = np.arange(depth)
+        call_pc = np.where(d == 0, CODE_BASE + 0x100, func + 24)
+        # descend: call, push ra, decrement, test
+        down = ColumnBuilder(depth)
+        down.pc = call_pc
+        down.call(func)
+        down.store(1, sp_base - d * 16, base=2)  # push ra
+        down.alu(10, 10, 11)                      # depth counter
+        down.branch(d == depth - 1, src1=10, target=func + 40)
+        # unwind, deepest frame first: pop ra, return
+        up = ColumnBuilder(depth, pc0=func + 40)
+        up.load(1, sp_base - d[::-1] * 16, base=2)
+        up.ret(call_pc[::-1] + 4)
+        return Trace.concat([down.build(), up.build()]).repeat(rounds)
 
 
 class CRf(MicroKernel):
@@ -244,10 +238,10 @@ class _Switch(MicroKernel):
         raw = rng.integers(0, self.cases, size=(n + self.period - 1) // self.period)
         seq = np.repeat(raw, self.period)[:n]
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             b.alu(5, 10, 11)
-            b.load(6, DATA_BASE + int(seq[i]) * 8)   # table load
-            b.jump(case_base + int(seq[i]) * 64)     # indirect jump
+            b.load(6, DATA_BASE + seq * 8)           # table load
+            b.jump(case_base + seq * 64)             # indirect jump
             # case body (same static pc for modelling simplicity)
             b.alu(7, 6, 11)
             b.alu(8, 7, 12)

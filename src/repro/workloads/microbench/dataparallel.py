@@ -9,7 +9,9 @@ rather than bandwidth-bound.
 from __future__ import annotations
 
 from ...isa.opcodes import OpClass
-from ...isa.trace import Trace, TraceBuilder
+import numpy as np
+
+from ...isa.trace import ColumnBuilder, Trace
 from ..base import CODE_BASE, DATA_BASE, KernelSpec, LoopEmitter, MicroKernel
 
 __all__ = ["DP1d", "DP1f", "DPT", "DPTd", "DPcvt"]
@@ -35,7 +37,7 @@ class _StreamLoop(MicroKernel):
         wrap = self.array_elems
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             k = i % wrap
             b.load(40, _A + k * eb, base=10, size=eb)
             b.load(41, _B + k * eb, base=11, size=eb)
@@ -75,23 +77,21 @@ class _SinLoop(MicroKernel):
         eb = self.elem_bytes
         wrap = 8192
         func = CODE_BASE + 0x2000
-        b = TraceBuilder(pc0=CODE_BASE)
-        top = b.pc
-        for i in range(n):
-            b.pc = top
-            k = i % wrap
-            b.load(40, _A + k * eb, base=10, size=eb)
-            call_pc = b.pc
-            b.call(func)
-            # range reduction (int + fp) then Horner chain
-            b.alu(5, 5, 11)
-            b.fp(OpClass.FP_MUL, 41, 40, 50)
-            for _ in range(self.chain):
-                b.fp(OpClass.FP_FMA, 41, 41, 51)
-            b.ret(call_pc + 4)
-            b.store(41, _C + k * eb, base=12, size=eb)
-            b.alu(9, 9, 13)
-            b.branch(i != n - 1, src1=30, target=top)
+        b = ColumnBuilder(n, pc0=CODE_BASE)
+        i = np.arange(n)
+        k = i % wrap
+        b.load(40, _A + k * eb, base=10, size=eb)
+        call_pc = b.pc
+        b.call(func)
+        # range reduction (int + fp) then Horner chain
+        b.alu(5, 5, 11)
+        b.fp(OpClass.FP_MUL, 41, 40, 50)
+        for _ in range(self.chain):
+            b.fp(OpClass.FP_FMA, 41, 41, 51)
+        b.ret(call_pc + 4)
+        b.store(41, _C + k * eb, base=12, size=eb)
+        b.alu(9, 9, 13)
+        b.branch(i != n - 1, src1=30, target=CODE_BASE)
         return b.build()
 
 
@@ -116,7 +116,7 @@ class DPcvt(MicroKernel):
         wrap = 16384
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             k = i % wrap
             b.load(40, _A + k * 4, base=10, size=4)
             b.fp(OpClass.FP_CVT, 41, 40)

@@ -8,7 +8,9 @@ independent streams expose decode/issue width and FU port counts.
 from __future__ import annotations
 
 from ...isa.opcodes import OpClass
-from ...isa.trace import Trace, TraceBuilder
+import numpy as np
+
+from ...isa.trace import ColumnBuilder, Trace
 from ..base import KernelSpec, LoopEmitter, MicroKernel
 
 __all__ = ["ED1", "EM1", "EM5", "EF", "EI"]
@@ -22,7 +24,7 @@ class ED1(MicroKernel):
         n = self.iters(self.default_ops // 10, scale)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for _ in range(8):
                 b.alu(5, 5, 11)  # serial chain through r5
 
@@ -38,7 +40,7 @@ class EM1(MicroKernel):
         n = self.iters(self.default_ops // 10, scale)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for _ in range(8):
                 b.mul(5, 5, 11)  # serial multiply chain
 
@@ -54,7 +56,7 @@ class EM5(MicroKernel):
         n = self.iters(self.default_ops // 12, scale)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             # 5 chains of multiplies advanced round-robin: enough ILP to
             # cover a pipelined multiplier, still latency-bound if not
             for k in range(10):
@@ -73,7 +75,7 @@ class EF(MicroKernel):
         n = self.iters(self.default_ops // 10, scale)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for k in range(8):
                 b.fp(OpClass.FP_FMA, 40 + k, 50, 51)  # 8 independent FMAs
 
@@ -89,7 +91,7 @@ class EI(MicroKernel):
         n = self.iters(self.default_ops // 10, scale)
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             for k in range(8):
                 b.alu(5 + k, 20, 21)  # 8 independent ALU ops
 

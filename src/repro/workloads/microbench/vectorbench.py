@@ -9,7 +9,9 @@ ablation to quantify what disabling the vector unit cost the hardware.
 from __future__ import annotations
 
 from ...isa.opcodes import OpClass
-from ...isa.trace import Trace, TraceBuilder
+import numpy as np
+
+from ...isa.trace import ColumnBuilder, Trace
 from ..base import KernelSpec, LoopEmitter, MicroKernel
 from .dataparallel import _A, _B, _C
 
@@ -33,7 +35,7 @@ class DP1dRVV(MicroKernel):
         wrap = self.array_elems // elems_per_iter
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             k = (i % wrap) * self.vl_bytes
             b.vload(40, _A + k, self.vl_bytes, base=10)
             b.vload(41, _B + k, self.vl_bytes, base=11)
@@ -60,7 +62,7 @@ class DPcvtRVV(MicroKernel):
         wrap = 16384 // elems_per_iter
         em = LoopEmitter()
 
-        def body(b: TraceBuilder, i: int) -> None:
+        def body(b: ColumnBuilder, i: np.ndarray) -> None:
             k = i % wrap
             b.vload(40, _A + k * self.vl_bytes, self.vl_bytes, base=10)
             b.valu(41, 40, nbytes=self.vl_bytes)  # widening convert, 2 regs out

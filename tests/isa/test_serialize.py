@@ -1,5 +1,7 @@
 """Trace save/load tests."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ def test_roundtrip(tmp_path):
     for f in ("op", "dst", "src1", "src2", "addr", "size", "taken", "pc",
               "target"):
         assert np.array_equal(getattr(back, f), getattr(t, f)), f
+
+
+def test_path_without_suffix_roundtrips(tmp_path):
+    # numpy appends ".npz" on save; load must resolve the same file
+    t = get_kernel("EI").build(scale=0.05)
+    for path in (tmp_path / "foo", str(tmp_path / "bar")):
+        save_trace(t, path)
+        assert pathlib.Path(str(path) + ".npz").exists()
+        assert np.array_equal(load_trace(path).pc, t.pc)
+        assert np.array_equal(load_trace(str(path) + ".npz").pc, t.pc)
 
 
 def test_loaded_trace_times_identically(tmp_path):
