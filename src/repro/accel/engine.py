@@ -34,6 +34,8 @@ attribution, and every stats counter.
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.base import CoreResult
 from repro.core.branch import TAGE, BTB, BimodalBHT, BranchUnit, GShare
 from repro.mem.dram import DRAM
@@ -419,24 +421,39 @@ def _fast_tlb(tlb, walker):
     return lambda addr, time: tlb.translate(addr, time, walker)
 
 
+@functools.cache
+def _rotl1_table(width):
+    """Every *width*-bit value rotated left by one."""
+    top = width - 1
+    return tuple((v << 1) & ((1 << width) - 1) | v >> top
+                 for v in range(1 << width))
+
+
 def _mirror_direction(d):
-    """Mirror of a direction predictor; returns (predict, update, detach)."""
+    """Mirror of a direction predictor; returns (predict_update, detach).
+
+    ``predict_update(pc, taken)`` returns what ``d.predict(pc)`` would
+    and leaves the state ``d.update(pc, taken)`` would: the two reference
+    calls see the same tables, so one lookup serves both.
+    """
     if type(d) is BimodalBHT:
         ctr = d._ctr.tolist()
         mask = d.entries - 1
 
-        def predict(pc):
-            return ctr[(pc >> 2) & mask] >= 2
-
-        def update(pc, taken):
+        def predict_update(pc, taken):
             i = (pc >> 2) & mask
-            c = ctr[i] + (1 if taken else -1)
-            ctr[i] = 3 if c > 3 else (0 if c < 0 else c)
+            c = ctr[i]
+            if taken:
+                if c < 3:
+                    ctr[i] = c + 1
+            elif c > 0:
+                ctr[i] = c - 1
+            return c >= 2
 
         def detach():
             d._ctr[:] = ctr
 
-        return predict, update, detach
+        return predict_update, detach
 
     if type(d) is GShare:
         ctr = d._ctr.tolist()
@@ -444,28 +461,31 @@ def _mirror_direction(d):
         hmask = (1 << d.hist_bits) - 1
         hist = d._hist
 
-        def predict(pc):
-            return ctr[((pc >> 2) ^ hist) & mask] >= 2
-
-        def update(pc, taken):
+        def predict_update(pc, taken):
             nonlocal hist
             i = ((pc >> 2) ^ hist) & mask
-            c = ctr[i] + (1 if taken else -1)
-            ctr[i] = 3 if c > 3 else (0 if c < 0 else c)
-            hist = ((hist << 1) | (1 if taken else 0)) & hmask
+            c = ctr[i]
+            if taken:
+                if c < 3:
+                    ctr[i] = c + 1
+                hist = ((hist << 1) | 1) & hmask
+            else:
+                if c > 0:
+                    ctr[i] = c - 1
+                hist = (hist << 1) & hmask
+            return c >= 2
 
         def detach():
             d._ctr[:] = ctr
             d._hist = hist
 
-        return predict, update, detach
+        return predict_update, detach
 
     if type(d) is TAGE:
         nt = d.num_tables
-        size = d.size
+        size_mask = d.size - 1
         tag_bits = d.tag_bits
-        nbits = size.bit_length() - 1
-        hist_len = d.hist_len
+        tag_mask = (1 << tag_bits) - 1
         ctrs = [a.tolist() for a in d._ctr]
         tags = [a.tolist() for a in d._tag]
         useful = [a.tolist() for a in d._useful]
@@ -482,53 +502,86 @@ def _mirror_direction(d):
                 h >>= out_bits
             return folded
 
-        def t_index(pc, t):
-            return ((pc >> 2) ^ fold(hist_len[t], nbits)) % size
+        # Folded-history registers, as TAGE hardware keeps them: per table
+        # the history window folded to the index width and to the two tag
+        # widths.  An outcome advances each register by
+        #     f' = rotl1(f) ^ taken ^ (leaving_bit << (window % width))
+        # so nothing is re-folded per lookup.  The history register is 64
+        # bits wide, so a table's window is its hist_len capped there.
+        # Seeded from ``d._hist`` on every attach (restore swaps the
+        # predictor object) and never written back: ``_hist`` alone is the
+        # architectural state.
+        windows = [min(n, 64) for n in d.hist_len]
+        widths = (d.size.bit_length() - 1, tag_bits, tag_bits - 1)
+        f_idx, f_tag, f_tag1 = ([fold(L, w) for L in windows] for w in widths)
+        #: per table: the history part of ``_tag_of``
+        h_tag = [f ^ (g << 1) for f, g in zip(f_tag, f_tag1)]
+        rot_idx, rot_tag, rot_tag1 = (_rotl1_table(w) for w in widths)
+        #: per table: the history bit about to leave the window, and what
+        #: to XOR into each rotated register for (leaving bit, new bit)
+        geom = [(L - 1, tuple(tuple(b ^ (o << L % w) for w in widths)
+                              for o in (0, 1) for b in (0, 1)))
+                for L in windows]
+        tables = range(nt - 1, -1, -1)
 
-        def t_tag(pc, t):
-            return ((pc >> 2) ^ fold(hist_len[t], tag_bits)
-                    ^ (fold(hist_len[t], tag_bits - 1) << 1)) & (
-                (1 << tag_bits) - 1)
-
-        def predict_full(pc):
-            for t in range(nt - 1, -1, -1):
-                i = t_index(pc, t)
-                if tags[t][i] == t_tag(pc, t):
-                    return ctrs[t][i] >= 0, t, i
-            return base_ctr[(pc >> 2) & base_mask] >= 2, -1, 0
-
-        def predict(pc):
-            return predict_full(pc)[0]
-
-        def update(pc, taken):
+        def predict_update(pc, taken):
             nonlocal hist
-            pred, prov, idx = predict_full(pc)
-            mis = pred != taken
-            if prov >= 0:
-                c = ctrs[prov][idx] + (1 if taken else -1)
-                ctrs[prov][idx] = 3 if c > 3 else (-4 if c < -4 else c)
-                u = useful[prov][idx] + (0 if mis else 1)
-                u -= 1 if mis else 0
-                useful[prov][idx] = 3 if u > 3 else (0 if u < 0 else u)
+            p = pc >> 2
+            for t in tables:
+                idx = (p ^ f_idx[t]) & size_mask
+                if tags[t][idx] == (p ^ h_tag[t]) & tag_mask:
+                    row = ctrs[t]
+                    c = row[idx]
+                    pred = c >= 0
+                    mis = pred != taken
+                    if taken:
+                        if c < 3:
+                            row[idx] = c + 1
+                    elif c > -4:
+                        row[idx] = c - 1
+                    row = useful[t]
+                    if mis:
+                        if row[idx] > 0:
+                            row[idx] -= 1
+                    elif row[idx] < 3:
+                        row[idx] += 1
+                    prov = t
+                    break
             else:
-                i = (pc >> 2) & base_mask
-                c = base_ctr[i] + (1 if taken else -1)
-                base_ctr[i] = 3 if c > 3 else (0 if c < 0 else c)
+                prov = -1
+                i = p & base_mask
+                c = base_ctr[i]
+                pred = c >= 2
+                mis = pred != taken
+                if taken:
+                    if c < 3:
+                        base_ctr[i] = c + 1
+                elif c > 0:
+                    base_ctr[i] = c - 1
             if mis and prov < nt - 1:
-                allocated = False
+                # allocate in a longer-history table with a non-useful entry
                 for t in range(prov + 1, nt):
-                    i = t_index(pc, t)
+                    i = (p ^ f_idx[t]) & size_mask
                     if useful[t][i] == 0:
-                        tags[t][i] = t_tag(pc, t)
+                        tags[t][i] = (p ^ h_tag[t]) & tag_mask
                         ctrs[t][i] = 0 if taken else -1
-                        allocated = True
                         break
-                if not allocated:
+                else:
+                    # decay usefulness so future allocations can succeed
                     for t in range(prov + 1, nt):
-                        i = t_index(pc, t)
-                        u = useful[t][i] - 1
-                        useful[t][i] = u if u > 0 else 0
-            hist = ((hist << 1) | (1 if taken else 0)) & ((1 << 64) - 1)
+                        i = (p ^ f_idx[t]) & size_mask
+                        u = useful[t][i]
+                        if u > 0:
+                            useful[t][i] = u - 1
+            b = 1 if taken else 0
+            for t, (out, inject) in enumerate(geom):
+                xi, xt, xs = inject[(hist >> out & 1) << 1 | b]
+                f_idx[t] = rot_idx[f_idx[t]] ^ xi
+                f = f_tag[t] = rot_tag[f_tag[t]] ^ xt
+                g = f_tag1[t] = rot_tag1[f_tag1[t]] ^ xs
+                h_tag[t] = f ^ (g << 1)
+            hist = ((hist << 1) | b) & 0xFFFF_FFFF_FFFF_FFFF
+            return pred
 
         def detach():
             for t in range(nt):
@@ -538,9 +591,14 @@ def _mirror_direction(d):
             d._hist = hist
             d.base._ctr[:] = base_ctr
 
-        return predict, update, detach
+        return predict_update, detach
 
-    return d.predict, d.update, None
+    def predict_update(pc, taken):
+        pred = d.predict(pc)
+        d.update(pc, taken)
+        return pred
+
+    return predict_update, None
 
 
 def _mirror_branch_unit(bru):
@@ -548,7 +606,7 @@ def _mirror_branch_unit(bru):
     if type(bru) is not BranchUnit or type(bru.btb) is not BTB:
         return bru.resolve, None
     bst = bru.stats
-    predict, update, dir_detach = _mirror_direction(bru.direction)
+    predict_update, dir_detach = _mirror_direction(bru.direction)
     btb = bru.btb
     nsets = btb.sets
     tag_m = btb._tag.tolist()
@@ -588,8 +646,7 @@ def _mirror_branch_unit(bru):
     def resolve(op, pc, taken, target):
         bst.branches += 1
         if op == 6:  # BRANCH
-            pred = predict(pc)
-            update(pc, taken)
+            pred = predict_update(pc, taken)
             if pred != taken:
                 bst.mispredicts += 1
                 if taken:

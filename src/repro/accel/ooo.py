@@ -1,12 +1,15 @@
 """Accelerated execution engine for :class:`~repro.core.ooo.OoOCore`.
 
 The out-of-order timestamp-dataflow model dominates sweep wall-clock:
-an ALL_CONFIGS sweep spends roughly 85% of its time in the five
-BOOM-like configurations, each paying numpy scalar unboxing per trace
-column read plus the reference memory-hierarchy attribute chases on
-every micro-op.  This engine removes that overhead the same way
-:class:`~repro.accel.engine.AccelEngine` does for the in-order model,
-and under the same contract: **bit-identical results by construction**.
+the five BOOM-like configurations are most of an ALL_CONFIGS sweep.
+This engine runs them the same way
+:class:`~repro.accel.engine.AccelEngine` runs the in-order model, and
+under the same contract: **bit-identical results by construction**.
+What an OoO run costs the host beyond an in-order one is mostly its
+front end and memory system, not this scheduler loop: the TAGE mirror
+(one table walk and one folded-history register update per conditional
+branch, see ``docs/performance.md`` "Constant-time TAGE") and the
+mirrored cache/DRAM calls per load.
 
 Every timing decision below is a line-for-line transliteration of
 ``OoOCore.run`` — the same fractional-cycle bandwidth chains, the same

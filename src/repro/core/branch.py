@@ -161,7 +161,6 @@ class TAGE:
         self._tag = [np.full(self.size, -1, dtype=np.int32) for _ in range(num_tables)]
         self._useful = [np.zeros(self.size, dtype=np.int8) for _ in range(num_tables)]
         self._hist = 0
-        self._rng = np.random.default_rng(0xB00)
 
     def _fold(self, bits: int, out_bits: int) -> int:
         h = self._hist & ((1 << bits) - 1)
