@@ -3,11 +3,11 @@
 ``repro.accel`` makes single-process sweeps several times faster without
 changing a single simulated number:
 
-* :class:`~repro.accel.engine.AccelEngine` — a bit-identical fast
+* :func:`~repro.accel.engine.run_inorder` — a bit-identical fast
   execution path for :class:`~repro.core.inorder.InOrderCore`, selected
   by the ``SoCConfig.accel`` knob (``"on"``/``"off"``): one
   transliterated scalar loop over mirrored component state
-  (:class:`~repro.accel.ooo.OoOAccelEngine` is its out-of-order twin).
+  (:func:`~repro.accel.ooo.run_ooo` is its out-of-order twin).
 * :mod:`~repro.accel.compile` / :mod:`~repro.accel.batch` — compile a
   trace once, then run every config of a sweep over the compiled form.
 * :mod:`~repro.accel.memo` — content-digest trace identity, shared

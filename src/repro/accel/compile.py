@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.isa.opcodes import FP_OPS
+from repro.isa.opcodes import CTRL_OPS, FP_OPS, MEM_OPS, VECTOR_OPS, OpClass
 from repro.isa.trace import Trace
 
 from . import memo
@@ -44,11 +44,19 @@ COMPILE_SCHEMA = 2
 _FP_LUT = np.zeros(256, dtype=bool)
 _FP_LUT[[int(op) for op in FP_OPS]] = True
 
+#: ops the in-order model issues with nothing but operand waits and a slot:
+#: no divider, memory port, control slot, or vector unit
+_SIMPLE_LUT = np.ones(256, dtype=bool)
+_SIMPLE_LUT[[int(op) for op in
+             {OpClass.INT_DIV} | MEM_OPS | CTRL_OPS
+             | (VECTOR_OPS - {OpClass.VSETVL})]] = False
+
 
 class CompiledTrace:
     """One trace, decoded and pre-analyzed for every engine at once."""
 
-    __slots__ = ("trace", "digest", "n", "cols", "lines", "is_fp")
+    __slots__ = ("trace", "digest", "n", "cols", "lines", "is_fp",
+                 "_issue_flags")
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
@@ -59,6 +67,24 @@ class CompiledTrace:
         self.lines = (trace.pc.astype(np.int64) >> 6).tolist()
         #: per-uop FP classification (issue-queue steering in the OoO model)
         self.is_fp = _FP_LUT[trace.op].tolist()
+        self._issue_flags = None
+
+    def issue_flags(self) -> tuple[list[bool], list[bool]]:
+        """Per-uop ``(simple, newline)`` lists for the in-order engine.
+
+        ``simple[i]``: the op needs no divider, memory port, control
+        slot, or vector unit.  ``newline[i]``: uop *i* is on a different
+        fetch line than uop *i-1* (always true at 0, where the previous
+        line belongs to whatever ran before).  Derived on first use and
+        cached here only — never part of a store payload.
+        """
+        if self._issue_flags is None:
+            lines = self.trace.pc.astype(np.int64) >> 6
+            newline = np.ones(self.n, dtype=bool)
+            newline[1:] = lines[1:] != lines[:-1]
+            self._issue_flags = (_SIMPLE_LUT[self.trace.op].tolist(),
+                                 newline.tolist())
+        return self._issue_flags
 
     def __len__(self) -> int:
         return self.n

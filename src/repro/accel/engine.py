@@ -11,22 +11,35 @@ executed over plain-Python mirrors of the component state.
 How it stays exact
 ------------------
 
-* **Mirrors, not models.**  At ``run()`` entry the engine copies each hot
-  component's array state into plain lists (cache tags/dirty/LRU/PLRU,
-  BTB, direction-predictor counters) and writes everything back when the
-  run ends — including on exceptions — so the reference objects always
-  hold the authoritative state between runs.  Structures that are cheap
-  to use directly (MSHR dicts, bank timelines, TLB sets, the RAS, the
-  store buffer, the register scoreboard, all stats dataclasses) are
-  shared in place.  Everything below the L2 (LLC, DRAM, bus, coherence
-  directory) is reached through the ordinary reference ``access`` calls,
-  in exactly the order the reference would make them.
+* **Mirrors, not models.**  While a run is attached, each hot
+  component's array state lives in plain lists (cache tags/dirty/LRU one
+  set at a time as the run reaches it, PLRU bits, BTB, direction-predictor
+  counters) and is written back when the run ends — including on
+  exceptions — so the reference objects always hold the authoritative
+  state between runs.  Structures that are cheap to use directly (MSHR
+  dicts, bank/bus/channel timelines, TLB sets, the coherence directory's
+  dicts, DRAM bank state, the RAS, the store buffer, the register
+  scoreboard, all stats dataclasses) are shared in place.
+
+* **One flat memory walk.**  :func:`attach_port` builds TLB -> L1 ->
+  bus -> directory -> L2 -> DRAM as closures that call each other
+  directly, each a transliteration of the reference method it replaces
+  (``TilePort.dload``, ``Cache.access``, ``SystemBus.transfer``,
+  ``SnoopDirectory.observe``, ``DRAM.access``).  Only an LLC, when the
+  config has one, is still reached through its reference ``access``.
+  The shortcuts on the way are exact, each by a bound that says the
+  skipped scan would have found nothing: a booking at or after a
+  timeline's last end appends at the tail, and ``mshr_hw`` /
+  ``inflight_hw`` say no fill or DRAM request can still be outstanding.
 
 * **One scalar loop.**  Micro-ops execute through a transliteration of
   ``InOrderCore.run`` over pre-decoded Python-list trace columns with
   closure-bound memory/branch operations — the same arithmetic on the
   same values, minus the interpreter overhead.  Every micro-op of the
-  trace retires through this loop, in program order.
+  trace retires through this loop, in program order; the two per-uop
+  flags of :meth:`~repro.accel.compile.CompiledTrace.issue_flags` let an
+  op with no structural hazard take a short branch of it and let the
+  fetch-line test run only where the line can change.
 
 The two modes therefore agree value-for-value on cycles, stall
 attribution, and every stats counter.
@@ -44,7 +57,7 @@ from repro.mem.tlb import TLB, TwoLevelTLB
 from . import memo
 from .compile import compiled_trace
 
-__all__ = ["AccelEngine"]
+__all__ = ["run_inorder"]
 
 
 # -- component mirrors --------------------------------------------------------
@@ -52,9 +65,13 @@ __all__ = ["AccelEngine"]
 def _mirror_cache(cache, next_access):
     """Closure-compiled twin of ``Cache.access`` over list mirrors.
 
-    Tag/dirty/LRU/PLRU state and the use counter/rng live in locals for
-    the duration of a run; MSHRs, bank timelines, and stats are the
-    shared reference objects.  Returns ``(access, contains, detach)``.
+    Tag/dirty/LRU state is mirrored one set at a time, on the set's
+    first access, and only those sets are written back, so attaching
+    costs what the run touches and not what the cache holds (a 2048-uop
+    chunk reaches a few dozen of an L2's 1024 sets).  PLRU bits and the
+    use counter/rng live in locals for the duration of a run; MSHRs,
+    bank timelines, and stats are the shared reference objects.
+    Returns ``(access, contains, detach)``.
     """
     cfg = cache.cfg
     st = cache.stats
@@ -68,50 +85,56 @@ def _mirror_cache(cache, next_access):
     cyc = cfg.cycle_time
     is_plru = cfg.replacement == "plru"
     is_lru = cfg.replacement == "lru"
-    tags = cache._tags.tolist()
-    dirty = cache._dirty.tolist()
-    lru = cache._lru.tolist()
-    plru = cache._plru.tolist()
+    np_tags, np_dirty, np_lru = cache._tags, cache._dirty, cache._lru
+    tags = [None] * cfg.sets
+    dirty = [None] * cfg.sets
+    lru = [None] * cfg.sets
+    loaded = []
+    plru = cache._plru.tolist() if is_plru else None
     use_counter = cache._use_counter
     rng = cache._rng_state
     mshr = cache._mshr
+    #: no fill in ``mshr`` completes later than this, so a lookup at or
+    #: past it finds nothing outstanding and is skipped
+    mshr_hw = max(mshr.values(), default=0)
     bank_tl = cache._bank_free
+    bank_starts = [tl._starts for tl in bank_tl]
+    bank_ends = [tl._ends for tl in bank_tl]
+    bank_max = [tl.max_intervals for tl in bank_tl]
     # stats accumulate in locals and flush at detach (same totals, fewer
     # attribute round-trips on the hottest call in the simulator)
-    n_access = n_hits = n_misses = n_wb = n_merges = 0
+    n_access = n_misses = n_wb = n_merges = 0
     n_conflict = 0
     n_mshr_stall = 0
 
-    def touch(set_idx, way):
-        nonlocal use_counter
-        use_counter += 1
-        lru[set_idx][way] = use_counter
-        if is_plru:
-            bits = plru[set_idx]
-            node = 0
-            span = ways
-            lo = 0
-            while span > 1:
-                half = span // 2
-                if way < lo + half:
-                    bits |= 1 << node
-                    node = 2 * node + 1
-                    span = half
-                else:
-                    bits &= ~(1 << node)
-                    node = 2 * node + 2
-                    lo += half
-                    span = half
-            plru[set_idx] = bits
+    def load(set_idx):
+        loaded.append(set_idx)
+        tags[set_idx] = row = np_tags[set_idx].tolist()
+        dirty[set_idx] = np_dirty[set_idx].tolist()
+        lru[set_idx] = np_lru[set_idx].tolist()
+        return row
 
-    def victim(set_idx):
+    def plru_touch(set_idx, way):
+        bits = plru[set_idx]
+        node = 0
+        span = ways
+        lo = 0
+        while span > 1:
+            half = span // 2
+            if way < lo + half:
+                bits |= 1 << node
+                node = 2 * node + 1
+                span = half
+            else:
+                bits &= ~(1 << node)
+                node = 2 * node + 2
+                lo += half
+                span = half
+        plru[set_idx] = bits
+
+    def policy_victim(set_idx):
+        # PLRU / random choice among the ways of a full set
         nonlocal rng
-        row = tags[set_idx]
-        if -1 in row:
-            return row.index(-1)
-        if is_lru:
-            lr = lru[set_idx]
-            return lr.index(min(lr))
         if is_plru:
             bits = plru[set_idx]
             node = 0
@@ -134,56 +157,59 @@ def _mirror_cache(cache, next_access):
         return x % ways
 
     def access(addr, time, is_store):
-        nonlocal n_access, n_hits, n_misses, n_wb, n_merges, n_conflict, \
-            n_mshr_stall
+        nonlocal n_access, n_misses, n_wb, n_merges, n_conflict, \
+            n_mshr_stall, use_counter, mshr_hw
         n_access += 1
         line = addr >> line_shift
         set_idx = line & set_mask
 
-        tl = bank_tl[line % banks]
-        if cyc <= 0:
-            start = float(time)
-        else:
-            ends = tl._ends
-            t = float(time)
-            if not ends or t >= ends[-1]:
-                tl._starts.append(t)
-                ends.append(t + cyc)
-                if len(ends) > tl.max_intervals:
-                    drop = len(ends) - tl.max_intervals
-                    del tl._starts[:drop]
+        start = float(time)
+        if cyc > 0:
+            bank = line % banks
+            ends = bank_ends[bank]
+            if not ends or start >= ends[-1]:
+                # monotone arrival: what reserve() does at the tail
+                bank_starts[bank].append(start)
+                ends.append(start + cyc)
+                drop = len(ends) - bank_max[bank]
+                if drop > 0:
+                    del bank_starts[bank][:drop]
                     del ends[:drop]
-                start = t
             else:
-                start = tl.reserve(time, cyc)
-        if start > time:
-            n_conflict += int(start - time)
+                start = bank_tl[bank].reserve(time, cyc)
+                if start > time:
+                    n_conflict += int(start - time)
 
         row = tags[set_idx]
+        if row is None:
+            row = load(set_idx)
         if line in row:
             way = row.index(line)
-            touch(set_idx, way)
+            use_counter += 1
+            lru[set_idx][way] = use_counter
+            if is_plru:
+                plru_touch(set_idx, way)
+            done = start + hit_lat
             if is_store:
                 if write_back:
                     dirty[set_idx][way] = True
                 else:
-                    next_access(addr, start + hit_lat, True)
-            n_hits += 1
-            done = start + hit_lat
-            pending = mshr.get(line << line_shift)
-            if pending is not None and pending > done:
-                return pending
+                    next_access(addr, done, True)
+            if mshr_hw > done:
+                pending = mshr.get(line << line_shift)
+                if pending is not None and pending > done:
+                    return pending
             return done
 
         n_misses += 1
         tag_time = start + hit_lat
         line_base = line << line_shift
-        pending = mshr.get(line_base, 0)
+        pending = mshr.get(line_base, 0) if mshr_hw > tag_time else 0
         if pending > tag_time:
             n_merges += 1
             fill_time = pending
         else:
-            if len(mshr) >= n_mshrs:
+            if mshr_hw > tag_time and len(mshr) >= n_mshrs:
                 in_flight = [ft for ft in mshr.values() if ft > tag_time]
                 if len(in_flight) >= n_mshrs:
                     wait_until = min(in_flight)
@@ -191,36 +217,49 @@ def _mirror_cache(cache, next_access):
                     tag_time = wait_until
             fill_time = next_access(line_base, tag_time, False)
             mshr[line_base] = fill_time
+            if fill_time > mshr_hw:
+                mshr_hw = fill_time
             if len(mshr) > 2 * n_mshrs:
                 for a in [a for a, ft in mshr.items() if ft <= tag_time]:
                     del mshr[a]
 
-        way = victim(set_idx)
+        if -1 in row:
+            way = row.index(-1)
+        elif is_lru:
+            lr = lru[set_idx]
+            way = lr.index(min(lr))
+        else:
+            way = policy_victim(set_idx)
         vtag = row[way]
         if write_back and dirty[set_idx][way] and vtag != -1:
             n_wb += 1
             next_access(vtag << line_shift, fill_time, True)
         row[way] = line
         dirty[set_idx][way] = bool(is_store and write_back)
-        touch(set_idx, way)
+        use_counter += 1
+        lru[set_idx][way] = use_counter
+        if is_plru:
+            plru_touch(set_idx, way)
         if is_store and not write_back:
             next_access(addr, fill_time, True)
         return fill_time
 
     def contains(addr):
         line = addr >> line_shift
-        return line in tags[line & set_mask]
+        set_idx = line & set_mask
+        return line in (tags[set_idx] or load(set_idx))
 
     def detach():
-        cache._tags[:] = tags
-        cache._dirty[:] = dirty
-        cache._lru[:] = lru
+        if loaded:
+            np_tags[loaded] = [tags[s] for s in loaded]
+            np_dirty[loaded] = [dirty[s] for s in loaded]
+            np_lru[loaded] = [lru[s] for s in loaded]
         if is_plru:
             cache._plru[:] = plru
         cache._use_counter = use_counter
         cache._rng_state = rng
         st.accesses += n_access
-        st.hits += n_hits
+        st.hits += n_access - n_misses
         st.misses += n_misses
         st.writebacks += n_wb
         st.mshr_merges += n_merges
@@ -238,7 +277,7 @@ def _mirror_dram(dram):
     queues, and stats are the reference objects — but the per-request
     attribute chases, the ``map_address`` call, and the common-case
     channel-bus reservation (monotone arrivals append at the tail) are
-    flattened into one closure.
+    flattened into one closure.  Returns ``(access, detach)``.
     """
     cfg = dram.cfg
     st = dram.stats
@@ -248,8 +287,9 @@ def _mirror_dram(dram):
     banks_per_chan = dram._banks_per_chan
     open_row = dram._open_row
     bank_ready = dram._bank_ready
-    chan_bus = dram._chan_bus
     inflight = dram._inflight
+    #: per channel: no queued request finishes later than this
+    inflight_hw = [max(q, default=0.0) for q in inflight]
     cCAS = dram._cCAS
     cRCD = dram._cRCD
     cRP = dram._cRP
@@ -258,15 +298,20 @@ def _mirror_dram(dram):
     cREFI = dram._cREFI
     cRFC = dram._cRFC
     cXFER = dram._cXFER
+    chan_bus = dram._chan_bus
+    bus_starts = [tl._starts for tl in chan_bus]
+    bus_ends = [tl._ends for tl in chan_bus]
+    bus_max = [tl.max_intervals for tl in chan_bus]
     queue_depth = cfg.queue_depth
     open_page = cfg.open_page
     qmax = 4 * queue_depth
+    n_access = n_writes = 0
 
     def access(addr, time, is_store):
+        nonlocal n_access, n_writes
+        n_access += 1
         if is_store:
-            st.writes += 1
-        else:
-            st.reads += 1
+            n_writes += 1
         line = addr // line_bytes
         chan = line % channels
         row_global = addr // row_div
@@ -276,13 +321,16 @@ def _mirror_dram(dram):
         start = time + cCTRL
         q = inflight[chan]
         if q:
-            live = [t for t in q if t > start]
-            if len(live) >= queue_depth:
-                live.sort()
-                wait_until = live[-queue_depth]
-                st.queue_wait_cycles += int(wait_until - start)
-                start = wait_until
-            inflight[chan] = live
+            if inflight_hw[chan] > start:
+                live = [t for t in q if t > start]
+                if len(live) >= queue_depth:
+                    live.sort()
+                    wait_until = live[-queue_depth]
+                    st.queue_wait_cycles += int(wait_until - start)
+                    start = wait_until
+                inflight[chan] = q = live
+            else:
+                q.clear()
 
         if cREFI > 0 and start >= cREFI:
             since = start % cREFI
@@ -308,117 +356,121 @@ def _mirror_dram(dram):
         if access_done > bank_ready[bank]:
             bank_ready[bank] = access_done
 
-        tl = chan_bus[chan]
-        if cXFER <= 0:
-            xfer_start = float(access_done)
-        else:
-            ends = tl._ends
-            t = float(access_done)
-            if not ends or t >= ends[-1]:
-                tl._starts.append(t)
-                ends.append(t + cXFER)
-                if len(ends) > tl.max_intervals:
-                    drop = len(ends) - tl.max_intervals
-                    del tl._starts[:drop]
+        xfer_start = float(access_done)
+        if cXFER > 0:
+            ends = bus_ends[chan]
+            if not ends or xfer_start >= ends[-1]:
+                bus_starts[chan].append(xfer_start)
+                ends.append(xfer_start + cXFER)
+                drop = len(ends) - bus_max[chan]
+                if drop > 0:
+                    del bus_starts[chan][:drop]
                     del ends[:drop]
-                xfer_start = t
             else:
-                xfer_start = tl.reserve(access_done, cXFER)
+                xfer_start = chan_bus[chan].reserve(access_done, cXFER)
         finish = xfer_start + cXFER
-        q = inflight[chan]
         q.append(finish)
+        if finish > inflight_hw[chan]:
+            inflight_hw[chan] = finish
         if len(q) > qmax:
             inflight[chan] = [ft for ft in q if ft > finish - 1]
         if is_store:
             return int(start + cCTRL)
         return int(finish)
 
-    return access
+    def detach():
+        st.reads += n_access - n_writes
+        st.writes += n_writes
+
+    return access, detach
 
 
-def _fast_tlb(tlb, walker):
-    """Closure twin of ``translate`` for TLB / TwoLevelTLB.
+def _tlb_entry(tlb, l2_access, l1_access, is_store, observe):
+    """One port entry point: translate, L1 access, prefetcher observe.
 
-    Set dicts and stats are shared in place; the per-level ``lookup``
-    bodies are inlined into ``translate`` so a hit costs one call.
+    Closure twin of ``TilePort.dload``/``dstore``/``ifetch`` for one
+    (TLB, L1, direction): the first-level TLB probe is inlined, so a TLB
+    hit costs no call, and a miss walks the page table through
+    *l2_access* directly, as ``TilePort._walker`` does.  Returns
+    ``(entry, detach)``; set dicts and miss counts are shared in place,
+    the access count flushes at detach.
     """
     if type(tlb) is TwoLevelTLB:
-        l1cfg = tlb.l1.cfg
-        l1st = tlb.l1.stats
-        l1_shift = tlb.l1._page_shift
-        l1_nsets = tlb.l1._num_sets
-        l1_assoc = tlb.l1._assoc
-        l1_sets = tlb.l1._sets
+        l1 = tlb.l1
         l2st = tlb.l2.stats
         l2_shift = tlb.l2._page_shift
         l2_nsets = tlb.l2._num_sets
         l2_assoc = tlb.l2._assoc
         l2_sets = tlb.l2._sets
-        l1_hit = l1cfg.hit_latency
         l2_hit = tlb.l2_hit_latency
-        walk_lat = l1cfg.walk_latency
-        walk_n = l1cfg.walk_accesses
-        shift = tlb.l1._page_shift
+    elif type(tlb) is TLB:
+        l1 = tlb
+        l2_sets = None
+    else:
+        # unknown TLB subclass: its own translate over a plain walker
+        def walker(addr, time):
+            return l2_access(addr, time, False)
 
-        def translate(addr, time):
-            l1st.accesses += 1
-            vpn = addr >> l1_shift
-            s = l1_sets[vpn % l1_nsets]
-            if vpn in s:
-                s.move_to_end(vpn)
-                return time + l1_hit
-            l1st.misses += 1
-            if len(s) >= l1_assoc:
-                s.popitem(last=False)
-            s[vpn] = True
+        def entry(addr, time):
+            t = tlb.translate(addr, time, walker)
+            done = l1_access(addr, t, is_store)
+            if observe is not None:
+                observe(addr, t)
+            return done
+
+        return entry, None
+    st = l1.stats
+    shift = l1._page_shift
+    nsets = l1._num_sets
+    assoc = l1._assoc
+    sets = l1._sets
+    hit_lat = l1.cfg.hit_latency
+    walk_lat = l1.cfg.walk_latency
+    walk_n = l1.cfg.walk_accesses
+    n_access = 0
+
+    def miss(addr, time, vpn, s):
+        st.misses += 1
+        if len(s) >= assoc:
+            s.popitem(last=False)
+        s[vpn] = True
+        if l2_sets is not None:
             l2st.accesses += 1
-            vpn = addr >> l2_shift
-            s = l2_sets[vpn % l2_nsets]
-            if vpn in s:
-                s.move_to_end(vpn)
+            vpn2 = addr >> l2_shift
+            s = l2_sets[vpn2 % l2_nsets]
+            if vpn2 in s:
+                s.move_to_end(vpn2)
                 return time + l2_hit
             l2st.misses += 1
             if len(s) >= l2_assoc:
                 s.popitem(last=False)
-            s[vpn] = True
-            t = time + walk_lat
-            base = 0x8000_0000 + ((addr >> shift) % 4096) * 8
-            for level in range(walk_n):
-                t = walker(base + level * 4096, t)
-            return t
+            s[vpn2] = True
+        t = time + walk_lat
+        base = 0x8000_0000 + (vpn % 4096) * 8
+        for level in range(walk_n):
+            t = l2_access(base + level * 4096, t, False)
+        return t
 
-        return translate
-    if type(tlb) is TLB:
-        cfg = tlb.cfg
-        st = tlb.stats
-        shift = tlb._page_shift
-        nsets = tlb._num_sets
-        assoc = tlb._assoc
-        sets = tlb._sets
-        hit_lat = cfg.hit_latency
-        walk_lat = cfg.walk_latency
-        walk_n = cfg.walk_accesses
+    def entry(addr, time):
+        nonlocal n_access
+        n_access += 1
+        vpn = addr >> shift
+        s = sets[vpn % nsets]
+        if vpn in s:
+            s.move_to_end(vpn)
+            t = time + hit_lat
+        else:
+            t = miss(addr, time, vpn, s)
+        if observe is None:
+            return l1_access(addr, t, is_store)
+        done = l1_access(addr, t, is_store)
+        observe(addr, t)
+        return done
 
-        def translate(addr, time):
-            st.accesses += 1
-            vpn = addr >> shift
-            s = sets[vpn % nsets]
-            if vpn in s:
-                s.move_to_end(vpn)
-                return time + hit_lat
-            st.misses += 1
-            if len(s) >= assoc:
-                s.popitem(last=False)
-            s[vpn] = True
-            t = time + walk_lat
-            base = 0x8000_0000 + ((addr >> shift) % 4096) * 8
-            for level in range(walk_n):
-                t = walker(base + level * 4096, t)
-            return t
+    def detach():
+        st.accesses += n_access
 
-        return translate
-    # unknown TLB subclass: use its own translate over the fast walker
-    return lambda addr, time: tlb.translate(addr, time, walker)
+    return entry, detach
 
 
 @functools.cache
@@ -741,34 +793,34 @@ def attach_port(port):
     """Build the fast memory call graph over one TilePort's mirrored state.
 
     Returns ``(dload, dstore, ifetch, detach)`` — closure twins of the
-    TilePort entry points (TLB translate, L1 access, prefetcher observe,
-    uncore bus/directory/L2 traversal, all over list mirrors).  Shared by
-    the in-order engine, the out-of-order engine, and the batched sweep
-    driver; ``detach`` flushes every mirror back and must run exactly
-    once, even when the simulated trace raises.
+    TilePort entry points.  The walk TLB -> L1 -> bus -> directory -> L2
+    -> DRAM is wired here, each level a closure that calls the next one
+    directly.  Shared by the in-order engine, the out-of-order engine,
+    and the batched sweep driver; ``detach`` flushes every mirror back
+    and must run exactly once, even when the simulated trace raises.
     """
     uncore = port.uncore
     l2 = uncore.l2
     below_l2 = l2.next_level
-    l2_access, l2_contains, l2_detach = _mirror_cache(
-        l2, _mirror_dram(below_l2) if type(below_l2) is DRAM
-        else below_l2.access)
+    if type(below_l2) is DRAM:
+        below_access, below_detach = _mirror_dram(below_l2)
+    else:  # an LLC: its reference access, nothing to flush
+        below_access, below_detach = below_l2.access, None
+    l2_access, l2_contains, l2_detach = _mirror_cache(l2, below_access)
     bus = uncore.bus
     bus_st = bus.stats
+    line_bytes = uncore._line
+    bus_occ = bus.cfg.beats(line_bytes) / bus.cfg.clock_ratio
+    bus_arb = bus.cfg.arbitration_latency
     bus_tl = bus._timeline
     bus_starts = bus_tl._starts
     bus_ends = bus_tl._ends
     bus_max = bus_tl.max_intervals
     bus_reserve = bus_tl.reserve
-    line_bytes = uncore._line
-    bus_occ = bus.cfg.beats(line_bytes) / bus.cfg.clock_ratio
-    bus_arb = bus.cfg.arbitration_latency
+    n_transfers = 0
     directory = uncore.directory
     tile_id = port.tile_id
-    if directory is not None:
-        # bus.transfer + SnoopDirectory.observe + L2, fused; the bus
-        # timeline fast-appends monotone arrivals like the bank
-        # timelines in _mirror_cache, falling back to reserve()
+    if directory is not None:  # read only past uncore_access's early return
         dst = directory.stats
         shr = directory._sharers
         own = directory._owner
@@ -777,184 +829,147 @@ def attach_port(port):
         dir_prune = directory._prune
         bit = 1 << tile_id
 
-        def uncore_access(addr, time, is_store):
-            bus_st.transfers += 1
-            t = float(time)
-            if not bus_ends or t >= bus_ends[-1]:
-                bus_starts.append(t)
-                bus_ends.append(t + bus_occ)
-                if len(bus_ends) > bus_max:
-                    drop = len(bus_ends) - bus_max
-                    del bus_starts[:drop]
-                    del bus_ends[:drop]
-                start = t
-            else:
-                start = bus_reserve(t, bus_occ)
+    def uncore_access(addr, time, is_store):
+        # bus.transfer + SnoopDirectory.observe + L2, fused
+        nonlocal n_transfers
+        n_transfers += 1
+        start = float(time)
+        if not bus_ends or start >= bus_ends[-1]:
+            bus_starts.append(start)
+            bus_ends.append(start + bus_occ)
+            drop = len(bus_ends) - bus_max
+            if drop > 0:
+                del bus_starts[:drop]
+                del bus_ends[:drop]
+        else:
+            start = bus_reserve(start, bus_occ)
             if start > time:
                 bus_st.contention_cycles += int(start - time)
-            t = int(start + bus_arb + bus_occ)
-            dline = addr // line_bytes
+        t = int(start + bus_arb + bus_occ)
+        if directory is None:
+            return l2_access(addr, t, is_store)
+        dline = addr // line_bytes
+        sharers = shr.get(dline, 0)
+        if is_store:
             extra = 0
-            sharers = shr.get(dline, 0)
-            if is_store:
-                others = sharers & ~bit
-                if others:
-                    dst.invalidations += bin(others).count("1")
+            others = sharers & ~bit
+            if others:
+                dst.invalidations += bin(others).count("1")
+                extra = inv_lat
+            prev_owner = own.get(dline)
+            if prev_owner is not None and prev_owner != tile_id:
+                dst.ownership_changes += 1
+                if inv_lat > extra:
                     extra = inv_lat
-                prev_owner = own.get(dline)
-                if prev_owner is not None and prev_owner != tile_id:
-                    dst.ownership_changes += 1
-                    if inv_lat > extra:
-                        extra = inv_lat
-                shr[dline] = bit
-                own[dline] = tile_id
-            else:
-                if dline in own and own[dline] != tile_id:
-                    dst.ownership_changes += 1
-                    del own[dline]
-                    extra = inv_lat
-                shr[dline] = sharers | bit
-            if len(shr) > max_lines:
-                dir_prune()
-            return l2_access(addr, t + extra, is_store)
-    else:
-        def uncore_access(addr, time, is_store):
-            bus_st.transfers += 1
-            t = float(time)
-            if not bus_ends or t >= bus_ends[-1]:
-                bus_starts.append(t)
-                bus_ends.append(t + bus_occ)
-                if len(bus_ends) > bus_max:
-                    drop = len(bus_ends) - bus_max
-                    del bus_starts[:drop]
-                    del bus_ends[:drop]
-                start = t
-            else:
-                start = bus_reserve(t, bus_occ)
-            if start > time:
-                bus_st.contention_cycles += int(start - time)
-            return l2_access(addr, int(start + bus_arb + bus_occ),
-                             is_store)
+            shr[dline] = bit
+            own[dline] = tile_id
+            t += extra
+        else:
+            if dline in own and own[dline] != tile_id:
+                dst.ownership_changes += 1
+                del own[dline]
+                t += inv_lat
+            shr[dline] = sharers | bit
+        if len(shr) > max_lines:
+            dir_prune()
+        return l2_access(addr, t, is_store)
 
     l1d_access, l1d_contains, l1d_detach = _mirror_cache(
         port.l1d, uncore_access)
     l1i_access, _, l1i_detach = _mirror_cache(port.l1i, uncore_access)
-
-    def walker(addr, time):
-        # page-table walks go straight to L2, as TilePort._walker does
-        return l2_access(addr, time, False)
-
-    itlb_translate = _fast_tlb(port.itlb, walker)
-    dtlb_translate = _fast_tlb(port.dtlb, walker)
 
     pf = port.prefetcher
     observe = None
     if pf is not None:
         if pf.cache is port.l1d:
             observe = _inline_prefetcher(pf, l1d_contains, l1d_access)
-        elif pf.cache is uncore.l2:
+        elif pf.cache is l2:
             observe = _inline_prefetcher(pf, l2_contains, l2_access)
         else:
             observe = pf.observe  # foreign cache: no mirror to corrupt
 
-    if observe is None:
-        def dload(addr, time):
-            return l1d_access(addr, dtlb_translate(addr, time), False)
-
-        def dstore(addr, time):
-            return l1d_access(addr, dtlb_translate(addr, time), True)
-    else:
-        def dload(addr, time):
-            t = dtlb_translate(addr, time)
-            done = l1d_access(addr, t, False)
-            observe(addr, t)
-            return done
-
-        def dstore(addr, time):
-            t = dtlb_translate(addr, time)
-            done = l1d_access(addr, t, True)
-            observe(addr, t)
-            return done
-
-    def ifetch(addr, time):
-        return l1i_access(addr, itlb_translate(addr, time), False)
+    dload, dload_detach = _tlb_entry(
+        port.dtlb, l2_access, l1d_access, False, observe)
+    dstore, dstore_detach = _tlb_entry(
+        port.dtlb, l2_access, l1d_access, True, observe)
+    ifetch, ifetch_detach = _tlb_entry(
+        port.itlb, l2_access, l1i_access, False, None)
 
     def detach():
-        l1i_detach()
-        l1d_detach()
-        l2_detach()
+        for flush in (dload_detach, dstore_detach, ifetch_detach,
+                      l1i_detach, l1d_detach, l2_detach, below_detach):
+            if flush is not None:
+                flush()
+        bus_st.transfers += n_transfers
 
     return dload, dstore, ifetch, detach
 
 
 # -- the engine ---------------------------------------------------------------
 
-class AccelEngine:
-    """Drives one :class:`InOrderCore` through the accelerated path."""
+def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
+    """Run *trace* on one :class:`InOrderCore` through the accelerated path."""
+    cfg = core.cfg
+    port = core.port
+    bru = core.bru
 
-    def __init__(self, core) -> None:
-        self.core = core
+    ct = compiled_trace(trace)
+    view = ct.cols
+    op_l = view["op"]
+    dst_l = view["dst"]
+    s1_l = view["src1"]
+    s2_l = view["src2"]
+    addr_l = view["addr"]
+    size_l = view["size"]
+    taken_l = view["taken"]
+    pc_l = view["pc"]
+    tgt_l = view["target"]
+    simple_l, newline_l = ct.issue_flags()
+    n = ct.n
+    lat_list = memo.latency_lut(cfg.latencies)
 
-    def run(self, trace, start_time: int = 0) -> CoreResult:
-        core = self.core
-        cfg = core.cfg
-        port = core.port
-        bru = core.bru
+    # ---- attach: build the fast call graph over mirrored state ----
+    dload, dstore, ifetch, mem_detach = attach_port(port)
+    resolve, bru_detach = _mirror_branch_unit(bru)
 
-        view = compiled_trace(trace).cols
-        op_l = view["op"]
-        dst_l = view["dst"]
-        s1_l = view["src1"]
-        s2_l = view["src2"]
-        addr_l = view["addr"]
-        size_l = view["size"]
-        taken_l = view["taken"]
-        pc_l = view["pc"]
-        tgt_l = view["target"]
-        n = len(op_l)
-        lat_list = memo.latency_lut(cfg.latencies)
+    # ---- loop state (identical to the reference prologue) ----
+    reg_ready = core._reg_ready
+    sb = core._sb
+    vcfg = cfg.vector
+    vu_free = core._vu_free
+    cycle = max(start_time, core._time)
+    t0 = cycle
+    slots = 0
+    mem_used = 0
+    ctrl_used = 0
+    fe_ready = max(core._fe_ready, cycle)
+    cur_line = core._cur_fetch_line
+    line_entry = cycle
+    div_free = core._div_free
+    stall_fe = stall_dep = stall_mem = stall_struct = 0
+    l1d_st = port.l1d.stats
+    l1i_st = port.l1i.stats
+    bst = bru.stats
+    l1d_miss0 = l1d_st.misses
+    l1i_miss0 = l1i_st.misses
+    br0 = bst.branches
+    mp0 = bst.mispredicts
+    sb_depth = cfg.store_buffer
+    flush_pen = cfg.flush_penalty
+    bubble_pen = cfg.bubble_penalty
+    icache_hit = core._icache_hit
+    W = cfg.issue_width
+    mem_ports = cfg.mem_ports
+    pipelined_div = cfg.pipelined_div
+    load_to_use = cfg.load_to_use
+    amo_extra = cfg.latencies.amo_extra
 
-        # ---- attach: build the fast call graph over mirrored state ----
-        dload, dstore, ifetch, mem_detach = attach_port(port)
-        resolve, bru_detach = _mirror_branch_unit(bru)
-
-        # ---- loop state (identical to the reference prologue) ----
-        reg_ready = core._reg_ready
-        sb = core._sb
-        vcfg = cfg.vector
-        vu_free = core._vu_free
-        cycle = max(start_time, core._time)
-        t0 = cycle
-        slots = 0
-        mem_used = 0
-        ctrl_used = 0
-        fe_ready = max(core._fe_ready, cycle)
-        cur_line = core._cur_fetch_line
-        line_entry = cycle
-        div_free = core._div_free
-        stall_fe = stall_dep = stall_mem = stall_struct = 0
-        l1d_st = port.l1d.stats
-        l1i_st = port.l1i.stats
-        bst = bru.stats
-        l1d_miss0 = l1d_st.misses
-        l1i_miss0 = l1i_st.misses
-        br0 = bst.branches
-        mp0 = bst.mispredicts
-        sb_depth = cfg.store_buffer
-        flush_pen = cfg.flush_penalty
-        bubble_pen = cfg.bubble_penalty
-        icache_hit = core._icache_hit
-        W = cfg.issue_width
-        mem_ports = cfg.mem_ports
-        pipelined_div = cfg.pipelined_div
-        load_to_use = cfg.load_to_use
-        amo_extra = cfg.latencies.amo_extra
-
-        try:
-            for i in range(n):
-                op = op_l[i]
+    try:
+        for i in range(n):
+            # only the first uop of a fetch line can leave cur_line
+            # (and uop 0, which follows another run's last line)
+            if newline_l[i]:
                 pc = pc_l[i]
-
                 line = pc >> 6
                 if line != cur_line:
                     need_at = cycle if cycle > fe_ready else fe_ready
@@ -968,141 +983,163 @@ class AccelEngine:
                         stall_fe += extra
                     line_entry = fe_ready if fe_ready > cycle else cycle
 
-                t = cycle
-                if fe_ready > t:
-                    t = fe_ready
-                s1 = s1_l[i]
-                if s1 > 0:
-                    r = reg_ready[s1]
-                    if r > t:
-                        stall_dep += r - t
-                        t = r
-                s2 = s2_l[i]
-                if s2 > 0:
-                    r = reg_ready[s2]
-                    if r > t:
-                        stall_dep += r - t
-                        t = r
+            t = cycle
+            if fe_ready > t:
+                t = fe_ready
+            s1 = s1_l[i]
+            if s1 > 0:
+                r = reg_ready[s1]
+                if r > t:
+                    stall_dep += r - t
+                    t = r
+            s2 = s2_l[i]
+            if s2 > 0:
+                r = reg_ready[s2]
+                if r > t:
+                    stall_dep += r - t
+                    t = r
 
-                if op == 3 and not pipelined_div and div_free > t:
-                    stall_struct += div_free - t
-                    t = div_free
-                if 20 <= op <= 23:
-                    if vcfg is None:
-                        raise ValueError(
-                            "trace contains RVV vector ops but this "
-                            "core has no vector unit "
-                            "(InOrderConfig.vector is None)"
-                        )
-                    if vu_free > t:
-                        stall_struct += vu_free - t
-                        t = vu_free
-
+            if simple_l[i]:
+                # no structural hazard, memory port or control slot:
+                # the issue-slot loop below runs at most once
                 if t > cycle:
                     cycle = t
-                    slots = 0
+                    slots = 1
                     mem_used = 0
                     ctrl_used = 0
-                is_mem = (op == 4 or op == 5 or op == 19
-                          or op == 20 or op == 21)
-                is_ctrl = 6 <= op <= 9
-                while (slots >= W
-                       or (is_mem and mem_used >= mem_ports)
-                       or (is_ctrl and ctrl_used >= 1)):
+                elif slots >= W:
                     cycle += 1
-                    slots = 0
+                    t = cycle
+                    slots = 1
                     mem_used = 0
                     ctrl_used = 0
-                t = cycle
-                slots += 1
-                if is_mem:
-                    mem_used += 1
-                if is_ctrl:
-                    ctrl_used += 1
-
-                dst = dst_l[i]
-                if op == 4:  # LOAD
-                    done = dload(addr_l[i], t + 1)
-                    if dst > 0:
-                        reg_ready[dst] = done + load_to_use
-                elif op == 5:  # STORE
-                    while sb and sb[0] <= t:
-                        sb.popleft()
-                    if len(sb) >= sb_depth:
-                        wait = sb.popleft()
-                        if wait > t:
-                            stall_mem += wait - t
-                            cycle = wait
-                            slots = 1
-                            mem_used = 1
-                            ctrl_used = 0
-                            t = wait
-                    done = dstore(addr_l[i], t + 1)
-                    sb.append(done)
-                elif op == 19:  # AMO
-                    done = dstore(addr_l[i], t + 1) + amo_extra
-                    if dst > 0:
-                        reg_ready[dst] = done
-                elif op == 20 or op == 21:  # VLOAD / VSTORE
-                    nbytes = size_l[i]
-                    base_addr = addr_l[i]
-                    is_st = op == 21
-                    done = t + 1
-                    macc = dstore if is_st else dload
-                    for off in range(0, nbytes, 64):
-                        acc = macc(base_addr + off, t + 1)
-                        if acc > done:
-                            done = acc
-                    occ = vcfg.startup + vcfg.mem_beats(nbytes)
-                    vu_free = t + occ
-                    if dst > 0 and not is_st:
-                        reg_ready[dst] = max(done, t + occ)
-                elif op == 22 or op == 23:  # VALU / VFMA
-                    occ = vcfg.startup + vcfg.exec_beats(size_l[i] * 8)
-                    vu_free = t + occ
-                    if dst > 0:
-                        reg_ready[dst] = t + occ + lat_list[op] - 1
-                elif is_ctrl:
-                    kind = resolve(op, pc, taken_l[i], tgt_l[i])
-                    if kind == 2:
-                        fe_ready = t + 1 + flush_pen
-                    elif kind == 1:
-                        fe_ready = t + 1 + bubble_pen
-                    if dst > 0:
-                        reg_ready[dst] = t + 1
                 else:
-                    l = lat_list[op]
-                    if dst > 0:
-                        reg_ready[dst] = t + l
-                    if op == 3 and not pipelined_div:
-                        div_free = t + l
-        finally:
-            # write the mirrors back even when the loop raises (vector op
-            # on a vector-less core): the reference objects stay
-            # authoritative between runs
-            mem_detach()
-            if bru_detach is not None:
-                bru_detach()
-            core.accel_stats.engine_uops += n
-            memo.global_stats().engine_uops += n
+                    slots += 1
+                dst = dst_l[i]
+                if dst > 0:
+                    reg_ready[dst] = t + lat_list[op_l[i]]
+                continue
 
-        end = cycle + cfg.pipeline_depth - 1
-        core._time = cycle + 1
-        core._fe_ready = fe_ready
-        core._cur_fetch_line = cur_line
-        core._div_free = div_free
-        core._vu_free = vu_free
-        return CoreResult(
-            cycles=end - t0,
-            instructions=n,
-            stalls={
-                "frontend": stall_fe,
-                "dep": stall_dep,
-                "mem": stall_mem,
-                "structural": stall_struct,
-            },
-            branches=bst.branches - br0,
-            mispredicts=bst.mispredicts - mp0,
-            l1d_misses=l1d_st.misses - l1d_miss0,
-            l1i_misses=l1i_st.misses - l1i_miss0,
-        )
+            op = op_l[i]
+            if op == 3 and not pipelined_div and div_free > t:
+                stall_struct += div_free - t
+                t = div_free
+            if 20 <= op <= 23:
+                if vcfg is None:
+                    raise ValueError(
+                        "trace contains RVV vector ops but this "
+                        "core has no vector unit "
+                        "(InOrderConfig.vector is None)"
+                    )
+                if vu_free > t:
+                    stall_struct += vu_free - t
+                    t = vu_free
+
+            if t > cycle:
+                cycle = t
+                slots = 0
+                mem_used = 0
+                ctrl_used = 0
+            is_mem = (op == 4 or op == 5 or op == 19
+                      or op == 20 or op == 21)
+            is_ctrl = 6 <= op <= 9
+            while (slots >= W
+                   or (is_mem and mem_used >= mem_ports)
+                   or (is_ctrl and ctrl_used >= 1)):
+                cycle += 1
+                slots = 0
+                mem_used = 0
+                ctrl_used = 0
+            t = cycle
+            slots += 1
+            if is_mem:
+                mem_used += 1
+            if is_ctrl:
+                ctrl_used += 1
+
+            dst = dst_l[i]
+            if op == 4:  # LOAD
+                done = dload(addr_l[i], t + 1)
+                if dst > 0:
+                    reg_ready[dst] = done + load_to_use
+            elif op == 5:  # STORE
+                while sb and sb[0] <= t:
+                    sb.popleft()
+                if len(sb) >= sb_depth:
+                    wait = sb.popleft()
+                    if wait > t:
+                        stall_mem += wait - t
+                        cycle = wait
+                        slots = 1
+                        mem_used = 1
+                        ctrl_used = 0
+                        t = wait
+                done = dstore(addr_l[i], t + 1)
+                sb.append(done)
+            elif op == 19:  # AMO
+                done = dstore(addr_l[i], t + 1) + amo_extra
+                if dst > 0:
+                    reg_ready[dst] = done
+            elif op == 20 or op == 21:  # VLOAD / VSTORE
+                nbytes = size_l[i]
+                base_addr = addr_l[i]
+                is_st = op == 21
+                done = t + 1
+                macc = dstore if is_st else dload
+                for off in range(0, nbytes, 64):
+                    acc = macc(base_addr + off, t + 1)
+                    if acc > done:
+                        done = acc
+                occ = vcfg.startup + vcfg.mem_beats(nbytes)
+                vu_free = t + occ
+                if dst > 0 and not is_st:
+                    reg_ready[dst] = max(done, t + occ)
+            elif op == 22 or op == 23:  # VALU / VFMA
+                occ = vcfg.startup + vcfg.exec_beats(size_l[i] * 8)
+                vu_free = t + occ
+                if dst > 0:
+                    reg_ready[dst] = t + occ + lat_list[op] - 1
+            elif is_ctrl:
+                kind = resolve(op, pc_l[i], taken_l[i], tgt_l[i])
+                if kind == 2:
+                    fe_ready = t + 1 + flush_pen
+                elif kind == 1:
+                    fe_ready = t + 1 + bubble_pen
+                if dst > 0:
+                    reg_ready[dst] = t + 1
+            else:
+                l = lat_list[op]
+                if dst > 0:
+                    reg_ready[dst] = t + l
+                if op == 3 and not pipelined_div:
+                    div_free = t + l
+    finally:
+        # write the mirrors back even when the loop raises (vector op
+        # on a vector-less core): the reference objects stay
+        # authoritative between runs
+        mem_detach()
+        if bru_detach is not None:
+            bru_detach()
+
+    core.accel_stats.engine_uops += n
+    memo.global_stats().engine_uops += n
+    end = cycle + cfg.pipeline_depth - 1
+    core._time = cycle + 1
+    core._fe_ready = fe_ready
+    core._cur_fetch_line = cur_line
+    core._div_free = div_free
+    core._vu_free = vu_free
+    return CoreResult(
+        cycles=end - t0,
+        instructions=n,
+        stalls={
+            "frontend": stall_fe,
+            "dep": stall_dep,
+            "mem": stall_mem,
+            "structural": stall_struct,
+        },
+        branches=bst.branches - br0,
+        mispredicts=bst.mispredicts - mp0,
+        l1d_misses=l1d_st.misses - l1d_miss0,
+        l1i_misses=l1i_st.misses - l1i_miss0,
+    )

@@ -73,11 +73,10 @@ class InOrderCore(CoreModel):
         self.port = port
         self.bru = branch_unit if branch_unit is not None else rocket_branch_unit()
         self._icache_hit = icache_hit_latency
-        # accelerated engine (repro.accel): bit-identical fast path, built
-        # lazily on first run so reference-only cores never import the
+        # accelerated engine (repro.accel): bit-identical fast path,
+        # imported on first run so reference-only cores never load the
         # mirrors; accel_stats counts the uops it retires
         self._accel_on = accel
-        self._accel = None
         from ..accel.stats import AccelStats
         self.accel_stats = AccelStats()
         self.reset()
@@ -100,10 +99,8 @@ class InOrderCore(CoreModel):
 
     def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
         if self._accel_on and hasattr(self.port, "uncore"):
-            if self._accel is None:
-                from ..accel.engine import AccelEngine
-                self._accel = AccelEngine(self)
-            return self._accel.run(trace, start_time)
+            from ..accel.engine import run_inorder
+            return run_inorder(self, trace, start_time)
         cfg = self.cfg
         lat = cfg.latencies
         port = self.port

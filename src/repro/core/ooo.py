@@ -69,10 +69,9 @@ class OoOCore(CoreModel):
         self.bru = branch_unit if branch_unit is not None else boom_branch_unit()
         self._icache_hit = icache_hit_latency
         # accelerated engine (repro.accel): bit-identical transliteration
-        # over compiled trace columns, built lazily on first run so
+        # over compiled trace columns, imported on first run so
         # reference-only cores never touch the mirror layer
         self._accel_on = accel
-        self._accel = None
         from ..accel.stats import AccelStats
         self.accel_stats = AccelStats()
         self.reset()
@@ -113,10 +112,8 @@ class OoOCore(CoreModel):
 
     def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
         if self._accel_on and hasattr(self.port, "uncore"):
-            if self._accel is None:
-                from ..accel.ooo import OoOAccelEngine
-                self._accel = OoOAccelEngine(self)
-            return self._accel.run(trace, start_time)
+            from ..accel.ooo import run_ooo
+            return run_ooo(self, trace, start_time)
         cfg = self.cfg
         lat = cfg.latencies
         port = self.port

@@ -113,6 +113,18 @@ class Uncore:
             d.stats.reset()
 
 
+class _UncoreShim:
+    """Adapts Uncore.access to the Cache next_level protocol.
+
+    Module-level on purpose: a class defined per TilePort is cyclic
+    garbage, so a dropped System would wait for the collector."""
+
+    def __init__(self, uncore: Uncore, tile_id: int) -> None:
+        self.access = lambda addr, time, is_store=False: uncore.access(
+            tile_id, addr, time, is_store
+        )
+
+
 class TilePort:
     """Per-tile view of the hierarchy: private L1s and TLBs over the uncore."""
 
@@ -120,16 +132,7 @@ class TilePort:
         cfg = uncore.cfg
         self.uncore = uncore
         self.tile_id = tile_id
-
-        class _UncoreShim:
-            """Adapts Uncore.access to the Cache next_level protocol."""
-
-            def __init__(shim) -> None:
-                shim.access = lambda addr, time, is_store=False: uncore.access(
-                    tile_id, addr, time, is_store
-                )
-
-        shim = _UncoreShim()
+        shim = _UncoreShim(uncore, tile_id)
         self.l1i = Cache(cfg.l1i, shim, name=f"tile{tile_id}.l1i")
         self.l1d = Cache(cfg.l1d, shim, name=f"tile{tile_id}.l1d")
         self.itlb = TLB(cfg.itlb, name=f"tile{tile_id}.itlb")

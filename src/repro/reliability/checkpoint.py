@@ -110,7 +110,7 @@ def trace_fingerprint(trace) -> str:
 
 #: attribute names never captured: configs/wiring, not mutable sim state
 _WIRING = {"cfg", "name", "next_level", "port", "bru", "uncore", "cache",
-           "tile_id", "prefetcher", "_walker", "_accel", "_accel_on"}
+           "tile_id", "prefetcher", "_walker", "_accel_on"}
 
 
 def _grab(obj) -> dict[str, Any]:

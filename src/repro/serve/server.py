@@ -60,6 +60,8 @@ __all__ = ["FarmServer", "ServerHandle"]
 
 #: max request line the server will read (a submit with sources fits)
 _MAX_LINE = 10 * 1024 * 1024
+#: terminal transitions closer together than this share one manifest rewrite
+MANIFEST_QUIET_S = 0.25
 
 
 class _Active:
@@ -186,6 +188,8 @@ class FarmServer:
         self._drain = True
         self._req_count = 0
         self._host_launches: dict[str, int] = {}
+        #: pending coalesced manifest rewrite, and how many were made
+        self._manifest_timer: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -415,7 +419,7 @@ class FarmServer:
                 self._persist_result(rec)
                 self._event(rec, "store-hit")
                 self._seal(rec)
-                self._write_manifest()
+                self._manifest_stale()
                 return {"ok": True, **rec.describe()}
 
         if instrument is not None:
@@ -456,7 +460,7 @@ class FarmServer:
             self.journal.state(rec)
             self._event(rec, "cancelled", was="queued")
             self._seal(rec)
-            self._write_manifest()
+            self._manifest_stale()
         elif rec.state == "running":
             if preempt:
                 rec.preempt_requested = True
@@ -473,7 +477,7 @@ class FarmServer:
             self.journal.state(rec)
             self._event(rec, "cancelled", was="preempted")
             self._seal(rec)
-            self._write_manifest()
+            self._manifest_stale()
         return {"ok": True, **rec.describe()}
 
     def _op_resume(self, req: dict[str, Any]) -> dict[str, Any]:
@@ -672,7 +676,7 @@ class FarmServer:
                 self._event(rec, "failed", attempt=rec.attempts, error=error)
                 self._seal(rec)
         if rec.done:
-            self._write_manifest()
+            self._manifest_stale()
 
     def _attribute_failure(self, rec: JobRecord, run: _Active,
                            status: str) -> None:
@@ -747,7 +751,24 @@ class FarmServer:
         os.replace(tmp, path)
         rec.result_path = str(path)
 
+    def _manifest_stale(self) -> None:
+        """A job reached a terminal state: rewrite the manifest soon.
+
+        The manifest lists every job, so rewriting it per transition
+        costs O(jobs) each time; transitions inside one
+        ``MANIFEST_QUIET_S`` window share a single rewrite instead.  The
+        manifest is therefore a view that may trail the journal by that
+        long; shutdown writes it once more, and recovery never reads it.
+        """
+        if (self._manifest_timer is None and self._loop is not None
+                and not self._crashed):
+            self._manifest_timer = self._loop.call_later(
+                MANIFEST_QUIET_S, self._write_manifest)
+
     def _write_manifest(self) -> None:
+        if self._manifest_timer is not None:
+            self._manifest_timer.cancel()
+            self._manifest_timer = None
         path = self.spool / "manifest.json"
         doc = {
             "protocol": PROTOCOL_VERSION,
@@ -781,6 +802,9 @@ class FarmServer:
         server's event loop (``ServerHandle.crash`` marshals it).
         """
         self._crashed = True
+        if self._manifest_timer is not None:
+            self._manifest_timer.cancel()
+            self._manifest_timer = None
         for run in list(self._active.values()):
             if run.proc.is_alive():
                 run.proc.kill()

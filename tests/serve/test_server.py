@@ -232,6 +232,38 @@ def test_drain_shutdown_finishes_queued_work(tmp_path):
     assert all(states[jid] == "ok" for jid in ids)
 
 
+def test_manifest_is_coalesced_and_flushed_on_shutdown(tmp_path):
+    """Terminal transitions share manifest rewrites (one per quiet
+    window, not one per job); a draining shutdown still leaves a manifest
+    that lists every job in its final state."""
+    import json
+    handle = serve(tmp_path)
+    server = handle.server
+    writes = []
+    write_manifest = server._write_manifest
+
+    def counting_write():
+        writes.append(1)
+        write_manifest()
+
+    server._write_manifest = counting_write
+    client = handle.client()
+    first = client.submit(kernel_job(seed=40))
+    wait_until(client, first["id"], {"ok"})
+    writes0 = len(writes)
+    n = 40
+    hits = [client.submit(kernel_job(seed=40)) for _ in range(n)]
+    assert all(h["state"] == "ok" and h["from_cache"] for h in hits)
+    # back-to-back store hits: far fewer rewrites than terminal jobs
+    assert len(writes) - writes0 <= n // 4
+    handle.stop(drain=True)
+    manifest = json.loads(
+        (handle.server.spool / "manifest.json").read_text())
+    states = {j["id"]: j["state"] for j in manifest["jobs"]}
+    assert len(states) == n + 1
+    assert set(states.values()) == {"ok"}
+
+
 def test_hard_shutdown_preempts_running_work(tmp_path):
     handle = serve(tmp_path)
     client = handle.client()
