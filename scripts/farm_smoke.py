@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Farm smoke check (CI): a tiny 2-worker microbench sweep, twice.
 
-Asserts the three contracts the run farm guarantees:
+Asserts the four contracts the run farm guarantees:
 
 1. a parallel (2-worker) sweep is byte-identical to the serial run;
 2. the second pass over a warm cache performs **zero** simulations and
    is served entirely from cache (checked via the farm's telemetry
    counters);
-3. cached payloads are byte-identical to freshly simulated ones.
+3. cached payloads are byte-identical to freshly simulated ones;
+4. the parallel pass forks one warm worker per slot, not one per job
+   (``workers_spawned <= slots + crashes + timeouts``), and the
+   fully cached pass forks none.
 
 Exit code 0 on success; any assertion failure is a regression.
 """
@@ -50,6 +53,7 @@ def main() -> int:
         assert s.simulated == len(jobs) and s.cache_hits == 0, s
         assert canon(cold) == canon(serial), \
             "parallel results differ from serial"
+        assert 0 < s.workers_spawned <= 2 + s.crashes + s.timeouts, s
 
         warm_farm = RunFarm(workers=2, cache=cache)
         warm = warm_farm.run(jobs)
@@ -58,12 +62,14 @@ def main() -> int:
         assert flat["farm.cache_hits"] == len(jobs), flat
         assert flat["farm.simulated"] == 0, flat
         assert all(r.from_cache for r in warm), "warm pass missed the cache"
+        assert s.workers_spawned == 0, s
         assert canon(warm) == canon(serial), \
             "cached results differ from simulated"
 
-    print(f"farm smoke ok: {len(jobs)} jobs, parallel == serial, "
+    print(f"farm smoke ok: {len(jobs)} jobs, parallel == serial on "
+          f"{cold_farm.stats.workers_spawned} warm workers, "
           f"warm pass 100% cached ({flat['farm.cache_hits']} hits, "
-          f"0 simulations)")
+          f"0 simulations, 0 forks)")
     return 0
 
 

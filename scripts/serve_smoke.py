@@ -12,13 +12,18 @@ through every serving contract the docs promise:
 3. a live job can be tailed mid-run and its stream ends with a seal
    exactly when the job does;
 4. a running lockstep job survives preempt + resume and still matches
-   the uninterrupted serial payload bit for bit.
+   the uninterrupted serial payload bit for bit;
+5. all of it ran on warm pool workers — ``workers_spawned`` stays within
+   slots + retired workers (here: the one preempt), not one per job —
+   and no worker pid outlives the drained shutdown.
 
 Exit code 0 on success; any assertion failure is a regression.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pathlib
 import sys
 import tempfile
@@ -32,11 +37,12 @@ from repro.soc import ROCKET1, ROCKET2  # noqa: E402
 
 QUICK = dict(scale=0.05)
 SLOW = dict(scale=0.3, quantum=256)
+SLOTS = 2
 
 
 def main() -> int:
     spool = pathlib.Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
-    with FarmServer.start_background(spool, deploy="local:2",
+    with FarmServer.start_background(spool, deploy=f"local:{SLOTS}",
                                      default_quota=1,
                                      checkpoint_every=2) as handle:
         client = handle.client()
@@ -94,10 +100,29 @@ def main() -> int:
         assert done["payload"] == execute_job(pjob), \
             "resumed payload diverged from uninterrupted serial run"
 
+        # -- warm workers: one per slot, plus one for the preempt ---------
+        status = client.status()
+        crashes = sum(h["failures"] for h in status["deploy"]["hosts"])
+        spawned = status["workers_spawned"]
+        assert 0 < spawned <= SLOTS + crashes + 1, status
+        # the server runs on a thread of this process: its workers are ours
+        pids = [p.pid for p in multiprocessing.active_children()]
+        assert pids, "no warm worker left idle"
+
+    # -- a drained shutdown leaves no worker behind -----------------------
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        raise AssertionError(f"worker {pid} outlived the drained shutdown")
+
     print(f"serve smoke ok: {len(submitted)} jobs across 2 tenant queues "
           f"bit-identical to serial, store hit served carol, live tail "
           f"sealed with the job, preempt+resume matched serial "
-          f"(attempts={done['attempts']}, resumed={done['resumed']})")
+          f"(attempts={done['attempts']}, resumed={done['resumed']}), "
+          f"{spawned} workers forked for {len(status['jobs'])} jobs, "
+          f"none left after the drain")
     return 0
 
 

@@ -127,7 +127,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(entry, f, sort_keys=True, separators=(",", ":"))
+                f.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
             os.replace(tmp, target)
         except BaseException:
             try:

@@ -1,12 +1,12 @@
 """Run-farm scheduler: shard independent jobs across worker processes.
 
 Modeled on FireSim's manager (``deploy/runtools``), which farms one
-simulation per FPGA host and babysits the fleet: here each "host" is a
-``multiprocessing`` worker process running exactly one :class:`Job`.
-One process per job (rather than a long-lived pool) is what makes the
-fault model simple — a crashed, raising, or hung worker is terminated
-and retried with backoff without poisoning any shared executor state,
-and a per-job timeout is just ``Process.terminate``.
+simulation per FPGA host and babysits the fleet: here each "host" slot
+is a long-lived worker process of a :class:`~repro.farm.pool.WorkerPool`
+running one :class:`Job` at a time.  The fault model stays simple
+because a worker is only ever reused after it reported — a crashed or
+hung worker is retired and its job retried with backoff on a fresh one,
+and a per-job timeout is just retiring the worker.
 
 Host-slot inventory is delegated to a pluggable
 :class:`~repro.farm.deploy.DeployManager` (the FireSim manager/run-farm
@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import pathlib
 import signal
 import tempfile
 import time
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import Any, Callable, Iterable, Sequence
 
 # forked workers inherit this process's modules: load the engines once
@@ -46,6 +46,7 @@ from ..telemetry import Snapshot
 from .cache import ResultCache, cache_key
 from .deploy import DeployManager, resolve_deploy
 from .job import ExecContext, Job, JobResult, execute_job_meta
+from .pool import Worker, WorkerPool
 from .retry import RetryPolicy
 
 __all__ = [
@@ -101,6 +102,7 @@ class FarmStats:
     corrupt: int = 0        #: cache entries quarantined as corrupt
     resumed: int = 0        #: attempts resumed from a mid-run checkpoint
     interrupted: int = 0    #: jobs abandoned by a graceful shutdown
+    workers_spawned: int = 0  #: pool workers forked by the run
 
     def to_snapshot(self) -> Snapshot:
         """Counters as a :class:`repro.telemetry.Snapshot` (flat/JSON/CSV
@@ -124,40 +126,18 @@ class FarmEvent:
 
 
 class _Running:
-    """Parent-side record of one in-flight worker process."""
+    """Parent-side record of one job on a pool worker."""
 
-    __slots__ = ("proc", "conn", "key", "attempt", "started", "host")
+    __slots__ = ("worker", "key", "attempt", "started", "host", "limit")
 
-    def __init__(self, proc, conn, key: str | None, attempt: int,
-                 host: str | None = None) -> None:
-        self.proc = proc
-        self.conn = conn
+    def __init__(self, worker: Worker, key: str | None, attempt: int,
+                 host: str, limit: float | None) -> None:
+        self.worker = worker
         self.key = key
         self.attempt = attempt
         self.started = time.monotonic()
         self.host = host
-
-
-def _worker_main(conn, job: Job, attempt: int,
-                 ctx: ExecContext | None = None) -> None:
-    """Child entry point: run one job, report ("ok", payload, meta) or
-    ("error", message) over the pipe, exit."""
-    # a forked worker inherits the scheduler's SIGTERM->KeyboardInterrupt
-    # handler; reaped after reporting, it would die with a traceback
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        payload, meta = execute_job_meta(job, attempt=attempt, ctx=ctx)
-        conn.send(("ok", payload, meta))
-    except BaseException as exc:  # report, don't let the child unwind noisily
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        self.limit = limit      #: wall-clock budget of this attempt
 
 
 class RunFarm:
@@ -409,7 +389,7 @@ class RunFarm:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(doc, f, indent=2, sort_keys=True)
+                f.write(json.dumps(doc, indent=2, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -484,18 +464,12 @@ class RunFarm:
 
     # -- parallel mode -------------------------------------------------------
 
-    def _context(self):
-        # fork shares the warmed parent image (cheap start, inherited
-        # hash seed keeps any hash-ordered iteration identical); fall
-        # back to the platform default where fork does not exist
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
     def _run_parallel(self, jobs: Sequence[Job],
                       todo: Sequence[tuple[int, str | None]],
                       results: list[JobResult | None]) -> None:
-        ctx = self._context()
+        # one pool per run: workers fork from this process as it is now,
+        # so environment changes between runs still reach them
+        pool = WorkerPool()
         #: (not-before time, index, key, attempt) of jobs awaiting a worker
         waiting: list[tuple[float, int, str | None, int]] = [
             (0.0, index, key, 1) for index, key in todo
@@ -504,28 +478,15 @@ class RunFarm:
 
         def launch(index: int, key: str | None, attempt: int,
                    host: str) -> None:
-            recv, send = ctx.Pipe(duplex=False)
             exec_ctx = self._exec_ctx(index, attempt, in_process=False)
-            proc = ctx.Process(target=_worker_main,
-                               args=(send, jobs[index], attempt, exec_ctx),
-                               daemon=True)
-            proc.start()
-            send.close()
-            running[index] = _Running(proc, recv, key, attempt, host=host)
-            self._emit("start", index, jobs[index], attempt=attempt)
-
-        def reap(index: int) -> _Running:
-            r = running.pop(index)
             try:
-                r.conn.close()
-            except Exception:
-                pass
-            if r.proc.is_alive():
-                r.proc.terminate()
-            r.proc.join(timeout=5.0)
-            if r.host is not None:
-                self.deploy.release(r.host)
-            return r
+                worker = pool.submit(host, jobs[index], attempt, exec_ctx)
+            except OSError:
+                self.deploy.release(host)
+                raise
+            running[index] = _Running(worker, key, attempt, host,
+                                      self._job_timeout(jobs[index]))
+            self._emit("start", index, jobs[index], attempt=attempt)
 
         def retry_or_fail(index: int, r: _Running, error: str) -> None:
             if r.attempt <= self.max_retries:
@@ -541,6 +502,29 @@ class RunFarm:
                            elapsed_s=time.monotonic() - r.started,
                            host=r.host)
 
+        def reported(index: int) -> None:
+            """A worker's pipe is readable: a report, or EOF from a dead
+            worker."""
+            r = running.pop(index)
+            status, data, meta = r.worker.result()
+            pool.release(r.worker)
+            self.deploy.release(r.host)
+            if status == "ok":
+                self.deploy.report_success(r.host)
+                self._complete(results, index, jobs[index], r.key, data,
+                               attempts=r.attempt,
+                               elapsed_s=time.monotonic() - r.started,
+                               meta=meta, host=r.host)
+            elif status == "error":
+                self.stats.errors += 1
+                # the workload itself raised: not the host's fault
+                self.deploy.report_failure(r.host, job_intrinsic=True)
+                retry_or_fail(index, r, str(data))
+            else:
+                self.stats.crashes += 1
+                self.deploy.report_failure(r.host)
+                retry_or_fail(index, r, str(data))
+
         try:
             while waiting or running:
                 now = time.monotonic()
@@ -552,60 +536,40 @@ class RunFarm:
                     _, index, key, attempt = waiting.pop(0)
                     launch(index, key, attempt, host)
 
-                progressed = False
-                for index in list(running):
-                    r = running[index]
-                    if r.conn.poll():
-                        meta: dict | None = None
-                        try:
-                            msg = r.conn.recv()
-                            status, data = msg[0], msg[1]
-                            if len(msg) > 2:
-                                meta = msg[2]
-                        except (EOFError, OSError):
-                            status, data = "error", "worker pipe closed early"
-                        reap(index)
-                        if status == "ok":
-                            if r.host is not None:
-                                self.deploy.report_success(r.host)
-                            self._complete(results, index, jobs[index], r.key,
-                                           data, attempts=r.attempt,
-                                           elapsed_s=now - r.started,
-                                           meta=meta, host=r.host)
-                        else:
-                            self.stats.errors += 1
-                            # the workload itself raised: not the host's fault
-                            if r.host is not None:
-                                self.deploy.report_failure(
-                                    r.host, job_intrinsic=True)
-                            retry_or_fail(index, r, str(data))
-                        progressed = True
-                    elif not r.proc.is_alive():
-                        code = r.proc.exitcode
-                        reap(index)
-                        self.stats.crashes += 1
-                        if r.host is not None:
-                            self.deploy.report_failure(r.host)
+                # sleep until a worker reports or dies, a retry comes
+                # due, or a running job's time is up — whichever is first
+                # (a due job still waiting is waiting for a slot, which
+                # only a report frees)
+                wake = [t for t, *_ in waiting if t > now][:1]
+                wake += [r.started + r.limit for r in running.values()
+                         if r.limit is not None]
+                timeout = (max(0.0, min(wake) - time.monotonic())
+                           if wake else None)
+                by_conn = {r.worker.conn: index
+                           for index, r in running.items()}
+                if by_conn:
+                    for conn in connection.wait(list(by_conn), timeout):
+                        reported(by_conn[conn])
+                else:
+                    # nothing running yet no slot granted: only a deploy
+                    # manager with capacity of its own can say so — ask again
+                    time.sleep(0.005 if timeout is None else timeout)
+
+                now = time.monotonic()
+                for index, r in list(running.items()):
+                    if r.limit is not None and now - r.started > r.limit:
+                        del running[index]
+                        pool.discard(r.worker)
+                        self.deploy.release(r.host)
+                        self.stats.timeouts += 1
+                        self.deploy.report_failure(r.host)
                         retry_or_fail(index, r,
-                                      f"worker crashed (exit code {code})")
-                        progressed = True
-                    else:
-                        limit = self._job_timeout(jobs[index])
-                        if limit is not None and now - r.started > limit:
-                            reap(index)
-                            self.stats.timeouts += 1
-                            if r.host is not None:
-                                self.deploy.report_failure(r.host)
-                            retry_or_fail(index, r,
-                                          f"timed out after {limit:g}s")
-                            progressed = True
-                if not progressed:
-                    # nothing finished this pass: nap briefly instead of
-                    # spinning (workers run for seconds, not micros)
-                    time.sleep(0.005)
+                                      f"timed out after {r.limit:g}s")
         finally:
-            for index in list(running):
-                reap(index)
+            for r in running.values():
+                self.deploy.release(r.host)
+            pool.close()
+            self.stats.workers_spawned = pool.spawned
 
 
 def run_jobs(jobs: Iterable[Job], *, workers: int | None = None,

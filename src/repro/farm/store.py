@@ -156,7 +156,7 @@ class SharedResultStore(ResultCache):
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(doc, f, sort_keys=True)
+                f.write(json.dumps(doc, sort_keys=True))
             os.replace(tmp, self.stats_path)
         except BaseException:
             try:

@@ -25,8 +25,10 @@ from __future__ import annotations
 import bisect
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
+from ..farm.cache import cache_key
 from ..farm.job import Job
 
 __all__ = ["FairScheduler", "JobRecord", "TERMINAL_STATES"]
@@ -69,6 +71,12 @@ class JobRecord:
     @property
     def done(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    @cached_property
+    def key(self) -> str:
+        """The job's content address (store key, checkpoint name),
+        derived on first use; a journal replay simply derives it again."""
+        return cache_key(self.job)
 
     def describe(self, with_payload: bool = False) -> dict[str, Any]:
         """Wire-able status summary (payload only on request)."""

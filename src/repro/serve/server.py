@@ -11,7 +11,8 @@ asyncio event loop owns four things:
 * the :class:`~repro.farm.deploy.DeployManager` host-slot inventory —
   the same pluggable backends batch sweeps use, so a served job lands
   exactly where a ``repro farm`` job would;
-* one forked worker process per running job, watched through its result
+* a :class:`~repro.farm.pool.WorkerPool` of long-lived forked workers,
+  one per deploy slot, each running job watched through its worker's
   pipe with ``loop.add_reader`` (a crashed worker closes the pipe, so
   completion and death arrive through the same readiness event).
 
@@ -24,7 +25,7 @@ was requested, and a final ``seal`` record at any terminal state — so
 
 Preemption reuses :mod:`repro.reliability` checkpoints: lockstep kernel
 jobs (``quantum=`` set) checkpoint every ``checkpoint_every`` quanta
-into the spool, a preempt is just ``Process.terminate``, and a resume
+into the spool, a preempt is just retiring the worker, and a resume
 re-queues the record — the next attempt restores from the checkpoint
 and produces a payload bit-identical to an uninterrupted run.
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import pathlib
 import tempfile
@@ -45,11 +45,10 @@ import threading
 import time
 from typing import Any
 
-from ..farm.cache import cache_key
 from ..farm.deploy import DeployManager, resolve_deploy
 from ..farm.job import ExecContext, Job
+from ..farm.pool import Worker, WorkerPool
 from ..farm.retry import RetryPolicy
-from ..farm.runfarm import _worker_main
 from ..farm.store import SharedResultStore
 from ..instrument.stream import STREAM_SCHEMA, InstrumentStream
 from .journal import ServeJournal, replay_journal
@@ -65,15 +64,14 @@ MANIFEST_QUIET_S = 0.25
 
 
 class _Active:
-    """Server-side record of one running worker process."""
+    """Server-side record of one job running on a pool worker."""
 
-    __slots__ = ("rec", "proc", "conn", "fd", "started", "timed_out")
+    __slots__ = ("rec", "worker", "fd", "started", "timed_out")
 
-    def __init__(self, rec: JobRecord, proc, conn) -> None:
+    def __init__(self, rec: JobRecord, worker: Worker) -> None:
         self.rec = rec
-        self.proc = proc
-        self.conn = conn
-        self.fd = conn.fileno()
+        self.worker = worker
+        self.fd = worker.conn.fileno()
         self.started = time.monotonic()
         self.timed_out = False
 
@@ -182,6 +180,9 @@ class FarmServer:
         self._instrument_specs: dict[str, dict] = {}
         self._streams: dict[str, InstrumentStream] = {}
         self._active: dict[str, _Active] = {}
+        #: forks lazily: a server that only ever serves store hits has
+        #: no worker processes
+        self._pool = WorkerPool()
         self._seq = 0
         self._closing = False
         self._crashed = False
@@ -193,6 +194,11 @@ class FarmServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
         self._server: asyncio.AbstractServer | None = None
+        self._watchdog_task: asyncio.Future | None = None
+        # the spool layout, made once (a journal replay below already
+        # persists results): per-job code only ever writes files
+        for sub in ("streams", "ckpt", "results"):
+            (self.spool / sub).mkdir(parents=True, exist_ok=True)
         self.journal = ServeJournal(self.spool / "journal.jsonl")
         if recover:
             self._recover()
@@ -294,7 +300,7 @@ class FarmServer:
         except (OSError, ValueError, KeyError):
             if (self.store is not None and rec.job.cacheable
                     and rec.id not in self._instrument_specs):
-                rec.payload = self.store.get(cache_key(rec.job))
+                rec.payload = self.store.get(rec.key)
                 if rec.payload is not None:
                     rec.from_cache = True
                     self._persist_result(rec)
@@ -306,12 +312,12 @@ class FarmServer:
     def _requeue_recovered(self, rec: JobRecord, was: str) -> None:
         """Re-admit one non-terminal journal job into the scheduler."""
         rec.recovered = True
-        ckpt = self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
+        ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
         # completed-elsewhere fast path: a store hit means the work is
         # already done (possibly by a twin submission) — don't redo it
         if (self.store is not None and rec.job.cacheable
                 and rec.id not in self._instrument_specs):
-            payload = self.store.get(cache_key(rec.job))
+            payload = self.store.get(rec.key)
             if payload is not None:
                 rec.payload = payload
                 rec.from_cache = True
@@ -410,7 +416,7 @@ class FarmServer:
         # job without ever touching the scheduler (instrumented submits
         # skip it — a hit would yield no stream to tail)
         if (self.store is not None and job.cacheable and instrument is None):
-            payload = self.store.get(cache_key(job))
+            payload = self.store.get(rec.key)
             if payload is not None:
                 rec.payload = payload
                 rec.from_cache = True
@@ -443,6 +449,7 @@ class FarmServer:
             "scheduler": self.scheduler.describe(),
             "deploy": self.deploy.describe(),
             "jobs": [self.jobs[k].describe() for k in sorted(self.jobs)],
+            "workers_spawned": self._pool.spawned,
         }
         if self.store is not None:
             doc["store"] = self.store.stats_snapshot().data["store"]
@@ -467,8 +474,8 @@ class FarmServer:
             else:
                 rec.cancel_requested = True
             run = self._active.get(rec.id)
-            if run is not None and run.proc.is_alive():
-                run.proc.terminate()
+            if run is not None:
+                run.worker.terminate()
             # state transition happens when the worker pipe closes
         elif rec.state == "preempted":
             if preempt:
@@ -501,8 +508,7 @@ class FarmServer:
         if not drain:
             for run in list(self._active.values()):
                 run.rec.preempt_requested = True
-                if run.proc.is_alive():
-                    run.proc.terminate()
+                run.worker.terminate()
         self._maybe_finish()
         return {"ok": True, "drain": drain,
                 "running": len(self._active),
@@ -524,18 +530,12 @@ class FarmServer:
                 return
             self._launch(rec, host)
 
-    def _mp_context(self):
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
     def _exec_ctx(self, rec: JobRecord, host: str) -> ExecContext:
         spec = self._instrument_specs.get(rec.id)
         idir = None
         if spec is not None:
             idir = self.instrument_dir(rec.id)
             idir.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         return ExecContext(fault=self._pick_fault(rec, host),
                            checkpoint_dir=self.checkpoint_dir,
                            checkpoint_every=self.checkpoint_every,
@@ -555,21 +555,15 @@ class FarmServer:
         return fault
 
     def _launch(self, rec: JobRecord, host: str) -> None:
-        ctx = self._mp_context()
-        recv, send = ctx.Pipe(duplex=False)
         rec.attempts += 1
         rec.state = "running"
         rec.host = host
         exec_ctx = self._exec_ctx(rec, host)
         self._host_launches[host] = self._host_launches.get(host, 0) + 1
-        proc = ctx.Process(target=_worker_main,
-                           args=(send, rec.job, rec.attempts, exec_ctx),
-                           daemon=True)
-        proc.start()
-        send.close()
-        rec.pid = proc.pid
-        self.journal.state(rec, pid=proc.pid)
-        run = _Active(rec, proc, recv)
+        worker = self._pool.submit(host, rec.job, rec.attempts, exec_ctx)
+        rec.pid = worker.pid
+        self.journal.state(rec, pid=worker.pid)
+        run = _Active(rec, worker)
         self._active[rec.id] = run
         self._event(rec, "start", attempt=rec.attempts, host=host)
         assert self._loop is not None
@@ -584,23 +578,10 @@ class FarmServer:
         assert self._loop is not None
         self._loop.remove_reader(run.fd)
         rec = run.rec
-        meta: dict[str, Any] = {}
-        try:
-            msg = run.conn.recv()
-            status, data = msg[0], msg[1]
-            if len(msg) > 2 and msg[2]:
-                meta = msg[2]
-        except (EOFError, OSError):
-            status, data = "crash", "worker exited without reporting"
-        try:
-            run.conn.close()
-        except OSError:
-            pass
-        if run.proc.is_alive():
-            run.proc.terminate()
-        run.proc.join(timeout=5.0)
+        status, data, meta = run.worker.result()
+        self._pool.release(run.worker)
         rec.elapsed_s = time.monotonic() - run.started
-        self.deploy.release(run.host if rec.host is None else rec.host)
+        self.deploy.release(run.worker.host)
         self.scheduler.job_finished(rec.tenant)
         self._transition(rec, run, status, data, meta)
         self._pump()
@@ -623,7 +604,7 @@ class FarmServer:
                 rec.host_credits += 1
             from_host = rec.host
             rec.state = "queued"
-            ckpt = self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
+            ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
             self.journal.state(rec)
             self._event(rec, "migrate", attempt=rec.attempts,
                         from_host=from_host, checkpoint=ckpt.exists())
@@ -633,7 +614,7 @@ class FarmServer:
         elif rec.preempt_requested and status != "ok":
             rec.preempt_requested = False
             rec.state = "preempted"
-            ckpt = self.checkpoint_dir / f"{cache_key(rec.job)}.ckpt"
+            ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
             self.journal.state(rec)
             self._event(rec, "preempted", attempt=rec.attempts,
                         checkpoint=ckpt.exists())
@@ -647,7 +628,7 @@ class FarmServer:
                 self.deploy.report_success(rec.host)
             if (self.store is not None and rec.job.cacheable
                     and rec.id not in self._instrument_specs):
-                self.store.put(cache_key(rec.job), rec.job, data)
+                self.store.put(rec.key, rec.job, data)
             self.journal.state(rec)
             self._persist_result(rec)
             if rec.migrations:
@@ -712,8 +693,7 @@ class FarmServer:
             rec = other.rec
             if rec.host == host and not rec.done:
                 rec.migrate_requested = True
-                if other.proc.is_alive():
-                    other.proc.terminate()
+                other.worker.terminate()
 
     def _requeue(self, rec: JobRecord) -> None:
         if rec.state != "queued" or self._closing and not self._drain:
@@ -734,20 +714,18 @@ class FarmServer:
                 if (limit is not None and not run.timed_out
                         and now - run.started > limit):
                     run.timed_out = True
-                    if run.proc.is_alive():
-                        run.proc.terminate()
+                    run.worker.terminate()
 
     # -- persistence ---------------------------------------------------------
 
     def _persist_result(self, rec: JobRecord) -> None:
         path = self.spool / "results" / f"{rec.id}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
         doc = {"id": rec.id, "tenant": rec.tenant, "label": rec.job.label,
                "from_cache": rec.from_cache, "resumed": rec.resumed,
                "attempts": rec.attempts, "payload": rec.payload}
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True)
+            f.write(json.dumps(doc, sort_keys=True))
         os.replace(tmp, path)
         rec.result_path = str(path)
 
@@ -779,7 +757,7 @@ class FarmServer:
         self.spool.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.spool, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write(json.dumps(doc, indent=2, sort_keys=True))
         os.replace(tmp, path)
 
     # -- lifecycle -----------------------------------------------------------
@@ -805,16 +783,17 @@ class FarmServer:
         if self._manifest_timer is not None:
             self._manifest_timer.cancel()
             self._manifest_timer = None
-        for run in list(self._active.values()):
-            if run.proc.is_alive():
-                run.proc.kill()
+        # the pipes close with the pool: stop watching them first, or a
+        # dead server would go on journalling its workers' deaths
+        assert self._loop is not None
+        for run in self._active.values():
+            self._loop.remove_reader(run.fd)
+        self._pool.close()
         if self._done is not None:
             self._done.set()
 
     async def start(self) -> None:
         """Bind the socket and start background tasks."""
-        self.spool.mkdir(parents=True, exist_ok=True)
-        (self.spool / "streams").mkdir(exist_ok=True)
         self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
         try:
@@ -838,9 +817,15 @@ class FarmServer:
             await self._done.wait()
         finally:
             self._watchdog_task.cancel()
+            self._pool.close()
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
+            # the listener's handler closure and the cancelled task's
+            # traceback both point back here: dropped, a stopped server
+            # (and every payload in self.jobs) is freed with its last
+            # reference instead of waiting for a full gc
+            self._server = self._watchdog_task = None
             if not self._crashed:
                 for job_id, stream in list(self._streams.items()):
                     stream.seal(reason="server-shutdown")

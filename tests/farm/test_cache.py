@@ -119,3 +119,23 @@ def test_quarantine_counts_and_preserves_evidence(tmp_path):
     cache.path(key).write_text(json.dumps(entry))
     assert cache.get(key) is None
     assert cache.corrupt_quarantined == 2
+
+
+def test_entry_bytes_are_the_streaming_encoders(tmp_path):
+    """``put`` builds the entry text with ``json.dumps`` (the C encoder);
+    the file must still be byte for byte what ``json.dump`` streamed."""
+    import io
+
+    import repro
+    from repro.farm import CACHE_SCHEMA
+    job = kernel_job()
+    payload = execute_job(job)
+    cache = ResultCache(tmp_path)
+    key = cache_key(job)
+    cache.put(key, job, payload)
+    want = io.StringIO()
+    json.dump({"key": key, "schema": CACHE_SCHEMA,
+               "repro_version": repro.__version__, "label": job.label,
+               "job": job.describe(), "payload": payload},
+              want, sort_keys=True, separators=(",", ":"))
+    assert cache.path(key).read_text(encoding="utf-8") == want.getvalue()

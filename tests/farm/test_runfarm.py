@@ -1,14 +1,13 @@
 """RunFarm scheduler tests: determinism, caching, fault tolerance."""
 
 import json
-import multiprocessing
 import signal
-import time
 
 import pytest
 
 from repro.farm import FarmEvent, Job, ResultCache, RunFarm, run_jobs
-from repro.farm.runfarm import _worker_main
+from repro.farm.job import ExecContext
+from repro.farm.pool import WorkerPool
 from repro.soc import BANANA_PI_HW, ROCKET1, ROCKET2
 
 KERNELS = ("EI", "MM", "Cca", "DP1f")
@@ -159,40 +158,22 @@ def test_per_job_timeout_overrides_farm_timeout():
     assert results[1].ok
 
 
-class _LingeringPipe:
-    """Worker end of the result pipe that stays busy after the report,
-    holding the worker in the window where the scheduler reaps it."""
-
-    def __init__(self, conn):
-        self.conn = conn
-
-    def send(self, msg):
-        self.conn.send(msg)
-
-    def close(self):
-        self.conn.close()
-        time.sleep(30.0)
-
-
 def test_reaped_finished_worker_leaves_stderr_empty(capfd):
-    """A worker terminate()d after it reported must die of the plain
+    """A pool worker retired after it reported must die of the plain
     SIGTERM, not unwind the scheduler's inherited SIGTERM->
     KeyboardInterrupt handler into a traceback."""
     restore = RunFarm(workers=2)._install_sigterm()
     try:
-        ctx = multiprocessing.get_context("fork")
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker_main,
-                           args=(_LingeringPipe(send), Job.selftest("ok"), 1),
-                           daemon=True)
-        proc.start()
-        send.close()
-        assert recv.poll(30.0) and recv.recv()[0] == "ok"
-        proc.terminate()
-        proc.join(timeout=10.0)
+        pool = WorkerPool()
+        worker = pool.submit("local", Job.selftest("ok"), 1,
+                             ExecContext(in_process=False))
+        assert worker.conn.poll(30.0) and worker.result()[0] == "ok"
+        pool.release(worker)            # idle: blocked on its pipe
+        assert worker.proc.is_alive()
+        pool.close()
     finally:
         restore()
-    assert proc.exitcode == -signal.SIGTERM
+    assert worker.proc.exitcode == -signal.SIGTERM
     assert capfd.readouterr().err == ""
 
 

@@ -92,6 +92,18 @@ def test_stats_persist_across_instances(tmp_path):
     assert b.local == StoreStats()
 
 
+def test_stats_file_bytes_are_the_streaming_encoders(tmp_path):
+    import io
+    from repro.farm import STORE_SCHEMA
+    store = SharedResultStore(tmp_path)
+    (key,) = fill(store, 1)
+    store.get(key)
+    want = io.StringIO()
+    json.dump({"schema": STORE_SCHEMA, "hits": 1, "misses": 0, "inserts": 1,
+               "evictions": 0, "evicted_bytes": 0}, want, sort_keys=True)
+    assert store.stats_path.read_text(encoding="utf-8") == want.getvalue()
+
+
 def test_corrupt_stats_file_reads_as_zero(tmp_path):
     store = SharedResultStore(tmp_path)
     fill(store, 1)

@@ -5,6 +5,7 @@ real client; the payload assertions hold the served path to the same
 bit-identity contract as serial :func:`repro.farm.execute_job`.
 """
 
+import multiprocessing
 import time
 
 import pytest
@@ -171,16 +172,17 @@ def test_preempted_job_can_be_cancelled_instead(tmp_path):
 
 # --------------------------------------------------- scheduling, observed
 
-def _dispatch_order(client, ids, timeout_s=60.0):
-    """Order in which *ids* first leave the queued state."""
+def _dispatch_order(server, ids):
+    """Order in which *ids* first went ``running``, read from the
+    write-ahead journal: jobs on a warm worker run back to back faster
+    than any status poll could tell their order apart."""
+    import json
     order = []
-    deadline = time.monotonic() + timeout_s
-    while len(order) < len(ids) and time.monotonic() < deadline:
-        for doc in client.status()["jobs"]:
-            if (doc["id"] in ids and doc["id"] not in order
-                    and doc["state"] != "queued"):
-                order.append(doc["id"])
-        time.sleep(0.005)
+    for line in server.journal.path.read_text().splitlines():
+        doc = json.loads(line)
+        if (doc.get("t") == "state" and doc["state"] == "running"
+                and doc["id"] in ids and doc["id"] not in order):
+            order.append(doc["id"])
     return order
 
 
@@ -192,9 +194,9 @@ def test_priority_order_served_end_to_end(tmp_path):
         lo = client.submit(kernel_job(seed=10), priority=0)["id"]
         hi = client.submit(kernel_job(seed=11), priority=5)["id"]
         mid = client.submit(kernel_job(seed=12), priority=2)["id"]
-        assert _dispatch_order(client, {lo, hi, mid}) == [hi, mid, lo]
         for jid in (blocker["id"], lo, hi, mid):
             assert wait_until(client, jid, {"ok"})["state"] == "ok"
+        assert _dispatch_order(handle.server, {lo, hi, mid}) == [hi, mid, lo]
 
 
 def test_quota_limits_concurrent_slots_per_tenant(tmp_path):
@@ -274,3 +276,113 @@ def test_hard_shutdown_preempts_running_work(tmp_path):
     assert not handle.thread.is_alive()
     final = handle.server.jobs[doc["id"]]
     assert final.state in {"preempted", "ok"}
+
+
+# ------------------------------------------------------------ worker pool
+
+def _spawned(client):
+    return client.status()["workers_spawned"]
+
+
+def _worker_pids():
+    """The server runs in this process, so its pool workers are ours."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_jobs_share_one_worker_per_slot(tmp_path):
+    with serve(tmp_path, deploy="local:2") as handle:
+        client = handle.client()
+        ids = [client.submit(kernel_job(seed=50 + i), tenant="ab"[i % 2])["id"]
+               for i in range(10)]
+        assert all(wait_until(client, jid, {"ok", "failed"})["state"] == "ok"
+                   for jid in ids)
+        assert _spawned(client) == 2
+        assert len(_worker_pids()) == 2          # idle, waiting for more
+    assert _worker_pids() == []                  # none outlives a drain
+
+
+def test_server_that_only_serves_hits_forks_nothing(tmp_path):
+    job = kernel_job(seed=60)
+    with serve(tmp_path, store=tmp_path / "store") as handle:
+        client = handle.client()
+        client.ping()
+        assert _spawned(client) == 0             # started, pinged: no fork
+        wait_until(client, client.submit(job)["id"], {"ok"})
+        assert _spawned(client) == 1
+    with FarmServer.start_background(tmp_path / "spool2", deploy="local:1",
+                                     store=tmp_path / "store") as handle:
+        client = handle.client()
+        assert client.submit(job)["from_cache"] is True
+        assert _spawned(client) == 0
+
+
+def test_cancel_retires_the_worker_and_the_slot_serves_on(tmp_path):
+    with serve(tmp_path) as handle:
+        client = handle.client()
+        doc = client.submit(Job.kernel(ROCKET1, **MM_SLOW))
+        running = wait_until(client, doc["id"], {"running"}, timeout_s=30)
+        first_pid = handle.server.jobs[running["id"]].pid
+        assert _worker_pids() == [first_pid]
+        client.cancel(doc["id"])
+        wait_until(client, doc["id"], {"cancelled"}, timeout_s=30)
+        job = kernel_job(seed=61)
+        done = wait_until(client, client.submit(job)["id"], {"ok", "failed"})
+        assert done["state"] == "ok" and done["attempts"] == 1
+        assert done["payload"] == execute_job(job)
+        assert _spawned(client) == 2
+        assert first_pid not in _worker_pids()
+
+
+def test_preempt_retires_the_worker_and_resume_forks_one(tmp_path):
+    job = Job.kernel(ROCKET1, **MM_SLOW)
+    with serve(tmp_path, checkpoint_every=2) as handle:
+        client = handle.client()
+        doc = client.submit(job)
+        wait_until(client, doc["id"], {"running"}, timeout_s=30)
+        time.sleep(0.3)
+        client.cancel(doc["id"], preempt=True)
+        wait_until(client, doc["id"], {"preempted"}, timeout_s=30)
+        assert _worker_pids() == []
+        done = wait_until(client, client.resume(doc["id"])["id"], {"ok"})
+        assert done["payload"] == execute_job(job)
+        assert _spawned(client) == 2
+
+
+def test_migration_retires_workers_of_the_quarantined_host(tmp_path):
+    """Stall victim and migrated job each lose their worker on host a;
+    both finish on host b's one worker, which also ran the filler."""
+    from repro.reliability import FaultPlan
+    plan = FaultPlan.parse("host-stall host=a count=1")
+    victim = kernel_job(seed=62, timeout_s=0.3)
+    filler = kernel_job(seed=63)
+    mover = Job.kernel(ROCKET1, "MM", scale=0.5, quantum=256)
+    with serve(tmp_path, deploy="hosts:a=2,b=1", fault_plan=plan,
+               suspect_after=1, quarantine_after=1, probe_interval=1000,
+               checkpoint_every=2, max_retries=1) as handle:
+        client = handle.client()
+        ids = [client.submit(j)["id"] for j in (victim, filler, mover)]
+        done = [wait_until(client, jid, {"ok", "failed"}) for jid in ids]
+        assert [d["state"] for d in done] == ["ok"] * 3
+        assert [d["host"] for d in done] == ["b"] * 3
+        assert done[2]["migrations"] == 1
+        assert done[2]["payload"] == execute_job(mover)
+        assert _spawned(client) == 3             # a, a, b — and no more
+        assert len(_worker_pids()) == 1
+
+
+def test_persisted_result_bytes_are_the_streaming_encoders(tmp_path):
+    """``f.write(json.dumps(...))`` must leave the file ``json.dump``
+    wrote: the results directory is an on-disk format."""
+    import io
+    import json
+    with serve(tmp_path) as handle:
+        client = handle.client()
+        done = wait_until(client, client.submit(kernel_job(seed=64),
+                                                tenant="alice")["id"], {"ok"})
+    text = (handle.server.spool / "results" / f"{done['id']}.json").read_text()
+    doc = {"id": done["id"], "tenant": "alice", "label": done["label"],
+           "from_cache": False, "resumed": False, "attempts": 1,
+           "payload": done["payload"]}
+    want = io.StringIO()
+    json.dump(doc, want, sort_keys=True)
+    assert text == want.getvalue()
