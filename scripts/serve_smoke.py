@@ -15,13 +15,19 @@ through every serving contract the docs promise:
    the uninterrupted serial payload bit for bit;
 5. all of it ran on warm pool workers — ``workers_spawned`` stays within
    slots + retired workers (here: the one preempt), not one per job —
-   and no worker pid outlives the drained shutdown.
+   and no worker pid outlives the drained shutdown;
+6. completion is pushed, not polled — every ``client.wait`` costs at
+   most two ``status`` requests, whatever state it waits for — and the
+   store's in-place counters come out exact: after the drain
+   ``store.stats.json`` reads the hits, misses and inserts of this job
+   mix, no more, no fewer.
 
 Exit code 0 on success; any assertion failure is a regression.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -42,11 +48,22 @@ SLOTS = 2
 
 def main() -> int:
     spool = pathlib.Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
+    waits = []
     with FarmServer.start_background(spool, deploy=f"local:{SLOTS}",
                                      default_quota=1,
                                      checkpoint_every=2) as handle:
         client = handle.client()
         assert client.ping()["protocol"] >= 1
+
+        def wait(jid, **kw):
+            """``client.wait``, held to its request budget: the server
+            wakes the parked reply, the client does not poll."""
+            before = handle.server._req_count
+            doc = client.wait(jid, **kw)
+            waits.append(handle.server._req_count - before)
+            assert waits[-1] <= 2, \
+                f"wait({jid}, {kw}) cost {waits[-1]} status requests"
+            return doc
 
         # -- two tenants, mixed priorities, bit-identity ------------------
         submitted = []
@@ -59,7 +76,7 @@ def main() -> int:
             doc = client.submit(job, tenant=tenant, priority=priority)
             submitted.append((doc["id"], job))
         for jid, job in submitted:
-            done = client.wait(jid, timeout_s=180)
+            done = wait(jid, timeout_s=180)
             assert done["state"] == "ok", done
             assert done["payload"] == execute_job(job), \
                 f"served {jid} diverged from serial"
@@ -78,7 +95,7 @@ def main() -> int:
         # -- tail a live job mid-run --------------------------------------
         live = client.submit(Job.kernel(ROCKET1, "MM", **SLOW),
                              tenant="alice")
-        client.wait(live["id"], timeout_s=60, until={"running"})
+        wait(live["id"], timeout_s=60, until={"running"})
         records = list(client.tail(live["id"], follow=True, timeout_s=120))
         events = [r["event"] for r in records if r.get("t") == "serve"]
         assert events == ["queued", "start", "ok"], events
@@ -88,13 +105,13 @@ def main() -> int:
         # -- preempt + resume stays bit-identical -------------------------
         pjob = Job.kernel(ROCKET2, "MM", **SLOW)
         pre = client.submit(pjob, tenant="bob")
-        client.wait(pre["id"], timeout_s=60, until={"running"})
+        wait(pre["id"], timeout_s=60, until={"running"})
         time.sleep(0.3)  # let a couple of checkpoints land
         client.cancel(pre["id"], preempt=True)
-        parked = client.wait(pre["id"], timeout_s=60, until={"preempted"})
+        parked = wait(pre["id"], timeout_s=60, until={"preempted"})
         assert parked["attempts"] == 1, parked
         client.resume(pre["id"])
-        done = client.wait(pre["id"], timeout_s=180)
+        done = wait(pre["id"], timeout_s=180)
         assert done["state"] == "ok", done
         assert done["resumed"] is True, done
         assert done["payload"] == execute_job(pjob), \
@@ -117,12 +134,21 @@ def main() -> int:
             continue
         raise AssertionError(f"worker {pid} outlived the drained shutdown")
 
+    # -- the store's counters are exactly this job mix --------------------
+    # every submit looked the job up (one hit: carol's), every completed
+    # run inserted once (the preempted job only when it finally finished)
+    ran = len(submitted) + 2
+    counted = json.loads((spool / "store" / "store.stats.json").read_text())
+    assert (counted["hits"], counted["misses"], counted["inserts"],
+            counted["evictions"]) == (1, ran, ran, 0), counted
+
     print(f"serve smoke ok: {len(submitted)} jobs across 2 tenant queues "
           f"bit-identical to serial, store hit served carol, live tail "
           f"sealed with the job, preempt+resume matched serial "
           f"(attempts={done['attempts']}, resumed={done['resumed']}), "
           f"{spawned} workers forked for {len(status['jobs'])} jobs, "
-          f"none left after the drain")
+          f"none left after the drain, {len(waits)} waits cost "
+          f"{sum(waits)} status requests, store counters exact")
     return 0
 
 

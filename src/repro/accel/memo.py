@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from typing import Any, Callable
 
 import numpy as np
 
+from ..soc.config import config_digest
 from .stats import global_stats
 
 __all__ = [
@@ -183,19 +183,6 @@ def shared_trace(name: str, scale: float, seed: int,
 # -- whole-run result memo ----------------------------------------------------
 
 _memo: OrderedDict[tuple, Any] = OrderedDict()
-
-
-def config_digest(cfg) -> str:
-    """sha-256 of a config's asdict tree, minus the ``accel`` knob.
-
-    The accel mode is excluded because the bit-identity contract makes
-    results mode-independent; see docs/performance.md.
-    """
-    import dataclasses
-    tree = dataclasses.asdict(cfg)
-    tree.pop("accel", None)
-    blob = json.dumps(tree, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def memo_key(trace, cfg, uncore, extra: tuple = ()) -> tuple:

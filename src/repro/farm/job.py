@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from ..soc.config import SoCConfig
+from ..soc.config import SoCConfig, config_tree
 
 __all__ = ["ExecContext", "Job", "JobResult", "JOB_KINDS", "execute_job",
            "execute_job_meta"]
@@ -210,7 +210,7 @@ class Job:
                     and all(dataclasses.is_dataclass(c) for c in v)):
                 # sweep config tuples: hash their full contents, not the
                 # (unserializable, repr-unstable) dataclass objects
-                v = [dataclasses.asdict(c) for c in v]
+                v = [config_tree(c) for c in v]
             params[k] = v
         return {
             "kind": self.kind,
@@ -218,7 +218,7 @@ class Job:
             "seed": self.seed,
             "ranks": self.ranks,
             "params": params,
-            "config": dataclasses.asdict(self.config),
+            "config": config_tree(self.config),
         }
 
 

@@ -11,14 +11,20 @@ for a long-lived ``repro serve`` instance feeding many tenants.  The
   least-recently-used entries until the store fits.  Eviction runs under
   the store lock so two server workers never double-delete.
 * **Durable hit/miss/eviction statistics.**  Counters persist in
-  ``<root>/store.stats.json``, updated read-modify-write under the store
-  lock, so concurrent processes *add* to the totals instead of clobbering
-  each other (no lost or double-counted hits).  Exported as a
+  ``<root>/store.stats.json``, updated in place — read, add, write back
+  at offset 0 — under the store lock, so concurrent processes *add* to
+  the totals instead of clobbering each other (no lost or double-counted
+  hits) and an access costs no temp file, rename or directory update.
+  Counters only grow, so a rewrite is never shorter than what it
+  replaces: a writer killed at any point leaves a parseable file that
+  lacks at most its own update.  Exported as a
   :class:`repro.telemetry.Snapshot` (``repro stats --store DIR``).
-* **Safe concurrent access.**  The lock is an ``fcntl.flock`` on
-  ``<root>/.store.lock`` where available, with an ``O_EXCL`` lock-file
-  spin fallback; entry reads/writes themselves stay lock-free (they were
-  already atomic), only stats and eviction serialize.
+* **Safe concurrent access.**  The store lock is an ``fcntl.flock`` on
+  the stats file itself where available (an ``O_EXCL`` lock-file spin on
+  ``<root>/.store.spin`` elsewhere), taken on a descriptor opened for
+  that one acquisition.  Entry reads/writes themselves stay lock-free
+  (they were already atomic); stats updates, stats reads and eviction
+  serialize.
 
 The content-addressed key discipline is unchanged: same key means same
 payload, so cross-run and cross-tenant sharing is automatic and safe.
@@ -26,18 +32,23 @@ payload, so cross-run and cross-tenant sharing is automatic and safe.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import pathlib
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from ..telemetry import Snapshot
 from .cache import ResultCache
 from .job import Job
+
+try:
+    import fcntl
+except ImportError:  # non-posix: degrade to a lock-file spin
+    fcntl = None
 
 __all__ = ["STORE_SCHEMA", "SharedResultStore", "StoreStats"]
 
@@ -61,52 +72,45 @@ class StoreStats:
         return self.hits / total if total else 0.0
 
 
-class _StoreLock:
-    """``flock`` on ``<root>/.store.lock``; O_EXCL-spin where absent."""
+_COUNTERS = tuple(f.name for f in dataclasses.fields(StoreStats))
+#: one read covers any stats file this code wrote (~100 bytes)
+_STATS_READ = 4096
 
-    def __init__(self, root: pathlib.Path) -> None:
-        self.path = root / ".store.lock"
+
+@contextlib.contextmanager
+def _spin_lock(path: pathlib.Path) -> Iterator[None]:
+    """``O_EXCL`` lock file, for platforms without ``fcntl``."""
+    deadline = time.monotonic() + 10.0
+    while True:
         try:
-            import fcntl
-            self._fcntl = fcntl
-        except ImportError:  # non-posix: degrade to a lock-file spin
-            self._fcntl = None
-        self._fd: int | None = None
-
-    def __enter__(self) -> "_StoreLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._fcntl is not None:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-            self._fcntl.flock(self._fd, self._fcntl.LOCK_EX)
-        else:
-            spin = self.path.with_suffix(".spin")
-            deadline = time.monotonic() + 10.0
-            while True:
+            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR))
+            break
+        except FileExistsError:
+            if time.monotonic() > deadline:  # stale lock: steal it
                 try:
-                    self._fd = os.open(spin, os.O_CREAT | os.O_EXCL
-                                       | os.O_RDWR)
-                    break
-                except FileExistsError:
-                    if time.monotonic() > deadline:  # stale lock: steal it
-                        try:
-                            os.unlink(spin)
-                        except OSError:
-                            pass
-                    time.sleep(0.005)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            if self._fcntl is not None:
-                self._fcntl.flock(self._fd, self._fcntl.LOCK_UN)
-                os.close(self._fd)
-            else:
-                os.close(self._fd)
-                try:
-                    os.unlink(self.path.with_suffix(".spin"))
+                    os.unlink(path)
                 except OSError:
                     pass
-            self._fd = None
+            time.sleep(0.005)
+    try:
+        yield
+    finally:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
+def _parse_stats(raw: bytes) -> dict[str, int]:
+    """Counters from the stats file's bytes; anything unreadable (empty,
+    torn, foreign schema) counts from zero."""
+    try:
+        doc = json.loads(raw)
+        if isinstance(doc, dict) and doc.get("schema") == STORE_SCHEMA:
+            return {name: int(doc.get(name, 0)) for name in _COUNTERS}
+    except (ValueError, TypeError):
+        pass
+    return dict.fromkeys(_COUNTERS, 0)
 
 
 class SharedResultStore(ResultCache):
@@ -131,7 +135,6 @@ class SharedResultStore(ResultCache):
         self.max_entries = (None if max_entries is None
                             else max(1, int(max_entries)))
         self.max_bytes = None if max_bytes is None else max(1, int(max_bytes))
-        self._lock = _StoreLock(self.root)
         #: this instance's share of the persisted counters
         self.local = StoreStats()
 
@@ -141,45 +144,67 @@ class SharedResultStore(ResultCache):
     def stats_path(self) -> pathlib.Path:
         return self.root / "store.stats.json"
 
-    def _load_stats(self) -> StoreStats:
-        try:
-            doc = json.loads(self.stats_path.read_text(encoding="utf-8"))
-            if doc.get("schema") != STORE_SCHEMA:
-                return StoreStats()
-            return StoreStats(**{f.name: int(doc.get(f.name, 0))
-                                 for f in dataclasses.fields(StoreStats)})
-        except (OSError, ValueError, TypeError):
-            return StoreStats()
+    @contextlib.contextmanager
+    def _locked(self, write: bool = True) -> Iterator[int]:
+        """Hold the store lock; yields a descriptor on the stats file.
 
-    def _save_stats(self, stats: StoreStats) -> None:
-        doc = {"schema": STORE_SCHEMA, **dataclasses.asdict(stats)}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        The descriptor is opened here and closed on the way out (which
+        is what drops the ``flock``): the lock belongs to the open file
+        description, so one kept on the instance would be shared with a
+        forked child and exclude neither side.  Only a writer creates
+        the file (and, before that, the root) when it is not there yet.
+        """
+        path = self.stats_path
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(json.dumps(doc, sort_keys=True))
-            os.replace(tmp, self.stats_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            fd = os.open(path, os.O_RDWR if write else os.O_RDONLY)
+        except FileNotFoundError:
+            if not write:
+                raise
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                yield fd
+            else:
+                with _spin_lock(self.root / ".store.spin"):
+                    yield fd
+        finally:
+            os.close(fd)
+
+    def _add(self, fd: int, **deltas: int) -> None:
+        """Add *deltas* to the persisted counters through the locked *fd*.
+
+        Read-modify-write under the exclusive lock is what makes the
+        counters additive across processes: two concurrent hits yield
+        ``hits += 2``, never a lost update.  The one ``pwrite`` replaces
+        the document in place; only a file that held something else
+        (damage, a foreign schema) can be longer and is cut to fit.
+        """
+        raw = os.pread(fd, _STATS_READ, 0)
+        stats = _parse_stats(raw)
+        for name, delta in deltas.items():
+            stats[name] += delta
+            setattr(self.local, name, getattr(self.local, name) + delta)
+        blob = json.dumps({"schema": STORE_SCHEMA, **stats},
+                          sort_keys=True).encode("utf-8")
+        os.pwrite(fd, blob, 0)
+        if len(raw) > len(blob):
+            os.ftruncate(fd, len(blob))
 
     def _bump(self, **deltas: int) -> None:
-        """Add *deltas* to the persisted counters under the store lock.
+        with self._locked() as fd:
+            self._add(fd, **deltas)
 
-        Read-modify-write under an exclusive lock is what makes the
-        counters additive across processes: two concurrent hits yield
-        ``hits += 2``, never a lost update.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            stats = self._load_stats()
-            for name, delta in deltas.items():
-                setattr(stats, name, getattr(stats, name) + delta)
-            self._save_stats(stats)
-        for name, delta in deltas.items():
-            setattr(self.local, name, getattr(self.local, name) + delta)
+    def _load_stats(self) -> StoreStats:
+        """The persisted counters, read under the lock: an in-place
+        update is not atomic to a reader that does not take it."""
+        try:
+            with self._locked(write=False) as fd:
+                raw = os.pread(fd, _STATS_READ, 0)
+        except OSError:  # nothing counted yet (or unreadable): zeros
+            return StoreStats()
+        return StoreStats(**_parse_stats(raw))
 
     # -- cache interface -----------------------------------------------------
 
@@ -227,7 +252,7 @@ class SharedResultStore(ResultCache):
         protected = self.path(protect) if protect is not None else None
         evicted = 0
         evicted_bytes = 0
-        with self._lock:
+        with self._locked() as fd:
             entries = self._entries()
             total = len(entries)
             total_bytes = sum(size for _, size, _ in entries)
@@ -249,13 +274,7 @@ class SharedResultStore(ResultCache):
                 evicted += 1
                 evicted_bytes += size
             if evicted:
-                stats = self._load_stats()
-                stats.evictions += evicted
-                stats.evicted_bytes += evicted_bytes
-                self._save_stats(stats)
-        if evicted:
-            self.local.evictions += evicted
-            self.local.evicted_bytes += evicted_bytes
+                self._add(fd, evictions=evicted, evicted_bytes=evicted_bytes)
         return evicted
 
     # -- reporting -----------------------------------------------------------

@@ -31,7 +31,6 @@ import copy
 import dataclasses
 import hashlib
 import io
-import json
 import os
 import pickle
 import tempfile
@@ -41,6 +40,8 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+from ..soc.config import config_digest
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -81,18 +82,8 @@ class CheckpointAuditError(CheckpointError):
 
 # -- fingerprints -------------------------------------------------------------
 
-
-def config_fingerprint(cfg) -> str:
-    """sha-256 over the canonical JSON of a (frozen dataclass) config.
-
-    The ``accel`` knob is excluded: accelerated runs are bit-identical to
-    reference runs by contract, so a checkpoint taken in either mode must
-    restore into the other.
-    """
-    tree = dataclasses.asdict(cfg)
-    tree.pop("accel", None)
-    blob = json.dumps(tree, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+#: a checkpoint's config stamp is the package's one config digest
+config_fingerprint = config_digest
 
 
 def trace_fingerprint(trace) -> str:

@@ -3,9 +3,13 @@
 One socket connection per request (connect, one JSON line out, one JSON
 line back, close) — the deliberately stateless shape that lets the CLI
 verbs (``repro submit/status/cancel/resume``) be one-shot processes and
-keeps the server free of per-client session state.  Streaming never
-crosses the socket: :meth:`ServeClient.tail` asks the server where the
-job's spool stream lives and follows the file directly with
+keeps the server free of per-client session state.  Waiting for a job
+is not polling: :meth:`ServeClient.wait` sends ``status`` requests the
+server holds until the job gets where the caller wants it (``wait_s`` /
+``until``, see :mod:`repro.serve.protocol`), one or two per job however
+long it runs.  Streaming never crosses the socket:
+:meth:`ServeClient.tail` asks the server where the job's spool stream
+lives and follows the file directly with
 :func:`repro.instrument.tail_stream`.
 """
 
@@ -145,17 +149,31 @@ class ServeClient:
     def wait(self, job_id: str, timeout_s: float = 120.0,
              poll_s: float = 0.05,
              until: frozenset[str] = TERMINAL_STATES) -> dict[str, Any]:
-        """Poll until the job reaches a state in *until*; returns the
-        final status doc (with payload when the job succeeded)."""
+        """Block until the job reaches a state in *until*; returns the
+        final status doc (with payload when the job succeeded).
+
+        Each round is one ``status`` request the server holds until the
+        job gets there (``wait_s``/``until``, see
+        :mod:`repro.serve.protocol`), for at most half this client's
+        socket timeout.  *poll_s* only paces rounds against a server
+        that answered early without such a state: one that predates the
+        fields (it ignores them) or one that is shutting down.
+        """
         deadline = time.monotonic() + timeout_s
         while True:
-            doc = self.status(job_id, payload=True)
+            asked = time.monotonic()
+            wait_s = max(0.0, min(deadline - asked, self.timeout_s / 2))
+            doc = self._request({"op": "status", "id": job_id,
+                                 "payload": True, "wait_s": wait_s,
+                                 "until": sorted(until)})
             if doc["state"] in until:
                 return doc
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise ServeError(
                     f"job {job_id} still {doc['state']} after {timeout_s:g}s")
-            time.sleep(poll_s)
+            if now - asked < wait_s:
+                time.sleep(poll_s)
 
     def tail(self, job_id: str, follow: bool = True,
              timeout_s: float = 30.0) -> Iterator[dict[str, Any]]:

@@ -11,6 +11,19 @@ and clients follow them with ``repro tail`` /
 :func:`repro.instrument.tail_stream` — so a slow or vanished client can
 never stall the scheduler.
 
+The one thing a client may leave open is a held ``status``: a request
+for one job (``id``) that carries ``wait_s`` (seconds, capped by the
+server) is answered — with the ordinary status document — only once the
+job is in one of the states listed in ``until`` (default: the terminal
+ones), can no longer change state, ``wait_s`` has passed, or the server
+is stopping.  The argument above still holds: a held reply is one
+future the job's next state change resolves, the scheduler never looks
+at it, and a client that vanished meanwhile costs a write to a closed
+socket.  Both fields are optional and a server that predates them
+ignores them (it answers at once, and :meth:`ServeClient.wait` falls
+back to asking again every ``poll_s``), so ``PROTOCOL_VERSION`` did not
+change.
+
 Job specs cross the wire as plain dicts (:func:`job_from_wire` /
 :func:`job_to_wire`): the config travels by *name* and is rebuilt
 server-side, which keeps requests small and the server the single

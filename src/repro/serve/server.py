@@ -23,6 +23,12 @@ the worker's instrument records in a sibling file when instrumentation
 was requested, and a final ``seal`` record at any terminal state — so
 ``repro tail --follow`` on a live job ends exactly when the job does.
 
+Every state change goes through :meth:`FarmServer._set_state` — assign,
+journal, wake — so a client waiting for a job does not poll: its
+``status`` request carries ``wait_s``/``until`` and the reply is parked
+(one future) until the transition it asked about, see
+:mod:`repro.serve.protocol`.
+
 Preemption reuses :mod:`repro.reliability` checkpoints: lockstep kernel
 jobs (``quantum=`` set) checkpoint every ``checkpoint_every`` quanta
 into the spool, a preempt is just retiring the worker, and a resume
@@ -53,7 +59,7 @@ from ..farm.store import SharedResultStore
 from ..instrument.stream import STREAM_SCHEMA, InstrumentStream
 from .journal import ServeJournal, replay_journal
 from .protocol import PROTOCOL_VERSION, ServeError, job_from_wire
-from .queue import FairScheduler, JobRecord
+from .queue import TERMINAL_STATES, FairScheduler, JobRecord
 
 __all__ = ["FarmServer", "ServerHandle"]
 
@@ -61,6 +67,17 @@ __all__ = ["FarmServer", "ServerHandle"]
 _MAX_LINE = 10 * 1024 * 1024
 #: terminal transitions closer together than this share one manifest rewrite
 MANIFEST_QUIET_S = 0.25
+#: longest a ``status`` reply is held for its ``wait_s`` (the client asks
+#: again; a forgotten connection is not parked for ever)
+MAX_WAIT_S = 60.0
+#: how long a stopping server lets requests in flight (the ``shutdown``
+#: itself, replies just released) finish writing before the loop goes
+HANDLER_GRACE_S = 1.0
+
+
+def _wake(fut: asyncio.Future) -> None:
+    if not fut.done():
+        fut.set_result(None)
 
 
 class _Active:
@@ -180,6 +197,10 @@ class FarmServer:
         self._instrument_specs: dict[str, dict] = {}
         self._streams: dict[str, InstrumentStream] = {}
         self._active: dict[str, _Active] = {}
+        #: parked ``status`` replies, by job id (see :meth:`_park`)
+        self._waiters: dict[str, set[asyncio.Future]] = {}
+        #: requests in flight, one task each
+        self._handlers: set[asyncio.Task] = set()
         #: forks lazily: a server that only ever serves store hits has
         #: no worker processes
         self._pool = WorkerPool()
@@ -249,6 +270,66 @@ class FarmServer:
         stream = self._streams.pop(rec.id, None)
         if stream is not None:
             stream.seal(reason=rec.state)
+
+    # -- state transitions and the replies parked on them --------------------
+
+    def _set_state(self, rec: JobRecord, state: str,
+                   **journal_extra: Any) -> None:
+        """Every state change of every job: assign, journal (write-ahead
+        of whatever the caller does next), wake that job's parked
+        ``status`` replies — the only place one is woken."""
+        rec.state = state
+        self.journal.state(rec, **journal_extra)
+        for fut in self._waiters.get(rec.id, ()):
+            _wake(fut)
+
+    def _release_waiters(self) -> None:
+        """The server is stopping: every parked reply goes out now."""
+        for futs in self._waiters.values():
+            for fut in futs:
+                _wake(fut)
+
+    async def _park(self, req: dict[str, Any]) -> None:
+        """Hold a ``status`` request that carries ``wait_s`` until its job
+        is in a state listed in ``until`` (default: terminal), can no
+        longer change state, ``wait_s`` (capped at ``MAX_WAIT_S``) has
+        passed, or the server stops — the ordinary reply follows.
+
+        A parked reply is one future in ``_waiters``: it costs the
+        scheduler nothing while it waits and nothing if its client has
+        gone away (the reply is then written to a closed socket).
+        """
+        wait_s = min(float(req["wait_s"]), MAX_WAIT_S)
+        if not wait_s > 0 or req.get("id") is None:
+            return
+        rec = self._record(req)
+        until = req.get("until")
+        if until is None:
+            states = TERMINAL_STATES
+        elif (isinstance(until, list)
+              and all(isinstance(state, str) for state in until)):
+            states = frozenset(until)
+        else:
+            raise ServeError("'until' must be a list of state names")
+        assert self._loop is not None and self._done is not None
+        deadline = self._loop.time() + wait_s
+        while (rec.state not in states and not rec.done
+               and not self._done.is_set()):
+            left = deadline - self._loop.time()
+            if left <= 0:
+                return
+            fut = self._loop.create_future()
+            futs = self._waiters.setdefault(rec.id, set())
+            futs.add(fut)
+            timer = self._loop.call_later(left, _wake, fut)
+            try:
+                await fut
+            finally:
+                # woken, expired or cancelled: it takes itself out
+                timer.cancel()
+                futs.discard(fut)
+                if not futs:
+                    self._waiters.pop(rec.id, None)
 
     # -- crash recovery ------------------------------------------------------
 
@@ -321,16 +402,14 @@ class FarmServer:
             if payload is not None:
                 rec.payload = payload
                 rec.from_cache = True
-                rec.state = "ok"
-                self.journal.state(rec)
+                self._set_state(rec, "ok")
                 self._persist_result(rec)
                 self._event(rec, "recovered", was=was)
                 self._event(rec, "store-hit")
                 self._seal(rec)
                 return
-        rec.state = "queued"
         rec.host = None
-        self.journal.state(rec)
+        self._set_state(rec, "queued")
         self._event(rec, "recovered", was=was, checkpoint=ckpt.exists())
         self.scheduler.submit(rec)
 
@@ -338,6 +417,8 @@ class FarmServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             self._req_count += 1
             if (self.fault_plan is not None
@@ -352,6 +433,8 @@ class FarmServer:
                 req = json.loads(line.decode("utf-8"))
                 if not isinstance(req, dict):
                     raise ValueError("request must be a JSON object")
+                if req.get("op") == "status" and "wait_s" in req:
+                    await self._park(req)
                 resp = self._dispatch(req)
             except ServeError as exc:
                 resp = {"ok": False, "error": str(exc)}
@@ -360,12 +443,15 @@ class FarmServer:
             writer.write(json.dumps(resp, sort_keys=True).encode("utf-8")
                          + b"\n")
             await writer.drain()
+        except ConnectionError:
+            pass  # the client went away (a parked one, typically): no reply
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._handlers.discard(task)
 
     def _dispatch(self, req: dict[str, Any]) -> dict[str, Any]:
         op = req.get("op")
@@ -420,8 +506,7 @@ class FarmServer:
             if payload is not None:
                 rec.payload = payload
                 rec.from_cache = True
-                rec.state = "ok"
-                self.journal.state(rec)
+                self._set_state(rec, "ok")
                 self._persist_result(rec)
                 self._event(rec, "store-hit")
                 self._seal(rec)
@@ -438,9 +523,10 @@ class FarmServer:
         if req.get("id") is not None:
             rec = self._record(req)
             doc = rec.describe(with_payload=bool(req.get("payload")))
-            idir = self.instrument_dir(rec.id)
-            if idir.is_dir():
-                streams = sorted(str(p) for p in idir.glob("*.jsonl"))
+            # only a job submitted with an instrument spec has the directory
+            if rec.id in self._instrument_specs:
+                streams = sorted(str(p) for p in
+                                 self.instrument_dir(rec.id).glob("*.jsonl"))
                 if streams:
                     doc["instrument_streams"] = streams
             return {"ok": True, **doc}
@@ -463,8 +549,7 @@ class FarmServer:
         if rec.state == "queued":
             # never ran: preempting a queued job is just a cancel
             self.scheduler.withdraw(rec)
-            rec.state = "cancelled"
-            self.journal.state(rec)
+            self._set_state(rec, "cancelled")
             self._event(rec, "cancelled", was="queued")
             self._seal(rec)
             self._manifest_stale()
@@ -480,8 +565,7 @@ class FarmServer:
         elif rec.state == "preempted":
             if preempt:
                 raise ServeError(f"job {rec.id} is already preempted")
-            rec.state = "cancelled"
-            self.journal.state(rec)
+            self._set_state(rec, "cancelled")
             self._event(rec, "cancelled", was="preempted")
             self._seal(rec)
             self._manifest_stale()
@@ -494,8 +578,7 @@ class FarmServer:
         if rec.state != "preempted":
             raise ServeError(
                 f"job {rec.id} is {rec.state}; only preempted jobs resume")
-        rec.state = "queued"
-        self.journal.state(rec)
+        self._set_state(rec, "queued")
         self._event(rec, "resume-queued")
         self.scheduler.submit(rec)
         self._pump()
@@ -556,13 +639,12 @@ class FarmServer:
 
     def _launch(self, rec: JobRecord, host: str) -> None:
         rec.attempts += 1
-        rec.state = "running"
         rec.host = host
         exec_ctx = self._exec_ctx(rec, host)
         self._host_launches[host] = self._host_launches.get(host, 0) + 1
         worker = self._pool.submit(host, rec.job, rec.attempts, exec_ctx)
         rec.pid = worker.pid
-        self.journal.state(rec, pid=worker.pid)
+        self._set_state(rec, "running", pid=worker.pid)
         run = _Active(rec, worker)
         self._active[rec.id] = run
         self._event(rec, "start", attempt=rec.attempts, host=host)
@@ -591,8 +673,7 @@ class FarmServer:
                     data: Any, meta: dict[str, Any]) -> None:
         rec.pid = None
         if rec.cancel_requested:
-            rec.state = "cancelled"
-            self.journal.state(rec)
+            self._set_state(rec, "cancelled")
             self._event(rec, "cancelled", was="running")
             self._seal(rec)
         elif rec.migrate_requested and status != "ok":
@@ -603,9 +684,8 @@ class FarmServer:
             if rec.migrations <= len(self.deploy.hosts):
                 rec.host_credits += 1
             from_host = rec.host
-            rec.state = "queued"
             ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
-            self.journal.state(rec)
+            self._set_state(rec, "queued")
             self._event(rec, "migrate", attempt=rec.attempts,
                         from_host=from_host, checkpoint=ckpt.exists())
             self.scheduler.submit(rec)
@@ -613,9 +693,8 @@ class FarmServer:
             # healthy host because acquire() skips quarantined ones
         elif rec.preempt_requested and status != "ok":
             rec.preempt_requested = False
-            rec.state = "preempted"
             ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
-            self.journal.state(rec)
+            self._set_state(rec, "preempted")
             self._event(rec, "preempted", attempt=rec.attempts,
                         checkpoint=ckpt.exists())
             # stream stays unsealed: a resume continues the same file
@@ -623,13 +702,12 @@ class FarmServer:
             rec.migrate_requested = False
             rec.payload = data
             rec.resumed = bool(meta.get("resumed"))
-            rec.state = "ok"
             if rec.host is not None:
                 self.deploy.report_success(rec.host)
             if (self.store is not None and rec.job.cacheable
                     and rec.id not in self._instrument_specs):
                 self.store.put(rec.key, rec.job, data)
-            self.journal.state(rec)
+            self._set_state(rec, "ok")
             self._persist_result(rec)
             if rec.migrations:
                 self._event(rec, "recover", host=rec.host,
@@ -645,15 +723,13 @@ class FarmServer:
             self._attribute_failure(rec, run, status)
             charged = rec.attempts - rec.host_credits
             if charged <= self.max_retries and not self._closing:
-                rec.state = "queued"
-                self.journal.state(rec)
+                self._set_state(rec, "queued")
                 self._event(rec, "retry", attempt=rec.attempts, error=error)
                 delay = self.retry_policy.delay(rec.attempts)
                 assert self._loop is not None
                 self._loop.call_later(delay, self._requeue, rec)
             else:
-                rec.state = "failed"
-                self.journal.state(rec)
+                self._set_state(rec, "failed")
                 self._event(rec, "failed", attempt=rec.attempts, error=error)
                 self._seal(rec)
         if rec.done:
@@ -754,7 +830,6 @@ class FarmServer:
             "scheduler": self.scheduler.describe(),
             "jobs": [self.jobs[k].describe() for k in sorted(self.jobs)],
         }
-        self.spool.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.spool, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(json.dumps(doc, indent=2, sort_keys=True))
@@ -768,6 +843,7 @@ class FarmServer:
         if self._drain and self.scheduler.queued:
             return
         if self._done is not None:
+            self._release_waiters()
             self._done.set()
 
     def crash(self) -> None:
@@ -789,6 +865,7 @@ class FarmServer:
         for run in self._active.values():
             self._loop.remove_reader(run.fd)
         self._pool.close()
+        self._release_waiters()
         if self._done is not None:
             self._done.set()
 
@@ -821,6 +898,8 @@ class FarmServer:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
+            if self._handlers:
+                await asyncio.wait(self._handlers, timeout=HANDLER_GRACE_S)
             # the listener's handler closure and the cancelled task's
             # traceback both point back here: dropped, a stopped server
             # (and every payload in self.jobs) is freed with its last

@@ -9,14 +9,19 @@ the hardware platforms.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..core.inorder import InOrderConfig
 from ..core.ooo import OoOConfig
 from ..mem.hierarchy import HierarchyConfig
 from ..mem.prefetch import PrefetcherConfig
 
-__all__ = ["BranchPredictorConfig", "ConfigValidationError", "SoCConfig"]
+__all__ = ["BranchPredictorConfig", "ConfigValidationError", "SoCConfig",
+           "config_digest", "config_identity", "config_tree"]
 
 
 class ConfigValidationError(ValueError):
@@ -142,3 +147,70 @@ class SoCConfig:
             row["RoB"] = f"RoB:{self.ooo.rob_size}"
             row["LSQ"] = f"Load:{self.ooo.ldq}, Store:{self.ooo.stq}"
         return row
+
+
+# -- config identity ----------------------------------------------------------
+
+#: id(cfg) -> (cfg, tree, digest); the strong config reference pins the id.
+#: Keyed by object, not by value: ``core_ghz=2`` and ``core_ghz=2.0`` compare
+#: and hash equal but serialise (and so digest) differently.  Threads share
+#: it (a background FarmServer and its host): every operation on it is one
+#: atomic call, ``popitem`` included.
+_identities: OrderedDict[int, tuple[Any, dict[str, Any], str]] = OrderedDict()
+_IDENTITY_MAX = 128
+
+
+def config_identity(cfg) -> tuple[dict[str, Any], str]:
+    """``(tree, digest)`` of a (frozen dataclass) config, derived once.
+
+    The one derivation every identity in the package hangs off: *tree*
+    is ``dataclasses.asdict(cfg)`` — what :meth:`repro.farm.Job.describe`
+    and so the result-cache key are made of — and *digest* the sha-256
+    of its canonical JSON minus the ``accel`` knob (accelerated runs are
+    bit-identical to reference runs by contract, so memo entries and
+    checkpoints are shared across modes).  Both are memoized per live
+    config object (bounded); the tree is the memo's own, so read it,
+    serialise it, but hand callers :func:`config_tree`'s copy.  A config
+    that does not hash (a hand-built one holding a list, say) could
+    change under the memo and is derived afresh on every call.
+    """
+    key = id(cfg)
+    hit = _identities.get(key)
+    if hit is not None and hit[0] is cfg:
+        return hit[1], hit[2]
+    tree = dataclasses.asdict(cfg)
+    keyed = {k: v for k, v in tree.items() if k != "accel"}
+    blob = json.dumps(keyed, sort_keys=True, default=str)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    try:
+        hash(cfg)
+    except TypeError:
+        return tree, digest
+    _identities[key] = (cfg, tree, digest)
+    while len(_identities) > _IDENTITY_MAX:
+        _identities.popitem(last=False)
+    return tree, digest
+
+
+def _copy_tree(node):
+    kind = type(node)
+    if kind is dict:
+        return {k: _copy_tree(v) for k, v in node.items()}
+    if kind is list or kind is tuple:
+        return kind(_copy_tree(v) for v in node)
+    return node
+
+
+def config_tree(cfg) -> dict[str, Any]:
+    """A fresh copy of the config's canonical tree (the caller's to keep)."""
+    return _copy_tree(config_identity(cfg)[0])
+
+
+def config_digest(cfg) -> str:
+    """sha-256 of the config's canonical tree, minus the ``accel`` knob.
+
+    The config half of the result-memo key (``repro.accel.memo``) and the
+    fingerprint a checkpoint is stamped and verified with
+    (``repro.reliability.checkpoint.config_fingerprint`` is this function).
+    """
+    return config_identity(cfg)[1]
