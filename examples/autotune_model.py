@@ -3,7 +3,7 @@
 
 Starts from the stock huge-Rocket configuration and lets a greedy
 coordinate-descent search apply Chipyard-style config fragments — more L2
-banks, a wider bus, the 2x clock, different cache replacement — keeping
+banks, a wider bus, the 2x clock, a hardware prefetcher — keeping
 whichever single change most improves the MicroBench fidelity score
 against the Banana Pi reference. The paper's authors walked this exact
 loop manually ("deciding which parameters to modify for improved fidelity
@@ -22,14 +22,12 @@ from repro.soc import (
     WithClock,
     WithL2Banks,
     WithPrefetcher,
-    WithReplacement,
 )
 
 KNOBS = {
     "WithL2Banks(4)": WithL2Banks(4),
     "WithBusWidth(128)": WithBusWidth(128),
     "WithClock(3.2)": WithClock(3.2),
-    "WithReplacement(plru)": WithReplacement("plru"),
     "WithPrefetcher()": WithPrefetcher(),
 }
 

@@ -86,9 +86,6 @@ class CompiledTrace:
                                  newline.tolist())
         return self._issue_flags
 
-    def __len__(self) -> int:
-        return self.n
-
     def __repr__(self) -> str:
         return f"CompiledTrace(n={self.n}, digest={self.digest[:12]})"
 

@@ -13,7 +13,7 @@ How it stays exact
 
 * **Mirrors, not models.**  While a run is attached, each hot
   component's array state lives in plain lists (cache tags/dirty/LRU one
-  set at a time as the run reaches it, PLRU bits, BTB, direction-predictor
+  set at a time as the run reaches it, BTB, direction-predictor
   counters) and is written back when the run ends — including on
   exceptions — so the reference objects always hold the authoritative
   state between runs.  Structures that are cheap to use directly (MSHR
@@ -50,9 +50,9 @@ from __future__ import annotations
 import functools
 
 from repro.core.base import CoreResult
-from repro.core.branch import TAGE, BTB, BimodalBHT, BranchUnit, GShare
+from repro.core.branch import BimodalBHT, GShare
 from repro.mem.dram import DRAM
-from repro.mem.tlb import TLB, TwoLevelTLB
+from repro.mem.tlb import TwoLevelTLB
 
 from . import memo
 from .compile import compiled_trace
@@ -68,9 +68,9 @@ def _mirror_cache(cache, next_access):
     Tag/dirty/LRU state is mirrored one set at a time, on the set's
     first access, and only those sets are written back, so attaching
     costs what the run touches and not what the cache holds (a 2048-uop
-    chunk reaches a few dozen of an L2's 1024 sets).  PLRU bits and the
-    use counter/rng live in locals for the duration of a run; MSHRs,
-    bank timelines, and stats are the shared reference objects.
+    chunk reaches a few dozen of an L2's 1024 sets).  The LRU use counter
+    lives in a local for the duration of a run; MSHRs, bank timelines,
+    and stats are the shared reference objects.
     Returns ``(access, contains, detach)``.
     """
     cfg = cache.cfg
@@ -79,20 +79,14 @@ def _mirror_cache(cache, next_access):
     set_mask = cache._set_mask
     hit_lat = cfg.hit_latency
     banks = cfg.banks
-    ways = cfg.ways
     n_mshrs = cfg.mshrs
-    write_back = cfg.write_back
     cyc = cfg.cycle_time
-    is_plru = cfg.replacement == "plru"
-    is_lru = cfg.replacement == "lru"
     np_tags, np_dirty, np_lru = cache._tags, cache._dirty, cache._lru
     tags = [None] * cfg.sets
     dirty = [None] * cfg.sets
     lru = [None] * cfg.sets
     loaded = []
-    plru = cache._plru.tolist() if is_plru else None
     use_counter = cache._use_counter
-    rng = cache._rng_state
     mshr = cache._mshr
     #: no fill in ``mshr`` completes later than this, so a lookup at or
     #: past it finds nothing outstanding and is skipped
@@ -113,48 +107,6 @@ def _mirror_cache(cache, next_access):
         dirty[set_idx] = np_dirty[set_idx].tolist()
         lru[set_idx] = np_lru[set_idx].tolist()
         return row
-
-    def plru_touch(set_idx, way):
-        bits = plru[set_idx]
-        node = 0
-        span = ways
-        lo = 0
-        while span > 1:
-            half = span // 2
-            if way < lo + half:
-                bits |= 1 << node
-                node = 2 * node + 1
-                span = half
-            else:
-                bits &= ~(1 << node)
-                node = 2 * node + 2
-                lo += half
-                span = half
-        plru[set_idx] = bits
-
-    def policy_victim(set_idx):
-        # PLRU / random choice among the ways of a full set
-        nonlocal rng
-        if is_plru:
-            bits = plru[set_idx]
-            node = 0
-            span = ways
-            lo = 0
-            while span > 1:
-                half = span // 2
-                if bits & (1 << node):
-                    node = 2 * node + 2
-                    lo += half
-                else:
-                    node = 2 * node + 1
-                span = half
-            return lo
-        x = rng
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        rng = x
-        return x % ways
 
     def access(addr, time, is_store):
         nonlocal n_access, n_misses, n_wb, n_merges, n_conflict, \
@@ -187,14 +139,9 @@ def _mirror_cache(cache, next_access):
             way = row.index(line)
             use_counter += 1
             lru[set_idx][way] = use_counter
-            if is_plru:
-                plru_touch(set_idx, way)
             done = start + hit_lat
             if is_store:
-                if write_back:
-                    dirty[set_idx][way] = True
-                else:
-                    next_access(addr, done, True)
+                dirty[set_idx][way] = True
             if mshr_hw > done:
                 pending = mshr.get(line << line_shift)
                 if pending is not None and pending > done:
@@ -225,23 +172,17 @@ def _mirror_cache(cache, next_access):
 
         if -1 in row:
             way = row.index(-1)
-        elif is_lru:
+        else:
             lr = lru[set_idx]
             way = lr.index(min(lr))
-        else:
-            way = policy_victim(set_idx)
         vtag = row[way]
-        if write_back and dirty[set_idx][way] and vtag != -1:
+        if dirty[set_idx][way] and vtag != -1:
             n_wb += 1
             next_access(vtag << line_shift, fill_time, True)
         row[way] = line
-        dirty[set_idx][way] = bool(is_store and write_back)
+        dirty[set_idx][way] = bool(is_store)
         use_counter += 1
         lru[set_idx][way] = use_counter
-        if is_plru:
-            plru_touch(set_idx, way)
-        if is_store and not write_back:
-            next_access(addr, fill_time, True)
         return fill_time
 
     def contains(addr):
@@ -254,10 +195,7 @@ def _mirror_cache(cache, next_access):
             np_tags[loaded] = [tags[s] for s in loaded]
             np_dirty[loaded] = [dirty[s] for s in loaded]
             np_lru[loaded] = [lru[s] for s in loaded]
-        if is_plru:
-            cache._plru[:] = plru
         cache._use_counter = use_counter
-        cache._rng_state = rng
         st.accesses += n_access
         st.hits += n_access - n_misses
         st.misses += n_misses
@@ -303,7 +241,6 @@ def _mirror_dram(dram):
     bus_ends = [tl._ends for tl in chan_bus]
     bus_max = [tl.max_intervals for tl in chan_bus]
     queue_depth = cfg.queue_depth
-    open_page = cfg.open_page
     qmax = 4 * queue_depth
     n_access = n_writes = 0
 
@@ -338,12 +275,14 @@ def _mirror_dram(dram):
                 st.refresh_stall_cycles += int(cRFC - since)
                 start += cRFC - since
                 open_row[bank] = -1
-        if open_page and open_row[bank] == row:
+        if open_row[bank] == row:
             st.row_hits += 1
             ready = bank_ready[bank] - cRAS
             if start > ready:
                 ready = start
             access_done = ready + cCAS
+            if access_done > bank_ready[bank]:
+                bank_ready[bank] = access_done
         else:
             st.row_misses += 1
             ready = bank_ready[bank]
@@ -351,9 +290,7 @@ def _mirror_dram(dram):
                 ready = start
             pre = cRP if open_row[bank] != -1 else 0.0
             access_done = ready + pre + cRCD + cCAS
-            open_row[bank] = row if open_page else -1
-            bank_ready[bank] = access_done + (0.0 if open_page else cRP)
-        if access_done > bank_ready[bank]:
+            open_row[bank] = row
             bank_ready[bank] = access_done
 
         xfer_start = float(access_done)
@@ -403,22 +340,9 @@ def _tlb_entry(tlb, l2_access, l1_access, is_store, observe):
         l2_assoc = tlb.l2._assoc
         l2_sets = tlb.l2._sets
         l2_hit = tlb.l2_hit_latency
-    elif type(tlb) is TLB:
+    else:
         l1 = tlb
         l2_sets = None
-    else:
-        # unknown TLB subclass: its own translate over a plain walker
-        def walker(addr, time):
-            return l2_access(addr, time, False)
-
-        def entry(addr, time):
-            t = tlb.translate(addr, time, walker)
-            done = l1_access(addr, t, is_store)
-            if observe is not None:
-                observe(addr, t)
-            return done
-
-        return entry, None
     st = l1.stats
     shift = l1._page_shift
     nsets = l1._num_sets
@@ -533,130 +457,121 @@ def _mirror_direction(d):
 
         return predict_update, detach
 
-    if type(d) is TAGE:
-        nt = d.num_tables
-        size_mask = d.size - 1
-        tag_bits = d.tag_bits
-        tag_mask = (1 << tag_bits) - 1
-        ctrs = [a.tolist() for a in d._ctr]
-        tags = [a.tolist() for a in d._tag]
-        useful = [a.tolist() for a in d._useful]
-        hist = d._hist
-        base_ctr = d.base._ctr.tolist()
-        base_mask = d.base.entries - 1
+    # TAGE: what build_branch_unit makes of every other kind
+    nt = d.num_tables
+    size_mask = d.size - 1
+    tag_bits = d.tag_bits
+    tag_mask = (1 << tag_bits) - 1
+    ctrs = [a.tolist() for a in d._ctr]
+    tags = [a.tolist() for a in d._tag]
+    useful = [a.tolist() for a in d._useful]
+    hist = d._hist
+    base_ctr = d.base._ctr.tolist()
+    base_mask = d.base.entries - 1
 
-        def fold(bits, out_bits):
-            h = hist & ((1 << bits) - 1)
-            folded = 0
-            omask = (1 << out_bits) - 1
-            while h:
-                folded ^= h & omask
-                h >>= out_bits
-            return folded
+    def fold(bits, out_bits):
+        h = hist & ((1 << bits) - 1)
+        folded = 0
+        omask = (1 << out_bits) - 1
+        while h:
+            folded ^= h & omask
+            h >>= out_bits
+        return folded
 
-        # Folded-history registers, as TAGE hardware keeps them: per table
-        # the history window folded to the index width and to the two tag
-        # widths.  An outcome advances each register by
-        #     f' = rotl1(f) ^ taken ^ (leaving_bit << (window % width))
-        # so nothing is re-folded per lookup.  The history register is 64
-        # bits wide, so a table's window is its hist_len capped there.
-        # Seeded from ``d._hist`` on every attach (restore swaps the
-        # predictor object) and never written back: ``_hist`` alone is the
-        # architectural state.
-        windows = [min(n, 64) for n in d.hist_len]
-        widths = (d.size.bit_length() - 1, tag_bits, tag_bits - 1)
-        f_idx, f_tag, f_tag1 = ([fold(L, w) for L in windows] for w in widths)
-        #: per table: the history part of ``_tag_of``
-        h_tag = [f ^ (g << 1) for f, g in zip(f_tag, f_tag1)]
-        rot_idx, rot_tag, rot_tag1 = (_rotl1_table(w) for w in widths)
-        #: per table: the history bit about to leave the window, and what
-        #: to XOR into each rotated register for (leaving bit, new bit)
-        geom = [(L - 1, tuple(tuple(b ^ (o << L % w) for w in widths)
-                              for o in (0, 1) for b in (0, 1)))
-                for L in windows]
-        tables = range(nt - 1, -1, -1)
+    # Folded-history registers, as TAGE hardware keeps them: per table
+    # the history window folded to the index width and to the two tag
+    # widths.  An outcome advances each register by
+    #     f' = rotl1(f) ^ taken ^ (leaving_bit << (window % width))
+    # so nothing is re-folded per lookup.  The history register is 64
+    # bits wide, so a table's window is its hist_len capped there.
+    # Seeded from ``d._hist`` on every attach (restore swaps the
+    # predictor object) and never written back: ``_hist`` alone is the
+    # architectural state.
+    windows = [min(n, 64) for n in d.hist_len]
+    widths = (d.size.bit_length() - 1, tag_bits, tag_bits - 1)
+    f_idx, f_tag, f_tag1 = ([fold(L, w) for L in windows] for w in widths)
+    #: per table: the history part of ``_tag_of``
+    h_tag = [f ^ (g << 1) for f, g in zip(f_tag, f_tag1)]
+    rot_idx, rot_tag, rot_tag1 = (_rotl1_table(w) for w in widths)
+    #: per table: the history bit about to leave the window, and what
+    #: to XOR into each rotated register for (leaving bit, new bit)
+    geom = [(L - 1, tuple(tuple(b ^ (o << L % w) for w in widths)
+                          for o in (0, 1) for b in (0, 1)))
+            for L in windows]
+    tables = range(nt - 1, -1, -1)
 
-        def predict_update(pc, taken):
-            nonlocal hist
-            p = pc >> 2
-            for t in tables:
-                idx = (p ^ f_idx[t]) & size_mask
-                if tags[t][idx] == (p ^ h_tag[t]) & tag_mask:
-                    row = ctrs[t]
-                    c = row[idx]
-                    pred = c >= 0
-                    mis = pred != taken
-                    if taken:
-                        if c < 3:
-                            row[idx] = c + 1
-                    elif c > -4:
-                        row[idx] = c - 1
-                    row = useful[t]
-                    if mis:
-                        if row[idx] > 0:
-                            row[idx] -= 1
-                    elif row[idx] < 3:
-                        row[idx] += 1
-                    prov = t
-                    break
-            else:
-                prov = -1
-                i = p & base_mask
-                c = base_ctr[i]
-                pred = c >= 2
+    def predict_update(pc, taken):
+        nonlocal hist
+        p = pc >> 2
+        for t in tables:
+            idx = (p ^ f_idx[t]) & size_mask
+            if tags[t][idx] == (p ^ h_tag[t]) & tag_mask:
+                row = ctrs[t]
+                c = row[idx]
+                pred = c >= 0
                 mis = pred != taken
                 if taken:
                     if c < 3:
-                        base_ctr[i] = c + 1
-                elif c > 0:
-                    base_ctr[i] = c - 1
-            if mis and prov < nt - 1:
-                # allocate in a longer-history table with a non-useful entry
+                        row[idx] = c + 1
+                elif c > -4:
+                    row[idx] = c - 1
+                row = useful[t]
+                if mis:
+                    if row[idx] > 0:
+                        row[idx] -= 1
+                elif row[idx] < 3:
+                    row[idx] += 1
+                prov = t
+                break
+        else:
+            prov = -1
+            i = p & base_mask
+            c = base_ctr[i]
+            pred = c >= 2
+            mis = pred != taken
+            if taken:
+                if c < 3:
+                    base_ctr[i] = c + 1
+            elif c > 0:
+                base_ctr[i] = c - 1
+        if mis and prov < nt - 1:
+            # allocate in a longer-history table with a non-useful entry
+            for t in range(prov + 1, nt):
+                i = (p ^ f_idx[t]) & size_mask
+                if useful[t][i] == 0:
+                    tags[t][i] = (p ^ h_tag[t]) & tag_mask
+                    ctrs[t][i] = 0 if taken else -1
+                    break
+            else:
+                # decay usefulness so future allocations can succeed
                 for t in range(prov + 1, nt):
                     i = (p ^ f_idx[t]) & size_mask
-                    if useful[t][i] == 0:
-                        tags[t][i] = (p ^ h_tag[t]) & tag_mask
-                        ctrs[t][i] = 0 if taken else -1
-                        break
-                else:
-                    # decay usefulness so future allocations can succeed
-                    for t in range(prov + 1, nt):
-                        i = (p ^ f_idx[t]) & size_mask
-                        u = useful[t][i]
-                        if u > 0:
-                            useful[t][i] = u - 1
-            b = 1 if taken else 0
-            for t, (out, inject) in enumerate(geom):
-                xi, xt, xs = inject[(hist >> out & 1) << 1 | b]
-                f_idx[t] = rot_idx[f_idx[t]] ^ xi
-                f = f_tag[t] = rot_tag[f_tag[t]] ^ xt
-                g = f_tag1[t] = rot_tag1[f_tag1[t]] ^ xs
-                h_tag[t] = f ^ (g << 1)
-            hist = ((hist << 1) | b) & 0xFFFF_FFFF_FFFF_FFFF
-            return pred
-
-        def detach():
-            for t in range(nt):
-                d._ctr[t][:] = ctrs[t]
-                d._tag[t][:] = tags[t]
-                d._useful[t][:] = useful[t]
-            d._hist = hist
-            d.base._ctr[:] = base_ctr
-
-        return predict_update, detach
-
-    def predict_update(pc, taken):
-        pred = d.predict(pc)
-        d.update(pc, taken)
+                    u = useful[t][i]
+                    if u > 0:
+                        useful[t][i] = u - 1
+        b = 1 if taken else 0
+        for t, (out, inject) in enumerate(geom):
+            xi, xt, xs = inject[(hist >> out & 1) << 1 | b]
+            f_idx[t] = rot_idx[f_idx[t]] ^ xi
+            f = f_tag[t] = rot_tag[f_tag[t]] ^ xt
+            g = f_tag1[t] = rot_tag1[f_tag1[t]] ^ xs
+            h_tag[t] = f ^ (g << 1)
+        hist = ((hist << 1) | b) & 0xFFFF_FFFF_FFFF_FFFF
         return pred
 
-    return predict_update, None
+    def detach():
+        for t in range(nt):
+            d._ctr[t][:] = ctrs[t]
+            d._tag[t][:] = tags[t]
+            d._useful[t][:] = useful[t]
+        d._hist = hist
+        d.base._ctr[:] = base_ctr
+
+    return predict_update, detach
 
 
 def _mirror_branch_unit(bru):
     """Closure twin of ``BranchUnit.resolve``; returns (resolve, detach)."""
-    if type(bru) is not BranchUnit or type(bru.btb) is not BTB:
-        return bru.resolve, None
     bst = bru.stats
     predict_update, dir_detach = _mirror_direction(bru.direction)
     btb = bru.btb
@@ -737,8 +652,7 @@ def _mirror_branch_unit(bru):
         btb._target[:] = tgt_m
         btb._lru[:] = lru_m
         btb._stamp = stamp
-        if dir_detach is not None:
-            dir_detach()
+        dir_detach()
 
     return resolve, detach
 
@@ -806,7 +720,7 @@ def attach_port(port):
         below_access, below_detach = _mirror_dram(below_l2)
     else:  # an LLC: its reference access, nothing to flush
         below_access, below_detach = below_l2.access, None
-    l2_access, l2_contains, l2_detach = _mirror_cache(l2, below_access)
+    l2_access, _, l2_detach = _mirror_cache(l2, below_access)
     bus = uncore.bus
     bus_st = bus.stats
     line_bytes = uncore._line
@@ -820,14 +734,13 @@ def attach_port(port):
     n_transfers = 0
     directory = uncore.directory
     tile_id = port.tile_id
-    if directory is not None:  # read only past uncore_access's early return
-        dst = directory.stats
-        shr = directory._sharers
-        own = directory._owner
-        inv_lat = directory.invalidate_latency
-        max_lines = directory.max_lines
-        dir_prune = directory._prune
-        bit = 1 << tile_id
+    dst = directory.stats
+    shr = directory._sharers
+    own = directory._owner
+    inv_lat = directory.invalidate_latency
+    max_lines = directory.max_lines
+    dir_prune = directory._prune
+    bit = 1 << tile_id
 
     def uncore_access(addr, time, is_store):
         # bus.transfer + SnoopDirectory.observe + L2, fused
@@ -846,8 +759,6 @@ def attach_port(port):
             if start > time:
                 bus_st.contention_cycles += int(start - time)
         t = int(start + bus_arb + bus_occ)
-        if directory is None:
-            return l2_access(addr, t, is_store)
         dline = addr // line_bytes
         sharers = shr.get(dline, 0)
         if is_store:
@@ -878,15 +789,9 @@ def attach_port(port):
         port.l1d, uncore_access)
     l1i_access, _, l1i_detach = _mirror_cache(port.l1i, uncore_access)
 
-    pf = port.prefetcher
-    observe = None
-    if pf is not None:
-        if pf.cache is port.l1d:
-            observe = _inline_prefetcher(pf, l1d_contains, l1d_access)
-        elif pf.cache is l2:
-            observe = _inline_prefetcher(pf, l2_contains, l2_access)
-        else:
-            observe = pf.observe  # foreign cache: no mirror to corrupt
+    pf = port.prefetcher  # TilePort builds it over its own L1D
+    observe = (_inline_prefetcher(pf, l1d_contains, l1d_access)
+               if pf is not None else None)
 
     dload, dload_detach = _tlb_entry(
         port.dtlb, l2_access, l1d_access, False, observe)
@@ -1118,8 +1023,7 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
         # on a vector-less core): the reference objects stay
         # authoritative between runs
         mem_detach()
-        if bru_detach is not None:
-            bru_detach()
+        bru_detach()
 
     core.accel_stats.engine_uops += n
     memo.global_stats().engine_uops += n

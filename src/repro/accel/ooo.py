@@ -273,8 +273,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
                 stq_head = (stq_head + 1) % stq_size
     finally:
         mem_detach()
-        if bru_detach is not None:
-            bru_detach()
+        bru_detach()
 
     astats.engine_uops += n
     memo.global_stats().engine_uops += n

@@ -41,7 +41,6 @@ from .instrument import (
     render_intervals,
 )
 from .error import KernelVariation, noise_floor, seed_variation, significant
-from .roofline import MachineRoofs, RooflinePoint, machine_roofs, roofline_point
 from .perf import PerfReport, perf_stat
 from .speedup import SeriesResult, relative_speedup, summarize_by_category
 from .sweep import SweepPoint, SweepResult, sweep_configs, sweep_knob
@@ -71,7 +70,6 @@ __all__ = [
     "PerfReport", "perf_stat",
     "KernelVariation", "seed_variation", "noise_floor", "significant",
     "autotune", "TuneResult", "TuneStep", "ROCKET_KNOBS",
-    "machine_roofs", "roofline_point", "MachineRoofs", "RooflinePoint",
     "sweep_configs", "sweep_knob", "SweepResult", "SweepPoint",
     "interval_cpi", "flamegraph_folded", "marker_timeline",
     "render_intervals",

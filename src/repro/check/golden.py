@@ -69,10 +69,6 @@ def _is_nan64(b: int) -> bool:
     return (b & _EXP64) == _EXP64 and (b & _FRAC64) != 0
 
 
-def _is_nan32(b: int) -> bool:
-    return (b & _EXP32) == _EXP32 and (b & _FRAC32) != 0
-
-
 def _canon(b: int) -> int:
     """Canonicalize a NaN result; pass every other bit pattern through."""
     return CANONICAL_NAN_BITS if _is_nan64(b) else b

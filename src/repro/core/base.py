@@ -32,10 +32,6 @@ class CoreResult:
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 
-    def seconds(self, ghz: float) -> float:
-        """Wall-clock target time at a given core frequency."""
-        return self.cycles / (ghz * 1e9)
-
     def __add__(self, other: "CoreResult") -> "CoreResult":
         stalls = dict(self.stalls)
         for k, v in other.stalls.items():

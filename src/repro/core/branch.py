@@ -126,9 +126,6 @@ class ReturnAddressStack:
     def pop(self) -> int | None:
         return self._stack.pop() if self._stack else None
 
-    def __len__(self) -> int:
-        return len(self._stack)
-
 
 class TAGE:
     """TAGE predictor: bimodal base + tagged tables with geometric history.

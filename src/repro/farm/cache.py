@@ -136,30 +136,6 @@ class ResultCache:
                 pass
             raise
 
-    def sweep_orphans(self, max_age_s: float = 3600.0) -> int:
-        """Delete ``*.tmp`` files left behind by hard-killed writers.
-
-        ``put`` cleans its tempfile on any exception, but a writer killed
-        between ``mkstemp`` and ``os.replace`` (SIGKILL, power loss)
-        leaves the orphan on disk forever.  Entries are never served from
-        ``.tmp`` files, so this is purely a disk-space sweep; the age
-        threshold keeps it from yanking a live writer's file mid-write.
-        Returns how many orphans were removed.
-        """
-        import time
-        if not self.root.is_dir():
-            return 0
-        now = time.time()
-        n = 0
-        for p in self.root.glob("??/*.tmp"):
-            try:
-                if now - p.stat().st_mtime >= max_age_s:
-                    p.unlink()
-                    n += 1
-            except OSError:
-                pass
-        return n
-
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None
 

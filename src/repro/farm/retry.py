@@ -41,7 +41,3 @@ class RetryPolicy:
             return 0.0
         n = max(1, int(attempt))
         return min(self.base_s * self.factor ** (n - 1), self.cap_s)
-
-    def describe(self) -> dict[str, float]:
-        return {"base_s": self.base_s, "factor": self.factor,
-                "cap_s": self.cap_s}

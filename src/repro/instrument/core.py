@@ -113,12 +113,6 @@ class Instrument:
                                       sum(self._inst.values()))
         self.stream.seal(reason=reason)
 
-    def __enter__(self) -> "Instrument":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.seal(reason="done" if exc_type is None else "error")
-
     # -- the per-chunk observation hook ---------------------------------------
 
     def observe(self, tile: int, seg, t0: int, t1: int) -> None:

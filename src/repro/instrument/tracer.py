@@ -73,10 +73,6 @@ class Tracer:
         self.stream = stream
         self.markers = markers
 
-    @property
-    def all_done(self) -> bool:
-        return all(w.done for w in self.windows)
-
     # -- checkpoint support ---------------------------------------------------
 
     def state(self) -> list[dict]:

@@ -63,18 +63,6 @@ class OpClass(enum.IntEnum):
     VFMA = 23         #: RVV floating-point vector op (fma class)
     VSETVL = 24       #: vsetvli / vector configuration
 
-    @property
-    def is_mem(self) -> bool:
-        return self in MEM_OPS
-
-    @property
-    def is_ctrl(self) -> bool:
-        return self in CTRL_OPS
-
-    @property
-    def is_fp(self) -> bool:
-        return self in FP_OPS
-
 
 #: Ops that access the data memory hierarchy.
 MEM_OPS = frozenset({OpClass.LOAD, OpClass.STORE, OpClass.AMO,

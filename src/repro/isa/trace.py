@@ -53,10 +53,6 @@ class TraceStats:
     fp_ops: int
     other: int
 
-    @property
-    def mem_ops(self) -> int:
-        return self.loads + self.stores
-
     def mix(self) -> dict[str, float]:
         """Fractional instruction mix (sums to 1.0 for non-empty traces)."""
         if self.total == 0:
@@ -277,9 +273,6 @@ class TraceBuilder:
         self._emit(OpClass.RET, -1, src, taken=True, target=int(target))
         self.pc = int(target)
 
-    def nop(self) -> None:
-        self._emit(OpClass.NOP)
-
     # -- instrumentation markers (see repro.instrument.markers) ------------
 
     def marker(self, marker_id: int, value: int = 0, src: int = -1) -> None:
@@ -304,10 +297,6 @@ class TraceBuilder:
         self.marker(MARKER_REGION_END, region_id)
 
     # -- RVV vector emission (see repro.core.vector) -----------------------
-
-    def vsetvl(self, dst: int = 10) -> None:
-        """Emit a vsetvli-style vector configuration op."""
-        self._emit(OpClass.VSETVL, dst)
 
     def vload(self, dst: int, addr: int, nbytes: int, base: int = -1) -> None:
         """Vector load of *nbytes* starting at *addr* (<= 255 bytes/op)."""
@@ -344,48 +333,6 @@ class TraceBuilder:
             self._op.clear(); self._dst.clear(); self._src1.clear()
             self._src2.clear(); self._addr.clear(); self._size.clear()
             self._taken.clear(); self._pc.clear(); self._target.clear()
-
-    def extend(
-        self,
-        op: np.ndarray,
-        dst: np.ndarray | None = None,
-        src1: np.ndarray | None = None,
-        src2: np.ndarray | None = None,
-        addr: np.ndarray | None = None,
-        size: np.ndarray | int = 8,
-        taken: np.ndarray | None = None,
-        pc: np.ndarray | None = None,
-        target: np.ndarray | None = None,
-    ) -> None:
-        """Append a block of ops given as parallel arrays.
-
-        Missing fields default to "no operand" / zero.  If *pc* is omitted a
-        sequential PC stream is synthesised from the current builder PC
-        (this is adequate for straight-line bulk blocks).
-        """
-        self._flush_scalars()
-        n = len(op)
-        none16 = lambda a: (np.full(n, -1, np.int16) if a is None else a)
-        if pc is None:
-            pc = self.pc + 4 * np.arange(n, dtype=np.uint64)
-            self.pc += 4 * n
-        else:
-            self.pc = int(pc[-1]) + 4 if n else self.pc
-        if isinstance(size, int):
-            size = np.full(n, size, np.uint8)
-        self._chunks.append(
-            Trace(
-                op,
-                none16(dst),
-                none16(src1),
-                none16(src2),
-                np.zeros(n, np.uint64) if addr is None else addr,
-                size,
-                np.zeros(n, np.bool_) if taken is None else taken,
-                pc,
-                np.zeros(n, np.uint64) if target is None else target,
-            )
-        )
 
     def extend_trace(self, trace: Trace) -> None:
         """Append an already-built trace verbatim."""
@@ -510,22 +457,3 @@ class ColumnBuilder:
             keep = keep.reshape(-1)
             columns = [col[keep] for col in columns]
         return Trace(*columns)
-
-
-def interleave(traces: Iterable[Trace], chunk: int = 64) -> Trace:
-    """Round-robin interleave several traces in *chunk*-op slices.
-
-    Used by tests to build synthetic multi-stream workloads.
-    """
-    traces = [t for t in traces if len(t)]
-    parts: list[Trace] = []
-    offsets = [0] * len(traces)
-    remaining = sum(len(t) for t in traces)
-    while remaining:
-        for i, t in enumerate(traces):
-            if offsets[i] < len(t):
-                end = min(offsets[i] + chunk, len(t))
-                parts.append(t[offsets[i]:end])
-                remaining -= end - offsets[i]
-                offsets[i] = end
-    return Trace.concat(parts)

@@ -1,7 +1,7 @@
 """Memory-hierarchy timing models: caches, TLBs, buses, LLCs, DRAM."""
 
 from .bus import BusConfig, BusStats, SystemBus
-from .cache import Cache, CacheConfig, CacheStats, MemoryPort
+from .cache import Cache, CacheConfig, CacheStats
 from .coherence import CoherenceStats, SnoopDirectory
 from .dram import (
     DDR3_2000_QUAD_RANK,
@@ -20,7 +20,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "CacheStats",
-    "MemoryPort",
     "BusConfig",
     "BusStats",
     "SystemBus",

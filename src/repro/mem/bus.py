@@ -67,9 +67,5 @@ class SystemBus:
             self.stats.contention_cycles += int(start - time)
         return int(start + self.cfg.arbitration_latency + occupancy)
 
-    def reset(self) -> None:
-        self._timeline.clear()
-        self.stats.reset()
-
     def __repr__(self) -> str:
         return f"SystemBus({self.cfg.width_bits}-bit)"

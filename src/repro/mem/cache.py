@@ -18,19 +18,7 @@ import numpy as np
 
 from .timeline import OccupancyTimeline
 
-__all__ = ["CacheConfig", "Cache", "CacheStats", "MemoryPort"]
-
-
-class MemoryPort:
-    """Terminal memory model with a fixed latency (for tests/standalone)."""
-
-    def __init__(self, latency: int = 100) -> None:
-        self.latency = int(latency)
-        self.accesses = 0
-
-    def access(self, addr: int, time: int, is_store: bool = False) -> int:
-        self.accesses += 1
-        return time + self.latency
+__all__ = ["CacheConfig", "Cache", "CacheStats"]
 
 
 @dataclass(frozen=True)
@@ -47,12 +35,8 @@ class CacheConfig:
     hit_latency: int = 2
     banks: int = 1
     mshrs: int = 4
-    write_back: bool = True
     #: cycles a bank stays busy per access (1 = fully pipelined)
     cycle_time: int = 1
-    #: victim selection: "lru" (exact), "plru" (tree pseudo-LRU, what most
-    #: commercial L1s implement), or "random"
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         for name in ("sets", "ways", "line_bytes", "banks", "mshrs"):
@@ -63,10 +47,6 @@ class CacheConfig:
             raise ValueError("sets must be a power of two")
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line_bytes must be a power of two")
-        if self.replacement not in ("lru", "plru", "random"):
-            raise ValueError(f"unknown replacement {self.replacement!r}")
-        if self.replacement == "plru" and self.ways & (self.ways - 1):
-            raise ValueError("tree-PLRU requires a power-of-two way count")
 
     @property
     def size_bytes(self) -> int:
@@ -110,9 +90,6 @@ class Cache:
         # LRU stamps: larger = more recently used
         self._lru = np.zeros((cfg.sets, cfg.ways), dtype=np.int64)
         self._use_counter = 0
-        # tree-PLRU: one bit per internal node, packed per set
-        self._plru = np.zeros(cfg.sets, dtype=np.int64)
-        self._rng_state = 0x9E3779B9  # deterministic LCG for "random"
         # per-bank occupancy (interval-tracked: shared caches see
         # requests from mutually-skewed tile clocks)
         self._bank_free = [OccupancyTimeline() for _ in range(cfg.banks)]
@@ -134,55 +111,13 @@ class Cache:
     def _touch(self, set_idx: int, way: int) -> None:
         self._use_counter += 1
         self._lru[set_idx, way] = self._use_counter
-        if self.cfg.replacement == "plru":
-            # walk root->leaf, pointing each node away from this way
-            bits = int(self._plru[set_idx])
-            node = 0
-            span = self.cfg.ways
-            lo = 0
-            while span > 1:
-                half = span // 2
-                if way < lo + half:
-                    bits |= 1 << node        # point right (away)
-                    node = 2 * node + 1
-                    span = half
-                else:
-                    bits &= ~(1 << node)     # point left (away)
-                    node = 2 * node + 2
-                    lo += half
-                    span = half
-            self._plru[set_idx] = bits
 
     def _victim(self, set_idx: int) -> int:
-        """Pick a victim way under the configured replacement policy."""
-        cfg = self.cfg
-        row = self._tags[set_idx]
-        invalid = np.nonzero(row == _INVALID)[0]
+        """The first invalid way, else the least recently used one."""
+        invalid = np.nonzero(self._tags[set_idx] == _INVALID)[0]
         if invalid.size:
             return int(invalid[0])
-        if cfg.replacement == "lru":
-            return int(np.argmin(self._lru[set_idx]))
-        if cfg.replacement == "plru":
-            bits = int(self._plru[set_idx])
-            node = 0
-            span = cfg.ways
-            lo = 0
-            while span > 1:
-                half = span // 2
-                if bits & (1 << node):       # pointing right
-                    node = 2 * node + 2
-                    lo += half
-                else:
-                    node = 2 * node + 1
-                span = half
-            return lo
-        # random: xorshift for speed and determinism
-        x = self._rng_state
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        self._rng_state = x
-        return x % cfg.ways
+        return int(np.argmin(self._lru[set_idx]))
 
     # -- main access path ---------------------------------------------------
 
@@ -205,11 +140,7 @@ class Cache:
             way = int(hit_ways[0])
             self._touch(set_idx, way)
             if is_store:
-                if cfg.write_back:
-                    self._dirty[set_idx, way] = True
-                else:
-                    # write-through: forward the store, don't block the core
-                    self.next_level.access(addr, start + cfg.hit_latency, True)
+                self._dirty[set_idx, way] = True
             st.hits += 1
             done = start + cfg.hit_latency
             # the tag is installed at miss time, but data arrives with the
@@ -242,16 +173,14 @@ class Cache:
 
         # victim selection & writeback
         way = self._victim(set_idx)
-        if cfg.write_back and self._dirty[set_idx, way] and self._tags[set_idx, way] != _INVALID:
+        if self._dirty[set_idx, way] and self._tags[set_idx, way] != _INVALID:
             st.writebacks += 1
             victim_addr = int(self._tags[set_idx, way]) << self._line_shift
             # writeback consumes next-level bandwidth but doesn't block the fill
             self.next_level.access(victim_addr, fill_time, True)
         self._tags[set_idx, way] = line
-        self._dirty[set_idx, way] = bool(is_store and cfg.write_back)
+        self._dirty[set_idx, way] = bool(is_store)
         self._touch(set_idx, way)
-        if is_store and not cfg.write_back:
-            self.next_level.access(addr, fill_time, True)
         return fill_time
 
     # -- introspection ------------------------------------------------------
@@ -266,7 +195,6 @@ class Cache:
         self._tags.fill(_INVALID)
         self._dirty.fill(False)
         self._lru.fill(0)
-        self._plru.fill(0)
         self._mshr.clear()
 
     def warm(self, addrs) -> None:

@@ -14,7 +14,7 @@ Known limitation: the directory observes only traffic that reaches the
 shared level.  Store *misses* fill with plain reads (not
 read-for-ownership), and store *hits* on lines a tile already holds never
 leave the L1 — so the invalidation charge fires only for writes the L1
-actually forwards (write-through mode, dirty writebacks).  The study's
+actually forwards (dirty writebacks).  The study's
 MPI workloads never share writable lines, so this path is intentionally
 inert; implement RFO fills before using the directory for shared-memory
 (OpenMP-style) workloads.
@@ -91,8 +91,3 @@ class SnoopDirectory:
         for key in list(self._sharers)[:drop]:
             self._sharers.pop(key, None)
             self._owner.pop(key, None)
-
-    def reset(self) -> None:
-        self._sharers.clear()
-        self._owner.clear()
-        self.stats.reset()

@@ -56,7 +56,6 @@ class DRAMConfig:
     data_rate_mtps: float = 2000.0  #: mega-transfers per second per pin
     channel_bits: int = 64          #: data-bus width per channel
     timings: DRAMTimings = DRAMTimings()
-    open_page: bool = True          #: open-page (row kept open) policy
     #: max in-flight requests per channel before queueing delay kicks in
     queue_depth: int = 8
 
@@ -66,6 +65,9 @@ class DRAMConfig:
                 raise ValueError(f"{name} must be positive")
         if self.data_rate_mtps <= 0 or self.channel_bits <= 0:
             raise ValueError("data rate and channel width must be positive")
+        if self.queue_depth < 1:
+            raise ValueError(
+                f"queue_depth must be at least 1, got {self.queue_depth}")
 
     @property
     def peak_bandwidth_gbps(self) -> float:
@@ -228,20 +230,20 @@ class DRAM:
                 st.refresh_stall_cycles += int(self._cRFC - since)
                 start += self._cRFC - since
                 self._open_row[bank] = -1
-        # row-buffer state machine (FR-FCFS: row hits bypass bank busy
-        # precharge serialisation but still share the data bus)
-        if self.cfg.open_page and self._open_row[bank] == row:
+        # open-page row-buffer state machine (FR-FCFS: row hits bypass
+        # bank busy precharge serialisation but still share the data bus)
+        if self._open_row[bank] == row:
             st.row_hits += 1
             ready = max(start, self._bank_ready[bank] - self._cRAS)  # CAS can overlap tRAS
             access_done = max(ready, start) + self._cCAS
+            self._bank_ready[bank] = max(self._bank_ready[bank], access_done)
         else:
             st.row_misses += 1
             ready = max(start, self._bank_ready[bank])
             pre = self._cRP if self._open_row[bank] != -1 else 0.0
             access_done = ready + pre + self._cRCD + self._cCAS
-            self._open_row[bank] = row if self.cfg.open_page else -1
-            self._bank_ready[bank] = access_done + (0.0 if self.cfg.open_page else self._cRP)
-        self._bank_ready[bank] = max(self._bank_ready[bank], access_done)
+            self._open_row[bank] = row
+            self._bank_ready[bank] = access_done
 
         # data-bus transfer (serialised per channel)
         xfer_start = self._chan_bus[chan].reserve(access_done, self._cXFER)

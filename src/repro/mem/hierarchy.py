@@ -20,6 +20,7 @@ from .cache import Cache, CacheConfig
 from .coherence import SnoopDirectory
 from .dram import DRAM, DRAMConfig
 from .llc import InterleavedLLC, RealisticLLC, SimplifiedLLC
+from .prefetch import PrefetcherConfig, StridePrefetcher
 from .tlb import TLB, TLBConfig, TwoLevelTLB
 
 __all__ = ["HierarchyConfig", "Uncore", "TilePort", "build_uncore"]
@@ -43,7 +44,6 @@ class HierarchyConfig:
     llc_simplified: bool = True      #: FireSim SRAM-like LLC vs realistic
     llc_slices: int = 1              #: one slice per memory channel
     llc_latency: int = 4             #: hit latency of the simplified LLC
-    coherence: bool = True
     core_ghz: float = 1.6
 
 
@@ -83,20 +83,14 @@ class Uncore:
             below_l2 = self.drams[0]
         self.l2 = Cache(cfg.l2, below_l2, name="l2")
         self.bus = SystemBus(cfg.bus)
-        self.directory = SnoopDirectory() if cfg.coherence else None
+        self.directory = SnoopDirectory()
         self._line = cfg.l1d.line_bytes
 
     def access(self, tile: int, addr: int, time: int, is_store: bool) -> int:
         """L1-miss path: bus -> L2 -> (LLC ->) DRAM. Returns finish time."""
         t = self.bus.transfer(time, self._line)
-        if self.directory is not None:
-            t += self.directory.observe(tile, addr // self._line, is_store)
+        t += self.directory.observe(tile, addr // self._line, is_store)
         return self.l2.access(addr, t, is_store)
-
-    @property
-    def dram(self) -> DRAM:
-        """Primary DRAM model (for stats; slice 0 when interleaved)."""
-        return self.drams[0]
 
     def dram_stats(self) -> dict[str, int]:
         return {
@@ -126,9 +120,15 @@ class _UncoreShim:
 
 
 class TilePort:
-    """Per-tile view of the hierarchy: private L1s and TLBs over the uncore."""
+    """Per-tile view of the hierarchy: private L1s and TLBs over the uncore.
 
-    def __init__(self, uncore: Uncore, tile_id: int = 0) -> None:
+    With a *prefetcher* config the port carries a stride prefetcher that
+    observes its data accesses and fills its L1D (silicon models have
+    one; FireSim's Rocket/BOOM tiles do not).
+    """
+
+    def __init__(self, uncore: Uncore, tile_id: int = 0,
+                 prefetcher: PrefetcherConfig | None = None) -> None:
         cfg = uncore.cfg
         self.uncore = uncore
         self.tile_id = tile_id
@@ -146,12 +146,8 @@ class TilePort:
             self.dtlb = TLB(cfg.dtlb, name=f"tile{tile_id}.dtlb")
         # page-table walks read through the uncore (they hit in L2 mostly)
         self._walker = lambda addr, time: uncore.l2.access(addr, time, False)
-        self.prefetcher = None
-
-    def attach_prefetcher(self, prefetcher) -> None:
-        """Attach a hardware prefetcher observing this tile's data accesses
-        (silicon models have one; FireSim's Rocket/BOOM tiles do not)."""
-        self.prefetcher = prefetcher
+        self.prefetcher = (StridePrefetcher(prefetcher, self.l1d)
+                           if prefetcher is not None else None)
 
     # -- core-facing API ------------------------------------------------------
 

@@ -61,9 +61,5 @@ class OccupancyTimeline:
         """End of the latest reservation (0.0 when empty)."""
         return self._ends[-1] if self._ends else 0.0
 
-    def clear(self) -> None:
-        self._starts.clear()
-        self._ends.clear()
-
     def __len__(self) -> int:
         return len(self._starts)

@@ -148,7 +148,7 @@ def capture_system(system) -> dict:
         "uncore": {
             "l2": _grab(unc.l2),
             "bus": _grab(unc.bus),
-            "directory": _grab(unc.directory) if unc.directory else None,
+            "directory": _grab(unc.directory),
             "drams": [_grab(d) for d in unc.drams],
             "llc": ([_grab(s) for s in unc.llc.slices]
                     if unc.llc is not None else None),
@@ -179,10 +179,7 @@ def restore_system(system, state: dict) -> None:
     ustate = state["uncore"]
     _apply(unc.l2, ustate["l2"])
     _apply(unc.bus, ustate["bus"])
-    if (ustate["directory"] is None) != (unc.directory is None):
-        raise CheckpointError("coherence directory presence mismatch")
-    if ustate["directory"] is not None:
-        _apply(unc.directory, ustate["directory"])
+    _apply(unc.directory, ustate["directory"])
     if len(ustate["drams"]) != len(unc.drams):
         raise CheckpointError(
             f"checkpoint has {len(ustate['drams'])} DRAM channels, system "

@@ -139,13 +139,6 @@ class FaultPlan:
                 faults.append(Fault.parse(line))
         return cls(tuple(faults), seed=seed)
 
-    @classmethod
-    def of(cls, faults: Iterable[Fault], seed: int = 0) -> "FaultPlan":
-        return cls(tuple(faults), seed=seed)
-
-    def __iter__(self) -> Iterator[Fault]:
-        return iter(self.faults)
-
     def __len__(self) -> int:
         return len(self.faults)
 

@@ -9,10 +9,9 @@ benchmarking harness — run, get seconds — not like a simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.trace import Trace
-from ..smpi.runtime import RankResult, run_mpi
 from ..soc.config import SoCConfig
 from ..soc.presets import BANANA_PI_HW, MILKV_HW
 from ..soc.system import System
@@ -28,7 +27,6 @@ class Measurement:
     seconds: float
     cycles: int
     instructions: int = 0
-    ranks: list[RankResult] = field(default_factory=list)
 
     def __str__(self) -> str:
         return f"[{self.platform}] {self.seconds * 1e3:.3f} ms"
@@ -46,9 +44,6 @@ class Board:
         self.config = config
         self.system = System(config)
 
-    def reset(self) -> None:
-        self.system = System(self.config)
-
     def time_trace(self, trace: Trace, warmup: bool = True) -> Measurement:
         """Time a single-core kernel (with a warmup pass, as `perf` runs do)."""
         if warmup:
@@ -60,19 +55,6 @@ class Board:
             cycles=result.cycles,
             instructions=result.instructions,
         )
-
-    def time_mpi(self, nranks: int, program) -> Measurement:
-        """Time an MPI program (mpiexec-style)."""
-        results = run_mpi(self.system, nranks, program)
-        cycles = max(r.cycles for r in results)
-        m = Measurement(
-            platform=self.config.name,
-            seconds=cycles / (self.config.core_ghz * 1e9),
-            cycles=cycles,
-            instructions=sum(r.instructions for r in results),
-        )
-        m.ranks = results
-        return m
 
 
 def banana_pi() -> Board:

@@ -6,9 +6,8 @@ runtime, which resumes it with the operation's result (received payload for
 ``Recv``/``SendRecv``).  The :class:`Comm` facade wraps the primitives and
 implements the collective algorithms MPI libraries actually use:
 
-* broadcast — binomial tree,
-* reduce / allreduce — recursive doubling (power-of-two ranks) with real
-  payload combination,
+* allreduce — recursive doubling (power-of-two ranks) with real payload
+  combination,
 * barrier — dissemination,
 * allgather — ring,
 * alltoall — pairwise exchange.
@@ -129,25 +128,6 @@ class Comm:
             step <<= 1
             round_ += 1
 
-    def bcast(self, payload: Any, root: int = 0, tag: int = 7100) -> Program:
-        """Binomial-tree broadcast; every rank returns the payload."""
-        p = self.size
-        vrank = (self.rank - root) % p
-        mask = 1
-        # receive phase: find the bit where we get the data
-        while mask < p:
-            if vrank & mask:
-                payload = yield Recv(((vrank - mask) + root) % p, tag)
-                break
-            mask <<= 1
-        # send phase: forward to children
-        mask >>= 1
-        while mask:
-            if vrank + mask < p:
-                yield Send(((vrank + mask) + root) % p, payload, tag)
-            mask >>= 1
-        return payload
-
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None,
                   tag: int = 7200) -> Program:
         """Recursive-doubling allreduce (with a fold-in step for non-powers
@@ -179,25 +159,6 @@ class Comm:
             mask <<= 1
         if r < 2 * rem:
             yield Send(r + 1, value, tag + 99)
-        return value
-
-    def reduce(self, value: Any, root: int = 0,
-               op: Callable[[Any, Any], Any] | None = None,
-               tag: int = 7300) -> Program:
-        """Binomial-tree reduction to *root* (returns None elsewhere)."""
-        if op is None:
-            op = _add
-        p = self.size
-        vrank = (self.rank - root) % p
-        mask = 1
-        while mask < p:
-            if vrank & mask:
-                yield Send(((vrank - mask) + root) % p, value, tag)
-                return None
-            if vrank + mask < p:
-                other = yield Recv(((vrank + mask) + root) % p, tag)
-                value = op(value, other)
-            mask <<= 1
         return value
 
     def allgather(self, value: Any, tag: int = 7400) -> Program:

@@ -49,9 +49,6 @@ class RankResult:
     bytes_sent: int = 0
     value: Any = None           #: the program's return value
 
-    def seconds(self, ghz: float) -> float:
-        return self.cycles / (ghz * 1e9)
-
 
 _READY, _BLOCKED, _DONE = 0, 1, 2
 

@@ -37,7 +37,6 @@ __all__ = [
     "WithPrefetcher",
     "WithoutPrefetcher",
     "WithVectorUnit",
-    "WithReplacement",
 ]
 
 #: a fragment maps one SoCConfig to a modified one
@@ -177,19 +176,5 @@ def WithVectorUnit(v: VectorConfig | None = None) -> Fragment:
         return dataclasses.replace(
             cfg, inorder=dataclasses.replace(cfg.inorder,
                                              vector=v or VectorConfig()))
-
-    return frag
-
-
-def WithReplacement(policy: str) -> Fragment:
-    """Set the replacement policy of both L1s ("lru", "plru", "random")."""
-
-    def frag(cfg: SoCConfig) -> SoCConfig:
-        h = cfg.hierarchy
-        return _hier(
-            cfg,
-            l1d=dataclasses.replace(h.l1d, replacement=policy),
-            l1i=dataclasses.replace(h.l1i, replacement=policy),
-        )
 
     return frag

@@ -24,7 +24,6 @@ from ..core.inorder import InOrderCore
 from ..core.ooo import OoOCore
 from ..isa.trace import Trace
 from ..mem.hierarchy import TilePort, Uncore
-from ..mem.prefetch import StridePrefetcher
 from .config import BranchPredictorConfig, SoCConfig
 from .tokens import LockstepScheduler
 
@@ -54,10 +53,6 @@ class Tile:
     tile_id: int
     core: InOrderCore | OoOCore
     port: TilePort
-
-    @property
-    def local_time(self) -> int:
-        return self.core.local_time
 
     def run(self, trace: Trace) -> CoreResult:
         return self.core.run(trace)
@@ -195,9 +190,7 @@ class System:
         self.instrument = None
         self.tiles: list[Tile] = []
         for i in range(cfg.ncores):
-            port = TilePort(self.uncore, tile_id=i)
-            if cfg.prefetcher is not None:
-                port.attach_prefetcher(StridePrefetcher(cfg.prefetcher, port.l1d))
+            port = TilePort(self.uncore, tile_id=i, prefetcher=cfg.prefetcher)
             bru = build_branch_unit(cfg.branch)
             if cfg.core_type == "inorder":
                 assert cfg.inorder is not None

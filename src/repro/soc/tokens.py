@@ -44,14 +44,6 @@ class TokenChannel:
         self._consumed = 0
 
     @property
-    def produced(self) -> int:
-        return self._produced
-
-    @property
-    def consumed(self) -> int:
-        return self._consumed
-
-    @property
     def occupancy(self) -> int:
         return self._produced - self._consumed
 

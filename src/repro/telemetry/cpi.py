@@ -55,10 +55,6 @@ class CPIStack:
     def cpi(self) -> float:
         return self.cycles / self.instructions if self.instructions else 0.0
 
-    def share(self, bucket: str) -> float:
-        """Fraction of all cycles attributed to *bucket*."""
-        return self.buckets[bucket] / self.cycles if self.cycles else 0.0
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "tile": self.tile,

@@ -72,9 +72,6 @@ class Snapshot:
     def __getitem__(self, key: str) -> Any:
         return self.data[key]
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.data.get(key, default)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Snapshot) and self.data == other.data
 
@@ -174,8 +171,7 @@ class StatsRegistry:
             "bus": _dump(uncore.bus.stats),
             "llc": ([_dump(s.stats) for s in uncore.llc.slices]
                     if uncore.llc is not None else None),
-            "coherence": (_dump(uncore.directory.stats)
-                          if uncore.directory is not None else None),
+            "coherence": _dump(uncore.directory.stats),
             "dram": [_dump(d.stats) for d in uncore.drams],
         }
 

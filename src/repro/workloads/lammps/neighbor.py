@@ -23,9 +23,6 @@ class NeighborList:
         self.cutoff = cutoff
         self.skin = skin
 
-    def __len__(self) -> int:
-        return len(self.i)
-
     def filter_within(self, pos: np.ndarray, box: float,
                       rc: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pairs currently within *rc* plus their minimum-image vectors."""

@@ -24,10 +24,6 @@ class _BranchPattern(MicroKernel):
     default_ops = 30_000
     body_alu = 3
 
-    def taken(self, i: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Outcome of the studied branch in each iteration *i*."""
-        raise NotImplementedError
-
     def build(self, scale: float = 1.0, seed: int = 0) -> Trace:
         rng = np.random.default_rng(seed)
         n = self.iters(self.default_ops // (self.body_alu + 3), scale)

@@ -54,10 +54,6 @@ class AddressSpace:
         self._next = base + nbytes
         return base
 
-    def array(self, arr: np.ndarray) -> int:
-        """Reserve space for an ndarray; returns its base address."""
-        return self.alloc(arr.nbytes)
-
     def addrs(self, base: int, index: np.ndarray, itemsize: int = 8) -> np.ndarray:
         """Element addresses for integer indices into an array at *base*."""
         return (base + index.astype(np.int64) * itemsize).astype(np.uint64)

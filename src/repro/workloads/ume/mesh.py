@@ -58,15 +58,6 @@ class UnstructuredMesh:
     def ncorners(self) -> int:
         return self.corner_zone.shape[0]
 
-    def entity_counts(self) -> dict[str, int]:
-        return {
-            "zones": self.nzones,
-            "points": self.npoints,
-            "faces": self.nfaces,
-            "edges": self.nedges,
-            "corners": self.ncorners,
-        }
-
     def zone_adjacency(self):
         """Zone-adjacency graph (zones connected through shared faces).
 

@@ -5,9 +5,9 @@ accel="off"``; this file drives the places the presets rarely reach — the
 tail-appended timelines, the MSHR/in-flight high-water marks, the
 per-set cache mirrors, the inlined TLB probe, the classified engine loop
 across chunk boundaries — and compares not just results but the state
-written back to the reference objects (tags, dirty bits, LRU stamps, PLRU
-bits, MSHR dicts, every timeline's ``_starts``/``_ends``, DRAM in-flight
-queues, TLB sets), value for value and type for type.
+written back to the reference objects (tags, dirty bits, LRU stamps, MSHR
+dicts, every timeline's ``_starts``/``_ends``, DRAM in-flight queues, TLB
+sets), value for value and type for type.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.accel.engine import attach_port
 from repro.accel.stats import global_stats
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import TraceBuilder
-from repro.mem.prefetch import PrefetcherConfig, StridePrefetcher
+from repro.mem.prefetch import PrefetcherConfig
 from repro.mem.tlb import TLBConfig
 from repro.reliability.checkpoint import _digest_update, capture_system
 from repro.soc.presets import get_config
@@ -96,44 +96,26 @@ def _hier(**changes):
     return apply
 
 
-def _l2_prefetcher(system):
-    for tile in system.tiles:
-        tile.port.attach_prefetcher(StridePrefetcher(
-            PrefetcherConfig(table_entries=8, degree=2), system.uncore.l2))
-
-
-#: name -> (config transform, post-construction hook)
+#: name -> config transform
 VARIANTS = {
-    "preset": (lambda cfg: cfg, None),
-    "write_through_l1": (_hier(l1d={"write_back": False}), None),
-    "plru": (_hier(l1d={"replacement": "plru"}, l1i={"replacement": "plru"},
-                   l2={"replacement": "plru"}), None),
-    "random": (_hier(l1d={"replacement": "random"},
-                     l2={"replacement": "random"}), None),
-    "banked_l1_cycle2": (_hier(l1d={"banks": 4, "cycle_time": 2},
-                               l1i={"banks": 2, "cycle_time": 2}), None),
-    "cycle_time0": (_hier(l1d={"cycle_time": 0}, l2={"cycle_time": 0}), None),
-    "tiny_mshrs": (_hier(l1d={"mshrs": 1}, l2={"mshrs": 2}), None),
+    "preset": lambda cfg: cfg,
+    "banked_l1_cycle2": _hier(l1d={"banks": 4, "cycle_time": 2},
+                              l1i={"banks": 2, "cycle_time": 2}),
+    "cycle_time0": _hier(l1d={"cycle_time": 0}, l2={"cycle_time": 0}),
+    "tiny_mshrs": _hier(l1d={"mshrs": 1}, l2={"mshrs": 2}),
     # enough misses in flight to fill and drain the DRAM channel queues
-    "many_mshrs": (_hier(l1d={"mshrs": 16}, l2={"mshrs": 32}), None),
-    "no_coherence": (_hier(coherence=False), None),
-    "two_level_tlb": (_hier(l2_tlb_entries=64), None),
-    "set_assoc_tlb": (_hier(dtlb=TLBConfig(entries=16, assoc=4),
-                            itlb=TLBConfig(entries=8, assoc=2)), None),
-    "prefetch_l1d": (lambda cfg: cfg.with_(
-        prefetcher=PrefetcherConfig(table_entries=8, degree=2)), None),
-    "prefetch_l2": (lambda cfg: cfg, _l2_prefetcher),
+    "many_mshrs": _hier(l1d={"mshrs": 16}, l2={"mshrs": 32}),
+    "two_level_tlb": _hier(l2_tlb_entries=64),
+    "set_assoc_tlb": _hier(dtlb=TLBConfig(entries=16, assoc=4),
+                           itlb=TLBConfig(entries=8, assoc=2)),
+    "prefetch_l1d": lambda cfg: cfg.with_(
+        prefetcher=PrefetcherConfig(table_entries=8, degree=2)),
 }
 
 
 def _pair_of_systems(variant, base="BananaPiSim"):
-    transform, hook = VARIANTS[variant]
-    cfg = transform(get_config(base))
-    systems = System(cfg.with_(accel="off")), System(cfg.with_(accel="on"))
-    if hook is not None:
-        for system in systems:
-            hook(system)
-    return systems
+    cfg = VARIANTS[variant](get_config(base))
+    return System(cfg.with_(accel="off")), System(cfg.with_(accel="on"))
 
 
 def _stream_monotone_then_early():

@@ -71,17 +71,9 @@ def test_folded_registers_match_reference(num_tables, table_bits, tag_bits,
     assert vars(acc).keys() == vars(ref).keys()  # nothing cached on it
 
 
-class _InvertedBHT(BimodalBHT):
-    """A subclass the mirror does not know: it must fall back to the
-    object's own ``predict``/``update``."""
-
-    def predict(self, pc: int) -> bool:
-        return not super().predict(pc)
-
-
 @pytest.mark.parametrize("make", [
-    lambda: BimodalBHT(64), lambda: GShare(128, hist_bits=7),
-    lambda: _InvertedBHT(64)], ids=["bimodal", "gshare", "subclass"])
+    lambda: BimodalBHT(64), lambda: GShare(128, hist_bits=7)],
+    ids=["bimodal", "gshare"])
 def test_predict_update_is_predict_then_update(make):
     ref, acc = make(), make()
     predict_update, detach = _mirror_direction(acc)

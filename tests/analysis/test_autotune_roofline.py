@@ -1,16 +1,10 @@
-"""Tests for the autotuner and the roofline analysis."""
-
-import pytest
+"""Tests for the autotuner."""
 
 from repro.analysis.autotune import ROCKET_KNOBS, autotune
-from repro.analysis.roofline import machine_roofs, roofline_point
 from repro.soc import BANANA_PI_HW, LARGE_BOOM, MILKV_HW, ROCKET1, WithVectorUnit
-from repro.workloads.microbench import get_kernel
 
 KERNELS = ["EI", "ED1", "MD", "MM"]
 
-
-# ------------------------------------------------------------ autotune
 
 def test_autotune_never_worsens():
     r = autotune(ROCKET1, BANANA_PI_HW, kernels=KERNELS, scale=0.1)
@@ -39,57 +33,3 @@ def test_autotune_summary_renders():
     r = autotune(ROCKET1, BANANA_PI_HW, kernels=["EI"], scale=0.05)
     assert "autotuned" in r.summary()
     assert r.evaluations >= 1
-
-
-# ------------------------------------------------------------ roofline
-
-def test_machine_roofs_values():
-    roofs = machine_roofs(ROCKET1)
-    # 4 cores x 1 FP/cycle x 1.6 GHz = 6.4 GFLOP/s; DDR3-2000 = 16 GB/s
-    assert roofs.peak_gflops == pytest.approx(6.4)
-    assert roofs.peak_gbytes == pytest.approx(16.0)
-    assert roofs.ridge_intensity == pytest.approx(0.4)
-    assert roofs.attainable_gflops(0.1) == pytest.approx(1.6)
-    assert roofs.attainable_gflops(100.0) == pytest.approx(6.4)
-
-
-def test_cache_resident_kernel_is_compute_bound():
-    t = get_kernel("EF").build(scale=0.1)  # independent FMAs, tiny footprint
-    p = roofline_point(ROCKET1, t, kernel="EF")
-    assert p.bound == "compute"
-    assert p.intensity > 10
-    assert 0 < p.achieved_gflops <= p.attainable_gflops * 1.05
-
-
-def test_dram_kernel_is_memory_bound():
-    # a streaming FMA over a DRAM-sized footprint: 1 FLOP per 64B line
-    import numpy as np
-
-    from repro.isa.opcodes import OpClass
-    from repro.isa.trace import TraceBuilder
-
-    b = TraceBuilder()
-    for i in range(3000):
-        b.load(40, 0x400_0000 + i * 64)
-        b.fp(OpClass.FP_FMA, 44, 40, 41)
-    t = b.build()
-    t.pc[:] = 0x1_0000 + (np.arange(len(t), dtype=np.uint64) % 64) * 4
-    p = roofline_point(ROCKET1, t, kernel="stream-fma", warmup=False)
-    assert p.bound == "memory"
-    assert p.intensity < 0.4
-    assert p.achieved_gflops < p.attainable_gflops
-
-
-def test_zero_flop_kernel_degenerates_gracefully():
-    t = get_kernel("MM").build(scale=0.1)  # pointer chase: no FLOPs
-    p = roofline_point(ROCKET1, t, kernel="MM", warmup=False)
-    assert p.achieved_gflops == 0.0
-    assert p.intensity == 0.0
-    assert p.efficiency == 0.0
-
-
-def test_rooflines_differ_between_platforms():
-    hw = machine_roofs(BANANA_PI_HW)
-    sim = machine_roofs(ROCKET1)
-    assert hw.peak_gflops > sim.peak_gflops   # dual-issue
-    assert hw.peak_gbytes > sim.peak_gbytes   # LPDDR4 vs DDR3

@@ -207,21 +207,6 @@ def test_cache_put_cleans_tmp_on_write_failure(tmp_path, monkeypatch):
     assert cache.get(key) is None               # and no entry either
 
 
-def test_cache_sweep_collects_killed_writer_orphans(tmp_path):
-    cache = ResultCache(tmp_path)
-    job = _job()
-    key = cache_key(job)
-    cache.put(key, job, {"cycles": 7})
-    # a writer killed between mkstemp and replace leaves this behind
-    orphan = tmp_path / key[:2] / "tmpdead.tmp"
-    orphan.write_text("{\"truncat")
-    assert cache.sweep_orphans(max_age_s=1e9) == 0  # too young: kept
-    assert orphan.exists()
-    assert cache.sweep_orphans(max_age_s=0) == 1
-    assert not orphan.exists()
-    assert cache.get(key) == {"cycles": 7}  # real entry untouched
-
-
 def test_torn_cache_entry_quarantined_and_rerun(tmp_path):
     cache = ResultCache(tmp_path)
     job = _job()

@@ -1,10 +1,15 @@
-"""Config and job identity must not move.
+"""Config and job identity must not move by accident.
 
-Every value below was computed at the commit before the memoized
+The values below were first computed before the memoized
 ``repro.soc.config.config_identity`` replaced the four
-``dataclasses.asdict(<config>)`` sites: result caches, shared stores and
-checkpoints written by older code keep hitting and restoring only while
-these keys and digests stay what they were.
+``dataclasses.asdict(<config>)`` sites, and moved exactly once since:
+when ``CacheConfig.replacement``/``.write_back``,
+``DRAMConfig.open_page`` and ``HierarchyConfig.coherence`` were deleted,
+every config tree lost those four keys.  Older result-cache and store
+entries then miss and older checkpoints are refused by their config
+fingerprint (``tests/reliability/test_identity_move.py``).  Otherwise,
+caches, stores and checkpoints keep hitting and restoring only while
+these keys and digests stay what they are.
 """
 
 import dataclasses
@@ -17,24 +22,24 @@ from repro.soc import config as soc_config
 from repro.soc.config import config_digest, config_identity, config_tree
 
 GOLDEN_KEYS = {
-    "kernel": "126cf6ee50510514a07eb5d55fc8b5d0142bcf058c584e7fd4fa7099b06f9967",
-    "kernel_plain": "e8146ae6f3b2280f020a5680c61a20d9ce866f64464289244ef695e640f3f007",
-    "sweep": "928a5a9d12af5355644b0563d2be538cc6a3958541ead44979b4ae86e5fe403a",
-    "npb": "a583ad19bd3a8939bc6324720c7f43fb354f3fdd0adb95e5d8855c2cd0db26d8",
-    "checkprog": "1d5bfe67a7bb5f29df82a905515f1824ecce2fde99f26fc351706763db52fcb4",
+    "kernel": "374d65ca4791e523385307f22e9f302c4f514b6651f23582c50876787093cbf3",
+    "kernel_plain": "1b171b0f87e1e1329669f93c988e4465637e47b14edba9ae148d954a15bf14bb",
+    "sweep": "5a11e2350dfb02eb620d8886f833d408c661e2da851906626e53df37081dc2b3",
+    "npb": "74588965d3da80a400a3b179289a9e2cd50020a67edfb917170a0478421e435e",
+    "checkprog": "07010a1fc0dff13acef892a7f688ddc87db57e8d3bdf7301c778cbe09063b5bf",
 }
 
 GOLDEN_DIGESTS = {
-    "BananaPi-K1": "56a135b5a154b99431c3582c0192f5b3dc003bf0c61a73ef1d9fc1885feb76ff",
-    "BananaPiSim": "ef586ff41aa7a148ee5218c8989790dcb3b12cc834a8696e9a1e65cfb623ba49",
-    "FastBananaPiSim": "29a175ed0077a0562fec5de82cf33a47ae7fb31305185c696e34626a8f63b21e",
-    "LargeBOOM": "ed438d3cbf241d75cc70d343e6ea101cc6b797ce41a66096b6109309d59a9cca",
-    "MILKV-SG2042": "bd0eb4d9c916ca39d4e7f9a5ebc8ebeff768147947d5b4cdf94859ae55878ecc",
-    "MILKVSim": "c42d63ede10e22a30f2f58c441bf109ee86a983311d0090dc496d6f91a65710b",
-    "MediumBOOM": "0d79a9ed15bf3a2cefb2b1097ae4be9ff206f4bf4d2094d33cb17bacaffc6d83",
-    "Rocket1": "734ff4aac87c33ac1d7501e175688c845f0f7640d7b27458c1bebf361e3cc50e",
-    "Rocket2": "78dc0582ef12335a5793d59b6e32dddaf9685e5c2165b869eadc71ae17ac51eb",
-    "SmallBOOM": "22f96466ab05592ca62ebfe2a60f425e9fa392fbe4f71c15f653c536bc0dd0d9",
+    "BananaPi-K1": "053727cb109cc05187b2aa32e0104127a69bb1fc20385736408c8c77fe786b31",
+    "BananaPiSim": "1798e5964e97432e512205b27485a1c73cab3ceeb5e1bb78941f4f08e369e575",
+    "FastBananaPiSim": "bef70a8c3febd5cbff3108ce364293d4e0794a0964222b432b491789b6da7f30",
+    "LargeBOOM": "48452ba56080aa0c6edb40ded5d8ebe8803750b38b7cecea01a58305a21dc176",
+    "MILKV-SG2042": "db5cec886ad93618a6576cf23a8da39e4c482c6099b5c8b039e524157c2e5dcf",
+    "MILKVSim": "c280089b40668f3f31c85c23194cacdf9c7a2948a914590ed3e2a8870ffc002b",
+    "MediumBOOM": "8f13ee9b26b9e57a07aab672d17ff453d95c3e592b12e8a6547bfff610e90827",
+    "Rocket1": "2f75a6c95fc9e08aa48b5857b79aad7da32bc39ad513485c9fb94593288e7b02",
+    "Rocket2": "bdd6faa938e4b80c29760eccd42457342fcca6c13905a4f98c767fb4cb071cf6",
+    "SmallBOOM": "67697831c290927ca7f95c8634393fb866edd3c734432593e0dbb606b029fd6c",
 }
 
 
@@ -86,19 +91,19 @@ def test_equal_configs_of_different_types_keep_their_own_identity():
     assert as_int == as_float and hash(as_int) == hash(as_float)
     for _ in range(2):      # derived, then memoized, in either order
         assert config_digest(as_float) == (
-            "637ef7269c5fdbb6b25d0ea689ad13faf99892d8cfef6b2935e6ef5a0ed4c73b")
+            "e9ae9854baef64ce9000d4478220703759ca9923a2c2c4c770df2d7f3f134a62")
         assert config_digest(as_int) == (
-            "21dbf40ab5492b544cc84d9c9b188c5d926700d9586dcce8d92994de57201257")
+            "7d38b6e31b99fbe4785d889a2785275587a4ef37b6c5bd938e738a1170e045de")
         assert cache_key(Job.kernel(as_float, "EI", scale=0.05)) == (
-            "0a6e5089fb1f8d920cc0c495fe49e593ab759dc96992d4e549d648fba67b8695")
+            "1a9a32a3d7a46e97d76e7355f80a5c92104bfcf87e2b7171df031153c927017a")
         assert cache_key(Job.kernel(as_int, "EI", scale=0.05)) == (
-            "da4bbff32f690952bb5cdf1450af4ea4b68d6fe25859f061e15ff54ba0bf74c7")
+            "00228bcb912f94c27b304f0550195f5cf185b63bd56e2c56e7dbab6ff9fa4cbb")
     flag_int, flag_bool = (ROCKET1.with_(is_silicon=0),
                            ROCKET1.with_(is_silicon=False))
     assert flag_int == flag_bool
     assert config_digest(flag_bool) == GOLDEN_DIGESTS["Rocket1"]
     assert config_digest(flag_int) == (
-        "1b96d0769c5428f0174bb5cbad10d602ab49f9077370127e7fb68848d5444a96")
+        "f098b2afa38891085cd524f9f7ba0b4eb54c1e99d1af32178e65745037501605")
 
 
 def test_mutating_a_described_tree_does_not_move_the_key():

@@ -95,16 +95,6 @@ def test_board_time_trace():
     assert "BananaPi-K1" in str(m)
 
 
-def test_board_time_mpi():
-    def program(comm: Comm):
-        yield from comm.compute(small_trace())
-        return comm.rank
-
-    m = milkv_pioneer().time_mpi(2, program)
-    assert m.seconds > 0
-    assert [r.value for r in m.ranks] == [0, 1]
-
-
 # ------------------------------------------------- assembled code end-to-end
 
 def test_assembled_program_through_firesim():

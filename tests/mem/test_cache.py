@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.mem.cache import Cache, CacheConfig, MemoryPort
+from repro.mem.cache import Cache, CacheConfig
+
+from ..conftest import MemoryPort
 
 
 def make(sets=4, ways=2, latency=100, **kw):
@@ -80,15 +82,6 @@ def test_clean_eviction_no_writeback():
     c, mem = make(sets=1, ways=1)
     c.access(0, 0)
     c.access(64, 10_000)
-    assert c.stats.writebacks == 0
-
-
-def test_write_through_store_forwards():
-    c, mem = make(write_back=False)
-    t = c.access(0x2000, 0)           # load fill
-    base = mem.accesses
-    c.access(0x2000, t, is_store=True)  # store hit forwards to memory
-    assert mem.accesses == base + 1
     assert c.stats.writebacks == 0
 
 

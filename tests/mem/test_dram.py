@@ -1,5 +1,7 @@
 """Unit tests for the DRAM timing models."""
 
+import dataclasses
+
 import pytest
 
 from repro.mem.dram import (
@@ -112,6 +114,29 @@ def test_config_validation():
         DRAMConfig(data_rate_mtps=-1)
     with pytest.raises(ValueError):
         DRAM(DDR3_2000_QUAD_RANK, core_ghz=0)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_queue_depth_below_one_is_rejected(depth):
+    """``queue_depth=0`` used to construct: the reference then indexed
+    an empty list (``live[-0]``) while the engine ran on."""
+    with pytest.raises(ValueError, match="queue_depth"):
+        DRAMConfig(queue_depth=depth)
+    with pytest.raises(ValueError, match="queue_depth"):
+        dataclasses.replace(LPDDR4_2666_DUAL, queue_depth=depth)
+
+
+def test_queue_depth_one_runs_the_same_on_both_engines():
+    from repro.soc import BANANA_PI_SIM, System
+    from repro.workloads.microbench import get_kernel
+
+    h = BANANA_PI_SIM.hierarchy
+    cfg = BANANA_PI_SIM.with_(hierarchy=dataclasses.replace(
+        h, dram=dataclasses.replace(h.dram, queue_depth=1)))
+    trace = get_kernel("MM").build(scale=0.05, seed=0)
+    off = System(cfg.with_(accel="off")).run(trace)
+    on = System(cfg.with_(accel="on")).run(trace)
+    assert dataclasses.asdict(on) == dataclasses.asdict(off)
 
 
 def test_scale_to_frequency():

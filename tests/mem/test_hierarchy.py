@@ -73,7 +73,7 @@ def test_page_walk_reads_through_l2():
 
 
 def test_two_tiles_share_l2_contents():
-    u = build_uncore(small_cfg(coherence=False))
+    u = build_uncore(small_cfg())
     a = TilePort(u, tile_id=0)
     b = TilePort(u, tile_id=1)
     t = a.dload(0x7000, 0)
@@ -86,11 +86,11 @@ def test_directory_tracks_cross_tile_sharing():
     """The snoop directory records which tiles installed each line.
 
     Store *timing* effects are priced only for writes that reach the
-    shared level (write-through forwards and dirty writebacks) — store
+    shared level (dirty writebacks) — store
     misses fill with plain reads, not RFOs; see the documented limitation
     in repro.mem.coherence.  The paper's MPI workloads never share lines,
     so the inert path is intentional."""
-    u = build_uncore(small_cfg(coherence=True))
+    u = build_uncore(small_cfg())
     a = TilePort(u, tile_id=0)
     b = TilePort(u, tile_id=1)
     t = a.dload(0x8000, 0)

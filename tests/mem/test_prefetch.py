@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.mem.cache import Cache, CacheConfig, MemoryPort
+from repro.mem.cache import Cache, CacheConfig
 from repro.mem.prefetch import PrefetcherConfig, StridePrefetcher
+
+from ..conftest import MemoryPort
 
 
 def make(degree=2, table=16):

@@ -1,23 +1,20 @@
-"""Replacement-policy tests: exact LRU vs tree-PLRU vs random."""
+"""Replacement tests: exact LRU fills invalid ways first."""
 
-import numpy as np
-import pytest
+from repro.mem.cache import Cache, CacheConfig
 
-from repro.mem.cache import Cache, CacheConfig, MemoryPort
+from ..conftest import MemoryPort
 
 
-def make(replacement, sets=1, ways=4):
-    return Cache(CacheConfig(sets=sets, ways=ways, replacement=replacement),
-                 MemoryPort(latency=50))
+def make(sets=1, ways=4):
+    return Cache(CacheConfig(sets=sets, ways=ways), MemoryPort(latency=50))
 
 
 def lines(*idx):
     return [i * 64 for i in idx]
 
 
-@pytest.mark.parametrize("policy", ["lru", "plru", "random"])
-def test_hits_work_under_every_policy(policy):
-    c = make(policy)
+def test_hits_after_cold_fill():
+    c = make()
     t = 0
     for a in lines(0, 1, 2, 3):
         t = c.access(a, t) + 1
@@ -27,69 +24,10 @@ def test_hits_work_under_every_policy(policy):
     assert c.stats.misses == 4
 
 
-def test_plru_requires_pow2_ways():
-    with pytest.raises(ValueError):
-        CacheConfig(ways=3, replacement="plru")
-    with pytest.raises(ValueError):
-        CacheConfig(replacement="fifo")
-
-
 def test_invalid_ways_filled_first():
-    for policy in ("lru", "plru", "random"):
-        c = make(policy)
-        t = 0
-        for a in lines(0, 1, 2, 3):
-            t = c.access(a, t) + 1
-        # all four distinct lines resident: no early eviction
-        assert c.resident_lines() == 4, policy
-
-
-def test_plru_victim_is_not_recently_used():
-    c = make("plru", ways=4)
+    c = make()
     t = 0
     for a in lines(0, 1, 2, 3):
         t = c.access(a, t) + 1
-    # touch 0 and 1 again: the PLRU tree now points at the 2/3 half
-    t = c.access(lines(0)[0], t) + 1
-    t = c.access(lines(1)[0], t) + 1
-    t = c.access(lines(9)[0], t) + 1  # forces an eviction
-    assert c.contains(0) and c.contains(64)  # the recently-used pair survives
-
-
-def test_plru_approximates_lru_on_scans():
-    """On a cyclic scan over ways+1 lines, both LRU and PLRU thrash."""
-    results = {}
-    for policy in ("lru", "plru"):
-        c = make(policy, ways=4)
-        t = 0
-        for rep in range(10):
-            for a in lines(0, 1, 2, 3, 4):
-                t = c.access(a, t) + 1
-        results[policy] = c.stats.misses
-    assert results["lru"] == 50          # LRU thrashes completely
-    assert results["plru"] >= 30         # PLRU mostly thrashes too
-
-
-def test_random_policy_deterministic_per_instance():
-    def run():
-        c = make("random", ways=4)
-        t = 0
-        for rep in range(6):
-            for a in lines(0, 1, 2, 3, 4, 5):
-                t = c.access(a, t) + 1
-        return c.stats.misses
-
-    assert run() == run()
-
-
-def test_random_breaks_pathological_scan():
-    """Random replacement keeps *some* hits on a ways+1 cyclic scan where
-    exact LRU gets zero — the classic argument for it."""
-    lru_c, rnd_c = make("lru", ways=4), make("random", ways=4)
-    t = 0
-    for rep in range(20):
-        for a in lines(0, 1, 2, 3, 4):
-            t = lru_c.access(a, t) + 1
-            t = rnd_c.access(a, t) + 1
-    assert lru_c.stats.hits == 0
-    assert rnd_c.stats.hits > 5
+    # all four distinct lines resident: no early eviction
+    assert c.resident_lines() == 4

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.mem.bus import BusConfig, SystemBus
-from repro.mem.cache import MemoryPort
 from repro.mem.coherence import SnoopDirectory
 from repro.mem.llc import InterleavedLLC, RealisticLLC, SimplifiedLLC, make_llc_slices
 from repro.mem.tlb import TLB, TLBConfig, TwoLevelTLB
+
+from ..conftest import MemoryPort
 
 
 # ---------------------------------------------------------------- TLB

@@ -46,29 +46,6 @@ def test_allreduce_sum_matches_numpy(nranks):
 
 
 @pytest.mark.parametrize("nranks", [2, 3, 4])
-@pytest.mark.parametrize("root", [0, 1])
-def test_bcast_delivers_everywhere(nranks, root):
-    def program(comm: Comm):
-        data = {"x": 42} if comm.rank == root else None
-        data = yield from comm.bcast(data, root=root)
-        return data
-
-    for r in run_mpi(System(ROCKET1), nranks, program):
-        assert r.value == {"x": 42}
-
-
-@pytest.mark.parametrize("nranks", [2, 4])
-def test_reduce_to_root(nranks):
-    def program(comm: Comm):
-        return (yield from comm.reduce(np.array([comm.rank + 1.0]), root=0))
-
-    results = run_mpi(System(ROCKET1), nranks, program)
-    assert np.allclose(results[0].value, sum(range(1, nranks + 1)))
-    for r in results[1:]:
-        assert r.value is None
-
-
-@pytest.mark.parametrize("nranks", [2, 3, 4])
 def test_allgather_order(nranks):
     def program(comm: Comm):
         return (yield from comm.allgather(comm.rank * 10))

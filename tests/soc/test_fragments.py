@@ -20,7 +20,6 @@ from repro.soc import (
     WithoutLLC,
     WithoutPrefetcher,
     WithPrefetcher,
-    WithReplacement,
     WithVectorUnit,
     compose,
 )
@@ -76,13 +75,6 @@ def test_with_vector_unit_inorder_only():
         compose(LARGE_BOOM, WithVectorUnit())
 
 
-def test_with_replacement():
-    cfg = compose(ROCKET1, WithReplacement("plru"))
-    assert cfg.hierarchy.l1d.replacement == "plru"
-    with pytest.raises(ValueError):
-        compose(ROCKET1, WithReplacement("fifo"))
-
-
 def test_fragments_leave_base_untouched():
     compose(ROCKET1, WithL2Banks(16), WithBusWidth(256), WithCores(1))
     assert ROCKET1.hierarchy.l2.banks == 1
@@ -93,7 +85,7 @@ def test_fragments_leave_base_untouched():
 def test_composed_systems_run():
     from repro.workloads.microbench import get_kernel
 
-    cfg = compose(ROCKET1, WithL2Banks(2), WithReplacement("plru"),
+    cfg = compose(ROCKET1, WithL2Banks(2), WithBusWidth(128),
                   name="Composed")
     r = System(cfg).run(get_kernel("EI").build(scale=0.05))
     assert r.cycles > 0

@@ -9,9 +9,11 @@ from repro.core.branch import BTB, BimodalBHT, ReturnAddressStack, TAGE
 from repro.isa.encoding import Instr, decode, encode
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import Trace, TraceBuilder
-from repro.mem.cache import Cache, CacheConfig, MemoryPort
+from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAM, DRAMConfig
 from repro.mem.tlb import TLB, TLBConfig
+
+from .conftest import MemoryPort
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])

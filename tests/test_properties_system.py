@@ -35,20 +35,6 @@ def test_allreduce_equals_sum(nranks, values):
         assert r.value == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
-@given(nranks=st.integers(2, 4), root=st.integers(0, 3),
-       payload=st.integers(-1000, 1000))
-@FAST
-def test_bcast_any_root(nranks, root, payload):
-    root %= nranks
-
-    def program(comm: Comm):
-        data = payload if comm.rank == root else None
-        return (yield from comm.bcast(data, root=root))
-
-    for r in run_mpi(System(ROCKET1), nranks, program):
-        assert r.value == payload
-
-
 @given(nranks=st.integers(2, 4))
 @FAST
 def test_alltoall_is_transpose(nranks):

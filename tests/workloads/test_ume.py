@@ -22,26 +22,24 @@ def mesh():
 
 def test_entity_counts_match_formulas(mesh):
     n = 4
-    c = mesh.entity_counts()
-    assert c["zones"] == n**3
-    assert c["points"] == (n + 1) ** 3
-    assert c["faces"] == 3 * n * n * (n + 1)
-    assert c["edges"] == 3 * n * (n + 1) ** 2
-    assert c["corners"] == 8 * n**3
+    assert mesh.nzones == n**3
+    assert mesh.npoints == (n + 1) ** 3
+    assert mesh.nfaces == 3 * n * n * (n + 1)
+    assert mesh.nedges == 3 * n * (n + 1) ** 2
+    assert mesh.ncorners == 8 * n**3
 
 
 def test_paper_scaling_ratios(mesh):
     """Paper §3.2.3 counts per-zone incidences: about 8 corners, 12 edges,
     8 points, and 6 faces per zone (unique entities are shared between
     neighbouring zones, so the unique-entity ratios are lower)."""
-    c = mesh.entity_counts()
-    z = c["zones"]
-    assert c["corners"] / z == 8            # corners are not shared
+    z = mesh.nzones
+    assert mesh.ncorners / z == 8           # corners are not shared
     assert mesh.zone_points.shape[1] == 8   # 8 points incident per zone
     assert mesh.zone_faces.shape[1] == 6    # 6 faces incident per zone
     # each hex has 12 edges; unique edges = 3n(n+1)^2 -> 3 per zone as n grows
     n = mesh.n
-    assert c["edges"] == 3 * n * (n + 1) ** 2
+    assert mesh.nedges == 3 * n * (n + 1) ** 2
 
 
 def test_zone_points_are_valid(mesh):
