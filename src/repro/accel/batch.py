@@ -66,7 +66,7 @@ def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
     eff_scale = max(float(scale), kern.min_harness_scale)
     trace = shared_compiled(kernel, eff_scale, seed,
                             lambda: kern.build(scale=eff_scale, seed=seed),
-                            store=store).trace
+                            store=store)
     do_warmup = bool(warmup and kern.needs_warmup)
 
     points: dict[str, dict[str, Any]] = {}

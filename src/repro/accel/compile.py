@@ -9,14 +9,14 @@ every engine attached to the trace:
 * :class:`CompiledTrace` bundles the per-uop arrays: the plain-list
   columns the transliterated engine loops index and the derived per-uop
   classifications (``lines``, ``is_fp``) the out-of-order engine reads.
-* :func:`compiled_trace` caches one compiled form per live trace object
-  (bounded, id-keyed, like :func:`repro.accel.memo.trace_arrays`).
+* :func:`compiled_trace` builds it once per trace and keeps it on the
+  trace, so it is freed with the trace.
 * :func:`shared_compiled` adds cross-process sharing through a
-  :class:`~repro.farm.store.SharedResultStore`: the compiled columns are
-  published as a JSON payload keyed by workload identity, stamped with
-  the trace's sha-256 content digest, and verified against that digest
-  on the way back in — a corrupted or stale store entry silently falls
-  back to rebuilding from the kernel generator.
+  :class:`~repro.farm.store.SharedResultStore`: the trace is published
+  in its :func:`~repro.isa.serialize.encode_trace` form keyed by workload
+  identity, and decoding re-verifies the content digest — a corrupted or
+  stale store entry silently falls back to rebuilding from the kernel
+  generator.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.isa.opcodes import CTRL_OPS, FP_OPS, MEM_OPS, VECTOR_OPS, OpClass
-from repro.isa.trace import Trace
+from repro.isa.serialize import decode_trace, encode_trace
+from repro.isa.trace import Trace, trace_digest
 
 from . import memo
 from .stats import global_stats
@@ -39,7 +40,7 @@ __all__ = ["CompiledTrace", "compiled_trace", "shared_compiled",
            "COMPILE_SCHEMA"]
 
 #: payload schema for store-shared compiled traces
-COMPILE_SCHEMA = 2
+COMPILE_SCHEMA = 3
 
 _FP_LUT = np.zeros(256, dtype=bool)
 _FP_LUT[[int(op) for op in FP_OPS]] = True
@@ -53,16 +54,21 @@ _SIMPLE_LUT[[int(op) for op in
 
 
 class CompiledTrace:
-    """One trace, decoded and pre-analyzed for every engine at once."""
+    """One trace, decoded and pre-analyzed for every engine at once.
 
-    __slots__ = ("trace", "digest", "n", "cols", "lines", "is_fp",
-                 "_issue_flags")
+    It holds no reference to its trace (only the ``op``/``pc`` columns
+    :meth:`issue_flags` reads), so a trace and its compiled form are
+    freed by reference counting alone."""
+
+    __slots__ = ("digest", "n", "cols", "lines", "is_fp", "_op", "_pc",
+                 "_issue_flags", "__weakref__")
 
     def __init__(self, trace: Trace) -> None:
-        self.trace = trace
-        self.digest = memo.trace_digest(trace)
-        self.cols = memo.trace_arrays(trace)
-        self.n = len(self.cols["op"])
+        self.digest = trace_digest(trace)
+        self.cols = {name: getattr(trace, name).tolist()
+                     for name in Trace.COLUMNS}
+        self.n = len(trace)
+        self._op, self._pc = trace.op, trace.pc
         #: per-uop 64-byte fetch line (front-end line-crossing checks)
         self.lines = (trace.pc.astype(np.int64) >> 6).tolist()
         #: per-uop FP classification (issue-queue steering in the OoO model)
@@ -79,10 +85,10 @@ class CompiledTrace:
         cached here only — never part of a store payload.
         """
         if self._issue_flags is None:
-            lines = self.trace.pc.astype(np.int64) >> 6
+            lines = self._pc.astype(np.int64) >> 6
             newline = np.ones(self.n, dtype=bool)
             newline[1:] = lines[1:] != lines[:-1]
-            self._issue_flags = (_SIMPLE_LUT[self.trace.op].tolist(),
+            self._issue_flags = (_SIMPLE_LUT[self._op].tolist(),
                                  newline.tolist())
         return self._issue_flags
 
@@ -90,29 +96,11 @@ class CompiledTrace:
         return f"CompiledTrace(n={self.n}, digest={self.digest[:12]})"
 
 
-#: id(trace) -> (trace, CompiledTrace); strong reference pins the id
-_compiled: dict[int, tuple[Any, CompiledTrace]] = {}
-_COMPILED_MAX = 8
-
-
 def compiled_trace(trace: Trace) -> CompiledTrace:
-    """The compiled form of *trace*, cached per live trace object."""
-    key = id(trace)
-    hit = _compiled.get(key)
-    if hit is not None:
-        if hit[0] is trace:
-            return hit[1]
-        del _compiled[key]  # id() reuse after an external purge: rebuild
-    ct = CompiledTrace(trace)
-    _compiled[key] = (trace, ct)
-    while len(_compiled) > _COMPILED_MAX:
-        del _compiled[next(iter(_compiled))]
-    return ct
-
-
-def clear_compiled() -> None:
-    """Drop the in-process compiled-trace cache (bench cold passes)."""
-    _compiled.clear()
+    """The compiled form of *trace*, built once and kept on the trace."""
+    if trace._compiled is None:
+        trace._compiled = CompiledTrace(trace)
+    return trace._compiled
 
 
 # -- store sharing ------------------------------------------------------------
@@ -128,38 +116,21 @@ def compiled_store_key(workload: str, scale: float, seed: int) -> str:
 
 
 def trace_payload(trace: Trace) -> dict[str, Any]:
-    """JSON form of a trace's columns, stamped with its content digest.
-
-    Each column travels as base64 of its little-endian bytes plus its
-    dtype string — never as a Python list of numbers."""
-    columns = {}
-    for name in Trace.__slots__:
-        arr = getattr(trace, name)
-        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        columns[name] = {"dtype": arr.dtype.str,
-                         "b64": base64.b64encode(arr.tobytes()).decode("ascii")}
-    return {"schema": COMPILE_SCHEMA, "digest": memo.trace_digest(trace),
-            "n": len(trace), "columns": columns}
+    """JSON form of a trace: base64 of its :func:`encode_trace` bytes."""
+    return {"schema": COMPILE_SCHEMA,
+            "b64": base64.b64encode(encode_trace(trace)).decode("ascii")}
 
 
 def trace_from_payload(payload: dict[str, Any]) -> Optional[Trace]:
     """Rebuild a trace from a store payload; None when the payload is
-    not usable (wrong schema, missing columns, digest mismatch)."""
+    not usable (wrong schema, malformed base64, bad encoding or digest)."""
     if not isinstance(payload, dict) or payload.get("schema") != COMPILE_SCHEMA:
         return None
-    cols = payload.get("columns")
-    if not isinstance(cols, dict):
-        return None
     try:
-        trace = Trace(*(
-            np.frombuffer(base64.b64decode(cols[name]["b64"]),
-                          dtype=np.dtype(cols[name]["dtype"]))
-            for name in Trace.__slots__))
+        buf = base64.b64decode(payload["b64"], validate=True)
     except (KeyError, TypeError, ValueError):
         return None
-    if memo.trace_digest(trace) != payload.get("digest"):
-        return None  # stale or corrupted entry: rebuild from source
-    return trace
+    return decode_trace(buf)
 
 
 class _TraceKey:
@@ -180,14 +151,15 @@ class _TraceKey:
 
 def shared_compiled(workload: str, scale: float, seed: int,
                     build: Callable[[], Trace],
-                    store=None) -> CompiledTrace:
-    """Compiled trace for one workload, shared as widely as possible.
+                    store=None) -> Trace:
+    """One workload's trace, compiled, and shared as widely as possible.
 
     Resolution order: the in-process shared-trace cache, then *store*
     (a :class:`~repro.farm.store.SharedResultStore` or compatible
-    ``get``/``put`` object — content-verified against the stamped
-    digest), then *build*; a freshly built trace is published back to
-    the store so sibling processes skip the kernel generator entirely.
+    ``get``/``put`` object — content-verified on decode), then *build*;
+    a freshly built trace is published back to the store so sibling
+    processes skip the kernel generator entirely.  The returned trace
+    carries its compiled form (:func:`compiled_trace`).
     """
     g = global_stats()
 
@@ -209,4 +181,5 @@ def shared_compiled(workload: str, scale: float, seed: int,
         return trace
 
     trace = memo.shared_trace(workload, scale, seed, build_or_fetch)
-    return compiled_trace(trace)
+    compiled_trace(trace)
+    return trace

@@ -6,10 +6,8 @@ harnesses run each trace twice on a fresh system.  This module removes the
 redundancy without touching semantics:
 
 * :func:`trace_digest` — content identity of a :class:`~repro.isa.trace.Trace`
-  (sha-256 over its column arrays, the same hashing the checkpoint layer
-  uses), computed once per trace object.
-* :func:`trace_arrays` — per-trace decoded view for the fast engine
-  (python lists of every column).
+  (sha-256 over its columns, the same identity checkpoints stamp),
+  computed once and kept on the trace.
 * :func:`shared_trace` — process-wide ``(kernel, scale, seed) -> Trace``
   cache so sweeps share one decoded trace across configurations.
 * :func:`memo_get` / :func:`memo_put` — a bounded in-process LRU keyed on
@@ -25,19 +23,16 @@ never alias live state, and everything is disabled either per-config
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
 from collections import OrderedDict
 from typing import Any, Callable
 
-import numpy as np
-
+from ..isa.trace import trace_digest
 from ..soc.config import config_digest
 from .stats import global_stats
 
 __all__ = [
     "trace_digest",
-    "trace_arrays",
     "shared_trace",
     "memo_key",
     "memo_get",
@@ -48,14 +43,8 @@ __all__ = [
     "latency_lut",
 ]
 
-#: columns of a Trace, in hashing order (mirrors Trace.__slots__)
-_TRACE_COLUMNS = ("op", "dst", "src1", "src2", "addr", "size", "taken",
-                  "pc", "target")
-
 #: bound on cached whole-run results
 _MEMO_MAX = 256
-#: bound on decoded per-trace array views (each can be large)
-_ARRAYS_MAX = 8
 #: bound on shared workload traces
 _TRACE_MAX = 64
 
@@ -63,74 +52,6 @@ _TRACE_MAX = 64
 def memo_enabled() -> bool:
     """Whether the in-process result memo is active (env kill-switch)."""
     return os.environ.get("REPRO_ACCEL_MEMO", "1") != "0"
-
-
-# -- trace content identity ---------------------------------------------------
-
-#: id(trace) -> (trace, digest); the strong trace reference pins the id
-_digests: OrderedDict[int, tuple[Any, str]] = OrderedDict()
-
-
-def trace_digest(trace) -> str:
-    """sha-256 over a trace's column arrays; cached per trace object."""
-    key = id(trace)
-    hit = _digests.get(key)
-    if hit is not None:
-        if hit[0] is trace:
-            _digests.move_to_end(key)
-            return hit[1]
-        # id() reuse: the pinned trace died elsewhere (e.g. clear_caches
-        # raced) and CPython recycled its address.  Purge, then rehash.
-        del _digests[key]
-    h = hashlib.sha256()
-    for name in _TRACE_COLUMNS:
-        arr = np.ascontiguousarray(getattr(trace, name))
-        h.update(name.encode())
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    digest = h.hexdigest()
-    _digests[key] = (trace, digest)
-    if len(_digests) > _TRACE_MAX:
-        _digests.popitem(last=False)
-    return digest
-
-
-# -- decoded array views for the fast engine ----------------------------------
-
-#: id(trace) -> (trace, arrays-dict); strong reference pins the id
-_arrays: OrderedDict[int, tuple[Any, dict[str, Any]]] = OrderedDict()
-
-
-def trace_arrays(trace) -> dict[str, Any]:
-    """Python-list views of a trace's columns.
-
-    ``tolist()`` converts numpy scalars to plain ints/bools once, so the
-    engine loops never pay per-element numpy unboxing.  The result is
-    cached per trace object (bounded; traces are immutable).
-    """
-    key = id(trace)
-    hit = _arrays.get(key)
-    if hit is not None:
-        if hit[0] is trace:
-            _arrays.move_to_end(key)
-            return hit[1]
-        del _arrays[key]  # id() reuse after an external purge: rebuild
-    view: dict[str, Any] = {
-        "op": trace.op.tolist(),
-        "dst": trace.dst.tolist(),
-        "src1": trace.src1.tolist(),
-        "src2": trace.src2.tolist(),
-        "addr": trace.addr.tolist(),
-        "size": trace.size.tolist(),
-        "taken": trace.taken.tolist(),
-        "pc": trace.pc.tolist(),
-        "target": trace.target.tolist(),
-        "trace": trace,
-    }
-    _arrays[key] = (trace, view)
-    if len(_arrays) > _ARRAYS_MAX:
-        _arrays.popitem(last=False)
-    return view
 
 
 # -- latency lookup tables ----------------------------------------------------
@@ -216,10 +137,6 @@ def memo_put(key: tuple, payload) -> None:
 def clear_caches() -> None:
     """Drop every in-process cache (benchmarks call this between timed
     passes so a measurement never feeds on an earlier pass's work)."""
-    from .compile import clear_compiled
-    _digests.clear()
-    _arrays.clear()
     _traces.clear()
     _memo.clear()
     _lat_luts.clear()
-    clear_compiled()

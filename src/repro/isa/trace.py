@@ -15,6 +15,7 @@ are ids ``32..63``, and ``-1`` means "no operand".
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 from .opcodes import FP_OPS, INT_EXEC_OPS, OpClass
 
 __all__ = ["Trace", "TraceBuilder", "ColumnBuilder", "TraceStats", "NUM_REGS",
-           "FP_REG_BASE"]
+           "FP_REG_BASE", "trace_digest"]
 
 NUM_REGS = 64
 FP_REG_BASE = 32
@@ -74,9 +75,16 @@ class Trace:
     docstring for register-id conventions.  ``addr`` is a byte address for
     LOAD/STORE/AMO ops and ignored elsewhere; ``taken`` is meaningful only
     for BRANCH ops; ``target`` is the (taken-)target PC for control ops.
+
+    Two derived values live on the trace and die with it: its content
+    digest (:func:`trace_digest`) and its compiled form
+    (:func:`repro.accel.compile.compiled_trace`), each computed on first use.
     """
 
-    __slots__ = ("op", "dst", "src1", "src2", "addr", "size", "taken", "pc", "target")
+    #: the column names, in constructor, hashing and serialization order
+    COLUMNS = ("op", "dst", "src1", "src2", "addr", "size", "taken", "pc",
+               "target")
+    __slots__ = COLUMNS + ("_digest", "_compiled", "__weakref__")
 
     def __init__(
         self,
@@ -92,10 +100,12 @@ class Trace:
     ) -> None:
         n = len(op)
         columns = (op, dst, src1, src2, addr, size, taken, pc, target)
-        for name, arr, dtype in zip(self.__slots__, columns, _COLUMN_DTYPES):
+        for name, arr, dtype in zip(self.COLUMNS, columns, _COLUMN_DTYPES):
             if len(arr) != n:
                 raise ValueError(f"field {name!r} has length {len(arr)}, expected {n}")
             setattr(self, name, np.ascontiguousarray(arr, dtype=dtype))
+        self._digest = None
+        self._compiled = None
 
     def __len__(self) -> int:
         return len(self.op)
@@ -103,50 +113,28 @@ class Trace:
     def __getitem__(self, sl: slice) -> "Trace":
         if not isinstance(sl, slice):
             raise TypeError("Trace only supports slice indexing")
-        return Trace(
-            self.op[sl], self.dst[sl], self.src1[sl], self.src2[sl],
-            self.addr[sl], self.size[sl], self.taken[sl], self.pc[sl],
-            self.target[sl],
-        )
+        return Trace(*(getattr(self, c)[sl] for c in self.COLUMNS))
 
     def __repr__(self) -> str:
         return f"Trace(n={len(self)})"
 
     @staticmethod
     def empty() -> "Trace":
-        z = np.zeros(0, dtype=np.uint64)
-        return Trace(
-            z.astype(np.uint8), z.astype(np.int16), z.astype(np.int16),
-            z.astype(np.int16), z, z.astype(np.uint8), z.astype(np.bool_),
-            z, z,
-        )
+        return Trace(*(np.zeros(0, dtype) for dtype in _COLUMN_DTYPES))
 
     @staticmethod
     def concat(traces: Sequence["Trace"]) -> "Trace":
         """Concatenate traces in program order."""
         if not traces:
             return Trace.empty()
-        return Trace(
-            np.concatenate([t.op for t in traces]),
-            np.concatenate([t.dst for t in traces]),
-            np.concatenate([t.src1 for t in traces]),
-            np.concatenate([t.src2 for t in traces]),
-            np.concatenate([t.addr for t in traces]),
-            np.concatenate([t.size for t in traces]),
-            np.concatenate([t.taken for t in traces]),
-            np.concatenate([t.pc for t in traces]),
-            np.concatenate([t.target for t in traces]),
-        )
+        return Trace(*(np.concatenate([getattr(t, c) for t in traces])
+                       for c in Trace.COLUMNS))
 
     def repeat(self, n: int) -> "Trace":
         """Repeat the trace *n* times back-to-back (same addresses/PCs)."""
         if n < 0:
             raise ValueError("repeat count must be non-negative")
-        return Trace(
-            np.tile(self.op, n), np.tile(self.dst, n), np.tile(self.src1, n),
-            np.tile(self.src2, n), np.tile(self.addr, n), np.tile(self.size, n),
-            np.tile(self.taken, n), np.tile(self.pc, n), np.tile(self.target, n),
-        )
+        return Trace(*(np.tile(getattr(self, c), n) for c in self.COLUMNS))
 
     def stats(self) -> TraceStats:
         """Compute instruction-mix statistics."""
@@ -171,6 +159,21 @@ class Trace:
             fp_ops=fp_ops,
             other=other,
         )
+
+
+def trace_digest(trace: Trace) -> str:
+    """sha-256 content identity of *trace*: each column's name, dtype and
+    bytes in :attr:`Trace.COLUMNS` order.  Computed once and kept on the
+    trace."""
+    if trace._digest is None:
+        h = hashlib.sha256()
+        for name in Trace.COLUMNS:
+            arr = getattr(trace, name)
+            h.update(name.encode())
+            h.update(str(arr.dtype).encode())
+            h.update(memoryview(arr).cast("B"))
+        trace._digest = h.hexdigest()
+    return trace._digest
 
 
 class TraceBuilder:
@@ -455,5 +458,6 @@ class ColumnBuilder:
             for k, slot in enumerate(self._slots):
                 keep[:, k] = True if slot[-1] is None else slot[-1]
             keep = keep.reshape(-1)
-            columns = [col[keep] for col in columns]
+            if not keep.all():
+                columns = [col[keep] for col in columns]
         return Trace(*columns)

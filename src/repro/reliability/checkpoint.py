@@ -41,6 +41,7 @@ from typing import Any
 
 import numpy as np
 
+from ..isa.trace import trace_digest
 from ..soc.config import config_digest
 
 __all__ = [
@@ -86,15 +87,8 @@ class CheckpointAuditError(CheckpointError):
 config_fingerprint = config_digest
 
 
-def trace_fingerprint(trace) -> str:
-    """sha-256 over a Trace's column arrays (content identity)."""
-    h = hashlib.sha256()
-    for name in trace.__slots__:
-        arr = np.ascontiguousarray(getattr(trace, name))
-        h.update(name.encode())
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
+#: a lane's trace stamp is the trace's own content digest
+trace_fingerprint = trace_digest
 
 
 # -- component state capture --------------------------------------------------

@@ -1,8 +1,10 @@
-"""Store payloads of compiled traces: columns travel as base64 bytes,
-and anything but an intact schema-2 payload falls back to a rebuild."""
+"""Store payloads of compiled traces: one base64 string of the trace
+codec's bytes, and anything but an intact schema-3 payload falls back to
+a rebuild."""
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -30,28 +32,29 @@ def _trace():
 def test_payload_roundtrip_is_digest_equal_and_json_clean():
     t = _trace()
     payload = json.loads(json.dumps(trace_payload(t)))
-    assert payload["schema"] == COMPILE_SCHEMA == 2
-    assert all(isinstance(col["b64"], str) for col in payload["columns"].values())
+    assert payload["schema"] == COMPILE_SCHEMA == 3
+    assert sorted(payload) == ["b64", "schema"]
+    assert isinstance(payload["b64"], str)
     back = trace_from_payload(payload)
-    assert len(back) == len(t) == payload["n"]
+    assert len(back) == len(t)
     assert memo.trace_digest(back) == memo.trace_digest(t)
     assert back.addr.dtype == t.addr.dtype and back.taken.dtype == t.taken.dtype
 
 
 def test_flipped_byte_is_rejected():
     payload = trace_payload(_trace())
-    b64 = payload["columns"]["addr"]["b64"]
-    flipped = ("B" if b64[40] == "A" else "A")
-    payload["columns"]["addr"]["b64"] = b64[:40] + flipped + b64[41:]
+    raw = bytearray(base64.b64decode(payload["b64"]))
+    raw[len(raw) // 2] ^= 0x01
+    payload["b64"] = base64.b64encode(bytes(raw)).decode("ascii")
     assert trace_from_payload(payload) is None
 
 
 @pytest.mark.parametrize("damage", [
-    lambda p: p["columns"]["pc"].update(b64=p["columns"]["pc"]["b64"][:-4]),
-    lambda p: p["columns"]["pc"].update(b64="not base64 !!"),
-    lambda p: p["columns"]["op"].update(dtype="O"),
-    lambda p: p["columns"].pop("size"),
-    lambda p: p["columns"].update(dst=[1, 2, 3]),
+    lambda p: p.update(b64=p["b64"][:len(p["b64"]) // 2]),   # truncated
+    lambda p: p.update(b64="not base64 !!"),
+    lambda p: p.update(b64=[1, 2, 3]),
+    lambda p: p.pop("b64"),
+    lambda p: p.update(b64=base64.b64encode(b"PK\x03\x04").decode()),
 ])
 def test_malformed_columns_are_rejected(damage):
     payload = trace_payload(_trace())
@@ -63,11 +66,23 @@ def test_schema_1_payload_is_rejected():
     t = _trace()
     schema1 = {
         "schema": 1, "digest": memo.trace_digest(t), "n": len(t),
-        "columns": {name: getattr(t, name).tolist()
-                    for name in ("op", "dst", "src1", "src2", "addr", "size",
-                                 "taken", "pc", "target")},
+        "columns": {name: getattr(t, name).tolist() for name in t.COLUMNS},
     }
     assert trace_from_payload(schema1) is None
+
+
+def test_schema_2_payload_is_rejected():
+    t = _trace()
+    columns = {}
+    for name in t.COLUMNS:
+        arr = getattr(t, name)
+        columns[name] = {"dtype": arr.dtype.str,
+                         "b64": base64.b64encode(arr.tobytes()).decode()}
+    schema2 = {"schema": 2, "digest": memo.trace_digest(t), "n": len(t),
+               "columns": columns}
+    assert trace_from_payload(schema2) is None
+    # a schema-3 body under the old schema number is refused too
+    assert trace_from_payload({**trace_payload(t), "schema": 2}) is None
 
 
 def test_shared_compiled_store_hit_and_damaged_entry(tmp_path):
@@ -79,17 +94,22 @@ def test_shared_compiled_store_hit_and_damaged_entry(tmp_path):
         return _trace()
 
     first = shared_compiled("CCh_st", 0.05, 3, build, store=store)
+    assert first._compiled is not None  # returned already compiled
     memo.clear_caches()
     second = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert len(built) == 1 and second.digest == first.digest
+    assert len(built) == 1
+    assert memo.trace_digest(second) == memo.trace_digest(first)
     assert global_stats().compile_store_hits == 1
 
     # damage every stored entry: the next cold lookup rebuilds instead
     for path in store.root.glob("**/*.json"):
         if path.name != "store.stats.json":
-            text = path.read_text()
-            assert '"digest":"' in text
-            path.write_text(text.replace('"digest":"', '"digest":"0'))
+            entry = json.loads(path.read_text())
+            raw = bytearray(base64.b64decode(entry["payload"]["b64"]))
+            raw[-1] ^= 0x01
+            entry["payload"]["b64"] = base64.b64encode(bytes(raw)).decode()
+            path.write_text(json.dumps(entry))
     memo.clear_caches()
     third = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert len(built) == 2 and third.digest == first.digest
+    assert len(built) == 2
+    assert memo.trace_digest(third) == memo.trace_digest(first)

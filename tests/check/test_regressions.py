@@ -7,12 +7,14 @@ by ``test_corpus.py``.  These are the direct, single-subsystem forms.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
 import pytest
 
 from repro.accel import memo
+from repro.accel.compile import compiled_trace
 from repro.farm import Job, ResultCache, RunFarm, cache_key
 from repro.isa.assembler import assemble
 from repro.isa.interp import Interpreter, Memory
@@ -162,24 +164,40 @@ def test_watchdog_treats_backward_clock_as_rearm():
         wd.observe(sched)
 
 
-# -- memo identity hardening (satellite 2) ------------------------------------
+# -- per-trace state (digest and compiled form live on the trace) -----------
 
 def test_trace_digest_survives_id_reuse():
     trace = _lockstep_trace()
-    good = memo.trace_digest(trace)
-    # simulate CPython recycling the address of a dead pinned trace
-    memo._digests[id(trace)] = (object(), "stale-digest")
-    assert memo.trace_digest(trace) == good
-    assert memo._digests[id(trace)][0] is trace
+    stale = memo.trace_digest(trace)
+    del trace
+    # a new trace may land on the dead one's address; its digest is its own
+    other = _lockstep_trace()[:7]
+    h = hashlib.sha256()
+    for name in other.COLUMNS:
+        arr = getattr(other, name)
+        h.update(name.encode() + str(arr.dtype).encode() + arr.tobytes())
+    assert memo.trace_digest(other) == h.hexdigest() != stale
 
 
 def test_trace_arrays_survive_id_reuse():
     trace = _lockstep_trace()
-    view = memo.trace_arrays(trace)
-    memo._arrays[id(trace)] = (object(), {"bogus": True})
-    fresh = memo.trace_arrays(trace)
-    assert "bogus" not in fresh
-    assert fresh["op"] == view["op"]
+    stale = compiled_trace(trace)
+    n = len(trace)
+    del trace
+    # the compiled form dies with its trace; no address can resurrect it
+    other = _lockstep_trace()[:7]
+    fresh = compiled_trace(other)
+    assert fresh is not stale and len(stale.cols["op"]) == n
+    assert fresh.cols["op"] == other.op.tolist()
+
+
+def test_equal_traces_share_digest_but_not_compiled_form():
+    a, b = _lockstep_trace(), _lockstep_trace()
+    assert a is not b
+    assert memo.trace_digest(a) == memo.trace_digest(b)
+    ca, cb = compiled_trace(a), compiled_trace(b)
+    assert ca is not cb and ca.cols == cb.cols
+    assert compiled_trace(a) is ca and compiled_trace(b) is cb
 
 
 # -- farm result-cache durability (satellite 4) -------------------------------

@@ -65,7 +65,7 @@ def _column_build() -> Trace:
 
 def test_columns_equal_the_scalar_loop_byte_for_byte():
     want, got = _scalar_reference(), _column_build()
-    for name in Trace.__slots__:
+    for name in Trace.COLUMNS:
         a, b = getattr(want, name), getattr(got, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert memo.trace_digest(got) == memo.trace_digest(want)
