@@ -141,7 +141,7 @@ VERDICTS: list[tuple[str, str]] = [
     ("analysis/error.py:significant", "keep: api.md's error analysis, "
      "beside `seed_variation`/`noise_floor`, which the noise-floor bench "
      "reaches"),
-    ("workloads/npb/__init__.py:run_npb", "keep: the `repro npb` verb"),
+    ("workloads/npb/runners.py:run_npb", "keep: the `repro npb` verb"),
     ("firesim/manager.py:*", "keep: the FireSim-manager API of api.md and "
      "farm.md (`run_mpi`, `reset`)"),
     ("telemetry/cpi.py:cpi_stacks", "keep: api.md's per-tile CPI stacks"),

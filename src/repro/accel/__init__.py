@@ -22,19 +22,12 @@ cycles, stall attribution, CPI stacks, and all component stats) is
 regression-tested across every named config; see docs/performance.md.
 """
 
-from .memo import (clear_caches, config_digest, memo_enabled, shared_trace,
-                   trace_digest)
-from .stats import AccelGlobalStats, AccelStats, global_stats, \
-    reset_global_stats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccelStats",
-    "AccelGlobalStats",
-    "global_stats",
-    "reset_global_stats",
-    "trace_digest",
-    "shared_trace",
-    "config_digest",
-    "memo_enabled",
-    "clear_caches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "memo": [
+        "clear_caches", "config_digest", "memo_enabled", "shared_trace",
+        "trace_digest"],
+    "stats": [
+        "AccelGlobalStats", "AccelStats", "global_stats", "reset_global_stats"],
+})

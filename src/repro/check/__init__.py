@@ -14,36 +14,17 @@ See ``docs/checking.md`` for the workflow, and ``repro check --seeds N``
 for the CLI entry point.
 """
 
-from .chaos import diff_chaos
-from .golden import CANONICAL_NAN_BITS, GoldenMachine
-from .oracle import (Divergence, diff_accel, diff_batch, diff_checkpoint,
-                     diff_farm, diff_golden, lint_invariants, run_program)
-from .progen import BLOCK_KINDS, CheckProgram, generate_program
-from .runner import ALL_TIERS, CheckReport, run_check
-from .shrink import (CORPUS_DIR, load_corpus, replay_entries, shrink_program,
-                     write_corpus_entry)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_TIERS",
-    "BLOCK_KINDS",
-    "CANONICAL_NAN_BITS",
-    "CORPUS_DIR",
-    "CheckProgram",
-    "CheckReport",
-    "Divergence",
-    "GoldenMachine",
-    "diff_accel",
-    "diff_batch",
-    "diff_chaos",
-    "diff_checkpoint",
-    "diff_farm",
-    "diff_golden",
-    "generate_program",
-    "lint_invariants",
-    "load_corpus",
-    "replay_entries",
-    "run_check",
-    "run_program",
-    "shrink_program",
-    "write_corpus_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "chaos": ["diff_chaos"],
+    "golden": ["CANONICAL_NAN_BITS", "GoldenMachine"],
+    "oracle": [
+        "Divergence", "diff_accel", "diff_batch", "diff_checkpoint",
+        "diff_farm", "diff_golden", "lint_invariants", "run_program"],
+    "progen": ["BLOCK_KINDS", "CheckProgram", "generate_program"],
+    "runner": ["ALL_TIERS", "CheckReport", "run_check"],
+    "shrink": [
+        "CORPUS_DIR", "load_corpus", "replay_entries", "shrink_program",
+        "write_corpus_entry"],
+})

@@ -1,35 +1,13 @@
 """Core timing models: in-order (Rocket-like), out-of-order (BOOM-like),
 and branch predictors."""
 
-from .base import CoreModel, CoreResult
-from .branch import (
-    BTB,
-    BimodalBHT,
-    BranchStats,
-    BranchUnit,
-    GShare,
-    ReturnAddressStack,
-    TAGE,
-    boom_branch_unit,
-    rocket_branch_unit,
-)
-from .inorder import InOrderConfig, InOrderCore
-from .ooo import OoOConfig, OoOCore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CoreModel",
-    "CoreResult",
-    "BimodalBHT",
-    "GShare",
-    "BTB",
-    "ReturnAddressStack",
-    "TAGE",
-    "BranchUnit",
-    "BranchStats",
-    "rocket_branch_unit",
-    "boom_branch_unit",
-    "InOrderConfig",
-    "InOrderCore",
-    "OoOConfig",
-    "OoOCore",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ["CoreModel", "CoreResult"],
+    "branch": [
+        "BTB", "BimodalBHT", "BranchStats", "BranchUnit", "GShare",
+        "ReturnAddressStack", "TAGE", "boom_branch_unit", "rocket_branch_unit"],
+    "inorder": ["InOrderConfig", "InOrderCore"],
+    "ooo": ["OoOConfig", "OoOCore"],
+})

@@ -25,53 +25,17 @@ say otherwise, which is how ``scripts/reproduce_all.sh`` parallelises a
 full reproduction.  See ``docs/farm.md``.
 """
 
-from .cache import CACHE_SCHEMA, ResultCache, cache_key
-from .deploy import (
-    DeployManager,
-    ExternallyProvisionedDeployManager,
-    HostHealth,
-    HostSpec,
-    LocalDeployManager,
-    parse_deploy_spec,
-    resolve_deploy,
-)
-from .job import JOB_KINDS, Job, JobResult, execute_job
-from .retry import RetryPolicy
-from .runfarm import (
-    FARM_SCHEMA,
-    FarmEvent,
-    FarmStats,
-    RunFarm,
-    resolve_cache,
-    resolve_workers,
-    run_jobs,
-)
-from .store import STORE_SCHEMA, SharedResultStore, StoreStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "DeployManager",
-    "ExternallyProvisionedDeployManager",
-    "FARM_SCHEMA",
-    "FarmEvent",
-    "FarmStats",
-    "HostHealth",
-    "HostSpec",
-    "JOB_KINDS",
-    "Job",
-    "JobResult",
-    "LocalDeployManager",
-    "ResultCache",
-    "RetryPolicy",
-    "RunFarm",
-    "STORE_SCHEMA",
-    "SharedResultStore",
-    "StoreStats",
-    "cache_key",
-    "execute_job",
-    "parse_deploy_spec",
-    "resolve_cache",
-    "resolve_deploy",
-    "resolve_workers",
-    "run_jobs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cache": ["CACHE_SCHEMA", "ResultCache", "cache_key"],
+    "deploy": [
+        "DeployManager", "ExternallyProvisionedDeployManager", "HostHealth",
+        "HostSpec", "LocalDeployManager", "parse_deploy_spec", "resolve_deploy"],
+    "job": ["JOB_KINDS", "Job", "JobResult", "execute_job"],
+    "retry": ["RetryPolicy"],
+    "runfarm": [
+        "FARM_SCHEMA", "FarmEvent", "FarmStats", "RunFarm", "resolve_cache",
+        "resolve_workers", "run_jobs"],
+    "store": ["STORE_SCHEMA", "SharedResultStore", "StoreStats"],
+})

@@ -38,12 +38,25 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import stat
 import threading
 import time
 from multiprocessing.reduction import ForkingPickler
 from typing import Any
 
-from ..accel import memo
+# Everything a kernel or sweep job runs is imported here, before the
+# first fork, not on first use: this process pays for it once and no
+# worker it forks pays again.  The kernels draw from numpy.random; the
+# cores import their engines, and a sweep its trace compiler, only at
+# run time.
+import numpy.random  # noqa: F401
+
+from ..accel import batch as _batch, compile as _compile  # noqa: F401
+from ..accel import engine as _engine, memo, ooo as _ooo  # noqa: F401
+from ..soc import system as _system  # noqa: F401
+from ..telemetry import cpi as _cpi, registry as _registry  # noqa: F401
+from ..workloads.microbench import suite as _suite  # noqa: F401
+from . import cache as _cache  # noqa: F401
 from .job import ExecContext, Job, execute_job_meta
 
 __all__ = ["ORPHAN_POLL_S", "Worker", "WorkerPool"]
@@ -55,13 +68,41 @@ ORPHAN_POLL_S = 1.0
 def _exit_with_parent(parent: int) -> None:
     """Worker watchdog thread: die when the parent did.
 
-    Sibling workers inherit the parent's pipe ends, so the parent's
-    death does not reliably surface as EOF on a worker's pipe — and a
-    worker in the middle of a job is not reading its pipe anyway.
+    A worker in the middle of a job is not reading its pipe, so the
+    parent's death would surface as EOF only after the job.
     """
     while os.getppid() == parent:
         time.sleep(ORPHAN_POLL_S)
     os._exit(0)
+
+
+def _drop_inherited_sockets(keep: int) -> None:
+    """Release every socket the fork copied into this process but fd *keep*.
+
+    A worker holding a copy of the scheduler's listener, of its accepted
+    client connections, or of the parent's end of a sibling's pipe keeps
+    them open after the parent closes its own: a client or a sibling
+    then never sees the hang-up.  Each such fd is pointed at /dev/null
+    rather than closed, so a stale owner the fork also copied (a socket
+    object, the signal wakeup fd) can never reach a file the job opens
+    later under the same number.
+    """
+    try:
+        fds = [int(fd) for fd in os.listdir("/dev/fd")]
+    except OSError:
+        return                  # no fd listing here: keep them all
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd <= 2 or fd in (keep, null):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                pass            # the listing's own fd, gone by now
+    finally:
+        os.close(null)
 
 
 def _worker_main(conn, parent: int) -> None:
@@ -70,6 +111,7 @@ def _worker_main(conn, parent: int) -> None:
     # a forked worker inherits the scheduler's SIGTERM->KeyboardInterrupt
     # handler; retired with SIGTERM, it would die with a traceback
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _drop_inherited_sockets(conn.fileno())
     threading.Thread(target=_exit_with_parent, args=(parent,),
                      daemon=True).start()
     while True:

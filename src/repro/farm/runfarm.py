@@ -39,9 +39,6 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Callable, Iterable, Sequence
 
-# forked workers inherit this process's modules: load the engines once
-# here, not once in every worker (~10 ms of each short job)
-from ..accel import engine as _engine, ooo as _ooo  # noqa: F401
 from ..telemetry import Snapshot
 from .cache import ResultCache, cache_key
 from .deploy import DeployManager, resolve_deploy

@@ -1,12 +1,8 @@
 """FireSim-style simulation management and FPGA host-rate modeling."""
 
-from .host import BXE_U250, HostModel, host_model_for
-from .manager import FireSimManager, SimulationReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HostModel",
-    "BXE_U250",
-    "host_model_for",
-    "FireSimManager",
-    "SimulationReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "host": ["BXE_U250", "HostModel", "host_model_for"],
+    "manager": ["FireSimManager", "SimulationReport"],
+})

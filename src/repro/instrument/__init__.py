@@ -24,38 +24,16 @@ chunking, which the ``instrument`` bit-identity check in
 explicitly attaches an instrument.
 """
 
-from .core import Instrument, InstrumentSpec
-from .markers import (
-    FIRST_USER_MARKER,
-    MARKER_MAGIC,
-    MARKER_REGION_BEGIN,
-    MARKER_REGION_END,
-    decode_marker,
-    is_marker_addr,
-    marker_addr,
-)
-from .sampler import CounterSampler
-from .stream import STREAM_SCHEMA, InstrumentStream, read_stream, tail_stream
-from .tracer import Tracer, decode_record
-from .triggers import TraceTrigger, WindowState
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Instrument",
-    "InstrumentSpec",
-    "TraceTrigger",
-    "WindowState",
-    "Tracer",
-    "decode_record",
-    "CounterSampler",
-    "InstrumentStream",
-    "read_stream",
-    "tail_stream",
-    "STREAM_SCHEMA",
-    "MARKER_MAGIC",
-    "MARKER_REGION_BEGIN",
-    "MARKER_REGION_END",
-    "FIRST_USER_MARKER",
-    "marker_addr",
-    "is_marker_addr",
-    "decode_marker",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "core": ["Instrument", "InstrumentSpec"],
+    "markers": [
+        "FIRST_USER_MARKER", "MARKER_MAGIC", "MARKER_REGION_BEGIN",
+        "MARKER_REGION_END", "decode_marker", "is_marker_addr", "marker_addr"],
+    "sampler": ["CounterSampler"],
+    "stream": [
+        "STREAM_SCHEMA", "InstrumentStream", "read_stream", "tail_stream"],
+    "tracer": ["Tracer", "decode_record"],
+    "triggers": ["TraceTrigger", "WindowState"],
+})

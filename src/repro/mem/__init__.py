@@ -1,47 +1,16 @@
 """Memory-hierarchy timing models: caches, TLBs, buses, LLCs, DRAM."""
 
-from .bus import BusConfig, BusStats, SystemBus
-from .cache import Cache, CacheConfig, CacheStats
-from .coherence import CoherenceStats, SnoopDirectory
-from .dram import (
-    DDR3_2000_QUAD_RANK,
-    DDR4_3200_4CH,
-    DRAM,
-    DRAMConfig,
-    DRAMStats,
-    DRAMTimings,
-    LPDDR4_2666_DUAL,
-)
-from .hierarchy import HierarchyConfig, TilePort, Uncore, build_uncore
-from .llc import InterleavedLLC, RealisticLLC, SimplifiedLLC, make_llc_slices
-from .tlb import TLB, TLBConfig, TLBStats, TwoLevelTLB
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheConfig",
-    "CacheStats",
-    "BusConfig",
-    "BusStats",
-    "SystemBus",
-    "SnoopDirectory",
-    "CoherenceStats",
-    "DRAM",
-    "DRAMConfig",
-    "DRAMStats",
-    "DRAMTimings",
-    "DDR3_2000_QUAD_RANK",
-    "DDR4_3200_4CH",
-    "LPDDR4_2666_DUAL",
-    "TLB",
-    "TLBConfig",
-    "TLBStats",
-    "TwoLevelTLB",
-    "SimplifiedLLC",
-    "RealisticLLC",
-    "InterleavedLLC",
-    "make_llc_slices",
-    "HierarchyConfig",
-    "Uncore",
-    "TilePort",
-    "build_uncore",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "bus": ["BusConfig", "BusStats", "SystemBus"],
+    "cache": ["Cache", "CacheConfig", "CacheStats"],
+    "coherence": ["CoherenceStats", "SnoopDirectory"],
+    "dram": [
+        "DDR3_2000_QUAD_RANK", "DDR4_3200_4CH", "DRAM", "DRAMConfig",
+        "DRAMStats", "DRAMTimings", "LPDDR4_2666_DUAL"],
+    "hierarchy": ["HierarchyConfig", "TilePort", "Uncore", "build_uncore"],
+    "llc": [
+        "InterleavedLLC", "RealisticLLC", "SimplifiedLLC", "make_llc_slices"],
+    "tlb": ["TLB", "TLBConfig", "TLBStats", "TwoLevelTLB"],
+})

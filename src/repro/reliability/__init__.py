@@ -21,50 +21,16 @@ them:
 See ``docs/reliability.md``.
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointAuditError,
-    CheckpointError,
-    SimCheckpoint,
-    audit_checkpoint,
-    capture_system,
-    config_fingerprint,
-    restore_system,
-    trace_fingerprint,
-)
-from .faults import (
-    FAULT_KINDS,
-    Fault,
-    FaultInjected,
-    FaultPlan,
-    FaultPlanError,
-    apply_token_fault,
-    apply_worker_fault,
-    corrupt_cache_entry,
-    corrupt_cache_line,
-)
-from .watchdog import LockstepWatchdog, SimulationHang, WatchdogStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointAuditError",
-    "CheckpointError",
-    "FAULT_KINDS",
-    "Fault",
-    "FaultInjected",
-    "FaultPlan",
-    "FaultPlanError",
-    "LockstepWatchdog",
-    "SimCheckpoint",
-    "SimulationHang",
-    "WatchdogStats",
-    "apply_token_fault",
-    "apply_worker_fault",
-    "audit_checkpoint",
-    "capture_system",
-    "config_fingerprint",
-    "corrupt_cache_entry",
-    "corrupt_cache_line",
-    "restore_system",
-    "trace_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "checkpoint": [
+        "CHECKPOINT_SCHEMA", "CheckpointAuditError", "CheckpointError",
+        "SimCheckpoint", "audit_checkpoint", "capture_system",
+        "config_fingerprint", "restore_system", "trace_fingerprint"],
+    "faults": [
+        "FAULT_KINDS", "Fault", "FaultInjected", "FaultPlan", "FaultPlanError",
+        "apply_token_fault", "apply_worker_fault", "corrupt_cache_entry",
+        "corrupt_cache_line"],
+    "watchdog": ["LockstepWatchdog", "SimulationHang", "WatchdogStats"],
+})

@@ -20,24 +20,13 @@ deployment FireSim teams actually operate.  The pieces:
 See ``docs/serving.md`` for a worked tour.
 """
 
-from .client import ServeClient
-from .journal import JOURNAL_SCHEMA, ServeJournal, replay_journal
-from .protocol import PROTOCOL_VERSION, ServeError, job_from_wire, job_to_wire
-from .queue import TERMINAL_STATES, FairScheduler, JobRecord
-from .server import FarmServer, ServerHandle
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FairScheduler",
-    "FarmServer",
-    "JOURNAL_SCHEMA",
-    "JobRecord",
-    "PROTOCOL_VERSION",
-    "ServeClient",
-    "ServeError",
-    "ServeJournal",
-    "ServerHandle",
-    "TERMINAL_STATES",
-    "job_from_wire",
-    "job_to_wire",
-    "replay_journal",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "client": ["ServeClient"],
+    "journal": ["JOURNAL_SCHEMA", "ServeJournal", "replay_journal"],
+    "protocol": [
+        "PROTOCOL_VERSION", "ServeError", "job_from_wire", "job_to_wire"],
+    "queue": ["TERMINAL_STATES", "FairScheduler", "JobRecord"],
+    "server": ["FarmServer", "ServerHandle"],
+})

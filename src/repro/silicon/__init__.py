@@ -1,5 +1,7 @@
 """Reference "hardware" models standing in for the physical boards."""
 
-from .board import Board, Measurement, banana_pi, milkv_pioneer
+from .._lazy import lazy_exports
 
-__all__ = ["Board", "Measurement", "banana_pi", "milkv_pioneer"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "board": ["Board", "Measurement", "banana_pi", "milkv_pioneer"],
+})

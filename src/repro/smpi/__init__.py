@@ -1,25 +1,11 @@
 """Simulated MPI: rank programs as generators over simulated tiles, with
 real payloads, real collective algorithms, and a Hockney network model."""
 
-from .comm import Comm, Compute, Recv, Send, SendRecv, nbytes_of
-from .network import NetworkModel, ethernet_network, shared_memory_network
-from .multinode import MultiNodeRuntime, run_multinode
-from .runtime import DeadlockError, RankResult, SMPIRuntime, run_mpi
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Comm",
-    "Compute",
-    "Send",
-    "Recv",
-    "SendRecv",
-    "nbytes_of",
-    "NetworkModel",
-    "shared_memory_network",
-    "ethernet_network",
-    "SMPIRuntime",
-    "MultiNodeRuntime",
-    "run_multinode",
-    "RankResult",
-    "DeadlockError",
-    "run_mpi",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "comm": ["Comm", "Compute", "Recv", "Send", "SendRecv", "nbytes_of"],
+    "network": ["NetworkModel", "ethernet_network", "shared_memory_network"],
+    "multinode": ["MultiNodeRuntime", "run_multinode"],
+    "runtime": ["DeadlockError", "RankResult", "SMPIRuntime", "run_mpi"],
+})

@@ -1,81 +1,19 @@
 """SoC assembly: Chipyard-like configs, tiles, token lockstep, and the
 named models of paper Tables 4/5."""
 
-from .config import BranchPredictorConfig, SoCConfig
-from .presets import (
-    ALL_CONFIGS,
-    BANANA_PI_HW,
-    BANANA_PI_SIM,
-    FAST_BANANA_PI_SIM,
-    FIRESIM_DDR3,
-    FIRESIM_MODELS,
-    LARGE_BOOM,
-    MEDIUM_BOOM,
-    MILKV_HW,
-    MILKV_SIM,
-    ROCKET1,
-    ROCKET2,
-    SILICON_MODELS,
-    SMALL_BOOM,
-    get_config,
-    table4_rows,
-    table5_rows,
-)
-from .fragments import (
-    Fragment,
-    WithBusWidth,
-    WithClock,
-    WithCores,
-    WithDRAM,
-    WithL1Size,
-    WithL2Banks,
-    WithLLC,
-    WithoutLLC,
-    WithoutPrefetcher,
-    WithPrefetcher,
-    WithVectorUnit,
-    compose,
-)
-from .system import System, Tile, build_branch_unit
-from .tokens import Lane, LockstepScheduler, TokenChannel
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SoCConfig",
-    "BranchPredictorConfig",
-    "System",
-    "Tile",
-    "build_branch_unit",
-    "TokenChannel",
-    "Lane",
-    "LockstepScheduler",
-    "ALL_CONFIGS",
-    "FIRESIM_MODELS",
-    "SILICON_MODELS",
-    "ROCKET1",
-    "ROCKET2",
-    "BANANA_PI_SIM",
-    "FAST_BANANA_PI_SIM",
-    "SMALL_BOOM",
-    "MEDIUM_BOOM",
-    "LARGE_BOOM",
-    "MILKV_SIM",
-    "BANANA_PI_HW",
-    "MILKV_HW",
-    "FIRESIM_DDR3",
-    "get_config",
-    "table4_rows",
-    "table5_rows",
-    "compose",
-    "Fragment",
-    "WithL2Banks",
-    "WithBusWidth",
-    "WithClock",
-    "WithDRAM",
-    "WithLLC",
-    "WithoutLLC",
-    "WithL1Size",
-    "WithCores",
-    "WithPrefetcher",
-    "WithoutPrefetcher",
-    "WithVectorUnit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "config": ["BranchPredictorConfig", "SoCConfig"],
+    "presets": [
+        "ALL_CONFIGS", "BANANA_PI_HW", "BANANA_PI_SIM", "FAST_BANANA_PI_SIM",
+        "FIRESIM_DDR3", "FIRESIM_MODELS", "LARGE_BOOM", "MEDIUM_BOOM",
+        "MILKV_HW", "MILKV_SIM", "ROCKET1", "ROCKET2", "SILICON_MODELS",
+        "SMALL_BOOM", "get_config", "table4_rows", "table5_rows"],
+    "fragments": [
+        "Fragment", "WithBusWidth", "WithClock", "WithCores", "WithDRAM",
+        "WithL1Size", "WithL2Banks", "WithLLC", "WithoutLLC",
+        "WithoutPrefetcher", "WithPrefetcher", "WithVectorUnit", "compose"],
+    "system": ["System", "Tile", "build_branch_unit"],
+    "tokens": ["Lane", "LockstepScheduler", "TokenChannel"],
+})

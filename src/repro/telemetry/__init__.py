@@ -14,15 +14,9 @@ Entry points:
 See ``docs/observability.md`` for the data model and a worked example.
 """
 
-from .cpi import BUCKETS, CPIStack, cpi_stack, cpi_stacks
-from .registry import SCHEMA_VERSION, Snapshot, StatsRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "Snapshot",
-    "StatsRegistry",
-    "BUCKETS",
-    "CPIStack",
-    "cpi_stack",
-    "cpi_stacks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cpi": ["BUCKETS", "CPIStack", "cpi_stack", "cpi_stacks"],
+    "registry": ["SCHEMA_VERSION", "Snapshot", "StatsRegistry"],
+})

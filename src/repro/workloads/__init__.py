@@ -1,20 +1,8 @@
 """Workloads: MicroBench suite, NPB, UME proxy app, LAMMPS-mini."""
 
-from . import lammps, microbench, npb, ume
-from .base import KernelSpec, LoopEmitter, MicroKernel, PhaseEmitter
-from .compiler import GCC_9_4, GCC_13_2, GccModel, apply_compiler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "microbench",
-    "npb",
-    "ume",
-    "lammps",
-    "KernelSpec",
-    "MicroKernel",
-    "LoopEmitter",
-    "PhaseEmitter",
-    "GccModel",
-    "GCC_9_4",
-    "GCC_13_2",
-    "apply_compiler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ["KernelSpec", "MicroKernel", "LoopEmitter", "PhaseEmitter"],
+    "compiler": ["GccModel", "GCC_9_4", "GCC_13_2", "apply_compiler"],
+}, submodules=["microbench", "npb", "ume", "lammps"])

@@ -1,24 +1,11 @@
 """LAMMPS-mini: molecular dynamics with LJ and FENE-chain benchmarks."""
 
-from .forces import fene_forces, kinetic_energy, lj_forces, temperature
-from .integrate import MDSystem, WCA_CUTOFF
-from .neighbor import NeighborList, half_neighbor_list
-from .setup import chain_system, lj_lattice
-from .workload import BENCHMARKS, LAMMPSResult, lammps_program, run_lammps
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "lj_forces",
-    "fene_forces",
-    "kinetic_energy",
-    "temperature",
-    "MDSystem",
-    "WCA_CUTOFF",
-    "NeighborList",
-    "half_neighbor_list",
-    "lj_lattice",
-    "chain_system",
-    "BENCHMARKS",
-    "LAMMPSResult",
-    "run_lammps",
-    "lammps_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "forces": ["fene_forces", "kinetic_energy", "lj_forces", "temperature"],
+    "integrate": ["MDSystem", "WCA_CUTOFF"],
+    "neighbor": ["NeighborList", "half_neighbor_list"],
+    "setup": ["chain_system", "lj_lattice"],
+    "workload": ["BENCHMARKS", "LAMMPSResult", "lammps_program", "run_lammps"],
+})

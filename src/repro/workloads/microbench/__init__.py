@@ -1,23 +1,9 @@
 """MicroBench: the 40-kernel microarchitecture benchmark suite (Table 1)."""
 
-from .suite import (
-    KERNEL_CLASSES,
-    KernelRun,
-    all_kernels,
-    categories,
-    get_kernel,
-    run_kernel,
-    run_suite,
-    runnable_kernels,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "KERNEL_CLASSES",
-    "KernelRun",
-    "all_kernels",
-    "categories",
-    "get_kernel",
-    "run_kernel",
-    "run_suite",
-    "runnable_kernels",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "suite": [
+        "KERNEL_CLASSES", "KernelRun", "all_kernels", "categories",
+        "get_kernel", "run_kernel", "run_suite", "runnable_kernels"],
+})

@@ -1,44 +1,12 @@
 """NAS Parallel Benchmarks: CG, EP, IS, MG (paper Table 2, all class A)."""
 
-from .cg import CG_CLASSES, cg_program, cg_reference, run_cg
-from .common import CLASS_NAMES, NPBResult
-from .ep import EP_CLASSES, ep_program, ep_reference, run_ep
-from .is_ import IS_CLASSES, is_program, is_reference_checksum, run_is
-from .mg import MG_CLASSES, mg_program, mg_reference, run_mg
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "NPBResult",
-    "CLASS_NAMES",
-    "CG_CLASSES",
-    "EP_CLASSES",
-    "IS_CLASSES",
-    "MG_CLASSES",
-    "run_cg",
-    "run_ep",
-    "run_is",
-    "run_mg",
-    "cg_program",
-    "ep_program",
-    "is_program",
-    "mg_program",
-    "cg_reference",
-    "ep_reference",
-    "is_reference_checksum",
-    "mg_reference",
-    "NPB_RUNNERS",
-    "run_npb",
-]
-
-#: benchmark name -> runner, in Table 2 order
-NPB_RUNNERS = {"CG": run_cg, "EP": run_ep, "IS": run_is, "MG": run_mg}
-
-
-def run_npb(benchmark: str, config, nranks: int = 1, cls: str = "A") -> NPBResult:
-    """Run one NPB benchmark by name."""
-    try:
-        runner = NPB_RUNNERS[benchmark.upper()]
-    except KeyError:
-        raise KeyError(
-            f"unknown NPB benchmark {benchmark!r}; available: {sorted(NPB_RUNNERS)}"
-        ) from None
-    return runner(config, nranks=nranks, cls=cls)
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "common": ["NPBResult", "CLASS_NAMES"],
+    "cg": ["CG_CLASSES", "run_cg", "cg_program", "cg_reference"],
+    "ep": ["EP_CLASSES", "run_ep", "ep_program", "ep_reference"],
+    "is_": ["IS_CLASSES", "run_is", "is_program", "is_reference_checksum"],
+    "mg": ["MG_CLASSES", "run_mg", "mg_program", "mg_reference"],
+    "runners": ["NPB_RUNNERS", "run_npb"],
+})

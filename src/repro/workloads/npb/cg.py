@@ -10,13 +10,17 @@ the same communication structure as NPB's CG.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from ...isa.opcodes import OpClass
 from ...smpi.comm import Comm
 from ..base import PhaseEmitter
 from .common import AddressSpace, NPBResult, check_class, run_npb_program
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["CG_CLASSES", "build_matrix", "cg_reference", "cg_program", "run_cg"]
 
@@ -32,6 +36,9 @@ CG_CLASSES = {
 
 def build_matrix(cls: str, seed: int = 12) -> sparse.csr_matrix:
     """Random sparse SPD matrix in the spirit of NPB's makea."""
+    # the only scipy user: nothing else pays for importing it
+    from scipy import sparse
+
     n, nzr, _, _ = CG_CLASSES[cls]
     rng = np.random.default_rng(seed)
     rows = np.repeat(np.arange(n), nzr)

@@ -1,18 +1,11 @@
 """UME: the LANL Unstructured Mesh Explorations proxy application."""
 
-from .kernels import KERNEL_NAMES, face_areas, point_from_zone_gather, zone_to_point_scatter
-from .mesh import UnstructuredMesh, build_box_mesh
-from .workload import DEFAULT_MESH_N, UMEResult, run_ume, ume_program
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "UnstructuredMesh",
-    "build_box_mesh",
-    "KERNEL_NAMES",
-    "zone_to_point_scatter",
-    "point_from_zone_gather",
-    "face_areas",
-    "UMEResult",
-    "run_ume",
-    "ume_program",
-    "DEFAULT_MESH_N",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "kernels": [
+        "KERNEL_NAMES", "face_areas", "point_from_zone_gather",
+        "zone_to_point_scatter"],
+    "mesh": ["UnstructuredMesh", "build_box_mesh"],
+    "workload": ["DEFAULT_MESH_N", "UMEResult", "run_ume", "ume_program"],
+})

@@ -6,6 +6,9 @@ bit-identity contract as serial :func:`repro.farm.execute_job`.
 """
 
 import multiprocessing
+import os
+import pathlib
+import socket
 import time
 
 import pytest
@@ -346,6 +349,48 @@ def test_preempt_retires_the_worker_and_resume_forks_one(tmp_path):
         done = wait_until(client, client.resume(doc["id"])["id"], {"ok"})
         assert done["payload"] == execute_job(job)
         assert _spawned(client) == 2
+
+
+def _socket_inodes(pid):
+    held = set()
+    for fd in pathlib.Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            link = os.readlink(fd)
+        except OSError:
+            continue                # closed while we listed
+        if link.startswith("socket:"):
+            held.add(link)
+    return held
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/fd").exists(),
+                    reason="needs /proc to list a worker's fds")
+def test_workers_keep_only_their_own_pipe_end(tmp_path):
+    """No worker holds the listener, a client connection, or the parent's
+    end of any pipe, its own or a sibling's: only its own end."""
+    with serve(tmp_path, deploy="local:2") as handle:
+        client = handle.client()
+        with socket.socket(socket.AF_UNIX) as idle:
+            idle.connect(handle.endpoint)   # an open client at fork time
+            ids = [client.submit(Job.kernel(ROCKET1, **MM_SLOW), tenant=t)["id"]
+                   for t in "ab"]
+            for jid in ids:
+                wait_until(client, jid, {"running"}, timeout_s=30)
+            assert _spawned(client) == 2
+            ours = _socket_inodes(os.getpid())
+            for pid in _worker_pids():
+                # "running" is set on the fork's parent side: give the
+                # worker until its start-up is surely over
+                deadline = time.monotonic() + 10.0
+                while True:
+                    held = _socket_inodes(pid)
+                    if (len(held) == 1 and not held & ours
+                            or time.monotonic() > deadline):
+                        break
+                    time.sleep(0.01)
+                assert len(held) == 1 and not held & ours, (pid, held)
+        for jid in ids:
+            client.cancel(jid)
 
 
 def test_migration_retires_workers_of_the_quarantined_host(tmp_path):
