@@ -181,6 +181,13 @@ VERDICTS: list[tuple[str, str]] = [
      "`test_bench_extensions.py` owns it"),
     ("workloads/microbench/vectorbench.py:*", "keep: RVV kernels; ROADMAP "
      "parks RVV timing"),
+    ("mem/cache.py:Cache.flush", "keep: rewritten on the per-set rows, "
+     "cleared in place so an engine's bound lists stay live; "
+     "`TilePort.flush` and `InterleavedLLC.flush` call it"),
+    ("core/branch.py:*_branch_unit", "keep: the front end `InOrderCore`/"
+     "`OoOCore` build when no branch unit is passed (bare cores in "
+     "tier-1); `System` passes `build_branch_unit(cfg)`; it holds no "
+     "table of its own"),
     ("core/*", _ITEM4),
     ("mem/*", _ITEM4),
     ("soc/tokens.py:*", _ITEM4),

@@ -1,25 +1,27 @@
 """Accelerated execution engine for :class:`~repro.core.inorder.InOrderCore`.
 
-The reference model is exact but pays Python/numpy overhead on every
-micro-op: numpy scalar unboxing on each trace column read, ``np.nonzero``
-tag probes per cache access, attribute chases through the hierarchy, and
-per-branch predictor table indexing.  This engine removes that overhead
-while producing **bit-identical results** by construction: every timing
-decision is a line-for-line transliteration of the reference code paths,
-executed over plain-Python mirrors of the component state.
+The reference model is exact but pays interpreter overhead on every
+micro-op: numpy scalar unboxing on each trace column read, a method call
+and attribute chase per level of the hierarchy, and per-branch predictor
+table indexing.  This engine removes that overhead while producing
+**bit-identical results** by construction: every timing decision is a
+line-for-line transliteration of the reference code paths, executed over
+the reference components' own state.
 
 How it stays exact
 ------------------
 
-* **Mirrors, not models.**  While a run is attached, each hot
-  component's array state lives in plain lists (cache tags/dirty/LRU one
-  set at a time as the run reaches it, BTB, direction-predictor
-  counters) and is written back when the run ends — including on
-  exceptions — so the reference objects always hold the authoritative
-  state between runs.  Structures that are cheap to use directly (MSHR
-  dicts, bank/bus/channel timelines, TLB sets, the coherence directory's
-  dicts, DRAM bank state, the RAS, the store buffer, the register
-  scoreboard, all stats dataclasses) are shared in place.
+* **One home for state.**  Every table is a plain list owned by its
+  reference object — cache tag/dirty/LRU rows (made per set on first
+  access, by ``Cache._row`` on either path), BTB rows, direction-
+  predictor counters — and the closures here bind those very lists, as
+  they do the MSHR dicts, bank/bus/channel timelines, TLB sets, the
+  coherence directory's dicts, DRAM bank state, the RAS, the store
+  buffer and the register scoreboard.  Attaching copies nothing.  Only
+  scalars live in locals while a run is attached: stats counters, a
+  cache's LRU use counter, the BTB stamp and a predictor's global
+  history; ``detach`` writes those back, even when the run raises, so
+  the reference objects hold the whole state between runs.
 
 * **One flat memory walk.**  :func:`attach_port` builds TLB -> L1 ->
   bus -> directory -> L2 -> DRAM as closures that call each other
@@ -63,14 +65,13 @@ __all__ = ["run_inorder"]
 # -- component mirrors --------------------------------------------------------
 
 def _mirror_cache(cache, next_access):
-    """Closure-compiled twin of ``Cache.access`` over list mirrors.
+    """Closure-compiled twin of ``Cache.access`` over the cache's own rows.
 
-    Tag/dirty/LRU state is mirrored one set at a time, on the set's
-    first access, and only those sets are written back, so attaching
-    costs what the run touches and not what the cache holds (a 2048-uop
-    chunk reaches a few dozen of an L2's 1024 sets).  The LRU use counter
-    lives in a local for the duration of a run; MSHRs, bank timelines,
-    and stats are the shared reference objects.
+    The tag/dirty/LRU tables, MSHRs and bank timelines are the
+    reference objects, bound live; a set's rows are made on its first
+    access by the same ``Cache._row`` the reference path uses.  The LRU
+    use counter and the stats live in locals for the duration of a run
+    and are all ``detach`` writes back.
     Returns ``(access, contains, detach)``.
     """
     cfg = cache.cfg
@@ -81,11 +82,8 @@ def _mirror_cache(cache, next_access):
     banks = cfg.banks
     n_mshrs = cfg.mshrs
     cyc = cfg.cycle_time
-    np_tags, np_dirty, np_lru = cache._tags, cache._dirty, cache._lru
-    tags = [None] * cfg.sets
-    dirty = [None] * cfg.sets
-    lru = [None] * cfg.sets
-    loaded = []
+    tags, dirty, lru = cache._tags, cache._dirty, cache._lru
+    make_row = cache._row
     use_counter = cache._use_counter
     mshr = cache._mshr
     #: no fill in ``mshr`` completes later than this, so a lookup at or
@@ -100,13 +98,6 @@ def _mirror_cache(cache, next_access):
     n_access = n_misses = n_wb = n_merges = 0
     n_conflict = 0
     n_mshr_stall = 0
-
-    def load(set_idx):
-        loaded.append(set_idx)
-        tags[set_idx] = row = np_tags[set_idx].tolist()
-        dirty[set_idx] = np_dirty[set_idx].tolist()
-        lru[set_idx] = np_lru[set_idx].tolist()
-        return row
 
     def access(addr, time, is_store):
         nonlocal n_access, n_misses, n_wb, n_merges, n_conflict, \
@@ -134,7 +125,7 @@ def _mirror_cache(cache, next_access):
 
         row = tags[set_idx]
         if row is None:
-            row = load(set_idx)
+            row = make_row(set_idx)
         if line in row:
             way = row.index(line)
             use_counter += 1
@@ -187,14 +178,10 @@ def _mirror_cache(cache, next_access):
 
     def contains(addr):
         line = addr >> line_shift
-        set_idx = line & set_mask
-        return line in (tags[set_idx] or load(set_idx))
+        row = tags[line & set_mask]
+        return row is not None and line in row
 
     def detach():
-        if loaded:
-            np_tags[loaded] = [tags[s] for s in loaded]
-            np_dirty[loaded] = [dirty[s] for s in loaded]
-            np_lru[loaded] = [lru[s] for s in loaded]
         cache._use_counter = use_counter
         st.accesses += n_access
         st.hits += n_access - n_misses
@@ -410,10 +397,12 @@ def _mirror_direction(d):
 
     ``predict_update(pc, taken)`` returns what ``d.predict(pc)`` would
     and leaves the state ``d.update(pc, taken)`` would: the two reference
-    calls see the same tables, so one lookup serves both.
+    calls see the same tables, so one lookup serves both.  The counter
+    tables are the predictor's own lists; ``detach`` writes back the
+    global history register, and is None where there is none.
     """
     if type(d) is BimodalBHT:
-        ctr = d._ctr.tolist()
+        ctr = d._ctr
         mask = d.entries - 1
 
         def predict_update(pc, taken):
@@ -426,13 +415,10 @@ def _mirror_direction(d):
                 ctr[i] = c - 1
             return c >= 2
 
-        def detach():
-            d._ctr[:] = ctr
-
-        return predict_update, detach
+        return predict_update, None
 
     if type(d) is GShare:
-        ctr = d._ctr.tolist()
+        ctr = d._ctr
         mask = d.entries - 1
         hmask = (1 << d.hist_bits) - 1
         hist = d._hist
@@ -452,7 +438,6 @@ def _mirror_direction(d):
             return c >= 2
 
         def detach():
-            d._ctr[:] = ctr
             d._hist = hist
 
         return predict_update, detach
@@ -462,11 +447,11 @@ def _mirror_direction(d):
     size_mask = d.size - 1
     tag_bits = d.tag_bits
     tag_mask = (1 << tag_bits) - 1
-    ctrs = [a.tolist() for a in d._ctr]
-    tags = [a.tolist() for a in d._tag]
-    useful = [a.tolist() for a in d._useful]
+    ctrs = d._ctr
+    tags = d._tag
+    useful = d._useful
     hist = d._hist
-    base_ctr = d.base._ctr.tolist()
+    base_ctr = d.base._ctr
     base_mask = d.base.entries - 1
 
     def fold(bits, out_bits):
@@ -560,12 +545,7 @@ def _mirror_direction(d):
         return pred
 
     def detach():
-        for t in range(nt):
-            d._ctr[t][:] = ctrs[t]
-            d._tag[t][:] = tags[t]
-            d._useful[t][:] = useful[t]
         d._hist = hist
-        d.base._ctr[:] = base_ctr
 
     return predict_update, detach
 
@@ -576,9 +556,9 @@ def _mirror_branch_unit(bru):
     predict_update, dir_detach = _mirror_direction(bru.direction)
     btb = bru.btb
     nsets = btb.sets
-    tag_m = btb._tag.tolist()
-    tgt_m = btb._target.tolist()
-    lru_m = btb._lru.tolist()
+    tag_m = btb._tag
+    tgt_m = btb._target
+    lru_m = btb._lru
     stamp = btb._stamp
     ras = bru.ras._stack
     ras_depth = bru.ras.depth
@@ -648,11 +628,9 @@ def _mirror_branch_unit(bru):
         return 0
 
     def detach():
-        btb._tag[:] = tag_m
-        btb._target[:] = tgt_m
-        btb._lru[:] = lru_m
         btb._stamp = stamp
-        dir_detach()
+        if dir_detach is not None:
+            dir_detach()
 
     return resolve, detach
 
@@ -660,9 +638,10 @@ def _mirror_branch_unit(bru):
 def _inline_prefetcher(pf, contains_f, access_f):
     """Closure twin of ``StridePrefetcher.observe`` over a mirrored cache.
 
-    The reference ``observe`` would probe/fill the numpy tag arrays the
-    mirror has superseded mid-run, so prefetch traffic must flow through
-    the same fast closures as demand traffic.
+    The reference ``observe`` would fill through ``Cache.access``, whose
+    LRU use counter and stats the mirror holds in locals mid-run, so
+    prefetch traffic must flow through the same fast closures as demand
+    traffic.
     """
     cfg = pf.cfg
     st = pf.stats
@@ -710,8 +689,9 @@ def attach_port(port):
     TilePort entry points.  The walk TLB -> L1 -> bus -> directory -> L2
     -> DRAM is wired here, each level a closure that calls the next one
     directly.  Shared by the in-order engine, the out-of-order engine,
-    and the batched sweep driver; ``detach`` flushes every mirror back
-    and must run exactly once, even when the simulated trace raises.
+    and the batched sweep driver; ``detach`` adds the counters the
+    closures kept in locals to the stats objects and must run exactly
+    once, even when the simulated trace raises.
     """
     uncore = port.uncore
     l2 = uncore.l2
@@ -833,7 +813,7 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
     n = ct.n
     lat_list = memo.latency_lut(cfg.latencies)
 
-    # ---- attach: build the fast call graph over mirrored state ----
+    # ---- attach: build the fast call graph over the live state ----
     dload, dstore, ifetch, mem_detach = attach_port(port)
     resolve, bru_detach = _mirror_branch_unit(bru)
 
@@ -1019,9 +999,8 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
                 if op == 3 and not pipelined_div:
                     div_free = t + l
     finally:
-        # write the mirrors back even when the loop raises (vector op
-        # on a vector-less core): the reference objects stay
-        # authoritative between runs
+        # flush the local counters even when the loop raises (vector
+        # op on a vector-less core), so the stats match the state
         mem_detach()
         bru_detach()
 

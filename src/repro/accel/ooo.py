@@ -16,11 +16,13 @@ Every timing decision below is a line-for-line transliteration of
 ring-buffer capacity bookkeeping, the same issue-port min-scan, in the
 same order on the same values — executed over the plain-list columns of
 a :class:`~repro.accel.compile.CompiledTrace` with the closure-bound
-memory and branch mirrors from :mod:`repro.accel.engine`
+memory and branch closures from :mod:`repro.accel.engine`
 (:func:`~repro.accel.engine.attach_port`,
-:func:`~repro.accel.engine._mirror_branch_unit`).  Mirrors flush back at
-detach — including when the trace raises — so the reference objects
-always hold the authoritative state between runs.
+:func:`~repro.accel.engine._mirror_branch_unit`).  Those bind the
+reference components' own tables, so attaching copies nothing; detach
+writes back only the counters and scalar registers the closures keep in
+locals — including when the trace raises — so the reference objects
+hold the whole state between runs.
 """
 
 from __future__ import annotations

@@ -134,19 +134,9 @@ def diff_golden(prog: CheckProgram, fuel: int = DEFAULT_FUEL,
 # -- tier 2: accel on vs off across configs ---------------------------------
 
 
-def _canon(x):
-    if isinstance(x, dict):
-        return {k: _canon(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_canon(v) for v in x]
-    if hasattr(x, "tolist"):
-        return x.tolist()
-    return x
-
-
 def _strip_accel(snapdata: dict) -> dict:
     """Snapshot tree minus the accel-only counters (differ by design)."""
-    data = json.loads(json.dumps(_canon(snapdata)))
+    data = json.loads(json.dumps(snapdata))
     data.pop("accel", None)
     for tile in data.get("tiles", []):
         tile.pop("accel", None)
@@ -187,7 +177,7 @@ def diff_accel(trace, config_names: Sequence[str] | None = None,
                               _strip_accel(reg.delta(base).data))
         r_on, t_on = per_mode["on"]
         r_off, t_off = per_mode["off"]
-        for line in _dict_diff(_canon(r_on), _canon(r_off)):
+        for line in _dict_diff(r_on, r_off):
             diffs.append(f"{name}: result.{line}")
         for line in _dict_diff(t_on, t_off):
             diffs.append(f"{name}: telemetry.{line}")
@@ -232,7 +222,7 @@ def diff_checkpoint(trace, seed: int, config_name: str = "Rocket2",
         got = donor.results()
         return [f"{config_name}: tile {i} short-run mismatch: {d}"
                 for i, (a, b) in enumerate(zip(got, ref))
-                for d in _dict_diff(_canon(asdict(a)), _canon(asdict(b)))]
+                for d in _dict_diff(asdict(a), asdict(b))]
     ckpt = donor.checkpoint()
     donor.run()  # the modelled crash happens after more progress
 
@@ -245,7 +235,7 @@ def diff_checkpoint(trace, seed: int, config_name: str = "Rocket2",
     got = resumed.results()
     diffs: list[str] = []
     for i, (a, b) in enumerate(zip(got, ref)):
-        for line in _dict_diff(_canon(asdict(a)), _canon(asdict(b))):
+        for line in _dict_diff(asdict(a), asdict(b)):
             diffs.append(f"{config_name}: tile {i} resumed vs straight: {line}")
     return diffs
 
@@ -293,7 +283,7 @@ def diff_instrument(trace, seed: int, config_name: str = "Rocket2",
     got = sys_i.run_parallel(traces, quantum=quantum, chunk=chunk)
     inst.seal()
     for i, (a, b) in enumerate(zip(got, ref)):
-        for line in _dict_diff(_canon(asdict(a)), _canon(asdict(b))):
+        for line in _dict_diff(asdict(a), asdict(b)):
             diffs.append(f"{config_name}: tile {i} instrumented vs bare: "
                          f"{line}")
     diffs += _lint_stream(read_stream(inst.stream), config_name)
@@ -316,7 +306,7 @@ def diff_instrument(trace, seed: int, config_name: str = "Rocket2",
         resumed.run()
         resume_inst.seal()
         for i, (a, b) in enumerate(zip(resumed.results(), ref)):
-            for line in _dict_diff(_canon(asdict(a)), _canon(asdict(b))):
+            for line in _dict_diff(asdict(a), asdict(b)):
                 diffs.append(f"{config_name}: tile {i} instrumented resume "
                              f"vs bare: {line}")
     return diffs

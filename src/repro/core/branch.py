@@ -6,13 +6,14 @@ predictor implementations — tables, tags, useful counters — not statistical
 stand-ins, because several MicroBench kernels (Cca, Cce, CCh, CRd, CRf,
 CS1, CS3) exist specifically to separate predictable from unpredictable
 control flow.
+
+Every table is a plain list (2-D tables a list of per-set rows) that the
+accelerated engine binds live, so tables are only mutated in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..isa.opcodes import OpClass
 
@@ -36,13 +37,13 @@ class BimodalBHT:
         if entries <= 0 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
         self.entries = entries
-        self._ctr = np.full(entries, 1, dtype=np.int8)  # weakly not-taken
+        self._ctr = [1] * entries  # weakly not-taken
 
     def _idx(self, pc: int) -> int:
         return (pc >> 2) & (self.entries - 1)
 
     def predict(self, pc: int) -> bool:
-        return bool(self._ctr[self._idx(pc)] >= 2)
+        return self._ctr[self._idx(pc)] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         i = self._idx(pc)
@@ -58,14 +59,14 @@ class GShare:
             raise ValueError("entries must be a positive power of two")
         self.entries = entries
         self.hist_bits = hist_bits
-        self._ctr = np.full(entries, 1, dtype=np.int8)
+        self._ctr = [1] * entries
         self._hist = 0
 
     def _idx(self, pc: int) -> int:
         return ((pc >> 2) ^ self._hist) & (self.entries - 1)
 
     def predict(self, pc: int) -> bool:
-        return bool(self._ctr[self._idx(pc)] >= 2)
+        return self._ctr[self._idx(pc)] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
         i = self._idx(pc)
@@ -82,31 +83,31 @@ class BTB:
             raise ValueError("entries must be divisible by assoc")
         self.sets = entries // assoc
         self.assoc = assoc
-        self._tag = np.full((self.sets, assoc), -1, dtype=np.int64)
-        self._target = np.zeros((self.sets, assoc), dtype=np.int64)
-        self._lru = np.zeros((self.sets, assoc), dtype=np.int64)
+        self._tag = [[-1] * assoc for _ in range(self.sets)]
+        self._target = [[0] * assoc for _ in range(self.sets)]
+        self._lru = [[0] * assoc for _ in range(self.sets)]
         self._stamp = 0
 
     def lookup(self, pc: int) -> int | None:
         s = (pc >> 2) % self.sets
         tag = pc >> 2
-        ways = np.nonzero(self._tag[s] == tag)[0]
-        if ways.size:
-            w = int(ways[0])
+        row = self._tag[s]
+        if tag in row:
+            w = row.index(tag)
             self._stamp += 1
-            self._lru[s, w] = self._stamp
-            return int(self._target[s, w])
+            self._lru[s][w] = self._stamp
+            return self._target[s][w]
         return None
 
     def insert(self, pc: int, target: int) -> None:
         s = (pc >> 2) % self.sets
         tag = pc >> 2
-        ways = np.nonzero(self._tag[s] == tag)[0]
-        w = int(ways[0]) if ways.size else int(np.argmin(self._lru[s]))
-        self._tag[s, w] = tag
-        self._target[s, w] = target
+        row, lru = self._tag[s], self._lru[s]
+        w = row.index(tag) if tag in row else lru.index(min(lru))
+        row[w] = tag
+        self._target[s][w] = target
         self._stamp += 1
-        self._lru[s, w] = self._stamp
+        self._lru[s][w] = self._stamp
 
 
 class ReturnAddressStack:
@@ -154,9 +155,9 @@ class TAGE:
         else:
             ratio = (max_hist / min_hist) ** (1 / (num_tables - 1))
             self.hist_len = [int(round(min_hist * ratio**i)) for i in range(num_tables)]
-        self._ctr = [np.zeros(self.size, dtype=np.int8) for _ in range(num_tables)]
-        self._tag = [np.full(self.size, -1, dtype=np.int32) for _ in range(num_tables)]
-        self._useful = [np.zeros(self.size, dtype=np.int8) for _ in range(num_tables)]
+        self._ctr = [[0] * self.size for _ in range(num_tables)]
+        self._tag = [[-1] * self.size for _ in range(num_tables)]
+        self._useful = [[0] * self.size for _ in range(num_tables)]
         self._hist = 0
 
     def _fold(self, bits: int, out_bits: int) -> int:
@@ -185,7 +186,7 @@ class TAGE:
         for t in range(self.num_tables - 1, -1, -1):
             i = self._index(pc, t)
             if self._tag[t][i] == self._tag_of(pc, t):
-                return bool(self._ctr[t][i] >= 0), t, i
+                return self._ctr[t][i] >= 0, t, i
         return self.base.predict(pc), -1, 0
 
     def update(self, pc: int, taken: bool) -> None:

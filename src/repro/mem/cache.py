@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .timeline import OccupancyTimeline
 
 __all__ = ["CacheConfig", "Cache", "CacheStats"]
@@ -71,9 +69,6 @@ class CacheStats:
         self.__init__()
 
 
-_INVALID = np.int64(-1)
-
-
 class Cache:
     """One level of a write-back, write-allocate set-associative cache."""
 
@@ -84,11 +79,12 @@ class Cache:
         self.stats = CacheStats()
         self._line_shift = cfg.line_bytes.bit_length() - 1
         self._set_mask = cfg.sets - 1
-        # tag state: [sets, ways]
-        self._tags = np.full((cfg.sets, cfg.ways), _INVALID, dtype=np.int64)
-        self._dirty = np.zeros((cfg.sets, cfg.ways), dtype=bool)
-        # LRU stamps: larger = more recently used
-        self._lru = np.zeros((cfg.sets, cfg.ways), dtype=np.int64)
+        # per-set rows of tags (-1 = invalid), dirty bits and LRU stamps
+        # (larger = more recently used), made by ``_row``; the engine
+        # binds these lists live, so they are only mutated in place
+        self._tags: list[list[int] | None] = [None] * cfg.sets
+        self._dirty: list[list[bool] | None] = [None] * cfg.sets
+        self._lru: list[list[int] | None] = [None] * cfg.sets
         self._use_counter = 0
         # per-bank occupancy (interval-tracked: shared caches see
         # requests from mutually-skewed tile clocks)
@@ -108,16 +104,28 @@ class Cache:
             for a in done:
                 del self._mshr[a]
 
+    def _row(self, set_idx: int) -> list[int]:
+        """Make set *set_idx*'s rows, every way invalid; returns its tags.
+
+        Called on a set's first access, so a cache costs what a run
+        touches, not its tens of thousands of LLC sets."""
+        ways = self.cfg.ways
+        self._tags[set_idx] = row = [-1] * ways
+        self._dirty[set_idx] = [False] * ways
+        self._lru[set_idx] = [0] * ways
+        return row
+
     def _touch(self, set_idx: int, way: int) -> None:
         self._use_counter += 1
-        self._lru[set_idx, way] = self._use_counter
+        self._lru[set_idx][way] = self._use_counter
 
     def _victim(self, set_idx: int) -> int:
         """The first invalid way, else the least recently used one."""
-        invalid = np.nonzero(self._tags[set_idx] == _INVALID)[0]
-        if invalid.size:
-            return int(invalid[0])
-        return int(np.argmin(self._lru[set_idx]))
+        row = self._tags[set_idx]
+        if -1 in row:
+            return row.index(-1)
+        lru = self._lru[set_idx]
+        return lru.index(min(lru))
 
     # -- main access path ---------------------------------------------------
 
@@ -135,12 +143,13 @@ class Cache:
             st.bank_conflict_cycles += int(start - time)
 
         row = self._tags[set_idx]
-        hit_ways = np.nonzero(row == line)[0]
-        if hit_ways.size:
-            way = int(hit_ways[0])
+        if row is None:
+            row = self._row(set_idx)
+        if line in row:
+            way = row.index(line)
             self._touch(set_idx, way)
             if is_store:
-                self._dirty[set_idx, way] = True
+                self._dirty[set_idx][way] = True
             st.hits += 1
             done = start + cfg.hit_latency
             # the tag is installed at miss time, but data arrives with the
@@ -173,42 +182,37 @@ class Cache:
 
         # victim selection & writeback
         way = self._victim(set_idx)
-        if self._dirty[set_idx, way] and self._tags[set_idx, way] != _INVALID:
+        dirty = self._dirty[set_idx]
+        if dirty[way] and row[way] != -1:
             st.writebacks += 1
-            victim_addr = int(self._tags[set_idx, way]) << self._line_shift
             # writeback consumes next-level bandwidth but doesn't block the fill
-            self.next_level.access(victim_addr, fill_time, True)
-        self._tags[set_idx, way] = line
-        self._dirty[set_idx, way] = bool(is_store)
+            self.next_level.access(row[way] << self._line_shift, fill_time, True)
+        row[way] = line
+        dirty[way] = bool(is_store)
         self._touch(set_idx, way)
         return fill_time
 
     # -- introspection ------------------------------------------------------
 
     def contains(self, addr: int) -> bool:
-        """True if the line holding *addr* is currently resident."""
+        """True if the line holding *addr* is currently resident.
+
+        A probe makes no row: state must not depend on how often the
+        prefetcher asked.
+        """
         set_idx, line = self._index(addr)
-        return bool(np.any(self._tags[set_idx] == line))
+        row = self._tags[set_idx]
+        return row is not None and line in row
 
     def flush(self) -> None:
-        """Invalidate all lines (does not model writeback traffic)."""
-        self._tags.fill(_INVALID)
-        self._dirty.fill(False)
-        self._lru.fill(0)
+        """Invalidate all lines (does not model writeback traffic).
+
+        The tables are cleared in place, never rebound: an engine binds
+        these very lists.
+        """
+        for table in (self._tags, self._dirty, self._lru):
+            table[:] = [None] * len(table)
         self._mshr.clear()
-
-    def warm(self, addrs) -> None:
-        """Install lines for *addrs* without timing side effects."""
-        for a in np.asarray(addrs, dtype=np.int64).ravel():
-            set_idx, line = self._index(int(a))
-            row = self._tags[set_idx]
-            hit = np.nonzero(row == line)[0]
-            way = int(hit[0]) if hit.size else self._victim(set_idx)
-            self._tags[set_idx, way] = line
-            self._touch(set_idx, way)
-
-    def resident_lines(self) -> int:
-        return int(np.count_nonzero(self._tags != _INVALID))
 
     def __repr__(self) -> str:
         c = self.cfg

@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from ..isa.trace import trace_digest
 from ..soc.config import config_digest
 
@@ -56,8 +54,9 @@ __all__ = [
     "trace_fingerprint",
 ]
 
-#: bump when the capture layout below changes incompatibly
-CHECKPOINT_SCHEMA = 1
+#: bump when the capture layout below changes incompatibly (2: cache and
+#: predictor tables are lists of rows, predictors captured as components)
+CHECKPOINT_SCHEMA = 2
 
 _PICKLE_PROTOCOL = 4  # fixed so digests are stable across interpreters
 
@@ -94,48 +93,65 @@ trace_fingerprint = trace_digest
 # -- component state capture --------------------------------------------------
 
 #: attribute names never captured: configs/wiring, not mutable sim state
+#: (``direction``, ``base`` and ``btb`` are captured as components)
 _WIRING = {"cfg", "name", "next_level", "port", "bru", "uncore", "cache",
-           "tile_id", "prefetcher", "_walker", "_accel_on"}
+           "tile_id", "prefetcher", "_walker", "_accel_on", "direction",
+           "base", "btb"}
+
+#: the list-native tables of caches, the BTB and the direction
+#: predictors: lists of scalars or of rows of scalars (a cache's unmade
+#: sets are None), so they are copied row by row and hashed per table
+_TABLES = frozenset({"_tags", "_dirty", "_lru", "_ctr", "_tag", "_target",
+                     "_useful"})
+
+
+def _copy_table(table: list) -> list:
+    return [row[:] if type(row) is list else row for row in table]
 
 
 def _grab(obj) -> dict[str, Any]:
-    """Deep-copy every mutable (non-wiring, non-callable) attribute."""
+    """Copy every mutable (non-wiring, non-callable) attribute."""
     out: dict[str, Any] = {}
     for k, v in vars(obj).items():
         if k in _WIRING or callable(v):
             continue
-        out[k] = copy.deepcopy(v)
+        out[k] = _copy_table(v) if k in _TABLES else copy.deepcopy(v)
     return out
 
 
 def _apply(obj, state: dict[str, Any]) -> None:
     """Write captured state back onto an existing object, in place.
 
-    Values are deep-copied on the way in so one checkpoint can be
-    restored into several systems without aliasing live state.
+    Values are copied on the way in so one checkpoint can be restored
+    into several systems without aliasing live state.  Tables are
+    filled in place: the accelerated engine binds those very lists.
     """
     for k, v in state.items():
         if not hasattr(obj, k):
             raise CheckpointError(
                 f"checkpoint state key {k!r} does not exist on "
                 f"{type(obj).__name__}; schema drift?")
-        setattr(obj, k, copy.deepcopy(v))
+        if k in _TABLES:
+            getattr(obj, k)[:] = _copy_table(v)
+        else:
+            setattr(obj, k, copy.deepcopy(v))
+
+
+def _tile_components(tile) -> dict[str, Any]:
+    """One tile's stateful components by capture name (None: absent)."""
+    port, bru = tile.port, tile.core.bru
+    return {"core": tile.core, "bru": bru, "direction": bru.direction,
+            "base": getattr(bru.direction, "base", None),  # TAGE's bimodal
+            "btb": bru.btb, "l1i": port.l1i, "l1d": port.l1d,
+            "itlb": port.itlb, "dtlb": port.dtlb,
+            "prefetch": port.prefetcher}
 
 
 def capture_system(system) -> dict:
     """Capture the full mutable state tree of a :class:`repro.soc.System`."""
-    tiles = []
-    for tile in system.tiles:
-        port = tile.port
-        tiles.append({
-            "core": _grab(tile.core),
-            "bru": _grab(tile.core.bru),
-            "l1i": _grab(port.l1i),
-            "l1d": _grab(port.l1d),
-            "itlb": _grab(port.itlb),
-            "dtlb": _grab(port.dtlb),
-            "prefetch": _grab(port.prefetcher) if port.prefetcher else None,
-        })
+    tiles = [{k: _grab(c) if c is not None else None
+              for k, c in _tile_components(tile).items()}
+             for tile in system.tiles]
     unc = system.uncore
     return {
         "tiles": tiles,
@@ -158,17 +174,11 @@ def restore_system(system, state: dict) -> None:
             f"checkpoint has {len(tiles)} tiles, system has "
             f"{len(system.tiles)}")
     for tile, ts in zip(system.tiles, tiles):
-        port = tile.port
-        _apply(tile.core, ts["core"])
-        _apply(tile.core.bru, ts["bru"])
-        _apply(port.l1i, ts["l1i"])
-        _apply(port.l1d, ts["l1d"])
-        _apply(port.itlb, ts["itlb"])
-        _apply(port.dtlb, ts["dtlb"])
-        if (ts["prefetch"] is None) != (port.prefetcher is None):
-            raise CheckpointError("prefetcher presence mismatch")
-        if ts["prefetch"] is not None:
-            _apply(port.prefetcher, ts["prefetch"])
+        for k, c in _tile_components(tile).items():
+            if (ts[k] is None) != (c is None):
+                raise CheckpointError(f"{k} presence mismatch")
+            if c is not None:
+                _apply(c, ts[k])
     unc = system.uncore
     ustate = state["uncore"]
     _apply(unc.l2, ustate["l2"])
@@ -193,18 +203,18 @@ def restore_system(system, state: dict) -> None:
 
 
 def _audit_cache(label: str, cs: dict, problems: list[str]) -> None:
-    tags = cs.get("_tags")
-    dirty = cs.get("_dirty")
-    if tags is None:
-        return
-    valid = tags != -1
-    for s in range(tags.shape[0]):
-        row = tags[s][valid[s]]
-        if len(row) != len(np.unique(row)):
+    dirty_invalid = False
+    for s, (row, dirty) in enumerate(zip(cs["_tags"], cs["_dirty"])):
+        if row is None:
+            continue
+        valid = [t for t in row if t != -1]
+        if len(valid) != len(set(valid)):
             problems.append(
                 f"{label}: duplicate valid tag in set {s} "
                 f"(cache line corruption)")
-    if dirty is not None and bool(np.any(dirty & ~valid)):
+        dirty_invalid = dirty_invalid or any(
+            d and t == -1 for d, t in zip(dirty, row))
+    if dirty_invalid:
         problems.append(f"{label}: dirty bit set on an invalid way")
 
 
@@ -308,18 +318,14 @@ def _digest_update(h, obj) -> None:
         h.update(b"N")
     elif isinstance(obj, bool):
         h.update(b"B1" if obj else b"B0")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         h.update(b"I" + str(int(obj)).encode())
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         h.update(b"F" + repr(float(obj)).encode())
     elif isinstance(obj, str):
         h.update(b"S" + obj.encode())
     elif isinstance(obj, bytes):
         h.update(b"Y" + obj)
-    elif isinstance(obj, np.ndarray):
-        arr = np.ascontiguousarray(obj)
-        h.update(b"A" + str(arr.dtype).encode() + repr(arr.shape).encode())
-        h.update(arr.tobytes())
     elif isinstance(obj, (list, tuple, deque)):
         h.update(b"L" + str(len(obj)).encode())
         for v in obj:
@@ -329,7 +335,12 @@ def _digest_update(h, obj) -> None:
         h.update(b"D" + str(len(obj)).encode())
         for k, v in obj.items():
             _digest_update(h, k)
-            _digest_update(h, v)
+            if k in _TABLES:
+                # ints, bools, None and distinct rows of them: the
+                # pickle is a function of the content alone
+                h.update(b"T" + pickle.dumps(v, protocol=_PICKLE_PROTOCOL))
+            else:
+                _digest_update(h, v)
     elif dataclasses.is_dataclass(obj):
         h.update(b"C" + type(obj).__name__.encode())
         for f in dataclasses.fields(obj):
@@ -346,9 +357,8 @@ def _digest_update(h, obj) -> None:
             h.update(k.encode())
             _digest_update(h, getattr(obj, k))
     else:
-        # opaque leaf (e.g. np.random.Generator): lone-object pickle is
-        # deterministic enough — no cross-object sharing to perturb it
-        h.update(b"P" + pickle.dumps(obj, protocol=_PICKLE_PROTOCOL))
+        raise CheckpointError(
+            f"cannot digest a {type(obj).__name__} in checkpoint state")
 
 
 # -- the checkpoint record ----------------------------------------------------
@@ -412,7 +422,15 @@ class SimCheckpoint:
         return h.hexdigest()
 
     def verify(self) -> None:
-        """Raise :class:`CheckpointError` if content does not match digest."""
+        """Raise :class:`CheckpointError` if content does not match digest.
+
+        A checkpoint of another schema is refused before its content is
+        walked: schema 1 held numpy tables this build does not read.
+        """
+        if self.schema != CHECKPOINT_SCHEMA:
+            raise CheckpointError(
+                f"checkpoint schema {self.schema} is not the supported "
+                f"schema {CHECKPOINT_SCHEMA}; re-run from the start")
         actual = self.compute_digest()
         if actual != self.digest:
             raise CheckpointError(

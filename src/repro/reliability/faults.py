@@ -239,14 +239,15 @@ def corrupt_cache_line(system, tile: int = 0, cache: str = "l1d",
         if target is None:
             raise FaultPlanError(f"unknown cache {cache!r} for corrupt-line")
     tags = target._tags
-    sets, ways = tags.shape
+    ways = target.cfg.ways
     if ways < 2:
         raise FaultPlanError(f"{target.name}: direct-mapped, cannot "
                              f"duplicate a tag within a set")
     # prefer a set that already holds a valid line; else forge one
-    candidates = [s for s in range(sets) if (tags[s] != -1).any()]
-    s = rng.choice(candidates) if candidates else rng.randrange(sets)
-    row = tags[s]
+    candidates = [s for s, row in enumerate(tags)
+                  if row is not None and row.count(-1) < ways]
+    s = rng.choice(candidates) if candidates else rng.randrange(len(tags))
+    row = tags[s] if tags[s] is not None else target._row(s)
     valid_ways = [w for w in range(ways) if row[w] != -1]
     src = valid_ways[0] if valid_ways else 0
     if not valid_ways:

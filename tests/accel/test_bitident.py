@@ -41,7 +41,8 @@ def _pair(cfg):
 
 def _canon(x):
     """asdict tree with numpy arrays lowered to lists, so ``==`` is a
-    scalar-wise comparison everywhere."""
+    scalar-wise comparison everywhere: the EP and LAMMPS ranks return
+    numpy results (workload data, not simulator state)."""
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         x = dataclasses.asdict(x)
     if isinstance(x, dict):

@@ -44,8 +44,6 @@ def _canon(x):
         return {k: _canon(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_canon(v) for v in x]
-    if hasattr(x, "tolist"):
-        return x.tolist()
     if dataclasses.is_dataclass(x):
         return _canon(dataclasses.asdict(x))
     if hasattr(x, "__slots__"):

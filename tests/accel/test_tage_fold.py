@@ -23,10 +23,10 @@ from repro.workloads.microbench import get_kernel
 
 
 def _tables(d: TAGE) -> dict:
-    return {"ctr": [a.tolist() for a in d._ctr],
-            "tag": [a.tolist() for a in d._tag],
-            "useful": [a.tolist() for a in d._useful],
-            "base": d.base._ctr.tolist(),
+    return {"ctr": [row[:] for row in d._ctr],
+            "tag": [row[:] for row in d._tag],
+            "useful": [row[:] for row in d._useful],
+            "base": d.base._ctr[:],
             "hist": d._hist}
 
 
@@ -67,7 +67,7 @@ def test_folded_registers_match_reference(num_tables, table_bits, tag_bits,
             assert predict_update(pc, taken) == want
         detach()
         assert _tables(acc) == _tables(ref)
-    assert (ref._tag[-1] >= 0).any(), "longest table never allocated"
+    assert max(ref._tag[-1]) >= 0, "longest table never allocated"
     assert vars(acc).keys() == vars(ref).keys()  # nothing cached on it
 
 
@@ -83,7 +83,7 @@ def test_predict_update_is_predict_then_update(make):
         assert predict_update(pc, taken) == want
     if detach is not None:
         detach()
-    assert acc._ctr.tolist() == ref._ctr.tolist()
+    assert acc._ctr == ref._ctr
     assert getattr(acc, "_hist", None) == getattr(ref, "_hist", None)
 
 
@@ -97,7 +97,7 @@ def _run_cut(cfg, trace, cuts, restore=False) -> tuple:
         if restore and a == cuts[0]:
             ckpt = SimCheckpoint.from_bytes(system.save_checkpoint().to_bytes())
             system = System(cfg)
-            system.restore(ckpt, None)  # swaps in a new bru.direction object
+            system.restore(ckpt, None)  # a new System: registers re-derived
     bru = system.tiles[0].core.bru
     return results, _tables(bru.direction), dataclasses.asdict(bru.stats)
 

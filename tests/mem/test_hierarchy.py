@@ -102,9 +102,10 @@ def test_flush_clears_tile_state():
     u = build_uncore(small_cfg())
     port = TilePort(u, tile_id=0)
     port.dload(0x5000, 0)
+    port.ifetch(0x1000, 0)
     port.flush()
-    assert port.l1d.resident_lines() == 0
-    assert port.l1i.resident_lines() == 0
+    assert not port.l1d.contains(0x5000)
+    assert not port.l1i.contains(0x1000)
 
 
 def test_reset_stats():

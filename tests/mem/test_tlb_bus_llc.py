@@ -125,8 +125,7 @@ def test_interleaved_llc_flush():
     llc = make_llc_slices(2 << 20, 2, mems)
     llc.access(0, 0)
     llc.flush()
-    for s in llc.slices:
-        assert s.resident_lines() == 0
+    assert not any(s.contains(0) for s in llc.slices)
 
 
 # ------------------------------------------------------------ Coherence

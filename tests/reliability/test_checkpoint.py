@@ -178,21 +178,6 @@ def test_bare_snapshot_restores_warmed_state():
     assert dataclasses.asdict(got) == dataclasses.asdict(expected)
 
 
-def test_checkpoint_from_before_tage_lost_its_rng_restores():
-    """``TAGE`` used to carry a never-read ``_rng``; checkpoints holding one
-    still restore because restore replaces ``bru.direction`` wholesale."""
-    cfg = get_config("SmallBOOM")
-    trace = kernel_trace()
-    old = System(cfg)
-    old.run(trace)
-    old.tiles[0].core.bru.direction._rng = np.random.default_rng(0xB00)
-    ckpt = SimCheckpoint.from_bytes(old.save_checkpoint().to_bytes())
-    fresh = System(cfg)
-    fresh.restore(ckpt, None)
-    assert (dataclasses.asdict(fresh.run(trace))
-            == dataclasses.asdict(old.run(trace)))
-
-
 def test_audit_catches_corrupt_cache_line():
     system = System(get_config("Rocket1"))
     run = system.start_parallel([kernel_trace()], quantum=QUANTUM,

@@ -1,11 +1,13 @@
-"""Checkpoints written before the cache-policy, DRAM-page-policy and
-coherence knobs were deleted are refused cleanly.
+"""Checkpoints written by older layouts are refused cleanly.
 
-Such a checkpoint carries ``_plru``/``_rng_state`` in every cache's state
-and is stamped with the config digest of a tree that still had the
-``replacement``, ``write_back``, ``open_page`` and ``coherence`` keys.
+Schema 1 checkpoints held cache and predictor tables as numpy arrays.
+The oldest also carried ``_plru``/``_rng_state`` in every cache's state
+(before the cache-policy, DRAM-page-policy and coherence knobs were
+deleted), were stamped with the config digest of a tree that still had
+those keys, and held a ``TAGE._rng`` generator in the predictor state.
 The values below are that era's ``config_digest(BANANA_PI_SIM)`` and
-``cache_key`` of :func:`_job`.
+``cache_key`` of :func:`_job`.  The schema is checked before anything
+else, so such a file is refused before its numpy content is walked.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from repro.farm import Job, cache_key, execute_job
 from repro.farm.job import ExecContext, execute_job_meta
 from repro.reliability import CheckpointError, SimCheckpoint
-from repro.soc import BANANA_PI_SIM, System
+from repro.soc import BANANA_PI_SIM, System, get_config
 from repro.soc.config import config_digest
 from repro.workloads.microbench import get_kernel
 
@@ -26,6 +28,32 @@ def _job():
     return Job.kernel(BANANA_PI_SIM, "MM", scale=0.05, seed=0, quantum=256)
 
 
+def _as_schema_1(ckpt, config_fp):
+    """Rewrite *ckpt* in the schema-1 layout: numpy tables, with the
+    branch predictor inside the branch unit's state."""
+    for ts in ckpt.state["tiles"]:
+        for c in ("l1i", "l1d"):
+            _numpy_cache(ts[c])
+        bru = ts["bru"]
+        bru["btb"] = {k: np.array(v) for k, v in ts.pop("btb").items()}
+        bru["direction"] = {k: np.array(v) if isinstance(v, list) else v
+                            for k, v in ts.pop("direction").items()}
+        ts.pop("base")
+    _numpy_cache(ckpt.state["uncore"]["l2"])
+    ckpt.schema = 1
+    ckpt.config_fp = config_fp
+    return ckpt
+
+
+def _numpy_cache(state):
+    ways = max((len(r) for r in state["_tags"] if r is not None), default=1)
+    for name, empty in (("_tags", -1), ("_dirty", False), ("_lru", 0)):
+        state[name] = np.array([r if r is not None else [empty] * ways
+                                for r in state[name]])
+    state["_plru"] = np.zeros(len(state["_tags"]), dtype=np.int64)
+    state["_rng_state"] = 0x9E3779B9
+
+
 def _old_checkpoint(config_fp=OLD_DIGEST):
     """A mid-run checkpoint of :func:`_job` as the older code wrote it."""
     trace = get_kernel("MM").build(scale=0.05, seed=0)
@@ -34,27 +62,40 @@ def _old_checkpoint(config_fp=OLD_DIGEST):
     run.step(2)
     assert not run.done
     ckpt = run.checkpoint(extras={"baseline": {}})
-    caches = [t[c] for t in ckpt.state["tiles"] for c in ("l1i", "l1d")]
-    for state in caches + [ckpt.state["uncore"]["l2"]]:
-        state["_plru"] = np.zeros(state["_tags"].shape[0], dtype=np.int64)
-        state["_rng_state"] = 0x9E3779B9
-    ckpt.config_fp = config_fp
-    ckpt.digest = ckpt.compute_digest()  # sealed, as it was on disk
-    return ckpt, trace
+    return _as_schema_1(ckpt, config_fp), trace
 
 
 def test_old_checkpoint_is_refused_with_a_checkpoint_error(tmp_path):
     ckpt, trace = _old_checkpoint()
     assert OLD_DIGEST != config_digest(BANANA_PI_SIM)
+    with pytest.raises(CheckpointError, match="schema 1"):
+        System(BANANA_PI_SIM).restore(ckpt, [trace])
     path = ckpt.save(tmp_path / "old.ckpt")
-    loaded = SimCheckpoint.load(path)       # intact: its digest verifies
-    with pytest.raises(CheckpointError, match="fingerprint"):
-        System(BANANA_PI_SIM).restore(loaded, [trace])
-    # even stamped with today's digest, the stale cache state is refused
-    # before it reaches a run
+    with pytest.raises(CheckpointError, match="schema 1"):
+        SimCheckpoint.load(path)
+    # even stamped with today's digest, the old layout is refused before
+    # it reaches a run
     forged, trace = _old_checkpoint(config_fp=config_digest(BANANA_PI_SIM))
-    with pytest.raises(CheckpointError, match="_plru"):
+    with pytest.raises(CheckpointError, match="schema 1"):
         System(BANANA_PI_SIM).restore(forged, [trace])
+
+
+def test_schema_1_predictor_checkpoint_is_refused():
+    """A TAGE core's schema-1 snapshot, numpy tables and a ``_rng``
+    generator in its predictor state, is refused by name of its schema."""
+    cfg = get_config("SmallBOOM")
+    trace = get_kernel("CCh").build(scale=0.05, seed=0)
+    old = System(cfg)
+    old.run(trace)
+    ckpt = _as_schema_1(old.save_checkpoint(), config_digest(cfg))
+    direction = ckpt.state["tiles"][0]["bru"]["direction"]
+    assert isinstance(direction["_ctr"], np.ndarray)
+    direction["_rng"] = np.random.default_rng(0xB00)
+    blob = ckpt.to_bytes()
+    with pytest.raises(CheckpointError, match="schema 1"):
+        SimCheckpoint.from_bytes(blob)
+    with pytest.raises(CheckpointError, match="schema 1"):
+        System(cfg).restore(ckpt, None)
 
 
 def test_lockstep_job_ignores_an_old_checkpoint_and_runs_from_zero(tmp_path):
