@@ -313,7 +313,12 @@ def audit_checkpoint(ckpt: "SimCheckpoint", system=None) -> list[str]:
 
 
 def _digest_update(h, obj) -> None:
-    """Feed *obj* into hash *h* by structure, not by pickle bytes."""
+    """Feed *obj* into hash *h* by structure, not by pickle bytes.
+
+    The one exception is a table under a ``_TABLES`` key: it holds no
+    shared or interned object whose pickle could vary, so its pickle is
+    hashed whole.
+    """
     if obj is None:
         h.update(b"N")
     elif isinstance(obj, bool):
@@ -336,8 +341,6 @@ def _digest_update(h, obj) -> None:
         for k, v in obj.items():
             _digest_update(h, k)
             if k in _TABLES:
-                # ints, bools, None and distinct rows of them: the
-                # pickle is a function of the content alone
                 h.update(b"T" + pickle.dumps(v, protocol=_PICKLE_PROTOCOL))
             else:
                 _digest_update(h, v)
