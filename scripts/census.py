@@ -88,8 +88,8 @@ VERDICTS: list[tuple[str, str]] = [
      "typed against (reliability.md builds a custom lane from it)"),
     ("workloads/base.py:MicroKernel.build", "keep: the interface every "
      "MicroBench kernel implements"),
-    ("*Stats.reset", "keep: the in-place counter reset every stats "
-     "dataclass offers (`Uncore.reset_stats` calls three of them)"),
+    ("*Stats.reset", "keep: the in-place counter reset of the branch and "
+     "accel stats objects (`reset_global_stats` calls `AccelStats.reset`)"),
     ("*Stats.miss_rate", "keep: a derived rate on a stats object "
      "(observability.md: rates are properties, never snapshotted)"),
     ("*Stats.mispredict_rate", "keep: a derived rate on a stats object "
@@ -121,8 +121,6 @@ VERDICTS: list[tuple[str, str]] = [
      "missing (non-POSIX hosts)"),
     ("mem/coherence.py:SnoopDirectory._prune", "keep: fires once the "
      "directory tracks more than `max_lines` lines; bounds its memory"),
-    ("mem/tlb.py:TwoLevelTLB.flush", "keep: `TilePort.flush` calls it on a "
-     "two-level-TLB config"),
     ("reliability/faults.py:*", "keep: the `token`/`line` fault kinds of "
      "the fault DSL (reliability.md); the chaos smokes plant worker "
      "faults only"),
@@ -181,15 +179,11 @@ VERDICTS: list[tuple[str, str]] = [
      "`test_bench_extensions.py` owns it"),
     ("workloads/microbench/vectorbench.py:*", "keep: RVV kernels; ROADMAP "
      "parks RVV timing"),
-    ("mem/cache.py:Cache.flush", "keep: rewritten on the per-set rows, "
-     "cleared in place so an engine's bound lists stay live; "
-     "`TilePort.flush` and `InterleavedLLC.flush` call it"),
     ("core/branch.py:*_branch_unit", "keep: the front end `InOrderCore`/"
      "`OoOCore` build when no branch unit is passed (bare cores in "
      "tier-1); `System` passes `build_branch_unit(cfg)`; it holds no "
      "table of its own"),
     ("core/*", _ITEM4),
-    ("mem/*", _ITEM4),
     ("soc/tokens.py:*", _ITEM4),
     ("telemetry/*", "keep: the snapshot/CPI-stack API of observability.md"),
     ("workloads/microbench/controlflow.py:CRm.build", "keep: Table 1's "

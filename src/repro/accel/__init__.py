@@ -6,8 +6,10 @@ changing a single simulated number:
 * :func:`~repro.accel.engine.run_inorder` — a bit-identical fast
   execution path for :class:`~repro.core.inorder.InOrderCore`, selected
   by the ``SoCConfig.accel`` knob (``"on"``/``"off"``): one
-  transliterated scalar loop over mirrored component state
-  (:func:`~repro.accel.ooo.run_ooo` is its out-of-order twin).
+  transliterated scalar core loop over the components' own state
+  (:func:`~repro.accel.ooo.run_ooo` is its out-of-order twin).  The
+  knob chooses the core loop only; both loops drive the one memory
+  walk of :meth:`~repro.mem.hierarchy.TilePort.bind`.
 * :mod:`~repro.accel.compile` / :mod:`~repro.accel.batch` — compile a
   trace once, then run every config of a sweep over the compiled form.
 * :mod:`~repro.accel.memo` — content-digest trace identity, shared

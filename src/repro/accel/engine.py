@@ -1,38 +1,28 @@
-"""Accelerated execution engine for :class:`~repro.core.inorder.InOrderCore`.
+"""Accelerated core loop for :class:`~repro.core.inorder.InOrderCore`.
 
-The reference model is exact but pays interpreter overhead on every
-micro-op: numpy scalar unboxing on each trace column read, a method call
-and attribute chase per level of the hierarchy, and per-branch predictor
-table indexing.  This engine removes that overhead while producing
+The reference loop is exact but pays interpreter overhead on every
+micro-op: numpy scalar unboxing on each trace column read, an enum
+round-trip per latency lookup, and a method call per branch.  This
+engine owns only a core loop; it removes that overhead while producing
 **bit-identical results** by construction: every timing decision is a
-line-for-line transliteration of the reference code paths, executed over
-the reference components' own state.
+line-for-line transliteration of ``InOrderCore.run``, executed over the
+components' own state.
 
 How it stays exact
 ------------------
 
-* **One home for state.**  Every table is a plain list owned by its
-  reference object — cache tag/dirty/LRU rows (made per set on first
-  access, by ``Cache._row`` on either path), BTB rows, direction-
-  predictor counters — and the closures here bind those very lists, as
-  they do the MSHR dicts, bank/bus/channel timelines, TLB sets, the
-  coherence directory's dicts, DRAM bank state, the RAS, the store
-  buffer and the register scoreboard.  Attaching copies nothing.  Only
-  scalars live in locals while a run is attached: stats counters, a
-  cache's LRU use counter, the BTB stamp and a predictor's global
-  history; ``detach`` writes those back, even when the run raises, so
-  the reference objects hold the whole state between runs.
+* **One memory walk.**  Loads, stores and fetches go through the
+  closures :meth:`~repro.mem.hierarchy.TilePort.bind` returns — the
+  hierarchy's only access path, which the reference loop binds too.
+  ``close`` flushes the counters the walk keeps in locals, even when
+  the run raises.
 
-* **One flat memory walk.**  :func:`attach_port` builds TLB -> L1 ->
-  bus -> directory -> L2 -> DRAM as closures that call each other
-  directly, each a transliteration of the reference method it replaces
-  (``TilePort.dload``, ``Cache.access``, ``SystemBus.transfer``,
-  ``SnoopDirectory.observe``, ``DRAM.access``).  Only an LLC, when the
-  config has one, is still reached through its reference ``access``.
-  The shortcuts on the way are exact, each by a bound that says the
-  skipped scan would have found nothing: a booking at or after a
-  timeline's last end appends at the tail, and ``mshr_hw`` /
-  ``inflight_hw`` say no fill or DRAM request can still be outstanding.
+* **One home for branch state.**  The BTB rows and direction-predictor
+  counters are plain lists owned by their objects, and the branch-unit
+  mirror here binds those very lists.  Only scalars live in locals
+  while a run is bound — the BTB stamp and a predictor's global
+  history — and ``detach`` writes them back, so the reference objects
+  hold the whole state between runs.
 
 * **One scalar loop.**  Micro-ops execute through a transliteration of
   ``InOrderCore.run`` over pre-decoded Python-list trace columns with
@@ -53,8 +43,6 @@ import functools
 
 from repro.core.base import CoreResult
 from repro.core.branch import BimodalBHT, GShare
-from repro.mem.dram import DRAM
-from repro.mem.tlb import TwoLevelTLB
 
 from . import memo
 from .compile import compiled_trace
@@ -62,327 +50,7 @@ from .compile import compiled_trace
 __all__ = ["run_inorder"]
 
 
-# -- component mirrors --------------------------------------------------------
-
-def _mirror_cache(cache, next_access):
-    """Closure-compiled twin of ``Cache.access`` over the cache's own rows.
-
-    The tag/dirty/LRU tables, MSHRs and bank timelines are the
-    reference objects, bound live; a set's rows are made on its first
-    access by the same ``Cache._row`` the reference path uses.  The LRU
-    use counter and the stats live in locals for the duration of a run
-    and are all ``detach`` writes back.
-    Returns ``(access, contains, detach)``.
-    """
-    cfg = cache.cfg
-    st = cache.stats
-    line_shift = cache._line_shift
-    set_mask = cache._set_mask
-    hit_lat = cfg.hit_latency
-    banks = cfg.banks
-    n_mshrs = cfg.mshrs
-    cyc = cfg.cycle_time
-    tags, dirty, lru = cache._tags, cache._dirty, cache._lru
-    make_row = cache._row
-    use_counter = cache._use_counter
-    mshr = cache._mshr
-    #: no fill in ``mshr`` completes later than this, so a lookup at or
-    #: past it finds nothing outstanding and is skipped
-    mshr_hw = max(mshr.values(), default=0)
-    bank_tl = cache._bank_free
-    bank_starts = [tl._starts for tl in bank_tl]
-    bank_ends = [tl._ends for tl in bank_tl]
-    bank_max = [tl.max_intervals for tl in bank_tl]
-    # stats accumulate in locals and flush at detach (same totals, fewer
-    # attribute round-trips on the hottest call in the simulator)
-    n_access = n_misses = n_wb = n_merges = 0
-    n_conflict = 0
-    n_mshr_stall = 0
-
-    def access(addr, time, is_store):
-        nonlocal n_access, n_misses, n_wb, n_merges, n_conflict, \
-            n_mshr_stall, use_counter, mshr_hw
-        n_access += 1
-        line = addr >> line_shift
-        set_idx = line & set_mask
-
-        start = float(time)
-        if cyc > 0:
-            bank = line % banks
-            ends = bank_ends[bank]
-            if not ends or start >= ends[-1]:
-                # monotone arrival: what reserve() does at the tail
-                bank_starts[bank].append(start)
-                ends.append(start + cyc)
-                drop = len(ends) - bank_max[bank]
-                if drop > 0:
-                    del bank_starts[bank][:drop]
-                    del ends[:drop]
-            else:
-                start = bank_tl[bank].reserve(time, cyc)
-                if start > time:
-                    n_conflict += int(start - time)
-
-        row = tags[set_idx]
-        if row is None:
-            row = make_row(set_idx)
-        if line in row:
-            way = row.index(line)
-            use_counter += 1
-            lru[set_idx][way] = use_counter
-            done = start + hit_lat
-            if is_store:
-                dirty[set_idx][way] = True
-            if mshr_hw > done:
-                pending = mshr.get(line << line_shift)
-                if pending is not None and pending > done:
-                    return pending
-            return done
-
-        n_misses += 1
-        tag_time = start + hit_lat
-        line_base = line << line_shift
-        pending = mshr.get(line_base, 0) if mshr_hw > tag_time else 0
-        if pending > tag_time:
-            n_merges += 1
-            fill_time = pending
-        else:
-            if mshr_hw > tag_time and len(mshr) >= n_mshrs:
-                in_flight = [ft for ft in mshr.values() if ft > tag_time]
-                if len(in_flight) >= n_mshrs:
-                    wait_until = min(in_flight)
-                    n_mshr_stall += wait_until - tag_time
-                    tag_time = wait_until
-            fill_time = next_access(line_base, tag_time, False)
-            mshr[line_base] = fill_time
-            if fill_time > mshr_hw:
-                mshr_hw = fill_time
-            if len(mshr) > 2 * n_mshrs:
-                for a in [a for a, ft in mshr.items() if ft <= tag_time]:
-                    del mshr[a]
-
-        if -1 in row:
-            way = row.index(-1)
-        else:
-            lr = lru[set_idx]
-            way = lr.index(min(lr))
-        vtag = row[way]
-        if dirty[set_idx][way] and vtag != -1:
-            n_wb += 1
-            next_access(vtag << line_shift, fill_time, True)
-        row[way] = line
-        dirty[set_idx][way] = bool(is_store)
-        use_counter += 1
-        lru[set_idx][way] = use_counter
-        return fill_time
-
-    def contains(addr):
-        line = addr >> line_shift
-        row = tags[line & set_mask]
-        return row is not None and line in row
-
-    def detach():
-        cache._use_counter = use_counter
-        st.accesses += n_access
-        st.hits += n_access - n_misses
-        st.misses += n_misses
-        st.writebacks += n_wb
-        st.mshr_merges += n_merges
-        st.bank_conflict_cycles += n_conflict
-        if n_mshr_stall:
-            st.mshr_stall_cycles += n_mshr_stall
-
-    return access, contains, detach
-
-
-def _mirror_dram(dram):
-    """Closure twin of ``DRAM.access`` (all state shared in place).
-
-    Nothing is mirrored — bank state lists, channel timelines, in-flight
-    queues, and stats are the reference objects — but the per-request
-    attribute chases, the ``map_address`` call, and the common-case
-    channel-bus reservation (monotone arrivals append at the tail) are
-    flattened into one closure.  Returns ``(access, detach)``.
-    """
-    cfg = dram.cfg
-    st = dram.stats
-    line_bytes = dram.line_bytes
-    channels = cfg.channels
-    row_div = cfg.row_bytes * channels
-    banks_per_chan = dram._banks_per_chan
-    open_row = dram._open_row
-    bank_ready = dram._bank_ready
-    inflight = dram._inflight
-    #: per channel: no queued request finishes later than this
-    inflight_hw = [max(q, default=0.0) for q in inflight]
-    cCAS = dram._cCAS
-    cRCD = dram._cRCD
-    cRP = dram._cRP
-    cRAS = dram._cRAS
-    cCTRL = dram._cCTRL
-    cREFI = dram._cREFI
-    cRFC = dram._cRFC
-    cXFER = dram._cXFER
-    chan_bus = dram._chan_bus
-    bus_starts = [tl._starts for tl in chan_bus]
-    bus_ends = [tl._ends for tl in chan_bus]
-    bus_max = [tl.max_intervals for tl in chan_bus]
-    queue_depth = cfg.queue_depth
-    qmax = 4 * queue_depth
-    n_access = n_writes = 0
-
-    def access(addr, time, is_store):
-        nonlocal n_access, n_writes
-        n_access += 1
-        if is_store:
-            n_writes += 1
-        line = addr // line_bytes
-        chan = line % channels
-        row_global = addr // row_div
-        bank = chan * banks_per_chan + row_global % banks_per_chan
-        row = row_global // banks_per_chan
-
-        start = time + cCTRL
-        q = inflight[chan]
-        if q:
-            if inflight_hw[chan] > start:
-                live = [t for t in q if t > start]
-                if len(live) >= queue_depth:
-                    live.sort()
-                    wait_until = live[-queue_depth]
-                    st.queue_wait_cycles += int(wait_until - start)
-                    start = wait_until
-                inflight[chan] = q = live
-            else:
-                q.clear()
-
-        if cREFI > 0 and start >= cREFI:
-            since = start % cREFI
-            if since < cRFC:
-                st.refresh_stall_cycles += int(cRFC - since)
-                start += cRFC - since
-                open_row[bank] = -1
-        if open_row[bank] == row:
-            st.row_hits += 1
-            ready = bank_ready[bank] - cRAS
-            if start > ready:
-                ready = start
-            access_done = ready + cCAS
-            if access_done > bank_ready[bank]:
-                bank_ready[bank] = access_done
-        else:
-            st.row_misses += 1
-            ready = bank_ready[bank]
-            if start > ready:
-                ready = start
-            pre = cRP if open_row[bank] != -1 else 0.0
-            access_done = ready + pre + cRCD + cCAS
-            open_row[bank] = row
-            bank_ready[bank] = access_done
-
-        xfer_start = float(access_done)
-        if cXFER > 0:
-            ends = bus_ends[chan]
-            if not ends or xfer_start >= ends[-1]:
-                bus_starts[chan].append(xfer_start)
-                ends.append(xfer_start + cXFER)
-                drop = len(ends) - bus_max[chan]
-                if drop > 0:
-                    del bus_starts[chan][:drop]
-                    del ends[:drop]
-            else:
-                xfer_start = chan_bus[chan].reserve(access_done, cXFER)
-        finish = xfer_start + cXFER
-        q.append(finish)
-        if finish > inflight_hw[chan]:
-            inflight_hw[chan] = finish
-        if len(q) > qmax:
-            inflight[chan] = [ft for ft in q if ft > finish - 1]
-        if is_store:
-            return int(start + cCTRL)
-        return int(finish)
-
-    def detach():
-        st.reads += n_access - n_writes
-        st.writes += n_writes
-
-    return access, detach
-
-
-def _tlb_entry(tlb, l2_access, l1_access, is_store, observe):
-    """One port entry point: translate, L1 access, prefetcher observe.
-
-    Closure twin of ``TilePort.dload``/``dstore``/``ifetch`` for one
-    (TLB, L1, direction): the first-level TLB probe is inlined, so a TLB
-    hit costs no call, and a miss walks the page table through
-    *l2_access* directly, as ``TilePort._walker`` does.  Returns
-    ``(entry, detach)``; set dicts and miss counts are shared in place,
-    the access count flushes at detach.
-    """
-    if type(tlb) is TwoLevelTLB:
-        l1 = tlb.l1
-        l2st = tlb.l2.stats
-        l2_shift = tlb.l2._page_shift
-        l2_nsets = tlb.l2._num_sets
-        l2_assoc = tlb.l2._assoc
-        l2_sets = tlb.l2._sets
-        l2_hit = tlb.l2_hit_latency
-    else:
-        l1 = tlb
-        l2_sets = None
-    st = l1.stats
-    shift = l1._page_shift
-    nsets = l1._num_sets
-    assoc = l1._assoc
-    sets = l1._sets
-    hit_lat = l1.cfg.hit_latency
-    walk_lat = l1.cfg.walk_latency
-    walk_n = l1.cfg.walk_accesses
-    n_access = 0
-
-    def miss(addr, time, vpn, s):
-        st.misses += 1
-        if len(s) >= assoc:
-            s.popitem(last=False)
-        s[vpn] = True
-        if l2_sets is not None:
-            l2st.accesses += 1
-            vpn2 = addr >> l2_shift
-            s = l2_sets[vpn2 % l2_nsets]
-            if vpn2 in s:
-                s.move_to_end(vpn2)
-                return time + l2_hit
-            l2st.misses += 1
-            if len(s) >= l2_assoc:
-                s.popitem(last=False)
-            s[vpn2] = True
-        t = time + walk_lat
-        base = 0x8000_0000 + (vpn % 4096) * 8
-        for level in range(walk_n):
-            t = l2_access(base + level * 4096, t, False)
-        return t
-
-    def entry(addr, time):
-        nonlocal n_access
-        n_access += 1
-        vpn = addr >> shift
-        s = sets[vpn % nsets]
-        if vpn in s:
-            s.move_to_end(vpn)
-            t = time + hit_lat
-        else:
-            t = miss(addr, time, vpn, s)
-        if observe is None:
-            return l1_access(addr, t, is_store)
-        done = l1_access(addr, t, is_store)
-        observe(addr, t)
-        return done
-
-    def detach():
-        st.accesses += n_access
-
-    return entry, detach
-
+# -- branch-unit mirrors ------------------------------------------------------
 
 @functools.cache
 def _rotl1_table(width):
@@ -635,161 +303,6 @@ def _mirror_branch_unit(bru):
     return resolve, detach
 
 
-def _inline_prefetcher(pf, contains_f, access_f):
-    """Closure twin of ``StridePrefetcher.observe`` over a mirrored cache.
-
-    The reference ``observe`` would fill through ``Cache.access``, whose
-    LRU use counter and stats the mirror holds in locals mid-run, so
-    prefetch traffic must flow through the same fast closures as demand
-    traffic.
-    """
-    cfg = pf.cfg
-    st = pf.stats
-    table = pf._table
-    line_b = pf._line
-    degree = cfg.degree
-    min_conf = cfg.min_confidence
-    max_entries = cfg.table_entries
-
-    def observe(addr, time):
-        line = addr // line_b
-        region = addr >> 12
-        entry = table.pop(region, None)
-        if entry is None:
-            table[region] = (line, 0, 0)
-        else:
-            last, stride, conf = entry
-            new_stride = line - last
-            if new_stride == 0:
-                table[region] = (line, stride, conf)
-            elif new_stride == stride:
-                conf = conf + 1 if conf < 4 else 4
-                table[region] = (line, stride, conf)
-                if conf >= min_conf:
-                    st.triggers += 1
-                    for k in range(1, degree + 1):
-                        target = (line + stride * k) * line_b
-                        if not contains_f(target):
-                            st.issued += 1
-                            access_f(target, time, False)
-            else:
-                table[region] = (line, new_stride, 1)
-        if len(table) > max_entries:
-            table.pop(next(iter(table)))
-
-    return observe
-
-
-# -- port attachment ----------------------------------------------------------
-
-def attach_port(port):
-    """Build the fast memory call graph over one TilePort's mirrored state.
-
-    Returns ``(dload, dstore, ifetch, detach)`` — closure twins of the
-    TilePort entry points.  The walk TLB -> L1 -> bus -> directory -> L2
-    -> DRAM is wired here, each level a closure that calls the next one
-    directly.  Shared by the in-order engine, the out-of-order engine,
-    and the batched sweep driver; ``detach`` adds the counters the
-    closures kept in locals to the stats objects and must run exactly
-    once, even when the simulated trace raises.
-    """
-    uncore = port.uncore
-    l2 = uncore.l2
-    below_l2 = l2.next_level
-    if type(below_l2) is DRAM:
-        below_access, below_detach = _mirror_dram(below_l2)
-    else:  # an LLC: its reference access, nothing to flush
-        below_access, below_detach = below_l2.access, None
-    l2_access, _, l2_detach = _mirror_cache(l2, below_access)
-    bus = uncore.bus
-    bus_st = bus.stats
-    line_bytes = uncore._line
-    bus_occ = bus.cfg.beats(line_bytes) / bus.cfg.clock_ratio
-    bus_arb = bus.cfg.arbitration_latency
-    bus_tl = bus._timeline
-    bus_starts = bus_tl._starts
-    bus_ends = bus_tl._ends
-    bus_max = bus_tl.max_intervals
-    bus_reserve = bus_tl.reserve
-    n_transfers = 0
-    directory = uncore.directory
-    tile_id = port.tile_id
-    dst = directory.stats
-    shr = directory._sharers
-    own = directory._owner
-    inv_lat = directory.invalidate_latency
-    max_lines = directory.max_lines
-    dir_prune = directory._prune
-    bit = 1 << tile_id
-
-    def uncore_access(addr, time, is_store):
-        # bus.transfer + SnoopDirectory.observe + L2, fused
-        nonlocal n_transfers
-        n_transfers += 1
-        start = float(time)
-        if not bus_ends or start >= bus_ends[-1]:
-            bus_starts.append(start)
-            bus_ends.append(start + bus_occ)
-            drop = len(bus_ends) - bus_max
-            if drop > 0:
-                del bus_starts[:drop]
-                del bus_ends[:drop]
-        else:
-            start = bus_reserve(start, bus_occ)
-            if start > time:
-                bus_st.contention_cycles += int(start - time)
-        t = int(start + bus_arb + bus_occ)
-        dline = addr // line_bytes
-        sharers = shr.get(dline, 0)
-        if is_store:
-            extra = 0
-            others = sharers & ~bit
-            if others:
-                dst.invalidations += bin(others).count("1")
-                extra = inv_lat
-            prev_owner = own.get(dline)
-            if prev_owner is not None and prev_owner != tile_id:
-                dst.ownership_changes += 1
-                if inv_lat > extra:
-                    extra = inv_lat
-            shr[dline] = bit
-            own[dline] = tile_id
-            t += extra
-        else:
-            if dline in own and own[dline] != tile_id:
-                dst.ownership_changes += 1
-                del own[dline]
-                t += inv_lat
-            shr[dline] = sharers | bit
-        if len(shr) > max_lines:
-            dir_prune()
-        return l2_access(addr, t, is_store)
-
-    l1d_access, l1d_contains, l1d_detach = _mirror_cache(
-        port.l1d, uncore_access)
-    l1i_access, _, l1i_detach = _mirror_cache(port.l1i, uncore_access)
-
-    pf = port.prefetcher  # TilePort builds it over its own L1D
-    observe = (_inline_prefetcher(pf, l1d_contains, l1d_access)
-               if pf is not None else None)
-
-    dload, dload_detach = _tlb_entry(
-        port.dtlb, l2_access, l1d_access, False, observe)
-    dstore, dstore_detach = _tlb_entry(
-        port.dtlb, l2_access, l1d_access, True, observe)
-    ifetch, ifetch_detach = _tlb_entry(
-        port.itlb, l2_access, l1i_access, False, None)
-
-    def detach():
-        for flush in (dload_detach, dstore_detach, ifetch_detach,
-                      l1i_detach, l1d_detach, l2_detach, below_detach):
-            if flush is not None:
-                flush()
-        bus_st.transfers += n_transfers
-
-    return dload, dstore, ifetch, detach
-
-
 # -- the engine ---------------------------------------------------------------
 
 def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
@@ -813,8 +326,8 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
     n = ct.n
     lat_list = memo.latency_lut(cfg.latencies)
 
-    # ---- attach: build the fast call graph over the live state ----
-    dload, dstore, ifetch, mem_detach = attach_port(port)
+    # ---- bind the memory walk and the branch-unit mirror ----
+    dload, dstore, ifetch, mem_close = port.bind()
     resolve, bru_detach = _mirror_branch_unit(bru)
 
     # ---- loop state (identical to the reference prologue) ----
@@ -1001,7 +514,7 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
     finally:
         # flush the local counters even when the loop raises (vector
         # op on a vector-less core), so the stats match the state
-        mem_detach()
+        mem_close()
         bru_detach()
 
     core.accel_stats.engine_uops += n

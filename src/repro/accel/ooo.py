@@ -1,4 +1,4 @@
-"""Accelerated execution engine for :class:`~repro.core.ooo.OoOCore`.
+"""Accelerated core loop for :class:`~repro.core.ooo.OoOCore`.
 
 The out-of-order timestamp-dataflow model dominates sweep wall-clock:
 the five BOOM-like configurations are most of an ALL_CONFIGS sweep.
@@ -9,20 +9,20 @@ What an OoO run costs the host beyond an in-order one is mostly its
 front end and memory system, not this scheduler loop: the TAGE mirror
 (one table walk and one folded-history register update per conditional
 branch, see ``docs/performance.md`` "Constant-time TAGE") and the
-mirrored cache/DRAM calls per load.
+cache/DRAM calls of the memory walk per load.
 
-Every timing decision below is a line-for-line transliteration of
-``OoOCore.run`` — the same fractional-cycle bandwidth chains, the same
-ring-buffer capacity bookkeeping, the same issue-port min-scan, in the
-same order on the same values — executed over the plain-list columns of
-a :class:`~repro.accel.compile.CompiledTrace` with the closure-bound
-memory and branch closures from :mod:`repro.accel.engine`
-(:func:`~repro.accel.engine.attach_port`,
-:func:`~repro.accel.engine._mirror_branch_unit`).  Those bind the
-reference components' own tables, so attaching copies nothing; detach
-writes back only the counters and scalar registers the closures keep in
-locals — including when the trace raises — so the reference objects
-hold the whole state between runs.
+The engine owns only a core loop.  Every timing decision below is a
+line-for-line transliteration of ``OoOCore.run`` — the same
+fractional-cycle bandwidth chains, the same ring-buffer capacity
+bookkeeping, the same issue-port min-scan, in the same order on the
+same values — executed over the plain-list columns of a
+:class:`~repro.accel.compile.CompiledTrace`.  Memory goes through the
+walk :meth:`~repro.mem.hierarchy.TilePort.bind` returns, the same one
+the reference loop binds; branches through
+:func:`~repro.accel.engine._mirror_branch_unit`, which binds the branch
+unit's own tables.  ``close``/``detach`` write back only the counters
+and scalar registers kept in locals — including when the trace raises —
+so the components hold the whole state between runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.isa.opcodes import OpClass
 
 from . import memo
 from .compile import compiled_trace
-from .engine import _mirror_branch_unit, attach_port
+from .engine import _mirror_branch_unit
 
 __all__ = ["run_ooo"]
 
@@ -66,7 +66,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
     n = ct.n
     lat_list = memo.latency_lut(cfg.latencies)
 
-    dload, dstore, ifetch, mem_detach = attach_port(port)
+    dload, dstore, ifetch, mem_close = port.bind()
     resolve, bru_detach = _mirror_branch_unit(bru)
 
     # ---- loop state (identical to the reference prologue) ----
@@ -274,7 +274,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
                 stq_ring[stq_head] = c
                 stq_head = (stq_head + 1) % stq_size
     finally:
-        mem_detach()
+        mem_close()
         bru_detach()
 
     astats.engine_uops += n

@@ -98,7 +98,7 @@ class InOrderCore(CoreModel):
     # -- main loop ---------------------------------------------------------
 
     def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
-        if self._accel_on and hasattr(self.port, "uncore"):
+        if self._accel_on:
             from ..accel.engine import run_inorder
             return run_inorder(self, trace, start_time)
         cfg = self.cfg
@@ -149,134 +149,141 @@ class InOrderCore(CoreModel):
         lat_of = lat.latency_of
         icache_hit = self._icache_hit
 
-        for i in range(n):
-            op = op_a[i]
-            pc = int(pc_a[i])
+        # the memory walk, bound for this run; closing it flushes the
+        # counters it keeps in locals, so the miss deltas follow it
+        dload, dstore, ifetch, mem_close = port.bind()
+        try:
+            for i in range(n):
+                op = op_a[i]
+                pc = int(pc_a[i])
 
-            # ---- front end: I-cache line fetch ----
-            # Sequential line crossings model next-line fetch-ahead: the
-            # access is issued when the previous line started draining, so
-            # short fills overlap with execution.  Redirects pay in full.
-            line = pc >> line_shift
-            if line != cur_line:
-                need_at = cycle if cycle > fe_ready else fe_ready
-                issue_at = line_entry if line == cur_line + 1 else need_at
-                cur_line = line
-                done = port.ifetch(pc, issue_at)
-                extra = done - need_at - icache_hit
-                if extra > 0:
-                    fe_ready = need_at + extra
-                    stall_fe += extra
-                line_entry = fe_ready if fe_ready > cycle else cycle
+                # ---- front end: I-cache line fetch ----
+                # Sequential line crossings model next-line fetch-ahead: the
+                # access is issued when the previous line started draining, so
+                # short fills overlap with execution.  Redirects pay in full.
+                line = pc >> line_shift
+                if line != cur_line:
+                    need_at = cycle if cycle > fe_ready else fe_ready
+                    issue_at = line_entry if line == cur_line + 1 else need_at
+                    cur_line = line
+                    done = ifetch(pc, issue_at)
+                    extra = done - need_at - icache_hit
+                    if extra > 0:
+                        fe_ready = need_at + extra
+                        stall_fe += extra
+                    line_entry = fe_ready if fe_ready > cycle else cycle
 
-            # ---- operand readiness ----
-            t = cycle
-            if fe_ready > t:
-                t = fe_ready
-            s1 = src1_a[i]
-            if s1 > 0 and reg_ready[s1] > t:
-                stall_dep += reg_ready[s1] - t
-                t = reg_ready[s1]
-            s2 = src2_a[i]
-            if s2 > 0 and reg_ready[s2] > t:
-                stall_dep += reg_ready[s2] - t
-                t = reg_ready[s2]
+                # ---- operand readiness ----
+                t = cycle
+                if fe_ready > t:
+                    t = fe_ready
+                s1 = src1_a[i]
+                if s1 > 0 and reg_ready[s1] > t:
+                    stall_dep += reg_ready[s1] - t
+                    t = reg_ready[s1]
+                s2 = src2_a[i]
+                if s2 > 0 and reg_ready[s2] > t:
+                    stall_dep += reg_ready[s2] - t
+                    t = reg_ready[s2]
 
-            # ---- structural hazards ----
-            if op == DIV and not cfg.pipelined_div and div_free > t:
-                stall_struct += div_free - t
-                t = div_free
-            is_vec = VLOAD <= op <= VALU or op == VFMA
-            if is_vec:
-                if vcfg is None:
-                    raise ValueError(
-                        "trace contains RVV vector ops but this core has "
-                        "no vector unit (InOrderConfig.vector is None)"
-                    )
-                if vu_free > t:
-                    stall_struct += vu_free - t
-                    t = vu_free
+                # ---- structural hazards ----
+                if op == DIV and not cfg.pipelined_div and div_free > t:
+                    stall_struct += div_free - t
+                    t = div_free
+                is_vec = VLOAD <= op <= VALU or op == VFMA
+                if is_vec:
+                    if vcfg is None:
+                        raise ValueError(
+                            "trace contains RVV vector ops but this core has "
+                            "no vector unit (InOrderConfig.vector is None)"
+                        )
+                    if vu_free > t:
+                        stall_struct += vu_free - t
+                        t = vu_free
 
-            # ---- issue-slot accounting (in-order) ----
-            if t > cycle:
-                cycle = t
-                slots = 0
-                mem_slots_used = 0
-                ctrl_slots_used = 0
-            is_mem = op == LOAD or op == STORE or op == AMO or op == VLOAD or op == VSTORE
-            is_ctrl = op == BRANCH or op == JUMP or op == CALL or op == RET
-            while (slots >= cfg.issue_width
-                   or (is_mem and mem_slots_used >= cfg.mem_ports)
-                   or (is_ctrl and ctrl_slots_used >= 1)):
-                cycle += 1
-                slots = 0
-                mem_slots_used = 0
-                ctrl_slots_used = 0
-            t = cycle
-            slots += 1
-            if is_mem:
-                mem_slots_used += 1
-            if is_ctrl:
-                ctrl_slots_used += 1
+                # ---- issue-slot accounting (in-order) ----
+                if t > cycle:
+                    cycle = t
+                    slots = 0
+                    mem_slots_used = 0
+                    ctrl_slots_used = 0
+                is_mem = (op == LOAD or op == STORE or op == AMO
+                          or op == VLOAD or op == VSTORE)
+                is_ctrl = op == BRANCH or op == JUMP or op == CALL or op == RET
+                while (slots >= cfg.issue_width
+                       or (is_mem and mem_slots_used >= cfg.mem_ports)
+                       or (is_ctrl and ctrl_slots_used >= 1)):
+                    cycle += 1
+                    slots = 0
+                    mem_slots_used = 0
+                    ctrl_slots_used = 0
+                t = cycle
+                slots += 1
+                if is_mem:
+                    mem_slots_used += 1
+                if is_ctrl:
+                    ctrl_slots_used += 1
 
-            # ---- execute ----
-            dst = dst_a[i]
-            if op == LOAD:
-                done = port.dload(int(addr_a[i]), t + 1)
-                if dst > 0:
-                    reg_ready[dst] = done + cfg.load_to_use
-            elif op == STORE:
-                # store buffer: prune retired entries, stall if full
-                while sb and sb[0] <= t:
-                    sb.popleft()
-                if len(sb) >= sb_depth:
-                    wait = sb.popleft()
-                    if wait > t:
-                        stall_mem += wait - t
-                        cycle = wait
-                        slots = 1
-                        mem_slots_used = 1
-                        ctrl_slots_used = 0
-                        t = wait
-                done = port.dstore(int(addr_a[i]), t + 1)
-                sb.append(done)
-            elif op == AMO:
-                done = port.dstore(int(addr_a[i]), t + 1) + lat.amo_extra
-                if dst > 0:
-                    reg_ready[dst] = done
-            elif op == VLOAD or op == VSTORE:
-                nbytes = int(size_a[i])
-                base_addr = int(addr_a[i])
-                is_st = op == VSTORE
-                done = t + 1
-                for off in range(0, nbytes, 64):
-                    acc = (port.dstore if is_st else port.dload)(
-                        base_addr + off, t + 1)
-                    if acc > done:
-                        done = acc
-                occ = vcfg.startup + vcfg.mem_beats(nbytes)
-                vu_free = t + occ
-                if dst > 0 and not is_st:
-                    reg_ready[dst] = max(done, t + occ)
-            elif op == VALU or op == VFMA:
-                occ = vcfg.startup + vcfg.exec_beats(int(size_a[i]) * 8)
-                vu_free = t + occ
-                if dst > 0:
-                    reg_ready[dst] = t + occ + lat_of(OpClass(op)) - 1
-            elif is_ctrl:
-                kind = bru.resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
-                if kind == BranchUnit.FLUSH:
-                    fe_ready = t + 1 + flush_pen
-                elif kind == BranchUnit.BUBBLE:
-                    fe_ready = t + 1 + bubble_pen
-                if dst > 0:  # call writes link register
-                    reg_ready[dst] = t + 1
-            else:
-                l = lat_of(OpClass(op))
-                if dst > 0:
-                    reg_ready[dst] = t + l
-                if op == DIV and not cfg.pipelined_div:
-                    div_free = t + l
+                # ---- execute ----
+                dst = dst_a[i]
+                if op == LOAD:
+                    done = dload(int(addr_a[i]), t + 1)
+                    if dst > 0:
+                        reg_ready[dst] = done + cfg.load_to_use
+                elif op == STORE:
+                    # store buffer: prune retired entries, stall if full
+                    while sb and sb[0] <= t:
+                        sb.popleft()
+                    if len(sb) >= sb_depth:
+                        wait = sb.popleft()
+                        if wait > t:
+                            stall_mem += wait - t
+                            cycle = wait
+                            slots = 1
+                            mem_slots_used = 1
+                            ctrl_slots_used = 0
+                            t = wait
+                    done = dstore(int(addr_a[i]), t + 1)
+                    sb.append(done)
+                elif op == AMO:
+                    done = dstore(int(addr_a[i]), t + 1) + lat.amo_extra
+                    if dst > 0:
+                        reg_ready[dst] = done
+                elif op == VLOAD or op == VSTORE:
+                    nbytes = int(size_a[i])
+                    base_addr = int(addr_a[i])
+                    is_st = op == VSTORE
+                    done = t + 1
+                    for off in range(0, nbytes, 64):
+                        acc = (dstore if is_st else dload)(
+                            base_addr + off, t + 1)
+                        if acc > done:
+                            done = acc
+                    occ = vcfg.startup + vcfg.mem_beats(nbytes)
+                    vu_free = t + occ
+                    if dst > 0 and not is_st:
+                        reg_ready[dst] = max(done, t + occ)
+                elif op == VALU or op == VFMA:
+                    occ = vcfg.startup + vcfg.exec_beats(int(size_a[i]) * 8)
+                    vu_free = t + occ
+                    if dst > 0:
+                        reg_ready[dst] = t + occ + lat_of(OpClass(op)) - 1
+                elif is_ctrl:
+                    kind = bru.resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
+                    if kind == BranchUnit.FLUSH:
+                        fe_ready = t + 1 + flush_pen
+                    elif kind == BranchUnit.BUBBLE:
+                        fe_ready = t + 1 + bubble_pen
+                    if dst > 0:  # call writes link register
+                        reg_ready[dst] = t + 1
+                else:
+                    l = lat_of(OpClass(op))
+                    if dst > 0:
+                        reg_ready[dst] = t + l
+                    if op == DIV and not cfg.pipelined_div:
+                        div_free = t + l
+        finally:
+            mem_close()
 
         # drain: final time is the last issue cycle plus pipeline drain
         end = cycle + cfg.pipeline_depth - 1

@@ -111,7 +111,7 @@ class OoOCore(CoreModel):
     # -- main loop ---------------------------------------------------------
 
     def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
-        if self._accel_on and hasattr(self.port, "uncore"):
+        if self._accel_on:
             from ..accel.ooo import run_ooo
             return run_ooo(self, trace, start_time)
         cfg = self.cfg
@@ -170,156 +170,164 @@ class OoOCore(CoreModel):
 
         last_commit = commit_chain
 
-        for i in range(n):
-            op = int(op_a[i])
-            pc = int(pc_a[i])
-            if VLOAD <= op < VSETVL:
-                raise ValueError(
-                    "trace contains RVV vector ops, but the BOOM-like "
-                    "out-of-order model has no vector unit (the study's "
-                    "FireSim targets run scalar code only)"
-                )
+        # the memory walk, bound for this run; closing it flushes the
+        # counters it keeps in locals, so the miss deltas follow it
+        dload, dstore, ifetch, mem_close = port.bind()
+        try:
+            for i in range(n):
+                op = int(op_a[i])
+                pc = int(pc_a[i])
+                if VLOAD <= op < VSETVL:
+                    raise ValueError(
+                        "trace contains RVV vector ops, but the BOOM-like "
+                        "out-of-order model has no vector unit (the study's "
+                        "FireSim targets run scalar code only)"
+                    )
 
-            # ---- fetch ----
-            f = fetch_chain + d_fetch
-            if fetch_floor > f:
-                stall_fe += fetch_floor - f
-                f = fetch_floor
-            line = pc >> 6
-            if line != cur_line:
-                # sequential crossings use next-line fetch-ahead (issued when
-                # the previous line started draining); redirects pay in full
-                issue_at = line_entry if line == cur_line + 1 else f
-                cur_line = line
-                done = port.ifetch(pc, int(issue_at))
-                extra = done - f - icache_hit
-                if extra > 0:
-                    stall_fe += extra
-                    f += extra
-                line_entry = f
-            fetch_chain = f
+                # ---- fetch ----
+                f = fetch_chain + d_fetch
+                if fetch_floor > f:
+                    stall_fe += fetch_floor - f
+                    f = fetch_floor
+                line = pc >> 6
+                if line != cur_line:
+                    # sequential crossings use next-line fetch-ahead (issued
+                    # when the previous line started draining); redirects
+                    # pay in full
+                    issue_at = line_entry if line == cur_line + 1 else f
+                    cur_line = line
+                    done = ifetch(pc, int(issue_at))
+                    extra = done - f - icache_hit
+                    if extra > 0:
+                        stall_fe += extra
+                        f += extra
+                    line_entry = f
+                fetch_chain = f
 
-            # ---- dispatch (decode bandwidth, ROB, IQ, LSQ space) ----
-            d = dispatch_chain + d_disp
-            if f + 1.0 > d:  # 1-cycle decode stage after fetch
-                d = f + 1.0
-            rob_free = rob_ring[rob_head]
-            if rob_free > d:
-                stall_rob += rob_free - d
-                d = rob_free
+                # ---- dispatch (decode bandwidth, ROB, IQ, LSQ space) ----
+                d = dispatch_chain + d_disp
+                if f + 1.0 > d:  # 1-cycle decode stage after fetch
+                    d = f + 1.0
+                rob_free = rob_ring[rob_head]
+                if rob_free > d:
+                    stall_rob += rob_free - d
+                    d = rob_free
 
-            is_mem = op == LOAD or op == STORE or op == AMO
-            is_fp = op in FP_SET
-            if is_mem:
-                ring, head = memq_ring, memq_head
-            elif is_fp:
-                ring, head = fpq_ring, fpq_head
-            else:
-                ring, head = intq_ring, intq_head
-            iq_free = ring[head]
-            if iq_free > d:
-                stall_iq += iq_free - d
-                d = iq_free
-            if op == LOAD:
-                lq_free = ldq_ring[ldq_head]
-                if lq_free > d:
-                    stall_lsq += lq_free - d
-                    d = lq_free
-            elif op == STORE or op == AMO:
-                sq_free = stq_ring[stq_head]
-                if sq_free > d:
-                    stall_lsq += sq_free - d
-                    d = sq_free
-            dispatch_chain = d
+                is_mem = op == LOAD or op == STORE or op == AMO
+                is_fp = op in FP_SET
+                if is_mem:
+                    ring, head = memq_ring, memq_head
+                elif is_fp:
+                    ring, head = fpq_ring, fpq_head
+                else:
+                    ring, head = intq_ring, intq_head
+                iq_free = ring[head]
+                if iq_free > d:
+                    stall_iq += iq_free - d
+                    d = iq_free
+                if op == LOAD:
+                    lq_free = ldq_ring[ldq_head]
+                    if lq_free > d:
+                        stall_lsq += lq_free - d
+                        d = lq_free
+                elif op == STORE or op == AMO:
+                    sq_free = stq_ring[stq_head]
+                    if sq_free > d:
+                        stall_lsq += sq_free - d
+                        d = sq_free
+                dispatch_chain = d
 
-            # ---- issue: operands + issue port ----
-            t = d + 1.0
-            s1 = src1_a[i]
-            if s1 > 0 and reg_ready[s1] > t:
-                t = reg_ready[s1]
-            s2 = src2_a[i]
-            if s2 > 0 and reg_ready[s2] > t:
-                t = reg_ready[s2]
-            if is_mem:
-                ports = mem_ports
-            elif is_fp:
-                ports = fp_ports
-            else:
-                ports = int_ports
-            pi = 0
-            pmin = ports[0]
-            for k in range(1, len(ports)):
-                if ports[k] < pmin:
-                    pmin = ports[k]
-                    pi = k
-            if pmin > t:
-                t = pmin
-            ports[pi] = t + 1.0
-            if op == DIV and div_free > t:
-                t = max(t, div_free)
+                # ---- issue: operands + issue port ----
+                t = d + 1.0
+                s1 = src1_a[i]
+                if s1 > 0 and reg_ready[s1] > t:
+                    t = reg_ready[s1]
+                s2 = src2_a[i]
+                if s2 > 0 and reg_ready[s2] > t:
+                    t = reg_ready[s2]
+                if is_mem:
+                    ports = mem_ports
+                elif is_fp:
+                    ports = fp_ports
+                else:
+                    ports = int_ports
+                pi = 0
+                pmin = ports[0]
+                for k in range(1, len(ports)):
+                    if ports[k] < pmin:
+                        pmin = ports[k]
+                        pi = k
+                if pmin > t:
+                    t = pmin
+                ports[pi] = t + 1.0
+                if op == DIV and div_free > t:
+                    t = max(t, div_free)
 
-            # record issue time for IQ occupancy (entry freed at issue)
-            ring[head] = t + 1.0
-            if is_mem:
-                memq_head = (head + 1) % len(memq_ring)
-            elif is_fp:
-                fpq_head = (head + 1) % len(fpq_ring)
-            else:
-                intq_head = (head + 1) % len(intq_ring)
+                # record issue time for IQ occupancy (entry freed at issue)
+                ring[head] = t + 1.0
+                if is_mem:
+                    memq_head = (head + 1) % len(memq_ring)
+                elif is_fp:
+                    fpq_head = (head + 1) % len(fpq_ring)
+                else:
+                    intq_head = (head + 1) % len(intq_ring)
 
-            # ---- execute / complete ----
-            dst = int(dst_a[i])
-            if op == LOAD:
-                addr = int(addr_a[i])
-                lineaddr = addr >> 6
-                st_pending = pending_stores.get(lineaddr)
-                if st_pending is not None and st_pending > t:
-                    # memory ordering: wait for the older store's data
-                    t = st_pending
-                complete = float(port.dload(addr, int(t) + 1))
-            elif op == STORE:
-                addr = int(addr_a[i])
-                complete = float(port.dstore(addr, int(t) + 1))
-                lineaddr = addr >> 6
-                pending_stores[lineaddr] = t + 2.0
-                if len(pending_stores) > 4 * cfg.stq:
-                    pending_stores.clear()
-            elif op == AMO:
-                complete = float(port.dstore(int(addr_a[i]), int(t) + 1)) + lat.amo_extra
-            else:
-                l = lat_of(OpClass(op))
-                complete = t + l
-                if op == DIV:
-                    div_free = complete
-            if dst > 0:
-                reg_ready[dst] = complete
+                # ---- execute / complete ----
+                dst = int(dst_a[i])
+                if op == LOAD:
+                    addr = int(addr_a[i])
+                    lineaddr = addr >> 6
+                    st_pending = pending_stores.get(lineaddr)
+                    if st_pending is not None and st_pending > t:
+                        # memory ordering: wait for the older store's data
+                        t = st_pending
+                    complete = float(dload(addr, int(t) + 1))
+                elif op == STORE:
+                    addr = int(addr_a[i])
+                    complete = float(dstore(addr, int(t) + 1))
+                    lineaddr = addr >> 6
+                    pending_stores[lineaddr] = t + 2.0
+                    if len(pending_stores) > 4 * cfg.stq:
+                        pending_stores.clear()
+                elif op == AMO:
+                    complete = (float(dstore(int(addr_a[i]), int(t) + 1))
+                                + lat.amo_extra)
+                else:
+                    l = lat_of(OpClass(op))
+                    complete = t + l
+                    if op == DIV:
+                        div_free = complete
+                if dst > 0:
+                    reg_ready[dst] = complete
 
-            # ---- control resolution ----
-            if op == BRANCH or op == JUMP or op == CALL or op == RET:
-                kind = bru.resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
-                if kind == BranchUnit.FLUSH:
-                    nf = complete + fe_depth
-                    if nf > fetch_floor:
-                        fetch_floor = nf
-                elif kind == BranchUnit.BUBBLE:
-                    nf = f + 3.0
-                    if nf > fetch_floor:
-                        fetch_floor = nf
+                # ---- control resolution ----
+                if op == BRANCH or op == JUMP or op == CALL or op == RET:
+                    kind = bru.resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
+                    if kind == BranchUnit.FLUSH:
+                        nf = complete + fe_depth
+                        if nf > fetch_floor:
+                            fetch_floor = nf
+                    elif kind == BranchUnit.BUBBLE:
+                        nf = f + 3.0
+                        if nf > fetch_floor:
+                            fetch_floor = nf
 
-            # ---- commit (in-order, commit-width limited) ----
-            c = commit_chain + d_commit
-            if complete + 1.0 > c:
-                c = complete + 1.0
-            commit_chain = c
-            last_commit = c
-            rob_ring[rob_head] = c
-            rob_head = (rob_head + 1) % rob_size
-            if op == LOAD:
-                ldq_ring[ldq_head] = c
-                ldq_head = (ldq_head + 1) % len(ldq_ring)
-            elif op == STORE or op == AMO:
-                stq_ring[stq_head] = c
-                stq_head = (stq_head + 1) % len(stq_ring)
+                # ---- commit (in-order, commit-width limited) ----
+                c = commit_chain + d_commit
+                if complete + 1.0 > c:
+                    c = complete + 1.0
+                commit_chain = c
+                last_commit = c
+                rob_ring[rob_head] = c
+                rob_head = (rob_head + 1) % rob_size
+                if op == LOAD:
+                    ldq_ring[ldq_head] = c
+                    ldq_head = (ldq_head + 1) % len(ldq_ring)
+                elif op == STORE or op == AMO:
+                    stq_ring[stq_head] = c
+                    stq_head = (stq_head + 1) % len(stq_ring)
+        finally:
+            mem_close()
 
         self._fetch_chain = fetch_chain
         self._dispatch_chain = dispatch_chain

@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "dram": [
         "DDR3_2000_QUAD_RANK", "DDR4_3200_4CH", "DRAM", "DRAMConfig",
         "DRAMStats", "DRAMTimings", "LPDDR4_2666_DUAL"],
-    "hierarchy": ["HierarchyConfig", "TilePort", "Uncore", "build_uncore"],
+    "hierarchy": ["HierarchyConfig", "TilePort", "Uncore"],
     "llc": [
         "InterleavedLLC", "RealisticLLC", "SimplifiedLLC", "make_llc_slices"],
     "tlb": ["TLB", "TLBConfig", "TLBStats", "TwoLevelTLB"],

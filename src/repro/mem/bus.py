@@ -2,7 +2,10 @@
 
 The paper's Rocket2 / Banana Pi Sim Model configurations widen the system
 bus from 64 to 128 bits (Table 4); the bus model makes that knob visible as
-transfer beats per cache line plus contention between tiles.
+transfer beats per cache line plus contention between tiles.  The bus
+holds its configuration, occupancy timeline and stats; the transfer
+itself is one step of the walk :meth:`repro.mem.hierarchy.Uncore.bind`
+binds.
 """
 
 from __future__ import annotations
@@ -39,16 +42,15 @@ class BusStats:
     transfers: int = 0
     contention_cycles: int = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class SystemBus:
     """Single shared bus with per-transfer occupancy.
 
-    ``transfer(time, bytes_)`` returns the completion time; back-to-back
-    requests from multiple tiles queue behind each other, which is how
-    multi-core memory contention appears below the private caches.
+    A line transfer books ``beats / clock_ratio`` cycles on the timeline
+    and completes ``arbitration_latency`` cycles after its booking ends;
+    back-to-back requests from multiple tiles queue behind each other,
+    which is how multi-core memory contention appears below the private
+    caches.
     """
 
     def __init__(self, cfg: BusConfig, name: str = "sbus") -> None:
@@ -57,15 +59,6 @@ class SystemBus:
         self.stats = BusStats()
         # interval timeline: requesters' clocks may be mutually skewed
         self._timeline = OccupancyTimeline()
-
-    def transfer(self, time: int, bytes_: int) -> int:
-        self.stats.transfers += 1
-        beats = self.cfg.beats(bytes_)
-        occupancy = beats / self.cfg.clock_ratio
-        start = self._timeline.reserve(float(time), occupancy)
-        if start > time:
-            self.stats.contention_cycles += int(start - time)
-        return int(start + self.cfg.arbitration_latency + occupancy)
 
     def __repr__(self) -> str:
         return f"SystemBus({self.cfg.width_bits}-bit)"

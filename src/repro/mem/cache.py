@@ -1,9 +1,11 @@
 """Set-associative cache timing model with banks, MSHRs, and write-back.
 
-All times are in *core clock cycles*.  A cache forwards misses to a
-``next_level`` object exposing ``access(addr, time, is_store) -> int``
-(finish time); the chain bottoms out at a DRAM model from
-:mod:`repro.mem.dram`.
+All times are in *core clock cycles*.  :meth:`Cache.bind` is the one
+access path: it returns an ``access(addr, time, is_store) -> finish``
+closure over the cache's own tables that forwards misses and dirty
+victims to the *next_access* it is given — the next level's bound
+access, bottoming out at a DRAM from :mod:`repro.mem.dram`.
+:meth:`repro.mem.hierarchy.TilePort.bind` wires the levels together.
 
 The model tracks true tag state (hits and misses are exact for the access
 stream it sees), per-bank busy times (bank conflicts), a finite MSHR pool
@@ -65,23 +67,19 @@ class CacheStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class Cache:
     """One level of a write-back, write-allocate set-associative cache."""
 
-    def __init__(self, cfg: CacheConfig, next_level, name: str = "cache") -> None:
+    def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
         self.cfg = cfg
-        self.next_level = next_level
         self.name = name
         self.stats = CacheStats()
         self._line_shift = cfg.line_bytes.bit_length() - 1
         self._set_mask = cfg.sets - 1
         # per-set rows of tags (-1 = invalid), dirty bits and LRU stamps
-        # (larger = more recently used), made by ``_row``; the engine
-        # binds these lists live, so they are only mutated in place
+        # (larger = more recently used), made by ``_row``; bound walks
+        # hold these lists live, so they are only mutated in place
         self._tags: list[list[int] | None] = [None] * cfg.sets
         self._dirty: list[list[bool] | None] = [None] * cfg.sets
         self._lru: list[list[int] | None] = [None] * cfg.sets
@@ -91,18 +89,6 @@ class Cache:
         self._bank_free = [OccupancyTimeline() for _ in range(cfg.banks)]
         # outstanding fills: line_addr -> fill completion time (pruned lazily)
         self._mshr: dict[int, int] = {}
-
-    # -- helpers ----------------------------------------------------------
-
-    def _index(self, addr: int) -> tuple[int, int]:
-        line = addr >> self._line_shift
-        return line & self._set_mask, line
-
-    def _prune_mshrs(self, now: int) -> None:
-        if len(self._mshr) > 2 * self.cfg.mshrs:
-            done = [a for a, t in self._mshr.items() if t <= now]
-            for a in done:
-                del self._mshr[a]
 
     def _row(self, set_idx: int) -> list[int]:
         """Make set *set_idx*'s rows, every way invalid; returns its tags.
@@ -115,82 +101,141 @@ class Cache:
         self._lru[set_idx] = [0] * ways
         return row
 
-    def _touch(self, set_idx: int, way: int) -> None:
-        self._use_counter += 1
-        self._lru[set_idx][way] = self._use_counter
+    # -- the access path ----------------------------------------------------
 
-    def _victim(self, set_idx: int) -> int:
-        """The first invalid way, else the least recently used one."""
-        row = self._tags[set_idx]
-        if -1 in row:
-            return row.index(-1)
-        lru = self._lru[set_idx]
-        return lru.index(min(lru))
+    def bind(self, next_access):
+        """Bind the access path over this cache's tables.
 
-    # -- main access path ---------------------------------------------------
-
-    def access(self, addr: int, time: int, is_store: bool = False) -> int:
-        """Access *addr* at *time*; return the completion time in cycles."""
+        Returns ``(access, close)``.  ``access(addr, time, is_store)``
+        returns the completion time; misses and dirty victims go to
+        ``next_access(line_addr, time, is_store)``.  The tag/dirty/LRU
+        rows, MSHRs and bank timelines are used in place; the LRU use
+        counter and the stats live in locals until ``close``, which must
+        run exactly once.  Two shortcuts are exact by a bound: a booking
+        at or after a bank timeline's last end appends at its tail, and
+        past ``mshr_hw`` no fill can still be outstanding.
+        """
         cfg = self.cfg
         st = self.stats
-        st.accesses += 1
-        set_idx, line = self._index(addr)
+        line_shift = self._line_shift
+        set_mask = self._set_mask
+        hit_lat = cfg.hit_latency
+        banks = cfg.banks
+        n_mshrs = cfg.mshrs
+        cyc = cfg.cycle_time
+        tags, dirty, lru = self._tags, self._dirty, self._lru
+        make_row = self._row
+        use_counter = self._use_counter
+        mshr = self._mshr
+        #: no fill in ``mshr`` completes later than this, so a lookup at
+        #: or past it finds nothing outstanding and is skipped
+        mshr_hw = max(mshr.values(), default=0)
+        bank_tl = self._bank_free
+        bank_starts = [tl._starts for tl in bank_tl]
+        bank_ends = [tl._ends for tl in bank_tl]
+        bank_max = [tl.max_intervals for tl in bank_tl]
+        # stats accumulate in locals and flush at close (same totals,
+        # fewer attribute round-trips on the hottest call in the simulator)
+        n_access = n_misses = n_wb = n_merges = 0
+        n_conflict = 0
+        n_mshr_stall = 0
 
-        # bank arbitration
-        bank = line % cfg.banks
-        start = self._bank_free[bank].reserve(time, cfg.cycle_time)
-        if start > time:
-            st.bank_conflict_cycles += int(start - time)
+        def access(addr, time, is_store):
+            nonlocal n_access, n_misses, n_wb, n_merges, n_conflict, \
+                n_mshr_stall, use_counter, mshr_hw
+            n_access += 1
+            line = addr >> line_shift
+            set_idx = line & set_mask
 
-        row = self._tags[set_idx]
-        if row is None:
-            row = self._row(set_idx)
-        if line in row:
-            way = row.index(line)
-            self._touch(set_idx, way)
-            if is_store:
-                self._dirty[set_idx][way] = True
-            st.hits += 1
-            done = start + cfg.hit_latency
-            # the tag is installed at miss time, but data arrives with the
-            # fill: a hit on an in-flight line waits for the fill
-            pending = self._mshr.get(line << self._line_shift)
-            if pending is not None and pending > done:
-                return pending
-            return done
+            start = float(time)
+            if cyc > 0:
+                bank = line % banks
+                ends = bank_ends[bank]
+                if not ends or start >= ends[-1]:
+                    # monotone arrival: what reserve() does at the tail
+                    bank_starts[bank].append(start)
+                    ends.append(start + cyc)
+                    drop = len(ends) - bank_max[bank]
+                    if drop > 0:
+                        del bank_starts[bank][:drop]
+                        del ends[:drop]
+                else:
+                    start = bank_tl[bank].reserve(time, cyc)
+                    if start > time:
+                        n_conflict += int(start - time)
 
-        # ---- miss ----
-        st.misses += 1
-        tag_time = start + cfg.hit_latency  # tag check before going out
+            row = tags[set_idx]
+            if row is None:
+                row = make_row(set_idx)
+            if line in row:
+                way = row.index(line)
+                use_counter += 1
+                lru[set_idx][way] = use_counter
+                done = start + hit_lat
+                if is_store:
+                    dirty[set_idx][way] = True
+                # the tag is installed at miss time, but data arrives
+                # with the fill: a hit on an in-flight line waits for it
+                if mshr_hw > done:
+                    pending = mshr.get(line << line_shift)
+                    if pending is not None and pending > done:
+                        return pending
+                return done
 
-        line_base = line << self._line_shift
-        pending = self._mshr.get(line_base, 0)
-        if pending > tag_time:
-            # secondary miss to an in-flight line: merge into existing MSHR
-            st.mshr_merges += 1
-            fill_time = pending
-        else:
-            # primary miss: need a free MSHR
-            in_flight = [t for t in self._mshr.values() if t > tag_time]
-            if len(in_flight) >= cfg.mshrs:
-                wait_until = min(in_flight)
-                st.mshr_stall_cycles += wait_until - tag_time
-                tag_time = wait_until
-            fill_time = self.next_level.access(line_base, tag_time, False)
-            self._mshr[line_base] = fill_time
-            self._prune_mshrs(tag_time)
+            n_misses += 1
+            tag_time = start + hit_lat  # tag check before going out
+            line_base = line << line_shift
+            pending = mshr.get(line_base, 0) if mshr_hw > tag_time else 0
+            if pending > tag_time:
+                # secondary miss to an in-flight line: merge into its MSHR
+                n_merges += 1
+                fill_time = pending
+            else:
+                # primary miss: need a free MSHR
+                if mshr_hw > tag_time and len(mshr) >= n_mshrs:
+                    in_flight = [ft for ft in mshr.values() if ft > tag_time]
+                    if len(in_flight) >= n_mshrs:
+                        wait_until = min(in_flight)
+                        n_mshr_stall += wait_until - tag_time
+                        tag_time = wait_until
+                fill_time = next_access(line_base, tag_time, False)
+                mshr[line_base] = fill_time
+                if fill_time > mshr_hw:
+                    mshr_hw = fill_time
+                if len(mshr) > 2 * n_mshrs:
+                    for a in [a for a, ft in mshr.items() if ft <= tag_time]:
+                        del mshr[a]
 
-        # victim selection & writeback
-        way = self._victim(set_idx)
-        dirty = self._dirty[set_idx]
-        if dirty[way] and row[way] != -1:
-            st.writebacks += 1
-            # writeback consumes next-level bandwidth but doesn't block the fill
-            self.next_level.access(row[way] << self._line_shift, fill_time, True)
-        row[way] = line
-        dirty[way] = bool(is_store)
-        self._touch(set_idx, way)
-        return fill_time
+            # victim: the first invalid way, else the least recently used
+            if -1 in row:
+                way = row.index(-1)
+            else:
+                lr = lru[set_idx]
+                way = lr.index(min(lr))
+            vtag = row[way]
+            if dirty[set_idx][way] and vtag != -1:
+                n_wb += 1
+                # the writeback consumes next-level bandwidth but does
+                # not block the fill
+                next_access(vtag << line_shift, fill_time, True)
+            row[way] = line
+            dirty[set_idx][way] = bool(is_store)
+            use_counter += 1
+            lru[set_idx][way] = use_counter
+            return fill_time
+
+        def close():
+            self._use_counter = use_counter
+            st.accesses += n_access
+            st.hits += n_access - n_misses
+            st.misses += n_misses
+            st.writebacks += n_wb
+            st.mshr_merges += n_merges
+            st.bank_conflict_cycles += n_conflict
+            if n_mshr_stall:
+                st.mshr_stall_cycles += n_mshr_stall
+
+        return access, close
 
     # -- introspection ------------------------------------------------------
 
@@ -200,19 +245,9 @@ class Cache:
         A probe makes no row: state must not depend on how often the
         prefetcher asked.
         """
-        set_idx, line = self._index(addr)
-        row = self._tags[set_idx]
+        line = addr >> self._line_shift
+        row = self._tags[line & self._set_mask]
         return row is not None and line in row
-
-    def flush(self) -> None:
-        """Invalidate all lines (does not model writeback traffic).
-
-        The tables are cleared in place, never rebound: an engine binds
-        these very lists.
-        """
-        for table in (self._tags, self._dirty, self._lru):
-            table[:] = [None] * len(table)
-        self._mshr.clear()
 
     def __repr__(self) -> str:
         c = self.cfg

@@ -8,7 +8,9 @@ multi-core runs depend on that path existing.
 
 The directory tracks, per line, the set of tiles that have installed it
 since the last write, and charges an invalidate latency when ownership
-changes hands.  Entries are pruned lazily to bound memory.
+changes hands.  Entries are pruned lazily to bound memory.  The
+directory holds that state; the lookup is one step of the walk
+:meth:`repro.mem.hierarchy.Uncore.bind` binds, right after the bus.
 
 Known limitation: the directory observes only traffic that reaches the
 shared level.  Store *misses* fill with plain reads (not
@@ -33,15 +35,13 @@ class CoherenceStats:
     ownership_changes: int = 0
     sharers_tracked: int = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class SnoopDirectory:
     """Tracks sharers per line and prices invalidations.
 
-    ``observe(tile, line, is_store, time)`` returns extra latency (cycles)
-    for coherence actions triggered by this access.
+    A store from a tile invalidates every other sharer and takes
+    ownership; a load downgrades another tile's ownership.  Either
+    action costs ``invalidate_latency`` cycles.
     """
 
     def __init__(self, invalidate_latency: int = 24, max_lines: int = 1 << 16) -> None:
@@ -52,38 +52,6 @@ class SnoopDirectory:
         self.stats = CoherenceStats()
         self._sharers: dict[int, int] = {}  # line -> bitmask of tile ids
         self._owner: dict[int, int] = {}    # line -> exclusive owner tile
-
-    def observe(self, tile: int, line: int, is_store: bool) -> int:
-        """Record an access; return added coherence latency."""
-        bit = 1 << tile
-        extra = 0
-        sharers = self._sharers.get(line, 0)
-        if is_store:
-            others = sharers & ~bit
-            if others:
-                # invalidate all other sharers
-                self.stats.invalidations += bin(others).count("1")
-                extra = self.invalidate_latency
-            prev_owner = self._owner.get(line)
-            if prev_owner is not None and prev_owner != tile:
-                self.stats.ownership_changes += 1
-                extra = max(extra, self.invalidate_latency)
-            self._sharers[line] = bit
-            self._owner[line] = tile
-        else:
-            if line in self._owner and self._owner[line] != tile:
-                # downgrade M -> S at the owner: one round trip
-                self.stats.ownership_changes += 1
-                del self._owner[line]
-                extra = self.invalidate_latency
-            self._sharers[line] = sharers | bit
-        if len(self._sharers) > self.max_lines:
-            self._prune()
-        return extra
-
-    def sharers_of(self, line: int) -> int:
-        """Bitmask of tiles currently tracked as sharing *line*."""
-        return self._sharers.get(line, 0)
 
     def _prune(self) -> None:
         # Drop half the entries (oldest-inserted first: dicts are ordered).

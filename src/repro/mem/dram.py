@@ -16,7 +16,7 @@ slower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .timeline import OccupancyTimeline
 
@@ -68,11 +68,6 @@ class DRAMConfig:
         if self.queue_depth < 1:
             raise ValueError(
                 f"queue_depth must be at least 1, got {self.queue_depth}")
-
-    @property
-    def peak_bandwidth_gbps(self) -> float:
-        """Aggregate peak bandwidth in GB/s across channels."""
-        return self.channels * self.channel_bits / 8 * self.data_rate_mtps / 1000.0
 
     def transfer_ns(self, bytes_: int) -> float:
         """Time to move *bytes_* over one channel's data bus."""
@@ -132,9 +127,6 @@ class DRAMStats:
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class DRAM:
     """Mechanistic DRAM channel/bank timing model.
@@ -178,109 +170,135 @@ class DRAM:
         self._cXFER = cfg.transfer_ns(self.line_bytes) * ghz
         self._banks_per_chan = cfg.ranks * cfg.banks_per_rank
 
-    # -- address mapping ------------------------------------------------------
+    # -- the access path -------------------------------------------------
 
-    def map_address(self, addr: int) -> tuple[int, int, int]:
-        """Map a byte address to (channel, global bank index, row).
+    def bind(self):
+        """Bind the access path over this DRAM's bank and channel state.
 
-        Channel interleave at line granularity (maximises channel-level
-        parallelism for streams, like real controllers); bank interleave at
-        row granularity.
+        Returns ``(access, close)``.  ``access(addr, time, is_store)``
+        services one line request and returns its completion time.
+        Channels interleave at line granularity (maximises channel-level
+        parallelism for streams, like real controllers), banks at row
+        granularity.  Bank state, channel timelines and in-flight queues
+        are used in place; the read/write counts flush at ``close``.  A
+        booking at or after a channel timeline's last end appends at its
+        tail, and past ``inflight_hw`` no queued request is still live.
         """
         cfg = self.cfg
-        line = addr // self.line_bytes
-        chan = line % cfg.channels
-        row_global = addr // (cfg.row_bytes * cfg.channels)
-        bank_in_chan = row_global % self._banks_per_chan
-        row = row_global // self._banks_per_chan
-        return chan, chan * self._banks_per_chan + bank_in_chan, row
-
-    # -- access -----------------------------------------------------------
-
-    def access(self, addr: int, time: int, is_store: bool = False) -> int:
-        """Service a line request at *time*; return completion time (cycles)."""
         st = self.stats
-        if is_store:
-            st.writes += 1
-        else:
-            st.reads += 1
-        chan, bank, row = self.map_address(int(addr))
+        line_bytes = self.line_bytes
+        channels = cfg.channels
+        row_div = cfg.row_bytes * channels
+        banks_per_chan = self._banks_per_chan
+        open_row = self._open_row
+        bank_ready = self._bank_ready
+        inflight = self._inflight
+        #: per channel: no queued request finishes later than this
+        inflight_hw = [max(q, default=0.0) for q in inflight]
+        cCAS = self._cCAS
+        cRCD = self._cRCD
+        cRP = self._cRP
+        cRAS = self._cRAS
+        cCTRL = self._cCTRL
+        cREFI = self._cREFI
+        cRFC = self._cRFC
+        cXFER = self._cXFER
+        chan_bus = self._chan_bus
+        bus_starts = [tl._starts for tl in chan_bus]
+        bus_ends = [tl._ends for tl in chan_bus]
+        bus_max = [tl.max_intervals for tl in chan_bus]
+        queue_depth = cfg.queue_depth
+        qmax = 4 * queue_depth
+        n_access = n_writes = 0
 
-        start = time + self._cCTRL
+        def access(addr, time, is_store):
+            nonlocal n_access, n_writes
+            n_access += 1
+            if is_store:
+                n_writes += 1
+            line = addr // line_bytes
+            chan = line % channels
+            row_global = addr // row_div
+            bank = chan * banks_per_chan + row_global % banks_per_chan
+            row = row_global // banks_per_chan
 
-        # queueing: bound channel-level parallelism
-        q = self._inflight[chan]
-        if q:
-            live = [t for t in q if t > start]
-            if len(live) >= self.cfg.queue_depth:
-                live.sort()
-                wait_until = live[-self.cfg.queue_depth]
-                st.queue_wait_cycles += int(wait_until - start)
-                start = wait_until
-            self._inflight[chan] = live
+            start = time + cCTRL
+            # queueing: bound channel-level parallelism
+            q = inflight[chan]
+            if q:
+                if inflight_hw[chan] > start:
+                    live = [t for t in q if t > start]
+                    if len(live) >= queue_depth:
+                        live.sort()
+                        wait_until = live[-queue_depth]
+                        st.queue_wait_cycles += int(wait_until - start)
+                        start = wait_until
+                    inflight[chan] = q = live
+                else:
+                    q.clear()
 
-        # refresh: every tREFI the rank is unavailable for tRFC; commands
-        # reaching the device inside the window wait it out (and the
-        # refresh closes the open row).  Checked at device time (after
-        # queueing); the k=0 window is skipped so runs beginning at t=0
-        # are not artificially phase-aligned with a refresh.
-        if self._cREFI > 0 and start >= self._cREFI:
-            since = start % self._cREFI
-            if since < self._cRFC:
-                st.refresh_stall_cycles += int(self._cRFC - since)
-                start += self._cRFC - since
-                self._open_row[bank] = -1
-        # open-page row-buffer state machine (FR-FCFS: row hits bypass
-        # bank busy precharge serialisation but still share the data bus)
-        if self._open_row[bank] == row:
-            st.row_hits += 1
-            ready = max(start, self._bank_ready[bank] - self._cRAS)  # CAS can overlap tRAS
-            access_done = max(ready, start) + self._cCAS
-            self._bank_ready[bank] = max(self._bank_ready[bank], access_done)
-        else:
-            st.row_misses += 1
-            ready = max(start, self._bank_ready[bank])
-            pre = self._cRP if self._open_row[bank] != -1 else 0.0
-            access_done = ready + pre + self._cRCD + self._cCAS
-            self._open_row[bank] = row
-            self._bank_ready[bank] = access_done
+            # refresh: every tREFI the rank is unavailable for tRFC;
+            # commands reaching the device inside the window wait it out
+            # (and the refresh closes the open row).  Checked at device
+            # time (after queueing); the k=0 window is skipped so runs
+            # beginning at t=0 are not phase-aligned with a refresh.
+            if cREFI > 0 and start >= cREFI:
+                since = start % cREFI
+                if since < cRFC:
+                    st.refresh_stall_cycles += int(cRFC - since)
+                    start += cRFC - since
+                    open_row[bank] = -1
+            # open-page row-buffer state machine (FR-FCFS: row hits
+            # bypass bank busy precharge serialisation but still share
+            # the data bus)
+            if open_row[bank] == row:
+                st.row_hits += 1
+                ready = bank_ready[bank] - cRAS  # CAS can overlap tRAS
+                if start > ready:
+                    ready = start
+                access_done = ready + cCAS
+                if access_done > bank_ready[bank]:
+                    bank_ready[bank] = access_done
+            else:
+                st.row_misses += 1
+                ready = bank_ready[bank]
+                if start > ready:
+                    ready = start
+                pre = cRP if open_row[bank] != -1 else 0.0
+                access_done = ready + pre + cRCD + cCAS
+                open_row[bank] = row
+                bank_ready[bank] = access_done
 
-        # data-bus transfer (serialised per channel)
-        xfer_start = self._chan_bus[chan].reserve(access_done, self._cXFER)
-        finish = xfer_start + self._cXFER
-        self._inflight[chan].append(finish)
-        if len(self._inflight[chan]) > 4 * self.cfg.queue_depth:
-            self._inflight[chan] = [t for t in self._inflight[chan] if t > finish - 1]
+            # data-bus transfer (serialised per channel)
+            xfer_start = float(access_done)
+            if cXFER > 0:
+                ends = bus_ends[chan]
+                if not ends or xfer_start >= ends[-1]:
+                    bus_starts[chan].append(xfer_start)
+                    ends.append(xfer_start + cXFER)
+                    drop = len(ends) - bus_max[chan]
+                    if drop > 0:
+                        del bus_starts[chan][:drop]
+                        del ends[:drop]
+                else:
+                    xfer_start = chan_bus[chan].reserve(access_done, cXFER)
+            finish = xfer_start + cXFER
+            q.append(finish)
+            if finish > inflight_hw[chan]:
+                inflight_hw[chan] = finish
+            if len(q) > qmax:
+                inflight[chan] = [ft for ft in q if ft > finish - 1]
+            # writes complete at the controller; the caller does not wait
+            # for the array update, but the occupancy above still counts
+            if is_store:
+                return int(start + cCTRL)
+            return int(finish)
 
-        # writes complete at the controller; the caller shouldn't wait for
-        # the array update, but the bus/bank occupancy above still counts.
-        if is_store:
-            return int(start + self._cCTRL)
-        return int(finish)
+        def close():
+            st.reads += n_access - n_writes
+            st.writes += n_writes
 
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def idle_latency_cycles(self) -> float:
-        """Unloaded row-miss latency in core cycles (sanity metric)."""
-        return self._cCTRL + self._cRCD + self._cCAS + self._cXFER
-
-    def reset(self) -> None:
-        nbanks = self.cfg.channels * self._banks_per_chan
-        self._open_row = [-1] * nbanks
-        self._bank_ready = [0.0] * nbanks
-        self._chan_bus = [OccupancyTimeline() for _ in range(self.cfg.channels)]
-        self._inflight = [[] for _ in range(self.cfg.channels)]
-        self.stats.reset()
+        return access, close
 
     def __repr__(self) -> str:
-        return (
-            f"DRAM({self.cfg.name}, {self.cfg.peak_bandwidth_gbps:.1f} GB/s peak, "
-            f"idle={self.idle_latency_cycles:.0f} cyc @ {self.core_ghz} GHz)"
-        )
-
-
-def scale_to_frequency(cfg: DRAMConfig, factor: float) -> DRAMConfig:
-    """Return a config whose data rate is scaled by *factor* (for ablations)."""
-    return replace(cfg, data_rate_mtps=cfg.data_rate_mtps * factor,
-                   name=f"{cfg.name} x{factor:g}")
+        return f"DRAM({self.cfg.name} @ {self.core_ghz} GHz)"

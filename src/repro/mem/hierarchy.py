@@ -2,28 +2,44 @@
 
 Layout mirrors the paper's systems (Tables 4/5):
 
-* per tile: L1I + L1D (+ I/D TLBs)
+* per tile: L1I + L1D (+ I/D TLBs, + a stride prefetcher on silicon)
 * shared: system bus -> banked L2 -> optional LLC (one slice per memory
   channel, FireSim-style) -> DRAM
 
-The :class:`TilePort` is what the core timing models call into; the
-:class:`Uncore` is shared between tiles, so multi-core contention appears
-naturally in bus/L2-bank/DRAM-channel occupancy.
+The :class:`Uncore` is shared between tiles, so multi-core contention
+appears naturally in bus/L2-bank/DRAM-channel occupancy.
+
+One walk
+--------
+
+Every component keeps its own state, config and stats; the access path
+is a chain of closures bound over that state, one per level, each
+calling the next directly.  :meth:`TilePort.bind` is the one composer a
+core loop calls: TLB -> L1 -> (prefetcher) -> bus -> directory -> L2 ->
+(LLC slice ->) DRAM, built from :func:`~repro.mem.tlb.bind_entry`,
+:meth:`Cache.bind <repro.mem.cache.Cache.bind>`,
+:meth:`StridePrefetcher.bind <repro.mem.prefetch.StridePrefetcher.bind>`,
+:meth:`Uncore.bind` (the bus and directory step, fused) and
+:meth:`DRAM.bind <repro.mem.dram.DRAM.bind>`.  Tables, dicts and
+timelines are used in place, so binding copies nothing; counters and a
+cache's LRU use counter live in locals until ``close``, which must run
+exactly once, even when the run raises.  At most one bind of a system
+may be open at a time: the shared levels' locals would otherwise fork.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bus import BusConfig, SystemBus
 from .cache import Cache, CacheConfig
 from .coherence import SnoopDirectory
 from .dram import DRAM, DRAMConfig
-from .llc import InterleavedLLC, RealisticLLC, SimplifiedLLC
+from .llc import make_llc_slices
 from .prefetch import PrefetcherConfig, StridePrefetcher
-from .tlb import TLB, TLBConfig, TwoLevelTLB
+from .tlb import TLB, TLBConfig, TwoLevelTLB, bind_entry
 
-__all__ = ["HierarchyConfig", "Uncore", "TilePort", "build_uncore"]
+__all__ = ["HierarchyConfig", "Uncore", "TilePort"]
 
 
 @dataclass(frozen=True)
@@ -61,62 +77,117 @@ class Uncore:
                     f"{cfg.dram.channels} DRAM channels cannot split over "
                     f"{nsl} LLC slices"
                 )
-            from dataclasses import replace
-
             per_chan = replace(cfg.dram, channels=cfg.dram.channels // nsl)
             self.drams = [DRAM(per_chan, cfg.core_ghz) for _ in range(nsl)]
-            per_slice = cfg.llc_bytes // nsl
-            cls_kwargs = (
-                (SimplifiedLLC, {"latency": cfg.llc_latency})
-                if cfg.llc_simplified
-                else (RealisticLLC, {})
-            )
-            cls, kwargs = cls_kwargs
-            self.llc = InterleavedLLC(
-                [cls(per_slice, self.drams[i], name=f"llc{i}", **kwargs)
-                 for i in range(nsl)]
-            )
-            below_l2 = self.llc
+            self.llc = make_llc_slices(cfg.llc_bytes, nsl, cfg.llc_simplified,
+                                       cfg.llc_latency)
         else:
             self.drams = [DRAM(cfg.dram, cfg.core_ghz)]
             self.llc = None
-            below_l2 = self.drams[0]
-        self.l2 = Cache(cfg.l2, below_l2, name="l2")
+        self.l2 = Cache(cfg.l2, name="l2")
         self.bus = SystemBus(cfg.bus)
         self.directory = SnoopDirectory()
         self._line = cfg.l1d.line_bytes
 
-    def access(self, tile: int, addr: int, time: int, is_store: bool) -> int:
-        """L1-miss path: bus -> L2 -> (LLC ->) DRAM. Returns finish time."""
-        t = self.bus.transfer(time, self._line)
-        t += self.directory.observe(tile, addr // self._line, is_store)
-        return self.l2.access(addr, t, is_store)
+    def bind(self, tile_id: int):
+        """Bind the shared levels for requests from tile *tile_id*.
 
-    def dram_stats(self) -> dict[str, int]:
-        return {
-            "reads": sum(d.stats.reads for d in self.drams),
-            "writes": sum(d.stats.writes for d in self.drams),
-            "row_hits": sum(d.stats.row_hits for d in self.drams),
-            "row_misses": sum(d.stats.row_misses for d in self.drams),
-        }
+        Returns ``(access, l2_access, close)``: ``access(addr, time,
+        is_store)`` is an L1 miss's path — bus, directory, L2, then the
+        LLC slice that owns the line (if any) and its DRAM; ``l2_access``
+        enters at the L2 (page-table walks).  The bus transfer and the
+        directory lookup are fused into ``access``; a bus booking at or
+        after the timeline's last end appends at its tail.
+        """
+        if self.llc is None:
+            below, dram_close = self.drams[0].bind()
+            closes = [dram_close]
+        else:
+            slices, closes = [], []
+            for sl, dram in zip(self.llc.slices, self.drams):
+                dram_access, dram_close = dram.bind()
+                sl_access, sl_close = sl.bind(dram_access)
+                slices.append(sl_access)
+                closes += (sl_close, dram_close)
+            llc_line = self.llc._line
+            nsl = len(slices)
 
-    def reset_stats(self) -> None:
-        self.l2.stats.reset()
-        self.bus.stats.reset()
-        for d in self.drams:
-            d.stats.reset()
+            def below(addr, time, is_store):
+                return slices[(addr // llc_line) % nsl](addr, time, is_store)
+        l2_access, l2_close = self.l2.bind(below)
+        closes.append(l2_close)
 
+        bus = self.bus
+        bus_st = bus.stats
+        line_bytes = self._line
+        bus_occ = bus.cfg.beats(line_bytes) / bus.cfg.clock_ratio
+        bus_arb = bus.cfg.arbitration_latency
+        bus_tl = bus._timeline
+        bus_starts = bus_tl._starts
+        bus_ends = bus_tl._ends
+        bus_max = bus_tl.max_intervals
+        bus_reserve = bus_tl.reserve
+        n_transfers = 0
+        directory = self.directory
+        dst = directory.stats
+        shr = directory._sharers
+        own = directory._owner
+        inv_lat = directory.invalidate_latency
+        max_lines = directory.max_lines
+        dir_prune = directory._prune
+        bit = 1 << tile_id
 
-class _UncoreShim:
-    """Adapts Uncore.access to the Cache next_level protocol.
+        def access(addr, time, is_store):
+            nonlocal n_transfers
+            # the bus: one line transfer
+            n_transfers += 1
+            start = float(time)
+            if not bus_ends or start >= bus_ends[-1]:
+                bus_starts.append(start)
+                bus_ends.append(start + bus_occ)
+                drop = len(bus_ends) - bus_max
+                if drop > 0:
+                    del bus_starts[:drop]
+                    del bus_ends[:drop]
+            else:
+                start = bus_reserve(start, bus_occ)
+                if start > time:
+                    bus_st.contention_cycles += int(start - time)
+            t = int(start + bus_arb + bus_occ)
+            # the directory: a store invalidates the other sharers and
+            # takes ownership; a load downgrades another tile's ownership
+            dline = addr // line_bytes
+            sharers = shr.get(dline, 0)
+            if is_store:
+                extra = 0
+                others = sharers & ~bit
+                if others:
+                    dst.invalidations += bin(others).count("1")
+                    extra = inv_lat
+                prev_owner = own.get(dline)
+                if prev_owner is not None and prev_owner != tile_id:
+                    dst.ownership_changes += 1
+                    if inv_lat > extra:
+                        extra = inv_lat
+                shr[dline] = bit
+                own[dline] = tile_id
+                t += extra
+            else:
+                if dline in own and own[dline] != tile_id:
+                    dst.ownership_changes += 1
+                    del own[dline]
+                    t += inv_lat
+                shr[dline] = sharers | bit
+            if len(shr) > max_lines:
+                dir_prune()
+            return l2_access(addr, t, is_store)
 
-    Module-level on purpose: a class defined per TilePort is cyclic
-    garbage, so a dropped System would wait for the collector."""
+        def close():
+            for c in closes:
+                c()
+            bus_st.transfers += n_transfers
 
-    def __init__(self, uncore: Uncore, tile_id: int) -> None:
-        self.access = lambda addr, time, is_store=False: uncore.access(
-            tile_id, addr, time, is_store
-        )
+        return access, l2_access, close
 
 
 class TilePort:
@@ -132,9 +203,8 @@ class TilePort:
         cfg = uncore.cfg
         self.uncore = uncore
         self.tile_id = tile_id
-        shim = _UncoreShim(uncore, tile_id)
-        self.l1i = Cache(cfg.l1i, shim, name=f"tile{tile_id}.l1i")
-        self.l1d = Cache(cfg.l1d, shim, name=f"tile{tile_id}.l1d")
+        self.l1i = Cache(cfg.l1i, name=f"tile{tile_id}.l1i")
+        self.l1d = Cache(cfg.l1d, name=f"tile{tile_id}.l1d")
         self.itlb = TLB(cfg.itlb, name=f"tile{tile_id}.itlb")
         if cfg.l2_tlb_entries:
             self.dtlb: TLB | TwoLevelTLB = TwoLevelTLB(
@@ -144,38 +214,34 @@ class TilePort:
             )
         else:
             self.dtlb = TLB(cfg.dtlb, name=f"tile{tile_id}.dtlb")
-        # page-table walks read through the uncore (they hit in L2 mostly)
-        self._walker = lambda addr, time: uncore.l2.access(addr, time, False)
-        self.prefetcher = (StridePrefetcher(prefetcher, self.l1d)
+        self.prefetcher = (StridePrefetcher(prefetcher, cfg.l1d.line_bytes)
                            if prefetcher is not None else None)
 
-    # -- core-facing API ------------------------------------------------------
+    def bind(self):
+        """Bind the whole walk for this tile; the one composer.
 
-    def dload(self, addr: int, time: int) -> int:
-        t = self.dtlb.translate(addr, time, self._walker)
-        done = self.l1d.access(addr, t, is_store=False)
-        if self.prefetcher is not None:
-            self.prefetcher.observe(addr, t)
-        return done
+        Returns ``(dload, dstore, ifetch, close)``: each entry point
+        takes ``(addr, time)`` and returns the completion time.  A core
+        loop binds once per run and calls ``close`` in ``finally``;
+        ``close`` adds the counters the closures kept in locals to the
+        stats objects and must run exactly once.  Page-table walks read
+        through the L2.
+        """
+        uncore_access, l2_access, uncore_close = self.uncore.bind(self.tile_id)
+        l1d_access, l1d_close = self.l1d.bind(uncore_access)
+        l1i_access, l1i_close = self.l1i.bind(uncore_access)
+        observe = (self.prefetcher.bind(self.l1d.contains, l1d_access)
+                   if self.prefetcher is not None else None)
+        dload, dload_close = bind_entry(
+            self.dtlb, l2_access, l1d_access, False, observe)
+        dstore, dstore_close = bind_entry(
+            self.dtlb, l2_access, l1d_access, True, observe)
+        ifetch, ifetch_close = bind_entry(
+            self.itlb, l2_access, l1i_access, False, None)
 
-    def dstore(self, addr: int, time: int) -> int:
-        t = self.dtlb.translate(addr, time, self._walker)
-        done = self.l1d.access(addr, t, is_store=True)
-        if self.prefetcher is not None:
-            self.prefetcher.observe(addr, t)
-        return done
+        def close():
+            for c in (dload_close, dstore_close, ifetch_close, l1i_close,
+                      l1d_close, uncore_close):
+                c()
 
-    def ifetch(self, addr: int, time: int) -> int:
-        t = self.itlb.translate(addr, time, self._walker)
-        return self.l1i.access(addr, t, is_store=False)
-
-    def flush(self) -> None:
-        self.l1i.flush()
-        self.l1d.flush()
-        self.itlb.flush()
-        self.dtlb.flush()
-
-
-def build_uncore(cfg: HierarchyConfig) -> Uncore:
-    """Construct the shared uncore for a system."""
-    return Uncore(cfg)
+        return dload, dstore, ifetch, close

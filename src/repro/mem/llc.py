@@ -10,6 +10,10 @@ on hits and no tag-lookup charge on the miss path.
 tag+data latencies, used by the silicon models (the SG2042 has a 64 MiB
 LLC) and by the ablation bench that asks how much of the MIP anomaly the
 simplified model explains.
+
+:class:`InterleavedLLC` groups the slices; each slice is a cache over
+its own DRAM, and :meth:`repro.mem.hierarchy.Uncore.bind` binds each one
+over its DRAM and picks a slice per line.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ __all__ = ["SimplifiedLLC", "RealisticLLC", "make_llc_slices", "InterleavedLLC"]
 class SimplifiedLLC(Cache):
     """FireSim-style SRAM-like LLC: tags are exact, timing is idealised."""
 
-    def __init__(self, size_bytes: int, next_level, line_bytes: int = 64,
+    def __init__(self, size_bytes: int, line_bytes: int = 64,
                  ways: int = 8, latency: int = 4, name: str = "llc") -> None:
         sets = size_bytes // (ways * line_bytes)
         if sets <= 0 or sets & (sets - 1):
@@ -34,13 +38,13 @@ class SimplifiedLLC(Cache):
             sets=sets, ways=ways, line_bytes=line_bytes,
             hit_latency=latency, banks=1, mshrs=16, cycle_time=1,
         )
-        super().__init__(cfg, next_level, name=name)
+        super().__init__(cfg, name=name)
 
 
 class RealisticLLC(Cache):
     """LLC with representative tag/data access latencies and banking."""
 
-    def __init__(self, size_bytes: int, next_level, line_bytes: int = 64,
+    def __init__(self, size_bytes: int, line_bytes: int = 64,
                  ways: int = 16, latency: int = 38, banks: int = 8,
                  name: str = "llc") -> None:
         sets = size_bytes // (ways * line_bytes)
@@ -50,7 +54,7 @@ class RealisticLLC(Cache):
             sets=sets, ways=ways, line_bytes=line_bytes,
             hit_latency=latency, banks=banks, mshrs=32, cycle_time=2,
         )
-        super().__init__(cfg, next_level, name=name)
+        super().__init__(cfg, name=name)
 
 
 class InterleavedLLC:
@@ -58,7 +62,7 @@ class InterleavedLLC:
 
     The paper models the MILK-V's 64 MiB LLC "as four 16 MiB LLCs, each
     connected to one of FireSim's four memory channels"; this class
-    reproduces that arrangement.
+    reproduces that arrangement: line *n* lives in slice ``n % len(slices)``.
     """
 
     def __init__(self, slices) -> None:
@@ -67,35 +71,17 @@ class InterleavedLLC:
         self.slices = list(slices)
         self._line = self.slices[0].cfg.line_bytes
 
-    def access(self, addr: int, time: int, is_store: bool = False) -> int:
-        idx = (addr // self._line) % len(self.slices)
-        return self.slices[idx].access(addr, time, is_store)
-
-    @property
-    def stats_accesses(self) -> int:
-        return sum(s.stats.accesses for s in self.slices)
-
-    @property
-    def stats_misses(self) -> int:
-        return sum(s.stats.misses for s in self.slices)
-
-    def flush(self) -> None:
-        for s in self.slices:
-            s.flush()
-
     def __repr__(self) -> str:
         total = sum(s.cfg.size_bytes for s in self.slices) // (1024 * 1024)
         return f"InterleavedLLC({len(self.slices)} slices, {total} MiB total)"
 
 
-def make_llc_slices(total_bytes: int, nslices: int, drams, simplified: bool = True,
+def make_llc_slices(total_bytes: int, nslices: int, simplified: bool = True,
                     latency: int = 4) -> InterleavedLLC:
-    """Build *nslices* LLC slices, slice *i* backed by ``drams[i]``."""
-    if len(drams) != nslices:
-        raise ValueError("need one DRAM backing per slice")
+    """Split *total_bytes* of LLC into *nslices* interleaved slices."""
     per = total_bytes // nslices
     cls = SimplifiedLLC if simplified else RealisticLLC
     kwargs = {"latency": latency} if simplified else {}
     return InterleavedLLC(
-        [cls(per, drams[i], name=f"llc{i}", **kwargs) for i in range(nslices)]
+        [cls(per, name=f"llc{i}", **kwargs) for i in range(nslices)]
     )

@@ -34,52 +34,66 @@ class PrefetchStats:
     triggers: int = 0
     issued: int = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class StridePrefetcher:
     """Classic reference-prediction-table stride prefetcher.
 
-    Streams are tracked per 4 KiB region.  On a confident stride match the
-    prefetcher installs the next ``degree`` lines into *cache* via its
-    ``warm``-with-timing path: the fill occupies the next level (so
-    prefetch traffic consumes real bandwidth) but the requesting core does
-    not wait.
+    Streams are tracked per 4 KiB region.  On a confident stride match
+    the prefetcher fills the next ``degree`` lines that are not resident
+    through the cache's bound access: the fill occupies the next level
+    (so prefetch traffic consumes real bandwidth) but the requesting
+    core does not wait.
     """
 
-    def __init__(self, cfg: PrefetcherConfig, cache) -> None:
+    def __init__(self, cfg: PrefetcherConfig, line_bytes: int) -> None:
         self.cfg = cfg
-        self.cache = cache
         self.stats = PrefetchStats()
         # region -> (last_line, stride, confidence); insertion-ordered LRU
         self._table: dict[int, tuple[int, int, int]] = {}
-        self._line = cache.cfg.line_bytes
+        self._line = line_bytes
 
-    def observe(self, addr: int, time: int) -> None:
-        """Feed a demand access; may issue prefetches into the cache."""
-        line = addr // self._line
-        region = addr >> 12
-        entry = self._table.pop(region, None)
-        if entry is None:
-            self._table[region] = (line, 0, 0)
-        else:
-            last, stride, conf = entry
-            new_stride = line - last
-            if new_stride == 0:
-                self._table[region] = (line, stride, conf)
-            elif new_stride == stride:
-                conf = min(conf + 1, 4)
-                self._table[region] = (line, stride, conf)
-                if conf >= self.cfg.min_confidence:
-                    self.stats.triggers += 1
-                    for k in range(1, self.cfg.degree + 1):
-                        target = (line + stride * k) * self._line
-                        if not self.cache.contains(target):
-                            self.stats.issued += 1
-                            self.cache.access(target, time, False)
+    def bind(self, contains, access):
+        """Bind the observe path over this prefetcher's stream table.
+
+        Returns ``observe(addr, time)``, which feeds one demand access
+        and may issue prefetches: ``contains(addr)`` probes the cache,
+        ``access(addr, time, False)`` fills it.  *access* is the cache's
+        bound access, so prefetch traffic flows through the same walk as
+        demand traffic.  Stats are updated in place; nothing to close.
+        """
+        cfg = self.cfg
+        st = self.stats
+        table = self._table
+        line_b = self._line
+        degree = cfg.degree
+        min_conf = cfg.min_confidence
+        max_entries = cfg.table_entries
+
+        def observe(addr, time):
+            line = addr // line_b
+            region = addr >> 12
+            entry = table.pop(region, None)
+            if entry is None:
+                table[region] = (line, 0, 0)
             else:
-                self._table[region] = (line, new_stride, 1)
-        if len(self._table) > self.cfg.table_entries:
-            # evict the oldest stream (dict preserves insertion order)
-            self._table.pop(next(iter(self._table)))
+                last, stride, conf = entry
+                new_stride = line - last
+                if new_stride == 0:
+                    table[region] = (line, stride, conf)
+                elif new_stride == stride:
+                    conf = conf + 1 if conf < 4 else 4
+                    table[region] = (line, stride, conf)
+                    if conf >= min_conf:
+                        st.triggers += 1
+                        for k in range(1, degree + 1):
+                            target = (line + stride * k) * line_b
+                            if not contains(target):
+                                st.issued += 1
+                                access(target, time, False)
+                else:
+                    table[region] = (line, new_stride, 1)
+            if len(table) > max_entries:
+                # evict the oldest stream (dict preserves insertion order)
+                table.pop(next(iter(table)))
+
+        return observe

@@ -7,6 +7,11 @@ arrive in time order.  A single "next-free" high-water mark would charge a
 lagging rank phantom contention against reservations made far in its
 future; the timeline instead keeps the actual busy intervals and books
 each request into the earliest real gap at or after its own time.
+
+The bound access paths (:meth:`repro.mem.cache.Cache.bind` and friends)
+book a request at or after the last end by appending to ``_starts`` /
+``_ends`` directly, trimming to ``max_intervals`` as ``reserve`` would,
+and call ``reserve`` only for a request that lands inside the history.
 """
 
 from __future__ import annotations
@@ -56,10 +61,3 @@ class OccupancyTimeline:
             del starts[:drop]
             del ends[:drop]
         return t
-
-    def busy_until(self) -> float:
-        """End of the latest reservation (0.0 when empty)."""
-        return self._ends[-1] if self._ends else 0.0
-
-    def __len__(self) -> int:
-        return len(self._starts)

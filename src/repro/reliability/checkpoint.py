@@ -12,12 +12,12 @@ uninterrupted run.
 
 Design notes:
 
-* ``System`` holds lambdas (page-walkers, the per-tile uncore shim), so
-  it is neither picklable nor safely deep-copyable.  Capture therefore
-  walks each component's ``__dict__`` explicitly and restore applies the
-  captured values **in place** onto the existing component objects —
-  component identity never changes, which preserves the shared
-  references (LLC slices → DRAM channels, walker closures → L2).
+* ``System`` wires components to each other (cores to ports, ports to
+  the shared uncore), so it is not safely deep-copyable.  Capture
+  therefore walks each component's ``__dict__`` explicitly and restore
+  applies the captured values **in place** onto the existing component
+  objects — component identity never changes, and tables are filled in
+  place, so the lists a bound memory walk holds stay the live ones.
 * Checkpoints are self-verifying: a sha-256 digest over the pickled
   payload detects torn/corrupted files, a config fingerprint refuses
   restores onto a mismatched topology, and :func:`audit_checkpoint`
@@ -94,9 +94,8 @@ trace_fingerprint = trace_digest
 
 #: attribute names never captured: configs/wiring, not mutable sim state
 #: (``direction``, ``base`` and ``btb`` are captured as components)
-_WIRING = {"cfg", "name", "next_level", "port", "bru", "uncore", "cache",
-           "tile_id", "prefetcher", "_walker", "_accel_on", "direction",
-           "base", "btb"}
+_WIRING = {"cfg", "name", "port", "bru", "uncore", "tile_id", "prefetcher",
+           "_accel_on", "direction", "base", "btb"}
 
 #: the list-native tables of caches, the BTB and the direction
 #: predictors: lists of scalars or of rows of scalars (a cache's unmade

@@ -1,13 +1,15 @@
-"""The flat in-order hot path against the reference, corner by corner.
+"""The memory walk and the flat in-order loop, corner by corner.
 
 ``tests/accel/test_bitident.py`` holds the presets to ``accel="on" ==
-accel="off"``; this file drives the places the presets rarely reach — the
-tail-appended timelines, the MSHR/in-flight high-water marks, the
-per-set cache mirrors, the inlined TLB probe, the classified engine loop
-across chunk boundaries — and compares not just results but the state
-written back to the reference objects (tags, dirty bits, LRU stamps, MSHR
-dicts, every timeline's ``_starts``/``_ends``, DRAM in-flight queues, TLB
-sets), value for value and type for type.
+accel="off"``; this file drives the places the presets rarely reach.
+The port walk (``TilePort.bind``) is held to ``walk_pins.json``, call by
+call and state digest by state digest: the tail-appended timelines, the
+MSHR/in-flight high-water marks, the per-set cache rows, the inlined TLB
+probe, the prefetcher and the interleaved LLC slices.  The classified
+engine loop is compared with the reference loop across chunk boundaries,
+results and every piece of captured state (tags, dirty bits, LRU stamps,
+MSHR dicts, every timeline's ``_starts``/``_ends``, DRAM in-flight
+queues, TLB sets), value for value and type for type.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import pytest
 
 from repro.accel import memo
 from repro.accel.compile import compiled_trace
-from repro.accel.engine import attach_port
 from repro.accel.stats import global_stats
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import TraceBuilder
@@ -34,9 +35,9 @@ from repro.soc.system import System
 from repro.workloads.microbench import get_kernel
 
 
-#: per (variant, stream), recorded from the reference ``TilePort``
-#: methods; regenerate (only when the walk is *meant* to change) with
-#: ``PYTHONPATH=src python tests/accel/test_flat_walk.py``
+#: per (variant, stream), first recorded from the reference ``TilePort``
+#: methods the bound walk replaced; regenerate (only when the walk is
+#: *meant* to change) with ``PYTHONPATH=src python tests/accel/test_flat_walk.py``
 WALK_PINS = pathlib.Path(__file__).with_name("walk_pins.json")
 
 
@@ -181,7 +182,7 @@ def _walk_pins(system, binds):
     value, type)`` and the type-strict state digest after it closes."""
     out = []
     for tile, ops in binds:
-        dload, dstore, ifetch, detach = attach_port(system.tiles[tile].port)
+        dload, dstore, ifetch, close = system.tiles[tile].port.bind()
         walk = {"dload": dload, "dstore": dstore, "ifetch": ifetch}
         h = hashlib.sha256()
         try:
@@ -189,7 +190,7 @@ def _walk_pins(system, binds):
                 got = walk[kind](addr, time)
                 h.update(repr((got, type(got).__name__)).encode())
         finally:
-            detach()
+            close()
         for tl in _timelines(system):
             assert len(tl._starts) == len(tl._ends) <= tl.max_intervals
         out.append({"calls": h.hexdigest(), "state": _state(system)[1]})
@@ -221,7 +222,7 @@ _walk_pinned = (json.loads(WALK_PINS.read_text())
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_port_walk_matches_pins(variant, stream):
+def test_port_walk_matches_reference(variant, stream):
     """Every TilePort entry point, call by call, over three binds."""
     got = _walk_pins(_system(variant), _thirds(STREAMS[stream]()))
     assert got == _walk_pinned[f"{variant}/{stream}"]

@@ -1,4 +1,11 @@
-"""Fixtures shared across the test packages."""
+"""Fixtures shared across the test packages.
+
+The memory components have one access path, the closures their ``bind``
+methods return; the helpers below drive it one request per bind (bind,
+call, close), so a component's stats are current after every call.
+"""
+
+from repro.mem.tlb import bind_entry
 
 
 class MemoryPort:
@@ -11,3 +18,58 @@ class MemoryPort:
     def access(self, addr: int, time: int, is_store: bool = False) -> int:
         self.accesses += 1
         return time + self.latency
+
+
+class Bound:
+    """A cache or DRAM driven through ``component.bind(*below)``.
+
+    ``access(addr, time, is_store=False)`` binds, makes the one request
+    and closes; every other attribute is the component's own.
+    """
+
+    def __init__(self, component, *below) -> None:
+        self.component = component
+        self._below = below
+
+    def __getattr__(self, name):
+        return getattr(self.component, name)
+
+    def access(self, addr: int, time: int, is_store: bool = False):
+        access, close = self.component.bind(*self._below)
+        try:
+            return access(addr, time, is_store)
+        finally:
+            close()
+
+
+def port_call(port, kind: str, addr: int, time: int):
+    """One ``dload``/``dstore``/``ifetch`` through ``port.bind()``."""
+    dload, dstore, ifetch, close = port.bind()
+    entry = {"dload": dload, "dstore": dstore, "ifetch": ifetch}[kind]
+    try:
+        return entry(addr, time)
+    finally:
+        close()
+
+
+def uncore_call(uncore, tile: int, addr: int, time: int,
+                is_store: bool = False):
+    """One L1-miss request from *tile* through ``uncore.bind(tile)``."""
+    access, _, close = uncore.bind(tile)
+    try:
+        return access(addr, time, is_store)
+    finally:
+        close()
+
+
+def translate(tlb, addr: int, time: int, walk=None):
+    """When a translation at *time* is ready: one request through
+    :func:`~repro.mem.tlb.bind_entry` over an L1 that costs nothing.
+    Page-table loads go to *walk* (``(addr, time, is_store) -> finish``),
+    free when it is None."""
+    free = lambda a, t, s: t  # noqa: E731
+    entry, close = bind_entry(tlb, walk or free, free, False, None)
+    try:
+        return entry(addr, time)
+    finally:
+        close()

@@ -4,13 +4,13 @@ import pytest
 
 from repro.mem.cache import Cache, CacheConfig
 
-from ..conftest import MemoryPort
+from ..conftest import Bound, MemoryPort
 
 
 def make(sets=4, ways=2, latency=100, **kw):
     mem = MemoryPort(latency=latency)
-    cache = Cache(CacheConfig(sets=sets, ways=ways, **kw), mem)
-    return cache, mem
+    cache = Cache(CacheConfig(sets=sets, ways=ways, **kw))
+    return Bound(cache, mem.access), mem
 
 
 def test_cold_miss_then_hit():
@@ -118,13 +118,6 @@ def test_bank_conflicts_counted():
     c.access(0 * 64, 10_000)
     c.access(2 * 64, 10_000)  # same bank (line 2 % 2 == 0), same time
     assert c.stats.bank_conflict_cycles > 0
-
-
-def test_flush_invalidates():
-    c, _ = make()
-    c.access(0x100, 0)
-    c.flush()
-    assert not c.contains(0x100)
 
 
 def test_config_validation():

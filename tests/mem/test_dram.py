@@ -11,29 +11,39 @@ from repro.mem.dram import (
     DRAMConfig,
     DRAMTimings,
     LPDDR4_2666_DUAL,
-    scale_to_frequency,
 )
+
+from ..conftest import Bound
+
+
+def peak_gbps(cfg):
+    """Aggregate pin bandwidth in GB/s across channels."""
+    return cfg.channels * cfg.channel_bits / 8 * cfg.data_rate_mtps / 1000.0
+
+
+def dram(cfg, core_ghz):
+    return Bound(DRAM(cfg, core_ghz))
 
 
 def test_peak_bandwidths_match_datasheets():
     # DDR3-2000 x64: 16 GB/s; DDR4-3200 x64 x4ch: 102.4 GB/s;
     # LPDDR4-2666 x32 x2ch: 21.3 GB/s
-    assert DDR3_2000_QUAD_RANK.peak_bandwidth_gbps == pytest.approx(16.0)
-    assert DDR4_3200_4CH.peak_bandwidth_gbps == pytest.approx(102.4)
-    assert LPDDR4_2666_DUAL.peak_bandwidth_gbps == pytest.approx(21.328, rel=1e-3)
+    assert peak_gbps(DDR3_2000_QUAD_RANK) == pytest.approx(16.0)
+    assert peak_gbps(DDR4_3200_4CH) == pytest.approx(102.4)
+    assert peak_gbps(LPDDR4_2666_DUAL) == pytest.approx(21.328, rel=1e-3)
 
 
 def test_idle_latency_reasonable():
-    d = DRAM(DDR3_2000_QUAD_RANK, core_ghz=1.6)
+    d = dram(DDR3_2000_QUAD_RANK, core_ghz=1.6)
     # idle miss latency should be tens of ns -> 50..120 cycles at 1.6 GHz
-    assert 40 < d.idle_latency_cycles < 150
+    assert 40 < d.access(0, 0) < 150
 
 
 def test_row_hit_faster_than_row_miss():
-    d = DRAM(DDR3_2000_QUAD_RANK, core_ghz=1.6)
+    d = dram(DDR3_2000_QUAD_RANK, core_ghz=1.6)
     t1 = d.access(0, 0)                 # row miss (cold)
     t2 = d.access(64, t1 + 10) - (t1 + 10)  # same row -> hit
-    d2 = DRAM(DDR3_2000_QUAD_RANK, core_ghz=1.6)
+    d2 = dram(DDR3_2000_QUAD_RANK, core_ghz=1.6)
     t3 = d2.access(0, 0)
     # different row, same bank
     far = DDR3_2000_QUAD_RANK.row_bytes * DDR3_2000_QUAD_RANK.banks_per_rank * 4 * 8
@@ -44,8 +54,8 @@ def test_row_hit_faster_than_row_miss():
 
 def test_channel_interleave_parallelism():
     """4-channel DDR4 streams faster than 1-channel DDR3 under load."""
-    ddr3 = DRAM(DDR3_2000_QUAD_RANK, core_ghz=2.0)
-    ddr4 = DRAM(DDR4_3200_4CH, core_ghz=2.0)
+    ddr3 = dram(DDR3_2000_QUAD_RANK, core_ghz=2.0)
+    ddr4 = dram(DDR4_3200_4CH, core_ghz=2.0)
     n = 200
     t3 = t4 = 0
     for i in range(n):
@@ -56,55 +66,50 @@ def test_channel_interleave_parallelism():
 
 def test_bandwidth_under_saturation():
     """Sustained stream throughput should approach (but not exceed) peak."""
-    d = DRAM(DDR3_2000_QUAD_RANK, core_ghz=2.0)
+    d = dram(DDR3_2000_QUAD_RANK, core_ghz=2.0)
     n = 2000
     finish = 0
     for i in range(n):
         finish = d.access(i * 64, 0)
     seconds = finish / 2.0e9
     gbps = n * 64 / seconds / 1e9
-    assert gbps <= DDR3_2000_QUAD_RANK.peak_bandwidth_gbps * 1.001
+    assert gbps <= peak_gbps(DDR3_2000_QUAD_RANK) * 1.001
     # this conservative queue model (depth 8, refresh, row misses)
     # sustains ~40-50% of the pin rate on a single request stream
-    assert gbps > DDR3_2000_QUAD_RANK.peak_bandwidth_gbps * 0.38
+    assert gbps > peak_gbps(DDR3_2000_QUAD_RANK) * 0.38
 
 
 def test_higher_core_clock_means_more_cycles():
     """Same DRAM at a faster core clock costs more core cycles (paper's
     Fast Banana Pi observation)."""
-    d16 = DRAM(DDR3_2000_QUAD_RANK, core_ghz=1.6)
-    d32 = DRAM(DDR3_2000_QUAD_RANK, core_ghz=3.2)
-    assert d32.idle_latency_cycles == pytest.approx(2 * d16.idle_latency_cycles)
+    d16 = dram(DDR3_2000_QUAD_RANK, core_ghz=1.6)
+    d32 = dram(DDR3_2000_QUAD_RANK, core_ghz=3.2)
+    # one cold read each: the idle latency, truncated to whole cycles
+    assert d32.access(0, 0) == pytest.approx(2 * d16.access(0, 0), abs=2)
 
 
 def test_queue_depth_limits_inflight():
     cfg = DRAMConfig(queue_depth=2, channels=1)
-    d = DRAM(cfg, core_ghz=2.0)
+    d = dram(cfg, core_ghz=2.0)
     for i in range(16):
         d.access(i * 64, 0)
     assert d.stats.queue_wait_cycles > 0
 
 
 def test_writes_return_early():
-    d = DRAM(DDR3_2000_QUAD_RANK, core_ghz=2.0)
+    d = dram(DDR3_2000_QUAD_RANK, core_ghz=2.0)
     tw = d.access(0, 0, is_store=True)
-    d.reset()
+    d = dram(DDR3_2000_QUAD_RANK, core_ghz=2.0)
     tr = d.access(0, 0, is_store=False)
     assert tw < tr
 
 
 def test_map_address_spreads_channels():
-    d = DRAM(DDR4_3200_4CH, core_ghz=2.0)
-    chans = {d.map_address(i * 64)[0] for i in range(8)}
-    assert chans == {0, 1, 2, 3}
-
-
-def test_reset_clears_state():
-    d = DRAM(DDR3_2000_QUAD_RANK, core_ghz=1.6)
-    d.access(0, 0)
-    d.reset()
-    assert d.stats.accesses == 0
-    assert d.access(0, 0) == d.access(0, 0) or True  # no crash after reset
+    d = dram(DDR4_3200_4CH, core_ghz=2.0)
+    for i in range(8):
+        d.access(i * 64, 0)
+    # line interleave: two transfers booked on each channel's data bus
+    assert [len(tl._starts) for tl in d._chan_bus] == [2, 2, 2, 2]
 
 
 def test_config_validation():
@@ -139,12 +144,6 @@ def test_queue_depth_one_runs_the_same_on_both_engines():
     assert dataclasses.asdict(on) == dataclasses.asdict(off)
 
 
-def test_scale_to_frequency():
-    scaled = scale_to_frequency(DDR3_2000_QUAD_RANK, 1.6)
-    assert scaled.data_rate_mtps == pytest.approx(3200.0)
-    assert scaled.peak_bandwidth_gbps == pytest.approx(25.6)
-
-
 def test_transfer_time_scales_with_width():
     t_ddr3 = DDR3_2000_QUAD_RANK.transfer_ns(64)
     t_lp = LPDDR4_2666_DUAL.transfer_ns(64)
@@ -155,10 +154,10 @@ def test_transfer_time_scales_with_width():
 def test_refresh_windows_stall_requests():
     """Requests landing inside a tRFC window wait for the refresh."""
     cfg = DRAMConfig(timings=DRAMTimings(tREFI=1000.0, tRFC=100.0))
-    d = DRAM(cfg, core_ghz=1.0)
+    d = dram(cfg, core_ghz=1.0)
     # t=1010 is inside the refresh window [1000, 1100)
     t_in = d.access(0, 1010)
-    d2 = DRAM(cfg, core_ghz=1.0)
+    d2 = dram(cfg, core_ghz=1.0)
     t_out = d2.access(0, 1150)  # outside the window
     assert d.stats.refresh_stall_cycles > 0
     assert t_in - 1010 > t_out - 1150  # the stalled request took longer
@@ -166,7 +165,7 @@ def test_refresh_windows_stall_requests():
 
 def test_refresh_closes_open_rows():
     cfg = DRAMConfig(timings=DRAMTimings(tREFI=2000.0, tRFC=100.0))
-    d = DRAM(cfg, core_ghz=1.0)
+    d = dram(cfg, core_ghz=1.0)
     d.access(0, 200)          # opens a row, outside any refresh window
     d.access(64, 2010)        # lands inside the second window [2000, 2100)
     # the second access was a row miss: refresh closed the row
@@ -176,10 +175,10 @@ def test_refresh_closes_open_rows():
 
 def test_refresh_overhead_is_small_in_steady_state():
     """tRFC/tREFI ~ 4.5%: streaming throughput barely changes."""
-    d = DRAM(DDR3_2000_QUAD_RANK, core_ghz=2.0)
+    d = dram(DDR3_2000_QUAD_RANK, core_ghz=2.0)
     n = 2000
     finish = 0
     for i in range(n):
         finish = d.access(i * 64, 0)
     gbps = n * 64 / (finish / 2.0e9) / 1e9
-    assert gbps > DDR3_2000_QUAD_RANK.peak_bandwidth_gbps * 0.38
+    assert gbps > peak_gbps(DDR3_2000_QUAD_RANK) * 0.38

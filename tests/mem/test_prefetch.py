@@ -8,12 +8,33 @@ from repro.mem.prefetch import PrefetcherConfig, StridePrefetcher
 from ..conftest import MemoryPort
 
 
+class Demand:
+    """A cache over a fixed-latency memory with a stride prefetcher:
+    ``access`` is one demand load through the bound cache, then the
+    prefetcher's bound observe -- the order a ``TilePort`` walk uses."""
+
+    def __init__(self, degree, table):
+        self.mem = MemoryPort(latency=100)
+        self.cache = Cache(CacheConfig(sets=64, ways=8, hit_latency=2))
+        self.pf = StridePrefetcher(
+            PrefetcherConfig(degree=degree, table_entries=table),
+            self.cache.cfg.line_bytes)
+        self.stats = self.cache.stats
+
+    def access(self, addr, time):
+        access, close = self.cache.bind(self.mem.access)
+        observe = self.pf.bind(self.cache.contains, access)
+        try:
+            done = access(addr, time, False)
+            observe(addr, time)
+            return done
+        finally:
+            close()
+
+
 def make(degree=2, table=16):
-    mem = MemoryPort(latency=100)
-    cache = Cache(CacheConfig(sets=64, ways=8, hit_latency=2), mem)
-    pf = StridePrefetcher(PrefetcherConfig(degree=degree, table_entries=table),
-                          cache)
-    return cache, pf
+    demand = Demand(degree, table)
+    return demand, demand.pf
 
 
 def test_unit_stride_stream_converted_to_hits():
@@ -22,7 +43,6 @@ def test_unit_stride_stream_converted_to_hits():
     for i in range(40):
         addr = 0x10_0000 + i * 64
         done = cache.access(addr, t)
-        pf.observe(addr, t)
         t = done + 60
     # after training (2 confident strides), demand accesses become hits
     assert cache.stats.hits >= 30
@@ -35,7 +55,6 @@ def test_negative_stride_also_detected():
     for i in range(30):
         addr = 0x20_0000 - i * 64
         cache.access(addr, t)
-        pf.observe(addr, t)
         t += 120
     assert pf.stats.issued > 10
 
@@ -49,7 +68,6 @@ def test_random_pattern_never_triggers():
     for i in range(60):
         addr = 0x30_0000 + int(rng.integers(0, 1 << 14)) * 64 * 7
         cache.access(addr, t)
-        pf.observe(addr, t)
         t += 120
     assert pf.stats.issued <= 3  # accidental matches only
 
@@ -61,7 +79,6 @@ def test_same_line_repeats_do_not_reset_stride():
     for i in range(160):
         addr = 0x40_0000 + i * 8
         cache.access(addr, t)
-        pf.observe(addr, t)
         t += 15
     assert pf.stats.issued > 5
 
@@ -73,7 +90,6 @@ def test_table_capacity_bounded():
         for i in range(3):
             addr = region * (1 << 12) + i * 64 + (1 << 22)
             cache.access(addr, t)
-            pf.observe(addr, t)
             t += 50
     assert len(pf._table) <= 5
 
@@ -87,12 +103,11 @@ def test_config_validation():
 
 def test_prefetch_consumes_next_level_bandwidth():
     cache, pf = make()
-    mem = cache.next_level
+    mem = cache.mem
     t = 0
     for i in range(30):
         addr = 0x50_0000 + i * 64
         cache.access(addr, t)
-        pf.observe(addr, t)
         t += 120
     # prefetch fills reached memory (more accesses than demand misses alone)
     assert mem.accesses > cache.stats.misses - pf.stats.issued

@@ -2,11 +2,12 @@
 
 from repro.mem.cache import Cache, CacheConfig
 
-from ..conftest import MemoryPort
+from ..conftest import Bound, MemoryPort
 
 
 def make(sets=1, ways=4):
-    return Cache(CacheConfig(sets=sets, ways=ways), MemoryPort(latency=50))
+    return Bound(Cache(CacheConfig(sets=sets, ways=ways)),
+                 MemoryPort(latency=50).access)
 
 
 def lines(*idx):

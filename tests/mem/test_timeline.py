@@ -10,7 +10,7 @@ from repro.mem.timeline import OccupancyTimeline
 def test_empty_reserve_starts_on_time():
     t = OccupancyTimeline()
     assert t.reserve(100, 5) == 100
-    assert t.busy_until() == 105
+    assert t._ends[-1] == 105
 
 
 def test_back_to_back_serialises():
@@ -55,7 +55,7 @@ def test_pruning_bounds_memory():
     t = OccupancyTimeline(max_intervals=16)
     for i in range(1000):
         t.reserve(i * 10, 5)
-    assert len(t) <= 16
+    assert len(t._starts) == len(t._ends) <= 16
 
 
 def test_validation():
