@@ -11,9 +11,9 @@ tag+data latencies, used by the silicon models (the SG2042 has a 64 MiB
 LLC) and by the ablation bench that asks how much of the MIP anomaly the
 simplified model explains.
 
-:class:`InterleavedLLC` groups the slices; each slice is a cache over
-its own DRAM, and :meth:`repro.mem.hierarchy.Uncore.bind` binds each one
-over its DRAM and picks a slice per line.
+:class:`InterleavedLLC` groups the slices, one per memory channel;
+:meth:`repro.mem.hierarchy.Uncore.bind` binds each slice as a cache over
+its own DRAM and picks the slice per line.
 """
 
 from __future__ import annotations
