@@ -21,17 +21,17 @@ Re-runs the tracked benchmark (the same harness behind ``repro bench
    into a generator;
 5. host time of ``Cca`` (scale 0.3, best of 5) on ``LargeBOOM`` with
    ``accel="off"`` must be at least 3x the same with ``accel="on"``:
-   with TAGE's folded history kept incrementally the ratio is 4.5-5.3,
-   with the mirror re-folding the history per lookup it is 1.4-1.6
-   (both measured on the PR 15 tree, the second with PR 13's TAGE
-   mirror pasted back).  The reference loop is the yardstick, so the
+   with TAGE's folded history kept incrementally the ratio is 4.3-4.6
+   (4.5-5.3 on the PR 15 tree), with the mirror re-folding the history
+   per lookup it is 1.4-1.6 (measured on the PR 15 tree with PR 13's
+   TAGE mirror pasted back).  The reference loop is the yardstick, so the
    gate does not move when another engine gets faster — the
    ``LargeBOOM`` / ``Rocket1`` form this replaces went 3.0 -> 4.9 when
    PR 15 made ``Rocket1`` a third cheaper.
 6. host time of ``EI`` (scale 0.3, best of 5) on ``BananaPiSim`` with
    ``accel="off"`` must be at least 4.5x the same with ``accel="on"``:
    the same yardstick, isolating the in-order engine.  With simple uops on the short issue path and
-   caches mirrored one touched set at a time it is ~9; falling through
+   caches mirrored one touched set at a time it is 9.5-11.8; falling through
    the full hazard chain and copying the whole L2 per run made it 3.2.
 
 Other absolute wall-clock numbers are *not* compared: they measure the

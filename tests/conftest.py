@@ -62,13 +62,16 @@ def uncore_call(uncore, tile: int, addr: int, time: int,
         close()
 
 
-def translate(tlb, addr: int, time: int, walk=None):
+def _free(addr: int, time: int, is_store: bool) -> int:
+    return time
+
+
+def translate(tlb, addr: int, time: int, walk=_free):
     """When a translation at *time* is ready: one request through
     :func:`~repro.mem.tlb.bind_entry` over an L1 that costs nothing.
     Page-table loads go to *walk* (``(addr, time, is_store) -> finish``),
-    free when it is None."""
-    free = lambda a, t, s: t  # noqa: E731
-    entry, close = bind_entry(tlb, walk or free, free, False, None)
+    free by default."""
+    entry, close = bind_entry(tlb, walk, _free, False, None)
     try:
         return entry(addr, time)
     finally:
