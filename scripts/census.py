@@ -82,6 +82,8 @@ VERDICTS: list[tuple[str, str]] = [
     ("*.__repr__", "keep: `repr()` in a REPL or a traceback; nothing "
      "parses it"),
     ("*.__str__*", "keep: what `print()` shows a user; nothing parses it"),
+    ("_lazy.py:lazy_exports.<locals>.__dir__", "keep: what `dir()` and "
+     "REPL completion list on a lazy package (PEP 562); nothing parses it"),
     ("core/base.py:CoreModel.*", "keep: the interface `InOrderCore` and "
      "`OoOCore` implement"),
     ("soc/tokens.py:Lane.*", "keep: the lane protocol the scheduler is "
