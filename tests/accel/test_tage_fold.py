@@ -1,25 +1,28 @@
 """The accelerated TAGE keeps incrementally folded history registers in
-place of re-folding the history per lookup.  ``core.branch.TAGE`` (its
-``_fold`` untouched) is the oracle: same predictions, same tables, same
-``_hist`` — over geometries the presets never reach, and across every
-way a run can be cut into attaches (chunked runs, checkpoint/restore
-into a new ``System``), since the registers are re-derived per attach.
-The other predictor kinds' fused ``predict_update`` is held to the same
-predict-then-update oracle."""
+place of re-folding the history per lookup.  ``tests/core/branch_pins.json``
+(recorded from ``core.branch.TAGE``, its ``_fold`` untouched) is the
+oracle: same predictions, same tables, same ``_hist`` over geometries
+the presets never reach and over three attaches.  The engine is also
+held to the reference loop across every way a run can be cut into
+attaches (chunked runs, checkpoint/restore into a new ``System``), since
+the registers are re-derived per attach.  The other predictor kinds'
+fused ``predict_update`` is held to the same pins."""
 
 from __future__ import annotations
 
 import dataclasses
-import random
 
 import pytest
 
 from repro.accel.engine import _mirror_direction
-from repro.core.branch import TAGE, BimodalBHT, GShare
+from repro.core.branch import TAGE
 from repro.reliability import SimCheckpoint
 from repro.soc.presets import get_config
 from repro.soc.system import System
 from repro.workloads.microbench import get_kernel
+from tests.core import branch_pins
+
+_pinned = branch_pins.load_branch_pins()
 
 
 def _tables(d: TAGE) -> dict:
@@ -30,15 +33,9 @@ def _tables(d: TAGE) -> dict:
             "hist": d._hist}
 
 
-def _stream(rng: random.Random, n: int) -> list[tuple[int, bool]]:
-    """A loop of a few dozen branches repeated with 3% of outcomes flipped:
-    the history window recurs, so long-history entries hit again, and the
-    flips make providers mispredict, allocate upward and decay usefulness."""
-    pcs = [0x1_0000 + 4 * rng.randrange(1 << 14) for _ in range(8)]
-    loop = [(rng.choice(pcs), rng.random() < 0.6)
-            for _ in range(rng.randrange(20, 90))]
-    return [(pc, taken != (rng.random() < 0.03))
-            for pc, taken in (loop[i % len(loop)] for i in range(n))]
+def _mirror_bind(d):
+    predict_update, detach = _mirror_direction(d)
+    return predict_update, detach or (lambda: None)
 
 
 @pytest.mark.parametrize("max_hist", [64, 128])
@@ -47,44 +44,20 @@ def _stream(rng: random.Random, n: int) -> list[tuple[int, bool]]:
 @pytest.mark.parametrize("num_tables", [1, 4, 6])
 def test_folded_registers_match_reference(num_tables, table_bits, tag_bits,
                                           max_hist):
-    """hist_len > 64 (capped window), window % width == 0 and window <
-    width all occur in this grid; the starting history is non-zero."""
-    geometry = dict(num_tables=num_tables, table_bits=table_bits,
-                    tag_bits=tag_bits, max_hist=max_hist, base_entries=256)
-    rng = random.Random(repr(sorted(geometry.items())))
-    ref, acc = TAGE(**geometry), TAGE(**geometry)
-    ref._hist = acc._hist = rng.getrandbits(64)
-    for t in range(num_tables):  # in-use entries push allocation upward
-        ref._useful[t][:] = rng.choices((0, 0, 1, 2), k=ref.size)
-        acc._useful[t][:] = ref._useful[t]
-    stream = _stream(rng, 3000)
-    # three attaches over one stream: registers re-derived from ``_hist``
-    for part in (stream[:700], stream[700:701], stream[701:]):
-        predict_update, detach = _mirror_direction(acc)
-        for pc, taken in part:
-            want = ref.predict(pc)
-            ref.update(pc, taken)
-            assert predict_update(pc, taken) == want
-        detach()
-        assert _tables(acc) == _tables(ref)
-    assert max(ref._tag[-1]) >= 0, "longest table never allocated"
-    assert vars(acc).keys() == vars(ref).keys()  # nothing cached on it
+    """Prediction by prediction and table by table against the pins,
+    over three binds of one stream that starts from an empty history."""
+    name = branch_pins.tage_case(dict(
+        num_tables=num_tables, table_bits=table_bits, tag_bits=tag_bits,
+        max_hist=max_hist, base_entries=256))
+    d, got = branch_pins.drive(name, _mirror_bind)
+    assert got == _pinned[name]
+    assert max(d._tag[-1]) >= 0, "longest table never allocated"
+    assert vars(d).keys() == vars(TAGE()).keys()  # nothing cached on it
 
 
-@pytest.mark.parametrize("make", [
-    lambda: BimodalBHT(64), lambda: GShare(128, hist_bits=7)],
-    ids=["bimodal", "gshare"])
-def test_predict_update_is_predict_then_update(make):
-    ref, acc = make(), make()
-    predict_update, detach = _mirror_direction(acc)
-    for pc, taken in _stream(random.Random(5), 2000):
-        want = ref.predict(pc)
-        ref.update(pc, taken)
-        assert predict_update(pc, taken) == want
-    if detach is not None:
-        detach()
-    assert acc._ctr == ref._ctr
-    assert getattr(acc, "_hist", None) == getattr(ref, "_hist", None)
+@pytest.mark.parametrize("name", ["bimodal64", "gshare128x7"])
+def test_predict_update_is_predict_then_update(name):
+    assert branch_pins.drive(name, _mirror_bind)[1] == _pinned[name]
 
 
 def _run_cut(cfg, trace, cuts, restore=False) -> tuple:

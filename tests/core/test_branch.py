@@ -13,7 +13,9 @@ from repro.core.branch import (
     boom_branch_unit,
     rocket_branch_unit,
 )
+from repro.accel.engine import _mirror_branch_unit
 from repro.isa.opcodes import OpClass
+from tests.core import branch_pins
 
 
 def mispredict_rate(pred, outcomes, pc=0x1000):
@@ -154,3 +156,11 @@ def test_predictor_validation():
         ReturnAddressStack(0)
     with pytest.raises(ValueError):
         BTB(entries=7, assoc=2)
+
+
+@pytest.mark.parametrize("name", ["unit/rocket", "unit/boom"])
+def test_branch_unit_matches_pins(name):
+    """Bubbles, stale indirect targets, RAS overflow and returns on an
+    empty stack, call by call and state by state over three binds."""
+    got = branch_pins.drive(name, _mirror_branch_unit)[1]
+    assert got == branch_pins.load_branch_pins()[name]
