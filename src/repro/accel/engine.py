@@ -1,28 +1,22 @@
 """Accelerated core loop for :class:`~repro.core.inorder.InOrderCore`.
 
 The reference loop is exact but pays interpreter overhead on every
-micro-op: numpy scalar unboxing on each trace column read, an enum
-round-trip per latency lookup, and a method call per branch.  This
-engine owns only a core loop; it removes that overhead while producing
-**bit-identical results** by construction: every timing decision is a
-line-for-line transliteration of ``InOrderCore.run``, executed over the
-components' own state.
+micro-op: numpy scalar unboxing on each trace column read and an enum
+round-trip per latency lookup.  This engine owns only a core loop; it
+removes that overhead while producing **bit-identical results** by
+construction: every timing decision is a line-for-line transliteration
+of ``InOrderCore.run``, executed over the components' own state.
 
 How it stays exact
 ------------------
 
-* **One memory walk.**  Loads, stores and fetches go through the
-  closures :meth:`~repro.mem.hierarchy.TilePort.bind` returns — the
-  hierarchy's only access path, which the reference loop binds too.
-  ``close`` flushes the counters the walk keeps in locals, even when
-  the run raises.
-
-* **One home for branch state.**  The BTB rows and direction-predictor
-  counters are plain lists owned by their objects, and the branch-unit
-  mirror here binds those very lists.  Only scalars live in locals
-  while a run is bound — the BTB stamp and a predictor's global
-  history — and ``detach`` writes them back, so the reference objects
-  hold the whole state between runs.
+* **One memory walk and one branch unit.**  Loads, stores and fetches
+  go through the closures :meth:`~repro.mem.hierarchy.TilePort.bind`
+  returns, control ops through the ``resolve`` of
+  :meth:`~repro.core.branch.BranchUnit.bind` — the only implementations
+  of either, which the reference loop binds too.  Both ``close``
+  functions run in ``finally``, so the counters and registers kept in
+  locals are written back even when the run raises.
 
 * **One scalar loop.**  Micro-ops execute through a transliteration of
   ``InOrderCore.run`` over pre-decoded Python-list trace columns with
@@ -39,268 +33,12 @@ attribution, and every stats counter.
 
 from __future__ import annotations
 
-import functools
-
 from repro.core.base import CoreResult
-from repro.core.branch import BimodalBHT, GShare
 
 from . import memo
 from .compile import compiled_trace
 
 __all__ = ["run_inorder"]
-
-
-# -- branch-unit mirrors ------------------------------------------------------
-
-@functools.cache
-def _rotl1_table(width):
-    """Every *width*-bit value rotated left by one."""
-    top = width - 1
-    return tuple((v << 1) & ((1 << width) - 1) | v >> top
-                 for v in range(1 << width))
-
-
-def _mirror_direction(d):
-    """Mirror of a direction predictor; returns (predict_update, detach).
-
-    ``predict_update(pc, taken)`` returns what ``d.predict(pc)`` would
-    and leaves the state ``d.update(pc, taken)`` would: the two reference
-    calls see the same tables, so one lookup serves both.  The counter
-    tables are the predictor's own lists; ``detach`` writes back the
-    global history register, and is None where there is none.
-    """
-    if type(d) is BimodalBHT:
-        ctr = d._ctr
-        mask = d.entries - 1
-
-        def predict_update(pc, taken):
-            i = (pc >> 2) & mask
-            c = ctr[i]
-            if taken:
-                if c < 3:
-                    ctr[i] = c + 1
-            elif c > 0:
-                ctr[i] = c - 1
-            return c >= 2
-
-        return predict_update, None
-
-    if type(d) is GShare:
-        ctr = d._ctr
-        mask = d.entries - 1
-        hmask = (1 << d.hist_bits) - 1
-        hist = d._hist
-
-        def predict_update(pc, taken):
-            nonlocal hist
-            i = ((pc >> 2) ^ hist) & mask
-            c = ctr[i]
-            if taken:
-                if c < 3:
-                    ctr[i] = c + 1
-                hist = ((hist << 1) | 1) & hmask
-            else:
-                if c > 0:
-                    ctr[i] = c - 1
-                hist = (hist << 1) & hmask
-            return c >= 2
-
-        def detach():
-            d._hist = hist
-
-        return predict_update, detach
-
-    # TAGE: what build_branch_unit makes of every other kind
-    nt = d.num_tables
-    size_mask = d.size - 1
-    tag_bits = d.tag_bits
-    tag_mask = (1 << tag_bits) - 1
-    ctrs = d._ctr
-    tags = d._tag
-    useful = d._useful
-    hist = d._hist
-    base_ctr = d.base._ctr
-    base_mask = d.base.entries - 1
-
-    def fold(bits, out_bits):
-        h = hist & ((1 << bits) - 1)
-        folded = 0
-        omask = (1 << out_bits) - 1
-        while h:
-            folded ^= h & omask
-            h >>= out_bits
-        return folded
-
-    # Folded-history registers, as TAGE hardware keeps them: per table
-    # the history window folded to the index width and to the two tag
-    # widths.  An outcome advances each register by
-    #     f' = rotl1(f) ^ taken ^ (leaving_bit << (window % width))
-    # so nothing is re-folded per lookup.  The history register is 64
-    # bits wide, so a table's window is its hist_len capped there.
-    # Seeded from ``d._hist`` on every attach (restore swaps the
-    # predictor object) and never written back: ``_hist`` alone is the
-    # architectural state.
-    windows = [min(n, 64) for n in d.hist_len]
-    widths = (d.size.bit_length() - 1, tag_bits, tag_bits - 1)
-    f_idx, f_tag, f_tag1 = ([fold(L, w) for L in windows] for w in widths)
-    #: per table: the history part of ``_tag_of``
-    h_tag = [f ^ (g << 1) for f, g in zip(f_tag, f_tag1)]
-    rot_idx, rot_tag, rot_tag1 = (_rotl1_table(w) for w in widths)
-    #: per table: the history bit about to leave the window, and what
-    #: to XOR into each rotated register for (leaving bit, new bit)
-    geom = [(L - 1, tuple(tuple(b ^ (o << L % w) for w in widths)
-                          for o in (0, 1) for b in (0, 1)))
-            for L in windows]
-    tables = range(nt - 1, -1, -1)
-
-    def predict_update(pc, taken):
-        nonlocal hist
-        p = pc >> 2
-        for t in tables:
-            idx = (p ^ f_idx[t]) & size_mask
-            if tags[t][idx] == (p ^ h_tag[t]) & tag_mask:
-                row = ctrs[t]
-                c = row[idx]
-                pred = c >= 0
-                mis = pred != taken
-                if taken:
-                    if c < 3:
-                        row[idx] = c + 1
-                elif c > -4:
-                    row[idx] = c - 1
-                row = useful[t]
-                if mis:
-                    if row[idx] > 0:
-                        row[idx] -= 1
-                elif row[idx] < 3:
-                    row[idx] += 1
-                prov = t
-                break
-        else:
-            prov = -1
-            i = p & base_mask
-            c = base_ctr[i]
-            pred = c >= 2
-            mis = pred != taken
-            if taken:
-                if c < 3:
-                    base_ctr[i] = c + 1
-            elif c > 0:
-                base_ctr[i] = c - 1
-        if mis and prov < nt - 1:
-            # allocate in a longer-history table with a non-useful entry
-            for t in range(prov + 1, nt):
-                i = (p ^ f_idx[t]) & size_mask
-                if useful[t][i] == 0:
-                    tags[t][i] = (p ^ h_tag[t]) & tag_mask
-                    ctrs[t][i] = 0 if taken else -1
-                    break
-            else:
-                # decay usefulness so future allocations can succeed
-                for t in range(prov + 1, nt):
-                    i = (p ^ f_idx[t]) & size_mask
-                    u = useful[t][i]
-                    if u > 0:
-                        useful[t][i] = u - 1
-        b = 1 if taken else 0
-        for t, (out, inject) in enumerate(geom):
-            xi, xt, xs = inject[(hist >> out & 1) << 1 | b]
-            f_idx[t] = rot_idx[f_idx[t]] ^ xi
-            f = f_tag[t] = rot_tag[f_tag[t]] ^ xt
-            g = f_tag1[t] = rot_tag1[f_tag1[t]] ^ xs
-            h_tag[t] = f ^ (g << 1)
-        hist = ((hist << 1) | b) & 0xFFFF_FFFF_FFFF_FFFF
-        return pred
-
-    def detach():
-        d._hist = hist
-
-    return predict_update, detach
-
-
-def _mirror_branch_unit(bru):
-    """Closure twin of ``BranchUnit.resolve``; returns (resolve, detach)."""
-    bst = bru.stats
-    predict_update, dir_detach = _mirror_direction(bru.direction)
-    btb = bru.btb
-    nsets = btb.sets
-    tag_m = btb._tag
-    tgt_m = btb._target
-    lru_m = btb._lru
-    stamp = btb._stamp
-    ras = bru.ras._stack
-    ras_depth = bru.ras.depth
-
-    def lookup(pc):
-        nonlocal stamp
-        s = (pc >> 2) % nsets
-        tag = pc >> 2
-        row = tag_m[s]
-        if tag not in row:
-            return None
-        w = row.index(tag)
-        stamp += 1
-        lru_m[s][w] = stamp
-        return tgt_m[s][w]
-
-    def insert(pc, target):
-        nonlocal stamp
-        s = (pc >> 2) % nsets
-        tag = pc >> 2
-        row = tag_m[s]
-        if tag in row:
-            w = row.index(tag)
-        else:
-            lr = lru_m[s]
-            w = lr.index(min(lr))
-        row[w] = tag
-        tgt_m[s][w] = target
-        stamp += 1
-        lru_m[s][w] = stamp
-
-    def resolve(op, pc, taken, target):
-        bst.branches += 1
-        if op == 6:  # BRANCH
-            pred = predict_update(pc, taken)
-            if pred != taken:
-                bst.mispredicts += 1
-                if taken:
-                    insert(pc, target)
-                return 2
-            if taken and lookup(pc) != target:
-                insert(pc, target)
-                bst.btb_misses += 1
-                return 1
-            return 0
-        if op == 7 or op == 8:  # JUMP / CALL
-            if op == 8:
-                ras.append(pc + 4)
-                if len(ras) > ras_depth:
-                    del ras[0]
-            pred = lookup(pc)
-            if pred == target:
-                return 0
-            insert(pc, target)
-            if pred is None:
-                bst.btb_misses += 1
-                return 1
-            bst.mispredicts += 1
-            return 2
-        if op == 9:  # RET
-            pred_target = ras.pop() if ras else None
-            if pred_target != target:
-                bst.mispredicts += 1
-                bst.ras_mispredicts += 1
-                return 2
-            return 0
-        return 0
-
-    def detach():
-        btb._stamp = stamp
-        if dir_detach is not None:
-            dir_detach()
-
-    return resolve, detach
 
 
 # -- the engine ---------------------------------------------------------------
@@ -326,9 +64,9 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
     n = ct.n
     lat_list = memo.latency_lut(cfg.latencies)
 
-    # ---- bind the memory walk and the branch-unit mirror ----
+    # ---- bind the memory walk and the branch unit ----
     dload, dstore, ifetch, mem_close = port.bind()
-    resolve, bru_detach = _mirror_branch_unit(bru)
+    resolve, bru_close = bru.bind()
 
     # ---- loop state (identical to the reference prologue) ----
     reg_ready = core._reg_ready
@@ -515,7 +253,7 @@ def run_inorder(core, trace, start_time: int = 0) -> CoreResult:
         # flush the local counters even when the loop raises (vector
         # op on a vector-less core), so the stats match the state
         mem_close()
-        bru_detach()
+        bru_close()
 
     core.accel_stats.engine_uops += n
     memo.global_stats().engine_uops += n

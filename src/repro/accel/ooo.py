@@ -6,10 +6,10 @@ This engine runs them the same way
 :func:`~repro.accel.engine.run_inorder` runs the in-order model, and
 under the same contract: **bit-identical results by construction**.
 What an OoO run costs the host beyond an in-order one is mostly its
-front end and memory system, not this scheduler loop: the TAGE mirror
-(one table walk and one folded-history register update per conditional
-branch, see ``docs/performance.md`` "Constant-time TAGE") and the
-cache/DRAM calls of the memory walk per load.
+front end and memory system, not this scheduler loop: TAGE (one table
+walk and one folded-history register update per conditional branch,
+see ``docs/performance.md`` "Constant-time TAGE") and the cache/DRAM
+calls of the memory walk per load.
 
 The engine owns only a core loop.  Every timing decision below is a
 line-for-line transliteration of ``OoOCore.run`` — the same
@@ -17,12 +17,11 @@ fractional-cycle bandwidth chains, the same ring-buffer capacity
 bookkeeping, the same issue-port min-scan, in the same order on the
 same values — executed over the plain-list columns of a
 :class:`~repro.accel.compile.CompiledTrace`.  Memory goes through the
-walk :meth:`~repro.mem.hierarchy.TilePort.bind` returns, the same one
-the reference loop binds; branches through
-:func:`~repro.accel.engine._mirror_branch_unit`, which binds the branch
-unit's own tables.  ``close``/``detach`` write back only the counters
-and scalar registers kept in locals — including when the trace raises —
-so the components hold the whole state between runs.
+walk :meth:`~repro.mem.hierarchy.TilePort.bind` returns and control ops
+through :meth:`~repro.core.branch.BranchUnit.bind`, the same ones the
+reference loop binds.  Their ``close`` functions write back only the
+counters and scalar registers kept in locals — including when the
+trace raises — so the components hold the whole state between runs.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.isa.opcodes import OpClass
 
 from . import memo
 from .compile import compiled_trace
-from .engine import _mirror_branch_unit
 
 __all__ = ["run_ooo"]
 
@@ -67,7 +65,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
     lat_list = memo.latency_lut(cfg.latencies)
 
     dload, dstore, ifetch, mem_close = port.bind()
-    resolve, bru_detach = _mirror_branch_unit(bru)
+    resolve, bru_close = bru.bind()
 
     # ---- loop state (identical to the reference prologue) ----
     reg_ready = core._reg_ready
@@ -275,7 +273,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
                 stq_head = (stq_head + 1) % stq_size
     finally:
         mem_close()
-        bru_detach()
+        bru_close()
 
     astats.engine_uops += n
     memo.global_stats().engine_uops += n

@@ -7,15 +7,22 @@ stand-ins, because several MicroBench kernels (Cca, Cce, CCh, CRd, CRf,
 CS1, CS3) exist specifically to separate predictable from unpredictable
 control flow.
 
-Every table is a plain list (2-D tables a list of per-set rows) that the
-accelerated engine binds live, so tables are only mutated in place.
+Each component holds its state and has one ``bind`` method, the only
+implementation of its operations: ``BranchUnit.bind()`` returns
+``(resolve, close)`` over the ``bind`` of its direction predictor and
+BTB, and both core loops (reference and accelerated) call it once per
+run.  A binder uses the tables in place — every table is a plain list,
+2-D tables a list of per-set rows, only ever mutated in place — keeps
+the scalar registers (the BTB stamp, a global history) in locals and
+writes them back at ``close``.  TAGE's folded-history registers are
+state too, advanced per outcome and saved by checkpoints, so no lookup
+and no bind re-folds the history.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-from ..isa.opcodes import OpClass
 
 __all__ = [
     "BimodalBHT",
@@ -30,6 +37,10 @@ __all__ = [
 ]
 
 
+def _nothing_to_close() -> None:
+    pass
+
+
 class BimodalBHT:
     """Table of 2-bit saturating counters indexed by PC."""
 
@@ -39,16 +50,28 @@ class BimodalBHT:
         self.entries = entries
         self._ctr = [1] * entries  # weakly not-taken
 
-    def _idx(self, pc: int) -> int:
-        return (pc >> 2) & (self.entries - 1)
+    def bind(self):
+        """Bind the predictor over its counter table.
 
-    def predict(self, pc: int) -> bool:
-        return self._ctr[self._idx(pc)] >= 2
+        Returns ``(predict_update, close)``: ``predict_update(pc, taken)``
+        returns the prediction for *pc* and trains the counter with the
+        outcome.  Nothing is kept in locals, so ``close`` has nothing to
+        write back.
+        """
+        ctr = self._ctr
+        mask = self.entries - 1
 
-    def update(self, pc: int, taken: bool) -> None:
-        i = self._idx(pc)
-        c = self._ctr[i] + (1 if taken else -1)
-        self._ctr[i] = min(3, max(0, c))
+        def predict_update(pc, taken):
+            i = (pc >> 2) & mask
+            c = ctr[i]
+            if taken:
+                if c < 3:
+                    ctr[i] = c + 1
+            elif c > 0:
+                ctr[i] = c - 1
+            return c >= 2
+
+        return predict_update, _nothing_to_close
 
 
 class GShare:
@@ -62,17 +85,33 @@ class GShare:
         self._ctr = [1] * entries
         self._hist = 0
 
-    def _idx(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._hist) & (self.entries - 1)
+    def bind(self):
+        """Bind the predictor; returns ``(predict_update, close)`` as
+        :meth:`BimodalBHT.bind` does.  The global history lives in a
+        local until ``close`` writes it back."""
+        ctr = self._ctr
+        mask = self.entries - 1
+        hmask = (1 << self.hist_bits) - 1
+        hist = self._hist
 
-    def predict(self, pc: int) -> bool:
-        return self._ctr[self._idx(pc)] >= 2
+        def predict_update(pc, taken):
+            nonlocal hist
+            i = ((pc >> 2) ^ hist) & mask
+            c = ctr[i]
+            if taken:
+                if c < 3:
+                    ctr[i] = c + 1
+                hist = ((hist << 1) | 1) & hmask
+            else:
+                if c > 0:
+                    ctr[i] = c - 1
+                hist = (hist << 1) & hmask
+            return c >= 2
 
-    def update(self, pc: int, taken: bool) -> None:
-        i = self._idx(pc)
-        c = self._ctr[i] + (1 if taken else -1)
-        self._ctr[i] = min(3, max(0, c))
-        self._hist = ((self._hist << 1) | int(taken)) & ((1 << self.hist_bits) - 1)
+        def close():
+            self._hist = hist
+
+        return predict_update, close
 
 
 class BTB:
@@ -88,30 +127,58 @@ class BTB:
         self._lru = [[0] * assoc for _ in range(self.sets)]
         self._stamp = 0
 
-    def lookup(self, pc: int) -> int | None:
-        s = (pc >> 2) % self.sets
-        tag = pc >> 2
-        row = self._tag[s]
-        if tag in row:
-            w = row.index(tag)
-            self._stamp += 1
-            self._lru[s][w] = self._stamp
-            return self._target[s][w]
-        return None
+    def bind(self):
+        """Bind the buffer over its rows; returns ``(lookup, insert, close)``.
 
-    def insert(self, pc: int, target: int) -> None:
-        s = (pc >> 2) % self.sets
-        tag = pc >> 2
-        row, lru = self._tag[s], self._lru[s]
-        w = row.index(tag) if tag in row else lru.index(min(lru))
-        row[w] = tag
-        self._target[s][w] = target
-        self._stamp += 1
-        self._lru[s][w] = self._stamp
+        ``lookup(pc)`` returns the stored target or None; ``insert(pc,
+        target)`` fills the PC's way, or the least recently used one.
+        Both stamp the way they touch; the stamp lives in a local until
+        ``close`` writes it back.
+        """
+        nsets = self.sets
+        tag_m = self._tag
+        tgt_m = self._target
+        lru_m = self._lru
+        stamp = self._stamp
+
+        def lookup(pc):
+            nonlocal stamp
+            s = (pc >> 2) % nsets
+            tag = pc >> 2
+            row = tag_m[s]
+            if tag not in row:
+                return None
+            w = row.index(tag)
+            stamp += 1
+            lru_m[s][w] = stamp
+            return tgt_m[s][w]
+
+        def insert(pc, target):
+            nonlocal stamp
+            s = (pc >> 2) % nsets
+            tag = pc >> 2
+            row = tag_m[s]
+            if tag in row:
+                w = row.index(tag)
+            else:
+                lr = lru_m[s]
+                w = lr.index(min(lr))
+            row[w] = tag
+            tgt_m[s][w] = target
+            stamp += 1
+            lru_m[s][w] = stamp
+
+        def close():
+            self._stamp = stamp
+
+        return lookup, insert, close
 
 
 class ReturnAddressStack:
-    """Fixed-depth RAS; overflow wraps (overwrites oldest), as in hardware."""
+    """Fixed-depth RAS; overflow wraps (overwrites oldest), as in hardware.
+
+    :meth:`BranchUnit.bind` pushes and pops ``_stack`` in place.
+    """
 
     def __init__(self, depth: int = 8) -> None:
         if depth <= 0:
@@ -119,13 +186,13 @@ class ReturnAddressStack:
         self.depth = depth
         self._stack: list[int] = []
 
-    def push(self, ret_addr: int) -> None:
-        self._stack.append(ret_addr)
-        if len(self._stack) > self.depth:
-            del self._stack[0]
 
-    def pop(self) -> int | None:
-        return self._stack.pop() if self._stack else None
+@functools.cache
+def _rotl1_table(width):
+    """Every *width*-bit value rotated left by one."""
+    top = width - 1
+    return tuple((v << 1) & ((1 << width) - 1) | v >> top
+                 for v in range(1 << width))
 
 
 class TAGE:
@@ -134,6 +201,13 @@ class TAGE:
     A functional implementation of the TAGE scheme (Seznec): provider =
     longest-history tagged hit; alternate prediction on low-confidence new
     entries; usefulness counters steer allocation on mispredicts.
+
+    Tables are indexed and tagged with the PC XOR the history window
+    folded down to the index width (``_fidx``) and to the tag widths
+    (``_ftag``, ``_ftag1``: the tag is ``f ^ (g << 1)``).  As in TAGE
+    hardware, these folded registers are state: they start at zero with
+    ``_hist`` and advance by one rotate per outcome (see :meth:`bind`),
+    so nothing is re-folded per lookup.
     """
 
     def __init__(
@@ -159,63 +233,108 @@ class TAGE:
         self._tag = [[-1] * self.size for _ in range(num_tables)]
         self._useful = [[0] * self.size for _ in range(num_tables)]
         self._hist = 0
+        self._fidx = [0] * num_tables
+        self._ftag = [0] * num_tables
+        self._ftag1 = [0] * num_tables
 
-    def _fold(self, bits: int, out_bits: int) -> int:
-        h = self._hist & ((1 << bits) - 1)
-        folded = 0
-        while h:
-            folded ^= h & ((1 << out_bits) - 1)
-            h >>= out_bits
-        return folded
+    def bind(self):
+        """Bind the predictor; returns ``(predict_update, close)`` as
+        :meth:`BimodalBHT.bind` does.
 
-    def _index(self, pc: int, t: int) -> int:
-        return ((pc >> 2) ^ self._fold(self.hist_len[t], self.size.bit_length() - 1)) % self.size
+        One walk of the tagged tables serves the prediction and the
+        update.  The folded registers advance in place; per table an
+        outcome makes each
+        ``f' = rotl1(f) ^ taken ^ (leaving_bit << (window % width))``.
+        The history register is 64 bits wide, so a table's window is its
+        ``hist_len`` capped there.  ``_hist`` lives in a local until
+        ``close`` writes it back.
+        """
+        nt = self.num_tables
+        size_mask = self.size - 1
+        tag_bits = self.tag_bits
+        tag_mask = (1 << tag_bits) - 1
+        ctrs = self._ctr
+        tags = self._tag
+        useful = self._useful
+        hist = self._hist
+        base_ctr = self.base._ctr
+        base_mask = self.base.entries - 1
+        f_idx, f_tag, f_tag1 = self._fidx, self._ftag, self._ftag1
+        #: per table: the history part of a tag
+        h_tag = [f ^ (g << 1) for f, g in zip(f_tag, f_tag1)]
+        windows = [min(n, 64) for n in self.hist_len]
+        widths = (self.size.bit_length() - 1, tag_bits, tag_bits - 1)
+        rot_idx, rot_tag, rot_tag1 = (_rotl1_table(w) for w in widths)
+        #: per table: the history bit about to leave the window, and what
+        #: to XOR into each rotated register for (leaving bit, new bit)
+        geom = [(L - 1, tuple(tuple(b ^ (o << L % w) for w in widths)
+                              for o in (0, 1) for b in (0, 1)))
+                for L in windows]
+        tables = range(nt - 1, -1, -1)
 
-    def _tag_of(self, pc: int, t: int) -> int:
-        return ((pc >> 2) ^ self._fold(self.hist_len[t], self.tag_bits)
-                ^ (self._fold(self.hist_len[t], self.tag_bits - 1) << 1)) & (
-            (1 << self.tag_bits) - 1
-        )
-
-    def predict(self, pc: int) -> bool:
-        pred, _, _ = self._predict_full(pc)
-        return pred
-
-    def _predict_full(self, pc: int) -> tuple[bool, int, int]:
-        """Return (prediction, provider table or -1, provider index)."""
-        for t in range(self.num_tables - 1, -1, -1):
-            i = self._index(pc, t)
-            if self._tag[t][i] == self._tag_of(pc, t):
-                return self._ctr[t][i] >= 0, t, i
-        return self.base.predict(pc), -1, 0
-
-    def update(self, pc: int, taken: bool) -> None:
-        pred, prov, idx = self._predict_full(pc)
-        mispredicted = pred != taken
-        if prov >= 0:
-            c = self._ctr[prov][idx] + (1 if taken else -1)
-            self._ctr[prov][idx] = min(3, max(-4, c))
-            u = self._useful[prov][idx] + (0 if mispredicted else 1)
-            self._useful[prov][idx] = min(3, max(0, u - (1 if mispredicted else 0)))
-        else:
-            self.base.update(pc, taken)
-        if mispredicted and prov < self.num_tables - 1:
-            # allocate in a longer-history table with a non-useful entry
-            candidates = range(prov + 1, self.num_tables)
-            allocated = False
-            for t in candidates:
-                i = self._index(pc, t)
-                if self._useful[t][i] == 0:
-                    self._tag[t][i] = self._tag_of(pc, t)
-                    self._ctr[t][i] = 0 if taken else -1
-                    allocated = True
+        def predict_update(pc, taken):
+            nonlocal hist
+            p = pc >> 2
+            for t in tables:
+                idx = (p ^ f_idx[t]) & size_mask
+                if tags[t][idx] == (p ^ h_tag[t]) & tag_mask:
+                    row = ctrs[t]
+                    c = row[idx]
+                    pred = c >= 0
+                    mis = pred != taken
+                    if taken:
+                        if c < 3:
+                            row[idx] = c + 1
+                    elif c > -4:
+                        row[idx] = c - 1
+                    row = useful[t]
+                    if mis:
+                        if row[idx] > 0:
+                            row[idx] -= 1
+                    elif row[idx] < 3:
+                        row[idx] += 1
+                    prov = t
                     break
-            if not allocated:
-                # decay usefulness so future allocations can succeed
-                for t in candidates:
-                    i = self._index(pc, t)
-                    self._useful[t][i] = max(0, self._useful[t][i] - 1)
-        self._hist = ((self._hist << 1) | int(taken)) & ((1 << 64) - 1)
+            else:
+                prov = -1
+                i = p & base_mask
+                c = base_ctr[i]
+                pred = c >= 2
+                mis = pred != taken
+                if taken:
+                    if c < 3:
+                        base_ctr[i] = c + 1
+                elif c > 0:
+                    base_ctr[i] = c - 1
+            if mis and prov < nt - 1:
+                # allocate in a longer-history table with a non-useful entry
+                for t in range(prov + 1, nt):
+                    i = (p ^ f_idx[t]) & size_mask
+                    if useful[t][i] == 0:
+                        tags[t][i] = (p ^ h_tag[t]) & tag_mask
+                        ctrs[t][i] = 0 if taken else -1
+                        break
+                else:
+                    # decay usefulness so future allocations can succeed
+                    for t in range(prov + 1, nt):
+                        i = (p ^ f_idx[t]) & size_mask
+                        u = useful[t][i]
+                        if u > 0:
+                            useful[t][i] = u - 1
+            b = 1 if taken else 0
+            for t, (out, inject) in enumerate(geom):
+                xi, xt, xs = inject[(hist >> out & 1) << 1 | b]
+                f_idx[t] = rot_idx[f_idx[t]] ^ xi
+                f = f_tag[t] = rot_tag[f_tag[t]] ^ xt
+                g = f_tag1[t] = rot_tag1[f_tag1[t]] ^ xs
+                h_tag[t] = f ^ (g << 1)
+            hist = ((hist << 1) | b) & 0xFFFF_FFFF_FFFF_FFFF
+            return pred
+
+        def close():
+            self._hist = hist
+
+        return predict_update, close
 
 
 @dataclass
@@ -236,8 +355,8 @@ class BranchStats:
 class BranchUnit:
     """Front-end control-flow handling shared by both core models.
 
-    ``resolve`` processes one control op and returns the redirect class:
-    ``0`` = correctly predicted, ``1`` = taken-but-BTB-miss (front-end
+    The ``resolve`` that :meth:`bind` returns processes one control op
+    and returns the redirect class: ``0`` = correctly predicted, ``1`` = taken-but-BTB-miss (front-end
     bubble), ``2`` = full mispredict (pipeline flush).
     """
 
@@ -249,43 +368,65 @@ class BranchUnit:
         self.ras = ras
         self.stats = BranchStats()
 
-    def resolve(self, op: int, pc: int, taken: bool, target: int) -> int:
-        self.stats.branches += 1
-        if op == OpClass.BRANCH:
-            pred = self.direction.predict(pc)
-            self.direction.update(pc, taken)
-            if pred != taken:
-                self.stats.mispredicts += 1
-                if taken:
-                    self.btb.insert(pc, target)
-                return self.FLUSH
-            if taken and self.btb.lookup(pc) != target:
-                self.btb.insert(pc, target)
-                self.stats.btb_misses += 1
-                return self.BUBBLE
-            return self.CORRECT
-        if op == OpClass.JUMP or op == OpClass.CALL:
-            if op == OpClass.CALL:
-                self.ras.push(pc + 4)
-            pred = self.btb.lookup(pc)
-            if pred == target:
-                return self.CORRECT
-            self.btb.insert(pc, target)
-            if pred is None:
-                # cold BTB: direct jumps still resolve at decode (bubble)
-                self.stats.btb_misses += 1
-                return self.BUBBLE
-            # stale target: an indirect jump/call went elsewhere — full flush
-            self.stats.mispredicts += 1
-            return self.FLUSH
-        if op == OpClass.RET:
-            pred_target = self.ras.pop()
-            if pred_target != target:
-                self.stats.mispredicts += 1
-                self.stats.ras_mispredicts += 1
-                return self.FLUSH
-            return self.CORRECT
-        return self.CORRECT
+    def bind(self):
+        """Bind the unit over its predictor, BTB and RAS; returns
+        ``(resolve, close)``.
+
+        ``resolve(op, pc, taken, target)`` handles one control op and
+        returns its redirect class.  The RAS stack and the stats are used
+        in place; ``close`` writes back what the predictor and the BTB
+        keep in locals, and must run exactly once.
+        """
+        bst = self.stats
+        predict_update, dir_close = self.direction.bind()
+        lookup, insert, btb_close = self.btb.bind()
+        ras = self.ras._stack
+        ras_depth = self.ras.depth
+
+        def resolve(op, pc, taken, target):
+            bst.branches += 1
+            if op == 6:  # BRANCH
+                pred = predict_update(pc, taken)
+                if pred != taken:
+                    bst.mispredicts += 1
+                    if taken:
+                        insert(pc, target)
+                    return 2
+                if taken and lookup(pc) != target:
+                    insert(pc, target)
+                    bst.btb_misses += 1
+                    return 1
+                return 0
+            if op == 7 or op == 8:  # JUMP / CALL
+                if op == 8:
+                    ras.append(pc + 4)
+                    if len(ras) > ras_depth:
+                        del ras[0]
+                pred = lookup(pc)
+                if pred == target:
+                    return 0
+                insert(pc, target)
+                if pred is None:
+                    # cold BTB: direct jumps still resolve at decode (bubble)
+                    bst.btb_misses += 1
+                    return 1
+                # stale target: an indirect jump/call went elsewhere — full flush
+                bst.mispredicts += 1
+                return 2
+            if op == 9:  # RET
+                pred_target = ras.pop() if ras else None
+                if pred_target != target:
+                    bst.mispredicts += 1
+                    bst.ras_mispredicts += 1
+                    return 2
+                return 0
+            return 0
+
+        def close():
+            btb_close()
+            dir_close()
+
+        return resolve, close
 
 
 def rocket_branch_unit(bht_entries: int = 512, btb_entries: int = 32,

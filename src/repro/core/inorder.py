@@ -74,8 +74,8 @@ class InOrderCore(CoreModel):
         self.bru = branch_unit if branch_unit is not None else rocket_branch_unit()
         self._icache_hit = icache_hit_latency
         # accelerated engine (repro.accel): bit-identical fast path,
-        # imported on first run so reference-only cores never load the
-        # mirrors; accel_stats counts the uops it retires
+        # imported on first run so reference-only cores never load it;
+        # accel_stats counts the uops it retires
         self._accel_on = accel
         from ..accel.stats import AccelStats
         self.accel_stats = AccelStats()
@@ -149,9 +149,11 @@ class InOrderCore(CoreModel):
         lat_of = lat.latency_of
         icache_hit = self._icache_hit
 
-        # the memory walk, bound for this run; closing it flushes the
-        # counters it keeps in locals, so the miss deltas follow it
+        # the memory walk and the branch unit, bound for this run;
+        # closing the walk flushes the counters it keeps in locals, so
+        # the miss deltas follow it
         dload, dstore, ifetch, mem_close = port.bind()
+        resolve, bru_close = bru.bind()
         try:
             for i in range(n):
                 op = op_a[i]
@@ -269,7 +271,7 @@ class InOrderCore(CoreModel):
                     if dst > 0:
                         reg_ready[dst] = t + occ + lat_of(OpClass(op)) - 1
                 elif is_ctrl:
-                    kind = bru.resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
+                    kind = resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
                     if kind == BranchUnit.FLUSH:
                         fe_ready = t + 1 + flush_pen
                     elif kind == BranchUnit.BUBBLE:
@@ -284,6 +286,7 @@ class InOrderCore(CoreModel):
                         div_free = t + l
         finally:
             mem_close()
+            bru_close()
 
         # drain: final time is the last issue cycle plus pipeline drain
         end = cycle + cfg.pipeline_depth - 1

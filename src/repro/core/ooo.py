@@ -70,7 +70,7 @@ class OoOCore(CoreModel):
         self._icache_hit = icache_hit_latency
         # accelerated engine (repro.accel): bit-identical transliteration
         # over compiled trace columns, imported on first run so
-        # reference-only cores never touch the mirror layer
+        # reference-only cores never load it
         self._accel_on = accel
         from ..accel.stats import AccelStats
         self.accel_stats = AccelStats()
@@ -170,9 +170,11 @@ class OoOCore(CoreModel):
 
         last_commit = commit_chain
 
-        # the memory walk, bound for this run; closing it flushes the
-        # counters it keeps in locals, so the miss deltas follow it
+        # the memory walk and the branch unit, bound for this run;
+        # closing the walk flushes the counters it keeps in locals, so
+        # the miss deltas follow it
         dload, dstore, ifetch, mem_close = port.bind()
+        resolve, bru_close = bru.bind()
         try:
             for i in range(n):
                 op = int(op_a[i])
@@ -302,7 +304,7 @@ class OoOCore(CoreModel):
 
                 # ---- control resolution ----
                 if op == BRANCH or op == JUMP or op == CALL or op == RET:
-                    kind = bru.resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
+                    kind = resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
                     if kind == BranchUnit.FLUSH:
                         nf = complete + fe_depth
                         if nf > fetch_floor:
@@ -328,6 +330,7 @@ class OoOCore(CoreModel):
                     stq_head = (stq_head + 1) % len(stq_ring)
         finally:
             mem_close()
+            bru_close()
 
         self._fetch_chain = fetch_chain
         self._dispatch_chain = dispatch_chain

@@ -55,8 +55,9 @@ __all__ = [
 ]
 
 #: bump when the capture layout below changes incompatibly (2: cache and
-#: predictor tables are lists of rows, predictors captured as components)
-CHECKPOINT_SCHEMA = 2
+#: predictor tables are lists of rows, predictors captured as components;
+#: 3: TAGE's folded-history registers are captured state)
+CHECKPOINT_SCHEMA = 3
 
 _PICKLE_PROTOCOL = 4  # fixed so digests are stable across interpreters
 
@@ -98,10 +99,11 @@ _WIRING = {"cfg", "name", "port", "bru", "uncore", "tile_id", "prefetcher",
            "_accel_on", "direction", "base", "btb"}
 
 #: the list-native tables of caches, the BTB and the direction
-#: predictors: lists of scalars or of rows of scalars (a cache's unmade
-#: sets are None), so they are copied row by row and hashed per table
+#: predictors (TAGE's folded registers included): lists of scalars or of
+#: rows of scalars (a cache's unmade sets are None), so they are copied
+#: row by row and hashed per table
 _TABLES = frozenset({"_tags", "_dirty", "_lru", "_ctr", "_tag", "_target",
-                     "_useful"})
+                     "_useful", "_fidx", "_ftag", "_ftag1"})
 
 
 def _copy_table(table: list) -> list:
@@ -427,7 +429,8 @@ class SimCheckpoint:
         """Raise :class:`CheckpointError` if content does not match digest.
 
         A checkpoint of another schema is refused before its content is
-        walked: schema 1 held numpy tables this build does not read.
+        walked: schema 1 held numpy tables this build does not read, and
+        schema 2 lacks TAGE's folded-history registers.
         """
         if self.schema != CHECKPOINT_SCHEMA:
             raise CheckpointError(

@@ -62,13 +62,23 @@ def _canon(x):
     return x
 
 
-def _state(system):
+#: captured state the walk pins leave out: TAGE's folded-history
+#: registers joined the capture after the pins were recorded, and no
+#: port walk touches a predictor (``tests/core/branch_pins.json`` and
+#: ``test_tage_fold.py`` hold them)
+_NOT_WALK_STATE = ("_fidx", "_ftag", "_ftag1")
+
+
+def _state(system, leave_out=()):
     """Everything a checkpoint would capture, as a comparable tree plus a
     type-strict digest (``2 == 2.0`` but their digests differ).  The
-    engine's own uop counter is the one field allowed to differ."""
+    engine's own uop counter is the one field allowed to differ; the
+    *leave_out* keys of the direction predictor are dropped."""
     tree = capture_system(system)
     for tile in tree["tiles"]:
         tile["core"].pop("accel_stats", None)
+        for name in leave_out:
+            tile["direction"].pop(name, None)
     h = hashlib.sha256()
     _digest_update(h, tree)
     return _canon(tree), h.hexdigest()
@@ -193,7 +203,8 @@ def _walk_pins(system, binds):
             close()
         for tl in _timelines(system):
             assert len(tl._starts) == len(tl._ends) <= tl.max_intervals
-        out.append({"calls": h.hexdigest(), "state": _state(system)[1]})
+        out.append({"calls": h.hexdigest(),
+                    "state": _state(system, _NOT_WALK_STATE)[1]})
     return out
 
 

@@ -1,12 +1,13 @@
-"""The accelerated TAGE keeps incrementally folded history registers in
-place of re-folding the history per lookup.  ``tests/core/branch_pins.json``
-(recorded from ``core.branch.TAGE``, its ``_fold`` untouched) is the
-oracle: same predictions, same tables, same ``_hist`` over geometries
-the presets never reach and over three attaches.  The engine is also
-held to the reference loop across every way a run can be cut into
-attaches (chunked runs, checkpoint/restore into a new ``System``), since
-the registers are re-derived per attach.  The other predictor kinds'
-fused ``predict_update`` is held to the same pins."""
+"""TAGE keeps incrementally folded history registers as state in place
+of re-folding the history per lookup.  ``tests/core/branch_pins.json``
+(recorded from the reference ``predict``/``update`` that re-folded
+``_hist`` per lookup) is the oracle: same predictions, same tables,
+same ``_hist`` over geometries the presets never reach and over three
+binds, and after each the registers are the fold of ``_hist``.  The
+engine is also held to the reference loop across every way a run can
+be cut into binds (chunked runs, checkpoint/restore into a new
+``System``), which the registers must survive.  The other predictor
+kinds' fused ``predict_update`` is held to the same pins."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import dataclasses
 
 import pytest
 
-from repro.accel.engine import _mirror_direction
 from repro.core.branch import TAGE
 from repro.reliability import SimCheckpoint
 from repro.soc.presets import get_config
@@ -30,12 +30,18 @@ def _tables(d: TAGE) -> dict:
             "tag": [row[:] for row in d._tag],
             "useful": [row[:] for row in d._useful],
             "base": d.base._ctr[:],
-            "hist": d._hist}
+            "hist": d._hist,
+            "folded": (d._fidx[:], d._ftag[:], d._ftag1[:])}
 
 
-def _mirror_bind(d):
-    predict_update, detach = _mirror_direction(d)
-    return predict_update, detach or (lambda: None)
+def _fold(hist: int, window: int, width: int) -> int:
+    """The window's low *window* bits of *hist*, XOR-folded to *width*."""
+    h = hist & ((1 << window) - 1)
+    folded = 0
+    while h:
+        folded ^= h & ((1 << width) - 1)
+        h >>= width
+    return folded
 
 
 @pytest.mark.parametrize("max_hist", [64, 128])
@@ -49,15 +55,21 @@ def test_folded_registers_match_reference(num_tables, table_bits, tag_bits,
     name = branch_pins.tage_case(dict(
         num_tables=num_tables, table_bits=table_bits, tag_bits=tag_bits,
         max_hist=max_hist, base_entries=256))
-    d, got = branch_pins.drive(name, _mirror_bind)
+    d, got = branch_pins.drive(name)
     assert got == _pinned[name]
     assert max(d._tag[-1]) >= 0, "longest table never allocated"
     assert vars(d).keys() == vars(TAGE()).keys()  # nothing cached on it
+    windows = [min(n, 64) for n in d.hist_len]
+    index_bits = d.size.bit_length() - 1
+    assert d._fidx == [_fold(d._hist, L, index_bits) for L in windows]
+    assert d._ftag == [_fold(d._hist, L, tag_bits) for L in windows]
+    assert d._ftag1 == [_fold(d._hist, L, tag_bits - 1) for L in windows]
 
 
-@pytest.mark.parametrize("name", ["bimodal64", "gshare128x7"])
+@pytest.mark.parametrize("name", ["bimodal64", "gshare128x7"],
+                         ids=["bimodal", "gshare"])
 def test_predict_update_is_predict_then_update(name):
-    assert branch_pins.drive(name, _mirror_bind)[1] == _pinned[name]
+    assert branch_pins.drive(name)[1] == _pinned[name]
 
 
 def _run_cut(cfg, trace, cuts, restore=False) -> tuple:
@@ -70,13 +82,13 @@ def _run_cut(cfg, trace, cuts, restore=False) -> tuple:
         if restore and a == cuts[0]:
             ckpt = SimCheckpoint.from_bytes(system.save_checkpoint().to_bytes())
             system = System(cfg)
-            system.restore(ckpt, None)  # a new System: registers re-derived
+            system.restore(ckpt, None)  # a new System: registers restored
     bru = system.tiles[0].core.bru
     return results, _tables(bru.direction), dataclasses.asdict(bru.stats)
 
 
 @pytest.mark.parametrize("name", ["LargeBOOM", "MILKV-SG2042"])
-def test_registers_rederived_at_every_attach(name):
+def test_folded_registers_survive_every_cut(name):
     trace = get_kernel("CCh").build(scale=0.1, seed=3)
     n = len(trace)
     cuts = [0, n // 3 + 1, 2 * n // 3 + 2, n]

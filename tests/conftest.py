@@ -1,8 +1,9 @@
 """Fixtures shared across the test packages.
 
-The memory components have one access path, the closures their ``bind``
-methods return; the helpers below drive it one request per bind (bind,
-call, close), so a component's stats are current after every call.
+The memory and branch components have one implementation of their
+operations, the closures their ``bind`` methods return; the helpers
+below drive it one request per bind (bind, call, close), so a
+component's stats and registers are current after every call.
 """
 
 from repro.mem.tlb import bind_entry
@@ -74,5 +75,33 @@ def translate(tlb, addr: int, time: int, walk=_free):
     entry, close = bind_entry(tlb, walk, _free, False, None)
     try:
         return entry(addr, time)
+    finally:
+        close()
+
+
+def predict_update(predictor, pc: int, taken: bool) -> bool:
+    """The prediction for *pc*, then training with *taken*, through
+    ``predictor.bind()``."""
+    call, close = predictor.bind()
+    try:
+        return call(pc, taken)
+    finally:
+        close()
+
+
+def btb_call(btb, kind: str, *args):
+    """One ``lookup(pc)`` or ``insert(pc, target)`` through ``btb.bind()``."""
+    lookup, insert, close = btb.bind()
+    try:
+        return {"lookup": lookup, "insert": insert}[kind](*args)
+    finally:
+        close()
+
+
+def resolve(bru, op: int, pc: int, taken: bool, target: int) -> int:
+    """One control op through ``bru.bind()``; its redirect class."""
+    call, close = bru.bind()
+    try:
+        return call(op, pc, taken, target)
     finally:
         close()

@@ -11,8 +11,8 @@ op mix on the Rocket and BOOM front ends that reaches BTB-miss bubbles,
 stale indirect targets, RAS overflow and returns on an empty stack.
 
 The pins were first recorded from the reference ``predict``/``update``
-and ``BranchUnit.resolve`` bodies.  Regenerate them (only when the
-branch unit is *meant* to change) with
+and ``BranchUnit.resolve`` bodies the binders replaced.  Regenerate
+them (only when the branch unit is *meant* to change) with
 ``PYTHONPATH=src python tests/core/branch_pins.py``.
 """
 
@@ -146,26 +146,13 @@ def state_digest(obj) -> str:
     return h.hexdigest()
 
 
-def _reference_bind(obj):
-    """The reference bodies as a bind: ``(call, close)``."""
-    if isinstance(obj, BranchUnit):
-        return obj.resolve, lambda: None
-
-    def predict_update(pc, taken):
-        pred = obj.predict(pc)
-        obj.update(pc, taken)
-        return pred
-
-    return predict_update, lambda: None
-
-
-def drive(name: str, bind=_reference_bind):
+def drive(name: str):
     """Run case *name* over three binds; returns the predictor (or unit)
     and, per bind, the calls' digest and the state digest after close."""
     obj, stream = CASES[name]()
     out = []
     for part in (stream[:700], stream[700:701], stream[701:]):
-        call, close = bind(obj)
+        call, close = obj.bind()
         h = hashlib.sha256()
         try:
             for args in part:

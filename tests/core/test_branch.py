@@ -1,4 +1,4 @@
-"""Branch predictor unit tests."""
+"""Branch predictor unit tests, through the components' ``bind``."""
 
 import numpy as np
 import pytest
@@ -13,17 +13,19 @@ from repro.core.branch import (
     boom_branch_unit,
     rocket_branch_unit,
 )
-from repro.accel.engine import _mirror_branch_unit
 from repro.isa.opcodes import OpClass
 from tests.core import branch_pins
+
+from ..conftest import btb_call, predict_update, resolve
+
+CALL, RET = int(OpClass.CALL), int(OpClass.RET)
 
 
 def mispredict_rate(pred, outcomes, pc=0x1000):
     wrong = 0
     for t in outcomes:
-        if pred.predict(pc) != t:
+        if predict_update(pred, pc, t) != t:
             wrong += 1
-        pred.update(pc, t)
     return wrong / len(outcomes)
 
 
@@ -80,9 +82,9 @@ def test_tage_beats_bimodal_on_correlated_branches():
 
 def test_btb_basic():
     btb = BTB(entries=8, assoc=2)
-    assert btb.lookup(0x100) is None
-    btb.insert(0x100, 0x2000)
-    assert btb.lookup(0x100) == 0x2000
+    assert btb_call(btb, "lookup", 0x100) is None
+    btb_call(btb, "insert", 0x100, 0x2000)
+    assert btb_call(btb, "lookup", 0x100) == 0x2000
 
 
 def test_btb_capacity_eviction():
@@ -90,28 +92,44 @@ def test_btb_capacity_eviction():
     # 3 pcs in the same set -> one must be evicted
     pcs = [0x0, 0x10, 0x20]  # (pc>>2) % 2 == 0 for all
     for pc in pcs:
-        btb.insert(pc, pc + 0x1000)
-    found = sum(btb.lookup(pc) is not None for pc in pcs)
+        btb_call(btb, "insert", pc, pc + 0x1000)
+    found = sum(btb_call(btb, "lookup", pc) is not None for pc in pcs)
     assert found == 2
 
 
+def _ras_unit(depth):
+    return BranchUnit(BimodalBHT(64), BTB(), ReturnAddressStack(depth))
+
+
+def _push(bru, addr):
+    """A call just before *addr*: the RAS pushes *addr*."""
+    resolve(bru, CALL, addr - 4, True, 0x9000)
+
+
+def _pops(bru, addr):
+    """Whether a return predicts *addr* (it pops the RAS either way)."""
+    return resolve(bru, RET, 0x9000, True, addr) == BranchUnit.CORRECT
+
+
 def test_ras_lifo():
-    ras = ReturnAddressStack(depth=4)
-    for a in (1, 2, 3):
-        ras.push(a)
-    assert ras.pop() == 3
-    assert ras.pop() == 2
-    assert ras.pop() == 1
-    assert ras.pop() is None
+    bru = _ras_unit(depth=4)
+    for a in (0x100, 0x200, 0x300):
+        _push(bru, a)
+    assert _pops(bru, 0x300)
+    assert _pops(bru, 0x200)
+    assert _pops(bru, 0x100)
+    assert bru.ras._stack == []
+    assert not _pops(bru, 0x100)  # an empty stack predicts nothing
+    assert bru.stats.ras_mispredicts == 1
 
 
 def test_ras_overflow_wraps():
-    ras = ReturnAddressStack(depth=2)
-    for a in (1, 2, 3):
-        ras.push(a)
-    assert ras.pop() == 3
-    assert ras.pop() == 2
-    assert ras.pop() is None  # 1 was overwritten
+    bru = _ras_unit(depth=2)
+    for a in (0x100, 0x200, 0x300):
+        _push(bru, a)
+    assert _pops(bru, 0x300)
+    assert _pops(bru, 0x200)
+    assert not _pops(bru, 0x100)  # 0x100 was overwritten
 
 
 def test_deep_recursion_defeats_shallow_ras():
@@ -122,31 +140,31 @@ def test_deep_recursion_defeats_shallow_ras():
     for bru in (shallow, deep):
         # calls then returns
         for i in range(depth):
-            bru.resolve(int(OpClass.CALL), 0x100 + 8 * i, True, 0x5000 + 16 * i)
+            resolve(bru, CALL, 0x100 + 8 * i, True, 0x5000 + 16 * i)
         for i in reversed(range(depth)):
-            bru.resolve(int(OpClass.RET), 0x5000 + 16 * i + 8, True, 0x100 + 8 * i + 4)
+            resolve(bru, RET, 0x5000 + 16 * i + 8, True, 0x100 + 8 * i + 4)
     assert shallow.stats.ras_mispredicts > deep.stats.ras_mispredicts
 
 
 def test_branch_unit_flush_on_mispredict():
     bru = rocket_branch_unit()
     # untrained predictor predicts not-taken; a taken branch flushes
-    kind = bru.resolve(int(OpClass.BRANCH), 0x100, True, 0x200)
+    kind = resolve(bru, int(OpClass.BRANCH), 0x100, True, 0x200)
     assert kind == BranchUnit.FLUSH
 
 
 def test_branch_unit_correct_after_training():
     bru = rocket_branch_unit()
     for _ in range(8):
-        bru.resolve(int(OpClass.BRANCH), 0x100, True, 0x200)
-    kind = bru.resolve(int(OpClass.BRANCH), 0x100, True, 0x200)
+        resolve(bru, int(OpClass.BRANCH), 0x100, True, 0x200)
+    kind = resolve(bru, int(OpClass.BRANCH), 0x100, True, 0x200)
     assert kind == BranchUnit.CORRECT
 
 
 def test_branch_unit_jump_btb_warmup():
     bru = rocket_branch_unit()
-    assert bru.resolve(int(OpClass.JUMP), 0x100, True, 0x900) == BranchUnit.BUBBLE
-    assert bru.resolve(int(OpClass.JUMP), 0x100, True, 0x900) == BranchUnit.CORRECT
+    assert resolve(bru, int(OpClass.JUMP), 0x100, True, 0x900) == BranchUnit.BUBBLE
+    assert resolve(bru, int(OpClass.JUMP), 0x100, True, 0x900) == BranchUnit.CORRECT
 
 
 def test_predictor_validation():
@@ -162,5 +180,4 @@ def test_predictor_validation():
 def test_branch_unit_matches_pins(name):
     """Bubbles, stale indirect targets, RAS overflow and returns on an
     empty stack, call by call and state by state over three binds."""
-    got = branch_pins.drive(name, _mirror_branch_unit)[1]
-    assert got == branch_pins.load_branch_pins()[name]
+    assert branch_pins.drive(name)[1] == branch_pins.load_branch_pins()[name]

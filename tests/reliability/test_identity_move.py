@@ -8,6 +8,8 @@ those keys, and held a ``TAGE._rng`` generator in the predictor state.
 The values below are that era's ``config_digest(BANANA_PI_SIM)`` and
 ``cache_key`` of :func:`_job`.  The schema is checked before anything
 else, so such a file is refused before its numpy content is walked.
+Schema 2 checkpoints lack TAGE's folded-history registers, which a
+restore would otherwise leave at their values in the target system.
 """
 
 import numpy as np
@@ -95,6 +97,26 @@ def test_schema_1_predictor_checkpoint_is_refused():
     with pytest.raises(CheckpointError, match="schema 1"):
         SimCheckpoint.from_bytes(blob)
     with pytest.raises(CheckpointError, match="schema 1"):
+        System(cfg).restore(ckpt, None)
+
+
+def test_schema_2_checkpoint_without_folded_registers_is_refused(tmp_path):
+    """A TAGE core's schema-2 snapshot: list tables, no folded-history
+    registers in its predictor state.  Refused by name of its schema."""
+    cfg = get_config("SmallBOOM")
+    trace = get_kernel("CCh").build(scale=0.05, seed=0)
+    old = System(cfg)
+    old.run(trace)
+    ckpt = old.save_checkpoint()
+    for ts in ckpt.state["tiles"]:
+        for name in ("_fidx", "_ftag", "_ftag1"):
+            del ts["direction"][name]
+    ckpt.schema = 2
+    with pytest.raises(CheckpointError, match="schema 2"):
+        SimCheckpoint.from_bytes(ckpt.to_bytes())
+    with pytest.raises(CheckpointError, match="schema 2"):
+        SimCheckpoint.load(ckpt.save(tmp_path / "schema2.ckpt"))
+    with pytest.raises(CheckpointError, match="schema 2"):
         System(cfg).restore(ckpt, None)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.branch import BTB, BimodalBHT, ReturnAddressStack, TAGE
+from repro.core.branch import BTB, BimodalBHT, BranchUnit, ReturnAddressStack, TAGE
 from repro.isa.encoding import Instr, decode, encode
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import Trace, TraceBuilder
@@ -13,7 +13,8 @@ from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAM, DRAMConfig
 from repro.mem.tlb import TLB, TLBConfig
 
-from .conftest import Bound, MemoryPort, translate
+from .conftest import (Bound, MemoryPort, btb_call, predict_update, resolve,
+                       translate)
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -214,9 +215,8 @@ def test_bimodal_constant_stream_converges(outcomes):
     p = BimodalBHT(64)
     wrong = 0
     for o in outcomes:
-        if p.predict(0x44) != o:
+        if predict_update(p, 0x44, o) != o:
             wrong += 1
-        p.update(0x44, o)
     assert wrong <= len(outcomes)
     if len(set(outcomes)) == 1:
         assert wrong <= 2
@@ -226,17 +226,18 @@ def test_bimodal_constant_stream_converges(outcomes):
 def test_btb_insert_then_lookup(pcs):
     btb = BTB(entries=64, assoc=4)
     for pc in pcs:
-        btb.insert(pc * 4, pc * 4 + 0x100)
-        assert btb.lookup(pc * 4) == pc * 4 + 0x100
+        btb_call(btb, "insert", pc * 4, pc * 4 + 0x100)
+        assert btb_call(btb, "lookup", pc * 4) == pc * 4 + 0x100
 
 
 @given(st.lists(st.integers(0, 1 << 30), min_size=1, max_size=64))
 def test_ras_within_depth_is_exact(addrs):
-    ras = ReturnAddressStack(depth=len(addrs))
-    for a in addrs:
-        ras.push(a)
+    bru = BranchUnit(BimodalBHT(64), BTB(), ReturnAddressStack(len(addrs)))
+    for a in addrs:  # a call at a pushes a + 4
+        resolve(bru, int(OpClass.CALL), a, True, 0x9000)
     for a in reversed(addrs):
-        assert ras.pop() == a
+        assert resolve(bru, int(OpClass.RET), 0x9000, True,
+                       a + 4) == BranchUnit.CORRECT
 
 
 @given(st.lists(st.booleans(), min_size=20, max_size=300))
@@ -244,7 +245,6 @@ def test_tage_never_crashes_and_counts(outcomes):
     t = TAGE(num_tables=3, table_bits=6)
     wrong = 0
     for o in outcomes:
-        if t.predict(0x80) != o:
+        if predict_update(t, 0x80, o) != o:
             wrong += 1
-        t.update(0x80, o)
     assert 0 <= wrong <= len(outcomes)
