@@ -7,11 +7,11 @@ stand-ins, because several MicroBench kernels (Cca, Cce, CCh, CRd, CRf,
 CS1, CS3) exist specifically to separate predictable from unpredictable
 control flow.
 
-Each component holds its state and has one ``bind`` method, the only
-implementation of its operations: ``BranchUnit.bind()`` returns
-``(resolve, close)`` over the ``bind`` of its direction predictor and
-BTB, and both core loops (reference and accelerated) call it once per
-run.  A binder uses the tables in place — every table is a plain list,
+The direction predictors and the BTB each hold their state and have
+one ``bind`` method, the only implementation of their operations.
+``BranchUnit.bind()`` returns ``(resolve, close)`` over those two binds
+and the RAS stack, and both core loops (reference and accelerated) call
+it once per run.  A binder uses the tables in place — every table is a plain list,
 2-D tables a list of per-set rows, only ever mutated in place — keeps
 the scalar registers (the BTB stamp, a global history) in locals and
 writes them back at ``close``.  TAGE's folded-history registers are
