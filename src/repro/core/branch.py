@@ -356,8 +356,9 @@ class BranchUnit:
     """Front-end control-flow handling shared by both core models.
 
     The ``resolve`` that :meth:`bind` returns processes one control op
-    and returns the redirect class: ``0`` = correctly predicted, ``1`` = taken-but-BTB-miss (front-end
-    bubble), ``2`` = full mispredict (pipeline flush).
+    and returns the redirect class: ``0`` = correctly predicted, ``1`` =
+    taken-but-BTB-miss (front-end bubble), ``2`` = full mispredict
+    (pipeline flush).
     """
 
     CORRECT, BUBBLE, FLUSH = 0, 1, 2

@@ -20,7 +20,8 @@ from repro.reliability import SimCheckpoint
 from repro.soc.presets import get_config
 from repro.soc.system import System
 from repro.workloads.microbench import get_kernel
-from tests.core import branch_pins
+
+from ..core import branch_pins
 
 _pinned = branch_pins.load_branch_pins()
 

@@ -14,9 +14,9 @@ from repro.core.branch import (
     rocket_branch_unit,
 )
 from repro.isa.opcodes import OpClass
-from tests.core import branch_pins
 
 from ..conftest import btb_call, predict_update, resolve
+from . import branch_pins
 
 CALL, RET = int(OpClass.CALL), int(OpClass.RET)
 
