@@ -1,30 +1,22 @@
-"""Bench smoke check (CI): guard the hot-path speedup trajectory.
+#!/usr/bin/env python3
+"""Bench smoke check (CI): guard bit-identity and the hot-path floors.
 
 Re-runs the tracked benchmark (the same harness behind ``repro bench
---batched``) and compares it against the committed baseline
+--batched``) and prints it beside the committed baseline
 ``BENCH_5.json``:
 
 1. the accelerated pass must stay **bit-identical** to the reference
    path on every kernel (cycles, stalls, instruction counts), and the
    config-batched sweep pass must stay bit-identical to serial
    per-config jobs on every (kernel, config) point;
-2. the serial/batched speedup — a same-host ratio, so it is stable
-   across CI runners — must not regress by more than 10% against the
-   baseline.  Its serial leg runs the reference loops (``accel="off"``),
-   so the ratio falls whenever they get faster: x2.4-2.6 while the
-   reference loop ran its own re-folding TAGE, x1.45-1.52 since both
-   loops bind the one branch unit, below the floor of x1.91 (ROADMAP
-   item 6(c) retires the ratio gates).  The suite's off/on speedup is
-   printed, not gated: it measures only the core loops' own arithmetic
-   now and sits below the baseline's x2.95 (x1.6-2.1 measured);
-3. the interpreter's second pass must decode entirely out of the
+2. the interpreter's second pass must decode entirely out of the
    instruction cache;
-4. building the 39 runnable kernels at scale 1.0 (best of 3) must
+3. building the 39 runnable kernels at scale 1.0 (best of 3) must
    sustain at least 5e6 uops/s: the column-at-a-time generators do
    >1.5e7 and one Python call per uop does ~1.7e6, so the floor has 3x
    slack against host noise yet trips if a per-uop loop creeps back
    into a generator;
-5. host time of ``EI`` (scale 0.3, best of 5) on ``BananaPiSim`` with
+4. host time of ``EI`` (scale 0.3, best of 5) on ``BananaPiSim`` with
    ``accel="off"`` must be at least 4.5x the same with ``accel="on"``:
    the reference loop is the yardstick, isolating the in-order engine.
    With simple uops on the short issue path and caches mirrored one
@@ -32,11 +24,15 @@ Re-runs the tracked benchmark (the same harness behind ``repro bench
    loop binds the one branch unit too; falling through the full hazard
    chain and copying the whole L2 per run made it 3.2.
 
-A ``Cca``-on-``LargeBOOM`` off/on gate guarded TAGE's folded history
-until the predictors had one implementation; both loops now run it, so
-that ratio (x4.1-5.3 before, x1.8-1.9 after) no longer tells a
-re-folding TAGE from a fast one, and ``tests/accel/test_tage_fold.py``
-holds the registers instead.
+The suite's off/on speedup and the serial/batched speedup are printed,
+not gated.  Both time ``accel="off"`` (the reference loops) against
+the engines, and since both loops bind the one branch unit the off side
+no longer runs a second, re-folding TAGE: suite x2.95 in the baseline,
+x1.6-2.1 now; batched x2.4-2.6 before, x1.45-1.8 now (serial leg
+117 -> 58-74 s, batched leg 45 -> 40 s).  A ``Cca``-on-``LargeBOOM``
+off/on gate (x4.1-5.3 before, x1.8-1.9 after) went for the same
+reason; ``tests/accel/test_tage_fold.py`` holds TAGE's folded
+registers instead.
 
 Other absolute wall-clock numbers are *not* compared: they measure the
 host, not the code.  Exit code 0 on success; any check failure is a
@@ -58,8 +54,6 @@ from repro.soc import System, get_config  # noqa: E402
 from repro.workloads.microbench import get_kernel, runnable_kernels  # noqa: E402
 
 BASELINE = ROOT / "BENCH_5.json"
-#: allowed fractional speedup regression vs the committed baseline
-TOLERANCE = 0.10
 #: minimum trace-build rate over the suite at scale 1.0, uops per second
 BUILD_FLOOR = 5e6
 #: minimum host-time ratio of EI on BananaPiSim, accel off over accel on
@@ -99,15 +93,6 @@ def _inorder_engine_ratio() -> float:
                             get_kernel("EI").build(scale=0.3, seed=0))
 
 
-def _gate_speedup(name: str, run: float, base: float) -> bool:
-    floor = base * (1.0 - TOLERANCE)
-    if run < floor:
-        print(f"FAIL: {name} speedup x{run} fell below x{floor:.2f} "
-              f"(baseline x{base} - {TOLERANCE:.0%})")
-        return False
-    return True
-
-
 def main() -> int:
     baseline = json.loads(BASELINE.read_text())
 
@@ -133,7 +118,7 @@ def main() -> int:
     print(f"suite (not gated): baseline x{baseline['suite']['speedup']}, this run "
           f"x{suite['speedup']} ({suite['kernels']} kernels, "
           f"off {suite['off_seconds']}s, on {suite['on_seconds']}s)")
-    print(f"batched: baseline x{baseline['batched']['speedup']}, this run "
+    print(f"batched (not gated): baseline x{baseline['batched']['speedup']}, this run "
           f"x{bt['speedup']} ({bt['kernels']} kernels x "
           f"{len(bt['configs'])} configs, serial {bt['serial_seconds']}s, "
           f"batched {bt['batched_seconds']}s)")
@@ -144,9 +129,6 @@ def main() -> int:
     if not bt["identical"]:
         print("FAIL: batched sweep diverged from serial per-config jobs")
         return 1
-    if not _gate_speedup("batched", bt["speedup"],
-                         baseline["batched"]["speedup"]):
-        return 1
 
     interp = record["interp"]
     if not (interp["decode_hits"] == interp["decode_misses"] > 0):
@@ -154,7 +136,7 @@ def main() -> int:
         return 1
 
     print("bench smoke OK: bit-identical (suite + batched), "
-          "batched speedup within tolerance, trace build above the floor, "
+          "decode cache effective, trace build above the floor, "
           "in-order engine ratio above its floor")
     return 0
 
