@@ -2,13 +2,13 @@
 
 A config sweep evaluates the *same* dynamic micro-op stream under N
 timing configurations, so everything that depends only on the trace —
-decoding numpy columns to plain-Python lists and classifying each op
-(fetch line, FP-ness) — is computed exactly once here and reused by
-every engine attached to the trace:
+decoding numpy columns to plain-Python lists — is computed exactly once
+here and reused by every engine attached to the trace:
 
-* :class:`CompiledTrace` bundles the per-uop arrays: the plain-list
-  columns the transliterated engine loops index and the derived per-uop
-  classifications (``lines``, ``is_fp``) the out-of-order engine reads.
+* :class:`CompiledTrace` bundles the plain-list columns the
+  transliterated engine loops index, plus the in-order engine's
+  per-uop issue flags, derived on first use.  The out-of-order engine
+  derives fetch line and FP-ness inline, as its reference loop does.
 * :func:`compiled_trace` builds it once per trace and keeps it on the
   trace, so it is freed with the trace.
 * :func:`shared_compiled` adds cross-process sharing through a
@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.isa.opcodes import CTRL_OPS, FP_OPS, MEM_OPS, VECTOR_OPS, OpClass
+from repro.isa.opcodes import CTRL_OPS, MEM_OPS, VECTOR_OPS, OpClass
 from repro.isa.serialize import decode_trace, encode_trace
 from repro.isa.trace import Trace, trace_digest
 
@@ -41,9 +41,6 @@ __all__ = ["CompiledTrace", "compiled_trace", "shared_compiled",
 
 #: payload schema for store-shared compiled traces
 COMPILE_SCHEMA = 3
-
-_FP_LUT = np.zeros(256, dtype=bool)
-_FP_LUT[[int(op) for op in FP_OPS]] = True
 
 #: ops the in-order model issues with nothing but operand waits and a slot:
 #: no divider, memory port, control slot, or vector unit
@@ -60,8 +57,8 @@ class CompiledTrace:
     :meth:`issue_flags` reads), so a trace and its compiled form are
     freed by reference counting alone."""
 
-    __slots__ = ("digest", "n", "cols", "lines", "is_fp", "_op", "_pc",
-                 "_issue_flags", "__weakref__")
+    __slots__ = ("digest", "n", "cols", "_op", "_pc", "_issue_flags",
+                 "__weakref__")
 
     def __init__(self, trace: Trace) -> None:
         self.digest = trace_digest(trace)
@@ -69,10 +66,6 @@ class CompiledTrace:
                      for name in Trace.COLUMNS}
         self.n = len(trace)
         self._op, self._pc = trace.op, trace.pc
-        #: per-uop 64-byte fetch line (front-end line-crossing checks)
-        self.lines = (trace.pc.astype(np.int64) >> 6).tolist()
-        #: per-uop FP classification (issue-queue steering in the OoO model)
-        self.is_fp = _FP_LUT[trace.op].tolist()
         self._issue_flags = None
 
     def issue_flags(self) -> tuple[list[bool], list[bool]]:

@@ -27,7 +27,7 @@ trace raises — so the components hold the whole state between runs.
 from __future__ import annotations
 
 from repro.core.base import CoreResult
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import FP_OPS, OpClass
 
 from . import memo
 from .compile import compiled_trace
@@ -40,6 +40,8 @@ _AMO = int(OpClass.AMO)
 _DIV = int(OpClass.INT_DIV)
 _VLOAD = int(OpClass.VLOAD)
 _VSETVL = int(OpClass.VSETVL)
+#: per-opcode FP classification (issue-queue steering)
+_IS_FP = [op in FP_OPS for op in range(256)]
 
 
 def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
@@ -59,8 +61,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
     taken_l = cols["taken"]
     pc_l = cols["pc"]
     tgt_l = cols["target"]
-    lines_l = ct.lines
-    fp_l = ct.is_fp
+    is_fp_op = _IS_FP
     n = ct.n
     lat_list = memo.latency_lut(cfg.latencies)
 
@@ -132,7 +133,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
             if fetch_floor > f:
                 stall_fe += fetch_floor - f
                 f = fetch_floor
-            line = lines_l[i]
+            line = pc >> 6
             if line != cur_line:
                 # sequential crossings use next-line fetch-ahead
                 # (issued when the previous line started draining);
@@ -157,7 +158,7 @@ def run_ooo(core, trace, start_time: int = 0) -> CoreResult:
                 d = rob_free
 
             is_mem = op == _LOAD or op == _STORE or op == _AMO
-            is_fp = fp_l[i]
+            is_fp = is_fp_op[op]
             if is_mem:
                 ring, head = memq_ring, memq_head
             elif is_fp:

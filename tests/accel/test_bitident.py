@@ -111,6 +111,36 @@ def test_straightline_runs_bit_identical(name):
                 == dataclasses.asdict(ref_sys.run(trace)))
 
 
+def _straddling_2_63():
+    """Loops whose PCs run across 2**63: a fall-through from the last
+    fetch line below it into the first above, then taken jumps to lines
+    on either side."""
+    top = 2 ** 63
+    b = TraceBuilder(pc0=top - 96)
+    for rep in range(40):
+        for i in range(40):
+            b.alu(dst=1 + i % 8, src1=1 + (i + 3) % 8)
+        b.fp(OpClass.FP_ADD, dst=40, src1=41, src2=40)
+        b.load(dst=9, addr=0x8000 + 64 * rep)
+        b.jump(target=(top - 96 - 64 * (rep % 3)) if rep % 2
+               else top + 64 * (rep % 5))
+        for _ in range(6):
+            b.alu(dst=2, src1=2)
+        b.branch(taken=True, target=top - 96)
+    return b.build()
+
+
+def test_ooo_fetch_lines_across_2_63_bit_identical():
+    """The OoO engine's fetch line is ``pc >> 6`` of the unsigned PC, as
+    in the reference loop, so a sequential crossing of 2**63 is
+    next-line fetch-ahead on both paths, not a redirect on one."""
+    trace = _straddling_2_63()
+    assert trace.pc.min() < 2 ** 63 <= trace.pc.max()
+    off, on = _pair(get_config("MediumBOOM"))
+    assert (dataclasses.asdict(System(on).run(trace))
+            == dataclasses.asdict(System(off).run(trace)))
+
+
 @pytest.mark.parametrize("name", ["Rocket1", "BananaPi-K1", "MILKVSim"])
 def test_cpi_stack_exact_sum_and_identical(name):
     """Accelerated runs must keep the CPI stack's exact-sum invariant and

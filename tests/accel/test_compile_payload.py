@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import base64
 import json
+import struct
+import types
+import zlib
 
 import pytest
 
 from repro.accel import memo
-from repro.accel.compile import (COMPILE_SCHEMA, shared_compiled,
-                                 trace_from_payload, trace_payload)
+from repro.accel.compile import (COMPILE_SCHEMA, compiled_store_key,
+                                 shared_compiled, trace_from_payload,
+                                 trace_payload)
 from repro.accel.stats import global_stats, reset_global_stats
 from repro.farm.store import SharedResultStore
 from repro.workloads.microbench import get_kernel
@@ -113,3 +117,44 @@ def test_shared_compiled_store_hit_and_damaged_entry(tmp_path):
     third = shared_compiled("CCh_st", 0.05, 3, build, store=store)
     assert len(built) == 2
     assert memo.trace_digest(third) == memo.trace_digest(first)
+
+
+def _v2_bytes(t):
+    """*t* in trace format v2: the header, then zlib of every column at
+    its full little-endian width (no width bytes)."""
+    body = b"".join(getattr(t, name).astype(
+                        getattr(t, name).dtype.newbyteorder("<")).tobytes()
+                    for name in t.COLUMNS)
+    return (struct.pack("<4sIQ64s", b"RTRC", 2, len(t),
+                        memo.trace_digest(t).encode("ascii"))
+            + zlib.compress(body, 1))
+
+
+def test_v2_store_entry_is_rebuilt_and_republished_as_v3(tmp_path):
+    store = SharedResultStore(tmp_path / "store")
+    skey = compiled_store_key("CCh_st", 0.05, 3)
+    stale = {"schema": COMPILE_SCHEMA,
+             "b64": base64.b64encode(_v2_bytes(_trace())).decode("ascii")}
+    job = types.SimpleNamespace(label="trace:CCh_st",
+                                describe=lambda: {"kind": "compiled-trace"})
+    store.put(skey, job, stale)
+    assert trace_from_payload(store.get(skey)) is None
+    built = []
+
+    def build():
+        built.append(1)
+        return _trace()
+
+    first = shared_compiled("CCh_st", 0.05, 3, build, store=store)
+    assert len(built) == 1
+    assert global_stats().compile_store_misses == 1
+    assert global_stats().compile_store_hits == 0
+    raw = base64.b64decode(store.get(skey)["b64"])
+    assert struct.unpack_from("<I", raw, 4)[0] == 3  # republished as v3
+
+    memo.clear_caches()
+    second = shared_compiled("CCh_st", 0.05, 3, build, store=store)
+    assert len(built) == 1
+    assert global_stats().compile_store_hits == 1
+    assert global_stats().compile_store_misses == 1
+    assert memo.trace_digest(second) == memo.trace_digest(first)
