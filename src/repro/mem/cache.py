@@ -10,6 +10,13 @@ access, bottoming out at a DRAM from :mod:`repro.mem.dram`.
 The model tracks true tag state (hits and misses are exact for the access
 stream it sees), per-bank busy times (bank conflicts), a finite MSHR pool
 (miss-level parallelism limit), and dirty-victim writebacks.
+
+Tag state is two structures.  Each set is a list of its resident line
+tags in LRU order, least recent first and most recent last: the row's
+length is its valid-way count, a hit moves its tag to the end and a
+miss in a full row evicts ``row[0]``, so no way is ever searched for by
+stamp or validity.  The dirty lines of the whole cache are one ``set``
+of line tags; an evicted tag found there is written back and leaves it.
 """
 
 from __future__ import annotations
@@ -77,29 +84,19 @@ class Cache:
         self.stats = CacheStats()
         self._line_shift = cfg.line_bytes.bit_length() - 1
         self._set_mask = cfg.sets - 1
-        # per-set rows of tags (-1 = invalid), dirty bits and LRU stamps
-        # (larger = more recently used), made by ``_row``; bound walks
-        # hold these lists live, so they are only mutated in place
+        # per set, the resident line tags in LRU order (least recent
+        # first, MRU last), None until the set's first access so a cache
+        # costs what a run touches, not its tens of thousands of LLC
+        # sets; bound walks hold these lists live, so they are only
+        # mutated in place
         self._tags: list[list[int] | None] = [None] * cfg.sets
-        self._dirty: list[list[bool] | None] = [None] * cfg.sets
-        self._lru: list[list[int] | None] = [None] * cfg.sets
-        self._use_counter = 0
+        #: line tags of the resident lines that are dirty
+        self._dirty: set[int] = set()
         # per-bank occupancy (interval-tracked: shared caches see
         # requests from mutually-skewed tile clocks)
         self._bank_free = [OccupancyTimeline() for _ in range(cfg.banks)]
         # outstanding fills: line_addr -> fill completion time (pruned lazily)
         self._mshr: dict[int, int] = {}
-
-    def _row(self, set_idx: int) -> list[int]:
-        """Make set *set_idx*'s rows, every way invalid; returns its tags.
-
-        Called on a set's first access, so a cache costs what a run
-        touches, not its tens of thousands of LLC sets."""
-        ways = self.cfg.ways
-        self._tags[set_idx] = row = [-1] * ways
-        self._dirty[set_idx] = [False] * ways
-        self._lru[set_idx] = [0] * ways
-        return row
 
     # -- the access path ----------------------------------------------------
 
@@ -108,24 +105,24 @@ class Cache:
 
         Returns ``(access, close)``.  ``access(addr, time, is_store)``
         returns the completion time; misses and dirty victims go to
-        ``next_access(line_addr, time, is_store)``.  The tag/dirty/LRU
-        rows, MSHRs and bank timelines are used in place; the LRU use
-        counter and the stats live in locals until ``close``, which must
-        run exactly once.  Two shortcuts are exact by a bound: a booking
-        at or after a bank timeline's last end appends at its tail, and
-        past ``mshr_hw`` no fill can still be outstanding.
+        ``next_access(line_addr, time, is_store)``.  The LRU-ordered
+        rows, the dirty set, MSHRs and bank timelines are used in place;
+        the stats live in locals until ``close``, which must run exactly
+        once.  Two shortcuts are exact by a bound: a booking at or after
+        a bank timeline's last end appends at its tail (the bounded deque
+        drops its oldest interval itself), and past ``mshr_hw`` no fill
+        can still be outstanding.
         """
         cfg = self.cfg
         st = self.stats
         line_shift = self._line_shift
         set_mask = self._set_mask
         hit_lat = cfg.hit_latency
+        ways = cfg.ways
         banks = cfg.banks
         n_mshrs = cfg.mshrs
         cyc = cfg.cycle_time
-        tags, dirty, lru = self._tags, self._dirty, self._lru
-        make_row = self._row
-        use_counter = self._use_counter
+        tags, dirty = self._tags, self._dirty
         mshr = self._mshr
         #: no fill in ``mshr`` completes later than this, so a lookup at
         #: or past it finds nothing outstanding and is skipped
@@ -133,7 +130,6 @@ class Cache:
         bank_tl = self._bank_free
         bank_starts = [tl._starts for tl in bank_tl]
         bank_ends = [tl._ends for tl in bank_tl]
-        bank_max = [tl.max_intervals for tl in bank_tl]
         # stats accumulate in locals and flush at close (same totals,
         # fewer attribute round-trips on the hottest call in the simulator)
         n_access = n_misses = n_wb = n_merges = 0
@@ -142,10 +138,9 @@ class Cache:
 
         def access(addr, time, is_store):
             nonlocal n_access, n_misses, n_wb, n_merges, n_conflict, \
-                n_mshr_stall, use_counter, mshr_hw
+                n_mshr_stall, mshr_hw
             n_access += 1
             line = addr >> line_shift
-            set_idx = line & set_mask
 
             start = float(time)
             if cyc > 0:
@@ -155,25 +150,21 @@ class Cache:
                     # monotone arrival: what reserve() does at the tail
                     bank_starts[bank].append(start)
                     ends.append(start + cyc)
-                    drop = len(ends) - bank_max[bank]
-                    if drop > 0:
-                        del bank_starts[bank][:drop]
-                        del ends[:drop]
                 else:
                     start = bank_tl[bank].reserve(time, cyc)
                     if start > time:
                         n_conflict += int(start - time)
 
-            row = tags[set_idx]
+            row = tags[line & set_mask]
             if row is None:
-                row = make_row(set_idx)
+                row = tags[line & set_mask] = []
             if line in row:
-                way = row.index(line)
-                use_counter += 1
-                lru[set_idx][way] = use_counter
+                if row[-1] != line:
+                    row.remove(line)
+                    row.append(line)
                 done = start + hit_lat
                 if is_store:
-                    dirty[set_idx][way] = True
+                    dirty.add(line)
                 # the tag is installed at miss time, but data arrives
                 # with the fill: a hit on an in-flight line waits for it
                 if mshr_hw > done:
@@ -206,26 +197,20 @@ class Cache:
                     for a in [a for a, ft in mshr.items() if ft <= tag_time]:
                         del mshr[a]
 
-            # victim: the first invalid way, else the least recently used
-            if -1 in row:
-                way = row.index(-1)
-            else:
-                lr = lru[set_idx]
-                way = lr.index(min(lr))
-            vtag = row[way]
-            if dirty[set_idx][way] and vtag != -1:
-                n_wb += 1
-                # the writeback consumes next-level bandwidth but does
-                # not block the fill
-                next_access(vtag << line_shift, fill_time, True)
-            row[way] = line
-            dirty[set_idx][way] = bool(is_store)
-            use_counter += 1
-            lru[set_idx][way] = use_counter
+            if len(row) >= ways:
+                vtag = row.pop(0)
+                if vtag in dirty:
+                    dirty.remove(vtag)
+                    n_wb += 1
+                    # the writeback consumes next-level bandwidth but
+                    # does not block the fill
+                    next_access(vtag << line_shift, fill_time, True)
+            row.append(line)
+            if is_store:
+                dirty.add(line)
             return fill_time
 
         def close():
-            self._use_counter = use_counter
             st.accesses += n_access
             st.hits += n_access - n_misses
             st.misses += n_misses

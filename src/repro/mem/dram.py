@@ -206,7 +206,6 @@ class DRAM:
         chan_bus = self._chan_bus
         bus_starts = [tl._starts for tl in chan_bus]
         bus_ends = [tl._ends for tl in chan_bus]
-        bus_max = [tl.max_intervals for tl in chan_bus]
         queue_depth = cfg.queue_depth
         qmax = 4 * queue_depth
         n_access = n_writes = 0
@@ -276,10 +275,6 @@ class DRAM:
                 if not ends or xfer_start >= ends[-1]:
                     bus_starts[chan].append(xfer_start)
                     ends.append(xfer_start + cXFER)
-                    drop = len(ends) - bus_max[chan]
-                    if drop > 0:
-                        del bus_starts[chan][:drop]
-                        del ends[:drop]
                 else:
                     xfer_start = chan_bus[chan].reserve(access_done, cXFER)
             finish = xfer_start + cXFER

@@ -21,10 +21,10 @@ core loop calls: TLB -> L1 -> (prefetcher) -> bus -> directory -> L2 ->
 :meth:`StridePrefetcher.bind <repro.mem.prefetch.StridePrefetcher.bind>`,
 :meth:`Uncore.bind` (the bus and directory step, fused) and
 :meth:`DRAM.bind <repro.mem.dram.DRAM.bind>`.  Tables, dicts and
-timelines are used in place, so binding copies nothing; counters and a
-cache's LRU use counter live in locals until ``close``, which must run
-exactly once, even when the run raises.  At most one bind of a system
-may be open at a time: the shared levels' locals would otherwise fork.
+timelines are used in place, so binding copies nothing; counters live
+in locals until ``close``, which must run exactly once, even when the
+run raises.  At most one bind of a system may be open at a time: the
+shared levels' locals would otherwise fork.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class Uncore:
         bus_tl = bus._timeline
         bus_starts = bus_tl._starts
         bus_ends = bus_tl._ends
-        bus_max = bus_tl.max_intervals
         bus_reserve = bus_tl.reserve
         n_transfers = 0
         directory = self.directory
@@ -145,10 +144,6 @@ class Uncore:
             if not bus_ends or start >= bus_ends[-1]:
                 bus_starts.append(start)
                 bus_ends.append(start + bus_occ)
-                drop = len(bus_ends) - bus_max
-                if drop > 0:
-                    del bus_starts[:drop]
-                    del bus_ends[:drop]
             else:
                 start = bus_reserve(start, bus_occ)
                 if start > time:

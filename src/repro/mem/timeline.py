@@ -8,15 +8,18 @@ lagging rank phantom contention against reservations made far in its
 future; the timeline instead keeps the actual busy intervals and books
 each request into the earliest real gap at or after its own time.
 
-The bound access paths (:meth:`repro.mem.cache.Cache.bind` and friends)
-book a request at or after the last end by appending to ``_starts`` /
-``_ends`` directly, trimming to ``max_intervals`` as ``reserve`` would,
-and call ``reserve`` only for a request that lands inside the history.
+``_starts`` / ``_ends`` are deques bounded at ``max_intervals``, so the
+oldest interval falls off the front by itself.  The bound access paths
+(:meth:`repro.mem.cache.Cache.bind` and friends) book a request at or
+after the last end by appending to both directly, with no trim of their
+own, and call ``reserve`` only for a request that lands inside the
+history.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 
 __all__ = ["OccupancyTimeline"]
 
@@ -25,8 +28,8 @@ class OccupancyTimeline:
     """Busy intervals of one serially-occupied resource.
 
     ``reserve(time, duration)`` books the earliest gap of *duration* that
-    starts at or after *time* and returns the start.  The interval list is
-    pruned from the front once it exceeds ``max_intervals`` (ancient
+    starts at or after *time* and returns the start.  At most
+    ``max_intervals`` intervals are kept; the oldest goes first (ancient
     history; by then every tile's clock has moved past it).
     """
 
@@ -35,8 +38,8 @@ class OccupancyTimeline:
     def __init__(self, max_intervals: int = 512) -> None:
         if max_intervals < 8:
             raise ValueError("max_intervals must be >= 8")
-        self._starts: list[float] = []
-        self._ends: list[float] = []
+        self._starts: deque[float] = deque(maxlen=max_intervals)
+        self._ends: deque[float] = deque(maxlen=max_intervals)
         self.max_intervals = max_intervals
 
     def reserve(self, time: float, duration: float) -> float:
@@ -54,10 +57,14 @@ class OccupancyTimeline:
             if ends[i] > t:
                 t = ends[i]
             i += 1
+        if len(starts) == self.max_intervals:
+            # full: the oldest interval goes, and a booking before the
+            # whole history would be that oldest one itself
+            if i == 0:
+                return t
+            starts.popleft()
+            ends.popleft()
+            i -= 1
         starts.insert(i, t)
         ends.insert(i, t + duration)
-        if len(starts) > self.max_intervals:
-            drop = len(starts) - self.max_intervals
-            del starts[:drop]
-            del ends[:drop]
         return t

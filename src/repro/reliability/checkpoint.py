@@ -22,7 +22,8 @@ Design notes:
   payload detects torn/corrupted files, a config fingerprint refuses
   restores onto a mismatched topology, and :func:`audit_checkpoint`
   checks physical invariants (token conservation, monotonic lane clocks,
-  cache tag uniqueness, dirty ⊆ valid, TLB set bounds) on every restore.
+  cache tag uniqueness and set bounds, dirty ⊆ resident, TLB set bounds)
+  on every restore.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ __all__ = [
 
 #: bump when the capture layout below changes incompatibly (2: cache and
 #: predictor tables are lists of rows, predictors captured as components;
-#: 3: TAGE's folded-history registers are captured state)
-CHECKPOINT_SCHEMA = 3
+#: 3: TAGE's folded-history registers are captured state; 4: a cache set
+#: is its resident tags in LRU order and a cache's dirty lines one set)
+CHECKPOINT_SCHEMA = 4
 
 _PICKLE_PROTOCOL = 4  # fixed so digests are stable across interpreters
 
@@ -102,7 +104,7 @@ _WIRING = {"cfg", "name", "port", "bru", "uncore", "tile_id", "prefetcher",
 #: predictors (TAGE's folded registers included): lists of scalars or of
 #: rows of scalars (a cache's unmade sets are None), so they are copied
 #: row by row and hashed per table
-_TABLES = frozenset({"_tags", "_dirty", "_lru", "_ctr", "_tag", "_target",
+_TABLES = frozenset({"_tags", "_lru", "_ctr", "_tag", "_target",
                      "_useful", "_fidx", "_ftag", "_ftag1"})
 
 
@@ -203,20 +205,36 @@ def restore_system(system, state: dict) -> None:
 # -- invariant audit ----------------------------------------------------------
 
 
-def _audit_cache(label: str, cs: dict, problems: list[str]) -> None:
-    dirty_invalid = False
-    for s, (row, dirty) in enumerate(zip(cs["_tags"], cs["_dirty"])):
+def _cache_ways(system) -> dict[str, int]:
+    """Each cache's associativity, by its audit label."""
+    out = {}
+    for t, tile in enumerate(system.tiles):
+        out[f"tile{t}.l1i"] = tile.port.l1i.cfg.ways
+        out[f"tile{t}.l1d"] = tile.port.l1d.cfg.ways
+    out["l2"] = system.uncore.l2.cfg.ways
+    for i, sl in enumerate(system.uncore.llc.slices
+                           if system.uncore.llc is not None else []):
+        out[f"llc{i}"] = sl.cfg.ways
+    return out
+
+
+def _audit_cache(label: str, cs: dict, ways: int | None,
+                 problems: list[str]) -> None:
+    """Rows hold distinct tags, no more than *ways* of them (unchecked
+    when None), and every dirty line is resident in its own set."""
+    tags = cs["_tags"]
+    for s, row in enumerate(tags):
         if row is None:
             continue
-        valid = [t for t in row if t != -1]
-        if len(valid) != len(set(valid)):
+        if len(row) != len(set(row)):
             problems.append(
-                f"{label}: duplicate valid tag in set {s} "
-                f"(cache line corruption)")
-        dirty_invalid = dirty_invalid or any(
-            d and t == -1 for d, t in zip(dirty, row))
-    if dirty_invalid:
-        problems.append(f"{label}: dirty bit set on an invalid way")
+                f"{label}: duplicate tag in set {s} (cache line corruption)")
+        if ways is not None and len(row) > ways:
+            problems.append(
+                f"{label}: set {s} holds {len(row)} lines (ways {ways})")
+    mask = cs["_set_mask"]
+    if any(t not in (tags[t & mask] or ()) for t in cs["_dirty"]):
+        problems.append(f"{label}: dirty line not resident in its set")
 
 
 def _audit_tlb(label: str, ts: dict, problems: list[str]) -> None:
@@ -245,18 +263,22 @@ def audit_checkpoint(ckpt: "SimCheckpoint", system=None) -> list[str]:
     Invariants: schema match, (optional) config fingerprint vs *system*,
     token conservation on every channel, monotonic non-negative lane
     clocks with offsets inside the trace, per-set cache tag uniqueness,
-    dirty ⊆ valid, and TLB set occupancy within associativity.
+    dirty ⊆ resident, TLB set occupancy within associativity, and, given
+    a matching *system*, cache set occupancy within associativity.
     """
     problems: list[str] = []
     if ckpt.schema != CHECKPOINT_SCHEMA:
         problems.append(
             f"schema {ckpt.schema} != supported {CHECKPOINT_SCHEMA}")
+    ways: dict[str, int] = {}
     if system is not None:
         fp = config_fingerprint(system.cfg)
         if fp != ckpt.config_fp:
             problems.append(
                 f"config fingerprint mismatch: checkpoint is for "
                 f"{ckpt.config_name!r}, system is {system.cfg.name!r}")
+        else:
+            ways = _cache_ways(system)
 
     sched = ckpt.scheduler
     if sched is not None:
@@ -297,16 +319,17 @@ def audit_checkpoint(ckpt: "SimCheckpoint", system=None) -> list[str]:
                                     or res["instructions"] < 0):
                 problems.append(f"lane {i}: negative partial result")
 
+    caches = []
     for t, ts in enumerate(ckpt.state.get("tiles", [])):
-        _audit_cache(f"tile{t}.l1i", ts["l1i"], problems)
-        _audit_cache(f"tile{t}.l1d", ts["l1d"], problems)
+        caches += [(f"tile{t}.l1i", ts["l1i"]), (f"tile{t}.l1d", ts["l1d"])]
         _audit_tlb(f"tile{t}.itlb", ts["itlb"], problems)
         _audit_tlb(f"tile{t}.dtlb", ts["dtlb"], problems)
     ustate = ckpt.state.get("uncore", {})
     if ustate:
-        _audit_cache("l2", ustate["l2"], problems)
-        for i, ss in enumerate(ustate["llc"] or []):
-            _audit_cache(f"llc{i}", ss, problems)
+        caches.append(("l2", ustate["l2"]))
+        caches += [(f"llc{i}", ss) for i, ss in enumerate(ustate["llc"] or [])]
+    for label, cs in caches:
+        _audit_cache(label, cs, ways.get(label), problems)
     return problems
 
 
@@ -335,6 +358,11 @@ def _digest_update(h, obj) -> None:
     elif isinstance(obj, (list, tuple, deque)):
         h.update(b"L" + str(len(obj)).encode())
         for v in obj:
+            _digest_update(h, v)
+    elif isinstance(obj, (set, frozenset)):
+        # no order to keep: the sorted elements
+        h.update(b"E" + str(len(obj)).encode())
+        for v in sorted(obj):
             _digest_update(h, v)
     elif isinstance(obj, dict):
         # insertion order is state (OrderedDict = LRU order in TLBs)
@@ -429,8 +457,9 @@ class SimCheckpoint:
         """Raise :class:`CheckpointError` if content does not match digest.
 
         A checkpoint of another schema is refused before its content is
-        walked: schema 1 held numpy tables this build does not read, and
-        schema 2 lacks TAGE's folded-history registers.
+        walked: schema 1 held numpy tables this build does not read,
+        schema 2 lacks TAGE's folded-history registers, and schema 3
+        holds per-way cache tag, dirty and LRU-stamp rows.
         """
         if self.schema != CHECKPOINT_SCHEMA:
             raise CheckpointError(

@@ -225,7 +225,7 @@ def apply_token_fault(fault: Fault, scheduler) -> None:
 
 def corrupt_cache_line(system, tile: int = 0, cache: str = "l1d",
                        rng: random.Random | None = None) -> str:
-    """Duplicate a valid tag inside one cache set (silent data corruption).
+    """Duplicate a resident tag inside one cache set (silent data corruption).
 
     The damage is exactly what the checkpoint audit's per-set
     tag-uniqueness invariant detects.  Returns the damaged cache's name.
@@ -239,21 +239,19 @@ def corrupt_cache_line(system, tile: int = 0, cache: str = "l1d",
         if target is None:
             raise FaultPlanError(f"unknown cache {cache!r} for corrupt-line")
     tags = target._tags
-    ways = target.cfg.ways
-    if ways < 2:
-        raise FaultPlanError(f"{target.name}: direct-mapped, cannot "
-                             f"duplicate a tag within a set")
-    # prefer a set that already holds a valid line; else forge one
-    candidates = [s for s, row in enumerate(tags)
-                  if row is not None and row.count(-1) < ways]
-    s = rng.choice(candidates) if candidates else rng.randrange(len(tags))
-    row = tags[s] if tags[s] is not None else target._row(s)
-    valid_ways = [w for w in range(ways) if row[w] != -1]
-    src = valid_ways[0] if valid_ways else 0
-    if not valid_ways:
-        row[src] = 0x51C0FFEE
-    dst = (src + 1) % ways
-    row[dst] = row[src]
+    # prefer a set that already holds a line; else forge one in an
+    # untouched set
+    candidates = [s for s, row in enumerate(tags) if row]
+    if candidates:
+        row = tags[rng.choice(candidates)]
+    else:
+        s = rng.randrange(len(tags))
+        row = tags[s] = tags[s] or []
+        row.append(0x51C0FFEE)
+    if len(row) > 1:
+        row[1] = row[0]
+    else:
+        row.append(row[0])
     return target.name
 
 

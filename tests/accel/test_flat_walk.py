@@ -7,8 +7,8 @@ call and state digest by state digest: the tail-appended timelines, the
 MSHR/in-flight high-water marks, the per-set cache rows, the inlined TLB
 probe, the prefetcher and the interleaved LLC slices.  The classified
 engine loop is compared with the reference loop across chunk boundaries,
-results and every piece of captured state (tags, dirty bits, LRU stamps,
-MSHR dicts, every timeline's ``_starts``/``_ends``, DRAM in-flight
+results and every piece of captured state (LRU-ordered tag rows, dirty
+sets, MSHR dicts, every timeline's ``_starts``/``_ends``, DRAM in-flight
 queues, TLB sets), value for value and type for type.
 """
 
@@ -19,6 +19,7 @@ import hashlib
 import json
 import pathlib
 import random
+from collections import deque
 
 import pytest
 
@@ -51,8 +52,10 @@ def _cold_caches():
 def _canon(x):
     if isinstance(x, dict):
         return {k: _canon(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple, deque)):
         return [_canon(v) for v in x]
+    if isinstance(x, (set, frozenset)):
+        return sorted(_canon(v) for v in x)
     if dataclasses.is_dataclass(x):
         return _canon(dataclasses.asdict(x))
     if hasattr(x, "__slots__"):

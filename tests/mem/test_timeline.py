@@ -1,7 +1,9 @@
 """OccupancyTimeline tests: earliest-fit booking under out-of-order requests."""
 
+from bisect import bisect_left
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mem.timeline import OccupancyTimeline
@@ -78,3 +80,45 @@ def test_reservations_never_overlap(requests):
     booked.sort()
     for (s1, e1), (s2, e2) in zip(booked, booked[1:]):
         assert e1 <= s2, f"overlap: [{s1},{e1}) and [{s2},{e2})"
+
+
+def _list_reserve(starts, ends, max_intervals, time, duration):
+    """The list-backed ``reserve`` that trimmed after every insert: the
+    reference the bounded deques must match booking for booking."""
+    if duration <= 0:
+        return float(time)
+    t = float(time)
+    i = bisect_left(starts, t)
+    if i > 0 and ends[i - 1] > t:
+        t = ends[i - 1]
+    while i < len(starts) and starts[i] < t + duration:
+        if ends[i] > t:
+            t = ends[i]
+        i += 1
+    starts.insert(i, t)
+    ends.insert(i, t + duration)
+    if len(starts) > max_intervals:
+        drop = len(starts) - max_intervals
+        del starts[:drop]
+        del ends[:drop]
+    return t
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0, 3, 400]),
+                          st.integers(0, 30)), min_size=1, max_size=120))
+@example([(10, 0, 5)] * 9 + [(0, 400, 4)])  # full, then before it all
+@settings(max_examples=200, deadline=None)
+def test_bounded_deque_matches_list_and_trim(bookings):
+    """Random bookings on a clock that drifts forward, each requested
+    0, 3 or 400 units in its past: tail appends, gap fills, and (once
+    eight intervals are held) bookings before the whole history."""
+    t = OccupancyTimeline(max_intervals=8)
+    starts, ends = [], []
+    clock = 0
+    for step, back, duration in bookings:
+        clock += step
+        when = max(0, clock - back)
+        assert t.reserve(when, duration) == _list_reserve(
+            starts, ends, 8, when, duration)
+        assert list(t._starts) == starts and list(t._ends) == ends
+        assert len(t._starts) == len(t._ends) <= 8

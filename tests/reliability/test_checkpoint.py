@@ -191,6 +191,27 @@ def test_audit_catches_corrupt_cache_line():
         ckpt.audit()
 
 
+def test_audit_catches_an_overfull_set_and_a_stray_dirty_line():
+    """A row longer than the cache's ways (checked against the restoring
+    system) and a dirty line that is not resident in its own set."""
+    system = System(get_config("Rocket1"))
+    system.run(kernel_trace())
+    ckpt = system.save_checkpoint()
+    assert audit_checkpoint(ckpt, system) == []
+    l1d = ckpt.state["tiles"][0]["l1d"]
+    stride = l1d["_set_mask"] + 1
+    row = next(r for r in l1d["_tags"] if r)
+    ways = system.tiles[0].port.l1d.cfg.ways
+    row += [max(row) + stride * k for k in range(1, ways + 1)]
+    l1d["_dirty"].add(max(row) + stride)
+    problems = audit_checkpoint(ckpt, system)
+    assert any(f"(ways {ways})" in p for p in problems), problems
+    assert any("dirty line not resident" in p for p in problems), problems
+    ckpt.digest = ckpt.compute_digest()     # sealed, so only the audit objects
+    with pytest.raises(CheckpointAuditError):
+        System(get_config("Rocket1")).restore(ckpt, None)
+
+
 def test_audit_catches_token_leak():
     system = System(get_config("Rocket1"))
     run = system.start_parallel([kernel_trace()], quantum=QUANTUM,

@@ -10,6 +10,8 @@ The values below are that era's ``config_digest(BANANA_PI_SIM)`` and
 else, so such a file is refused before its numpy content is walked.
 Schema 2 checkpoints lack TAGE's folded-history registers, which a
 restore would otherwise leave at their values in the target system.
+Schema 3 checkpoints hold every cache set as per-way tag, dirty-bit and
+LRU-stamp rows, where today a set is its resident tags in LRU order.
 """
 
 import numpy as np
@@ -47,8 +49,28 @@ def _as_schema_1(ckpt, config_fp):
     return ckpt
 
 
+def _per_way(state):
+    """Rewrite a cache's state in the per-way layout of schemas 1-3: per
+    set, tags (-1 = invalid), dirty bits and LRU stamps (larger = more
+    recent), derived from today's LRU-ordered rows and dirty set."""
+    rows, dirty = state["_tags"], state["_dirty"]
+    ways = max((len(r) for r in rows if r is not None), default=1)
+
+    def per_way(values, empty):
+        return [None if r is None else v + [empty] * (ways - len(r))
+                for r, v in zip(rows, values)]
+
+    state["_tags"] = per_way(rows, -1)
+    state["_dirty"] = per_way([r and [t in dirty for t in r] for r in rows],
+                              False)
+    state["_lru"] = per_way([r and list(range(1, len(r) + 1)) for r in rows],
+                            0)
+    state["_use_counter"] = ways
+    return ways
+
+
 def _numpy_cache(state):
-    ways = max((len(r) for r in state["_tags"] if r is not None), default=1)
+    ways = _per_way(state)
     for name, empty in (("_tags", -1), ("_dirty", False), ("_lru", 0)):
         state[name] = np.array([r if r is not None else [empty] * ways
                                 for r in state[name]])
@@ -117,6 +139,27 @@ def test_schema_2_checkpoint_without_folded_registers_is_refused(tmp_path):
     with pytest.raises(CheckpointError, match="schema 2"):
         SimCheckpoint.load(ckpt.save(tmp_path / "schema2.ckpt"))
     with pytest.raises(CheckpointError, match="schema 2"):
+        System(cfg).restore(ckpt, None)
+
+
+def test_schema_3_per_way_cache_checkpoint_is_refused(tmp_path):
+    """A schema-3 snapshot: every cache set as per-way tag, dirty-bit and
+    LRU-stamp rows.  Refused by name of its schema."""
+    cfg = get_config("BananaPiSim")
+    trace = get_kernel("MM").build(scale=0.05, seed=0)
+    old = System(cfg)
+    old.run(trace)
+    ckpt = old.save_checkpoint()
+    for ts in ckpt.state["tiles"]:
+        for c in ("l1i", "l1d"):
+            _per_way(ts[c])
+    _per_way(ckpt.state["uncore"]["l2"])
+    ckpt.schema = 3
+    with pytest.raises(CheckpointError, match="schema 3"):
+        SimCheckpoint.from_bytes(ckpt.to_bytes())
+    with pytest.raises(CheckpointError, match="schema 3"):
+        SimCheckpoint.load(ckpt.save(tmp_path / "schema3.ckpt"))
+    with pytest.raises(CheckpointError, match="schema 3"):
         System(cfg).restore(ckpt, None)
 
 
