@@ -29,6 +29,18 @@ GOLDEN_KEYS = {
     "checkprog": "07010a1fc0dff13acef892a7f688ddc87db57e8d3bdf7301c778cbe09063b5bf",
 }
 
+#: ``GOLDEN_KEYS`` of the same jobs with the ``accel`` knob gone from
+#: every config tree (the job's own and each sweep sub-config's)
+KNOBLESS_KEYS = {
+    "kernel": "5f0bfaa4432c0859212315b7dc03173b7689ad0d2caf5bc04510be7609a71590",
+    "kernel_plain": "16cb236eb3456cd969a5ef6c49eeed02ea4a203f20a9263a0772cd92ea0ed007",
+    "sweep": "86bae8372e15161f09fad6d3d70ffad85f7161ccb398d90a5d1fe0181e9908e7",
+    "npb": "014ab0a7e6dcb4be4e7e17c9b64ecd9a92cbe4eac4753cf213ba80c7354e2216",
+    "checkprog": "e4d934803a1e09fdbd15309e89dacbc9df88db5e0a895cf64cc881c85e6be3fc",
+    "ghz_float": "c0bf8aaffbbcb9abd8fe3b6b957b92c5dc98befaf0624793a60a6006301631d8",
+    "ghz_int": "c33201a6ffd52fca6e735422b3f7121cd8540cac1fd8c60e9eb7ce3d4659531e",
+}
+
 GOLDEN_DIGESTS = {
     "BananaPi-K1": "053727cb109cc05187b2aa32e0104127a69bb1fc20385736408c8c77fe786b31",
     "BananaPiSim": "1798e5964e97432e512205b27485a1c73cab3ceeb5e1bb78941f4f08e369e575",
@@ -116,6 +128,30 @@ def test_mutating_a_described_tree_does_not_move_the_key():
             sub.clear()
         assert cache_key(job) == GOLDEN_KEYS[name], name
         assert job.describe()["config"] == dataclasses.asdict(job.config)
+
+
+def test_knobless_keys_are_the_projection_of_the_describe_tree():
+    """Popping ``accel`` from each described config tree and hashing the
+    rest the way ``cache_key`` does gives ``KNOBLESS_KEYS``."""
+    import hashlib
+    import json
+
+    from repro import __version__
+    from repro.farm.cache import CACHE_SCHEMA
+
+    jobs = dict(golden_jobs(),
+                ghz_float=Job.kernel(ghz(2.0), "EI", scale=0.05),
+                ghz_int=Job.kernel(ghz(2), "EI", scale=0.05))
+    for name, job in jobs.items():
+        tree = job.describe()
+        tree["config"].pop("accel")
+        for sub in tree["params"].get("configs", ()):
+            sub.pop("accel")
+        blob = json.dumps({"cache_schema": CACHE_SCHEMA,
+                           "repro_version": __version__, "job": tree},
+                          sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            KNOBLESS_KEYS[name], name
 
 
 def test_memo_is_bounded_over_many_transient_configs():
