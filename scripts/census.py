@@ -70,8 +70,9 @@ CONFIG_HOOKS = (("soc/system.py", "System.__init__"),
                 ("mem/dram.py", "DRAM.__init__"))
 
 _FAILURE = "keep: runs only when something fails ({})"
-_ITEM4 = ("keep: ROADMAP item 4 stage 3 keeps one core loop per core "
-          "type; its API is settled there, not twice")
+_ITEM17 = ("keep: ROADMAP item 17 relocates what survives of "
+           "`repro.accel` beside the one core loop per core type; the core "
+           "API is settled there, not twice")
 _ITEM18 = ("keep: ROADMAP item 18 settles the lockstep scheduler's API "
            "with the one chunk driver")
 _ITEM7 = ("keep: ROADMAP item 7 folds `farm`/`serve` into one executor "
@@ -173,8 +174,6 @@ VERDICTS: list[tuple[str, str]] = [
      "(stream release, trigger specs as dicts for farm workers)"),
     ("serve/*", _ITEM7),
     ("farm/*", _ITEM7),
-    ("accel/bench.py:*", "keep: ROADMAP item 6 retires `accel/bench.py` "
-     "with `repro bench` (`bench_smoke.py` runs it)"),
     ("accel/stats.py:*", "keep: ROADMAP item 6(d) reshapes the accel "
      "counters"),
     ("accel/compile.py:_TraceKey.*", "keep: publishes compiled traces into "
@@ -187,7 +186,7 @@ VERDICTS: list[tuple[str, str]] = [
      "`OoOCore` build when no branch unit is passed (bare cores in "
      "tier-1); `System` passes `build_branch_unit(cfg)`; it holds no "
      "table of its own"),
-    ("core/*", _ITEM4),
+    ("core/*", _ITEM17),
     ("soc/tokens.py:*", _ITEM18),
     ("telemetry/*", "keep: the snapshot/CPI-stack API of observability.md"),
     ("workloads/microbench/controlflow.py:CRm.build", "keep: Table 1's "

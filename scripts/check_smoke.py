@@ -4,9 +4,9 @@
 Two gates, mirroring ``docs/checking.md``:
 
 1. a 25-seed ``repro check`` campaign across all oracle tiers
-   (golden, lint, accel, checkpoint, instrument, farm, chaos) must
-   finish with zero divergences — no shrinking, so an unexpected finding fails loudly
-   instead of writing into the committed corpus;
+   (golden, lint, batch, checkpoint, instrument, farm, chaos) must
+   finish with zero divergences — no shrinking, so an unexpected finding
+   fails loudly instead of writing into the committed corpus;
 2. every shrunk repro in ``tests/check/corpus/`` must replay clean,
    proving each bug the fuzzer ever found is still fixed.
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Pinned simulation results: one sha-256 per ``Job.kernel`` payload.
 
-The ``accel`` and ``batch`` oracle tiers compare the engines against the
-reference models, and both read the same component state, so a change
-that moves that state for both passes them.  This script pins the
-numbers themselves: for every configuration in ``ALL_CONFIGS``, every
+The ``batch`` oracle tier compares two ways of running the one core
+loop, so a change that moves the loop's numbers passes it.  This script
+pins the numbers themselves: for every configuration in ``ALL_CONFIGS``, every
 runnable MicroBench kernel and seeds 0 and 1 at scale 0.02, the
 sha-256 of the kernel job's payload (cycles, stalls, every telemetry
 counter, the CPI stack) goes into ``tests/check/pinned_results.json``.

@@ -1,27 +1,21 @@
-"""Hot-path acceleration layer: transliterated engines + memoization.
+"""Hot-path support for the core loops: compiled traces + memoization.
 
-``repro.accel`` makes single-process sweeps several times faster without
-changing a single simulated number:
+``repro.accel`` keeps single-process sweeps fast without changing a
+single simulated number:
 
-* :func:`~repro.accel.engine.run_inorder` — a bit-identical fast
-  execution path for :class:`~repro.core.inorder.InOrderCore`, selected
-  by the ``SoCConfig.accel`` knob (``"on"``/``"off"``): one
-  transliterated scalar core loop over the components' own state
-  (:func:`~repro.accel.ooo.run_ooo` is its out-of-order twin).  The
-  knob chooses the core loop only; both loops drive the one memory
-  walk of :meth:`~repro.mem.hierarchy.TilePort.bind`.
-* :mod:`~repro.accel.compile` / :mod:`~repro.accel.batch` — compile a
-  trace once, then run every config of a sweep over the compiled form.
+* :mod:`~repro.accel.compile` — a trace compiled once into the
+  plain-list columns and per-uop issue flags that ``InOrderCore.run``
+  and ``OoOCore.run`` read; :mod:`~repro.accel.batch` runs every config
+  of a sweep over one compiled form.
 * :mod:`~repro.accel.memo` — content-digest trace identity, shared
-  workload traces across sweep points, and an in-process LRU for
-  whole-run results.
-* :mod:`~repro.accel.stats` — per-core engine uop counters and
-  process-wide memo counters, surfaced through telemetry snapshots as
-  ``accel.*`` keys.
+  workload traces across sweep points, per-table latency lists, and an
+  in-process LRU for whole-run results (``REPRO_ACCEL_MEMO=0`` turns
+  the result memo off).
+* :mod:`~repro.accel.stats` — per-core uop counters and process-wide
+  memo counters, surfaced through telemetry snapshots as ``accel.*``
+  keys.
 
-The bit-identity contract (``accel="on"`` equals ``accel="off"`` for
-cycles, stall attribution, CPI stacks, and all component stats) is
-regression-tested across every named config; see docs/performance.md.
+See docs/performance.md, "How the core loop runs".
 """
 
 from .._lazy import lazy_exports

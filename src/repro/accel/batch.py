@@ -7,10 +7,8 @@ cost N times — trace build, numpy decode, per-uop classification.
 (:func:`~repro.accel.compile.shared_compiled` — shareable across
 processes through a :class:`~repro.farm.store.SharedResultStore`) and
 every config then runs over that compiled form, one after another in
-input order, through the ordinary ``System.run`` — the in-order engine
-(:mod:`repro.accel.engine`), the out-of-order engine
-(:mod:`repro.accel.ooo`), or the reference models for configs that
-opted out of acceleration.
+input order, through the ordinary ``System.run`` (``InOrderCore.run``
+or ``OoOCore.run``).
 
 Bit-identity with per-config ``Job.kernel`` runs is by construction —
 same memo keys, same ``System.run``, same payload constructor — and the
@@ -73,10 +71,8 @@ def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
     for cfg in todo:
         system = System(cfg)
         registry = StatsRegistry(system)
-        # accel="off" asks for the reference models: no memo, exactly
-        # like the serial job runner
         mkey = payload = None
-        if getattr(cfg, "accel", "off") == "on" and memo.memo_enabled():
+        if memo.memo_enabled():
             mkey = memo.memo_key(trace, cfg, system.uncore,
                                  extra=("farm_kernel", do_warmup))
             payload = memo.memo_get(mkey)

@@ -3,12 +3,12 @@
 A config sweep evaluates the *same* dynamic micro-op stream under N
 timing configurations, so everything that depends only on the trace —
 decoding numpy columns to plain-Python lists — is computed exactly once
-here and reused by every engine attached to the trace:
+here and reused by every core that runs the trace:
 
-* :class:`CompiledTrace` bundles the plain-list columns the
-  transliterated engine loops index, plus the in-order engine's
-  per-uop issue flags, derived on first use.  The out-of-order engine
-  derives fetch line and FP-ness inline, as its reference loop does.
+* :class:`CompiledTrace` bundles the plain-list columns
+  ``InOrderCore.run`` and ``OoOCore.run`` index, plus the in-order
+  loop's per-uop issue flags, derived on first use.  The out-of-order
+  loop derives fetch line and FP-ness inline.
 * :func:`compiled_trace` builds it once per trace and keeps it on the
   trace, so it is freed with the trace.
 * :func:`shared_compiled` adds cross-process sharing through a
@@ -51,7 +51,7 @@ _SIMPLE_LUT[[int(op) for op in
 
 
 class CompiledTrace:
-    """One trace, decoded and pre-analyzed for every engine at once.
+    """One trace, decoded and pre-analyzed for every core at once.
 
     It holds no reference to its trace (only the ``op``/``pc`` columns
     :meth:`issue_flags` reads), so a trace and its compiled form are
@@ -69,7 +69,7 @@ class CompiledTrace:
         self._issue_flags = None
 
     def issue_flags(self) -> tuple[list[bool], list[bool]]:
-        """Per-uop ``(simple, newline)`` lists for the in-order engine.
+        """Per-uop ``(simple, newline)`` lists for the in-order loop.
 
         ``simple[i]``: the op needs no divider, memory port, control
         slot, or vector unit.  ``newline[i]``: uop *i* is on a different

@@ -16,8 +16,8 @@ redundancy without touching semantics:
   whose outcome is a pure function of that key).
 
 All caches hold deep-copied payloads on the way out, so a memo hit can
-never alias live state, and everything is disabled either per-config
-(``accel="off"``) or globally (``REPRO_ACCEL_MEMO=0``).
+never alias live state, and ``REPRO_ACCEL_MEMO=0`` disables the result
+memo.
 """
 
 from __future__ import annotations

@@ -2,18 +2,17 @@
 
 Two scopes:
 
-* :class:`AccelStats` — per-core engine activity.  Each accelerated
-  core owns one; ``engine_uops`` counts the micro-ops it retired through
-  its transliterated engine loop (memo hits retire none).
+* :class:`AccelStats` — per-core activity.  Each core owns one;
+  ``engine_uops`` counts the micro-ops its ``run`` retired (memo hits
+  retire none).
 * :func:`global_stats` — process-wide memoization counters (result memo,
   shared trace cache, interpreter decode cache).  These live outside any
   :class:`~repro.soc.System` because a memo hit never builds a system at
   all.
 
 Both surface through :class:`repro.telemetry.StatsRegistry` snapshots
-under conditional ``accel`` keys (present only when the config runs with
-``accel="on"``), mirroring how watchdog stats stay absent on unwatched
-runs.
+under ``accel`` keys; job payloads strip them (they are provenance, not
+simulation output).
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ __all__ = ["AccelStats", "AccelGlobalStats", "global_stats",
 
 @dataclass
 class AccelStats:
-    """Per-core accelerated-engine counters."""
+    """Per-core counters."""
 
-    engine_uops: int = 0       #: uops retired by the transliterated engine loop
+    engine_uops: int = 0       #: uops retired by the core loop
 
     def reset(self) -> None:
         self.__init__()
@@ -38,7 +37,7 @@ class AccelStats:
 class AccelGlobalStats:
     """Process-wide accel counters: memo caches plus aggregate engine uops.
 
-    ``engine_uops`` accumulates across every engine in the process
+    ``engine_uops`` accumulates across every core in the process
     (systems are often built and discarded per run, so the per-core
     :class:`AccelStats` may be gone by the time a harness wants totals).
     """

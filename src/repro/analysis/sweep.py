@@ -7,10 +7,9 @@ does the L1-size benefit saturate?") with one call each.
 Every sweep routes through :mod:`repro.farm`, so ``workers=4`` shards the
 points across processes and a ``cache`` turns repeated sweeps into disk
 reads — with results guaranteed identical to the serial, uncached path.
-When the swept configs carry ``accel="on"`` (the default), the decoded
-workload trace is built once and shared across every configuration point
-via :mod:`repro.accel.memo`, and repeated points are served from the
-in-process result memo.
+The decoded workload trace is built once and shared across every
+configuration point via :mod:`repro.accel.memo`, and repeated points are
+served from the in-process result memo.
 
 ``batched=True`` goes one step further: the whole sweep becomes a single
 :meth:`~repro.farm.job.Job.sweep` job handled by the config-batched

@@ -5,7 +5,7 @@ The paper validates one implementation of RISC-V against another
 thing internally and adversarially.  A seeded generator builds programs
 around the ISA's sharp edges, and a differential oracle runs each one
 through every independent execution path the repo ships — interpreter vs
-golden bit-level semantics, ``accel=on`` vs ``accel=off`` timing,
+golden bit-level semantics, batched vs serial sweeps,
 checkpoint/restore vs straight-through, farm vs serial — plus an
 invariant lint over the telemetry.  Failures are shrunk to minimal
 repros and pinned in ``tests/check/corpus/``.
@@ -20,7 +20,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "chaos": ["diff_chaos"],
     "golden": ["CANONICAL_NAN_BITS", "GoldenMachine"],
     "oracle": [
-        "Divergence", "diff_accel", "diff_batch", "diff_checkpoint",
+        "Divergence", "diff_batch", "diff_checkpoint",
         "diff_farm", "diff_golden", "lint_invariants", "run_program"],
     "progen": ["BLOCK_KINDS", "CheckProgram", "generate_program"],
     "runner": ["ALL_TIERS", "CheckReport", "run_check"],

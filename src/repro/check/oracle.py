@@ -7,9 +7,6 @@ human-readable divergence strings (empty = agreement):
 ``golden``      :class:`repro.isa.interp.Interpreter` vs the bit-level
                 :class:`repro.check.golden.GoldenMachine` — full
                 architectural state (both register files, memory, pc).
-``accel``       ``accel="on"`` vs ``accel="off"`` timing runs across
-                named configs — CoreResult and telemetry snapshots
-                (accel-only counters excluded, they differ by design).
 ``checkpoint``  a run interrupted at a seeded quantum, checkpointed, and
                 restored into a fresh system (reusing the original
                 watchdog, as a crash-recovery supervisor would) vs the
@@ -27,7 +24,6 @@ human-readable divergence strings (empty = agreement):
 
 from __future__ import annotations
 
-import json
 import random
 import struct
 import tempfile
@@ -40,7 +36,6 @@ from .progen import CheckProgram
 
 __all__ = [
     "Divergence",
-    "diff_accel",
     "diff_batch",
     "diff_checkpoint",
     "diff_farm",
@@ -58,7 +53,7 @@ DEFAULT_FUEL = 200_000
 class Divergence:
     """One disagreement between two paths that must match."""
 
-    oracle: str     #: tier name: golden | accel | checkpoint | farm | lint
+    oracle: str     #: tier name: golden | lint | batch | checkpoint | ...
     seed: int       #: generating seed (-1 for corpus programs)
     detail: str     #: what differed, with both values
 
@@ -131,20 +126,11 @@ def diff_golden(prog: CheckProgram, fuel: int = DEFAULT_FUEL,
     return diffs
 
 
-# -- tier 2: accel on vs off across configs ---------------------------------
-
-
-def _strip_accel(snapdata: dict) -> dict:
-    """Snapshot tree minus the accel-only counters (differ by design)."""
-    data = json.loads(json.dumps(snapdata))
-    data.pop("accel", None)
-    for tile in data.get("tiles", []):
-        tile.pop("accel", None)
-    return data
+# -- shared diffing ----------------------------------------------------------
 
 
 def _dict_diff(a: dict, b: dict, prefix: str = "",
-               labels: tuple[str, str] = ("on", "off")) -> list[str]:
+               labels: tuple[str, str] = ("got", "want")) -> list[str]:
     la, lb = labels
     out: list[str] = []
     for k in sorted(set(a) | set(b)):
@@ -155,33 +141,6 @@ def _dict_diff(a: dict, b: dict, prefix: str = "",
         elif ka != kb:
             out.append(f"{path}: {la}={ka!r} {lb}={kb!r}")
     return out
-
-
-def diff_accel(trace, config_names: Sequence[str] | None = None,
-               seed: int = 0) -> list[str]:
-    """``accel="on"`` vs ``accel="off"`` on *trace* for every config."""
-    from ..soc.presets import ALL_CONFIGS, get_config
-    from ..soc.system import System
-    from ..telemetry import StatsRegistry
-
-    names = sorted(ALL_CONFIGS) if config_names is None else list(config_names)
-    diffs: list[str] = []
-    for name in names:
-        per_mode = {}
-        for mode in ("on", "off"):
-            system = System(get_config(name).with_(accel=mode))
-            reg = StatsRegistry(system)
-            base = reg.snapshot()
-            result = system.run(trace)
-            per_mode[mode] = (asdict(result),
-                              _strip_accel(reg.delta(base).data))
-        r_on, t_on = per_mode["on"]
-        r_off, t_off = per_mode["off"]
-        for line in _dict_diff(r_on, r_off):
-            diffs.append(f"{name}: result.{line}")
-        for line in _dict_diff(t_on, t_off):
-            diffs.append(f"{name}: telemetry.{line}")
-    return diffs
 
 
 # -- tier 3: checkpoint/restore at a random quantum vs straight-through ----
@@ -203,7 +162,7 @@ def diff_checkpoint(trace, seed: int, config_name: str = "Rocket2",
     from ..soc.presets import get_config
     from ..soc.system import System
 
-    cfg = get_config(config_name).with_(accel="off")
+    cfg = get_config(config_name)
     ntiles = min(2, cfg.ncores)
     traces = [trace] * ntiles
 
@@ -257,7 +216,7 @@ def diff_instrument(trace, seed: int, config_name: str = "Rocket2",
     from ..soc.presets import get_config
     from ..soc.system import System
 
-    cfg = get_config(config_name).with_(accel="off")
+    cfg = get_config(config_name)
     ntiles = min(2, cfg.ncores)
     traces = [trace] * ntiles
 
@@ -466,7 +425,7 @@ def lint_invariants(trace, config_name: str = "Rocket1") -> list[str]:
     from ..telemetry import BUCKETS, Snapshot, StatsRegistry, cpi_stack
 
     diffs: list[str] = []
-    system = System(get_config(config_name).with_(accel="off"))
+    system = System(get_config(config_name))
     reg = StatsRegistry(system)
     before = reg.snapshot()
     result = system.run(trace)

@@ -7,9 +7,6 @@ architectural tiers (golden, lint) run on every seed; the timing tiers
 are strided so a default run stays minutes, not hours, while every named
 configuration and every tier still gets exercised:
 
-* ``accel``: every seed on a rotating pair drawn from ALL_CONFIGS, so
-  ``seeds >= len(ALL_CONFIGS)/2`` covers every configuration; pass
-  ``accel_all=True`` (CLI ``--accel-all``) to run all configs per seed.
 * ``batch``: strided on its own offset — the config-batched sweep
   engine against serial per-config jobs (including a killed-and-resumed
   batched leg), on a seed-rotated microbench kernel and config pair.
@@ -34,17 +31,17 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .chaos import diff_chaos
-from .oracle import (Divergence, diff_accel, diff_batch, diff_checkpoint,
-                     diff_farm, diff_golden, diff_instrument,
-                     lint_invariants, run_program)
+from .oracle import (Divergence, diff_batch, diff_checkpoint, diff_farm,
+                     diff_golden, diff_instrument, lint_invariants,
+                     run_program)
 from .progen import CheckProgram, generate_program
 from .shrink import (category_predicate, diff_category, shrink_program,
                      write_corpus_entry)
 
 __all__ = ["CheckReport", "run_check", "ALL_TIERS"]
 
-ALL_TIERS = ("golden", "lint", "accel", "batch", "checkpoint", "instrument",
-             "farm", "chaos")
+ALL_TIERS = ("golden", "lint", "batch", "checkpoint", "instrument", "farm",
+             "chaos")
 
 
 @dataclass
@@ -92,8 +89,6 @@ def _safe(tier: str, seed: int, fn: Callable[[], list[str]]
 
 def run_check(seeds: int = 25, start_seed: int = 0,
               tiers: Sequence[str] = ALL_TIERS,
-              accel_configs: Sequence[str] | None = None,
-              accel_all: bool = False,
               checkpoint_every: int = 5,
               farm_sample: int = 3,
               shrink: bool = True,
@@ -143,23 +138,6 @@ def run_check(seeds: int = 25, start_seed: int = 0,
             tier_count["lint"] += 1
             report.divergences += _safe(
                 "lint", seed, lambda: lint_invariants(trace))
-
-        if "accel" in tiers:
-            if accel_configs is not None:
-                names = list(accel_configs)
-            elif accel_all:
-                names = all_names
-            else:  # rotate a pair per seed: full coverage every few seeds
-                i = (2 * n) % len(all_names)
-                names = [all_names[i],
-                         all_names[(i + 1) % len(all_names)]]
-            tier_count["accel"] += 1
-            found = _safe("accel", seed,
-                          lambda: diff_accel(trace, config_names=names))
-            report.divergences += found
-            if found and shrink:
-                report.corpus_files.append(_shrink_accel(
-                    prog, found[0], corpus_dir, say))
 
         # strided on its own offset; rotates kernel and config pair per
         # invocation so repeated CI runs walk the whole cross product.
@@ -219,24 +197,6 @@ def _shrink_golden(prog: CheckProgram, first: Divergence,
     fails = category_predicate(diff_golden, category)
     small = shrink_program(prog, fails)
     path = write_corpus_entry(small, "golden", first.detail,
-                              corpus_dir=corpus_dir)
-    say(f"wrote {path} ({len(small.words)} instructions)")
-    return path
-
-
-def _shrink_accel(prog: CheckProgram, first: Divergence,
-                  corpus_dir: Path | None,
-                  say: Callable[[str], None]) -> Path:
-    say(f"shrinking accel divergence for seed {prog.seed} ...")
-    config = first.detail.split(":", 1)[0].strip()
-
-    def accel_diffs(p: CheckProgram) -> list[str]:
-        interp = run_program(p)
-        return diff_accel(interp.trace_so_far, config_names=(config,))
-
-    fails = category_predicate(accel_diffs, diff_category(first.detail))
-    small = shrink_program(prog, fails, max_checks=120)
-    path = write_corpus_entry(small, "accel", first.detail,
                               corpus_dir=corpus_dir)
     say(f"wrote {path} ({len(small.words)} instructions)")
     return path

@@ -43,13 +43,6 @@ Commands
 ``replay FILE [--verify]``
     Resume a saved checkpoint to completion; ``--verify`` re-runs
     uninterrupted from scratch and asserts bit-identical results.
-``bench [--config CFG] [--scale S] [--batched] [--out FILE]``
-    Time the microbench sweep with ``accel`` off then on plus the
-    functional interpreter, verify bit-identity, and write the tracked
-    ``BENCH_<n>.json`` record (see ``docs/performance.md``).
-    ``--batched`` adds the (kernel x ALL_CONFIGS) sweep timed
-    serial-per-config versus config-batched, with its own bit-identity
-    flag.
 ``serve [--spool DIR] [--deploy SPEC] [--quota N] [--tenant-quota T=N]``
     Run the long-lived farm service: multi-tenant named queues with
     integer priorities, per-tenant quotas and fair scheduling in front
@@ -76,13 +69,13 @@ Commands
 ``resume ID --endpoint SOCK``
     Re-queue a preempted job; it resumes from its last checkpoint and
     finishes bit-identical to an uninterrupted run.
-``check [--seeds N] [--tiers T,U] [--accel-all] [--no-shrink]``
+``check [--seeds N] [--tiers T,U] [--no-shrink]``
     Property-based differential checking: fuzz generated RISC-V programs
-    through the interpreter-vs-golden, accel on/off, batched-vs-serial
-    config sweeps, checkpoint/restore, instrumented-vs-bare,
-    farm-vs-serial, and chaos (serve layer under seeded faults, crash +
-    recovery) oracles plus the telemetry invariant lint; shrink any
-    divergence into ``tests/check/corpus/`` (see ``docs/checking.md``).
+    through the interpreter-vs-golden, batched-vs-serial config sweeps,
+    checkpoint/restore, instrumented-vs-bare, farm-vs-serial, and chaos
+    (serve layer under seeded faults, crash + recovery) oracles plus the
+    telemetry invariant lint; shrink any divergence into
+    ``tests/check/corpus/`` (see ``docs/checking.md``).
 """
 
 from __future__ import annotations
@@ -291,22 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run uninterrupted from scratch and assert "
                          "the results are bit-identical")
 
-    b = sub.add_parser("bench",
-                       help="tracked hot-path benchmark (accel off vs on)")
-    b.add_argument("--config", default="Rocket1")
-    b.add_argument("--scale", type=float, default=0.5)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--kernels", default=None,
-                   help="comma-separated kernel names "
-                        "(default: the full runnable suite)")
-    b.add_argument("--batched", action="store_true",
-                   help="also time the (kernel x ALL_CONFIGS) sweep "
-                        "serial-per-config vs config-batched")
-    b.add_argument("--out", default=None, metavar="FILE",
-                   help="write the benchmark record here (e.g. BENCH_5.json)")
-    b.add_argument("--json", action="store_true",
-                   help="print the full record as JSON instead of a summary")
-
     sv = sub.add_parser("serve", help="run the farm-as-a-service daemon")
     sv.add_argument("--spool", default="serve-spool",
                     help="server working directory (socket, streams, "
@@ -411,12 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--start-seed", type=int, default=0)
     chk.add_argument("--tiers", default=None,
                      help="comma-separated oracle tiers (default: "
-                          "golden,lint,accel,checkpoint,instrument,farm)")
-    chk.add_argument("--configs", default=None,
-                     help="comma-separated SoC configs for the accel tier "
-                          "(default: a rotating pair per seed)")
-    chk.add_argument("--accel-all", action="store_true",
-                     help="run every named config on every seed")
+                          "every tier)")
     chk.add_argument("--no-shrink", action="store_true",
                      help="report divergences without shrinking to corpus")
     chk.add_argument("--corpus-dir", default=None,
@@ -787,41 +759,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         return 0
 
-    if args.command == "bench":
-        from .accel.bench import run_bench, write_bench_json
-
-        kernels = ([k for k in args.kernels.split(",") if k]
-                   if args.kernels else None)
-        record = run_bench(get_config(args.config), scale=args.scale,
-                           seed=args.seed, kernels=kernels,
-                           batched=args.batched)
-        if args.json:
-            print(json.dumps(record, indent=2))
-        else:
-            s, it = record["suite"], record["interp"]
-            print(f"suite  {s['config']}: {s['kernels']} kernels x scale "
-                  f"{s['scale']}: off {s['off_seconds']}s, on "
-                  f"{s['on_seconds']}s, speedup x{s['speedup']}, "
-                  f"{'bit-identical' if s['identical'] else 'DIVERGED'}")
-            bt = record.get("batched")
-            if bt:
-                print(f"batched {bt['kernels']} kernels x "
-                      f"{len(bt['configs'])} configs: serial "
-                      f"{bt['serial_seconds']}s, batched "
-                      f"{bt['batched_seconds']}s, speedup x{bt['speedup']}, "
-                      f"{'bit-identical' if bt['identical'] else 'DIVERGED'}")
-            print(f"interp {it['instructions']:,} instructions in "
-                  f"{it['seconds']}s "
-                  f"({it['instructions_per_second']:,} inst/s, "
-                  f"decode {it['decode_hits']}/{it['decode_hits'] + it['decode_misses']} cached)")
-        if args.out:
-            write_bench_json(record, args.out)
-            print(f"wrote {args.out}")
-        ok = record["suite"]["identical"]
-        if "batched" in record:
-            ok = ok and record["batched"]["identical"]
-        return 0 if ok else 1
-
     if args.command == "serve":
         import asyncio
 
@@ -986,11 +923,8 @@ def main(argv: list[str] | None = None) -> int:
 
         tiers = ([t for t in args.tiers.split(",") if t]
                  if args.tiers else ALL_TIERS)
-        configs = ([c for c in args.configs.split(",") if c]
-                   if args.configs else None)
         report = run_check(
             seeds=args.seeds, start_seed=args.start_seed, tiers=tiers,
-            accel_configs=configs, accel_all=args.accel_all,
             shrink=not args.no_shrink,
             corpus_dir=Path(args.corpus_dir) if args.corpus_dir else None,
             progress=None if args.quiet

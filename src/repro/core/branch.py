@@ -10,8 +10,8 @@ control flow.
 The direction predictors and the BTB each hold their state and have
 one ``bind`` method, the only implementation of their operations.
 ``BranchUnit.bind()`` returns ``(resolve, close)`` over those two binds
-and the RAS stack, and both core loops (reference and accelerated) call
-it once per run.  A binder uses the tables in place — every table is a plain list,
+and the RAS stack, and ``InOrderCore.run`` and ``OoOCore.run`` call it
+once per run.  A binder uses the tables in place — every table is a plain list,
 2-D tables a list of per-set rows, only ever mutated in place — keeps
 the scalar registers (the BTB stamp, a global history) in locals and
 writes them back at ``close``.  TAGE's folded-history registers are

@@ -10,6 +10,17 @@ stalls the first dependent consumer, which matches Rocket's scoreboard.
 This style of model is O(1) per instruction, which is what makes sweeping
 39 microbenchmarks across many SoC configurations tractable in Python while
 still being *mechanistic* — every stall traces back to a concrete resource.
+
+:meth:`InOrderCore.run` reads the plain-list columns of a
+:class:`~repro.accel.compile.CompiledTrace` (no numpy scalar unboxing per
+micro-op) and per-opcode latencies from a list.  Two per-uop flags of
+:meth:`~repro.accel.compile.CompiledTrace.issue_flags` let an op with no
+structural hazard, memory port or control slot take a short branch, and
+let the fetch-line test run only where the line can change.  Memory goes
+through the walk :meth:`~repro.mem.hierarchy.TilePort.bind` returns and
+control ops through :meth:`~repro.core.branch.BranchUnit.bind`; both
+``close`` functions run in ``finally``, so the counters kept in locals
+are written back even when the run raises.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..isa.opcodes import DEFAULT_LATENCIES, LatencyTable, OpClass
+from ..isa.opcodes import DEFAULT_LATENCIES, LatencyTable
 from ..isa.trace import NUM_REGS, Trace
 from .base import CoreModel, CoreResult
 from .branch import BranchUnit, rocket_branch_unit
@@ -68,15 +79,12 @@ class InOrderCore(CoreModel):
     """Rocket-like in-order scoreboard core."""
 
     def __init__(self, cfg: InOrderConfig, port, branch_unit: BranchUnit | None = None,
-                 icache_hit_latency: int = 1, accel: bool = False) -> None:
+                 icache_hit_latency: int = 1) -> None:
         self.cfg = cfg
         self.port = port
         self.bru = branch_unit if branch_unit is not None else rocket_branch_unit()
         self._icache_hit = icache_hit_latency
-        # accelerated engine (repro.accel): bit-identical fast path,
-        # imported on first run so reference-only cores never load it;
-        # accel_stats counts the uops it retires
-        self._accel_on = accel
+        # counts the uops run() retires (telemetry's per-tile ``accel``)
         from ..accel.stats import AccelStats
         self.accel_stats = AccelStats()
         self.reset()
@@ -98,142 +106,165 @@ class InOrderCore(CoreModel):
     # -- main loop ---------------------------------------------------------
 
     def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
-        if self._accel_on:
-            from ..accel.engine import run_inorder
-            return run_inorder(self, trace, start_time)
+        # the trace compiler and the latency tables import the SoC
+        # config, which imports this module
+        from ..accel import memo
+        from ..accel.compile import compiled_trace
+
         cfg = self.cfg
-        lat = cfg.latencies
         port = self.port
         bru = self.bru
+
+        ct = compiled_trace(trace)
+        view = ct.cols
+        op_l = view["op"]
+        dst_l = view["dst"]
+        s1_l = view["src1"]
+        s2_l = view["src2"]
+        addr_l = view["addr"]
+        size_l = view["size"]
+        taken_l = view["taken"]
+        pc_l = view["pc"]
+        tgt_l = view["target"]
+        simple_l, newline_l = ct.issue_flags()
+        n = ct.n
+        lat_list = memo.latency_lut(cfg.latencies)
+
+        # ---- bind the memory walk and the branch unit ----
+        dload, dstore, ifetch, mem_close = port.bind()
+        resolve, bru_close = bru.bind()
+
+        # ---- loop state ----
         reg_ready = self._reg_ready
         sb = self._sb
-        line_shift = 6  # 64-byte fetch lines
-
-        op_a = trace.op
-        dst_a = trace.dst
-        src1_a = trace.src1
-        src2_a = trace.src2
-        addr_a = trace.addr
-        size_a = trace.size
-        taken_a = trace.taken
-        pc_a = trace.pc
-        tgt_a = trace.target
-        n = len(op_a)
-
-        LOAD, STORE, BRANCH = int(OpClass.LOAD), int(OpClass.STORE), int(OpClass.BRANCH)
-        JUMP, CALL, RET = int(OpClass.JUMP), int(OpClass.CALL), int(OpClass.RET)
-        DIV, AMO = int(OpClass.INT_DIV), int(OpClass.AMO)
-        VLOAD, VSTORE = int(OpClass.VLOAD), int(OpClass.VSTORE)
-        VALU, VFMA = int(OpClass.VALU), int(OpClass.VFMA)
         vcfg = cfg.vector
         vu_free = self._vu_free
-
         cycle = max(start_time, self._time)
         t0 = cycle
         slots = 0
-        mem_slots_used = 0
-        ctrl_slots_used = 0
+        mem_used = 0
+        ctrl_used = 0
         fe_ready = max(self._fe_ready, cycle)
         cur_line = self._cur_fetch_line
-        line_entry = cycle  #: when we started consuming the current fetch line
+        line_entry = cycle
         div_free = self._div_free
-
         stall_fe = stall_dep = stall_mem = stall_struct = 0
-        l1d_miss0 = port.l1d.stats.misses
-        l1i_miss0 = port.l1i.stats.misses
-        br0 = bru.stats.branches
-        mp0 = bru.stats.mispredicts
+        l1d_st = port.l1d.stats
+        l1i_st = port.l1i.stats
+        bst = bru.stats
+        l1d_miss0 = l1d_st.misses
+        l1i_miss0 = l1i_st.misses
+        br0 = bst.branches
+        mp0 = bst.mispredicts
         sb_depth = cfg.store_buffer
         flush_pen = cfg.flush_penalty
         bubble_pen = cfg.bubble_penalty
-        lat_of = lat.latency_of
         icache_hit = self._icache_hit
+        W = cfg.issue_width
+        mem_ports = cfg.mem_ports
+        pipelined_div = cfg.pipelined_div
+        load_to_use = cfg.load_to_use
+        amo_extra = cfg.latencies.amo_extra
 
-        # the memory walk and the branch unit, bound for this run;
-        # closing the walk flushes the counters it keeps in locals, so
-        # the miss deltas follow it
-        dload, dstore, ifetch, mem_close = port.bind()
-        resolve, bru_close = bru.bind()
         try:
             for i in range(n):
-                op = op_a[i]
-                pc = int(pc_a[i])
+                # only the first uop of a fetch line can leave cur_line
+                # (and uop 0, which follows another run's last line)
+                if newline_l[i]:
+                    pc = pc_l[i]
+                    line = pc >> 6
+                    if line != cur_line:
+                        need_at = cycle if cycle > fe_ready else fe_ready
+                        issue_at = (line_entry if line == cur_line + 1
+                                    else need_at)
+                        cur_line = line
+                        done = ifetch(pc, issue_at)
+                        extra = done - need_at - icache_hit
+                        if extra > 0:
+                            fe_ready = need_at + extra
+                            stall_fe += extra
+                        line_entry = fe_ready if fe_ready > cycle else cycle
 
-                # ---- front end: I-cache line fetch ----
-                # Sequential line crossings model next-line fetch-ahead: the
-                # access is issued when the previous line started draining, so
-                # short fills overlap with execution.  Redirects pay in full.
-                line = pc >> line_shift
-                if line != cur_line:
-                    need_at = cycle if cycle > fe_ready else fe_ready
-                    issue_at = line_entry if line == cur_line + 1 else need_at
-                    cur_line = line
-                    done = ifetch(pc, issue_at)
-                    extra = done - need_at - icache_hit
-                    if extra > 0:
-                        fe_ready = need_at + extra
-                        stall_fe += extra
-                    line_entry = fe_ready if fe_ready > cycle else cycle
-
-                # ---- operand readiness ----
                 t = cycle
                 if fe_ready > t:
                     t = fe_ready
-                s1 = src1_a[i]
-                if s1 > 0 and reg_ready[s1] > t:
-                    stall_dep += reg_ready[s1] - t
-                    t = reg_ready[s1]
-                s2 = src2_a[i]
-                if s2 > 0 and reg_ready[s2] > t:
-                    stall_dep += reg_ready[s2] - t
-                    t = reg_ready[s2]
+                s1 = s1_l[i]
+                if s1 > 0:
+                    r = reg_ready[s1]
+                    if r > t:
+                        stall_dep += r - t
+                        t = r
+                s2 = s2_l[i]
+                if s2 > 0:
+                    r = reg_ready[s2]
+                    if r > t:
+                        stall_dep += r - t
+                        t = r
 
-                # ---- structural hazards ----
-                if op == DIV and not cfg.pipelined_div and div_free > t:
+                if simple_l[i]:
+                    # no structural hazard, memory port or control slot:
+                    # the issue-slot loop below runs at most once
+                    if t > cycle:
+                        cycle = t
+                        slots = 1
+                        mem_used = 0
+                        ctrl_used = 0
+                    elif slots >= W:
+                        cycle += 1
+                        t = cycle
+                        slots = 1
+                        mem_used = 0
+                        ctrl_used = 0
+                    else:
+                        slots += 1
+                    dst = dst_l[i]
+                    if dst > 0:
+                        reg_ready[dst] = t + lat_list[op_l[i]]
+                    continue
+
+                op = op_l[i]
+                if op == 3 and not pipelined_div and div_free > t:
                     stall_struct += div_free - t
                     t = div_free
-                is_vec = VLOAD <= op <= VALU or op == VFMA
-                if is_vec:
+                if 20 <= op <= 23:
                     if vcfg is None:
                         raise ValueError(
-                            "trace contains RVV vector ops but this core has "
-                            "no vector unit (InOrderConfig.vector is None)"
+                            "trace contains RVV vector ops but this "
+                            "core has no vector unit "
+                            "(InOrderConfig.vector is None)"
                         )
                     if vu_free > t:
                         stall_struct += vu_free - t
                         t = vu_free
 
-                # ---- issue-slot accounting (in-order) ----
                 if t > cycle:
                     cycle = t
                     slots = 0
-                    mem_slots_used = 0
-                    ctrl_slots_used = 0
-                is_mem = (op == LOAD or op == STORE or op == AMO
-                          or op == VLOAD or op == VSTORE)
-                is_ctrl = op == BRANCH or op == JUMP or op == CALL or op == RET
-                while (slots >= cfg.issue_width
-                       or (is_mem and mem_slots_used >= cfg.mem_ports)
-                       or (is_ctrl and ctrl_slots_used >= 1)):
+                    mem_used = 0
+                    ctrl_used = 0
+                is_mem = (op == 4 or op == 5 or op == 19
+                          or op == 20 or op == 21)
+                is_ctrl = 6 <= op <= 9
+                while (slots >= W
+                       or (is_mem and mem_used >= mem_ports)
+                       or (is_ctrl and ctrl_used >= 1)):
                     cycle += 1
                     slots = 0
-                    mem_slots_used = 0
-                    ctrl_slots_used = 0
+                    mem_used = 0
+                    ctrl_used = 0
                 t = cycle
                 slots += 1
                 if is_mem:
-                    mem_slots_used += 1
+                    mem_used += 1
                 if is_ctrl:
-                    ctrl_slots_used += 1
+                    ctrl_used += 1
 
-                # ---- execute ----
-                dst = dst_a[i]
-                if op == LOAD:
-                    done = dload(int(addr_a[i]), t + 1)
+                dst = dst_l[i]
+                if op == 4:  # LOAD
+                    done = dload(addr_l[i], t + 1)
                     if dst > 0:
-                        reg_ready[dst] = done + cfg.load_to_use
-                elif op == STORE:
-                    # store buffer: prune retired entries, stall if full
+                        reg_ready[dst] = done + load_to_use
+                elif op == 5:  # STORE
                     while sb and sb[0] <= t:
                         sb.popleft()
                     if len(sb) >= sb_depth:
@@ -242,60 +273,62 @@ class InOrderCore(CoreModel):
                             stall_mem += wait - t
                             cycle = wait
                             slots = 1
-                            mem_slots_used = 1
-                            ctrl_slots_used = 0
+                            mem_used = 1
+                            ctrl_used = 0
                             t = wait
-                    done = dstore(int(addr_a[i]), t + 1)
+                    done = dstore(addr_l[i], t + 1)
                     sb.append(done)
-                elif op == AMO:
-                    done = dstore(int(addr_a[i]), t + 1) + lat.amo_extra
+                elif op == 19:  # AMO
+                    done = dstore(addr_l[i], t + 1) + amo_extra
                     if dst > 0:
                         reg_ready[dst] = done
-                elif op == VLOAD or op == VSTORE:
-                    nbytes = int(size_a[i])
-                    base_addr = int(addr_a[i])
-                    is_st = op == VSTORE
+                elif op == 20 or op == 21:  # VLOAD / VSTORE
+                    nbytes = size_l[i]
+                    base_addr = addr_l[i]
+                    is_st = op == 21
                     done = t + 1
+                    macc = dstore if is_st else dload
                     for off in range(0, nbytes, 64):
-                        acc = (dstore if is_st else dload)(
-                            base_addr + off, t + 1)
+                        acc = macc(base_addr + off, t + 1)
                         if acc > done:
                             done = acc
                     occ = vcfg.startup + vcfg.mem_beats(nbytes)
                     vu_free = t + occ
                     if dst > 0 and not is_st:
                         reg_ready[dst] = max(done, t + occ)
-                elif op == VALU or op == VFMA:
-                    occ = vcfg.startup + vcfg.exec_beats(int(size_a[i]) * 8)
+                elif op == 22 or op == 23:  # VALU / VFMA
+                    occ = vcfg.startup + vcfg.exec_beats(size_l[i] * 8)
                     vu_free = t + occ
                     if dst > 0:
-                        reg_ready[dst] = t + occ + lat_of(OpClass(op)) - 1
+                        reg_ready[dst] = t + occ + lat_list[op] - 1
                 elif is_ctrl:
-                    kind = resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
-                    if kind == BranchUnit.FLUSH:
+                    kind = resolve(op, pc_l[i], taken_l[i], tgt_l[i])
+                    if kind == 2:
                         fe_ready = t + 1 + flush_pen
-                    elif kind == BranchUnit.BUBBLE:
+                    elif kind == 1:
                         fe_ready = t + 1 + bubble_pen
-                    if dst > 0:  # call writes link register
+                    if dst > 0:
                         reg_ready[dst] = t + 1
                 else:
-                    l = lat_of(OpClass(op))
+                    l = lat_list[op]
                     if dst > 0:
                         reg_ready[dst] = t + l
-                    if op == DIV and not cfg.pipelined_div:
+                    if op == 3 and not pipelined_div:
                         div_free = t + l
         finally:
+            # flush the local counters even when the loop raises (vector
+            # op on a vector-less core), so the stats match the state
             mem_close()
             bru_close()
 
-        # drain: final time is the last issue cycle plus pipeline drain
+        self.accel_stats.engine_uops += n
+        memo.global_stats().engine_uops += n
         end = cycle + cfg.pipeline_depth - 1
         self._time = cycle + 1
         self._fe_ready = fe_ready
         self._cur_fetch_line = cur_line
         self._div_free = div_free
         self._vu_free = vu_free
-
         return CoreResult(
             cycles=end - t0,
             instructions=n,
@@ -305,8 +338,8 @@ class InOrderCore(CoreModel):
                 "mem": stall_mem,
                 "structural": stall_struct,
             },
-            branches=bru.stats.branches - br0,
-            mispredicts=bru.stats.mispredicts - mp0,
-            l1d_misses=port.l1d.stats.misses - l1d_miss0,
-            l1i_misses=port.l1i.stats.misses - l1i_miss0,
+            branches=bst.branches - br0,
+            mispredicts=bst.mispredicts - mp0,
+            l1d_misses=l1d_st.misses - l1d_miss0,
+            l1i_misses=l1i_st.misses - l1i_miss0,
         )

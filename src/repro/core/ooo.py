@@ -15,6 +15,16 @@ from explicit resource constraints —
 Bandwidth chains use fractional-cycle accumulation (an op consumes
 ``1/width`` of a cycle of its stage), the standard O(1)-per-instruction
 approximation; capacity constraints are exact ring-buffer bookkeeping.
+
+:meth:`OoOCore.run` reads the plain-list columns of a
+:class:`~repro.accel.compile.CompiledTrace` and per-opcode latency and
+FP-steering lists.  Memory goes through the walk
+:meth:`~repro.mem.hierarchy.TilePort.bind` returns and control ops
+through :meth:`~repro.core.branch.BranchUnit.bind`; their ``close``
+functions write back the counters and scalar registers kept in locals,
+including when the trace raises, so the components hold the whole state
+between runs.  What a run costs the host beyond an in-order one is
+mostly its front end (TAGE) and memory walk, not this scheduler loop.
 """
 
 from __future__ import annotations
@@ -27,6 +37,15 @@ from .base import CoreModel, CoreResult
 from .branch import BranchUnit, boom_branch_unit
 
 __all__ = ["OoOConfig", "OoOCore"]
+
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_AMO = int(OpClass.AMO)
+_DIV = int(OpClass.INT_DIV)
+_VLOAD = int(OpClass.VLOAD)
+_VSETVL = int(OpClass.VSETVL)
+#: per-opcode FP classification (issue-queue steering)
+_IS_FP = [op in FP_OPS for op in range(256)]
 
 
 @dataclass(frozen=True)
@@ -63,15 +82,12 @@ class OoOCore(CoreModel):
     """BOOM-like out-of-order core."""
 
     def __init__(self, cfg: OoOConfig, port, branch_unit: BranchUnit | None = None,
-                 icache_hit_latency: int = 1, accel: bool = False) -> None:
+                 icache_hit_latency: int = 1) -> None:
         self.cfg = cfg
         self.port = port
         self.bru = branch_unit if branch_unit is not None else boom_branch_unit()
         self._icache_hit = icache_hit_latency
-        # accelerated engine (repro.accel): bit-identical transliteration
-        # over compiled trace columns, imported on first run so
-        # reference-only cores never load it
-        self._accel_on = accel
+        # counts the uops run() retires (telemetry's per-tile ``accel``)
         from ..accel.stats import AccelStats
         self.accel_stats = AccelStats()
         self.reset()
@@ -111,32 +127,35 @@ class OoOCore(CoreModel):
     # -- main loop ---------------------------------------------------------
 
     def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
-        if self._accel_on:
-            from ..accel.ooo import run_ooo
-            return run_ooo(self, trace, start_time)
+        # the trace compiler and the latency tables import the SoC
+        # config, which imports this module
+        from ..accel import memo
+        from ..accel.compile import compiled_trace
+
         cfg = self.cfg
-        lat = cfg.latencies
         port = self.port
         bru = self.bru
+        astats = self.accel_stats
+
+        ct = compiled_trace(trace)
+        cols = ct.cols
+        op_l = cols["op"]
+        dst_l = cols["dst"]
+        s1_l = cols["src1"]
+        s2_l = cols["src2"]
+        addr_l = cols["addr"]
+        taken_l = cols["taken"]
+        pc_l = cols["pc"]
+        tgt_l = cols["target"]
+        is_fp_op = _IS_FP
+        n = ct.n
+        lat_list = memo.latency_lut(cfg.latencies)
+
+        dload, dstore, ifetch, mem_close = port.bind()
+        resolve, bru_close = bru.bind()
+
+        # ---- loop state ----
         reg_ready = self._reg_ready
-
-        op_a = trace.op
-        dst_a = trace.dst
-        src1_a = trace.src1
-        src2_a = trace.src2
-        addr_a = trace.addr
-        taken_a = trace.taken
-        pc_a = trace.pc
-        tgt_a = trace.target
-        n = len(op_a)
-
-        LOAD, STORE = int(OpClass.LOAD), int(OpClass.STORE)
-        BRANCH, JUMP = int(OpClass.BRANCH), int(OpClass.JUMP)
-        CALL, RET = int(OpClass.CALL), int(OpClass.RET)
-        DIV, AMO = int(OpClass.INT_DIV), int(OpClass.AMO)
-        VLOAD, VSETVL = int(OpClass.VLOAD), int(OpClass.VSETVL)
-        FP_SET = frozenset(int(o) for o in FP_OPS)
-
         d_fetch = 1.0 / cfg.fetch_width
         d_disp = 1.0 / cfg.decode_width
         d_commit = 1.0 / cfg.effective_commit_width
@@ -156,30 +175,39 @@ class OoOCore(CoreModel):
         intq_ring, intq_head = self._intq_ring, self._intq_head
         memq_ring, memq_head = self._memq_ring, self._memq_head
         fpq_ring, fpq_head = self._fpq_ring, self._fpq_head
-        int_ports, mem_ports, fp_ports = self._int_ports, self._mem_ports, self._fp_ports
+        int_ports = self._int_ports
+        mem_ports = self._mem_ports
+        fp_ports = self._fp_ports
+        n_int_ports = len(int_ports)
+        n_mem_ports = len(mem_ports)
+        n_fp_ports = len(fp_ports)
         rob_size = cfg.rob_size
+        ldq_size = len(ldq_ring)
+        stq_size = len(stq_ring)
+        intq_size = len(intq_ring)
+        memq_size = len(memq_ring)
+        fpq_size = len(fpq_ring)
         pending_stores = self._pending_stores
+        pending_max = 4 * cfg.stq
 
         stall_fe = stall_rob = stall_iq = stall_lsq = 0.0
-        l1d_miss0 = port.l1d.stats.misses
-        l1i_miss0 = port.l1i.stats.misses
-        br0, mp0 = bru.stats.branches, bru.stats.mispredicts
+        l1d_st = port.l1d.stats
+        l1i_st = port.l1i.stats
+        bst = bru.stats
+        l1d_miss0 = l1d_st.misses
+        l1i_miss0 = l1i_st.misses
+        br0, mp0 = bst.branches, bst.mispredicts
         icache_hit = self._icache_hit
         fe_depth = cfg.frontend_depth
-        lat_of = lat.latency_of
+        amo_extra = cfg.latencies.amo_extra
 
         last_commit = commit_chain
 
-        # the memory walk and the branch unit, bound for this run;
-        # closing the walk flushes the counters it keeps in locals, so
-        # the miss deltas follow it
-        dload, dstore, ifetch, mem_close = port.bind()
-        resolve, bru_close = bru.bind()
         try:
             for i in range(n):
-                op = int(op_a[i])
-                pc = int(pc_a[i])
-                if VLOAD <= op < VSETVL:
+                op = op_l[i]
+                pc = pc_l[i]
+                if _VLOAD <= op < _VSETVL:
                     raise ValueError(
                         "trace contains RVV vector ops, but the BOOM-like "
                         "out-of-order model has no vector unit (the study's "
@@ -193,9 +221,9 @@ class OoOCore(CoreModel):
                     f = fetch_floor
                 line = pc >> 6
                 if line != cur_line:
-                    # sequential crossings use next-line fetch-ahead (issued
-                    # when the previous line started draining); redirects
-                    # pay in full
+                    # sequential crossings use next-line fetch-ahead
+                    # (issued when the previous line started draining);
+                    # redirects pay in full
                     issue_at = line_entry if line == cur_line + 1 else f
                     cur_line = line
                     done = ifetch(pc, int(issue_at))
@@ -215,8 +243,8 @@ class OoOCore(CoreModel):
                     stall_rob += rob_free - d
                     d = rob_free
 
-                is_mem = op == LOAD or op == STORE or op == AMO
-                is_fp = op in FP_SET
+                is_mem = op == _LOAD or op == _STORE or op == _AMO
+                is_fp = is_fp_op[op]
                 if is_mem:
                     ring, head = memq_ring, memq_head
                 elif is_fp:
@@ -227,12 +255,12 @@ class OoOCore(CoreModel):
                 if iq_free > d:
                     stall_iq += iq_free - d
                     d = iq_free
-                if op == LOAD:
+                if op == _LOAD:
                     lq_free = ldq_ring[ldq_head]
                     if lq_free > d:
                         stall_lsq += lq_free - d
                         d = lq_free
-                elif op == STORE or op == AMO:
+                elif op == _STORE or op == _AMO:
                     sq_free = stq_ring[stq_head]
                     if sq_free > d:
                         stall_lsq += sq_free - d
@@ -241,75 +269,77 @@ class OoOCore(CoreModel):
 
                 # ---- issue: operands + issue port ----
                 t = d + 1.0
-                s1 = src1_a[i]
+                s1 = s1_l[i]
                 if s1 > 0 and reg_ready[s1] > t:
                     t = reg_ready[s1]
-                s2 = src2_a[i]
+                s2 = s2_l[i]
                 if s2 > 0 and reg_ready[s2] > t:
                     t = reg_ready[s2]
                 if is_mem:
                     ports = mem_ports
+                    nports = n_mem_ports
                 elif is_fp:
                     ports = fp_ports
+                    nports = n_fp_ports
                 else:
                     ports = int_ports
+                    nports = n_int_ports
                 pi = 0
                 pmin = ports[0]
-                for k in range(1, len(ports)):
+                for k in range(1, nports):
                     if ports[k] < pmin:
                         pmin = ports[k]
                         pi = k
                 if pmin > t:
                     t = pmin
                 ports[pi] = t + 1.0
-                if op == DIV and div_free > t:
-                    t = max(t, div_free)
+                if op == _DIV and div_free > t:
+                    t = div_free
 
                 # record issue time for IQ occupancy (entry freed at issue)
                 ring[head] = t + 1.0
                 if is_mem:
-                    memq_head = (head + 1) % len(memq_ring)
+                    memq_head = (head + 1) % memq_size
                 elif is_fp:
-                    fpq_head = (head + 1) % len(fpq_ring)
+                    fpq_head = (head + 1) % fpq_size
                 else:
-                    intq_head = (head + 1) % len(intq_ring)
+                    intq_head = (head + 1) % intq_size
 
                 # ---- execute / complete ----
-                dst = int(dst_a[i])
-                if op == LOAD:
-                    addr = int(addr_a[i])
+                dst = dst_l[i]
+                if op == _LOAD:
+                    addr = addr_l[i]
                     lineaddr = addr >> 6
                     st_pending = pending_stores.get(lineaddr)
                     if st_pending is not None and st_pending > t:
                         # memory ordering: wait for the older store's data
                         t = st_pending
                     complete = float(dload(addr, int(t) + 1))
-                elif op == STORE:
-                    addr = int(addr_a[i])
+                elif op == _STORE:
+                    addr = addr_l[i]
                     complete = float(dstore(addr, int(t) + 1))
                     lineaddr = addr >> 6
                     pending_stores[lineaddr] = t + 2.0
-                    if len(pending_stores) > 4 * cfg.stq:
+                    if len(pending_stores) > pending_max:
                         pending_stores.clear()
-                elif op == AMO:
-                    complete = (float(dstore(int(addr_a[i]), int(t) + 1))
-                                + lat.amo_extra)
+                elif op == _AMO:
+                    complete = float(dstore(addr_l[i], int(t) + 1)) + amo_extra
                 else:
-                    l = lat_of(OpClass(op))
+                    l = lat_list[op]
                     complete = t + l
-                    if op == DIV:
+                    if op == _DIV:
                         div_free = complete
                 if dst > 0:
                     reg_ready[dst] = complete
 
                 # ---- control resolution ----
-                if op == BRANCH or op == JUMP or op == CALL or op == RET:
-                    kind = resolve(op, pc, bool(taken_a[i]), int(tgt_a[i]))
-                    if kind == BranchUnit.FLUSH:
+                if 6 <= op <= 9:  # BRANCH / JUMP / CALL / RET
+                    kind = resolve(op, pc, taken_l[i], tgt_l[i])
+                    if kind == 2:  # FLUSH
                         nf = complete + fe_depth
                         if nf > fetch_floor:
                             fetch_floor = nf
-                    elif kind == BranchUnit.BUBBLE:
+                    elif kind == 1:  # BUBBLE
                         nf = f + 3.0
                         if nf > fetch_floor:
                             fetch_floor = nf
@@ -322,15 +352,18 @@ class OoOCore(CoreModel):
                 last_commit = c
                 rob_ring[rob_head] = c
                 rob_head = (rob_head + 1) % rob_size
-                if op == LOAD:
+                if op == _LOAD:
                     ldq_ring[ldq_head] = c
-                    ldq_head = (ldq_head + 1) % len(ldq_ring)
-                elif op == STORE or op == AMO:
+                    ldq_head = (ldq_head + 1) % ldq_size
+                elif op == _STORE or op == _AMO:
                     stq_ring[stq_head] = c
-                    stq_head = (stq_head + 1) % len(stq_ring)
+                    stq_head = (stq_head + 1) % stq_size
         finally:
             mem_close()
             bru_close()
+
+        astats.engine_uops += n
+        memo.global_stats().engine_uops += n
 
         self._fetch_chain = fetch_chain
         self._dispatch_chain = dispatch_chain
@@ -338,8 +371,10 @@ class OoOCore(CoreModel):
         self._fetch_floor = fetch_floor
         self._div_free = div_free
         self._cur_line = cur_line
-        self._rob_head, self._ldq_head, self._stq_head = rob_head, ldq_head, stq_head
-        self._intq_head, self._memq_head, self._fpq_head = intq_head, memq_head, fpq_head
+        self._rob_head, self._ldq_head, self._stq_head = \
+            rob_head, ldq_head, stq_head
+        self._intq_head, self._memq_head, self._fpq_head = \
+            intq_head, memq_head, fpq_head
         self._time = int(last_commit) + 1
 
         return CoreResult(
@@ -351,8 +386,8 @@ class OoOCore(CoreModel):
                 "iq": int(stall_iq),
                 "lsq": int(stall_lsq),
             },
-            branches=bru.stats.branches - br0,
-            mispredicts=bru.stats.mispredicts - mp0,
-            l1d_misses=port.l1d.stats.misses - l1d_miss0,
-            l1i_misses=port.l1i.stats.misses - l1i_miss0,
+            branches=bst.branches - br0,
+            mispredicts=bst.mispredicts - mp0,
+            l1d_misses=l1d_st.misses - l1d_miss0,
+            l1i_misses=l1i_st.misses - l1i_miss0,
         )

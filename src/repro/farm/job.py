@@ -316,13 +316,9 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
         raise RuntimeError(f"kernel {kern.spec.name} is marked broken")
     cfg = job.config
     scale = max(float(job.param("scale", 1.0)), kern.min_harness_scale)
-    accel = getattr(cfg, "accel", "off") == "on"
-    if accel:
-        trace = memo.shared_trace(
-            job.workload, scale, job.seed,
-            lambda: kern.build(scale=scale, seed=job.seed))
-    else:
-        trace = kern.build(scale=scale, seed=job.seed)
+    trace = memo.shared_trace(
+        job.workload, scale, job.seed,
+        lambda: kern.build(scale=scale, seed=job.seed))
     system = System(cfg)
     if instrument is not None:
         system.attach_instrument(instrument)
@@ -336,7 +332,7 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
         # memoize the whole payload (in-process workers and repeated
         # sweep points skip the simulation entirely) — unless the
         # operator asked for a stream, which only a real run can produce
-        if (accel and job.cacheable and ctx.fault is None
+        if (job.cacheable and ctx.fault is None
                 and instrument is None and memo.memo_enabled()):
             mkey = memo.memo_key(trace, cfg, system.uncore,
                                  extra=("farm_kernel", do_warmup))
@@ -414,12 +410,9 @@ def kernel_payload(cfg, kern, seed: int, scale: float, registry, base,
     from ..telemetry import cpi_stack
 
     delta = registry.delta(base)
-    # accel counters are implementation provenance, not simulation
-    # output: the process-wide ones (memo/trace-cache hits) depend on
-    # run history, and the per-tile coverage ones on which execution
-    # path ran.  A payload must stay a pure function of the job — and
-    # identical whether a config ran the reference models, the solo
-    # engines, or the batched sweep driver — so strip them all
+    # accel counters are host bookkeeping, not simulation output: the
+    # process-wide ones (memo/trace-cache hits) depend on run history.
+    # A payload must stay a pure function of the job, so strip them all
     delta.data.pop("accel", None)
     for tile_rec in delta.data.get("tiles", []):
         tile_rec.pop("accel", None)

@@ -47,12 +47,11 @@ from typing import Any
 # Everything a kernel or sweep job runs is imported here, before the
 # first fork, not on first use: this process pays for it once and no
 # worker it forks pays again.  The kernels draw from numpy.random; the
-# cores import their engines, and a sweep its trace compiler, only at
-# run time.
+# core loops import the trace compiler only at run time.
 import numpy.random  # noqa: F401
 
-from ..accel import batch as _batch, compile as _compile  # noqa: F401
-from ..accel import engine as _engine, memo, ooo as _ooo  # noqa: F401
+from ..accel import batch as _batch, compile as _compile, memo  # noqa: F401
+from ..core import inorder as _inorder, ooo as _ooo  # noqa: F401
 from ..soc import system as _system  # noqa: F401
 from ..telemetry import cpi as _cpi, registry as _registry  # noqa: F401
 from ..workloads.microbench import suite as _suite  # noqa: F401

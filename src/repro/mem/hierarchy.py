@@ -14,8 +14,8 @@ One walk
 
 Every component keeps its own state, config and stats; the access path
 is a chain of closures bound over that state, one per level, each
-calling the next directly.  :meth:`TilePort.bind` is the one composer a
-core loop calls: TLB -> L1 -> (prefetcher) -> bus -> directory -> L2 ->
+calling the next directly.  :meth:`TilePort.bind` is the one composer;
+``InOrderCore.run`` and ``OoOCore.run`` call it once per run: TLB -> L1 -> (prefetcher) -> bus -> directory -> L2 ->
 (LLC slice ->) DRAM, built from :func:`~repro.mem.tlb.bind_entry`,
 :meth:`Cache.bind <repro.mem.cache.Cache.bind>`,
 :meth:`StridePrefetcher.bind <repro.mem.prefetch.StridePrefetcher.bind>`,

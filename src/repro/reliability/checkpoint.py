@@ -98,7 +98,7 @@ trace_fingerprint = trace_digest
 #: attribute names never captured: configs/wiring, not mutable sim state
 #: (``direction``, ``base`` and ``btb`` are captured as components)
 _WIRING = {"cfg", "name", "port", "bru", "uncore", "tile_id", "prefetcher",
-           "_accel_on", "direction", "base", "btb"}
+           "direction", "base", "btb"}
 
 #: the list-native tables of caches, the BTB and the direction
 #: predictors (TAGE's folded registers included): lists of scalars or of
@@ -127,7 +127,7 @@ def _apply(obj, state: dict[str, Any]) -> None:
 
     Values are copied on the way in so one checkpoint can be restored
     into several systems without aliasing live state.  Tables are
-    filled in place: the accelerated engine binds those very lists.
+    filled in place: the core loops and bound walks hold those very lists.
     """
     for k, v in state.items():
         if not hasattr(obj, k):

@@ -75,9 +75,6 @@ class SoCConfig:
     is_silicon: bool = False
     #: FireSim host simulation rate in MHz (None for silicon)
     host_mhz: float | None = None
-    #: hot-path acceleration (repro.accel): "on" (default) or "off".
-    #: Bit-identical by contract — the knob trades nothing but wall-clock.
-    accel: str = "on"
 
     def __post_init__(self) -> None:
         problems = self.validation_problems()
@@ -109,9 +106,6 @@ class SoCConfig:
         if self.host_mhz is not None and self.host_mhz <= 0:
             problems.append(
                 f"host_mhz must be positive when set, got {self.host_mhz}")
-        if self.accel not in ("on", "off"):
-            problems.append(
-                f"accel must be 'on' or 'off', got {self.accel!r}")
         return problems
 
     def with_(self, **changes) -> "SoCConfig":
@@ -166,9 +160,7 @@ def config_identity(cfg) -> tuple[dict[str, Any], str]:
     The one derivation every identity in the package hangs off: *tree*
     is ``dataclasses.asdict(cfg)`` — what :meth:`repro.farm.Job.describe`
     and so the result-cache key are made of — and *digest* the sha-256
-    of its canonical JSON minus the ``accel`` knob (accelerated runs are
-    bit-identical to reference runs by contract, so memo entries and
-    checkpoints are shared across modes).  Both are memoized per live
+    of its canonical JSON.  Both are memoized per live
     config object (bounded); the tree is the memo's own, so read it,
     serialise it, but hand callers :func:`config_tree`'s copy.  A config
     that does not hash (a hand-built one holding a list, say) could
@@ -179,8 +171,7 @@ def config_identity(cfg) -> tuple[dict[str, Any], str]:
     if hit is not None and hit[0] is cfg:
         return hit[1], hit[2]
     tree = dataclasses.asdict(cfg)
-    keyed = {k: v for k, v in tree.items() if k != "accel"}
-    blob = json.dumps(keyed, sort_keys=True, default=str)
+    blob = json.dumps(tree, sort_keys=True, default=str)
     digest = hashlib.sha256(blob.encode()).hexdigest()
     try:
         hash(cfg)
@@ -207,7 +198,7 @@ def config_tree(cfg) -> dict[str, Any]:
 
 
 def config_digest(cfg) -> str:
-    """sha-256 of the config's canonical tree, minus the ``accel`` knob.
+    """sha-256 of the config's canonical tree.
 
     The config half of the result-memo key (``repro.accel.memo``) and the
     fingerprint a checkpoint is stamped and verified with

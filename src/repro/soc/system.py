@@ -194,13 +194,11 @@ class System:
             bru = build_branch_unit(cfg.branch)
             if cfg.core_type == "inorder":
                 assert cfg.inorder is not None
-                core: InOrderCore | OoOCore = InOrderCore(
-                    cfg.inorder, port, bru,
-                    accel=getattr(cfg, "accel", "off") == "on")
+                core: InOrderCore | OoOCore = InOrderCore(cfg.inorder, port,
+                                                          bru)
             else:
                 assert cfg.ooo is not None
-                core = OoOCore(cfg.ooo, port, bru,
-                               accel=getattr(cfg, "accel", "off") == "on")
+                core = OoOCore(cfg.ooo, port, bru)
             self.tiles.append(Tile(i, core, port))
 
     # -- instrumentation ------------------------------------------------------

@@ -136,12 +136,8 @@ class StatsRegistry:
         # one system, so baseline them here: snapshots report the accel
         # activity observed during *this* registry's lifetime, keeping a
         # fresh system's counters at zero
-        if getattr(system.cfg, "accel", "off") == "on":
-            from ..accel.stats import global_stats
-            self._accel_base: dict[str, int | float] | None = \
-                _dump(global_stats())
-        else:
-            self._accel_base = None
+        from ..accel.stats import global_stats
+        self._accel_base: dict[str, int | float] = _dump(global_stats())
 
     def snapshot(self) -> Snapshot:
         sys_ = self.system
@@ -158,11 +154,7 @@ class StatsRegistry:
                 "prefetch": (_dump(port.prefetcher.stats)
                              if port.prefetcher is not None else None),
             }
-            # only present on accelerated cores — keeps accel=off
-            # snapshots byte-compatible with pre-accel ones
-            astats = getattr(tile.core, "accel_stats", None)
-            if astats is not None and getattr(tile.core, "_accel_on", False):
-                rec["accel"] = _dump(astats)
+            rec["accel"] = _dump(tile.core.accel_stats)
             tiles.append(rec)
 
         uncore = sys_.uncore
@@ -190,19 +182,16 @@ class StatsRegistry:
         watchdog = getattr(sys_, "last_watchdog", None)
         if watchdog is not None:
             data["watchdog"] = _dump(watchdog.stats)
-        # acceleration counters, only when the config opts in.  The memo
-        # keys are process-wide, reported relative to this registry's
-        # construction-time baseline; the engine uop count is summed
-        # from the tiles (per-run state, carried through checkpoints) so
-        # a resumed run's snapshot stays bit-identical to an
-        # uninterrupted one
-        if self._accel_base is not None:
-            from ..accel.stats import global_stats
-            now = _dump(global_stats())
-            acc = {k: v - self._accel_base.get(k, 0) for k, v in now.items()}
-            acc["engine_uops"] = sum(
-                t["accel"]["engine_uops"] for t in tiles if "accel" in t)
-            data["accel"] = acc
+        # acceleration counters.  The memo keys are process-wide,
+        # reported relative to this registry's construction-time
+        # baseline; the engine uop count is summed from the tiles
+        # (per-run state, carried through checkpoints) so a resumed
+        # run's snapshot stays bit-identical to an uninterrupted one
+        from ..accel.stats import global_stats
+        now = _dump(global_stats())
+        acc = {k: v - self._accel_base.get(k, 0) for k, v in now.items()}
+        acc["engine_uops"] = sum(t["accel"]["engine_uops"] for t in tiles)
+        data["accel"] = acc
         return Snapshot(data)
 
     def delta(self, before: Snapshot) -> Snapshot:

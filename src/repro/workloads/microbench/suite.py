@@ -87,8 +87,8 @@ class KernelRun:
     config: str
     result: CoreResult
     core_ghz: float
-    #: ``{"static": {"uops": n}}`` when an accelerated engine simulated
-    #: the measured pass, None on a memo hit or with accel off.  Read only
+    #: ``{"static": {"uops": n}}`` when the core loop simulated the
+    #: measured pass, None on a memo hit.  Read only
     #: by benchmarks/perf (simulated vs memo-served); goes when that
     #: suite drops the read
     accel: dict | None = None
@@ -114,12 +114,11 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
     A warmup pass trains caches and predictors (microbenchmark harnesses
     time the steady state); the second pass is measured.
 
-    With ``config.accel == "on"`` the decoded trace is shared process-wide
-    (sweeps stop rebuilding it per configuration point) and the whole
-    fresh-system run is memoized on ``(trace, config)`` content identity —
-    a repeated point returns the identical :class:`~repro.core.base.CoreResult`
-    without simulating.  Both caches are bypassed with ``accel="off"`` or
-    ``REPRO_ACCEL_MEMO=0``.
+    The decoded trace is shared process-wide (sweeps stop rebuilding it
+    per configuration point) and the whole fresh-system run is memoized
+    on ``(trace, config)`` content identity — a repeated point returns
+    the identical :class:`~repro.core.base.CoreResult` without
+    simulating.  ``REPRO_ACCEL_MEMO=0`` bypasses the result memo.
     """
     if isinstance(kernel, str):
         kernel = get_kernel(kernel)
@@ -127,17 +126,13 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
         raise RuntimeError(f"kernel {kernel.spec.name} is marked broken")
     scale = max(scale, kernel.min_harness_scale)
     name = kernel.spec.name
-    accel = getattr(config, "accel", "off") == "on"
-    if accel:
-        k = kernel
-        trace = memo.shared_trace(
-            name, scale, seed, lambda: k.build(scale=scale, seed=seed))
-    else:
-        trace = kernel.build(scale=scale, seed=seed)
+    k = kernel
+    trace = memo.shared_trace(
+        name, scale, seed, lambda: k.build(scale=scale, seed=seed))
     system = System(config)
     do_warmup = warmup and kernel.needs_warmup
     key = None
-    if accel and memo.memo_enabled():
+    if memo.memo_enabled():
         key = memo.memo_key(trace, config, system.uncore,
                             extra=("run_kernel", do_warmup))
         hit = memo.memo_get(key)
@@ -149,7 +144,7 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
     if key is not None:
         memo.memo_put(key, result)
     return KernelRun(name, config.name, result, config.core_ghz,
-                     {"static": {"uops": len(trace)}} if accel else None)
+                     {"static": {"uops": len(trace)}})
 
 
 def run_suite(config: SoCConfig, scale: float = 1.0, seed: int = 0,

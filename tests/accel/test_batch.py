@@ -13,6 +13,8 @@ from repro.accel.stats import reset_global_stats
 from repro.farm.job import Job, execute_job
 from repro.soc.presets import ALL_CONFIGS, get_config
 
+from ..core import loop_pins
+
 CONFIG_NAMES = sorted(ALL_CONFIGS)
 
 
@@ -45,22 +47,19 @@ def test_batched_sweep_matches_serial_jobs_all_configs():
 
 
 def test_batched_sweep_matches_reference_models():
-    """Batched engine points == accel="off" reference runs: the batched
-    path inherits the whole layer's bit-identity contract."""
-    cfgs = [get_config("Rocket1"), get_config("MediumBOOM")]
-    ref = {}
-    for cfg in cfgs:
-        ref[cfg.name] = execute_job(
-            Job.kernel(cfg.with_(accel="off"), "EI", scale=0.05))
-    memo.clear_caches()
-    points = batched_sweep(cfgs, "EI", scale=0.05)
-    assert points == ref
+    """Batched points equal the pinned ``Job.kernel`` payloads."""
+    names = ["Rocket1", "MediumBOOM"]
+    points = batched_sweep([get_config(n) for n in names], "EI", scale=0.05)
+    pinned = loop_pins.load_loop_pins()
+    for name in names:
+        assert (loop_pins.digest(points[name])
+                == pinned[f"job_payload/{name}"]["payload"]), name
 
 
 def test_batched_sweep_rejects_duplicate_names():
     cfg = get_config("Rocket1")
     with pytest.raises(ValueError, match="duplicate"):
-        batched_sweep([cfg, cfg.with_(accel="on")], "MM", scale=0.05)
+        batched_sweep([cfg, cfg.with_(ncores=1)], "MM", scale=0.05)
 
 
 def test_batched_sweep_skip_excludes_completed_points():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.accel import memo
 from repro.accel.stats import global_stats, reset_global_stats
-from repro.soc.presets import ROCKET1, ROCKET2
+from repro.soc.presets import ROCKET1
 from repro.workloads.microbench import get_kernel, run_kernel
 
 
@@ -28,12 +28,6 @@ def test_trace_digest_is_content_identity():
     assert a is not b
     assert memo.trace_digest(a) == memo.trace_digest(b)
     assert memo.trace_digest(a) != memo.trace_digest(c)
-
-
-def test_config_digest_ignores_accel_knob():
-    assert (memo.config_digest(ROCKET1.with_(accel="on"))
-            == memo.config_digest(ROCKET1.with_(accel="off")))
-    assert memo.config_digest(ROCKET1) != memo.config_digest(ROCKET2)
 
 
 # ------------------------------------------------------------ shared traces
@@ -88,9 +82,8 @@ def test_env_kill_switch_disables_memo(monkeypatch):
 def test_repeat_runs_hit_the_memo_and_stay_identical():
     import dataclasses
 
-    cfg = ROCKET1.with_(accel="on")
-    a = run_kernel(cfg, "EI", scale=0.05)
+    a = run_kernel(ROCKET1, "EI", scale=0.05)
     hits_before = global_stats().memo_hits
-    b = run_kernel(cfg, "EI", scale=0.05)
+    b = run_kernel(ROCKET1, "EI", scale=0.05)
     assert global_stats().memo_hits == hits_before + 1
     assert dataclasses.asdict(a.result) == dataclasses.asdict(b.result)

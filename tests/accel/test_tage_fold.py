@@ -3,25 +3,19 @@ of re-folding the history per lookup.  ``tests/core/branch_pins.json``
 (recorded from the reference ``predict``/``update`` that re-folded
 ``_hist`` per lookup) is the oracle: same predictions, same tables,
 same ``_hist`` over geometries the presets never reach and over three
-binds, and after each the registers are the fold of ``_hist``.  The
-engine is also held to the reference loop across every way a run can
-be cut into binds (chunked runs, checkpoint/restore into a new
-``System``), which the registers must survive.  The other predictor
-kinds' fused ``predict_update`` is held to the same pins."""
+binds, and after each the registers are the fold of ``_hist``.  Runs
+cut into binds every way (chunked, checkpoint/restore into a new
+``System``) are held to ``tests/core/loop_pins.json``, which the
+registers must survive.  The other predictor kinds' fused
+``predict_update`` is held to the same pins."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.core.branch import TAGE
-from repro.reliability import SimCheckpoint
-from repro.soc.presets import get_config
-from repro.soc.system import System
-from repro.workloads.microbench import get_kernel
 
-from ..core import branch_pins
+from ..core import branch_pins, loop_pins
 
 _pinned = branch_pins.load_branch_pins()
 
@@ -73,33 +67,13 @@ def test_predict_update_is_predict_then_update(name):
     assert branch_pins.drive(name)[1] == _pinned[name]
 
 
-def _run_cut(cfg, trace, cuts, restore=False) -> tuple:
-    """Run ``trace`` in the pieces ``cuts`` delimits; with *restore*, move
-    to a new ``System`` through a checkpoint after the first piece."""
-    system = System(cfg)
-    results = []
-    for a, b in zip(cuts, cuts[1:]):
-        results.append(dataclasses.asdict(system.run(trace[a:b])))
-        if restore and a == cuts[0]:
-            ckpt = SimCheckpoint.from_bytes(system.save_checkpoint().to_bytes())
-            system = System(cfg)
-            system.restore(ckpt, None)  # a new System: registers restored
-    bru = system.tiles[0].core.bru
-    return results, _tables(bru.direction), dataclasses.asdict(bru.stats)
-
-
 @pytest.mark.parametrize("name", ["LargeBOOM", "MILKV-SG2042"])
 def test_folded_registers_survive_every_cut(name):
-    trace = get_kernel("CCh").build(scale=0.1, seed=3)
-    n = len(trace)
-    cuts = [0, n // 3 + 1, 2 * n // 3 + 2, n]
-    shapes = {"straight": ([0, n], False), "chunked": (cuts, False),
-              "restored": (cuts, True)}
-    got = {}
-    for shape, args in shapes.items():
-        got[shape], ref = (_run_cut(get_config(name).with_(accel=mode), trace,
-                                    *args) for mode in ("on", "off"))
-        assert got[shape] == ref, shape
-    # however the run is cut, the predictor saw one branch stream
-    assert got["straight"][1:] == got["chunked"][1:]
-    assert got["chunked"] == got["restored"]
+    """CCh run straight, in three binds, and restored into a new System
+    after the first: results, tables, registers and branch stats as
+    pinned, and one branch stream however the run is cut."""
+    got = loop_pins.check(f"tage_cuts/{name}")
+    for part in ("tables", "branch_stats"):
+        assert got[f"straight/{part}"] == got[f"chunked/{part}"], part
+    for part in ("results", "tables", "branch_stats"):
+        assert got[f"chunked/{part}"] == got[f"restored/{part}"], part

@@ -50,7 +50,7 @@ def test_sweep_knob_rejects_colliding_labels():
 
 def test_sweep_configs_rejects_duplicate_names():
     with pytest.raises(ValueError, match="duplicate"):
-        sweep_configs([ROCKET1, ROCKET1.with_(accel="on")], "EI",
+        sweep_configs([ROCKET1, ROCKET1.with_(ncores=1)], "EI",
                       scale=0.05)
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.check import (
     ALL_TIERS,
     CheckProgram,
-    diff_accel,
     diff_batch,
     diff_checkpoint,
     diff_farm,
@@ -37,11 +36,6 @@ def test_golden_flags_a_planted_divergence():
 def test_lint_invariants_clean():
     trace = run_program(generate_program(1)).trace_so_far
     assert lint_invariants(trace) == []
-
-
-def test_accel_tier_clean_one_config():
-    trace = run_program(generate_program(2)).trace_so_far
-    assert diff_accel(trace, config_names=("Rocket1",)) == []
 
 
 def test_checkpoint_tier_clean():
@@ -75,5 +69,5 @@ def test_run_check_rejects_unknown_tier():
 
 
 def test_all_tiers_is_exhaustive():
-    assert set(ALL_TIERS) == {"golden", "lint", "accel", "batch",
-                              "checkpoint", "instrument", "farm", "chaos"}
+    assert set(ALL_TIERS) == {"golden", "lint", "batch", "checkpoint",
+                              "instrument", "farm", "chaos"}

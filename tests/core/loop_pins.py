@@ -12,10 +12,11 @@ traces, fetch lines across 2**63, CPI stacks, mid-run checkpoint/restore
 and chunked lockstep runs, the predictor's folded registers across run
 cuts, the K1 core's vector unit, and the two "no vector unit" errors.
 
-The pins were first recorded with both core loops the package then
-had (the reference loops and the engine loops, ``accel="off"`` and
-``"on"``), which agreed on every case.  Regenerate them (only when a
-core loop is *meant* to change) with
+The pins were first recorded with the two loops per core type the
+package once had (reference and engine loops, which agreed on every
+case); the engine loops became ``InOrderCore.run``/``OoOCore.run``
+unchanged.  Regenerate them (only when a core loop is *meant* to change)
+with
 ``PYTHONPATH=src python tests/core/loop_pins.py``.
 """
 
@@ -47,10 +48,6 @@ from repro.workloads.npb import run_ep
 LOOP_PINS = pathlib.Path(__file__).with_name("loop_pins.json")
 
 CONFIG_NAMES = sorted(ALL_CONFIGS)
-
-#: the loops the pins were recorded with; every case agreed on both
-MODES = ("off", "on")
-
 
 # -- digests --------------------------------------------------------------------
 
@@ -221,40 +218,40 @@ def no_vector_unit_trace():
     return b.build()
 
 
-def k1_with_rvv():
+def k1_with_rvv(**vkw):
+    """The Banana Pi K1 core with an RVV unit of ``VectorConfig(**vkw)``."""
     return BANANA_PI_HW.with_(
         name="K1-RVV",
         inorder=dataclasses.replace(BANANA_PI_HW.inorder,
-                                    vector=VectorConfig()))
+                                    vector=VectorConfig(**vkw)))
 
 
 # -- cases ----------------------------------------------------------------------
 #
-# A case takes ``conf``, which maps a config to the one a run uses (the
-# core-loop choice, while there were two), and returns the objects to pin.
+# A case returns the objects to pin, by label.
 
-def _microbench(name, conf):
-    return {"result": run_kernel(conf(get_config(name)), "MM",
+def _microbench(name):
+    return {"result": run_kernel(get_config(name), "MM",
                                  scale=0.05).result}
 
 
-def _npb_ep(name, conf):
-    return {"result": run_ep(conf(get_config(name)), cls="S")}
+def _npb_ep(name):
+    return {"result": run_ep(get_config(name), cls="S")}
 
 
-def _lammps(name, conf):
-    return {"result": run_lammps(conf(get_config(name)), nranks=1,
+def _lammps(name):
+    return {"result": run_lammps(get_config(name), nranks=1,
                                  benchmark="lj", natoms=64, steps=1)}
 
 
-def _twice(name, trace, conf):
+def _twice(name, trace):
     """Cold, then again with a warm front end and memory."""
-    system = System(conf(get_config(name)))
+    system = System(get_config(name))
     return ended(system, cold=system.run(trace), warm=system.run(trace))
 
 
-def _cpi_stack(name, conf):
-    system = System(conf(get_config(name)))
+def _cpi_stack(name):
+    system = System(get_config(name))
     trace = get_kernel("MM").build(scale=0.1)
     reg = StatsRegistry(system)
     system.warm(trace)
@@ -264,10 +261,10 @@ def _cpi_stack(name, conf):
     return ended(system, result=result, stack=stack.to_dict())
 
 
-def _checkpoint_mid_run(conf):
+def _checkpoint_mid_run():
     """Rocket1 lockstep, checkpointed after four quanta and finished in
     a new System, beside the uninterrupted run."""
-    cfg = conf(get_config("Rocket1"))
+    cfg = get_config("Rocket1")
     trace = get_kernel("MM").build(scale=0.05)
     whole = System(cfg).run_parallel([trace], quantum=512, chunk=256)[0]
     run = System(cfg).start_parallel([trace], quantum=512, chunk=256)
@@ -291,10 +288,10 @@ def run_chunks(system, trace, chunk=2048):
     return total
 
 
-def _chunked(name, conf):
+def _chunked(name):
     """One trace run whole, in 2048-uop chunks, and in lockstep cut and
     resumed through a checkpoint into a new System."""
-    cfg = conf(get_config(name))
+    cfg = get_config(name)
     trace = chunky_trace()
     system = System(cfg)
     out = ended(system, "whole/", result=system.run(trace))
@@ -314,18 +311,18 @@ def _chunked(name, conf):
     return out
 
 
-def _four_tiles(conf):
+def _four_tiles():
     traces = [get_kernel(k).build(scale=0.05, seed=3)
               for k in ("MM", "STL2", "ML2_BW_ld", "MC")]
-    system = System(conf(get_config("BananaPi-K1")))
+    system = System(get_config("BananaPi-K1"))
     return ended(system, results=system.run_parallel(traces, quantum=512,
                                                      chunk=256))
 
 
-def _no_vector_unit(name, conf):
+def _no_vector_unit(name):
     """The error a vector op raises on a core without a vector unit, what
     the run left behind, and the next run from that state."""
-    system = System(conf(get_config(name)))
+    system = System(get_config(name))
     try:
         system.run(no_vector_unit_trace())
     except ValueError as exc:
@@ -356,50 +353,48 @@ def _run_cut(cfg, trace, cuts, restore=False) -> tuple:
     return results, tables, bru.stats
 
 
-def tage_cut_shapes(n):
-    cuts = [0, n // 3 + 1, 2 * n // 3 + 2, n]
-    return {"straight": ([0, n], False), "chunked": (cuts, False),
-            "restored": (cuts, True)}
-
-
-def _tage_cuts(name, conf):
+def _tage_cuts(name):
     """The branch stream of CCh cut into binds three ways; per shape, the
     run results, TAGE's tables and registers, and the branch stats."""
     trace = get_kernel("CCh").build(scale=0.1, seed=3)
+    n = len(trace)
+    cuts = [0, n // 3 + 1, 2 * n // 3 + 2, n]
+    shapes = {"straight": ([0, n], False), "chunked": (cuts, False),
+              "restored": (cuts, True)}
     out = {}
-    for shape, args in tage_cut_shapes(len(trace)).items():
-        results, tables, bstats = _run_cut(conf(get_config(name)), trace, *args)
+    for shape, args in shapes.items():
+        results, tables, bstats = _run_cut(get_config(name), trace, *args)
         out.update({f"{shape}/results": results, f"{shape}/tables": tables,
                     f"{shape}/branch_stats": bstats})
     return out
 
 
-def _vector(conf):
+def _vector():
     """The K1 core with a vector unit: an axpy-shaped stream and a mix of
     widths, each cold then warm."""
     out = {}
     for tname, trace in (("axpy", axpy_vector()), ("mix", vector_mix())):
-        system = System(conf(k1_with_rvv()))
+        system = System(k1_with_rvv())
         out.update(ended(system, f"{tname}/", cold=system.run(trace),
                          warm=system.run(trace)))
     return out
 
 
-def _dram_queue_depth_one(conf):
+def _dram_queue_depth_one():
     h = get_config("BananaPiSim").hierarchy
     cfg = get_config("BananaPiSim").with_(hierarchy=dataclasses.replace(
         h, dram=dataclasses.replace(h.dram, queue_depth=1)))
-    system = System(conf(cfg))
+    system = System(cfg)
     return ended(system, result=system.run(
         get_kernel("MM").build(scale=0.05, seed=0)))
 
 
-def _job_payload(name, conf):
+def _job_payload(name):
     return {"payload": execute_job(
-        Job.kernel(conf(get_config(name)), "EI", scale=0.05))}
+        Job.kernel(get_config(name), "EI", scale=0.05))}
 
 
-#: case name -> (conf) -> {label: object}
+#: case name -> () -> {label: object}
 CASES = {}
 for _name in CONFIG_NAMES:
     CASES[f"microbench/{_name}"] = partial(_microbench, _name)
@@ -407,10 +402,10 @@ for _name in CONFIG_NAMES:
     CASES[f"lammps/{_name}"] = partial(_lammps, _name)
 for _name in ("Rocket1", "MediumBOOM"):
     CASES[f"straightline/{_name}"] = partial(
-        lambda name, conf: _twice(name, straightline(), conf), _name)
+        lambda name: _twice(name, straightline()), _name)
     CASES[f"job_payload/{_name}"] = partial(_job_payload, _name)
-CASES["fetch_2_63/MediumBOOM"] = partial(
-    lambda conf: _twice("MediumBOOM", straddling_2_63(), conf))
+CASES["fetch_2_63/MediumBOOM"] = lambda: _twice("MediumBOOM",
+                                                straddling_2_63())
 for _name in ("Rocket1", "BananaPi-K1", "MILKVSim"):
     CASES[f"cpi_stack/{_name}"] = partial(_cpi_stack, _name)
 CASES["checkpoint_mid_run/Rocket1"] = _checkpoint_mid_run
@@ -425,31 +420,40 @@ CASES["vector/K1-RVV"] = _vector
 CASES["dram_queue_depth_one/BananaPiSim"] = _dram_queue_depth_one
 
 
-def run(name: str, mode: str) -> dict:
-    """Run case *name* from cold memo caches on the *mode* loop."""
+def run(name: str) -> dict:
+    """Run case *name* from cold memo caches."""
     memo.clear_caches()
     try:
-        return CASES[name](lambda cfg: cfg.with_(accel=mode))
+        return CASES[name]()
     finally:
         memo.clear_caches()
 
 
-def drive(name: str, mode: str) -> dict:
-    """Case *name*'s pins: the digest of every object it produced."""
-    return {k: digest(v) for k, v in run(name, mode).items()}
+def drive(name: str, objs: dict | None = None) -> dict:
+    """Case *name*'s pins: the digest of every object it produced (of
+    *objs*, when the caller already ran it)."""
+    return {k: digest(v) for k, v in (objs or run(name)).items()}
 
 
 def compute_loop_pins() -> dict:
-    pins = {}
-    for name in CASES:
-        off, on = (drive(name, mode) for mode in MODES)
-        assert off == on, name
-        pins[name] = on
-    return pins
+    return {name: drive(name) for name in CASES}
 
 
 def load_loop_pins() -> dict:
     return json.loads(LOOP_PINS.read_text()) if LOOP_PINS.exists() else {}
+
+
+_pinned: dict = {}
+
+
+def check(name: str) -> dict:
+    """Run case *name*, assert it matches its pins, and return what it
+    produced for the caller's own assertions."""
+    if not _pinned:
+        _pinned.update(load_loop_pins())
+    objs = run(name)
+    assert drive(name, objs) == _pinned[name], name
+    return objs
 
 
 if __name__ == "__main__":

@@ -1,19 +1,10 @@
-"""Both core loops against ``loop_pins.json``, case by case."""
+"""``loop_pins.json`` and the cases that regenerate it stay in step;
+each case is read by the test of the behaviour it pins."""
 
 from __future__ import annotations
 
-import pytest
-
 from . import loop_pins
-
-_pinned = loop_pins.load_loop_pins()
 
 
 def test_every_case_is_pinned():
-    assert set(_pinned) == set(loop_pins.CASES)
-
-
-@pytest.mark.parametrize("mode", loop_pins.MODES)
-@pytest.mark.parametrize("case", sorted(loop_pins.CASES))
-def test_loop_matches_pins(case, mode):
-    assert loop_pins.drive(case, mode) == _pinned[case]
+    assert set(loop_pins.load_loop_pins()) == set(loop_pins.CASES)

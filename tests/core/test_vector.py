@@ -1,7 +1,5 @@
 """RVV vector-unit model tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,19 +8,13 @@ from repro.core.vector import VectorConfig
 from repro.isa.trace import TraceBuilder
 from repro.soc import BANANA_PI_HW, System
 
+from . import loop_pins
 from .conftest import make_port
+from .loop_pins import axpy_vector, k1_with_rvv
 
 
 def vcfg(**kw):
     return VectorConfig(**kw)
-
-
-def k1_with_rvv(**vkw):
-    return BANANA_PI_HW.with_(
-        name="K1-RVV",
-        inorder=dataclasses.replace(BANANA_PI_HW.inorder,
-                                    vector=VectorConfig(**vkw)),
-    )
 
 
 def loop_pcs(t):
@@ -39,16 +31,6 @@ def axpy_scalar(n):
         b.load(41, 0x200000 + i * 8)
         b.fp(OpClass.FP_FMA, 42, 40, 41)
         b.store(42, 0x300000 + i * 8)
-    return loop_pcs(b.build())
-
-
-def axpy_vector(n, vl=32):
-    b = TraceBuilder()
-    for i in range(0, n, vl // 8):
-        b.vload(40, 0x100000 + i * 8, vl)
-        b.vload(41, 0x200000 + i * 8, vl)
-        b.vfma(42, 40, 41, nbytes=vl)
-        b.vstore(42, 0x300000 + i * 8, vl)
     return loop_pcs(b.build())
 
 
@@ -162,3 +144,15 @@ def test_ooo_core_rejects_vector_ops():
     b.vfma(42, 40, 41)
     with pytest.raises(ValueError, match="no vector unit"):
         core.run(b.build())
+
+
+def test_vector_unit_matches_loop_pins():
+    """Vector loads, stores, ALU and FMA ops on the K1 core, cold and
+    warm, as pinned."""
+    loop_pins.check("vector/K1-RVV")
+
+
+def test_ooo_no_vector_unit_error_matches_loop_pins():
+    """The OoO core's error, the state it leaves and the next run."""
+    objs = loop_pins.check("no_vector_unit/MediumBOOM")
+    assert "no vector unit" in objs["error"]

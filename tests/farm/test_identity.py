@@ -2,12 +2,17 @@
 
 The values below were first computed before the memoized
 ``repro.soc.config.config_identity`` replaced the four
-``dataclasses.asdict(<config>)`` sites, and moved exactly once since:
-when ``CacheConfig.replacement``/``.write_back``,
-``DRAMConfig.open_page`` and ``HierarchyConfig.coherence`` were deleted,
-every config tree lost those four keys.  Older result-cache and store
-entries then miss and older checkpoints are refused by their config
-fingerprint (``tests/reliability/test_identity_move.py``).  Otherwise,
+``dataclasses.asdict(<config>)`` sites, and moved twice since.  When
+``CacheConfig.replacement``/``.write_back``, ``DRAMConfig.open_page``
+and ``HierarchyConfig.coherence`` were deleted, every config tree lost
+those four keys: older result-cache and store entries then miss and
+older checkpoints are refused by their config fingerprint
+(``tests/reliability/test_identity_move.py``).  When the
+``SoCConfig.accel`` knob was deleted, every config tree lost ``accel``:
+the cache keys moved (each new key was first computed from the old
+``Job.describe()`` tree with ``accel`` popped, the sweep's sub-configs
+included), while the config digests, which never hashed the knob, did
+not, so memo entries and checkpoints still match.  Otherwise,
 caches, stores and checkpoints keep hitting and restoring only while
 these keys and digests stay what they are.
 """
@@ -22,23 +27,11 @@ from repro.soc import config as soc_config
 from repro.soc.config import config_digest, config_identity, config_tree
 
 GOLDEN_KEYS = {
-    "kernel": "374d65ca4791e523385307f22e9f302c4f514b6651f23582c50876787093cbf3",
-    "kernel_plain": "1b171b0f87e1e1329669f93c988e4465637e47b14edba9ae148d954a15bf14bb",
-    "sweep": "5a11e2350dfb02eb620d8886f833d408c661e2da851906626e53df37081dc2b3",
-    "npb": "74588965d3da80a400a3b179289a9e2cd50020a67edfb917170a0478421e435e",
-    "checkprog": "07010a1fc0dff13acef892a7f688ddc87db57e8d3bdf7301c778cbe09063b5bf",
-}
-
-#: ``GOLDEN_KEYS`` of the same jobs with the ``accel`` knob gone from
-#: every config tree (the job's own and each sweep sub-config's)
-KNOBLESS_KEYS = {
     "kernel": "5f0bfaa4432c0859212315b7dc03173b7689ad0d2caf5bc04510be7609a71590",
     "kernel_plain": "16cb236eb3456cd969a5ef6c49eeed02ea4a203f20a9263a0772cd92ea0ed007",
     "sweep": "86bae8372e15161f09fad6d3d70ffad85f7161ccb398d90a5d1fe0181e9908e7",
     "npb": "014ab0a7e6dcb4be4e7e17c9b64ecd9a92cbe4eac4753cf213ba80c7354e2216",
     "checkprog": "e4d934803a1e09fdbd15309e89dacbc9df88db5e0a895cf64cc881c85e6be3fc",
-    "ghz_float": "c0bf8aaffbbcb9abd8fe3b6b957b92c5dc98befaf0624793a60a6006301631d8",
-    "ghz_int": "c33201a6ffd52fca6e735422b3f7121cd8540cac1fd8c60e9eb7ce3d4659531e",
 }
 
 GOLDEN_DIGESTS = {
@@ -107,9 +100,9 @@ def test_equal_configs_of_different_types_keep_their_own_identity():
         assert config_digest(as_int) == (
             "7d38b6e31b99fbe4785d889a2785275587a4ef37b6c5bd938e738a1170e045de")
         assert cache_key(Job.kernel(as_float, "EI", scale=0.05)) == (
-            "1a9a32a3d7a46e97d76e7355f80a5c92104bfcf87e2b7171df031153c927017a")
+            "c0bf8aaffbbcb9abd8fe3b6b957b92c5dc98befaf0624793a60a6006301631d8")
         assert cache_key(Job.kernel(as_int, "EI", scale=0.05)) == (
-            "00228bcb912f94c27b304f0550195f5cf185b63bd56e2c56e7dbab6ff9fa4cbb")
+            "c33201a6ffd52fca6e735422b3f7121cd8540cac1fd8c60e9eb7ce3d4659531e")
     flag_int, flag_bool = (ROCKET1.with_(is_silicon=0),
                            ROCKET1.with_(is_silicon=False))
     assert flag_int == flag_bool
@@ -123,35 +116,10 @@ def test_mutating_a_described_tree_does_not_move_the_key():
         tree = job.describe()
         tree["config"]["core_ghz"] = 99.0
         tree["config"]["hierarchy"]["l1d"]["sets"] = 1
-        tree["config"].pop("accel")
         for sub in tree["params"].get("configs", ()):
             sub.clear()
         assert cache_key(job) == GOLDEN_KEYS[name], name
         assert job.describe()["config"] == dataclasses.asdict(job.config)
-
-
-def test_knobless_keys_are_the_projection_of_the_describe_tree():
-    """Popping ``accel`` from each described config tree and hashing the
-    rest the way ``cache_key`` does gives ``KNOBLESS_KEYS``."""
-    import hashlib
-    import json
-
-    from repro import __version__
-    from repro.farm.cache import CACHE_SCHEMA
-
-    jobs = dict(golden_jobs(),
-                ghz_float=Job.kernel(ghz(2.0), "EI", scale=0.05),
-                ghz_int=Job.kernel(ghz(2), "EI", scale=0.05))
-    for name, job in jobs.items():
-        tree = job.describe()
-        tree["config"].pop("accel")
-        for sub in tree["params"].get("configs", ()):
-            sub.pop("accel")
-        blob = json.dumps({"cache_schema": CACHE_SCHEMA,
-                           "repro_version": __version__, "job": tree},
-                          sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(blob.encode()).hexdigest() == \
-            KNOBLESS_KEYS[name], name
 
 
 def test_memo_is_bounded_over_many_transient_configs():
@@ -167,11 +135,11 @@ def test_unhashable_config_is_derived_uncached():
     class Handmade:
         name: str
         knobs: list
-        accel: str = "on"
+        mode: str = "fast"
 
     cfg = Handmade("h", [1, 2])
     tree, digest = config_identity(cfg)
-    assert tree == {"name": "h", "knobs": [1, 2], "accel": "on"}
+    assert tree == {"name": "h", "knobs": [1, 2], "mode": "fast"}
     assert id(cfg) not in soc_config._identities
     cfg.knobs.append(3)
     assert config_identity(cfg)[0]["knobs"] == [1, 2, 3]

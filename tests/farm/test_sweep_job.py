@@ -37,7 +37,7 @@ def test_sweep_rejects_empty_and_duplicate_configs():
         Job.sweep([], "EI")
     cfg = get_config("Rocket1")
     with pytest.raises(ValueError, match="unique names"):
-        Job.sweep([cfg, cfg.with_(accel="on")], "EI")
+        Job.sweep([cfg, cfg.with_(ncores=1)], "EI")
 
 
 def test_sweep_describe_is_json_clean():

@@ -14,6 +14,7 @@ from repro.mem.dram import (
 )
 
 from ..conftest import Bound
+from ..core import loop_pins
 
 
 def peak_gbps(cfg):
@@ -132,16 +133,8 @@ def test_queue_depth_below_one_is_rejected(depth):
 
 
 def test_queue_depth_one_runs_the_same_on_both_engines():
-    from repro.soc import BANANA_PI_SIM, System
-    from repro.workloads.microbench import get_kernel
-
-    h = BANANA_PI_SIM.hierarchy
-    cfg = BANANA_PI_SIM.with_(hierarchy=dataclasses.replace(
-        h, dram=dataclasses.replace(h.dram, queue_depth=1)))
-    trace = get_kernel("MM").build(scale=0.05, seed=0)
-    off = System(cfg.with_(accel="off")).run(trace)
-    on = System(cfg.with_(accel="on")).run(trace)
-    assert dataclasses.asdict(on) == dataclasses.asdict(off)
+    """MM on BananaPiSim with one-deep DRAM queues, as pinned."""
+    loop_pins.check("dram_queue_depth_one/BananaPiSim")
 
 
 def test_transfer_time_scales_with_width():

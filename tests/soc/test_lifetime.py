@@ -32,7 +32,7 @@ def no_collector():
 @pytest.mark.parametrize("name", ["BananaPiSim", "BananaPi-K1", "LargeBOOM"])
 @pytest.mark.parametrize("ran", [False, True], ids=["fresh", "after_run"])
 def test_dropped_system_dies_without_the_collector(name, ran, no_collector):
-    system = System(get_config(name).with_(accel="on"))
+    system = System(get_config(name))
     if ran:
         system.run(get_kernel("MD").build(scale=0.05))
     probes = [weakref.ref(system.uncore), weakref.ref(system.tiles[0].core),

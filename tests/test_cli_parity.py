@@ -46,19 +46,6 @@ def test_cli_docstring_documents_every_command():
     assert documented == parser_commands()
 
 
-def test_bench_batched_flag_registered_and_documented():
-    """`repro bench --batched` must exist on the parser and be named in
-    the module docstring, README, and docs/api.md command tables."""
-    parser = cli.build_parser()
-    for action in parser._subparsers._group_actions:
-        bench = action.choices["bench"]
-    flags = {s for a in bench._actions for s in a.option_strings}
-    assert "--batched" in flags
-    assert "--batched" in cli.__doc__
-    assert "--batched" in (ROOT / "README.md").read_text()
-    assert "--batched" in (ROOT / "docs" / "api.md").read_text()
-
-
 def test_every_command_has_help_text():
     parser = cli.build_parser()
     for action in parser._subparsers._group_actions:
