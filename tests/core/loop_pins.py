@@ -34,16 +34,22 @@ import numpy as np
 from repro.accel import memo
 from repro.core.vector import VectorConfig
 from repro.farm.job import Job, execute_job
+from repro.instrument import Instrument, InstrumentSpec, TraceTrigger
+from repro.instrument.markers import marker_addr
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import TraceBuilder
 from repro.reliability import SimCheckpoint
 from repro.reliability.checkpoint import _digest_update, capture_system
+from repro.smpi import MultiNodeRuntime, SMPIRuntime
 from repro.soc.presets import ALL_CONFIGS, BANANA_PI_HW, get_config
 from repro.soc.system import System
 from repro.telemetry import StatsRegistry, cpi_stack
 from repro.workloads.lammps import run_lammps
+from repro.workloads.lammps.workload import lammps_program
 from repro.workloads.microbench import get_kernel, run_kernel
 from repro.workloads.npb import run_ep
+from repro.workloads.npb.cg import cg_program
+from repro.workloads.npb.mg import mg_program
 
 LOOP_PINS = pathlib.Path(__file__).with_name("loop_pins.json")
 
@@ -389,6 +395,78 @@ def _dram_queue_depth_one():
         get_kernel("MM").build(scale=0.05, seed=0)))
 
 
+def _mpi(name, program, nranks=4, chunk=4096):
+    """*program* on *nranks* ranks of one system, ``chunk`` uops per
+    compute step."""
+    system = System(get_config(name))
+    results = SMPIRuntime(system, nranks, chunk=chunk).run(program)
+    return ended(system, results=results)
+
+
+def _lammps_4_ranks(name):
+    """256 atoms, one step: every force Compute op spans several
+    4096-uop chunks."""
+    return _mpi(name, lambda comm: lammps_program(comm, "lj", 256, 1))
+
+
+def _two_nodes():
+    """Two Banana Pi nodes, two ranks each: a three-chunk kernel trace
+    per rank, an allreduce over the Ethernet, then a two-chunk trace."""
+    traces = [get_kernel("MM").build(scale=0.35, seed=r) for r in range(4)]
+    tail = get_kernel("STL2").build(scale=0.1)
+
+    def program(comm):
+        yield from comm.compute(traces[comm.rank])
+        total = yield from comm.allreduce(float(comm.rank))
+        yield from comm.compute(tail)
+        return total
+
+    systems = [System(get_config("BananaPiSim")) for _ in range(2)]
+    results = MultiNodeRuntime(systems, ranks_per_node=2).run(program)
+    out = {"results": results}
+    for i, system in enumerate(systems):
+        out.update(ended(system, f"node{i}/"))
+    return out
+
+
+def marker_trace(n=3000):
+    """Loads, ALU ops and a branch per 8 uops, with a magic-store
+    marker every 250 uops."""
+    b = TraceBuilder(pc0=0x4_0000)
+    for i in range(n):
+        if i % 250 == 17:
+            b.store(src=3, addr=marker_addr(16 + i % 3, i))
+        elif i % 8 == 2:
+            b.load(dst=9, addr=0x3_0000 + 64 * (i % 200))
+        elif i % 8 == 7:
+            b.branch(taken=i % 16 == 7, src1=9)
+        else:
+            b.alu(dst=1 + i % 6, src1=9, src2=1 + (i + 1) % 6)
+    return b.build()
+
+
+def _instrumented_lockstep(name):
+    """Three lanes in 256-uop chunks under an instrument with PC- and
+    cycle-armed windows, counter samples and markers; pins the stream
+    records beside the results."""
+    traces = [get_kernel("MM").build(scale=0.05, seed=1), marker_trace(),
+              get_kernel("MC").build(scale=0.05)]
+    spec = InstrumentSpec(
+        triggers=(TraceTrigger(start_pc=int(traces[0].pc[700]), length=300,
+                               label="mm"),
+                  TraceTrigger(start_cycle=5000, stop_cycle=9000, tile=1,
+                               max_records=400),
+                  TraceTrigger(start_pc=int(traces[2].pc[1000]),
+                               stop_pc=int(traces[2].pc[1200]), tile=2)),
+        counter_interval=3000)
+    system = System(get_config(name))
+    inst = Instrument(spec)
+    system.attach_instrument(inst)
+    results = system.run_parallel(traces, quantum=512, chunk=256)
+    system.detach_instrument()
+    return ended(system, results=results, stream=inst.stream.records)
+
+
 def _job_payload(name):
     return {"payload": execute_job(
         Job.kernel(get_config(name), "EI", scale=0.05))}
@@ -418,6 +496,18 @@ for _name in ("LargeBOOM", "MILKV-SG2042"):
     CASES[f"tage_cuts/{_name}"] = partial(_tage_cuts, _name)
 CASES["vector/K1-RVV"] = _vector
 CASES["dram_queue_depth_one/BananaPiSim"] = _dram_queue_depth_one
+for _name in ("BananaPi-K1", "BananaPiSim"):
+    CASES[f"lammps_4_ranks/{_name}"] = partial(_lammps_4_ranks, _name)
+for _name in ("BananaPiSim", "MILKV-SG2042"):
+    # 512-uop chunks: at class S no Compute op is longer than 4096 uops
+    CASES[f"npb_cg_4_ranks/{_name}"] = partial(
+        _mpi, _name, lambda comm: cg_program(comm, "S"), chunk=512)
+    CASES[f"npb_mg_4_ranks/{_name}"] = partial(
+        _mpi, _name, lambda comm: mg_program(comm, "S"), chunk=512)
+CASES["two_nodes/BananaPiSim"] = _two_nodes
+for _name in ("BananaPi-K1", "MediumBOOM"):
+    CASES[f"instrumented_lockstep/{_name}"] = partial(
+        _instrumented_lockstep, _name)
 
 
 def run(name: str) -> dict:

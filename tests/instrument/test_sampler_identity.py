@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.check.oracle import diff_instrument
 from repro.check.progen import generate_program
 from repro.check.runner import ALL_TIERS, run_check
@@ -133,3 +135,13 @@ def test_diff_instrument_oracle_on_one_program():
     prog = generate_program(11)
     trace = run_program(prog).trace_so_far
     assert diff_instrument(trace, seed=11) == []
+
+
+@pytest.mark.parametrize("name", ["BananaPi-K1", "MediumBOOM"])
+def test_instrumented_lockstep_matches_pins(name):
+    """256-uop lanes under windows, samples and markers: the stream
+    records and the results are pinned."""
+    from ..core import loop_pins
+    stream = loop_pins.check(f"instrumented_lockstep/{name}")["stream"]
+    kinds = {r["t"] for r in stream}
+    assert {"window", "trace", "counter", "marker"} <= kinds

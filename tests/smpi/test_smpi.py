@@ -276,3 +276,27 @@ def test_self_messaging_not_required_for_size_one():
 
     r = run_mpi(System(ROCKET1), 1, program)[0]
     assert r.value == (5.0, ["x"])
+
+
+# ------------------------------------------------- pinned multi-chunk runs
+
+@pytest.mark.parametrize("name", ["BananaPi-K1", "BananaPiSim"])
+def test_lammps_four_ranks_matches_pins(name):
+    from ..core import loop_pins
+    objs = loop_pins.check(f"lammps_4_ranks/{name}")
+    energies = [r.value["energies"] for r in objs["results"]]
+    assert all(np.allclose(e, energies[0]) for e in energies)
+
+
+@pytest.mark.parametrize("case", [
+    "npb_cg_4_ranks/BananaPiSim", "npb_mg_4_ranks/BananaPiSim",
+    "npb_cg_4_ranks/MILKV-SG2042", "npb_mg_4_ranks/MILKV-SG2042"])
+def test_npb_four_ranks_matches_pins(case):
+    from ..core import loop_pins
+    loop_pins.check(case)
+
+
+def test_two_nodes_match_pins():
+    from ..core import loop_pins
+    objs = loop_pins.check("two_nodes/BananaPiSim")
+    assert [r.value for r in objs["results"]] == [6.0] * 4
