@@ -73,8 +73,6 @@ _FAILURE = "keep: runs only when something fails ({})"
 _ITEM17 = ("keep: ROADMAP item 17 relocates what survives of "
            "`repro.accel` beside the one core loop per core type; the core "
            "API is settled there, not twice")
-_ITEM18 = ("keep: ROADMAP item 18 settles the lockstep scheduler's API "
-           "with the one chunk driver")
 _ITEM7 = ("keep: ROADMAP item 7 folds `farm`/`serve` into one executor "
           "core; its API is settled there")
 
@@ -187,7 +185,6 @@ VERDICTS: list[tuple[str, str]] = [
      "tier-1); `System` passes `build_branch_unit(cfg)`; it holds no "
      "table of its own"),
     ("core/*", _ITEM17),
-    ("soc/tokens.py:*", _ITEM18),
     ("telemetry/*", "keep: the snapshot/CPI-stack API of observability.md"),
     ("workloads/microbench/controlflow.py:CRm.build", "keep: Table 1's "
      "broken kernel, listed so it can be excluded (`spec.broken`)"),

@@ -9,8 +9,8 @@ here and reused by every core that runs the trace:
   ``InOrderCore.run`` and ``OoOCore.run`` index, plus the in-order
   loop's per-uop issue flags, derived on first use.  The out-of-order
   loop derives fetch line and FP-ness inline.
-* :func:`compiled_trace` builds it once per trace and keeps it on the
-  trace, so it is freed with the trace.
+* :func:`compiled_trace` keeps a whole trace's form on the trace, and
+  compiles any narrower window (a chunk) afresh from column views.
 * :func:`shared_compiled` adds cross-process sharing through a
   :class:`~repro.farm.store.SharedResultStore`: the trace is published
   in its :func:`~repro.isa.serialize.encode_trace` form keyed by workload
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.isa.opcodes import CTRL_OPS, MEM_OPS, VECTOR_OPS, OpClass
 from repro.isa.serialize import decode_trace, encode_trace
-from repro.isa.trace import Trace, trace_digest
+from repro.isa.trace import Trace
 
 from . import memo
 from .stats import global_stats
@@ -51,21 +51,19 @@ _SIMPLE_LUT[[int(op) for op in
 
 
 class CompiledTrace:
-    """One trace, decoded and pre-analyzed for every core at once.
+    """One trace window, decoded and pre-analyzed for every core at once.
 
-    It holds no reference to its trace (only the ``op``/``pc`` columns
-    :meth:`issue_flags` reads), so a trace and its compiled form are
-    freed by reference counting alone."""
+    It holds no reference to its trace (only the ``op``/``pc`` column
+    views :meth:`issue_flags` reads), so a trace and its compiled form
+    are freed by reference counting alone."""
 
-    __slots__ = ("digest", "n", "cols", "_op", "_pc", "_issue_flags",
-                 "__weakref__")
+    __slots__ = ("n", "cols", "_op", "_pc", "_issue_flags", "__weakref__")
 
-    def __init__(self, trace: Trace) -> None:
-        self.digest = trace_digest(trace)
-        self.cols = {name: getattr(trace, name).tolist()
+    def __init__(self, trace: Trace, window: slice = slice(None)) -> None:
+        self.cols = {name: getattr(trace, name)[window].tolist()
                      for name in Trace.COLUMNS}
-        self.n = len(trace)
-        self._op, self._pc = trace.op, trace.pc
+        self._op, self._pc = trace.op[window], trace.pc[window]
+        self.n = len(self._op)
         self._issue_flags = None
 
     def issue_flags(self) -> tuple[list[bool], list[bool]]:
@@ -86,11 +84,16 @@ class CompiledTrace:
         return self._issue_flags
 
     def __repr__(self) -> str:
-        return f"CompiledTrace(n={self.n}, digest={self.digest[:12]})"
+        return f"CompiledTrace(n={self.n})"
 
 
-def compiled_trace(trace: Trace) -> CompiledTrace:
-    """The compiled form of *trace*, built once and kept on the trace."""
+def compiled_trace(trace: Trace, start: int = 0,
+                   stop: Optional[int] = None) -> CompiledTrace:
+    """The compiled form of ``trace[start:stop]``; only the whole
+    trace's is kept (on the trace), so a chunk's lists die with it."""
+    window = slice(start, stop)
+    if window.indices(len(trace))[:2] != (0, len(trace)):
+        return CompiledTrace(trace, window)
     if trace._compiled is None:
         trace._compiled = CompiledTrace(trace)
     return trace._compiled

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..isa.trace import Trace
+if TYPE_CHECKING:
+    from ..isa.trace import Trace
 
 __all__ = ["CoreResult", "CoreModel"]
 
@@ -51,8 +53,9 @@ class CoreModel(abc.ABC):
     """A core timing model bound to a :class:`repro.mem.TilePort`."""
 
     @abc.abstractmethod
-    def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
-        """Consume *trace* starting at cycle *start_time*; return timing."""
+    def run(self, trace: Trace, start_time: int = 0, start: int = 0,
+            stop: int | None = None) -> CoreResult:
+        """Run ``trace[start:stop]`` from cycle *start_time*; return timing."""
 
     @abc.abstractmethod
     def reset(self) -> None:

@@ -27,12 +27,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..isa.opcodes import DEFAULT_LATENCIES, LatencyTable
-from ..isa.trace import NUM_REGS, Trace
+from ..isa.opcodes import DEFAULT_LATENCIES, NUM_REGS, LatencyTable
 from .base import CoreModel, CoreResult
 from .branch import BranchUnit, rocket_branch_unit
 from .vector import VectorConfig
+
+if TYPE_CHECKING:
+    from ..isa.trace import Trace
 
 __all__ = ["InOrderConfig", "InOrderCore"]
 
@@ -105,7 +108,8 @@ class InOrderCore(CoreModel):
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
+    def run(self, trace: Trace, start_time: int = 0, start: int = 0,
+            stop: int | None = None) -> CoreResult:
         # the trace compiler and the latency tables import the SoC
         # config, which imports this module
         from ..accel import memo
@@ -115,7 +119,7 @@ class InOrderCore(CoreModel):
         port = self.port
         bru = self.bru
 
-        ct = compiled_trace(trace)
+        ct = compiled_trace(trace, start, stop)
         view = ct.cols
         op_l = view["op"]
         dst_l = view["dst"]

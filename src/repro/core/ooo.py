@@ -30,11 +30,15 @@ mostly its front end (TAGE) and memory walk, not this scheduler loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..isa.opcodes import DEFAULT_LATENCIES, FP_OPS, LatencyTable, OpClass
-from ..isa.trace import NUM_REGS, Trace
+from ..isa.opcodes import (DEFAULT_LATENCIES, FP_OPS, NUM_REGS, LatencyTable,
+                           OpClass)
 from .base import CoreModel, CoreResult
 from .branch import BranchUnit, boom_branch_unit
+
+if TYPE_CHECKING:
+    from ..isa.trace import Trace
 
 __all__ = ["OoOConfig", "OoOCore"]
 
@@ -126,7 +130,8 @@ class OoOCore(CoreModel):
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self, trace: Trace, start_time: int = 0) -> CoreResult:
+    def run(self, trace: Trace, start_time: int = 0, start: int = 0,
+            stop: int | None = None) -> CoreResult:
         # the trace compiler and the latency tables import the SoC
         # config, which imports this module
         from ..accel import memo
@@ -137,7 +142,7 @@ class OoOCore(CoreModel):
         bru = self.bru
         astats = self.accel_stats
 
-        ct = compiled_trace(trace)
+        ct = compiled_trace(trace, start, stop)
         cols = ct.cols
         op_l = cols["op"]
         dst_l = cols["dst"]

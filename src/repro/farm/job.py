@@ -398,6 +398,13 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
     return payload
 
 
+def _simulation_counters(delta) -> dict[str, Any]:
+    """*delta*'s data minus its ``accel`` records (host bookkeeping)."""
+    for rec in (delta.data, *delta.data.get("tiles", [])):
+        rec.pop("accel", None)
+    return delta.data
+
+
 def kernel_payload(cfg, kern, seed: int, scale: float, registry, base,
                    result, system, quantum: int | None = None) -> dict[str, Any]:
     """Assemble one kernel run's payload from its measured pass.
@@ -410,12 +417,7 @@ def kernel_payload(cfg, kern, seed: int, scale: float, registry, base,
     from ..telemetry import cpi_stack
 
     delta = registry.delta(base)
-    # accel counters are host bookkeeping, not simulation output: the
-    # process-wide ones (memo/trace-cache hits) depend on run history.
-    # A payload must stay a pure function of the job, so strip them all
-    delta.data.pop("accel", None)
-    for tile_rec in delta.data.get("tiles", []):
-        tile_rec.pop("accel", None)
+    _simulation_counters(delta)
     stack = cpi_stack(system, result, delta)
     payload: dict[str, Any] = {
         "kind": "kernel",
@@ -580,8 +582,7 @@ def _run_checkprog_job(job: Job, attempt: int,
     registry = StatsRegistry(system)
     snap_base = registry.snapshot()
     result = system.run(trace)
-    delta = registry.delta(snap_base)
-    delta.data.pop("accel", None)  # process-wide, not a job property
+    telemetry = _simulation_counters(registry.delta(snap_base))
 
     def _fbits(v: float) -> int:
         return _struct.unpack("<Q", _struct.pack("<d", v))[0]
@@ -597,7 +598,7 @@ def _run_checkprog_job(job: Job, attempt: int,
         "cycles": int(result.cycles),
         "instructions": int(result.instructions),
         "stalls": {k: int(v) for k, v in sorted(result.stalls.items())},
-        "telemetry": delta.data,
+        "telemetry": telemetry,
     }
 
 

@@ -20,7 +20,7 @@ run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .sampler import CounterSampler
@@ -115,11 +115,12 @@ class Instrument:
 
     # -- the per-chunk observation hook ---------------------------------------
 
-    def observe(self, tile: int, seg, t0: int, t1: int) -> None:
-        """Observe one executed chunk: tile, trace segment, cycle span."""
+    def observe(self, tile: int, trace, start: int, stop: int, t0: int,
+                t1: int) -> None:
+        """Observe chunk ``trace[start:stop]`` run on *tile* in (t0, t1]."""
         inst0 = self._inst.get(tile, 0)
-        self.tracer.observe(tile, seg, t0, t1, inst0)
-        self._inst[tile] = inst0 + len(seg)
+        self.tracer.observe(tile, trace, start, stop, t0, t1, inst0)
+        self._inst[tile] = inst0 + stop - start
         if t1 > self._max_cycle:
             self._max_cycle = t1
         if self.sampler is not None:

@@ -1,13 +1,13 @@
 """Window decoding: turn raw micro-op chunks into trace-stream records.
 
 The tracer sees the run as a sequence of observed chunks — ``(tile,
-trace segment, start cycle, end cycle)`` — exactly the granularity the
-execution loop already advances in (``System.run`` calls and lockstep
-lane chunks).  Per chunk it advances every window's state machine
-(:mod:`repro.instrument.triggers`) and decodes only the instructions
-inside open windows, so the cost of an armed-but-closed trigger is one
-vectorised PC scan per chunk and the cost of an open window is bounded
-by its record budget.
+trace[start:stop], start cycle, end cycle)`` — exactly the granularity
+the execution loop already advances in (``System.run`` calls and
+lockstep lane chunks).  Per chunk it advances every window's state
+machine (:mod:`repro.instrument.triggers`) and decodes only the
+instructions inside open windows, so the cost of an armed-but-closed
+trigger is one vectorised scan of the chunk's ``pc`` view and the cost
+of an open window is bounded by its record budget.
 
 Cycle stamps are interpolated linearly across a chunk (instruction
 ``i`` of ``n`` spanning ``(t0, t1]`` stamps ``t0 + (t1-t0)*(i+1)//n``):
@@ -23,7 +23,7 @@ import numpy as np
 from ..isa.opcodes import OpClass
 from .markers import decode_marker, is_marker_addr
 from .stream import InstrumentStream
-from .triggers import ARMED, DONE, OPEN, WindowState
+from .triggers import DONE, OPEN, WindowState
 
 __all__ = ["Tracer", "decode_record"]
 
@@ -39,16 +39,16 @@ def _cycles(t0: int, t1: int, n: int) -> np.ndarray:
     return t0 + ((t1 - t0) * np.arange(1, n + 1, dtype=np.int64)) // n
 
 
-def decode_record(seg, i: int, tile: int, cycle: int, window: str,
+def decode_record(trace, i: int, tile: int, cycle: int, window: str,
                   index: int) -> dict:
-    """One trace-stream record for instruction *i* of chunk *seg*."""
-    op = int(seg.op[i])
+    """One trace-stream record for instruction *i* of *trace*."""
+    op = int(trace.op[i])
     rec = {
         "t": "trace", "window": window, "tile": tile, "i": index,
-        "cycle": int(cycle), "pc": f"{int(seg.pc[i]):#x}",
+        "cycle": int(cycle), "pc": f"{int(trace.pc[i]):#x}",
         "op": OpClass(op).name,
     }
-    dst, s1, s2 = int(seg.dst[i]), int(seg.src1[i]), int(seg.src2[i])
+    dst, s1, s2 = int(trace.dst[i]), int(trace.src1[i]), int(trace.src2[i])
     if dst >= 0:
         rec["dst"] = dst
     if s1 >= 0:
@@ -56,11 +56,11 @@ def decode_record(seg, i: int, tile: int, cycle: int, window: str,
     if s2 >= 0:
         rec["src2"] = s2
     if op in _MEM:
-        rec["addr"] = f"{int(seg.addr[i]):#x}"
-        rec["size"] = int(seg.size[i])
+        rec["addr"] = f"{int(trace.addr[i]):#x}"
+        rec["size"] = int(trace.size[i])
     if op in _CTRL:
-        rec["taken"] = bool(seg.taken[i])
-        rec["target"] = f"{int(seg.target[i]):#x}"
+        rec["taken"] = bool(trace.taken[i])
+        rec["target"] = f"{int(trace.target[i]):#x}"
     return rec
 
 
@@ -88,9 +88,11 @@ class Tracer:
 
     # -- the per-chunk hot path ----------------------------------------------
 
-    def observe(self, tile: int, seg, t0: int, t1: int, inst0: int) -> int:
-        """Process one chunk; returns records written."""
-        n = len(seg)
+    def observe(self, tile: int, trace, start: int, stop: int, t0: int,
+                t1: int, inst0: int) -> int:
+        """Process chunk ``trace[start:stop]``; returns records written."""
+        pc = trace.pc[start:stop]
+        n = len(pc)
         if n == 0:
             return 0
         written = 0
@@ -103,7 +105,7 @@ class Tracer:
             start_i = 0
             if ws.armed:
                 if trig.start_pc is not None:
-                    hits = np.flatnonzero(seg.pc == np.uint64(trig.start_pc))
+                    hits = np.flatnonzero(pc == np.uint64(trig.start_pc))
                     if not len(hits):
                         continue
                     start_i = int(hits[0])
@@ -122,7 +124,7 @@ class Tracer:
                 self.stream.write({
                     "t": "window", "event": "open", "window": trig.name,
                     "tile": tile, "cycle": ws.opened_cycle,
-                    "pc": f"{int(seg.pc[start_i]):#x}", "i": inst0 + start_i,
+                    "pc": f"{int(pc[start_i]):#x}", "i": inst0 + start_i,
                 })
                 written += 1
 
@@ -132,7 +134,7 @@ class Tracer:
             end_i, reason = n - 1, None
             if trig.stop_pc is not None:
                 hits = np.flatnonzero(
-                    seg.pc[start_i:] == np.uint64(trig.stop_pc))
+                    pc[start_i:] == np.uint64(trig.stop_pc))
                 if len(hits):
                     end_i, reason = start_i + int(hits[0]), "pc"
             if trig.stop_cycle is not None and t1 >= trig.stop_cycle:
@@ -149,7 +151,7 @@ class Tracer:
 
             for i in range(start_i, end_i + 1):
                 self.stream.write(decode_record(
-                    seg, i, tile, int(cyc[i]), trig.name, inst0 + i))
+                    trace, start + i, tile, int(cyc[i]), trig.name, inst0 + i))
             ws.emitted += max(0, end_i - start_i + 1)
             written += max(0, end_i - start_i + 1)
 
@@ -166,30 +168,32 @@ class Tracer:
                 written += 1
 
         if self.markers:
-            written += self._scan_markers(tile, seg, t0, t1, inst0, cyc)
+            written += self._scan_markers(tile, trace, start, stop, t0, t1,
+                                          inst0, cyc)
         return written
 
-    def _scan_markers(self, tile: int, seg, t0: int, t1: int, inst0: int,
-                      cyc: np.ndarray | None) -> int:
+    def _scan_markers(self, tile: int, trace, start: int, stop: int, t0: int,
+                      t1: int, inst0: int, cyc: np.ndarray | None) -> int:
         # one vectorised scan per chunk; no stores in the magic region
         # means no per-record work at all
-        magic = (seg.op == _STORE) & ((seg.addr >> np.uint64(48))
-                                      == np.uint64(0xF17E))
+        addrs = trace.addr[start:stop]
+        magic = (trace.op[start:stop] == _STORE) & (
+            (addrs >> np.uint64(48)) == np.uint64(0xF17E))
         hits = np.flatnonzero(magic)
         if not len(hits):
             return 0
         if cyc is None:
-            cyc = _cycles(t0, t1, len(seg))
+            cyc = _cycles(t0, t1, stop - start)
         for i in hits:
             i = int(i)
-            addr = int(seg.addr[i])
+            addr = int(addrs[i])
             if not is_marker_addr(addr):  # pragma: no cover - mask is exact
                 continue
             mid, value = decode_marker(addr)
             self.stream.write({
                 "t": "marker", "tile": tile, "cycle": int(cyc[i]),
                 "i": inst0 + i, "id": mid, "value": value,
-                "pc": f"{int(seg.pc[i]):#x}",
+                "pc": f"{int(trace.pc[start + i]):#x}",
             })
         return len(hits)
 

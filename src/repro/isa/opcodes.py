@@ -27,7 +27,11 @@ __all__ = [
     "FP_OPS",
     "INT_EXEC_OPS",
     "VECTOR_OPS",
+    "NUM_REGS", "FP_REG_BASE",
 ]
+
+NUM_REGS = 64      #: integer, then FP register ids (see repro.isa.trace)
+FP_REG_BASE = 32   #: the id of ``f0``
 
 
 class OpClass(enum.IntEnum):

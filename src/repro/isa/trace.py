@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .opcodes import FP_OPS, INT_EXEC_OPS, OpClass
+from .opcodes import FP_OPS, FP_REG_BASE, INT_EXEC_OPS, NUM_REGS, OpClass
 
 __all__ = ["Trace", "TraceBuilder", "ColumnBuilder", "TraceStats", "NUM_REGS",
            "FP_REG_BASE", "trace_digest"]
-
-NUM_REGS = 64
-FP_REG_BASE = 32
 
 #: dtype of each :class:`Trace` column, in constructor order
 _COLUMN_DTYPES = (np.uint8, np.int16, np.int16, np.int16, np.uint64, np.uint8,

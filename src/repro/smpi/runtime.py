@@ -6,7 +6,8 @@ of a :class:`repro.soc.System`.  The runtime is a discrete-event scheduler:
 * the ready rank with the smallest local clock always runs next, so tiles
   interleave on the shared uncore in near time order (the same property the
   FireSim token scheme guarantees);
-* ``Compute`` ops run the rank's trace on its tile in bounded chunks;
+* ``Compute`` ops run the rank's trace on its tile in bounded chunks,
+  windows ``[offset:offset + chunk]`` of the one trace, never slices;
 * point-to-point matching implements eager (buffered) and rendezvous
   protocols over the :class:`repro.smpi.network.NetworkModel`;
 * payloads are real objects, so applications produce genuine results.
@@ -68,8 +69,8 @@ class _RankState:
     clock: int = 0
     status: int = _READY
     resume: Any = None
-    pending_trace: Any = None   #: remainder of an in-progress Compute
-    trace_off: int = 0
+    pending_trace: Any = None   #: trace of an in-progress Compute
+    trace_off: int = 0          #: where its next chunk starts
     result: RankResult = field(default_factory=lambda: RankResult(rank=-1))
 
 
@@ -191,14 +192,14 @@ class SMPIRuntime:
 
     def _run_compute_chunk(self, st: _RankState) -> None:
         trace = st.pending_trace
-        seg = trace[st.trace_off:st.trace_off + self.chunk]
-        tile = self._tile_for(st.idx)
-        r = tile.core.run(seg, start_time=st.clock)
-        st.clock = tile.core.local_time
+        stop = min(st.trace_off + self.chunk, len(trace))
+        core = self._tile_for(st.idx).core
+        r = core.run(trace, start_time=st.clock, start=st.trace_off, stop=stop)
+        st.clock = core.local_time
         st.result.instructions += r.instructions
         st.result.compute_cycles += r.cycles
-        st.trace_off += len(seg)
-        if st.trace_off >= len(trace):
+        st.trace_off = stop
+        if stop >= len(trace):
             st.pending_trace = None
 
     # -- point-to-point ------------------------------------------------------

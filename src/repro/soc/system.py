@@ -4,12 +4,14 @@ A :class:`System` instantiates ``ncores`` tiles (core + private L1s/TLBs)
 over one shared :class:`repro.mem.Uncore` and runs instruction traces on
 them — serially per tile, or in FireSim-style token lockstep across tiles
 (:meth:`System.run_parallel`), which is how the multi-rank MPI experiments
-execute.
+execute.  A lane runs its trace in windows ``core.run(trace,
+start=offset, stop=offset + chunk)``, never in sliced traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..core.base import CoreResult
 from ..core.branch import (
@@ -54,37 +56,34 @@ class Tile:
     core: InOrderCore | OoOCore
     port: TilePort
 
-    def run(self, trace: Trace) -> CoreResult:
-        return self.core.run(trace)
 
-
+@dataclass(eq=False)
 class _TileLane:
     """Adapts a (tile, trace) pair to the LockstepScheduler Lane protocol."""
 
-    def __init__(self, tile: Tile, trace: Trace, chunk: int = 2048,
-                 offset: int = 0, result: CoreResult | None = None,
-                 instrument=None) -> None:
-        self.tile = tile
-        self.trace = trace
-        self.chunk = chunk
-        self.offset = offset
-        self.result = result
-        self.instrument = instrument
+    tile: Tile
+    trace: Trace
+    chunk: int = 2048
+    offset: int = 0
+    result: CoreResult | None = None
+    instrument: Any = None
 
     def local_time(self) -> int:
         return self.tile.core.local_time
 
     def advance(self, until: int) -> bool:
+        core = self.tile.core
         n = len(self.trace)
-        while self.offset < n and self.tile.core.local_time < until:
-            seg = self.trace[self.offset:self.offset + self.chunk]
-            t0 = self.tile.core.local_time
-            r = self.tile.core.run(seg)
+        while self.offset < n and core.local_time < until:
+            start = self.offset
+            stop = min(start + self.chunk, n)
+            t0 = core.local_time
+            r = core.run(self.trace, start=start, stop=stop)
             self.result = r if self.result is None else self.result + r
-            self.offset += len(seg)
+            self.offset = stop
             if self.instrument is not None:
-                self.instrument.observe(self.tile.tile_id, seg, t0,
-                                        self.tile.core.local_time)
+                self.instrument.observe(self.tile.tile_id, self.trace, start,
+                                        stop, t0, core.local_time)
         return self.offset < n
 
 
@@ -100,30 +99,21 @@ class ParallelRun:
     def __init__(self, system: "System", traces: list[Trace],
                  quantum: int = 4096, chunk: int = 2048,
                  watchdog=None, fault_plan=None,
-                 _lanes: list[_TileLane] | None = None,
-                 _scheduler: LockstepScheduler | None = None) -> None:
+                 _lanes: list[_TileLane] | None = None) -> None:
         if len(traces) > len(system.tiles):
             raise ValueError(
                 f"{len(traces)} traces for {len(system.tiles)} tiles")
         self.system = system
-        self.traces = list(traces)
-        self.chunk = chunk
         self.fault_plan = fault_plan
-        self.watchdog = watchdog
         self.lanes = _lanes if _lanes is not None else [
             _TileLane(system.tiles[i], t, chunk=chunk,
                       instrument=system.instrument)
             for i, t in enumerate(traces)
         ]
-        if _scheduler is not None:
-            self.scheduler = _scheduler
-        else:
-            self.scheduler = LockstepScheduler(quantum=quantum)
-            self.scheduler.bind(list(self.lanes))
-        if watchdog is not None:
-            if watchdog.system is None:
-                watchdog.system = system
-            self.scheduler.watchdog = watchdog
+        self.scheduler = LockstepScheduler(quantum=quantum, watchdog=watchdog)
+        self.scheduler.bind(list(self.lanes))
+        if watchdog is not None and watchdog.system is None:
+            watchdog.system = system
         system.last_scheduler = self.scheduler
         system.last_watchdog = watchdog
 
@@ -225,15 +215,14 @@ class System:
 
     def run(self, trace: Trace, tile: int = 0) -> CoreResult:
         """Run a trace to completion on one tile."""
-        if self.instrument is None:
-            return self.tiles[tile].run(trace)
-        t0 = self.tiles[tile].core.local_time
-        result = self.tiles[tile].run(trace)
-        # serial runs are observed whole: one chunk spanning the call,
-        # with cycle stamps interpolated across it.  Lockstep runs
-        # observe per lane chunk, which is the finer-grained path.
-        self.instrument.observe(tile, trace, t0,
-                                self.tiles[tile].core.local_time)
+        core = self.tiles[tile].core
+        t0 = core.local_time
+        result = core.run(trace)
+        if self.instrument is not None:
+            # serial runs are observed whole, as one chunk; lockstep
+            # lanes observe each chunk, the finer-grained path
+            self.instrument.observe(tile, trace, 0, len(trace), t0,
+                                    core.local_time)
         return result
 
     def run_parallel(self, traces: list[Trace], quantum: int = 4096,
@@ -323,23 +312,19 @@ class System:
                     f"trace (fingerprint mismatch)")
             result = (result_from_state(ls["result"])
                       if ls["result"] is not None else None)
-            lanes.append(_TileLane(self.tiles[i], trace,
-                                   chunk=int(ls["chunk"]),
-                                   offset=int(ls["offset"]), result=result,
-                                   instrument=self.instrument))
-        scheduler = LockstepScheduler(quantum=int(ckpt.scheduler["quantum"]))
-        scheduler.bind(list(lanes))
-        scheduler.load_state(ckpt.scheduler)
+            lanes.append(_TileLane(self.tiles[i], trace, int(ls["chunk"]),
+                                   int(ls["offset"]), result, self.instrument))
         if watchdog is not None:
             # A watchdog carried over from the pre-crash run still holds
             # that run's lane clocks; restored lanes resume from the
             # checkpointed (earlier) position, which stale state would
             # misread as "no progress" and escalate to a spurious hang.
             watchdog.reset()
-        chunk = lanes[0].chunk if lanes else 2048
-        return ParallelRun(self, traces, chunk=chunk,
-                           watchdog=watchdog, fault_plan=fault_plan,
-                           _lanes=lanes, _scheduler=scheduler)
+        run = ParallelRun(self, traces, quantum=int(ckpt.scheduler["quantum"]),
+                          watchdog=watchdog, fault_plan=fault_plan,
+                          _lanes=lanes)
+        run.scheduler.load_state(ckpt.scheduler)
+        return run
 
     def seconds(self, result: CoreResult) -> float:
         """Target wall-clock of a result at this system's core frequency."""
@@ -360,7 +345,7 @@ class System:
         Called with no traces it remains a no-op (systems start cold).
         """
         for trace in traces:
-            self.tiles[tile].run(trace)
+            self.tiles[tile].core.run(trace)
 
     def __repr__(self) -> str:
         return f"System({self.cfg.name}, {self.cfg.ncores}x {self.cfg.core_type} @ {self.cfg.core_ghz} GHz)"

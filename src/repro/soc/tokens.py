@@ -13,13 +13,12 @@ order.
 
 The scheduler is *stepwise*: :meth:`LockstepScheduler.bind` attaches the
 lanes and :meth:`LockstepScheduler.step` advances exactly one quantum, so
-callers (``System.run_parallel``, checkpointing, the reliability
-watchdog) can pause, inspect, snapshot, or abort between quanta.
-:meth:`LockstepScheduler.run` keeps the original run-to-completion
-behaviour.  Each lane owns one :class:`TokenChannel`: the scheduler
-produces one token to grant a quantum and the lane's completed advance
-consumes it, so at every quantum boundary ``produced == consumed`` on
-every channel — the conservation invariant the reliability audit checks.
+callers (``ParallelRun.run``, checkpointing, the reliability watchdog)
+can pause, inspect, snapshot, or abort between quanta.  Each lane owns
+one :class:`TokenChannel`: the scheduler produces one token to grant a
+quantum and the lane's completed advance consumes it, so at every
+quantum boundary ``produced == consumed`` on every channel — the
+conservation invariant the reliability audit checks.
 """
 
 from __future__ import annotations
@@ -110,13 +109,12 @@ class LockstepScheduler:
 
     # -- stepwise API ---------------------------------------------------------
 
-    def bind(self, lanes: list) -> "LockstepScheduler":
+    def bind(self, lanes: list) -> None:
         """Attach lanes (one token channel each) without running them."""
         self.lanes = list(lanes)
         self.channels = [TokenChannel(capacity=1) for _ in self.lanes]
         self._live = {i: lane for i, lane in enumerate(self.lanes)}
         self._bound = True
-        return self
 
     @property
     def done(self) -> bool:
@@ -165,13 +163,6 @@ class LockstepScheduler:
         if self.watchdog is not None:
             self.watchdog(self)
         return True
-
-    def run(self, lanes: list | None = None) -> None:
-        """Run all lanes to completion under bounded skew."""
-        if lanes is not None:
-            self.bind(lanes)
-        while self.step():
-            pass
 
     # -- checkpoint support ---------------------------------------------------
 

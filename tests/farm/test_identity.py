@@ -144,3 +144,16 @@ def test_unhashable_config_is_derived_uncached():
     cfg.knobs.append(3)
     assert config_identity(cfg)[0]["knobs"] == [1, 2, 3]
     assert config_identity(cfg)[1] != digest
+
+
+def test_payloads_carry_no_host_counters():
+    """Neither a checkprog nor a kernel payload keeps an ``accel``
+    record, top-level or per tile: they are host bookkeeping."""
+    from repro.farm import execute_job
+
+    for job in (Job.checkprog(ROCKET1, "p0", "addi a0, zero, 1\n",
+                              fuel=1000),
+                Job.kernel(ROCKET1, "EI", scale=0.05)):
+        telemetry = execute_job(job)["telemetry"]
+        assert "accel" not in telemetry
+        assert all("accel" not in tile for tile in telemetry["tiles"])

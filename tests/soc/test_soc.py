@@ -153,10 +153,16 @@ class FakeLane:
         return self.t < self.total
 
 
+def run_to_completion(sched, lanes):
+    sched.bind(lanes)
+    while sched.step():
+        pass
+
+
 def test_scheduler_bounds_skew():
     lanes = [FakeLane(100_000), FakeLane(50_000)]
     sched = LockstepScheduler(quantum=1000)
-    sched.run(lanes)
+    run_to_completion(sched, lanes)
     assert lanes[0].t == 100_000
     assert lanes[1].t == 50_000
     assert sched.stats.max_skew <= 51_000  # bounded while both were live
@@ -164,7 +170,7 @@ def test_scheduler_bounds_skew():
 
 def test_scheduler_least_advanced_first():
     lanes = [FakeLane(3000), FakeLane(3000)]
-    LockstepScheduler(quantum=1000).run(lanes)
+    run_to_completion(LockstepScheduler(quantum=1000), lanes)
     # both should have been interleaved, not run to completion one by one
     assert lanes[0].trace_of_calls[0] == 1000
     assert lanes[1].trace_of_calls[0] == 1000
