@@ -73,8 +73,9 @@ _FAILURE = "keep: runs only when something fails ({})"
 _ITEM17 = ("keep: ROADMAP item 17 relocates what survives of "
            "`repro.accel` beside the one core loop per core type; the core "
            "API is settled there, not twice")
-_ITEM7 = ("keep: ROADMAP item 7 folds `farm`/`serve` into one executor "
-          "core; its API is settled there")
+_ITEM7 = ("keep: what is left of ROADMAP item 7 after the one executor "
+          "core (one cache API, one stats schema, fewer writes) settles "
+          "this API")
 
 #: verdicts for rows A does not reach: (pattern on "path:qualname",
 #: verdict); the first matching pattern wins
@@ -116,8 +117,6 @@ VERDICTS: list[tuple[str, str]] = [
         "a checkpoint that fails its audit")),
     ("farm/runfarm.py:RunFarm._install_sigterm.<locals>._to_interrupt",
      _FAILURE.format("SIGTERM")),
-    ("farm/pool.py:WorkerPool.discard", _FAILURE.format(
-        "a job past its timeout, whose worker is retired")),
     ("farm/store.py:SharedResultStore.evict", "keep: fires when a store "
      "outgrows its size or entry budget (serving.md)"),
     ("farm/store.py:_spin_lock", "keep: the store lock where `fcntl` is "

@@ -12,7 +12,12 @@ asserts the reliability contracts:
    quarantined, and the merged payloads must be **byte-identical** to
    the fault-free run;
 3. **manifest** — the chaos run's JSON manifest records every job as
-   ``ok`` with its resume provenance, and no checkpoint files leak.
+   ``ok`` with its resume provenance, and no checkpoint files leak;
+4. **stall** — on a two-host fleet (``hosts:a=1,b=1``) a ``host-stall``
+   hangs the first launch on host ``a``: the per-job timeout must kill
+   it, the breaker must quarantine ``a``, and the job must finish on
+   ``b`` with a payload byte-identical to the serial one — the batch
+   farm charging a stalled host exactly as the serve layer does.
 
 Exit code 0 on success; any assertion failure is a regression.
 """
@@ -26,7 +31,8 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.farm import Job, ResultCache, RunFarm  # noqa: E402
+from repro.farm import (ExternallyProvisionedDeployManager, Job,  # noqa: E402
+                        ResultCache, RunFarm)
 from repro.reliability import FaultPlan  # noqa: E402
 from repro.soc import ROCKET1, ROCKET2  # noqa: E402
 
@@ -42,6 +48,8 @@ error job=5 attempt=1            # raises before the workload, clean retry
 corrupt-cache entry=2            # garbage bytes over a cached payload
 truncate-cache entry=3           # half a JSON document
 """
+
+STALL_PLAN = "host-stall host=a count=1"   # the first launch on a hangs
 
 
 def canon(results) -> str:
@@ -90,10 +98,24 @@ def main() -> int:
         assert all(j["status"] == "ok" for j in doc["jobs"]), doc["jobs"]
         assert any(j["resumed"] for j in doc["jobs"]), doc["jobs"]
 
+    fleet = ExternallyProvisionedDeployManager(
+        [("a", 1), ("b", 1)], suspect_after=1, quarantine_after=1,
+        probe_interval=1000)
+    stall = RunFarm(deploy=fleet, fault_plan=FaultPlan.parse(STALL_PLAN),
+                    timeout_s=1.0, max_retries=0, backoff_s=0.0)
+    stalled = stall.run(jobs[:2])
+    assert all(r.ok for r in stalled), [r.error for r in stalled]
+    assert canon(stalled) == canon(reference[:2]), \
+        "stall-run payloads differ from the fault-free serial run"
+    assert stalled[0].host == "b" and stalled[0].attempts == 2, stalled[0]
+    assert stall.stats.timeouts == 1 and stall.stats.crashes == 0, \
+        stall.stats
+    assert fleet.health("a").state == "quarantined", fleet.describe()
+
     print(f"chaos smoke ok: {len(jobs)} jobs under "
           f"{len(plan)} faults == fault-free serial "
           f"({s.resumed} resumed, {s.corrupt} quarantined, "
-          f"{s.retries} retries)")
+          f"{s.retries} retries); host stall on a re-placed on b")
     return 0
 
 

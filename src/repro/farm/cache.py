@@ -24,10 +24,10 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
 from typing import Any
 
 from .. import __version__
+from .._atomic import atomic_write
 from .job import Job
 
 __all__ = ["CACHE_SCHEMA", "ResultCache", "cache_key"]
@@ -124,17 +124,8 @@ class ResultCache:
         }
         target = self.path(key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(target, json.dumps(entry, sort_keys=True,
+                                        separators=(",", ":")))
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from .._atomic import atomic_write
 from ..soc.config import SoCConfig, config_tree
 
 __all__ = ["ExecContext", "Job", "JobResult", "JOB_KINDS", "execute_job",
@@ -488,11 +489,8 @@ def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
         done[name] = payload
         completed += 1
         if ckpt_file is not None and completed % ctx.checkpoint_every == 0:
-            blob = json.dumps({"schema": _SWEEP_CKPT_SCHEMA, "key": key,
-                               "points": done})
-            tmp = ckpt_file.with_suffix(".tmp")
-            tmp.write_text(blob)
-            os.replace(tmp, ckpt_file)
+            atomic_write(ckpt_file, json.dumps(
+                {"schema": _SWEEP_CKPT_SCHEMA, "key": key, "points": done}))
             ctx.meta["checkpoints"] = ctx.meta.get("checkpoints", 0) + 1
         if kill_after is not None and completed >= kill_after:
             from ..reliability.faults import apply_worker_fault

@@ -20,11 +20,11 @@ Lifecycle
   alive goes back on the idle list.
 * **Retired, never repaired.**  Whatever used to ``terminate()`` a
   per-job process — a timeout, a cancel/preempt/migrate, a crash, an
-  injected kill or hang — retires the worker (:meth:`Worker.terminate`,
-  :meth:`WorkerPool.discard`), and the slot's next job forks a fresh
-  one.  A worker whose job raised a non-``Exception`` ``BaseException``
-  (``KeyboardInterrupt``, ``SystemExit``) reports it and then retires
-  itself.
+  injected kill or hang — retires the worker (:meth:`Worker.terminate`;
+  the scheduler then reads EOF and releases it), and the slot's next
+  job forks a fresh one.  A worker whose job raised a non-``Exception``
+  ``BaseException`` (``KeyboardInterrupt``, ``SystemExit``) reports it
+  and then retires itself.
 * **Never orphaned.**  Each worker watches its parent's pid and exits
   within :data:`ORPHAN_POLL_S` of the parent dying, mid-job or idle.
 
@@ -185,9 +185,10 @@ class Worker:
 class WorkerPool:
     """Long-lived forked workers, at most one per deploy slot.
 
-    The pool owns processes, not policy: the scheduler still decides
-    where a job lands (``DeployManager.acquire``), when it has timed
-    out, and what a failure means.  Not thread-safe — one scheduler
+    The pool owns processes, not policy: the executor
+    (:mod:`repro.farm.executor`) decides where a job lands
+    (``DeployManager.acquire``), when it has timed out, and what a
+    failure means.  Not thread-safe — one scheduler
     loop drives it.
     """
 
@@ -252,11 +253,6 @@ class WorkerPool:
             self._idle.setdefault(worker.host, []).append(worker)
         else:
             self._reap(worker)
-
-    def discard(self, worker: Worker) -> None:
-        """Retire *worker* now, whatever it is doing."""
-        worker.retired = True
-        self.release(worker)
 
     def _reap(self, worker: Worker) -> None:
         self._workers.discard(worker)

@@ -1,9 +1,10 @@
-"""Shared retry schedule for the batch farm and the serve layer.
+"""Retry schedule of the executor core.
 
-Both the :class:`~repro.farm.runfarm.RunFarm` relaunch path and the
-:class:`~repro.serve.server.FarmServer` re-queue path used to hard-code
-``min(backoff_s * attempt, 2.0)``.  That linear ramp is now one small
-policy object so the two layers cannot drift and operators can tune the
+:meth:`repro.farm.executor.Executor.settle` decides whether a failed
+attempt may retry (the charge rule lives there) and asks this policy
+how long the job waits first, for the batch
+:class:`~repro.farm.runfarm.RunFarm` and the
+:class:`~repro.serve.server.FarmServer` alike; operators tune the
 schedule (``--backoff`` base, growth factor, cap) in one place.
 
 The default is exponential: attempt *n* waits ``base_s * factor**(n-1)``

@@ -3,14 +3,15 @@
 Modeled on FireSim's manager (``deploy/runtools``), which farms one
 simulation per FPGA host and babysits the fleet: here each "host" slot
 is a long-lived worker process of a :class:`~repro.farm.pool.WorkerPool`
-running one :class:`Job` at a time.  The fault model stays simple
-because a worker is only ever reused after it reported — a crashed or
-hung worker is retired and its job retried with backoff on a fresh one,
-and a per-job timeout is just retiring the worker.
+running one :class:`Job` at a time.  :class:`RunFarm` is the blocking
+front end of :class:`~repro.farm.executor.Executor`, which launches,
+reaps, times out and charges every attempt exactly as it does for the
+serve layer: a crashed or hung worker is retired and its job retried
+with backoff on a fresh one.
 
 Host-slot inventory is delegated to a pluggable
 :class:`~repro.farm.deploy.DeployManager` (the FireSim manager/run-farm
-split): the scheduler acquires a slot before launching a worker and
+split): the executor acquires a slot before launching a worker and
 releases it at reap, so the local pool and an externally provisioned
 host fleet run through one code path and produce bit-identical results.
 
@@ -33,17 +34,17 @@ import json
 import os
 import pathlib
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Callable, Iterable, Sequence
 
+from .._atomic import atomic_write
 from ..telemetry import Snapshot
 from .cache import ResultCache, cache_key
 from .deploy import DeployManager, resolve_deploy
-from .job import ExecContext, Job, JobResult, execute_job_meta
-from .pool import Worker, WorkerPool
+from .executor import Attempt, Executor, JobTally
+from .job import Job, JobResult, execute_job_meta
 from .retry import RetryPolicy
 
 __all__ = [
@@ -122,21 +123,6 @@ class FarmEvent:
     elapsed_s: float = 0.0
 
 
-class _Running:
-    """Parent-side record of one job on a pool worker."""
-
-    __slots__ = ("worker", "key", "attempt", "started", "host", "limit")
-
-    def __init__(self, worker: Worker, key: str | None, attempt: int,
-                 host: str, limit: float | None) -> None:
-        self.worker = worker
-        self.key = key
-        self.attempt = attempt
-        self.started = time.monotonic()
-        self.host = host
-        self.limit = limit      #: wall-clock budget of this attempt
-
-
 class RunFarm:
     """Schedule a job list across workers with caching and retries.
 
@@ -162,7 +148,9 @@ class RunFarm:
     max_retries:
         Extra attempts after the first for a raising/crashed/hung job;
         a job that exhausts them is reported ``failed`` without
-        aborting the rest of the sweep.
+        aborting the rest of the sweep.  A worker crash or timeout on a
+        host the job has not failed on is charged to the host, not to
+        this budget (:mod:`repro.farm.executor`, shared with serve).
     backoff_s:
         Base relaunch delay; attempt *n* waits
         ``backoff_s * 2**(n-1)`` (capped at 2 s) before going back on
@@ -220,9 +208,8 @@ class RunFarm:
         self.cache = resolve_cache(cache)
         self.timeout_s = timeout_s
         self.max_retries = max(0, int(max_retries))
-        self.backoff_s = max(0.0, float(backoff_s))
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy(base_s=self.backoff_s))
+        self.retry_policy = (retry_policy
+                             or RetryPolicy(base_s=max(0.0, float(backoff_s))))
         self.on_event = on_event
         self.fault_plan = fault_plan
         self.checkpoint_dir = checkpoint_dir
@@ -276,23 +263,34 @@ class RunFarm:
                     stats.cache_misses += 1
                 todo.append((i, key))
 
+        # one executor, so one pool, per run: workers fork from this
+        # process as it is now, and environment changes reach them
+        ex = Executor(self.deploy, max_retries=self.max_retries,
+                      retry_policy=self.retry_policy,
+                      timeout_s=self.timeout_s, fault_plan=self.fault_plan,
+                      checkpoint_dir=self.checkpoint_dir,
+                      checkpoint_every=self.checkpoint_every,
+                      instrument=lambda rec: (self.instrument_spec,
+                                              self.instrument_dir))
         restore_handler = self._install_sigterm()
         try:
             if todo:
                 if self.workers > 1 and len(todo) > 1:
                     try:
-                        self._run_parallel(jobs, todo, results)
+                        self._run_parallel(ex, jobs, todo, results)
                     except OSError:
                         # pool unavailable (fd limits, sandboxed fork, ...):
                         # degrade to in-process execution of whatever is left
                         left = [(i, k) for i, k in todo if results[i] is None]
-                        self._run_serial(jobs, left, results)
+                        self._run_serial(ex, jobs, left, results)
                 else:
-                    self._run_serial(jobs, todo, results)
+                    self._run_serial(ex, jobs, todo, results)
         except KeyboardInterrupt:
             self.interrupted = True
         finally:
             restore_handler()
+            ex.pool.close()
+            stats.workers_spawned = ex.pool.spawned
 
         for i, job in enumerate(jobs):
             if results[i] is None:
@@ -318,21 +316,6 @@ class RunFarm:
             self.on_event(FarmEvent(kind=kind, index=index, total=self._total,
                                     job=job, attempt=attempt, error=error,
                                     elapsed_s=elapsed_s))
-
-    def _job_timeout(self, job: Job) -> float | None:
-        return job.timeout_s if job.timeout_s is not None else self.timeout_s
-
-    def _exec_ctx(self, index: int, attempt: int, *,
-                  in_process: bool) -> ExecContext:
-        """Per-attempt execution context (fault + checkpoint policy)."""
-        fault = (self.fault_plan.worker_fault(index, attempt)
-                 if self.fault_plan is not None else None)
-        return ExecContext(fault=fault,
-                           checkpoint_dir=self.checkpoint_dir,
-                           checkpoint_every=self.checkpoint_every,
-                           in_process=in_process,
-                           instrument_spec=self.instrument_spec,
-                           instrument_dir=self.instrument_dir)
 
     def _install_sigterm(self) -> Callable[[], None]:
         """Route SIGTERM into KeyboardInterrupt for the graceful-shutdown
@@ -383,221 +366,136 @@ class RunFarm:
             ],
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(json.dumps(doc, indent=2, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(doc, indent=2, sort_keys=True))
 
-    def _complete(self, results, index: int, job: Job, key: str | None,
-                  payload: dict[str, Any], attempts: int,
-                  elapsed_s: float, meta: dict | None = None,
-                  host: str | None = None) -> None:
-        self.stats.simulated += 1
-        resumed = bool(meta and meta.get("resumed"))
-        if resumed:
-            self.stats.resumed += 1
-        if key is not None and self.cache is not None:
-            self.cache.put(key, job, payload)
-        results[index] = JobResult(job=job, index=index, status="ok",
-                                   payload=payload, attempts=attempts,
-                                   elapsed_s=elapsed_s, resumed=resumed,
-                                   host=host)
-        self._emit("ok", index, job, attempt=attempts, elapsed_s=elapsed_s)
-
-    def _fail(self, results, index: int, job: Job, attempts: int,
-              error: str, elapsed_s: float, host: str | None = None) -> None:
-        results[index] = JobResult(job=job, index=index, status="failed",
-                                   attempts=attempts, error=error,
-                                   elapsed_s=elapsed_s, host=host)
-        self._emit("failed", index, job, attempt=attempts, error=error,
-                   elapsed_s=elapsed_s)
+    def _settle(self, ex: Executor, results, rec: JobTally,
+                key: str | None, status: str, data: Any,
+                meta: dict[str, Any], elapsed_s: float) -> float | None:
+        """Count and charge a finished attempt, record the job's result
+        when it is done; the delay before its retry, else None."""
+        verdict = ex.settle(rec, status)
+        if status == "ok":
+            self.stats.simulated += 1
+            resumed = bool(meta.get("resumed"))
+            self.stats.resumed += resumed
+            if key is not None and self.cache is not None:
+                self.cache.put(key, rec.job, data)
+            result = JobResult(job=rec.job, index=rec.ordinal, status="ok",
+                               payload=data, attempts=rec.attempts,
+                               elapsed_s=elapsed_s, resumed=resumed,
+                               host=rec.host)
+        else:
+            if status == "error":
+                self.stats.errors += 1
+            elif status == "timeout":
+                self.stats.timeouts += 1
+            else:
+                self.stats.crashes += 1
+            if verdict.retry:
+                self.stats.retries += 1
+                self._emit("retry", rec.ordinal, rec.job,
+                           attempt=rec.attempts, error=data)
+                return verdict.delay
+            result = JobResult(job=rec.job, index=rec.ordinal,
+                               status="failed", attempts=rec.attempts,
+                               error=data, elapsed_s=elapsed_s, host=rec.host)
+        results[rec.ordinal] = result
+        self._emit(result.status, rec.ordinal, rec.job, attempt=rec.attempts,
+                   error=result.error, elapsed_s=elapsed_s)
+        return None
 
     # -- serial mode ---------------------------------------------------------
 
-    def _run_serial(self, jobs: Sequence[Job],
+    def _run_serial(self, ex: Executor, jobs: Sequence[Job],
                     todo: Sequence[tuple[int, str | None]],
                     results: list[JobResult | None]) -> None:
         host = self.deploy.hosts[0].name
         for index, key in todo:
-            job = jobs[index]
-            error = "not attempted"
-            for attempt in range(1, self.max_retries + 2):
-                self._emit("start", index, job, attempt=attempt)
+            rec = JobTally(jobs[index], index, host=host)
+            while True:
+                rec.attempts += 1
+                self._emit("start", index, rec.job, attempt=rec.attempts)
                 t0 = time.monotonic()
                 try:
-                    payload, meta = execute_job_meta(
-                        job, attempt=attempt,
-                        ctx=self._exec_ctx(index, attempt, in_process=True))
+                    outcome = ("ok", *execute_job_meta(
+                        rec.job, attempt=rec.attempts,
+                        ctx=ex.context(rec, in_process=True)))
                 except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    self.stats.errors += 1
-                    # serial exceptions surface from the workload itself
-                    self.deploy.report_failure(host, job_intrinsic=True)
-                    if attempt <= self.max_retries:
-                        self.stats.retries += 1
-                        self._emit("retry", index, job, attempt=attempt,
-                                   error=error)
-                        delay = self.retry_policy.delay(attempt)
-                        if delay:
-                            time.sleep(delay)
-                else:
-                    self.deploy.report_success(host)
-                    self._complete(results, index, job, key, payload,
-                                   attempts=attempt,
-                                   elapsed_s=time.monotonic() - t0,
-                                   meta=meta, host=host)
+                    # an in-process exception is the workload's own
+                    outcome = ("error", f"{type(exc).__name__}: {exc}", {})
+                delay = self._settle(ex, results, rec, key, *outcome,
+                                     elapsed_s=time.monotonic() - t0)
+                if delay is None:
                     break
-            else:
-                self._fail(results, index, job,
-                           attempts=self.max_retries + 1, error=error,
-                           elapsed_s=0.0, host=host)
+                time.sleep(delay)
 
     # -- parallel mode -------------------------------------------------------
 
-    def _run_parallel(self, jobs: Sequence[Job],
+    def _run_parallel(self, ex: Executor, jobs: Sequence[Job],
                       todo: Sequence[tuple[int, str | None]],
                       results: list[JobResult | None]) -> None:
-        # one pool per run: workers fork from this process as it is now,
-        # so environment changes between runs still reach them
-        pool = WorkerPool()
-        #: (not-before time, index, key, attempt) of jobs awaiting a worker
-        waiting: list[tuple[float, int, str | None, int]] = [
-            (0.0, index, key, 1) for index, key in todo
+        keys = dict(todo)
+        #: (not-before time, index, tally) of jobs awaiting a worker
+        waiting: list[tuple[float, int, JobTally]] = [
+            (0.0, index, JobTally(jobs[index], index)) for index, _ in todo
         ]
-        running: dict[int, _Running] = {}
+        #: attempts on a worker, by the worker's pipe
+        running: dict[Any, Attempt] = {}
 
-        def launch(index: int, key: str | None, attempt: int,
-                   host: str) -> None:
-            exec_ctx = self._exec_ctx(index, attempt, in_process=False)
-            try:
-                worker = pool.submit(host, jobs[index], attempt, exec_ctx)
-            except OSError:
-                self.deploy.release(host)
-                raise
-            running[index] = _Running(worker, key, attempt, host,
-                                      self._job_timeout(jobs[index]))
-            self._emit("start", index, jobs[index], attempt=attempt)
-
-        def retry_or_fail(index: int, r: _Running, error: str) -> None:
-            if r.attempt <= self.max_retries:
-                self.stats.retries += 1
-                self._emit("retry", index, jobs[index], attempt=r.attempt,
-                           error=error)
-                delay = self.retry_policy.delay(r.attempt)
-                waiting.append((time.monotonic() + delay, index, r.key,
-                                r.attempt + 1))
-            else:
-                self._fail(results, index, jobs[index], attempts=r.attempt,
-                           error=error,
-                           elapsed_s=time.monotonic() - r.started,
-                           host=r.host)
-
-        def reported(index: int) -> None:
+        def reaped(run: Attempt) -> None:
             """A worker's pipe is readable: a report, or EOF from a dead
-            worker."""
-            r = running.pop(index)
-            status, data, meta = r.worker.result()
-            pool.release(r.worker)
-            self.deploy.release(r.host)
-            if status == "ok":
-                self.deploy.report_success(r.host)
-                self._complete(results, index, jobs[index], r.key, data,
-                               attempts=r.attempt,
-                               elapsed_s=time.monotonic() - r.started,
-                               meta=meta, host=r.host)
-            elif status == "error":
-                self.stats.errors += 1
-                # the workload itself raised: not the host's fault
-                self.deploy.report_failure(r.host, job_intrinsic=True)
-                retry_or_fail(index, r, str(data))
-            else:
-                self.stats.crashes += 1
-                self.deploy.report_failure(r.host)
-                retry_or_fail(index, r, str(data))
+            or timed-out worker."""
+            rec = run.rec
+            status, data, meta = ex.reap(run)
+            delay = self._settle(ex, results, rec, keys[rec.ordinal], status,
+                                 data, meta, time.monotonic() - run.started)
+            if delay is not None:
+                waiting.append((time.monotonic() + delay, rec.ordinal, rec))
 
         try:
             while waiting or running:
                 now = time.monotonic()
                 waiting.sort()
                 while waiting and waiting[0][0] <= now:
-                    host = self.deploy.acquire()
-                    if host is None:
+                    run = ex.launch(lambda: waiting.pop(0)[2])
+                    if run is None:
                         break
-                    _, index, key, attempt = waiting.pop(0)
-                    launch(index, key, attempt, host)
+                    running[run.worker.conn] = run
+                    self._emit("start", run.rec.ordinal, run.rec.job,
+                               attempt=run.rec.attempts)
 
                 # sleep until a worker reports or dies, a retry comes
                 # due, or a running job's time is up — whichever is first
                 # (a due job still waiting is waiting for a slot, which
                 # only a report frees)
                 wake = [t for t, *_ in waiting if t > now][:1]
-                wake += [r.started + r.limit for r in running.values()
-                         if r.limit is not None]
+                wake += [r.deadline for r in running.values()
+                         if r.deadline is not None]
                 timeout = (max(0.0, min(wake) - time.monotonic())
                            if wake else None)
-                by_conn = {r.worker.conn: index
-                           for index, r in running.items()}
-                if by_conn:
-                    for conn in connection.wait(list(by_conn), timeout):
-                        reported(by_conn[conn])
+                if running:
+                    for conn in connection.wait(list(running), timeout):
+                        reaped(running.pop(conn))
                 else:
                     # nothing running yet no slot granted: only a deploy
                     # manager with capacity of its own can say so — ask again
                     time.sleep(0.005 if timeout is None else timeout)
-
-                now = time.monotonic()
-                for index, r in list(running.items()):
-                    if r.limit is not None and now - r.started > r.limit:
-                        del running[index]
-                        pool.discard(r.worker)
-                        self.deploy.release(r.host)
-                        self.stats.timeouts += 1
-                        self.deploy.report_failure(r.host)
-                        retry_or_fail(index, r,
-                                      f"timed out after {r.limit:g}s")
+                ex.expire(running.values())
         finally:
-            for r in running.values():
-                self.deploy.release(r.host)
-            pool.close()
-            self.stats.workers_spawned = pool.spawned
+            for run in running.values():
+                self.deploy.release(run.worker.host)
 
 
-def run_jobs(jobs: Iterable[Job], *, workers: int | None = None,
-             cache: ResultCache | str | os.PathLike | None = None,
-             timeout_s: float | None = None, max_retries: int = 2,
-             backoff_s: float = 0.25,
-             on_event: Callable[[FarmEvent], None] | None = None,
-             fault_plan=None,
-             checkpoint_dir: str | os.PathLike | None = None,
-             checkpoint_every: int = 8,
-             manifest_path: str | os.PathLike | None = None,
-             instrument=None,
-             instrument_dir: str | os.PathLike | None = None,
-             deploy: DeployManager | str | None = None,
-             retry_policy: RetryPolicy | None = None,
-             strict: bool = False) -> list[JobResult]:
-    """One-call convenience: build a :class:`RunFarm`, run *jobs*.
+def run_jobs(jobs: Iterable[Job], *, strict: bool = False,
+             **farm_kw: Any) -> list[JobResult]:
+    """One-call convenience: build a :class:`RunFarm` from *farm_kw*
+    (its keyword arguments), run *jobs*.
 
     With ``strict=True`` any failed job raises ``RuntimeError`` (the
     sweep still ran to completion first, so the message lists every
     failure at once).
     """
-    farm = RunFarm(workers=workers, cache=cache, timeout_s=timeout_s,
-                   max_retries=max_retries, backoff_s=backoff_s,
-                   on_event=on_event, fault_plan=fault_plan,
-                   checkpoint_dir=checkpoint_dir,
-                   checkpoint_every=checkpoint_every,
-                   manifest_path=manifest_path,
-                   instrument=instrument, instrument_dir=instrument_dir,
-                   deploy=deploy, retry_policy=retry_policy)
-    results = farm.run(jobs)
+    results = RunFarm(**farm_kw).run(jobs)
     if strict:
         failed = [r for r in results if not r.ok]
         if failed:

@@ -20,14 +20,13 @@ mismatch rejects the buffer.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import struct
-import tempfile
 import zlib
 
 import numpy as np
 
+from .._atomic import atomic_write
 from .trace import _COLUMN_DTYPES, Trace, trace_digest
 
 __all__ = ["save_trace", "load_trace", "encode_trace", "decode_trace",
@@ -117,19 +116,7 @@ def _npz_path(path: str | pathlib.Path) -> str:
 def save_trace(trace: Trace, path: str | pathlib.Path) -> None:
     """Write *trace* to *path* atomically (``.npz`` is appended to a path
     without it, and :func:`load_trace` resolves the same way)."""
-    path = _npz_path(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".trace-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(encode_trace(trace))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(_npz_path(path), encode_trace(trace))
 
 
 def load_trace(path: str | pathlib.Path) -> Trace:

@@ -31,15 +31,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
-import io
-import os
 import pickle
-import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .._atomic import atomic_write
 from ..isa.trace import trace_digest
 from ..soc.config import config_digest
 
@@ -500,17 +498,7 @@ class SimCheckpoint:
         """Atomically write the checkpoint to *path*."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with io.open(fd, "wb") as fh:
-                fh.write(self.to_bytes())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, self.to_bytes())
         return path
 
     @classmethod

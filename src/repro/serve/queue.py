@@ -72,6 +72,11 @@ class JobRecord:
     def done(self) -> bool:
         return self.state in TERMINAL_STATES
 
+    @property
+    def ordinal(self) -> int:
+        """0-based admission order, what worker faults key on."""
+        return self.seq - 1
+
     @cached_property
     def key(self) -> str:
         """The job's content address (store key, checkpoint name),

@@ -11,7 +11,8 @@ asyncio event loop owns four things:
 * the :class:`~repro.farm.deploy.DeployManager` host-slot inventory —
   the same pluggable backends batch sweeps use, so a served job lands
   exactly where a ``repro farm`` job would;
-* a :class:`~repro.farm.pool.WorkerPool` of long-lived forked workers,
+* a :class:`~repro.farm.executor.Executor` — the attempt lifecycle
+  shared with batch ``repro farm`` — over long-lived forked workers,
   one per deploy slot, each running job watched through its worker's
   pipe with ``loop.add_reader`` (a crashed worker closes the pipe, so
   completion and death arrive through the same readiness event).
@@ -51,9 +52,9 @@ import threading
 import time
 from typing import Any
 
+from .._atomic import atomic_write
 from ..farm.deploy import DeployManager, resolve_deploy
-from ..farm.job import ExecContext, Job
-from ..farm.pool import Worker, WorkerPool
+from ..farm.executor import Attempt, Executor
 from ..farm.retry import RetryPolicy
 from ..farm.store import SharedResultStore
 from ..instrument.stream import STREAM_SCHEMA, InstrumentStream
@@ -80,19 +81,6 @@ def _wake(fut: asyncio.Future) -> None:
         fut.set_result(None)
 
 
-class _Active:
-    """Server-side record of one job running on a pool worker."""
-
-    __slots__ = ("rec", "worker", "fd", "started", "timed_out")
-
-    def __init__(self, rec: JobRecord, worker: Worker) -> None:
-        self.rec = rec
-        self.worker = worker
-        self.fd = worker.conn.fileno()
-        self.started = time.monotonic()
-        self.timed_out = False
-
-
 class FarmServer:
     """The ``repro serve`` daemon (see module docstring).
 
@@ -115,9 +103,10 @@ class FarmServer:
     max_retries:
         Automatic re-queues after a crashed/raising/timed-out attempt.
         Host-attributed failures (the worker crashed or timed out on a
-        host the breaker then blamed) earn *host credits* and do not
+        host the job had not failed on) earn *host credits* and do not
         consume this budget — a flaky host can't exhaust an innocent
-        job's retries.
+        job's retries.  The rule is :mod:`repro.farm.executor`'s, the
+        same for batch ``repro farm``.
     backoff_s / retry_policy:
         Relaunch-delay schedule, shared with the batch farm:
         ``backoff_s`` is shorthand for ``RetryPolicy(base_s=backoff_s)``
@@ -182,12 +171,14 @@ class FarmServer:
                                            max_bytes=store_max_bytes)
         self.scheduler = FairScheduler(quotas=quotas,
                                        default_quota=default_quota)
-        self.max_retries = max(0, int(max_retries))
-        self.backoff_s = max(0.0, float(backoff_s))
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else RetryPolicy(base_s=self.backoff_s))
-        self.timeout_s = timeout_s
-        self.checkpoint_every = max(1, int(checkpoint_every))
+        self._executor = Executor(
+            self.deploy, max_retries=max(0, int(max_retries)),
+            retry_policy=(retry_policy
+                          or RetryPolicy(base_s=max(0.0, float(backoff_s)))),
+            timeout_s=timeout_s, fault_plan=fault_plan,
+            checkpoint_dir=self.checkpoint_dir,
+            checkpoint_every=max(1, int(checkpoint_every)),
+            instrument=self._instrument)
         self.fault_plan = fault_plan
         self.socket_path = pathlib.Path(socket_path
                                         if socket_path is not None
@@ -196,20 +187,16 @@ class FarmServer:
         #: per-job instrument recipes (a submit-time option, not job identity)
         self._instrument_specs: dict[str, dict] = {}
         self._streams: dict[str, InstrumentStream] = {}
-        self._active: dict[str, _Active] = {}
+        self._active: dict[str, Attempt] = {}
         #: parked ``status`` replies, by job id (see :meth:`_park`)
         self._waiters: dict[str, set[asyncio.Future]] = {}
         #: requests in flight, one task each
         self._handlers: set[asyncio.Task] = set()
-        #: forks lazily: a server that only ever serves store hits has
-        #: no worker processes
-        self._pool = WorkerPool()
         self._seq = 0
         self._closing = False
         self._crashed = False
         self._drain = True
         self._req_count = 0
-        self._host_launches: dict[str, int] = {}
         #: pending coalesced manifest rewrite, and how many were made
         self._manifest_timer: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -379,15 +366,25 @@ class FarmServer:
             doc = json.loads(path.read_text(encoding="utf-8"))
             rec.payload = doc["payload"]
         except (OSError, ValueError, KeyError):
-            if (self.store is not None and rec.job.cacheable
-                    and rec.id not in self._instrument_specs):
-                rec.payload = self.store.get(rec.key)
-                if rec.payload is not None:
-                    rec.from_cache = True
-                    self._persist_result(rec)
-                    return True
-            return False
+            if not self._store_hit(rec):
+                return False
+            self._persist_result(rec)
+            return True
         rec.result_path = str(path)
+        return True
+
+    def _store_hit(self, rec: JobRecord) -> bool:
+        """Attach *rec*'s payload from the shared store, if it has one.
+
+        Never for an instrumented job: a hit would yield no stream.
+        """
+        if (self.store is None or not rec.job.cacheable
+                or rec.id in self._instrument_specs):
+            return False
+        payload = self.store.get(rec.key)
+        if payload is None:
+            return False
+        rec.payload, rec.from_cache = payload, True
         return True
 
     def _requeue_recovered(self, rec: JobRecord, was: str) -> None:
@@ -396,18 +393,13 @@ class FarmServer:
         ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
         # completed-elsewhere fast path: a store hit means the work is
         # already done (possibly by a twin submission) — don't redo it
-        if (self.store is not None and rec.job.cacheable
-                and rec.id not in self._instrument_specs):
-            payload = self.store.get(rec.key)
-            if payload is not None:
-                rec.payload = payload
-                rec.from_cache = True
-                self._set_state(rec, "ok")
-                self._persist_result(rec)
-                self._event(rec, "recovered", was=was)
-                self._event(rec, "store-hit")
-                self._seal(rec)
-                return
+        if self._store_hit(rec):
+            self._set_state(rec, "ok")
+            self._persist_result(rec)
+            self._event(rec, "recovered", was=was)
+            self._event(rec, "store-hit")
+            self._seal(rec)
+            return
         rec.host = None
         self._set_state(rec, "queued")
         self._event(rec, "recovered", was=was, checkpoint=ckpt.exists())
@@ -498,23 +490,17 @@ class FarmServer:
                             instrument=instrument)
         self._event(rec, "queued", tenant=tenant, priority=priority)
 
-        # store fast path: a previously computed payload completes the
-        # job without ever touching the scheduler (instrumented submits
-        # skip it — a hit would yield no stream to tail)
-        if (self.store is not None and job.cacheable and instrument is None):
-            payload = self.store.get(rec.key)
-            if payload is not None:
-                rec.payload = payload
-                rec.from_cache = True
-                self._set_state(rec, "ok")
-                self._persist_result(rec)
-                self._event(rec, "store-hit")
-                self._seal(rec)
-                self._manifest_stale()
-                return {"ok": True, **rec.describe()}
-
         if instrument is not None:
             self._instrument_specs[rec.id] = instrument
+        # store fast path: a previously computed payload completes the
+        # job without ever touching the scheduler
+        if self._store_hit(rec):
+            self._set_state(rec, "ok")
+            self._persist_result(rec)
+            self._event(rec, "store-hit")
+            self._seal(rec)
+            self._manifest_stale()
+            return {"ok": True, **rec.describe()}
         self.scheduler.submit(rec)
         self._pump()
         return {"ok": True, **rec.describe()}
@@ -535,7 +521,7 @@ class FarmServer:
             "scheduler": self.scheduler.describe(),
             "deploy": self.deploy.describe(),
             "jobs": [self.jobs[k].describe() for k in sorted(self.jobs)],
-            "workers_spawned": self._pool.spawned,
+            "workers_spawned": self._executor.pool.spawned,
         }
         if self.store is not None:
             doc["store"] = self.store.stats_snapshot().data["store"]
@@ -603,53 +589,24 @@ class FarmServer:
         """Launch queued jobs while slots and quotas allow."""
         if self._closing and not self._drain:
             return
-        while True:
-            host = self.deploy.acquire()
-            if host is None:
-                return
-            rec = self.scheduler.pick()
-            if rec is None:
-                self.deploy.release(host)
-                return
-            self._launch(rec, host)
+        while (run := self._executor.launch(self.scheduler.pick)) is not None:
+            rec = run.rec
+            rec.pid = run.worker.pid
+            self._set_state(rec, "running", pid=rec.pid)
+            self._active[rec.id] = run
+            self._event(rec, "start", attempt=rec.attempts, host=rec.host)
+            assert self._loop is not None
+            self._loop.add_reader(run.worker.conn.fileno(),
+                                  self._on_worker_done, rec.id)
 
-    def _exec_ctx(self, rec: JobRecord, host: str) -> ExecContext:
+    def _instrument(self, rec: JobRecord) -> tuple:
+        """The job's instrument recipe and stream directory, if any."""
         spec = self._instrument_specs.get(rec.id)
-        idir = None
-        if spec is not None:
-            idir = self.instrument_dir(rec.id)
-            idir.mkdir(parents=True, exist_ok=True)
-        return ExecContext(fault=self._pick_fault(rec, host),
-                           checkpoint_dir=self.checkpoint_dir,
-                           checkpoint_every=self.checkpoint_every,
-                           in_process=False,
-                           instrument_spec=spec,
-                           instrument_dir=idir)
-
-    def _pick_fault(self, rec: JobRecord, host: str):
-        """The chaos fault (if any) this attempt must deliver: worker
-        faults key on admission order, host-stalls on launch-per-host."""
-        if self.fault_plan is None:
-            return None
-        fault = self.fault_plan.worker_fault(rec.seq - 1, rec.attempts)
-        if fault is None:
-            fault = self.fault_plan.host_stall(
-                host, self._host_launches.get(host, 0))
-        return fault
-
-    def _launch(self, rec: JobRecord, host: str) -> None:
-        rec.attempts += 1
-        rec.host = host
-        exec_ctx = self._exec_ctx(rec, host)
-        self._host_launches[host] = self._host_launches.get(host, 0) + 1
-        worker = self._pool.submit(host, rec.job, rec.attempts, exec_ctx)
-        rec.pid = worker.pid
-        self._set_state(rec, "running", pid=worker.pid)
-        run = _Active(rec, worker)
-        self._active[rec.id] = run
-        self._event(rec, "start", attempt=rec.attempts, host=host)
-        assert self._loop is not None
-        self._loop.add_reader(run.fd, self._on_worker_done, rec.id)
+        if spec is None:
+            return None, None
+        idir = self.instrument_dir(rec.id)
+        idir.mkdir(parents=True, exist_ok=True)
+        return spec, idir
 
     def _on_worker_done(self, job_id: str) -> None:
         """Worker pipe became readable: a result, an error, or EOF from
@@ -658,19 +615,17 @@ class FarmServer:
         if run is None:
             return
         assert self._loop is not None
-        self._loop.remove_reader(run.fd)
+        self._loop.remove_reader(run.worker.conn.fileno())
         rec = run.rec
-        status, data, meta = run.worker.result()
-        self._pool.release(run.worker)
+        status, data, meta = self._executor.reap(run)
         rec.elapsed_s = time.monotonic() - run.started
-        self.deploy.release(run.worker.host)
         self.scheduler.job_finished(rec.tenant)
-        self._transition(rec, run, status, data, meta)
+        self._transition(rec, status, data, meta)
         self._pump()
         self._maybe_finish()
 
-    def _transition(self, rec: JobRecord, run: _Active, status: str,
-                    data: Any, meta: dict[str, Any]) -> None:
+    def _transition(self, rec: JobRecord, status: str, data: Any,
+                    meta: dict[str, Any]) -> None:
         rec.pid = None
         if rec.cancel_requested:
             self._set_state(rec, "cancelled")
@@ -702,8 +657,7 @@ class FarmServer:
             rec.migrate_requested = False
             rec.payload = data
             rec.resumed = bool(meta.get("resumed"))
-            if rec.host is not None:
-                self.deploy.report_success(rec.host)
+            self._executor.settle(rec, status)
             if (self.store is not None and rec.job.cacheable
                     and rec.id not in self._instrument_specs):
                 self.store.put(rec.key, rec.job, data)
@@ -716,51 +670,26 @@ class FarmServer:
                         resumed=rec.resumed, cycles=data.get("cycles"))
             self._seal(rec)
         else:
-            error = (f"timed out after "
-                     f"{self._job_timeout(rec.job):g}s" if run.timed_out
-                     else str(data))
-            rec.error = error
-            self._attribute_failure(rec, run, status)
-            charged = rec.attempts - rec.host_credits
-            if charged <= self.max_retries and not self._closing:
+            rec.error = str(data)
+            verdict = self._executor.settle(rec, status)
+            if verdict.quarantined:
+                # trip the migration of everything else on that host
+                self._event(rec, "quarantine", host=rec.host,
+                            error=rec.error)
+                self._migrate_host(rec.host)
+            if verdict.retry and not self._closing:
                 self._set_state(rec, "queued")
-                self._event(rec, "retry", attempt=rec.attempts, error=error)
-                delay = self.retry_policy.delay(rec.attempts)
+                self._event(rec, "retry", attempt=rec.attempts,
+                            error=rec.error)
                 assert self._loop is not None
-                self._loop.call_later(delay, self._requeue, rec)
+                self._loop.call_later(verdict.delay, self._requeue, rec)
             else:
                 self._set_state(rec, "failed")
-                self._event(rec, "failed", attempt=rec.attempts, error=error)
+                self._event(rec, "failed", attempt=rec.attempts,
+                            error=rec.error)
                 self._seal(rec)
         if rec.done:
             self._manifest_stale()
-
-    def _attribute_failure(self, rec: JobRecord, run: _Active,
-                           status: str) -> None:
-        """Blame a failed attempt on the host or the job, and trip the
-        breaker/migration when the host crosses its quarantine line.
-
-        A crash/timeout is host-correlated the first time it happens on
-        a given host; the same job dying on a second distinct host looks
-        job-intrinsic (the job travels, the fault travels with it).  A
-        workload exception is always job-intrinsic.
-        """
-        host = rec.host
-        if host is None:
-            return
-        host_fault = bool(run.timed_out or status == "crash")
-        intrinsic = (not host_fault or host in rec.crash_hosts
-                     or len(rec.crash_hosts) >= 2)
-        if host_fault and host not in rec.crash_hosts:
-            rec.crash_hosts.append(host)
-        was = self.deploy.health(host).state
-        self.deploy.report_failure(host, job_intrinsic=intrinsic)
-        if not intrinsic:
-            rec.host_credits += 1
-        if (self.deploy.health(host).state == "quarantined"
-                and was != "quarantined"):
-            self._event(rec, "quarantine", host=host, error=rec.error)
-            self._migrate_host(host)
 
     def _migrate_host(self, host: str) -> None:
         """Preempt every other job still running on a newly quarantined
@@ -777,21 +706,11 @@ class FarmServer:
         self.scheduler.submit(rec)
         self._pump()
 
-    def _job_timeout(self, job: Job) -> float | None:
-        return job.timeout_s if job.timeout_s is not None else self.timeout_s
-
     async def _watchdog(self) -> None:
         """Kill running jobs that blew their wall-clock limit."""
         while True:
             await asyncio.sleep(0.05)
-            now = time.monotonic()
-            for run in list(self._active.values()):
-                limit = self._job_timeout(run.rec.job)
-                if (limit is not None and not run.timed_out
-                        and now - run.started > limit):
-                    run.timed_out = True
-                    run.worker.terminate()
-
+            self._executor.expire(self._active.values())
     # -- persistence ---------------------------------------------------------
 
     def _persist_result(self, rec: JobRecord) -> None:
@@ -799,10 +718,7 @@ class FarmServer:
         doc = {"id": rec.id, "tenant": rec.tenant, "label": rec.job.label,
                "from_cache": rec.from_cache, "resumed": rec.resumed,
                "attempts": rec.attempts, "payload": rec.payload}
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, sort_keys=True))
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(doc, sort_keys=True))
         rec.result_path = str(path)
 
     def _manifest_stale(self) -> None:
@@ -830,10 +746,7 @@ class FarmServer:
             "scheduler": self.scheduler.describe(),
             "jobs": [self.jobs[k].describe() for k in sorted(self.jobs)],
         }
-        fd, tmp = tempfile.mkstemp(dir=self.spool, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(doc, indent=2, sort_keys=True))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -863,8 +776,8 @@ class FarmServer:
         # dead server would go on journalling its workers' deaths
         assert self._loop is not None
         for run in self._active.values():
-            self._loop.remove_reader(run.fd)
-        self._pool.close()
+            self._loop.remove_reader(run.worker.conn.fileno())
+        self._executor.pool.close()
         self._release_waiters()
         if self._done is not None:
             self._done.set()
@@ -894,7 +807,7 @@ class FarmServer:
             await self._done.wait()
         finally:
             self._watchdog_task.cancel()
-            self._pool.close()
+            self._executor.pool.close()
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()

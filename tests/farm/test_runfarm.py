@@ -145,8 +145,8 @@ def test_hung_worker_times_out_retried_then_failed():
     assert results[0].ok                        # sweep not sunk
     assert not results[1].ok
     assert "timed out" in results[1].error
-    assert farm.stats.timeouts == 2             # first attempt + one retry
-    assert farm.stats.retries == 1
+    assert farm.stats.timeouts == 3             # the first one host-credited
+    assert farm.stats.retries == 2
 
 
 def test_per_job_timeout_overrides_farm_timeout():

@@ -33,7 +33,7 @@ def test_roundtrip(tmp_path):
         assert np.array_equal(getattr(back, f), getattr(t, f)), f
         assert getattr(back, f).dtype == getattr(t, f).dtype, f
     assert trace_digest(back) == trace_digest(t)
-    assert not list(tmp_path.glob(".trace-*"))  # no temp file left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["cch.npz"]  # no temp
 
 
 def test_path_without_suffix_roundtrips(tmp_path):
