@@ -73,14 +73,15 @@ class Attempt:
 class Executor:
     """Launch, reap and charge attempts on a :class:`WorkerPool`.
 
-    *instrument* maps a job's tally to its ``(instrument_spec,
-    instrument_dir)``.  One scheduler loop drives it.
+    One scheduler loop drives it.  The *instrument* a front end passes
+    to :meth:`context` and :meth:`launch` maps a job's tally to its
+    ``(instrument_spec, instrument_dir)``; it is never stored, so the
+    executor holds no reference back to its front end.
     """
 
     def __init__(self, deploy: DeployManager, *, max_retries: int,
                  retry_policy: RetryPolicy, timeout_s: float | None,
-                 fault_plan, checkpoint_dir, checkpoint_every: int,
-                 instrument: Callable[[Any], tuple]) -> None:
+                 fault_plan, checkpoint_dir, checkpoint_every: int) -> None:
         self.deploy = deploy
         self.max_retries = max_retries
         self.retry_policy = retry_policy
@@ -88,11 +89,11 @@ class Executor:
         self.fault_plan = fault_plan
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.instrument = instrument
         self.pool = WorkerPool()    #: forks on first launch, not here
         self._launches: dict[str, int] = {}  #: per host, for host-stall
 
-    def context(self, rec: Any, *, in_process: bool = False) -> ExecContext:
+    def context(self, rec: Any, instrument: Callable[[Any], tuple], *,
+                in_process: bool = False) -> ExecContext:
         """The ExecContext of *rec*'s current attempt on ``rec.host``: the
         worker fault for (ordinal, attempt), else a ``host-stall`` by the
         host's launch count (never in-process: nothing could end it)."""
@@ -102,13 +103,14 @@ class Executor:
             if fault is None and not in_process:
                 fault = self.fault_plan.host_stall(
                     rec.host, self._launches.get(rec.host, 0))
-        spec, idir = self.instrument(rec)
+        spec, idir = instrument(rec)
         return ExecContext(fault=fault, checkpoint_dir=self.checkpoint_dir,
                            checkpoint_every=self.checkpoint_every,
                            in_process=in_process, instrument_spec=spec,
                            instrument_dir=idir)
 
-    def launch(self, pick: Callable[[], Any]) -> Attempt | None:
+    def launch(self, pick: Callable[[], Any],
+               instrument: Callable[[Any], tuple]) -> Attempt | None:
         """Acquire a slot, take the next job from *pick* and start its
         next attempt on a worker of that host; None, the slot given
         back, when no slot is free or *pick* has nothing."""
@@ -122,7 +124,7 @@ class Executor:
         rec.attempts += 1
         rec.host = host
         try:
-            ctx = self.context(rec)
+            ctx = self.context(rec, instrument)
             self._launches[host] = self._launches.get(host, 0) + 1
             worker = self.pool.submit(host, rec.job, rec.attempts, ctx)
         except BaseException:

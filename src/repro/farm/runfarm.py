@@ -269,9 +269,7 @@ class RunFarm:
                       retry_policy=self.retry_policy,
                       timeout_s=self.timeout_s, fault_plan=self.fault_plan,
                       checkpoint_dir=self.checkpoint_dir,
-                      checkpoint_every=self.checkpoint_every,
-                      instrument=lambda rec: (self.instrument_spec,
-                                              self.instrument_dir))
+                      checkpoint_every=self.checkpoint_every)
         restore_handler = self._install_sigterm()
         try:
             if todo:
@@ -316,6 +314,10 @@ class RunFarm:
             self.on_event(FarmEvent(kind=kind, index=index, total=self._total,
                                     job=job, attempt=attempt, error=error,
                                     elapsed_s=elapsed_s))
+
+    def _instrument(self, rec: JobTally) -> tuple:
+        """Every job's instrument recipe and stream directory."""
+        return self.instrument_spec, self.instrument_dir
 
     def _install_sigterm(self) -> Callable[[], None]:
         """Route SIGTERM into KeyboardInterrupt for the graceful-shutdown
@@ -419,7 +421,8 @@ class RunFarm:
                 try:
                     outcome = ("ok", *execute_job_meta(
                         rec.job, attempt=rec.attempts,
-                        ctx=ex.context(rec, in_process=True)))
+                        ctx=ex.context(rec, self._instrument,
+                                       in_process=True)))
                 except Exception as exc:
                     # an in-process exception is the workload's own
                     outcome = ("error", f"{type(exc).__name__}: {exc}", {})
@@ -457,7 +460,8 @@ class RunFarm:
                 now = time.monotonic()
                 waiting.sort()
                 while waiting and waiting[0][0] <= now:
-                    run = ex.launch(lambda: waiting.pop(0)[2])
+                    run = ex.launch(lambda: waiting.pop(0)[2],
+                                    self._instrument)
                     if run is None:
                         break
                     running[run.worker.conn] = run

@@ -177,8 +177,7 @@ class FarmServer:
                           or RetryPolicy(base_s=max(0.0, float(backoff_s)))),
             timeout_s=timeout_s, fault_plan=fault_plan,
             checkpoint_dir=self.checkpoint_dir,
-            checkpoint_every=max(1, int(checkpoint_every)),
-            instrument=self._instrument)
+            checkpoint_every=max(1, int(checkpoint_every)))
         self.fault_plan = fault_plan
         self.socket_path = pathlib.Path(socket_path
                                         if socket_path is not None
@@ -589,7 +588,8 @@ class FarmServer:
         """Launch queued jobs while slots and quotas allow."""
         if self._closing and not self._drain:
             return
-        while (run := self._executor.launch(self.scheduler.pick)) is not None:
+        while (run := self._executor.launch(self.scheduler.pick,
+                                            self._instrument)) is not None:
             rec = run.rec
             rec.pid = run.worker.pid
             self._set_state(rec, "running", pid=rec.pid)

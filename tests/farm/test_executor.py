@@ -7,6 +7,9 @@ stall on a host earns the job a host credit, and the job is retried
 rather than failed.  Two jobs keep ``RunFarm`` on its worker pool.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.farm import ExternallyProvisionedDeployManager, Job, RunFarm
@@ -67,3 +70,18 @@ def test_stalled_host_times_out_and_the_job_moves(run, tmp_path, serial):
     assert [state for state, *_ in got] == ["ok", "ok"]
     assert got[0][1:3] == (2, "b")          # stalled on a, re-placed on b
     assert [payload for *_, payload in got] == serial
+
+
+def test_a_stopped_server_is_freed_by_its_last_reference(tmp_path):
+    """The executor keeps no reference back to its front end, so a
+    stopped server, and every payload it holds, goes with its last
+    reference instead of waiting for a full collection."""
+    gc.disable()
+    try:
+        handle = FarmServer.start_background(tmp_path / "spool", store=False)
+        handle.stop()
+        server = weakref.ref(handle.server)
+        del handle
+        assert server() is None
+    finally:
+        gc.enable()
