@@ -6,11 +6,11 @@
    >1.5e7 and one Python call per uop does ~1.7e6, so the floor has 3x
    slack against host noise yet trips if a per-uop loop creeps back
    into a generator.
-2. The config-batched sweep (``batched_sweep``, one compiled trace per
-   kernel) must stay bit-identical to one ``execute_job(Job.kernel)``
-   per point, on every runnable kernel x ``ALL_CONFIGS`` at scale 0.3 —
-   the claim of the ``batch`` tier of ``repro check``, over the whole
-   suite.
+2. The in-process sweep (``batched_sweep``, every config of a kernel
+   in one call) must stay bit-identical to one
+   ``execute_job(Job.kernel)`` per point, on every runnable kernel x
+   ``ALL_CONFIGS`` at scale 0.3 — the claim of the ``batch`` tier of
+   ``repro check``, over the whole suite.
 3. The interpreter's second pass over a program must decode entirely
    out of the instruction cache.
 

@@ -173,8 +173,6 @@ VERDICTS: list[tuple[str, str]] = [
     ("farm/*", _ITEM7),
     ("accel/stats.py:*", "keep: ROADMAP item 6(d) reshapes the accel "
      "counters"),
-    ("accel/compile.py:_TraceKey.*", "keep: publishes compiled traces into "
-     "a shared store; fires only when a store is passed"),
     ("core/vector.py:*", "keep: RVV timing; ROADMAP parks it and "
      "`test_bench_extensions.py` owns it"),
     ("workloads/microbench/vectorbench.py:*", "keep: RVV kernels; ROADMAP "

@@ -1,18 +1,15 @@
-"""Config-batched sweep engine: one compiled trace, every config over it.
+"""A kernel sweep in one process: one ``Job.kernel`` point per config.
 
-A configuration sweep re-simulates the *same* dynamic micro-op stream
-under N timing configurations.  The serial path pays the full per-config
-cost N times — trace build, numpy decode, per-uop classification.
-:func:`batched_sweep` pays it once: the trace is compiled a single time
-(:func:`~repro.accel.compile.shared_compiled` — shareable across
-processes through a :class:`~repro.farm.store.SharedResultStore`) and
-every config then runs over that compiled form, one after another in
-input order, through the ordinary ``System.run`` (``InOrderCore.run``
-or ``OoOCore.run``).
+:func:`batched_sweep` builds (or fetches) the kernel's trace once
+through :func:`~repro.accel.memo.shared_trace` and runs every config
+over it, one after another in input order, through the same per-point
+body as a monolithic ``Job.kernel`` run.  The core loop compiles the
+trace on its first run and keeps the compiled form on the trace, so
+every later config reuses it.
 
 Bit-identity with per-config ``Job.kernel`` runs is by construction —
-same memo keys, same ``System.run``, same payload constructor — and the
-``batch`` tier of :mod:`repro.check` enforces it end to end
+one body, one memo key, one payload constructor — and the ``batch``
+tier of :mod:`repro.check` enforces it end to end
 (``repro check --tiers batch``).
 """
 
@@ -24,37 +21,26 @@ __all__ = ["batched_sweep"]
 
 
 def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
-                  seed: int = 0, *, warmup: bool = True, store=None,
+                  seed: int = 0, *, warmup: bool = True,
                   on_point: Optional[Callable[[str, dict], None]] = None,
                   skip: Sequence[str] = ()) -> dict[str, dict[str, Any]]:
-    """Evaluate every config of a sweep over one compiled trace.
+    """Evaluate every config of a sweep over one shared trace.
 
     Returns ``{config.name: payload}`` where each payload is
     bit-identical to what :func:`repro.farm.job.execute_job` produces
-    for the matching ``Job.kernel`` — same memo keys, same telemetry
-    stripping, same CPI stack — so batched sweep points are
-    interchangeable with serial ones everywhere (result cache, figure
-    drivers, the farm).
+    for the matching ``Job.kernel``, so sweep points are interchangeable
+    with kernel jobs everywhere (result cache, figure drivers, the farm).
 
     *on_point* fires once per completed config, in input order (a memo
     hit counts as completed) — the hook the sweep job kind uses for
     mid-run checkpointing and fault injection.  *skip* names configs
     whose payloads the caller already holds (checkpoint resume).
     """
-    from ..farm.job import kernel_payload
-    from ..soc.system import System
-    from ..telemetry import StatsRegistry
+    from ..farm.job import _check_unique_names, _kernel_point
     from ..workloads.microbench import get_kernel
     from . import memo
-    from .compile import shared_compiled
 
-    names = [cfg.name for cfg in configs]
-    dup = {n for n in names if names.count(n) > 1}
-    if dup:
-        raise ValueError(
-            f"sweep configs must have unique names, got duplicates: "
-            f"{sorted(dup)}")
-
+    _check_unique_names(configs)
     kern = get_kernel(kernel)
     if kern.spec.broken:
         raise RuntimeError(f"kernel {kern.spec.name} is marked broken")
@@ -62,33 +48,13 @@ def batched_sweep(configs: Sequence[Any], kernel: str, scale: float = 1.0,
     if not todo:
         return {}
     eff_scale = max(float(scale), kern.min_harness_scale)
-    trace = shared_compiled(kernel, eff_scale, seed,
-                            lambda: kern.build(scale=eff_scale, seed=seed),
-                            store=store)
+    trace = memo.shared_trace(kernel, eff_scale, seed,
+                              lambda: kern.build(scale=eff_scale, seed=seed))
     do_warmup = bool(warmup and kern.needs_warmup)
 
     points: dict[str, dict[str, Any]] = {}
     for cfg in todo:
-        system = System(cfg)
-        registry = StatsRegistry(system)
-        mkey = payload = None
-        if memo.memo_enabled():
-            mkey = memo.memo_key(trace, cfg, system.uncore,
-                                 extra=("farm_kernel", do_warmup))
-            payload = memo.memo_get(mkey)
-        if payload is not None:
-            payload["workload"] = kern.spec.name
-            payload["seed"] = seed
-            payload["scale"] = eff_scale
-        else:
-            if do_warmup:
-                system.run(trace)
-            base = registry.snapshot()
-            result = system.run(trace)
-            payload = kernel_payload(cfg, kern, seed, eff_scale, registry,
-                                     base, result, system)
-            if mkey is not None:
-                memo.memo_put(mkey, payload)
+        payload = _kernel_point(cfg, kern, trace, seed, eff_scale, do_warmup)
         points[cfg.name] = payload
         if on_point is not None:
             on_point(cfg.name, payload)

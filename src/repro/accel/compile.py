@@ -1,4 +1,4 @@
-"""Trace compiler: one pre-analyzed, shareable form per decoded trace.
+"""Trace compiler: one pre-analyzed form per decoded trace.
 
 A config sweep evaluates the *same* dynamic micro-op stream under N
 timing configurations, so everything that depends only on the trace —
@@ -11,20 +11,16 @@ here and reused by every core that runs the trace:
   loop derives fetch line and FP-ness inline.
 * :func:`compiled_trace` keeps a whole trace's form on the trace, and
   compiles any narrower window (a chunk) afresh from column views.
-* :func:`shared_compiled` adds cross-process sharing through a
-  :class:`~repro.farm.store.SharedResultStore`: the trace is published
-  in its :func:`~repro.isa.serialize.encode_trace` form keyed by workload
-  identity, and decoding re-verifies the content digest — a corrupted or
-  stale store entry silently falls back to rebuilding from the kernel
-  generator.
+* :func:`trace_payload` / :func:`trace_from_payload` are a trace's JSON
+  form (its :func:`~repro.isa.serialize.encode_trace` bytes in base64);
+  decoding re-verifies the content digest, so a damaged or stale
+  payload reads as None.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
-import json
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -32,14 +28,10 @@ from repro.isa.opcodes import CTRL_OPS, MEM_OPS, VECTOR_OPS, OpClass
 from repro.isa.serialize import decode_trace, encode_trace
 from repro.isa.trace import Trace
 
-from . import memo
-from .stats import global_stats
+__all__ = ["CompiledTrace", "compiled_trace", "trace_payload",
+           "trace_from_payload", "COMPILE_SCHEMA"]
 
-__all__ = ["CompiledTrace", "compiled_trace", "shared_compiled",
-           "compiled_store_key", "trace_payload", "trace_from_payload",
-           "COMPILE_SCHEMA"]
-
-#: payload schema for store-shared compiled traces
+#: schema of :func:`trace_payload`
 COMPILE_SCHEMA = 3
 
 #: ops the in-order model issues with nothing but operand waits and a slot:
@@ -73,7 +65,7 @@ class CompiledTrace:
         slot, or vector unit.  ``newline[i]``: uop *i* is on a different
         fetch line than uop *i-1* (always true at 0, where the previous
         line belongs to whatever ran before).  Derived on first use and
-        cached here only — never part of a store payload.
+        cached here only — never part of a trace payload.
         """
         if self._issue_flags is None:
             lines = self._pc.astype(np.int64) >> 6
@@ -99,16 +91,7 @@ def compiled_trace(trace: Trace, start: int = 0,
     return trace._compiled
 
 
-# -- store sharing ------------------------------------------------------------
-
-
-def compiled_store_key(workload: str, scale: float, seed: int) -> str:
-    """Stable store key for one workload's compiled trace."""
-    blob = json.dumps({"compile_schema": COMPILE_SCHEMA,
-                       "kind": "compiled-trace", "workload": workload,
-                       "scale": float(scale), "seed": int(seed)},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+# -- trace payloads -----------------------------------------------------------
 
 
 def trace_payload(trace: Trace) -> dict[str, Any]:
@@ -118,7 +101,7 @@ def trace_payload(trace: Trace) -> dict[str, Any]:
 
 
 def trace_from_payload(payload: dict[str, Any]) -> Optional[Trace]:
-    """Rebuild a trace from a store payload; None when the payload is
+    """Rebuild a trace from its payload; None when the payload is
     not usable (wrong schema, malformed base64, bad encoding or digest)."""
     if not isinstance(payload, dict) or payload.get("schema") != COMPILE_SCHEMA:
         return None
@@ -127,55 +110,3 @@ def trace_from_payload(payload: dict[str, Any]) -> Optional[Trace]:
     except (KeyError, TypeError, ValueError):
         return None
     return decode_trace(buf)
-
-
-class _TraceKey:
-    """Duck-typed job stand-in for publishing traces into a result store
-    (the store records ``label`` and ``describe()`` as entry metadata)."""
-
-    def __init__(self, workload: str, scale: float, seed: int) -> None:
-        self.workload = workload
-        self.scale = float(scale)
-        self.seed = int(seed)
-        self.label = f"trace:{workload}@s{self.scale}"
-
-    def describe(self) -> dict[str, Any]:
-        return {"kind": "compiled-trace", "workload": self.workload,
-                "scale": self.scale, "seed": self.seed,
-                "schema": COMPILE_SCHEMA}
-
-
-def shared_compiled(workload: str, scale: float, seed: int,
-                    build: Callable[[], Trace],
-                    store=None) -> Trace:
-    """One workload's trace, compiled, and shared as widely as possible.
-
-    Resolution order: the in-process shared-trace cache, then *store*
-    (a :class:`~repro.farm.store.SharedResultStore` or compatible
-    ``get``/``put`` object — content-verified on decode), then *build*;
-    a freshly built trace is published back to the store so sibling
-    processes skip the kernel generator entirely.  The returned trace
-    carries its compiled form (:func:`compiled_trace`).
-    """
-    g = global_stats()
-
-    def build_or_fetch() -> Trace:
-        skey = compiled_store_key(workload, scale, seed)
-        if store is not None:
-            trace = trace_from_payload(store.get(skey) or {})
-            if trace is not None:
-                g.compile_store_hits += 1
-                return trace
-            g.compile_store_misses += 1
-        trace = build()
-        if store is not None:
-            try:
-                store.put(skey, _TraceKey(workload, scale, seed),
-                          trace_payload(trace))
-            except OSError:
-                pass  # a full/readonly store never fails the run
-        return trace
-
-    trace = memo.shared_trace(workload, scale, seed, build_or_fetch)
-    compiled_trace(trace)
-    return trace

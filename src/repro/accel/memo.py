@@ -16,14 +16,13 @@ redundancy without touching semantics:
   whose outcome is a pure function of that key).
 
 All caches hold deep-copied payloads on the way out, so a memo hit can
-never alias live state, and ``REPRO_ACCEL_MEMO=0`` disables the result
-memo.
+never alias live state; :func:`clear_caches` empties them all (to time
+a cold start).
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -37,7 +36,6 @@ __all__ = [
     "memo_key",
     "memo_get",
     "memo_put",
-    "memo_enabled",
     "clear_caches",
     "config_digest",
     "latency_lut",
@@ -47,11 +45,6 @@ __all__ = [
 _MEMO_MAX = 256
 #: bound on shared workload traces
 _TRACE_MAX = 64
-
-
-def memo_enabled() -> bool:
-    """Whether the in-process result memo is active (env kill-switch)."""
-    return os.environ.get("REPRO_ACCEL_MEMO", "1") != "0"
 
 
 # -- latency lookup tables ----------------------------------------------------
@@ -115,8 +108,6 @@ def memo_key(trace, cfg, uncore, extra: tuple = ()) -> tuple:
 def memo_get(key: tuple):
     """Deep copy of the memoized payload for *key*, or None."""
     g = global_stats()
-    if not memo_enabled():
-        return None
     hit = _memo.get(key)
     if hit is None:
         g.memo_misses += 1
@@ -127,8 +118,6 @@ def memo_get(key: tuple):
 
 
 def memo_put(key: tuple, payload) -> None:
-    if not memo_enabled():
-        return
     _memo[key] = copy.deepcopy(payload)
     if len(_memo) > _MEMO_MAX:
         _memo.popitem(last=False)

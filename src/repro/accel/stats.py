@@ -46,18 +46,18 @@ class AccelGlobalStats:
     memo_misses: int = 0
     trace_cache_hits: int = 0
     trace_cache_misses: int = 0
-    #: compiled-trace fetches served by / missed in a shared result store
-    compile_store_hits: int = 0
-    compile_store_misses: int = 0
     decode_hits: int = 0
     decode_misses: int = 0
     engine_uops: int = 0
 
-    # the span solver is gone; benchmarks/perf still reads these three,
-    # so they stay as constant zeros until that suite drops its rows
+    # the span solver and the compiled-trace store tier are gone;
+    # benchmarks/perf still reads these five, so they stay as constant
+    # zeros until that suite drops its rows
     spans = property(lambda self: 0)
     spans_completed = property(lambda self: 0)
     coverage = property(lambda self: 0.0)
+    compile_store_hits = property(lambda self: 0)
+    compile_store_misses = property(lambda self: 0)
 
     def reset(self) -> None:
         self.__init__()

@@ -53,35 +53,22 @@ _NPB_ORDER = ("CG", "EP", "IS", "MG")
 def _microbench_comparison(experiment: str, hw_cfg: SoCConfig,
                            sim_cfgs: list[SoCConfig], scale: float,
                            kernels: list[str] | None,
-                           workers: int | None = None,
-                           batched: bool = False) -> SeriesResult:
+                           workers: int | None = None) -> SeriesResult:
     """Farm the (config x kernel) cross product through :mod:`repro.farm`.
 
     Every run is an independent job, so the whole figure parallelises
     across ``workers`` processes (default ``$REPRO_WORKERS``, so a plain
     ``fig1()`` stays serial) and profits from ``$REPRO_CACHE_DIR``; the
     merged timings are identical to the old serial ``run_suite`` loop.
-
-    With *batched*, each kernel becomes one config-batched sweep job
-    (:func:`repro.accel.batch.batched_sweep`): the trace is compiled
-    once and every config run over the compiled form — per-point
-    results stay bit-identical to per-config jobs.
     """
     from ..farm import Job, run_jobs
 
     names = kernels or [k.spec.name for k in runnable_kernels()]
     cfgs = [hw_cfg, *sim_cfgs]
-    if batched:
-        jobs = [Job.sweep(cfgs, n, scale=scale) for n in names]
-        sweeps = run_jobs(jobs, workers=workers, strict=True)
-        secs = {cfg.name: {n: r.payload["points"][cfg.name]["seconds"]
-                           for n, r in zip(names, sweeps)}
-                for cfg in cfgs}
-    else:
-        jobs = [Job.kernel(cfg, n, scale=scale) for cfg in cfgs for n in names]
-        results = iter(run_jobs(jobs, workers=workers, strict=True))
-        secs = {cfg.name: {n: next(results).payload["seconds"] for n in names}
-                for cfg in cfgs}
+    jobs = [Job.kernel(cfg, n, scale=scale) for cfg in cfgs for n in names]
+    results = iter(run_jobs(jobs, workers=workers, strict=True))
+    secs = {cfg.name: {n: next(results).payload["seconds"] for n in names}
+            for cfg in cfgs}
     series = {
         cfg.name: [
             relative_speedup(secs[hw_cfg.name][n], secs[cfg.name][n])
@@ -102,21 +89,21 @@ def _microbench_comparison(experiment: str, hw_cfg: SoCConfig,
 
 
 def fig1(scale: float = 1.0, kernels: list[str] | None = None,
-         workers: int | None = None, batched: bool = False) -> SeriesResult:
+         workers: int | None = None) -> SeriesResult:
     """Fig 1: MicroBench on the tuned Rocket models vs Banana Pi hardware."""
     return _microbench_comparison(
         "fig1", BANANA_PI_HW, [BANANA_PI_SIM, FAST_BANANA_PI_SIM],
-        scale, kernels, workers, batched=batched,
+        scale, kernels, workers,
     )
 
 
 def fig2(scale: float = 1.0, kernels: list[str] | None = None,
-         workers: int | None = None, batched: bool = False) -> SeriesResult:
+         workers: int | None = None) -> SeriesResult:
     """Fig 2: MicroBench on Small/Medium/Large BOOM and the tuned MILK-V
     model vs MILK-V hardware."""
     return _microbench_comparison(
         "fig2", MILKV_HW, [SMALL_BOOM, MEDIUM_BOOM, LARGE_BOOM, MILKV_SIM],
-        scale, kernels, workers, batched=batched,
+        scale, kernels, workers,
     )
 
 

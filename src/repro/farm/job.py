@@ -115,25 +115,19 @@ class Job:
     def sweep(cls, configs: Sequence[SoCConfig], name: str,
               scale: float = 1.0, seed: int = 0, warmup: bool = True,
               timeout_s: float | None = None) -> "Job":
-        """One config-batched kernel sweep: every config, one compiled trace.
+        """One kernel over several configs as a single job.
 
-        The worker runs :func:`repro.accel.batch.batched_sweep` — the
-        trace is compiled once and the configurations run over it one
-        after another, in input order.  The payload maps config
-        name to exactly the payload the matching ``Job.kernel`` would
-        produce (the ``batch`` check tier enforces this bit-for-bit).
-        Config names must be unique: they key the payload and the
-        per-config checkpoint/resume bookkeeping.
+        The worker runs :func:`repro.accel.batch.batched_sweep`: one
+        ``Job.kernel`` point per config, in input order, checkpointed
+        per completed config.  The payload maps config name to exactly
+        the payload the matching ``Job.kernel`` would produce (the
+        ``batch`` check tier enforces this bit-for-bit).  Config names
+        must be unique: they key the payload and the checkpoint.
         """
         configs = tuple(configs)
         if not configs:
             raise ValueError("sweep needs at least one config")
-        names = [c.name for c in configs]
-        dup = {n for n in names if names.count(n) > 1}
-        if dup:
-            raise ValueError(
-                f"sweep configs must have unique names, got duplicates: "
-                f"{sorted(dup)}")
+        _check_unique_names(configs)
         params: list[tuple[str, Any]] = [
             ("scale", float(scale)), ("warmup", bool(warmup)),
             ("configs", configs)]
@@ -254,6 +248,16 @@ class JobResult:
         return f"[{self.job.label}] {body} ({src})"
 
 
+def _check_unique_names(configs: Sequence[SoCConfig]) -> None:
+    """Refuse a sweep whose configs share a name: names key its points."""
+    names = [cfg.name for cfg in configs]
+    dup = {n for n in names if names.count(n) > 1}
+    if dup:
+        raise ValueError(
+            f"sweep configs must have unique names, got duplicates: "
+            f"{sorted(dup)}")
+
+
 # -- runners ----------------------------------------------------------------
 
 
@@ -309,7 +313,7 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
     """
     from ..accel import memo
     from ..soc.system import System
-    from ..telemetry import StatsRegistry, Snapshot, cpi_stack
+    from ..telemetry import StatsRegistry, Snapshot
     from ..workloads.microbench import get_kernel
 
     kern = get_kernel(job.workload)
@@ -320,80 +324,103 @@ def _run_kernel_job_inner(job: Job, attempt: int, ctx: ExecContext,
     trace = memo.shared_trace(
         job.workload, scale, job.seed,
         lambda: kern.build(scale=scale, seed=job.seed))
+    warmup = bool(job.param("warmup", True) and kern.needs_warmup)
+    quantum = job.param("quantum")
+    if quantum is None:
+        # a faulted or non-cacheable job must really simulate, and only a
+        # real run can produce the stream an operator asked for
+        return _kernel_point(cfg, kern, trace, job.seed, scale, warmup,
+                             memoize=(job.cacheable and ctx.fault is None
+                                      and instrument is None),
+                             instrument=instrument)
+
     system = System(cfg)
     if instrument is not None:
         system.attach_instrument(instrument)
     registry = StatsRegistry(system)
-    quantum = job.param("quantum")
-    mkey = None
-
-    if quantum is None:
-        do_warmup = bool(job.param("warmup", True) and kern.needs_warmup)
-        # fresh-system serial runs are a pure function of (trace, config):
-        # memoize the whole payload (in-process workers and repeated
-        # sweep points skip the simulation entirely) — unless the
-        # operator asked for a stream, which only a real run can produce
-        if (job.cacheable and ctx.fault is None
-                and instrument is None and memo.memo_enabled()):
-            mkey = memo.memo_key(trace, cfg, system.uncore,
-                                 extra=("farm_kernel", do_warmup))
-            hit = memo.memo_get(mkey)
-            if hit is not None:
-                # the key is content-addressed (trace + config digests),
-                # so seed-invariant kernels collide across seeds: the
-                # simulation outputs transfer, the job-identity metadata
-                # does not — re-stamp it for *this* job
-                hit["workload"] = kern.spec.name
-                hit["seed"] = job.seed
-                hit["scale"] = scale
-                return hit
-        if do_warmup:
+    quantum = int(quantum)
+    chunk = int(job.param("chunk", max(1, quantum // 2)))
+    ckpt_file = _checkpoint_file(job, ctx)
+    run = base = None
+    if ckpt_file is not None and ckpt_file.exists():
+        from ..reliability.checkpoint import CheckpointError, SimCheckpoint
+        try:
+            ckpt = SimCheckpoint.load(ckpt_file)
+            run = system.restore(ckpt, [trace])
+            base = Snapshot(ckpt.extras["baseline"])
+            ctx.meta["resumed"] = True
+        except (CheckpointError, KeyError):
+            run = base = None  # unusable checkpoint: start over
+    if run is None:
+        if warmup:
             system.run(trace)
         base = registry.snapshot()
-        result = system.run(trace)
-    else:
-        quantum = int(quantum)
-        chunk = int(job.param("chunk", max(1, quantum // 2)))
-        ckpt_file = _checkpoint_file(job, ctx)
-        run = base = None
-        if ckpt_file is not None and ckpt_file.exists():
-            from ..reliability.checkpoint import CheckpointError, SimCheckpoint
-            try:
-                ckpt = SimCheckpoint.load(ckpt_file)
-                run = system.restore(ckpt, [trace])
-                base = Snapshot(ckpt.extras["baseline"])
-                ctx.meta["resumed"] = True
-            except (CheckpointError, KeyError):
-                run = base = None  # unusable checkpoint: start over
-        if run is None:
-            if job.param("warmup", True) and kern.needs_warmup:
-                system.run(trace)
-            base = registry.snapshot()
-            run = system.start_parallel([trace], quantum=quantum, chunk=chunk)
-        fault = ctx.fault
-        kill_after = (int(fault.param("after"))
-                      if (fault is not None and fault.kind == "kill"
-                          and fault.param("after") is not None) else None)
-        while True:
-            alive = run.step()
-            if (ckpt_file is not None and run.quanta > 0
-                    and run.quanta % ctx.checkpoint_every == 0):
-                run.checkpoint(extras={"baseline": base.data}).save(ckpt_file)
-                ctx.meta["checkpoints"] = ctx.meta.get("checkpoints", 0) + 1
-            if kill_after is not None and run.quanta >= kill_after:
-                from ..reliability.faults import apply_worker_fault
-                apply_worker_fault(fault, in_process=ctx.in_process)
-            if not alive:
-                break
-        result = run.results()[0]
-        if ckpt_file is not None:
-            try:
-                ckpt_file.unlink()
-            except OSError:
-                pass
+        run = system.start_parallel([trace], quantum=quantum, chunk=chunk)
+    fault = ctx.fault
+    kill_after = (int(fault.param("after"))
+                  if (fault is not None and fault.kind == "kill"
+                      and fault.param("after") is not None) else None)
+    while True:
+        alive = run.step()
+        if (ckpt_file is not None and run.quanta > 0
+                and run.quanta % ctx.checkpoint_every == 0):
+            run.checkpoint(extras={"baseline": base.data}).save(ckpt_file)
+            ctx.meta["checkpoints"] = ctx.meta.get("checkpoints", 0) + 1
+        if kill_after is not None and run.quanta >= kill_after:
+            from ..reliability.faults import apply_worker_fault
+            apply_worker_fault(fault, in_process=ctx.in_process)
+        if not alive:
+            break
+    result = run.results()[0]
+    if ckpt_file is not None:
+        try:
+            ckpt_file.unlink()
+        except OSError:
+            pass
+    return kernel_payload(cfg, kern, job.seed, scale, registry, base,
+                          result, system, quantum=quantum)
 
-    payload = kernel_payload(cfg, kern, job.seed, scale, registry, base,
-                             result, system, quantum=quantum)
+
+def _kernel_point(cfg: SoCConfig, kern, trace, seed: int, scale: float,
+                  warmup: bool, *, memoize: bool = True,
+                  instrument=None) -> dict[str, Any]:
+    """One kernel point on a fresh system: warm pass, snapshot, measured
+    pass, payload.
+
+    The one body of a monolithic ``Job.kernel`` run and of every config
+    of :func:`repro.accel.batch.batched_sweep`.  A fresh-system run is a
+    pure function of (trace, config), so with *memoize* the whole
+    payload goes through the in-process memo, under one key for both
+    callers: sweep points and kernel jobs share entries.
+    """
+    from ..accel import memo
+    from ..soc.system import System
+    from ..telemetry import StatsRegistry
+
+    system = System(cfg)
+    if instrument is not None:
+        system.attach_instrument(instrument)
+    registry = StatsRegistry(system)
+    mkey = None
+    if memoize:
+        mkey = memo.memo_key(trace, cfg, system.uncore,
+                             extra=("farm_kernel", warmup))
+        hit = memo.memo_get(mkey)
+        if hit is not None:
+            # the key is content-addressed (trace + config digests), so
+            # seed-invariant kernels collide across seeds: the simulation
+            # outputs transfer, the job-identity metadata does not —
+            # re-stamp it for *this* point
+            hit["workload"] = kern.spec.name
+            hit["seed"] = seed
+            hit["scale"] = scale
+            return hit
+    if warmup:
+        system.run(trace)
+    base = registry.snapshot()
+    result = system.run(trace)
+    payload = kernel_payload(cfg, kern, seed, scale, registry, base, result,
+                             system)
     if mkey is not None:
         memo.memo_put(mkey, payload)
     return payload
@@ -408,13 +435,8 @@ def _simulation_counters(delta) -> dict[str, Any]:
 
 def kernel_payload(cfg, kern, seed: int, scale: float, registry, base,
                    result, system, quantum: int | None = None) -> dict[str, Any]:
-    """Assemble one kernel run's payload from its measured pass.
-
-    The single payload constructor shared by the serial job runner and
-    the batched sweep driver (:func:`repro.accel.batch.batched_sweep`) —
-    sharing the code is part of what keeps batched sweep points
-    bit-identical to serial ones.
-    """
+    """Assemble one kernel run's payload from its measured pass (a
+    fresh-system point or a lockstep run)."""
     from ..telemetry import cpi_stack
 
     delta = registry.delta(base)
@@ -448,11 +470,11 @@ _SWEEP_CKPT_SCHEMA = 1
 
 
 def _run_sweep_job(job: Job, attempt: int, ctx: ExecContext) -> dict[str, Any]:
-    """Run one config-batched sweep, checkpointing per completed config.
+    """Run one sweep job, checkpointing per completed config.
 
     The checkpoint is a JSON file of finished per-config payloads keyed
     by the job's cache key; a retried attempt loads it, skips the
-    completed configs, and batches only the remainder — bit-identically,
+    completed configs, and runs only the remainder — bit-identically,
     because each config's simulation is independent (fresh system per
     config) and payloads are pure JSON trees.  Configs complete in input
     order, so a ``kill`` fault with an ``after=N`` parameter fires once

@@ -118,7 +118,7 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
     per configuration point) and the whole fresh-system run is memoized
     on ``(trace, config)`` content identity — a repeated point returns
     the identical :class:`~repro.core.base.CoreResult` without
-    simulating.  ``REPRO_ACCEL_MEMO=0`` bypasses the result memo.
+    simulating.
     """
     if isinstance(kernel, str):
         kernel = get_kernel(kernel)
@@ -131,18 +131,15 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
         name, scale, seed, lambda: k.build(scale=scale, seed=seed))
     system = System(config)
     do_warmup = warmup and kernel.needs_warmup
-    key = None
-    if memo.memo_enabled():
-        key = memo.memo_key(trace, config, system.uncore,
-                            extra=("run_kernel", do_warmup))
-        hit = memo.memo_get(key)
-        if hit is not None:
-            return KernelRun(name, config.name, hit, config.core_ghz)
+    key = memo.memo_key(trace, config, system.uncore,
+                        extra=("run_kernel", do_warmup))
+    hit = memo.memo_get(key)
+    if hit is not None:
+        return KernelRun(name, config.name, hit, config.core_ghz)
     if do_warmup:
         system.run(trace)
     result = system.run(trace)
-    if key is not None:
-        memo.memo_put(key, result)
+    memo.memo_put(key, result)
     return KernelRun(name, config.name, result, config.core_ghz,
                      {"static": {"uops": len(trace)}})
 

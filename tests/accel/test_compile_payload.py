@@ -1,23 +1,19 @@
-"""Store payloads of compiled traces: one base64 string of the trace
-codec's bytes, and anything but an intact schema-3 payload falls back to
-a rebuild."""
+"""Trace payloads: one base64 string of the trace codec's bytes, and
+anything but an intact schema-3 payload is refused."""
 
 from __future__ import annotations
 
 import base64
 import json
 import struct
-import types
 import zlib
 
 import pytest
 
 from repro.accel import memo
-from repro.accel.compile import (COMPILE_SCHEMA, compiled_store_key,
-                                 shared_compiled, trace_from_payload,
+from repro.accel.compile import (COMPILE_SCHEMA, trace_from_payload,
                                  trace_payload)
-from repro.accel.stats import global_stats, reset_global_stats
-from repro.farm.store import SharedResultStore
+from repro.accel.stats import reset_global_stats
 from repro.workloads.microbench import get_kernel
 
 
@@ -89,36 +85,6 @@ def test_schema_2_payload_is_rejected():
     assert trace_from_payload({**trace_payload(t), "schema": 2}) is None
 
 
-def test_shared_compiled_store_hit_and_damaged_entry(tmp_path):
-    store = SharedResultStore(tmp_path / "store")
-    built = []
-
-    def build():
-        built.append(1)
-        return _trace()
-
-    first = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert first._compiled is not None  # returned already compiled
-    memo.clear_caches()
-    second = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert len(built) == 1
-    assert memo.trace_digest(second) == memo.trace_digest(first)
-    assert global_stats().compile_store_hits == 1
-
-    # damage every stored entry: the next cold lookup rebuilds instead
-    for path in store.root.glob("**/*.json"):
-        if path.name != "store.stats.json":
-            entry = json.loads(path.read_text())
-            raw = bytearray(base64.b64decode(entry["payload"]["b64"]))
-            raw[-1] ^= 0x01
-            entry["payload"]["b64"] = base64.b64encode(bytes(raw)).decode()
-            path.write_text(json.dumps(entry))
-    memo.clear_caches()
-    third = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert len(built) == 2
-    assert memo.trace_digest(third) == memo.trace_digest(first)
-
-
 def _v2_bytes(t):
     """*t* in trace format v2: the header, then zlib of every column at
     its full little-endian width (no width bytes)."""
@@ -130,31 +96,9 @@ def _v2_bytes(t):
             + zlib.compress(body, 1))
 
 
-def test_v2_store_entry_is_rebuilt_and_republished_as_v3(tmp_path):
-    store = SharedResultStore(tmp_path / "store")
-    skey = compiled_store_key("CCh_st", 0.05, 3)
+def test_v2_store_entry_is_rebuilt_and_republished_as_v3():
+    """A trace payload whose body is in trace format v2 is refused, so
+    whoever holds it rebuilds the trace instead of reading stale bytes."""
     stale = {"schema": COMPILE_SCHEMA,
              "b64": base64.b64encode(_v2_bytes(_trace())).decode("ascii")}
-    job = types.SimpleNamespace(label="trace:CCh_st",
-                                describe=lambda: {"kind": "compiled-trace"})
-    store.put(skey, job, stale)
-    assert trace_from_payload(store.get(skey)) is None
-    built = []
-
-    def build():
-        built.append(1)
-        return _trace()
-
-    first = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert len(built) == 1
-    assert global_stats().compile_store_misses == 1
-    assert global_stats().compile_store_hits == 0
-    raw = base64.b64decode(store.get(skey)["b64"])
-    assert struct.unpack_from("<I", raw, 4)[0] == 3  # republished as v3
-
-    memo.clear_caches()
-    second = shared_compiled("CCh_st", 0.05, 3, build, store=store)
-    assert len(built) == 1
-    assert global_stats().compile_store_hits == 1
-    assert global_stats().compile_store_misses == 1
-    assert memo.trace_digest(second) == memo.trace_digest(first)
+    assert trace_from_payload(stale) is None

@@ -69,14 +69,6 @@ def test_memo_lru_is_bounded():
     assert memo.memo_get(("key", memo._MEMO_MAX + 15)) is not None
 
 
-def test_env_kill_switch_disables_memo(monkeypatch):
-    monkeypatch.setenv("REPRO_ACCEL_MEMO", "0")
-    assert not memo.memo_enabled()
-    memo.memo_put(("k",), 1)
-    assert memo.memo_get(("k",)) is None
-    assert len(memo._memo) == 0
-
-
 # ------------------------------------------------------------ end to end
 
 def test_repeat_runs_hit_the_memo_and_stay_identical():

@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from repro.accel import memo
-from repro.accel.compile import compiled_trace, shared_compiled
+from repro.accel.compile import compiled_trace
 from repro.isa.serialize import decode_trace, encode_trace
 from repro.workloads.microbench import get_kernel
 
@@ -49,7 +49,8 @@ def test_decoded_trace_is_freed_by_refcount(no_cyclic_gc):
 
 
 def test_evicted_shared_trace_is_freed_by_refcount(no_cyclic_gc):
-    trace = shared_compiled("MM", 0.05, 1, _trace)
+    trace = memo.shared_trace("MM", 0.05, 1, _trace)
+    compiled_trace(trace)
     ref = weakref.ref(trace)
     del trace
     assert ref() is not None  # still held by the shared-trace cache

@@ -71,19 +71,6 @@ def test_fig1_small_subset_shape():
     assert r.value("BananaPiSim", "MM") < 0.8
 
 
-def test_fig1_batched_matches_serial():
-    """batched=True farms one sweep job per kernel instead of one job
-    per (kernel, config); the figure must come out identical."""
-    from repro.accel import memo
-
-    kernels = ["EI", "MM"]
-    serial = fig1(scale=0.08, kernels=kernels)
-    memo.clear_caches()
-    batched = fig1(scale=0.08, kernels=kernels, batched=True)
-    assert batched.series == serial.series
-    assert batched.meta["hw_seconds"] == serial.meta["hw_seconds"]
-
-
 def test_fig2_small_subset_shape():
     r = fig2(scale=0.08, kernels=SMALL)
     assert set(r.series) == {"SmallBOOM", "MediumBOOM", "LargeBOOM", "MILKVSim"}

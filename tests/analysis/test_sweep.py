@@ -52,25 +52,3 @@ def test_sweep_configs_rejects_duplicate_names():
     with pytest.raises(ValueError, match="duplicate"):
         sweep_configs([ROCKET1, ROCKET1.with_(ncores=1)], "EI",
                       scale=0.05)
-
-
-def test_sweep_configs_batched_bit_identical():
-    """batched=True routes through the config-batched engine; points
-    must match the per-config jobs value for value, in input order."""
-    from repro.accel import memo
-
-    cfgs = [ROCKET1, BANANA_PI_SIM, BANANA_PI_HW]
-    serial = sweep_configs(cfgs, "EI", scale=0.05)
-    memo.clear_caches()
-    batched = sweep_configs(cfgs, "EI", scale=0.05, batched=True)
-    assert batched.points == serial.points
-
-
-def test_sweep_knob_batched_bit_identical():
-    from repro.accel import memo
-
-    serial = sweep_knob(ROCKET1, WithClock, [1.6, 3.2], "EI", scale=0.05)
-    memo.clear_caches()
-    batched = sweep_knob(ROCKET1, WithClock, [1.6, 3.2], "EI",
-                         scale=0.05, batched=True)
-    assert batched.points == serial.points
