@@ -73,9 +73,8 @@ _FAILURE = "keep: runs only when something fails ({})"
 _ITEM17 = ("keep: ROADMAP item 17 relocates what survives of "
            "`repro.accel` beside the one core loop per core type; the core "
            "API is settled there, not twice")
-_ITEM7 = ("keep: what is left of ROADMAP item 7 after the one executor "
-          "core (one cache API, one stats schema, fewer writes) settles "
-          "this API")
+_ITEM7 = ("keep: what is left of ROADMAP item 7 (one cache API, one stats "
+          "schema) settles this API")
 
 #: verdicts for rows A does not reach: (pattern on "path:qualname",
 #: verdict); the first matching pattern wins
@@ -169,6 +168,16 @@ VERDICTS: list[tuple[str, str]] = [
      "keep: `examples/multinode_scaling.py` runs it"),
     ("instrument/*", "keep: the instrumentation API of instrumentation.md "
      "(stream release, trigger specs as dicts for farm workers)"),
+    ("farm/cache.py:ResultCache.__len__", "keep: the entry count "
+     "`repr()` shows for a cache or store"),
+    ("farm/deploy.py:DeployManager.busy_slots", "keep: the busy-slot "
+     "count `repr()` shows; `describe()` has it per host"),
+    ("serve/queue.py:FairScheduler.withdraw", "keep: `cancel` of a queued "
+     "job takes it out of its tenant's backlog (serving.md's protocol); "
+     "the serve smokes cancel only running or preempted jobs"),
+    ("serve/server.py:FarmServer.instrument_dir", "keep: where a job "
+     "submitted with an `instrument` spec streams, and what its `status` "
+     "lists (serving.md's protocol); the serve smokes submit none"),
     ("serve/*", _ITEM7),
     ("farm/*", _ITEM7),
     ("accel/stats.py:*", "keep: ROADMAP item 6(d) reshapes the accel "

@@ -6,9 +6,16 @@ Three guarantees the streaming layer makes, exercised end-to-end:
 1. **Bit-identity** — an instrumented microbench run (windows + counter
    sampling + markers armed) produces exactly the same CoreResult as a
    bare run.
-2. **Bounded overhead** — instrumented walltime stays within
-   ``MAX_OVERHEAD`` of bare walltime.  Best-of-``REPEATS`` on each side
-   damps scheduler noise; both sides run the identical lockstep path.
+2. **Bounded overhead** — instrumented run time (this process's CPU
+   time) stays within ``MAX_OVERHEAD`` of the bare run's.  ``PAIRS``
+   bare/instrumented runs are interleaved (the order alternating pair
+   by pair) and the gate is on the median of the per-pair ratios, so a
+   slow spell of the host lands on both sides of a pair and a few
+   disturbed pairs cannot move the verdict; both sides run the
+   identical lockstep path.  On a shared 2-core host, where single
+   ~0.3 s runs of the same work vary by up to a third, ten runs of
+   this gate read +4.0% to +9.8%; best-of-3 wall time read -7.3% to
+   +29.5% over ten runs there.
 3. **Tail-ability** — the stream written during the run is complete,
    sealed, and yields a sane interval-CPI table when tailed back off
    disk, the way an operator would follow a farm job.
@@ -19,7 +26,9 @@ Exit code 0 on success; any failure is a regression.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pathlib
+import statistics
 import sys
 import tempfile
 import time
@@ -42,18 +51,20 @@ CONFIG = "Rocket1"
 KERNEL = "MM"
 SCALE = 1.0
 QUANTUM, CHUNK = 1024, 512
-#: instrumented / bare walltime ratio ceiling (the issue's <10% budget)
+#: instrumented / bare run-time ratio ceiling (the <10% budget)
 MAX_OVERHEAD = 0.10
-REPEATS = 3
+#: interleaved bare/instrumented pairs the median is taken over
+PAIRS = 31
 
 
 def timed_run(trace, instrument=None) -> tuple[float, object]:
     system = System(get_config(CONFIG))
     if instrument is not None:
         system.attach_instrument(instrument)
-    t0 = time.perf_counter()
+    gc.collect()
+    t0 = time.process_time()
     result = system.run_parallel([trace], quantum=QUANTUM, chunk=CHUNK)[0]
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     if instrument is not None:
         instrument.seal()
     return elapsed, result
@@ -68,23 +79,26 @@ def main() -> int:
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="instrument-smoke-"))
     stream_path = workdir / "smoke.jsonl"
 
-    bare_times, inst_times = [], []
-    bare_result = inst_result = None
-    for i in range(REPEATS):
-        t, bare_result = timed_run(trace)
-        bare_times.append(t)
+    ratios = []
+    for i in range(PAIRS):
         path = stream_path if i == 0 else workdir / f"smoke-{i}.jsonl"
-        t, inst_result = timed_run(trace, Instrument(spec, path=str(path)))
-        inst_times.append(t)
+        instrument = Instrument(spec, path=str(path))
+        if i % 2:
+            t_inst, inst_result = timed_run(trace, instrument)
+            t_bare, bare_result = timed_run(trace)
+        else:
+            t_bare, bare_result = timed_run(trace)
+            t_inst, inst_result = timed_run(trace, instrument)
+        if (dataclasses.asdict(inst_result)
+                != dataclasses.asdict(bare_result)):
+            print("FAIL: instrumented run diverged from the bare run")
+            return 1
+        ratios.append(t_inst / t_bare)
 
-    if dataclasses.asdict(inst_result) != dataclasses.asdict(bare_result):
-        print("FAIL: instrumented run diverged from the bare run")
-        return 1
-
-    bare, inst = min(bare_times), min(inst_times)
-    overhead = inst / bare - 1.0
-    print(f"bare {bare:.3f}s, instrumented {inst:.3f}s "
-          f"(overhead {overhead:+.1%}, budget {MAX_OVERHEAD:.0%})")
+    overhead = statistics.median(ratios) - 1.0
+    print(f"per-pair overhead over {PAIRS} pairs: median {overhead:+.1%}, "
+          f"range {min(ratios) - 1:+.1%} to {max(ratios) - 1:+.1%} "
+          f"(budget {MAX_OVERHEAD:.0%})")
     if overhead > MAX_OVERHEAD:
         print(f"FAIL: instrumentation overhead {overhead:.1%} exceeds "
               f"{MAX_OVERHEAD:.0%}")

@@ -11,9 +11,10 @@ redundancy without touching semantics:
 * :func:`shared_trace` — process-wide ``(kernel, scale, seed) -> Trace``
   cache so sweeps share one decoded trace across configurations.
 * :func:`memo_get` / :func:`memo_put` — a bounded in-process LRU keyed on
-  ``(trace_digest, core_config_digest, uncore_state_class)`` for whole-run
-  results (cold-start, fresh-system runs only: those are the only runs
-  whose outcome is a pure function of that key).
+  ``(trace_digest, config_digest, extra)`` for whole-run results
+  (cold-start, fresh-system runs only: those are the only runs whose
+  outcome is a pure function of that key).  The key needs no system, so
+  a hit builds none.
 
 All caches hold deep-copied payloads on the way out, so a memo hit can
 never alias live state; :func:`clear_caches` empties them all (to time
@@ -99,10 +100,16 @@ def shared_trace(name: str, scale: float, seed: int,
 _memo: OrderedDict[tuple, Any] = OrderedDict()
 
 
-def memo_key(trace, cfg, uncore, extra: tuple = ()) -> tuple:
-    """LRU key: (trace digest, core-config digest, uncore state class)."""
-    return (trace_digest(trace), config_digest(cfg),
-            type(uncore).__name__ if uncore is not None else None, extra)
+def memo_key(trace, cfg, uncore=None, extra: tuple = ()) -> tuple:
+    """LRU key: (trace digest, config digest, *extra*).
+
+    *uncore* is accepted and ignored: the key once held the uncore's
+    class name, but every config builds the same ``Uncore``, so it told
+    nothing the config digest does not, and reading it meant building a
+    ``System`` before every lookup.  Callers that still pass one
+    (``benchmarks/perf/workloads.py``) get the key the library uses.
+    """
+    return (trace_digest(trace), config_digest(cfg), extra)
 
 
 def memo_get(key: tuple):

@@ -12,10 +12,11 @@ Two scenarios run per invocation:
 * **crash/recover** — a worker-kill fault and a dropped client
   connection land mid-batch, then the server is hard-crashed (workers
   SIGKILLed, streams unsealed, journal torn wherever it stands) after
-  the first job completes.  Results and store entries of every other
-  job are corrupted on disk.  A ``recover=True`` restart must replay
-  the journal, keep the completed job's payload without re-running it,
-  and re-run everything else to bit-identical payloads.
+  the first job completes.  The store entries of every other job are
+  corrupted on disk.  A ``recover=True`` restart must replay the
+  journal, keep each completed job's payload (its ``ok`` record
+  carries it) without re-running it, and re-run everything else to
+  bit-identical payloads.
 * **stall/quarantine** — a ``host-stall`` fault hangs the first launch
   on one host of a two-host fleet.  The watchdog timeout must trip the
   health breaker (``quarantine_after=1``), the stalled job must be
@@ -102,10 +103,10 @@ def _crash_recover(jobs, serial, timeout_s: float) -> list[str]:
         handle.crash()
 
         # disk damage while the server is down: every job but the first
-        # loses its persisted result and its store entry
+        # loses its store entry (a finished job's payload is in the
+        # journal; an unfinished one must re-run rather than read garbage)
         store = ResultCache(spool / "store")
-        for job, jid in zip(jobs[1:], ids[1:]):
-            _corrupt_file(spool / "results" / f"{jid}.json")
+        for job in jobs[1:]:
             _corrupt_file(store.path(cache_key(job)))
 
         handle = FarmServer.start_background(

@@ -863,7 +863,7 @@ def main(argv: list[str] | None = None) -> int:
 
             if args.command == "status":
                 if args.id:
-                    doc = client.status(args.id)
+                    doc = client.status(args.id, payload=args.json)
                     if args.json:
                         print(json.dumps(doc, indent=2, sort_keys=True))
                     else:

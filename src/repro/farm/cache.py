@@ -127,24 +127,10 @@ class ResultCache:
         atomic_write(target, json.dumps(entry, sort_keys=True,
                                         separators=(",", ":")))
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     def __len__(self) -> int:
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("??/*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        n = 0
-        for p in self.root.glob("??/*.json"):
-            try:
-                p.unlink()
-                n += 1
-            except OSError:
-                pass
-        return n
 
     def __repr__(self) -> str:
         return f"ResultCache({str(self.root)!r}, {len(self)} entries)"

@@ -163,10 +163,6 @@ class DeployManager:
     def busy_slots(self) -> int:
         return sum(self._busy.values())
 
-    @property
-    def free_slots(self) -> int:
-        return self.total_slots - self.busy_slots
-
     def acquire(self) -> str | None:
         """Claim one slot; returns its host name, or None when full.
 
@@ -271,10 +267,6 @@ class DeployManager:
             hh.probe_due = self._tick + self.probe_interval
         elif hh.consecutive_failures >= self.suspect_after:
             hh.state = "suspect"
-
-    def quarantined_hosts(self) -> list[str]:
-        return [h.name for h in self.hosts
-                if self._health[h.name].state == "quarantined"]
 
     def describe(self) -> dict[str, Any]:
         """JSON-able inventory summary (manifests, `repro status`)."""

@@ -397,14 +397,9 @@ def _kernel_point(cfg: SoCConfig, kern, trace, seed: int, scale: float,
     from ..soc.system import System
     from ..telemetry import StatsRegistry
 
-    system = System(cfg)
-    if instrument is not None:
-        system.attach_instrument(instrument)
-    registry = StatsRegistry(system)
     mkey = None
     if memoize:
-        mkey = memo.memo_key(trace, cfg, system.uncore,
-                             extra=("farm_kernel", warmup))
+        mkey = memo.memo_key(trace, cfg, extra=("farm_kernel", warmup))
         hit = memo.memo_get(mkey)
         if hit is not None:
             # the key is content-addressed (trace + config digests), so
@@ -415,6 +410,10 @@ def _kernel_point(cfg: SoCConfig, kern, trace, seed: int, scale: float,
             hit["seed"] = seed
             hit["scale"] = scale
             return hit
+    system = System(cfg)
+    if instrument is not None:
+        system.attach_instrument(instrument)
+    registry = StatsRegistry(system)
     if warmup:
         system.run(trace)
     base = registry.snapshot()

@@ -5,17 +5,22 @@ The :class:`~repro.serve.server.FarmServer` appends one JSON line to
 full wire-form job spec) and every state transition (``"t": "state"``).
 Records are flushed per append, so a server killed mid-batch (SIGKILL,
 OOM, power) leaves a journal whose fold reconstructs every job it ever
-accepted and the last state each one durably reached.
+accepted and the last state each one durably reached.  An ``ok`` record
+carries the job's ``payload``: the journal is the one durable copy of a
+served result (the shared store is a cross-run cache, not a second
+copy).
 
 ``repro serve --recover`` replays the journal on restart:
 
-* terminal jobs (``ok``/``failed``/``cancelled``) are restored as-is —
-  an ``ok`` job's payload is reloaded from ``results/<id>.json`` (or
-  the shared store) so completed work is never re-run;
-* non-terminal jobs (``queued``/``running``/``preempted``) are
-  re-enqueued; a job that was ``running`` at the crash is additionally
-  marked *orphaned* (its worker pid is recorded on the job stream, but
-  never signalled — after a host crash the pid may belong to anyone);
+* a job whose last record is ``ok`` with a payload, ``failed`` or
+  ``cancelled`` is restored as-is, so completed work is never re-run;
+* every other job is re-enqueued through the store-hit fast path:
+  ``queued``/``running``/``preempted`` ones, a job whose ``ok`` line
+  was torn mid-write (replay skips it, so the job reads ``running``),
+  and an ``ok`` record without a payload (schema 1).  A job that was
+  ``running`` at the crash is additionally marked *orphaned* (its
+  worker pid is recorded on the job stream, but never signalled —
+  after a host crash the pid may belong to anyone);
 * a relaunched lockstep job resumes from its PR 3 checkpoint when one
   exists in ``<spool>/ckpt`` (the checkpoint is keyed by job identity,
   so this needs no extra journal state), and restarts within the retry
@@ -23,7 +28,12 @@ accepted and the last state each one durably reached.
 
 The format is append-only and torn-tolerant: a line cut mid-write by
 the crash is skipped during replay, exactly like the PR 6 instrument
-streams.
+streams, and a reopened journal starts its first record on a fresh
+line.
+
+Schema history: 1, states only (an ``ok`` payload lived in
+``<spool>/results/<id>.json``); 2, the ``ok`` record carries
+``payload``.
 """
 
 from __future__ import annotations
@@ -35,8 +45,9 @@ from typing import Any, Iterator
 
 __all__ = ["JOURNAL_SCHEMA", "ServeJournal", "replay_journal"]
 
-#: bump on incompatible journal record changes
-JOURNAL_SCHEMA = 1
+#: bump on incompatible journal record changes (history in the module
+#: docstring)
+JOURNAL_SCHEMA = 2
 
 #: states a replayed job never leaves (mirrors queue.TERMINAL_STATES;
 #: re-declared here so the journal stays importable on its own)
@@ -50,9 +61,14 @@ class ServeJournal:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self.path.exists()
+        torn = not fresh and _ends_mid_line(self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
         if fresh:
             self.append({"t": "meta", "schema": JOURNAL_SCHEMA})
+        elif torn:
+            # close the line a crash cut, or the first record appended
+            # now would be glued to it and skipped with it on replay
+            self._fh.write("\n")
 
     def append(self, doc: dict[str, Any]) -> None:
         """Write one record and flush it to the OS (write-ahead: call
@@ -80,6 +96,14 @@ class ServeJournal:
             pass
 
 
+def _ends_mid_line(path: pathlib.Path) -> bool:
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return False
+        fh.seek(-1, os.SEEK_END)
+        return fh.read(1) != b"\n"
+
+
 def _read_records(path: pathlib.Path) -> Iterator[dict[str, Any]]:
     """Yield parseable journal records; a torn tail line is skipped."""
     try:
@@ -104,8 +128,9 @@ def replay_journal(path: str | os.PathLike) -> list[dict[str, Any]]:
     Each summary carries the submit-time fields (``id``, ``seq``,
     ``tenant``, ``priority``, ``job`` wire spec, ``instrument``) plus
     the last durably recorded ``state``/``attempts``/``host``/``error``
-    /``pid``, and ``terminal`` (bool) / ``orphaned`` (bool: was running
-    when the journal stopped).
+    /``pid``/``payload`` (``None`` until an ``ok`` record carries one),
+    and ``terminal`` (bool) / ``orphaned`` (bool: was running when the
+    journal stopped).
     """
     jobs: dict[str, dict[str, Any]] = {}
     for doc in _read_records(pathlib.Path(path)):
@@ -117,7 +142,7 @@ def replay_journal(path: str | os.PathLike) -> list[dict[str, Any]]:
                 "priority": int(doc.get("priority", 0)),
                 "job": doc.get("job"), "instrument": doc.get("instrument"),
                 "state": "queued", "attempts": 0, "host": None,
-                "error": None, "pid": None,
+                "error": None, "pid": None, "payload": None,
                 "resumed": False, "from_cache": False,
             }
         elif kind == "state":
@@ -125,7 +150,7 @@ def replay_journal(path: str | os.PathLike) -> list[dict[str, Any]]:
             if summary is None:
                 continue  # a state line whose submit was torn away
             for key in ("state", "attempts", "host", "error", "resumed",
-                        "from_cache", "pid"):
+                        "from_cache", "pid", "payload"):
                 if key in doc:
                     summary[key] = doc[key]
     out = sorted(jobs.values(), key=lambda j: j["seq"])

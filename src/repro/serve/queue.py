@@ -65,7 +65,6 @@ class JobRecord:
     elapsed_s: float = 0.0
     submitted_at: float = field(default_factory=time.time)
     stream: str | None = None       #: progress/instrument stream path
-    result_path: str | None = None  #: persisted payload JSON, once terminal
     payload: dict[str, Any] | None = None
 
     @property
@@ -103,7 +102,6 @@ class JobRecord:
             "recovered": self.recovered,
             "elapsed_s": round(self.elapsed_s, 6),
             "stream": self.stream,
-            "result_path": self.result_path,
             "cycles": (self.payload or {}).get("cycles"),
         }
         if with_payload:
@@ -204,10 +202,6 @@ class FairScheduler:
     @property
     def queued(self) -> int:
         return sum(len(t.backlog) for t in self._tenants.values())
-
-    @property
-    def running(self) -> int:
-        return sum(t.running for t in self._tenants.values())
 
     def describe(self) -> dict[str, Any]:
         return {

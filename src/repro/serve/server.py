@@ -28,7 +28,10 @@ Every state change goes through :meth:`FarmServer._set_state` — assign,
 journal, wake — so a client waiting for a job does not poll: its
 ``status`` request carries ``wait_s``/``until`` and the reply is parked
 (one future) until the transition it asked about, see
-:mod:`repro.serve.protocol`.
+:mod:`repro.serve.protocol`.  A job that finishes goes through
+:meth:`FarmServer._complete`, whose ``ok`` journal record carries the
+payload: that record is the result's one durable copy, and the shared
+store stays a cross-run cache (written on a miss, read at submit).
 
 Preemption reuses :mod:`repro.reliability` checkpoints: lockstep kernel
 jobs (``quantum=`` set) checkpoint every ``checkpoint_every`` quanta
@@ -87,8 +90,8 @@ class FarmServer:
     Parameters
     ----------
     spool:
-        Server working directory: socket, per-job streams, checkpoints,
-        persisted results, manifest, and (by default) the shared store.
+        Server working directory: socket, journal, per-job streams,
+        checkpoints, manifest, and (by default) the shared store.
     deploy:
         Run-farm backend — a :class:`DeployManager`, a spec string
         (``"local:4"``, ``"hosts:a=2,b=4"``), or ``None`` for the
@@ -119,10 +122,11 @@ class FarmServer:
         the knob that makes preemption cheap to resume.
     recover:
         Replay ``<spool>/journal.jsonl`` on construction: terminal jobs
-        are restored (completed payloads are never re-run), non-terminal
-        jobs are re-enqueued — resuming from their spool checkpoint
-        where one exists — and workers orphaned by the crash are marked
-        on the job streams (see :mod:`repro.serve.journal`).
+        are restored (an ``ok`` job with the payload its journal record
+        carries, so completed work is never re-run), the rest are
+        re-enqueued — resuming from their spool checkpoint where one
+        exists — and workers orphaned by the crash are marked on the
+        job streams (see :mod:`repro.serve.journal`).
     fault_plan:
         Optional :class:`repro.reliability.FaultPlan` for chaos runs:
         worker faults key on the job's 0-based admission order,
@@ -202,9 +206,8 @@ class FarmServer:
         self._done: asyncio.Event | None = None
         self._server: asyncio.AbstractServer | None = None
         self._watchdog_task: asyncio.Future | None = None
-        # the spool layout, made once (a journal replay below already
-        # persists results): per-job code only ever writes files
-        for sub in ("streams", "ckpt", "results"):
+        # the spool layout, made once: per-job code only ever writes files
+        for sub in ("streams", "ckpt"):
             (self.spool / sub).mkdir(parents=True, exist_ok=True)
         self.journal = ServeJournal(self.spool / "journal.jsonl")
         if recover:
@@ -268,6 +271,12 @@ class FarmServer:
         self.journal.state(rec, **journal_extra)
         for fut in self._waiters.get(rec.id, ()):
             _wake(fut)
+
+    def _complete(self, rec: JobRecord, payload: dict[str, Any]) -> None:
+        """Every job that finishes ``ok``: the journal record of the
+        state carries the payload, the result's one durable copy."""
+        rec.payload = payload
+        self._set_state(rec, "ok", payload=payload)
 
     def _release_waiters(self) -> None:
         """The server is stopping: every parked reply goes out now."""
@@ -339,13 +348,10 @@ class FarmServer:
             if s["instrument"] is not None:
                 self._instrument_specs[rec.id] = s["instrument"]
             self.jobs[rec.id] = rec
-            if s["terminal"]:
-                if rec.state == "ok" and not self._reload_payload(rec):
-                    # ok in the journal but the payload never landed:
-                    # the only terminal state recovery must redo
-                    self._requeue_recovered(rec, was="ok")
-                    requeued += 1
-                    continue
+            # an ok record without a payload (schema 1) is re-queued
+            if s["terminal"] and (rec.state != "ok"
+                                  or s["payload"] is not None):
+                rec.payload = s["payload"]
                 restored += 1
                 continue
             if s["orphaned"] and s["pid"] is not None:
@@ -357,23 +363,8 @@ class FarmServer:
         self.journal.append({"t": "recover", "restored": restored,
                              "requeued": requeued})
 
-    def _reload_payload(self, rec: JobRecord) -> bool:
-        """Re-attach a completed job's persisted payload; False when the
-        results file is gone/unreadable (job must re-run)."""
-        path = self.spool / "results" / f"{rec.id}.json"
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            rec.payload = doc["payload"]
-        except (OSError, ValueError, KeyError):
-            if not self._store_hit(rec):
-                return False
-            self._persist_result(rec)
-            return True
-        rec.result_path = str(path)
-        return True
-
     def _store_hit(self, rec: JobRecord) -> bool:
-        """Attach *rec*'s payload from the shared store, if it has one.
+        """Complete *rec* from the shared store, if it has the payload.
 
         Never for an instrumented job: a hit would yield no stream.
         """
@@ -383,18 +374,17 @@ class FarmServer:
         payload = self.store.get(rec.key)
         if payload is None:
             return False
-        rec.payload, rec.from_cache = payload, True
+        rec.from_cache = True
+        self._complete(rec, payload)
         return True
 
     def _requeue_recovered(self, rec: JobRecord, was: str) -> None:
-        """Re-admit one non-terminal journal job into the scheduler."""
+        """Re-admit one unfinished journal job into the scheduler."""
         rec.recovered = True
         ckpt = self.checkpoint_dir / f"{rec.key}.ckpt"
         # completed-elsewhere fast path: a store hit means the work is
         # already done (possibly by a twin submission) — don't redo it
         if self._store_hit(rec):
-            self._set_state(rec, "ok")
-            self._persist_result(rec)
             self._event(rec, "recovered", was=was)
             self._event(rec, "store-hit")
             self._seal(rec)
@@ -494,8 +484,6 @@ class FarmServer:
         # store fast path: a previously computed payload completes the
         # job without ever touching the scheduler
         if self._store_hit(rec):
-            self._set_state(rec, "ok")
-            self._persist_result(rec)
             self._event(rec, "store-hit")
             self._seal(rec)
             self._manifest_stale()
@@ -655,14 +643,12 @@ class FarmServer:
             # stream stays unsealed: a resume continues the same file
         elif status == "ok":
             rec.migrate_requested = False
-            rec.payload = data
             rec.resumed = bool(meta.get("resumed"))
             self._executor.settle(rec, status)
             if (self.store is not None and rec.job.cacheable
                     and rec.id not in self._instrument_specs):
                 self.store.put(rec.key, rec.job, data)
-            self._set_state(rec, "ok")
-            self._persist_result(rec)
+            self._complete(rec, data)
             if rec.migrations:
                 self._event(rec, "recover", host=rec.host,
                             resumed=rec.resumed, migrations=rec.migrations)
@@ -711,15 +697,8 @@ class FarmServer:
         while True:
             await asyncio.sleep(0.05)
             self._executor.expire(self._active.values())
-    # -- persistence ---------------------------------------------------------
 
-    def _persist_result(self, rec: JobRecord) -> None:
-        path = self.spool / "results" / f"{rec.id}.json"
-        doc = {"id": rec.id, "tenant": rec.tenant, "label": rec.job.label,
-               "from_cache": rec.from_cache, "resumed": rec.resumed,
-               "attempts": rec.attempts, "payload": rec.payload}
-        atomic_write(path, json.dumps(doc, sort_keys=True))
-        rec.result_path = str(path)
+    # -- manifest ------------------------------------------------------------
 
     def _manifest_stale(self) -> None:
         """A job reached a terminal state: rewrite the manifest soon.

@@ -129,13 +129,12 @@ def run_kernel(config: SoCConfig, kernel: MicroKernel | str,
     k = kernel
     trace = memo.shared_trace(
         name, scale, seed, lambda: k.build(scale=scale, seed=seed))
-    system = System(config)
     do_warmup = warmup and kernel.needs_warmup
-    key = memo.memo_key(trace, config, system.uncore,
-                        extra=("run_kernel", do_warmup))
+    key = memo.memo_key(trace, config, extra=("run_kernel", do_warmup))
     hit = memo.memo_get(key)
     if hit is not None:
         return KernelRun(name, config.name, hit, config.core_ghz)
+    system = System(config)
     if do_warmup:
         system.run(trace)
     result = system.run(trace)

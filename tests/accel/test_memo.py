@@ -79,3 +79,26 @@ def test_repeat_runs_hit_the_memo_and_stay_identical():
     b = run_kernel(ROCKET1, "EI", scale=0.05)
     assert global_stats().memo_hits == hits_before + 1
     assert dataclasses.asdict(a.result) == dataclasses.asdict(b.result)
+
+
+def test_memo_hit_builds_no_system(monkeypatch):
+    """A memo-served kernel job (and `run_kernel` point) is a lookup on
+    trace and config digests: it builds no `System`."""
+    from repro.farm.job import Job, execute_job
+    from repro.soc import LARGE_BOOM
+    from repro.soc.system import System
+
+    job = Job.kernel(LARGE_BOOM, "EI", scale=0.05)
+    ref = execute_job(job)
+    run_kernel(LARGE_BOOM, "EI", scale=0.05)
+    built = []
+    init = System.__init__
+
+    def counting_init(self, cfg):
+        built.append(cfg.name)
+        init(self, cfg)
+
+    monkeypatch.setattr(System, "__init__", counting_init)
+    assert execute_job(job) == ref
+    run_kernel(LARGE_BOOM, "EI", scale=0.05)
+    assert built == []

@@ -31,7 +31,7 @@ def test_host_spec_validates():
 
 def test_local_pool_slot_accounting():
     dep = LocalDeployManager(2)
-    assert (dep.total_slots, dep.free_slots) == (2, 2)
+    assert (dep.total_slots, dep.busy_slots) == (2, 0)
     assert dep.acquire() == "local"
     assert dep.acquire() == "local"
     assert dep.acquire() is None          # saturated
@@ -92,6 +92,11 @@ def _fleet(**kw):
     return ExternallyProvisionedDeployManager([("a", 1), ("b", 1)], **kw)
 
 
+def _quarantined(dep):
+    return [h["name"] for h in dep.describe()["hosts"]
+            if h["state"] == "quarantined"]
+
+
 def test_breaker_walks_healthy_suspect_quarantined():
     dep = _fleet(suspect_after=2, quarantine_after=3)
     dep.report_failure("a")
@@ -100,7 +105,7 @@ def test_breaker_walks_healthy_suspect_quarantined():
     assert dep.health("a").state == "suspect"
     dep.report_failure("a")
     assert dep.health("a").state == "quarantined"
-    assert dep.quarantined_hosts() == ["a"]
+    assert _quarantined(dep) == ["a"]
     assert dep.health("a").quarantines == 1
 
 
@@ -172,7 +177,7 @@ def test_all_hosts_quarantined_fails_open():
     dep = LocalDeployManager(2, suspect_after=1, quarantine_after=1,
                              probe_interval=100)
     dep.report_failure("local")
-    assert dep.quarantined_hosts() == ["local"]
+    assert _quarantined(dep) == ["local"]
     # probe window is nowhere near due, but refusing would deadlock
     assert dep.acquire() == "local"
     assert dep.health("local").probing
@@ -201,7 +206,7 @@ def test_acquire_release_property_invariants():
                 h = dep.acquire()
                 trace.append(("acq", h))
                 if h is None:
-                    assert dep.free_slots == 0       # only refuses when full
+                    assert dep.busy_slots == dep.total_slots  # only when full
                 else:
                     held.append(h)
             assert dep.busy_slots == len(held)

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.farm import Job, cache_key
+from repro.farm import Job, cache_key, execute_job
 from repro.instrument import InstrumentSpec
 from repro.serve import FarmServer, ServeClient, ServeError, job_to_wire
 from repro.soc import ROCKET1
@@ -366,7 +366,7 @@ def test_journal_bytes_over_run_cancel_preempt_resume(tmp_path):
                 "resumed": resumed, "from_cache": False, **extra}
 
     want = [
-        {"t": "meta", "schema": 1},
+        {"t": "meta", "schema": 2},
         submit(a, 1, slow, tenant="alice"),
         state(a, "running", 1, "local", pid="PID"),
         submit(b, 2, quick, priority=3),
@@ -374,10 +374,10 @@ def test_journal_bytes_over_run_cancel_preempt_resume(tmp_path):
         state(a, "preempted", 1, "local"),
         state(a, "queued", 1, "local"),
         state(a, "running", 2, "local", pid="PID"),
-        state(a, "ok", 2, "local", resumed=True),
+        state(a, "ok", 2, "local", resumed=True, payload=execute_job(slow)),
         submit(c, 3, quick),
         state(c, "running", 1, "local", pid="PID"),
-        state(c, "ok", 1, "local"),
+        state(c, "ok", 1, "local", payload=execute_job(quick)),
         submit(d, 4, slow),
         state(d, "running", 1, "local", pid="PID"),
         state(d, "preempted", 1, "local"),

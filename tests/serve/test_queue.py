@@ -137,9 +137,9 @@ def test_withdraw_and_counts():
     assert s.withdraw(a) is False           # already gone
     assert s.queued == 1
     assert s.pick() is b
-    assert s.running == 1
+    assert s.describe()["tenants"][b.tenant]["running"] == 1
     s.job_finished(b.tenant)
-    assert s.running == 0
+    assert s.describe()["tenants"][b.tenant]["running"] == 0
 
 
 def test_job_finished_without_running_job_raises():

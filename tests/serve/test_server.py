@@ -413,21 +413,3 @@ def test_migration_retires_workers_of_the_quarantined_host(tmp_path):
         assert done[2]["payload"] == execute_job(mover)
         assert _spawned(client) == 3             # a, a, b — and no more
         assert len(_worker_pids()) == 1
-
-
-def test_persisted_result_bytes_are_the_streaming_encoders(tmp_path):
-    """``f.write(json.dumps(...))`` must leave the file ``json.dump``
-    wrote: the results directory is an on-disk format."""
-    import io
-    import json
-    with serve(tmp_path) as handle:
-        client = handle.client()
-        done = wait_until(client, client.submit(kernel_job(seed=64),
-                                                tenant="alice")["id"], {"ok"})
-    text = (handle.server.spool / "results" / f"{done['id']}.json").read_text()
-    doc = {"id": done["id"], "tenant": "alice", "label": done["label"],
-           "from_cache": False, "resumed": False, "attempts": 1,
-           "payload": done["payload"]}
-    want = io.StringIO()
-    json.dump(doc, want, sort_keys=True)
-    assert text == want.getvalue()

@@ -40,13 +40,19 @@ def test_sweep_checkpoint_does_not_write_a_fixed_temp_name(tmp_path):
 
 
 def test_unserialisable_result_leaves_no_temp_file(tmp_path):
-    server = FarmServer(tmp_path / "spool", store=False)
+    """A served result is written once, as the payload of the journal's
+    ``ok`` record: one that cannot be encoded leaves no partial record
+    and no temp file behind."""
+    spool = tmp_path / "spool"
+    server = FarmServer(spool, store=False)
     try:
         rec = JobRecord(id="j0001", tenant="t", priority=0,
                         job=Job.selftest("ok"), seq=1)
-        rec.payload = {"value": object()}
+        before = server.journal.path.read_bytes()
         with pytest.raises(TypeError):
-            server._persist_result(rec)
-        assert list((tmp_path / "spool" / "results").iterdir()) == []
+            server._complete(rec, {"value": object()})
+        assert server.journal.path.read_bytes() == before
+        assert sorted(p.name for p in spool.rglob("*")) == [
+            "ckpt", "journal.jsonl", "streams"]
     finally:
         server.journal.close()
