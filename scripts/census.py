@@ -128,9 +128,11 @@ VERDICTS: list[tuple[str, str]] = [
     ("reliability/checkpoint.py:SimCheckpoint.quanta",
      "keep: `repro checkpoint --info` and `repro replay` print it"),
     # -- user surfaces the census does not drive
-    ("cli.py:*", "keep: the `repro` console verbs (README command table, "
-     "`tests/test_cli_parity.py`); A drives the same code through the "
-     "API; ROADMAP item 15 makes the CLI table-driven"),
+    ("cli.py:*", "keep: the `repro` console verbs, one `_cmd_<verb>` "
+     "handler each over the library call that does its job (README "
+     "command table, `tests/test_cli_surface.py`); A drives the same "
+     "code through the API; ROADMAP item 15(c) deletes the verbs A "
+     "never drives"),
     ("analysis/autotune.py:*", "keep: `examples/autotune_model.py` runs it"),
     ("analysis/tuning.py:*", "keep: `examples/tune_banana_pi.py` runs it"),
     ("analysis/perf.py:*", "keep: the `repro perf` verb and api.md's "

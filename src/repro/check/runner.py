@@ -9,11 +9,12 @@ configuration and every tier still gets exercised:
 
 * ``batch``: strided on its own offset — the config-batched sweep
   engine against serial per-config jobs (including a killed-and-resumed
-  batched leg), on a seed-rotated microbench kernel and config pair.
-* ``checkpoint``: every ``checkpoint_every``-th seed.
+  batched leg), on a microbench kernel and config pair the seed picks.
+* ``checkpoint``: every ``STRIDE``-th seed.
 * ``instrument``: same stride, offset by half, so the instrumented
   bit-identity proof exercises different seeds than ``checkpoint``.
-* ``farm``: once per invocation, over a sample of the generated programs.
+* ``farm``: once per invocation, over the first ``FARM_SAMPLE``
+  generated programs.
 * ``chaos``: once per invocation, over the same sample — the serve
   layer under seeded fault schedules (worker kill, host stall, crash +
   ``recover=True`` restart, on-disk corruption), held to termination
@@ -42,6 +43,11 @@ __all__ = ["CheckReport", "run_check", "ALL_TIERS"]
 
 ALL_TIERS = ("golden", "lint", "batch", "checkpoint", "instrument", "farm",
              "chaos")
+
+#: seeds between two runs of each strided timing tier
+STRIDE = 5
+#: programs the farm and chaos tiers run, once per invocation
+FARM_SAMPLE = 3
 
 
 @dataclass
@@ -89,8 +95,6 @@ def _safe(tier: str, seed: int, fn: Callable[[], list[str]]
 
 def run_check(seeds: int = 25, start_seed: int = 0,
               tiers: Sequence[str] = ALL_TIERS,
-              checkpoint_every: int = 5,
-              farm_sample: int = 3,
               shrink: bool = True,
               corpus_dir: Path | None = None,
               progress: Callable[[str], None] | None = None) -> CheckReport:
@@ -139,37 +143,35 @@ def run_check(seeds: int = 25, start_seed: int = 0,
             report.divergences += _safe(
                 "lint", seed, lambda: lint_invariants(trace))
 
-        # strided on its own offset; rotates kernel and config pair per
-        # invocation so repeated CI runs walk the whole cross product.
-        # The batch oracle runs on microbench kernels (the sweep engine's
-        # domain), not on the generated program — the seed picks which.
-        if ("batch" in tiers
-                and n % checkpoint_every == checkpoint_every - 1):
+        # strided on its own offset.  The batch oracle runs on microbench
+        # kernels (the sweep engine's domain), not on the generated
+        # program.  The seed picks the kernel and the config pair, so
+        # any five consecutive runs cover every config
+        if "batch" in tiers and n % STRIDE == STRIDE - 1:
             from ..workloads.microbench import runnable_kernels
             kernel_names = [k.spec.name for k in runnable_kernels()]
             kname = kernel_names[seed % len(kernel_names)]
-            i = (2 * n) % len(all_names)
+            i = 2 * (seed // STRIDE) % len(all_names)
             pair = [all_names[i], all_names[(i + 1) % len(all_names)]]
             tier_count["batch"] += 1
             report.divergences += _safe(
                 "batch", seed,
                 lambda: diff_batch(kname, config_names=pair, seed=seed))
 
-        if "checkpoint" in tiers and n % checkpoint_every == 0:
+        if "checkpoint" in tiers and n % STRIDE == 0:
             tier_count["checkpoint"] += 1
             report.divergences += _safe(
                 "checkpoint", seed, lambda: diff_checkpoint(trace, seed))
 
         # strided like checkpoint (it embeds a checkpoint/restore), but
         # offset so the two timing tiers hit different seeds
-        if ("instrument" in tiers
-                and n % checkpoint_every == checkpoint_every // 2):
+        if "instrument" in tiers and n % STRIDE == STRIDE // 2:
             tier_count["instrument"] += 1
             report.divergences += _safe(
                 "instrument", seed, lambda: diff_instrument(trace, seed))
 
         if (("farm" in tiers or "chaos" in tiers)
-                and len(farm_progs) < farm_sample):
+                and len(farm_progs) < FARM_SAMPLE):
             farm_progs.append(prog)
 
     if "farm" in tiers and farm_progs:

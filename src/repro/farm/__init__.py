@@ -33,7 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "DeployManager", "ExternallyProvisionedDeployManager", "HostHealth",
         "HostSpec", "LocalDeployManager", "parse_deploy_spec", "resolve_deploy"],
     "job": ["JOB_KINDS", "Job", "JobResult", "execute_job"],
-    "retry": ["RetryPolicy"],
     "runfarm": [
         "FARM_SCHEMA", "FarmEvent", "FarmStats", "RunFarm", "resolve_cache",
         "resolve_workers", "run_jobs"],

@@ -13,7 +13,9 @@ The charge rule: a crash or timeout on a host the job has not failed on
 before is the host's (the breaker counts it and the job earns a *host
 credit*); a repeat failure on the same host, any failure after two
 hosts, and every workload exception are the job's.  A job may retry
-while ``attempts - host_credits <= max_retries``.
+while ``attempts - host_credits <= max_retries``, after
+``min(backoff_s * 2**(attempts-1), MAX_BACKOFF_S)`` seconds: a fixed,
+replayable schedule (no jitter).
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from typing import Any, Callable, Iterable, NamedTuple
 from .deploy import DeployManager
 from .job import ExecContext, Job
 from .pool import Worker, WorkerPool
-from .retry import RetryPolicy
 
 __all__ = ["Attempt", "Executor", "JobTally", "Verdict"]
+
+#: longest wait before any one retry, however long the retry budget
+MAX_BACKOFF_S = 2.0
 
 
 @dataclass(eq=False)
@@ -80,11 +84,11 @@ class Executor:
     """
 
     def __init__(self, deploy: DeployManager, *, max_retries: int,
-                 retry_policy: RetryPolicy, timeout_s: float | None,
+                 backoff_s: float, timeout_s: float | None,
                  fault_plan, checkpoint_dir, checkpoint_every: int) -> None:
         self.deploy = deploy
         self.max_retries = max_retries
-        self.retry_policy = retry_policy
+        self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self.fault_plan = fault_plan
         self.checkpoint_dir = checkpoint_dir
@@ -173,5 +177,5 @@ class Executor:
             rec.host_credits += 1
         return Verdict(
             rec.attempts - rec.host_credits <= self.max_retries,
-            self.retry_policy.delay(rec.attempts),
+            min(self.backoff_s * 2.0 ** (rec.attempts - 1), MAX_BACKOFF_S),
             health.state == "quarantined" and was != "quarantined")

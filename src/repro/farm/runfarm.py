@@ -45,7 +45,6 @@ from .cache import ResultCache, cache_key
 from .deploy import DeployManager, resolve_deploy
 from .executor import Attempt, Executor, JobTally
 from .job import Job, JobResult, execute_job_meta
-from .retry import RetryPolicy
 
 __all__ = [
     "FARM_SCHEMA",
@@ -154,11 +153,7 @@ class RunFarm:
     backoff_s:
         Base relaunch delay; attempt *n* waits
         ``backoff_s * 2**(n-1)`` (capped at 2 s) before going back on
-        a worker.  Shorthand for ``retry_policy=RetryPolicy(base_s=
-        backoff_s)``; an explicit *retry_policy* wins.
-    retry_policy:
-        Full :class:`~repro.farm.retry.RetryPolicy` (base, growth
-        factor, cap) shared with the serve layer's re-queue path.
+        a worker, the schedule the serve layer's re-queues follow too.
     on_event:
         Optional ``Callable[[FarmEvent], None]`` for live progress.
     fault_plan:
@@ -201,15 +196,13 @@ class RunFarm:
                  manifest_path: str | os.PathLike | None = None,
                  instrument=None,
                  instrument_dir: str | os.PathLike | None = None,
-                 deploy: DeployManager | str | None = None,
-                 retry_policy: RetryPolicy | None = None) -> None:
+                 deploy: DeployManager | str | None = None) -> None:
         self.deploy = resolve_deploy(deploy, workers)
         self.workers = self.deploy.total_slots
         self.cache = resolve_cache(cache)
         self.timeout_s = timeout_s
         self.max_retries = max(0, int(max_retries))
-        self.retry_policy = (retry_policy
-                             or RetryPolicy(base_s=max(0.0, float(backoff_s))))
+        self.backoff_s = max(0.0, float(backoff_s))
         self.on_event = on_event
         self.fault_plan = fault_plan
         self.checkpoint_dir = checkpoint_dir
@@ -266,7 +259,7 @@ class RunFarm:
         # one executor, so one pool, per run: workers fork from this
         # process as it is now, and environment changes reach them
         ex = Executor(self.deploy, max_retries=self.max_retries,
-                      retry_policy=self.retry_policy,
+                      backoff_s=self.backoff_s,
                       timeout_s=self.timeout_s, fault_plan=self.fault_plan,
                       checkpoint_dir=self.checkpoint_dir,
                       checkpoint_every=self.checkpoint_every)

@@ -11,7 +11,7 @@ wall-clock (what the FPGA cluster spends), mirroring how the real
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from ..isa.trace import Trace
 from ..smpi.runtime import RankResult, SMPIRuntime
@@ -97,42 +97,32 @@ class FireSimManager:
     # -- batch workloads (the run farm) --------------------------------------
 
     def run_batch(self, kernels: Sequence[str], scale: float = 1.0,
-                  seed: int = 0, *, workers: int | None = None,
-                  cache=None, timeout_s: float | None = None,
-                  max_retries: int = 2,
-                  on_event: Callable | None = None,
-                  quantum: int | None = None,
-                  fault_plan=None,
-                  checkpoint_dir=None, checkpoint_every: int = 8,
-                  manifest_path=None) -> list[SimulationReport]:
+                  seed: int = 0, *, quantum: int | None = None,
+                  **farm_kw) -> list[SimulationReport]:
         """Farm a batch of MicroBench kernels for this design.
 
         The batch entry point mirrors ``firesim runworkload``: each
         kernel becomes an independent :class:`repro.farm.Job`, the list
-        is sharded across ``workers`` processes (default
-        ``$REPRO_WORKERS``), and results come back in kernel order as
-        full :class:`SimulationReport` objects — telemetry snapshot and
-        CPI stack included — bit-identical to running each kernel
+        runs on a :class:`repro.farm.RunFarm` built from *farm_kw*
+        (``workers=``, ``cache=``, ``max_retries=``, ``fault_plan=``,
+        ``checkpoint_dir=``, ...), and results come back in kernel order
+        as full :class:`SimulationReport` objects — telemetry snapshot
+        and CPI stack included — bit-identical to running each kernel
         serially.  Farm counters land on :attr:`farm_stats`.  Any job
         that still fails after its retries raises.
 
         With *quantum* set, each kernel runs through the token-lockstep
-        path in quanta of that many cycles; combined with
-        *checkpoint_dir* that makes every job checkpointable, so a
-        crashed/killed/timed-out worker's retry resumes mid-run instead
-        of restarting (see :mod:`repro.reliability`).  *fault_plan*
-        injects deterministic chaos for testing that machinery.
+        path in quanta of that many cycles; with a ``checkpoint_dir``
+        that makes every job checkpointable, so a crashed, killed or
+        timed-out worker's retry resumes mid-run instead of restarting
+        (see :mod:`repro.reliability`).
         """
         from ..farm import Job, RunFarm
 
         jobs = [Job.kernel(self.config, name, scale=scale, seed=seed,
                            quantum=quantum)
                 for name in kernels]
-        farm = RunFarm(workers=workers, cache=cache, timeout_s=timeout_s,
-                       max_retries=max_retries, on_event=on_event,
-                       fault_plan=fault_plan, checkpoint_dir=checkpoint_dir,
-                       checkpoint_every=checkpoint_every,
-                       manifest_path=manifest_path)
+        farm = RunFarm(**farm_kw)
         results = farm.run(jobs)
         self.farm_stats = farm.stats
         failed = [r for r in results if not r.ok]

@@ -58,7 +58,6 @@ from typing import Any
 from .._atomic import atomic_write
 from ..farm.deploy import DeployManager, resolve_deploy
 from ..farm.executor import Attempt, Executor
-from ..farm.retry import RetryPolicy
 from ..farm.store import SharedResultStore
 from ..instrument.stream import STREAM_SCHEMA, InstrumentStream
 from .journal import ServeJournal, replay_journal
@@ -100,7 +99,8 @@ class FarmServer:
         Shared cross-run :class:`SharedResultStore` (or its root path).
         ``None`` opens ``<spool>/store``; pass ``store=False`` to serve
         without one.  A store hit at submit time completes the job
-        without touching the scheduler.
+        without touching the scheduler.  LRU budgets are the store's
+        own (``SharedResultStore(root, max_entries=, max_bytes=)``).
     quotas / default_quota:
         Per-tenant concurrent-job quotas (see :class:`FairScheduler`).
     max_retries:
@@ -110,11 +110,9 @@ class FarmServer:
         consume this budget — a flaky host can't exhaust an innocent
         job's retries.  The rule is :mod:`repro.farm.executor`'s, the
         same for batch ``repro farm``.
-    backoff_s / retry_policy:
-        Relaunch-delay schedule, shared with the batch farm:
-        ``backoff_s`` is shorthand for ``RetryPolicy(base_s=backoff_s)``
-        (exponential, capped at 2 s); an explicit
-        :class:`~repro.farm.retry.RetryPolicy` wins.
+    backoff_s:
+        Base relaunch delay, shared with the batch farm: attempt *n*
+        waits ``backoff_s * 2**(n-1)`` seconds, capped at 2 s.
     timeout_s:
         Default per-job wall-clock limit (jobs may override).
     checkpoint_every:
@@ -147,11 +145,8 @@ class FarmServer:
                  timeout_s: float | None = None,
                  checkpoint_every: int = 2,
                  socket_path: str | os.PathLike | None = None,
-                 store_max_entries: int | None = None,
-                 store_max_bytes: int | None = None,
                  recover: bool = False,
                  fault_plan=None,
-                 retry_policy: RetryPolicy | None = None,
                  suspect_after: int | None = None,
                  quarantine_after: int | None = None,
                  probe_interval: int | None = None) -> None:
@@ -169,16 +164,13 @@ class FarmServer:
         elif isinstance(store, SharedResultStore):
             self.store = store
         else:
-            root = self.spool / "store" if store in (None, True) else store
-            self.store = SharedResultStore(root,
-                                           max_entries=store_max_entries,
-                                           max_bytes=store_max_bytes)
+            self.store = SharedResultStore(
+                self.spool / "store" if store is None else store)
         self.scheduler = FairScheduler(quotas=quotas,
                                        default_quota=default_quota)
         self._executor = Executor(
             self.deploy, max_retries=max(0, int(max_retries)),
-            retry_policy=(retry_policy
-                          or RetryPolicy(base_s=max(0.0, float(backoff_s)))),
+            backoff_s=max(0.0, float(backoff_s)),
             timeout_s=timeout_s, fault_plan=fault_plan,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=max(1, int(checkpoint_every)))

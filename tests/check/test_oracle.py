@@ -56,6 +56,21 @@ def test_farm_tier_clean(tmp_path):
     assert diff_farm(progs) == []
 
 
+def test_batch_tier_walks_every_config(monkeypatch):
+    """One default-length run of the batch tier compares every config:
+    the seed, not the run's position, picks the pair."""
+    import repro.check.runner as runner
+    from repro.soc import ALL_CONFIGS
+
+    pairs = []
+    monkeypatch.setattr(runner, "diff_batch",
+                        lambda kname, config_names, seed: pairs.append(
+                            tuple(config_names)) or [])
+    assert run_check(seeds=25, tiers=("batch",), shrink=False).ok
+    assert len(pairs) == 5
+    assert {name for pair in pairs for name in pair} == set(ALL_CONFIGS)
+
+
 def test_run_check_smoke():
     report = run_check(seeds=2, tiers=("golden", "lint"), shrink=False)
     assert report.ok

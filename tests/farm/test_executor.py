@@ -85,3 +85,21 @@ def test_a_stopped_server_is_freed_by_its_last_reference(tmp_path):
         assert server() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("backoff_s", [0.0, 0.01, 0.1, 0.25, 0.3, 1.5, 3.0])
+def test_retry_delay_doubles_from_backoff_to_a_two_second_cap(backoff_s):
+    """Attempt *n* waits ``backoff_s * 2**(n-1)`` seconds, at most 2 s,
+    and none at all when ``backoff_s`` is 0: bit-for-bit the schedule
+    the farm and the server have always kept."""
+    from repro.farm import resolve_deploy
+    from repro.farm.executor import Executor, JobTally
+
+    ex = Executor(resolve_deploy("local:1", None), max_retries=99,
+                  backoff_s=backoff_s, timeout_s=None, fault_plan=None,
+                  checkpoint_dir=None, checkpoint_every=1)
+    for attempt in range(1, 10):
+        rec = JobTally(JOBS[0], ordinal=0, attempts=attempt, host="local")
+        want = (0.0 if backoff_s == 0.0
+                else min(backoff_s * 2.0 ** (attempt - 1), 2.0))
+        assert ex.settle(rec, "error").delay == want

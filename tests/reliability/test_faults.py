@@ -238,3 +238,29 @@ def test_worker_error_fault_is_retried_to_success(lockstep_jobs, reference):
     assert all(r.ok for r in results)
     assert canon(results) == reference
     assert results[0].attempts == 2
+
+
+def test_serve_verb_reads_its_fault_plan_from_a_file(tmp_path, monkeypatch):
+    """`repro serve --fault-plan @FILE` reads the file, as `repro farm`
+    does; the server it would start is replaced by a recorder."""
+    import repro.serve
+    from repro.cli import main
+
+    class Started(Exception):
+        pass
+
+    seen = {}
+
+    def recorder(spool, **kw):
+        seen.update(kw)
+        raise Started
+
+    monkeypatch.setattr(repro.serve, "FarmServer", recorder)
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text("kill job=1 attempt=1\nhost-stall host=a count=1\n")
+    with pytest.raises(Started):
+        main(["serve", "--spool", str(tmp_path / "spool"), "--no-store",
+              "--fault-plan", f"@{plan_file}", "--fault-seed", "3"])
+    plan = seen["fault_plan"]
+    assert [f.kind for f in plan.faults] == ["kill", "host-stall"]
+    assert plan.seed == 3
