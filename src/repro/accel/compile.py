@@ -6,9 +6,10 @@ decoding numpy columns to plain-Python lists — is computed exactly once
 here and reused by every core that runs the trace:
 
 * :class:`CompiledTrace` bundles the plain-list columns
-  ``InOrderCore.run`` and ``OoOCore.run`` index, plus the in-order
-  loop's per-uop issue flags, derived on first use.  The out-of-order
-  loop derives fetch line and FP-ness inline.
+  ``InOrderCore.run`` and ``OoOCore.run`` index, plus what is derived
+  on first use: the per-uop issue flags (``newline`` serves both
+  loops), the out-of-order loop's per-uop class, and the position of
+  the first vector op a core without a vector unit refuses.
 * :func:`compiled_trace` keeps a whole trace's form on the trace, and
   compiles any narrower window (a chunk) afresh from column views.
 * :func:`trace_payload` / :func:`trace_from_payload` are a trace's JSON
@@ -24,7 +25,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.isa.opcodes import CTRL_OPS, MEM_OPS, VECTOR_OPS, OpClass
+from repro.isa.opcodes import CTRL_OPS, FP_OPS, MEM_OPS, VECTOR_OPS, OpClass
 from repro.isa.serialize import decode_trace, encode_trace
 from repro.isa.trace import Trace
 
@@ -41,6 +42,19 @@ _SIMPLE_LUT[[int(op) for op in
              {OpClass.INT_DIV} | MEM_OPS | CTRL_OPS
              | (VECTOR_OPS - {OpClass.VSETVL})]] = False
 
+#: vector ops a core without a vector unit refuses (``vsetvl`` only
+#: configures, so every core takes it)
+_REFUSED = [int(op) for op in VECTOR_OPS - {OpClass.VSETVL}]
+
+#: the out-of-order loop's per-uop class (:meth:`CompiledTrace.classes`):
+#: integer, FP, divide, control, load, store, AMO, refused vector
+_CLASS_LUT = np.zeros(256, dtype=np.uint8)
+for _cls, _ops in enumerate(((), FP_OPS, {OpClass.INT_DIV}, CTRL_OPS,
+                             {OpClass.LOAD}, {OpClass.STORE},
+                             {OpClass.AMO}, _REFUSED)):
+    _CLASS_LUT[[int(op) for op in _ops]] = _cls
+del _cls, _ops
+
 
 class CompiledTrace:
     """One trace window, decoded and pre-analyzed for every core at once.
@@ -49,14 +63,15 @@ class CompiledTrace:
     views :meth:`issue_flags` reads), so a trace and its compiled form
     are freed by reference counting alone."""
 
-    __slots__ = ("n", "cols", "_op", "_pc", "_issue_flags", "__weakref__")
+    __slots__ = ("n", "cols", "_op", "_pc", "_issue_flags", "_classes",
+                 "_refused", "__weakref__")
 
     def __init__(self, trace: Trace, window: slice = slice(None)) -> None:
         self.cols = {name: getattr(trace, name)[window].tolist()
                      for name in Trace.COLUMNS}
         self._op, self._pc = trace.op[window], trace.pc[window]
         self.n = len(self._op)
-        self._issue_flags = None
+        self._issue_flags = self._classes = self._refused = None
 
     def issue_flags(self) -> tuple[list[bool], list[bool]]:
         """Per-uop ``(simple, newline)`` lists for the in-order loop.
@@ -74,6 +89,33 @@ class CompiledTrace:
             self._issue_flags = (_SIMPLE_LUT[self._op].tolist(),
                                  newline.tolist())
         return self._issue_flags
+
+    def classes(self) -> bytes:
+        """Per-uop class for the out-of-order loop, one byte each: 0
+        integer, 1 FP, 2 divide, 3 control, 4 load, 5 store, 6 AMO, 7 a
+        vector op (which that core refuses).  Derived on first use and
+        cached here only."""
+        if self._classes is None:
+            self._classes = _CLASS_LUT[self._op].tobytes()
+        return self._classes
+
+    def refused(self) -> int:
+        """The position of the window's first vector op, which a core
+        without a vector unit refuses (``n`` when there is none).
+        Derived on first use and cached here only."""
+        if self._refused is None:
+            at = np.flatnonzero(np.isin(self._op, _REFUSED))
+            self._refused = int(at[0]) if len(at) else self.n
+        return self._refused
+
+    def control(self) -> list[int]:
+        """The window positions of its control ops, ascending: what
+        :meth:`~repro.core.branch.BranchUnit.resolve_window` walks.
+        Made afresh per call: only a live walk needs them, and a sweep
+        that reuses resolved windows would keep them for nothing."""
+        op = self._op
+        return ((op >= int(OpClass.BRANCH)) & (op <= int(OpClass.RET))
+                ).nonzero()[0].tolist()
 
     def __repr__(self) -> str:
         return f"CompiledTrace(n={self.n})"

@@ -15,10 +15,14 @@ redundancy without touching semantics:
   (cold-start, fresh-system runs only: those are the only runs whose
   outcome is a pure function of that key).  The key needs no system, so
   a hit builds none.
+* :func:`window_get` / :func:`window_put` — a bounded LRU of resolved
+  branch front-end windows, keyed on a predictor lineage plus a trace
+  digest (see :meth:`~repro.core.branch.BranchUnit.resolve_window`), so
+  a sweep resolves each predictor config's front end once.
 
-All caches hold deep-copied payloads on the way out, so a memo hit can
-never alias live state; :func:`clear_caches` empties them all (to time
-a cold start).
+The result memo deep-copies payloads on the way in and out, and a
+stored window is immutable, so no hit can alias live state;
+:func:`clear_caches` empties every cache (to time a cold start).
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ __all__ = [
     "memo_key",
     "memo_get",
     "memo_put",
+    "window_digest",
+    "window_get",
+    "window_put",
     "clear_caches",
     "config_digest",
     "latency_lut",
@@ -46,6 +53,9 @@ __all__ = [
 _MEMO_MAX = 256
 #: bound on shared workload traces
 _TRACE_MAX = 64
+#: bound on resolved front-end windows: a warm and a measured pass for
+#: each of four predictor configs, the most a sweep over ALL_CONFIGS uses
+_WINDOW_MAX = 8
 
 
 # -- latency lookup tables ----------------------------------------------------
@@ -130,9 +140,41 @@ def memo_put(key: tuple, payload) -> None:
         _memo.popitem(last=False)
 
 
+# -- resolved front-end windows -----------------------------------------------
+
+_windows: OrderedDict[tuple, Any] = OrderedDict()
+
+
+def window_digest(trace, ct):
+    """*trace*'s content digest when *ct* is its whole-trace compiled form
+    and the digest is already computed, else None: the part of a window
+    key that names the trace, made without computing a digest a run would
+    not compute anyway."""
+    return trace._digest if ct is trace._compiled else None
+
+
+def window_get(key: tuple):
+    """The resolved branch front-end window stored under *key* (a
+    :class:`~repro.core.branch.BranchUnit` lineage plus a trace digest),
+    or None.  Windows are immutable, so a hit is returned as is."""
+    hit = _windows.get(key)
+    if hit is not None:
+        _windows.move_to_end(key)
+    return hit
+
+
+def window_put(key: tuple, window) -> None:
+    _windows[key] = window
+    if len(_windows) > _WINDOW_MAX:
+        _windows.popitem(last=False)
+
+
 def clear_caches() -> None:
-    """Drop every in-process cache (benchmarks call this between timed
-    passes so a measurement never feeds on an earlier pass's work)."""
+    """Drop every in-process cache: shared traces, whole-run results,
+    latency tables and resolved front-end windows (benchmarks call this
+    between timed passes so a measurement never feeds on an earlier
+    pass's work)."""
     _traces.clear()
     _memo.clear()
     _lat_luts.clear()
+    _windows.clear()

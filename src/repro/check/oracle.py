@@ -311,7 +311,9 @@ def diff_batch(kernel: str, config_names: Sequence[str] | None = None,
     mask a divergence:
 
     1. *serial*: one ``Job.kernel`` per config through
-       :func:`~repro.farm.job.execute_job` — the farm's ordinary path.
+       :func:`~repro.farm.job.execute_job` — the farm's ordinary path —
+       with the caches cleared before each, so every branch front end
+       is resolved live (the batched leg reuses them across configs).
     2. *batched*: one ``Job.sweep`` over all configs — the trace is
        compiled once and every config runs over the shared compiled
        form, in input order.
@@ -333,9 +335,10 @@ def diff_batch(kernel: str, config_names: Sequence[str] | None = None,
     configs = [get_config(n) for n in names]
     diffs: list[str] = []
 
-    memo.clear_caches()
     serial = {}
     for cfg in configs:
+        # per config, so no front end is reused from an earlier one
+        memo.clear_caches()
         payload = execute_job(Job.kernel(cfg, kernel, scale=scale, seed=seed))
         serial[cfg.name] = _json.loads(_json.dumps(payload))
 

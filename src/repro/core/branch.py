@@ -10,19 +10,31 @@ control flow.
 The direction predictors and the BTB each hold their state and have
 one ``bind`` method, the only implementation of their operations.
 ``BranchUnit.bind()`` returns ``(resolve, close)`` over those two binds
-and the RAS stack, and ``InOrderCore.run`` and ``OoOCore.run`` call it
-once per run.  A binder uses the tables in place — every table is a plain list,
+and the RAS stack.  A binder uses the tables in place — every table is a plain list,
 2-D tables a list of per-set rows, only ever mutated in place — keeps
 the scalar registers (the BTB stamp, a global history) in locals and
 writes them back at ``close``.  TAGE's folded-history registers are
 state too, advanced per outcome and saved by checkpoints, so no lookup
 and no bind re-folds the history.
+
+The front end depends on the predictor and the trace, never on timing,
+so ``InOrderCore.run`` and ``OoOCore.run`` resolve a window's control
+ops before their timing loop: ``BranchUnit.resolve_window`` runs the
+bound ``resolve`` over them (stopping at the first vector op the core
+will refuse) and returns every uop's redirect class as one byte.  A
+whole trace resolved by a unit with a lineage — its predictor config
+plus the traces it has resolved since construction — is kept in
+:mod:`repro.accel.memo`, so the next unit of that predictor config in a
+sweep replays the stored classes, stats delta and changed table entries
+instead of walking the trace again.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BimodalBHT",
@@ -352,6 +364,17 @@ class BranchStats:
         self.__init__()
 
 
+class _Window(NamedTuple):
+    """A resolved whole-trace window, as :meth:`BranchUnit.resolve_window`
+    keeps it for reuse: what the live walk returned and what it changed."""
+
+    kinds: bytes                #: per-uop redirect class
+    stats: tuple                #: BranchStats field deltas
+    rows: tuple                 #: (row, positions, values) that changed
+    regs: tuple                 #: (register, value) that changed
+    ras: tuple                  #: the RAS stack at the end
+
+
 class BranchUnit:
     """Front-end control-flow handling shared by both core models.
 
@@ -359,15 +382,24 @@ class BranchUnit:
     and returns the redirect class: ``0`` = correctly predicted, ``1`` =
     taken-but-BTB-miss (front-end bubble), ``2`` = full mispredict
     (pipeline flush).
+
+    A unit given the *config* it was built from has a lineage: that
+    config plus the content digest of every whole trace
+    :meth:`resolve_window` has resolved since construction.  Its tables
+    are a function of the lineage, which is what lets a window be reused
+    across units of one config.  Any other use of the tables (a direct
+    :meth:`bind`, a chunked window, a checkpoint restore) ends it.
     """
 
     CORRECT, BUBBLE, FLUSH = 0, 1, 2
 
-    def __init__(self, direction, btb: BTB, ras: ReturnAddressStack) -> None:
+    def __init__(self, direction, btb: BTB, ras: ReturnAddressStack,
+                 config=None) -> None:
         self.direction = direction
         self.btb = btb
         self.ras = ras
         self.stats = BranchStats()
+        self._lineage = None if config is None else (config,)
 
     def bind(self):
         """Bind the unit over its predictor, BTB and RAS; returns
@@ -378,6 +410,9 @@ class BranchUnit:
         in place; ``close`` writes back what the predictor and the BTB
         keep in locals, and must run exactly once.
         """
+        # whatever the caller walks, no lineage accounts for it;
+        # resolve_window sets the lineage again after its own walks
+        self._lineage = None
         bst = self.stats
         predict_update, dir_close = self.direction.bind()
         lookup, insert, btb_close = self.btb.bind()
@@ -428,6 +463,120 @@ class BranchUnit:
             dir_close()
 
         return resolve, close
+
+    def resolve_window(self, trace, ct, refuse_vector: bool) -> bytes:
+        """Resolve the control ops of *ct*, a compiled window of *trace*,
+        before a core loop runs it; returns each uop's redirect class as
+        one byte (0 for every other op).
+
+        The front end depends on the predictor and the control ops only,
+        never on timing, so resolving them ahead of the loop leaves what
+        a per-uop ``resolve`` would.  With *refuse_vector* the walk stops
+        at the window's first vector op, where the core will raise.
+
+        A whole trace resolved under a lineage is kept in
+        :func:`~repro.accel.memo.window_get`'s LRU, keyed on the lineage
+        extended by the trace's digest.  A unit that reaches the same key
+        takes the stored kinds, adds the stored stats delta and writes the
+        stored changes into its tables in place, without binding.  The
+        key is made only when the trace's digest is already computed.
+        """
+        from ..accel import memo
+
+        stop = ct.refused() if refuse_vector else ct.n
+        digest = memo.window_digest(trace, ct)
+        key = None
+        if self._lineage is not None and digest is not None and stop == ct.n:
+            key = self._lineage + (digest,)
+            hit = memo.window_get(key)
+            if hit is not None:
+                self._replay(hit)
+                self._lineage = key
+                return hit.kinds
+            before = self._snapshot()
+        control = ct.control()
+        if stop < ct.n:
+            control = control[:bisect.bisect_left(control, stop)]
+        cols = ct.cols
+        op_l, pc_l = cols["op"], cols["pc"]
+        taken_l, tgt_l = cols["taken"], cols["target"]
+        kinds = bytearray(ct.n)
+        resolve, close = self.bind()
+        try:
+            for i in control:
+                kinds[i] = resolve(op_l[i], pc_l[i], taken_l[i], tgt_l[i])
+        finally:
+            close()
+        kinds = bytes(kinds)
+        if key is not None:
+            memo.window_put(key, self._changes(before, kinds))
+            self._lineage = key
+        return kinds
+
+    def _state(self) -> tuple[list[list], list[tuple[object, str]]]:
+        """The predictor's and the BTB's tables as rows of scalars, and
+        their int attributes as ``(object, name)``, in an order fixed by
+        the predictor config."""
+        rows: list[list] = []
+        regs: list[tuple[object, str]] = []
+        for obj in (self.direction, getattr(self.direction, "base", None),
+                    self.btb):
+            if obj is None:
+                continue
+            for name, v in vars(obj).items():
+                if type(v) is list:
+                    if v and type(v[0]) is list:
+                        rows.extend(v)
+                    else:
+                        rows.append(v)
+                elif type(v) is int:
+                    regs.append((obj, name))
+        return rows, regs
+
+    def _snapshot(self) -> tuple:
+        rows, regs = self._state()
+        return ([row[:] for row in rows],
+                [getattr(obj, name) for obj, name in regs],
+                list(vars(self.stats).values()))
+
+    def _changes(self, before: tuple, kinds: bytes) -> _Window:
+        """What a live walk changed since *before* (a :meth:`_snapshot`):
+        only the entries that differ are kept."""
+        old_rows, old_regs, old_stats = before
+        rows, regs = self._state()
+        changed = []
+        for r, (old, row) in enumerate(zip(old_rows, rows)):
+            if old != row:
+                # a walk touches few entries of a long row: compare it a
+                # block at a time, entry by entry only where a block moved
+                at = [j for k in range(0, len(row), 64)
+                      if old[k:k + 64] != row[k:k + 64]
+                      for j in range(k, min(k + 64, len(row)))
+                      if old[j] != row[j]]
+                changed.append((r, tuple(at), tuple([row[j] for j in at])))
+        new_regs = [getattr(obj, name) for obj, name in regs]
+        return _Window(
+            kinds,
+            tuple([b - a for a, b in zip(old_stats, vars(self.stats).values())]),
+            tuple(changed),
+            tuple([(r, v) for r, (a, v) in enumerate(zip(old_regs, new_regs))
+                   if a != v]),
+            tuple(self.ras._stack))
+
+    def _replay(self, w: _Window) -> None:
+        """Leave the tables and stats where the walk *w* records left
+        them, starting from where it started."""
+        rows, regs = self._state()
+        for r, at, vals in w.rows:
+            row = rows[r]
+            for j, v in zip(at, vals):
+                row[j] = v
+        for r, v in w.regs:
+            setattr(*regs[r], v)
+        self.ras._stack[:] = w.ras
+        counts = vars(self.stats)
+        for name, d in zip(list(counts), w.stats):
+            counts[name] += d
 
 
 def rocket_branch_unit(bht_entries: int = 512, btb_entries: int = 32,

@@ -16,11 +16,13 @@ still being *mechanistic* — every stall traces back to a concrete resource.
 micro-op) and per-opcode latencies from a list.  Two per-uop flags of
 :meth:`~repro.accel.compile.CompiledTrace.issue_flags` let an op with no
 structural hazard, memory port or control slot take a short branch, and
-let the fetch-line test run only where the line can change.  Memory goes
-through the walk :meth:`~repro.mem.hierarchy.TilePort.bind` returns and
-control ops through :meth:`~repro.core.branch.BranchUnit.bind`; both
-``close`` functions run in ``finally``, so the counters kept in locals
-are written back even when the run raises.
+let the fetch-line test run only where the line can change.  Control ops
+are resolved before the loop starts, by
+:meth:`~repro.core.branch.BranchUnit.resolve_window`, and the loop reads
+each one's redirect class; memory goes through the walk
+:meth:`~repro.mem.hierarchy.TilePort.bind` returns, whose ``close`` runs
+in ``finally``, so the counters kept in locals are written back even
+when the run raises.
 """
 
 from __future__ import annotations
@@ -127,21 +129,22 @@ class InOrderCore(CoreModel):
         s2_l = view["src2"]
         addr_l = view["addr"]
         size_l = view["size"]
-        taken_l = view["taken"]
         pc_l = view["pc"]
-        tgt_l = view["target"]
         simple_l, newline_l = ct.issue_flags()
         n = ct.n
         lat_list = memo.latency_lut(cfg.latencies)
+        vcfg = cfg.vector
+        bst = bru.stats
+        br0 = bst.branches
+        mp0 = bst.mispredicts
 
-        # ---- bind the memory walk and the branch unit ----
+        # ---- the front end, resolved ahead; then bind the memory walk ----
+        kinds = bru.resolve_window(trace, ct, refuse_vector=vcfg is None)
         dload, dstore, ifetch, mem_close = port.bind()
-        resolve, bru_close = bru.bind()
 
         # ---- loop state ----
         reg_ready = self._reg_ready
         sb = self._sb
-        vcfg = cfg.vector
         vu_free = self._vu_free
         cycle = max(start_time, self._time)
         t0 = cycle
@@ -155,11 +158,8 @@ class InOrderCore(CoreModel):
         stall_fe = stall_dep = stall_mem = stall_struct = 0
         l1d_st = port.l1d.stats
         l1i_st = port.l1i.stats
-        bst = bru.stats
         l1d_miss0 = l1d_st.misses
         l1i_miss0 = l1i_st.misses
-        br0 = bst.branches
-        mp0 = bst.mispredicts
         sb_depth = cfg.store_buffer
         flush_pen = cfg.flush_penalty
         bubble_pen = cfg.bubble_penalty
@@ -306,7 +306,7 @@ class InOrderCore(CoreModel):
                     if dst > 0:
                         reg_ready[dst] = t + occ + lat_list[op] - 1
                 elif is_ctrl:
-                    kind = resolve(op, pc_l[i], taken_l[i], tgt_l[i])
+                    kind = kinds[i]
                     if kind == 2:
                         fe_ready = t + 1 + flush_pen
                     elif kind == 1:
@@ -323,7 +323,6 @@ class InOrderCore(CoreModel):
             # flush the local counters even when the loop raises (vector
             # op on a vector-less core), so the stats match the state
             mem_close()
-            bru_close()
 
         self.accel_stats.engine_uops += n
         memo.global_stats().engine_uops += n

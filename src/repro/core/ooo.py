@@ -17,14 +17,23 @@ Bandwidth chains use fractional-cycle accumulation (an op consumes
 approximation; capacity constraints are exact ring-buffer bookkeeping.
 
 :meth:`OoOCore.run` reads the plain-list columns of a
-:class:`~repro.accel.compile.CompiledTrace` and per-opcode latency and
-FP-steering lists.  Memory goes through the walk
-:meth:`~repro.mem.hierarchy.TilePort.bind` returns and control ops
-through :meth:`~repro.core.branch.BranchUnit.bind`; their ``close``
-functions write back the counters and scalar registers kept in locals,
-including when the trace raises, so the components hold the whole state
-between runs.  What a run costs the host beyond an in-order one is
-mostly its front end (TAGE) and memory walk, not this scheduler loop.
+:class:`~repro.accel.compile.CompiledTrace`, a per-opcode latency list,
+and two per-uop columns derived once per trace: the class byte it
+dispatches on (integer, FP, divide, control, load, store, AMO, refused
+vector) and the ``newline`` flags that limit the fetch-line test to the
+first uop of a line.  Control ops are resolved before the loop, by
+:meth:`~repro.core.branch.BranchUnit.resolve_window`, and the loop reads
+each one's redirect class.  Memory goes through the walk
+:meth:`~repro.mem.hierarchy.TilePort.bind` returns; its ``close`` writes
+back the counters and scalar registers kept in locals, including when
+the trace raises, so the components hold the whole state between runs.
+
+What a run costs the host beyond an in-order one is this scheduler loop
+as much as the front end (TAGE) and the memory walk: counted with
+``scripts/host_ledger.py --opcodes``, this loop's own frame executed 292
+bytecodes per uop on ``EI``/``LargeBOOM`` before it dispatched on the
+class byte and 185 after, against 97 for the in-order loop on
+``EI``/``BananaPiSim``.
 """
 
 from __future__ import annotations
@@ -32,8 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..isa.opcodes import (DEFAULT_LATENCIES, FP_OPS, NUM_REGS, LatencyTable,
-                           OpClass)
+from ..isa.opcodes import DEFAULT_LATENCIES, NUM_REGS, LatencyTable
 from .base import CoreModel, CoreResult
 from .branch import BranchUnit, boom_branch_unit
 
@@ -41,15 +49,6 @@ if TYPE_CHECKING:
     from ..isa.trace import Trace
 
 __all__ = ["OoOConfig", "OoOCore"]
-
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
-_AMO = int(OpClass.AMO)
-_DIV = int(OpClass.INT_DIV)
-_VLOAD = int(OpClass.VLOAD)
-_VSETVL = int(OpClass.VSETVL)
-#: per-opcode FP classification (issue-queue steering)
-_IS_FP = [op in FP_OPS for op in range(256)]
 
 
 @dataclass(frozen=True)
@@ -149,15 +148,18 @@ class OoOCore(CoreModel):
         s1_l = cols["src1"]
         s2_l = cols["src2"]
         addr_l = cols["addr"]
-        taken_l = cols["taken"]
         pc_l = cols["pc"]
-        tgt_l = cols["target"]
-        is_fp_op = _IS_FP
+        cls_l = ct.classes()
+        newline_l = ct.issue_flags()[1]
         n = ct.n
+        # the loop stops at the first vector op and raises there
+        refused = ct.refused()
         lat_list = memo.latency_lut(cfg.latencies)
+        bst = bru.stats
+        br0, mp0 = bst.branches, bst.mispredicts
 
+        kinds = bru.resolve_window(trace, ct, refuse_vector=True)
         dload, dstore, ifetch, mem_close = port.bind()
-        resolve, bru_close = bru.bind()
 
         # ---- loop state ----
         reg_ready = self._reg_ready
@@ -183,9 +185,6 @@ class OoOCore(CoreModel):
         int_ports = self._int_ports
         mem_ports = self._mem_ports
         fp_ports = self._fp_ports
-        n_int_ports = len(int_ports)
-        n_mem_ports = len(mem_ports)
-        n_fp_ports = len(fp_ports)
         rob_size = cfg.rob_size
         ldq_size = len(ldq_ring)
         stq_size = len(stq_ring)
@@ -198,45 +197,37 @@ class OoOCore(CoreModel):
         stall_fe = stall_rob = stall_iq = stall_lsq = 0.0
         l1d_st = port.l1d.stats
         l1i_st = port.l1i.stats
-        bst = bru.stats
         l1d_miss0 = l1d_st.misses
         l1i_miss0 = l1i_st.misses
-        br0, mp0 = bst.branches, bst.mispredicts
         icache_hit = self._icache_hit
         fe_depth = cfg.frontend_depth
         amo_extra = cfg.latencies.amo_extra
 
-        last_commit = commit_chain
-
         try:
-            for i in range(n):
-                op = op_l[i]
-                pc = pc_l[i]
-                if _VLOAD <= op < _VSETVL:
-                    raise ValueError(
-                        "trace contains RVV vector ops, but the BOOM-like "
-                        "out-of-order model has no vector unit (the study's "
-                        "FireSim targets run scalar code only)"
-                    )
+            for i in range(refused):
+                k = cls_l[i]
 
                 # ---- fetch ----
                 f = fetch_chain + d_fetch
                 if fetch_floor > f:
                     stall_fe += fetch_floor - f
                     f = fetch_floor
-                line = pc >> 6
-                if line != cur_line:
-                    # sequential crossings use next-line fetch-ahead
-                    # (issued when the previous line started draining);
-                    # redirects pay in full
-                    issue_at = line_entry if line == cur_line + 1 else f
-                    cur_line = line
-                    done = ifetch(pc, int(issue_at))
-                    extra = done - f - icache_hit
-                    if extra > 0:
-                        stall_fe += extra
-                        f += extra
-                    line_entry = f
+                # only the first uop of a fetch line can leave cur_line
+                if newline_l[i]:
+                    pc = pc_l[i]
+                    line = pc >> 6
+                    if line != cur_line:
+                        # sequential crossings use next-line fetch-ahead
+                        # (issued when the previous line started
+                        # draining); redirects pay in full
+                        issue_at = line_entry if line == cur_line + 1 else f
+                        cur_line = line
+                        done = ifetch(pc, int(issue_at))
+                        extra = done - f - icache_hit
+                        if extra > 0:
+                            stall_fe += extra
+                            f += extra
+                        line_entry = f
                 fetch_chain = f
 
                 # ---- dispatch (decode bandwidth, ROB, IQ, LSQ space) ----
@@ -247,125 +238,130 @@ class OoOCore(CoreModel):
                 if rob_free > d:
                     stall_rob += rob_free - d
                     d = rob_free
-
-                is_mem = op == _LOAD or op == _STORE or op == _AMO
-                is_fp = is_fp_op[op]
-                if is_mem:
-                    ring, head = memq_ring, memq_head
-                elif is_fp:
-                    ring, head = fpq_ring, fpq_head
-                else:
-                    ring, head = intq_ring, intq_head
-                iq_free = ring[head]
-                if iq_free > d:
-                    stall_iq += iq_free - d
-                    d = iq_free
-                if op == _LOAD:
-                    lq_free = ldq_ring[ldq_head]
-                    if lq_free > d:
-                        stall_lsq += lq_free - d
-                        d = lq_free
-                elif op == _STORE or op == _AMO:
-                    sq_free = stq_ring[stq_head]
-                    if sq_free > d:
-                        stall_lsq += sq_free - d
-                        d = sq_free
-                dispatch_chain = d
-
-                # ---- issue: operands + issue port ----
-                t = d + 1.0
+                # operands are ready at the later of their two writes
+                ready = 0.0
                 s1 = s1_l[i]
-                if s1 > 0 and reg_ready[s1] > t:
-                    t = reg_ready[s1]
+                if s1 > 0:
+                    ready = reg_ready[s1]
                 s2 = s2_l[i]
-                if s2 > 0 and reg_ready[s2] > t:
-                    t = reg_ready[s2]
-                if is_mem:
-                    ports = mem_ports
-                    nports = n_mem_ports
-                elif is_fp:
-                    ports = fp_ports
-                    nports = n_fp_ports
-                else:
-                    ports = int_ports
-                    nports = n_int_ports
-                pi = 0
-                pmin = ports[0]
-                for k in range(1, nports):
-                    if ports[k] < pmin:
-                        pmin = ports[k]
-                        pi = k
-                if pmin > t:
-                    t = pmin
-                ports[pi] = t + 1.0
-                if op == _DIV and div_free > t:
-                    t = div_free
+                if s2 > 0 and reg_ready[s2] > ready:
+                    ready = reg_ready[s2]
 
-                # record issue time for IQ occupancy (entry freed at issue)
-                ring[head] = t + 1.0
-                if is_mem:
-                    memq_head = (head + 1) % memq_size
-                elif is_fp:
-                    fpq_head = (head + 1) % fpq_size
-                else:
-                    intq_head = (head + 1) % intq_size
-
-                # ---- execute / complete ----
-                dst = dst_l[i]
-                if op == _LOAD:
+                # per class: IQ (and LSQ) space, then issue on the
+                # class's ports once operands are ready, then complete
+                if k >= 4:  # LOAD / STORE / AMO
+                    iq_free = memq_ring[memq_head]
+                    if iq_free > d:
+                        stall_iq += iq_free - d
+                        d = iq_free
+                    if k == 4:
+                        lq_free = ldq_ring[ldq_head]
+                        if lq_free > d:
+                            stall_lsq += lq_free - d
+                            d = lq_free
+                    else:
+                        sq_free = stq_ring[stq_head]
+                        if sq_free > d:
+                            stall_lsq += sq_free - d
+                            d = sq_free
+                    dispatch_chain = d
+                    t = d + 1.0
+                    if ready > t:
+                        t = ready
+                    pmin = min(mem_ports)
+                    if pmin > t:
+                        t = pmin
+                    mem_ports[mem_ports.index(pmin)] = t + 1.0
+                    # the IQ entry is freed at issue
+                    memq_ring[memq_head] = t + 1.0
+                    memq_head = (memq_head + 1) % memq_size
                     addr = addr_l[i]
-                    lineaddr = addr >> 6
-                    st_pending = pending_stores.get(lineaddr)
-                    if st_pending is not None and st_pending > t:
-                        # memory ordering: wait for the older store's data
-                        t = st_pending
-                    complete = float(dload(addr, int(t) + 1))
-                elif op == _STORE:
-                    addr = addr_l[i]
-                    complete = float(dstore(addr, int(t) + 1))
-                    lineaddr = addr >> 6
-                    pending_stores[lineaddr] = t + 2.0
-                    if len(pending_stores) > pending_max:
-                        pending_stores.clear()
-                elif op == _AMO:
-                    complete = float(dstore(addr_l[i], int(t) + 1)) + amo_extra
-                else:
-                    l = lat_list[op]
-                    complete = t + l
-                    if op == _DIV:
+                    if k == 4:
+                        st_pending = pending_stores.get(addr >> 6)
+                        if st_pending is not None and st_pending > t:
+                            # memory ordering: wait for the older
+                            # store's data
+                            t = st_pending
+                        complete = float(dload(addr, int(t) + 1))
+                    elif k == 5:
+                        complete = float(dstore(addr, int(t) + 1))
+                        pending_stores[addr >> 6] = t + 2.0
+                        if len(pending_stores) > pending_max:
+                            pending_stores.clear()
+                    else:
+                        complete = float(dstore(addr, int(t) + 1)) + amo_extra
+                elif k == 1:  # FP
+                    iq_free = fpq_ring[fpq_head]
+                    if iq_free > d:
+                        stall_iq += iq_free - d
+                        d = iq_free
+                    dispatch_chain = d
+                    t = d + 1.0
+                    if ready > t:
+                        t = ready
+                    pmin = min(fp_ports)
+                    if pmin > t:
+                        t = pmin
+                    fp_ports[fp_ports.index(pmin)] = t + 1.0
+                    fpq_ring[fpq_head] = t + 1.0
+                    fpq_head = (fpq_head + 1) % fpq_size
+                    complete = t + lat_list[op_l[i]]
+                else:  # integer, divide, control
+                    iq_free = intq_ring[intq_head]
+                    if iq_free > d:
+                        stall_iq += iq_free - d
+                        d = iq_free
+                    dispatch_chain = d
+                    t = d + 1.0
+                    if ready > t:
+                        t = ready
+                    pmin = min(int_ports)
+                    if pmin > t:
+                        t = pmin
+                    int_ports[int_ports.index(pmin)] = t + 1.0
+                    if k == 2 and div_free > t:
+                        t = div_free
+                    intq_ring[intq_head] = t + 1.0
+                    intq_head = (intq_head + 1) % intq_size
+                    complete = t + lat_list[op_l[i]]
+                    if k == 2:
                         div_free = complete
+                    elif k == 3:  # the front end's redirect class
+                        kind = kinds[i]
+                        if kind == 2:  # FLUSH
+                            nf = complete + fe_depth
+                            if nf > fetch_floor:
+                                fetch_floor = nf
+                        elif kind == 1:  # BUBBLE
+                            nf = f + 3.0
+                            if nf > fetch_floor:
+                                fetch_floor = nf
+                dst = dst_l[i]
                 if dst > 0:
                     reg_ready[dst] = complete
-
-                # ---- control resolution ----
-                if 6 <= op <= 9:  # BRANCH / JUMP / CALL / RET
-                    kind = resolve(op, pc, taken_l[i], tgt_l[i])
-                    if kind == 2:  # FLUSH
-                        nf = complete + fe_depth
-                        if nf > fetch_floor:
-                            fetch_floor = nf
-                    elif kind == 1:  # BUBBLE
-                        nf = f + 3.0
-                        if nf > fetch_floor:
-                            fetch_floor = nf
 
                 # ---- commit (in-order, commit-width limited) ----
                 c = commit_chain + d_commit
                 if complete + 1.0 > c:
                     c = complete + 1.0
                 commit_chain = c
-                last_commit = c
                 rob_ring[rob_head] = c
                 rob_head = (rob_head + 1) % rob_size
-                if op == _LOAD:
-                    ldq_ring[ldq_head] = c
-                    ldq_head = (ldq_head + 1) % ldq_size
-                elif op == _STORE or op == _AMO:
-                    stq_ring[stq_head] = c
-                    stq_head = (stq_head + 1) % stq_size
+                if k >= 4:
+                    if k == 4:
+                        ldq_ring[ldq_head] = c
+                        ldq_head = (ldq_head + 1) % ldq_size
+                    else:
+                        stq_ring[stq_head] = c
+                        stq_head = (stq_head + 1) % stq_size
+            if refused < n:
+                raise ValueError(
+                    "trace contains RVV vector ops, but the BOOM-like "
+                    "out-of-order model has no vector unit (the study's "
+                    "FireSim targets run scalar code only)"
+                )
         finally:
             mem_close()
-            bru_close()
 
         astats.engine_uops += n
         memo.global_stats().engine_uops += n
@@ -380,10 +376,10 @@ class OoOCore(CoreModel):
             rob_head, ldq_head, stq_head
         self._intq_head, self._memq_head, self._fpq_head = \
             intq_head, memq_head, fpq_head
-        self._time = int(last_commit) + 1
+        self._time = int(commit_chain) + 1
 
         return CoreResult(
-            cycles=max(1, int(round(last_commit - t0))),
+            cycles=max(1, int(round(commit_chain - t0))),
             instructions=n,
             stalls={
                 "frontend": int(stall_fe),

@@ -137,6 +137,18 @@ class DeployManager:
         names = [h.name for h in hosts]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate host names in {names}")
+        self.hosts = tuple(hosts)
+        self.set_breaker(suspect_after, quarantine_after, probe_interval)
+        self._busy: dict[str, int] = {h.name: 0 for h in hosts}
+        self._health: dict[str, HostHealth] = {h.name: HostHealth()
+                                               for h in hosts}
+        self._tick = 0
+
+    def set_breaker(self, suspect_after: int, quarantine_after: int,
+                    probe_interval: int) -> None:
+        """Set the circuit breaker's thresholds, or raise ValueError when
+        they are not a breaker: ``suspect_after`` and ``probe_interval``
+        at least 1, ``quarantine_after`` at least ``suspect_after``."""
         if suspect_after < 1:
             raise ValueError(f"suspect_after must be >= 1, got {suspect_after}")
         if quarantine_after < suspect_after:
@@ -146,14 +158,9 @@ class DeployManager:
         if probe_interval < 1:
             raise ValueError(f"probe_interval must be >= 1, "
                              f"got {probe_interval}")
-        self.hosts = tuple(hosts)
         self.suspect_after = int(suspect_after)
         self.quarantine_after = int(quarantine_after)
         self.probe_interval = int(probe_interval)
-        self._busy: dict[str, int] = {h.name: 0 for h in hosts}
-        self._health: dict[str, HostHealth] = {h.name: HostHealth()
-                                               for h in hosts}
-        self._tick = 0
 
     @property
     def total_slots(self) -> int:

@@ -94,9 +94,10 @@ trace_fingerprint = trace_digest
 # -- component state capture --------------------------------------------------
 
 #: attribute names never captured: configs/wiring, not mutable sim state
-#: (``direction``, ``base`` and ``btb`` are captured as components)
+#: (``direction``, ``base`` and ``btb`` are captured as components), and
+#: the branch unit's lineage, host bookkeeping a restore ends
 _WIRING = {"cfg", "name", "port", "bru", "uncore", "tile_id", "prefetcher",
-           "direction", "base", "btb"}
+           "direction", "base", "btb", "_lineage"}
 
 #: the list-native tables of caches, the BTB and the direction
 #: predictors (TAGE's folded registers included): lists of scalars or of
@@ -180,6 +181,9 @@ def restore_system(system, state: dict) -> None:
                 raise CheckpointError(f"{k} presence mismatch")
             if c is not None:
                 _apply(c, ts[k])
+        # the predictor tables now hold the checkpoint's state, which no
+        # lineage describes
+        tile.core.bru._lineage = None
     unc = system.uncore
     ustate = state["uncore"]
     _apply(unc.l2, ustate["l2"])

@@ -132,7 +132,8 @@ class FarmServer:
         faults close client connections *before* dispatch.
     suspect_after / quarantine_after / probe_interval:
         When set, override the deploy manager's host-health circuit
-        breaker thresholds (see :mod:`repro.farm.deploy`).
+        breaker thresholds (see :mod:`repro.farm.deploy`); values the
+        deploy manager's constructor would refuse raise ValueError.
     """
 
     def __init__(self, spool: str | os.PathLike,
@@ -151,14 +152,12 @@ class FarmServer:
                  quarantine_after: int | None = None,
                  probe_interval: int | None = None) -> None:
         self.spool = pathlib.Path(spool)
-        self.deploy = resolve_deploy(deploy, None)
-        if suspect_after is not None:
-            self.deploy.suspect_after = max(1, int(suspect_after))
-        if quarantine_after is not None:
-            self.deploy.quarantine_after = max(
-                self.deploy.suspect_after, int(quarantine_after))
-        if probe_interval is not None:
-            self.deploy.probe_interval = max(1, int(probe_interval))
+        self.deploy = dep = resolve_deploy(deploy, None)
+        dep.set_breaker(
+            dep.suspect_after if suspect_after is None else suspect_after,
+            dep.quarantine_after if quarantine_after is None
+            else quarantine_after,
+            dep.probe_interval if probe_interval is None else probe_interval)
         if store is False:
             self.store = None
         elif isinstance(store, SharedResultStore):

@@ -33,7 +33,8 @@ __all__ = ["Tile", "System", "ParallelRun", "build_branch_unit"]
 
 
 def build_branch_unit(cfg: BranchPredictorConfig) -> BranchUnit:
-    """Construct the front-end predictor stack a config asks for."""
+    """Construct the front-end predictor stack a config asks for; the
+    unit's lineage starts at *cfg* (see :class:`BranchUnit`)."""
     if cfg.kind == "rocket":
         direction = BimodalBHT(cfg.bht_entries)
     elif cfg.kind == "gshare":
@@ -45,6 +46,7 @@ def build_branch_unit(cfg: BranchPredictorConfig) -> BranchUnit:
         direction,
         BTB(cfg.btb_entries, assoc=2 if cfg.btb_entries < 64 else 4),
         ReturnAddressStack(cfg.ras_depth),
+        config=cfg,
     )
 
 

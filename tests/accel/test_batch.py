@@ -36,10 +36,13 @@ def _configs():
 
 def test_batched_sweep_matches_serial_jobs_all_configs():
     """One batched pass over every named config == one Job.kernel per
-    config, payload for payload (the `batch` oracle's core claim)."""
+    config, payload for payload (the `batch` oracle's core claim).  The
+    serial side clears the caches before each config, so every front end
+    there is resolved live while the batched side reuses them."""
     cfgs = _configs()
     serial = {}
     for cfg in cfgs:
+        memo.clear_caches()
         serial[cfg.name] = execute_job(Job.kernel(cfg, "MM", scale=0.05))
     memo.clear_caches()
     points = batched_sweep(cfgs, "MM", scale=0.05)

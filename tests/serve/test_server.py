@@ -413,3 +413,38 @@ def test_migration_retires_workers_of_the_quarantined_host(tmp_path):
         assert done[2]["payload"] == execute_job(mover)
         assert _spawned(client) == 3             # a, a, b — and no more
         assert len(_worker_pids()) == 1
+
+
+# ------------------------------------------------------- breaker thresholds
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(suspect_after=0), "suspect_after must be >= 1, got 0"),
+    (dict(suspect_after=2, quarantine_after=1),
+     r"quarantine_after \(1\) must be >= suspect_after \(2\)"),
+    (dict(probe_interval=0), "probe_interval must be >= 1, got 0"),
+])
+def test_breaker_thresholds_checked_as_the_deploy_manager_does(tmp_path, kw,
+                                                               message):
+    """The server refuses the values a deploy manager refuses, with the
+    same message, instead of clamping them."""
+    from repro.farm.deploy import LocalDeployManager
+    with pytest.raises(ValueError, match=message):
+        LocalDeployManager(1, **kw)
+    with pytest.raises(ValueError, match=message):
+        FarmServer(tmp_path / "spool", store=False, **kw)
+
+
+def test_serve_cli_refuses_a_bad_breaker_threshold(tmp_path):
+    """``repro serve`` exits non-zero with the message before it makes
+    the spool (a clamped value would start serving instead)."""
+    import subprocess
+    import sys
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve()
+                                           .parents[2] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--spool",
+         str(tmp_path / "spool"), "--no-store", "--suspect-after", "0"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode != 0
+    assert "suspect_after must be >= 1, got 0" in proc.stderr
+    assert not (tmp_path / "spool").exists()
