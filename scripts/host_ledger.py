@@ -23,12 +23,16 @@ Usage::
     python scripts/host_ledger.py --opcodes     # bytecodes per uop of each
                                                 # core loop's own frame
 
-``--check`` recomputes every case against ``tests/host_ledger.json``
-and exits 1 when a count rose; ``tests/test_host_ledger.py`` does the
-same in tier-1 for every case but the two ``MIP`` ones (68,811 uops
-each, ~2.5 s of profiled run between them).  A count that fell is
-printed, to be re-recorded with ``--json tests/host_ledger.json``; a
-rise is recorded only with its reason.  ``--opcodes`` traces every
+Counts depend on the interpreter (3.12 inlines comprehensions and
+profiles through ``sys.monitoring``), so ``tests/host_ledger.json``
+keeps one record per Python ``major.minor``.  ``--check`` recomputes
+every case against the running interpreter's record and exits 1 when a
+count rose; ``tests/test_host_ledger.py`` does the same in tier-1 for
+every case but the two ``MIP`` ones (68,811 uops each, ~2.5 s of
+profiled run between them), and skips an interpreter with no record.
+A count that fell is printed, to be re-recorded with ``--json
+tests/host_ledger.json`` (which rewrites the running interpreter's
+record only); a rise is recorded only with its reason.  ``--opcodes`` traces every
 opcode of ``InOrderCore.run``/``OoOCore.run`` (their own frames, not
 their callees) and is slow; no test runs it.
 """
@@ -119,8 +123,9 @@ def count_calls(config: str, kernel: str, before=()) -> dict:
         gc.enable()
     py_named: Counter = Counter()
     for code, k in py.items():
+        # co_qualname is 3.11+
         py_named[f"{pathlib.Path(code.co_filename).name}:"
-                 f"{code.co_qualname}"] += k
+                 f"{getattr(code, 'co_qualname', code.co_name)}"] += k
     c_named: Counter = Counter()
     for fn, k in c.items():
         c_named[getattr(fn, "__qualname__", repr(fn))] += k
@@ -161,6 +166,15 @@ def count_opcodes(config: str, kernel: str, before=()) -> tuple[int, int]:
 
 LEDGER = ROOT / "tests" / "host_ledger.json"
 
+#: the ledger's record for the running interpreter is under this key
+PYTHON = "{}.{}".format(*sys.version_info[:2])
+
+
+def recorded() -> dict:
+    """The running interpreter's record: ``{case: {uops, py_calls,
+    c_calls}}``, empty when none was recorded on it."""
+    return json.loads(LEDGER.read_text()).get(PYTHON, {})
+
 
 def compare(case: str, got: dict, pinned: dict) -> list[str]:
     """Lines for every count of *case* that moved: ``rose`` or ``fell``."""
@@ -178,7 +192,8 @@ def main(argv=None) -> int:
     ap.add_argument("--top", type=int, default=0,
                     help="also list the N most-called Python and C callees")
     ap.add_argument("--json", type=pathlib.Path,
-                    help="write {case: {uops, py_calls, c_calls}} here")
+                    help="write {case: {uops, py_calls, c_calls}} as "
+                         "this interpreter's record in this ledger file")
     ap.add_argument("--opcodes", action="store_true",
                     help="report the core loops' own bytecodes per uop")
     ap.add_argument("--check", action="store_true",
@@ -194,7 +209,11 @@ def main(argv=None) -> int:
             print(f"{case:22} {uops:>7} {ops / uops:>12.1f}")
         return 0
 
-    pinned = json.loads(LEDGER.read_text()) if args.check else {}
+    pinned = recorded() if args.check else {}
+    if args.check and not pinned:
+        print(f"{LEDGER.name} has no record for Python {PYTHON}; "
+              f"nothing to check")
+        return 0
     out, moved = {}, []
     print(f"{'case':22} {'uops':>7} {'py/uop':>8} {'C/uop':>8}")
     for case, (config, kernel, before) in CASES.items():
@@ -209,7 +228,10 @@ def main(argv=None) -> int:
         if args.check:
             moved += compare(case, got, pinned)
     if args.json is not None:
-        args.json.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+        doc = (json.loads(args.json.read_text()) if args.json.exists()
+               else {})
+        doc[PYTHON] = out
+        args.json.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for line in moved:
         print(line)
     return 1 if any(" rose " in line for line in moved) else 0

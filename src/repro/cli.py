@@ -797,6 +797,7 @@ def _cmd_serve(args) -> int:
     import pathlib
 
     from .farm import SharedResultStore
+    from .farm.deploy import resolve_deploy
     from .serve import FarmServer
 
     quotas: dict[str, int] = {}
@@ -807,23 +808,23 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return 2
         quotas[tenant] = int(n)
+    try:  # breaker thresholds and deploy spec, before the spool is made
+        deploy = resolve_deploy(args.deploy)
+        deploy.set_breaker(args.suspect_after, args.quarantine_after,
+                           args.probe_interval)
+    except ValueError as exc:
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
     store = False if args.no_store else SharedResultStore(
         args.store_dir or pathlib.Path(args.spool) / "store",
         max_entries=args.store_max_entries, max_bytes=args.store_max_bytes)
-    try:
-        server = FarmServer(
-            args.spool, deploy=args.deploy, store=store,
-            quotas=quotas or None, default_quota=args.quota,
-            max_retries=args.retries, timeout_s=args.timeout,
-            checkpoint_every=args.checkpoint_every,
-            socket_path=args.socket, recover=args.recover,
-            fault_plan=_fault_plan(args),
-            suspect_after=args.suspect_after,
-            quarantine_after=args.quarantine_after,
-            probe_interval=args.probe_interval)
-    except ValueError as exc:  # breaker thresholds, deploy spec
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    server = FarmServer(
+        args.spool, deploy=deploy, store=store,
+        quotas=quotas or None, default_quota=args.quota,
+        max_retries=args.retries, timeout_s=args.timeout,
+        checkpoint_every=args.checkpoint_every,
+        socket_path=args.socket, recover=args.recover,
+        fault_plan=_fault_plan(args))
     if args.recover:
         requeued = sum(1 for r in server.jobs.values() if r.recovered)
         print(f"journal replayed: {len(server.jobs)} job(s), "

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
+    "PREDICTOR_TABLES",
     "BimodalBHT",
     "GShare",
     "BTB",
@@ -55,6 +56,13 @@ def _nothing_to_close() -> None:
 
 class BimodalBHT:
     """Table of 2-bit saturating counters indexed by PC."""
+
+    #: the state a walk changes, the one list of it: tables (lists of
+    #: scalars, or of per-set rows of scalars, mutated in place) and int
+    #: registers.  Window reuse replays exactly these; checkpoints copy
+    #: and hash these tables row by row (``PREDICTOR_TABLES``).
+    TABLES: tuple[str, ...] = ("_ctr",)
+    REGISTERS: tuple[str, ...] = ()
 
     def __init__(self, entries: int = 512) -> None:
         if entries <= 0 or entries & (entries - 1):
@@ -88,6 +96,9 @@ class BimodalBHT:
 
 class GShare:
     """Global-history-XOR-PC indexed 2-bit counter table."""
+
+    TABLES = ("_ctr",)
+    REGISTERS = ("_hist",)
 
     def __init__(self, entries: int = 1024, hist_bits: int = 10) -> None:
         if entries <= 0 or entries & (entries - 1):
@@ -128,6 +139,9 @@ class GShare:
 
 class BTB:
     """Branch target buffer: set-associative PC -> target mapping."""
+
+    TABLES = ("_tag", "_target", "_lru")
+    REGISTERS = ("_stamp",)
 
     def __init__(self, entries: int = 32, assoc: int = 2) -> None:
         if entries % assoc:
@@ -221,6 +235,9 @@ class TAGE:
     ``_hist`` and advance by one rotate per outcome (see :meth:`bind`),
     so nothing is re-folded per lookup.
     """
+
+    TABLES = ("_ctr", "_tag", "_useful", "_fidx", "_ftag", "_ftag1")
+    REGISTERS = ("_hist",)
 
     def __init__(
         self,
@@ -347,6 +364,11 @@ class TAGE:
             self._hist = hist
 
         return predict_update, close
+
+
+#: every predictor table name, for checkpoint capture and hashing
+PREDICTOR_TABLES = frozenset().union(
+    *(cls.TABLES for cls in (BimodalBHT, GShare, BTB, TAGE)))
 
 
 @dataclass
@@ -514,23 +536,23 @@ class BranchUnit:
         return kinds
 
     def _state(self) -> tuple[list[list], list[tuple[object, str]]]:
-        """The predictor's and the BTB's tables as rows of scalars, and
-        their int attributes as ``(object, name)``, in an order fixed by
-        the predictor config."""
+        """The predictor's and the BTB's declared ``TABLES`` as rows of
+        scalars, and their ``REGISTERS`` as ``(object, name)``, in an
+        order fixed by the predictor config."""
         rows: list[list] = []
         regs: list[tuple[object, str]] = []
         for obj in (self.direction, getattr(self.direction, "base", None),
                     self.btb):
             if obj is None:
                 continue
-            for name, v in vars(obj).items():
-                if type(v) is list:
-                    if v and type(v[0]) is list:
-                        rows.extend(v)
-                    else:
-                        rows.append(v)
-                elif type(v) is int:
-                    regs.append((obj, name))
+            for name in obj.TABLES:
+                table = getattr(obj, name)
+                if table and type(table[0]) is list:
+                    rows.extend(table)
+                else:
+                    rows.append(table)
+            for name in obj.REGISTERS:
+                regs.append((obj, name))
         return rows, regs
 
     def _snapshot(self) -> tuple:

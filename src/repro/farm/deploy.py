@@ -144,11 +144,19 @@ class DeployManager:
                                                for h in hosts}
         self._tick = 0
 
-    def set_breaker(self, suspect_after: int, quarantine_after: int,
-                    probe_interval: int) -> None:
+    def set_breaker(self, suspect_after: int | None = None,
+                    quarantine_after: int | None = None,
+                    probe_interval: int | None = None) -> None:
         """Set the circuit breaker's thresholds, or raise ValueError when
         they are not a breaker: ``suspect_after`` and ``probe_interval``
-        at least 1, ``quarantine_after`` at least ``suspect_after``."""
+        at least 1, ``quarantine_after`` at least ``suspect_after``.  A
+        threshold given as None keeps its current value."""
+        if suspect_after is None:
+            suspect_after = self.suspect_after
+        if quarantine_after is None:
+            quarantine_after = self.quarantine_after
+        if probe_interval is None:
+            probe_interval = self.probe_interval
         if suspect_after < 1:
             raise ValueError(f"suspect_after must be >= 1, got {suspect_after}")
         if quarantine_after < suspect_after:

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any
 
 from .._atomic import atomic_write
+from ..core.branch import PREDICTOR_TABLES
 from ..isa.trace import trace_digest
 from ..soc.config import config_digest
 
@@ -100,11 +101,11 @@ _WIRING = {"cfg", "name", "port", "bru", "uncore", "tile_id", "prefetcher",
            "direction", "base", "btb", "_lineage"}
 
 #: the list-native tables of caches, the BTB and the direction
-#: predictors (TAGE's folded registers included): lists of scalars or of
-#: rows of scalars (a cache's unmade sets are None), so they are copied
-#: row by row and hashed per table
-_TABLES = frozenset({"_tags", "_lru", "_ctr", "_tag", "_target",
-                     "_useful", "_fidx", "_ftag", "_ftag1"})
+#: predictors (each predictor class declares its own ``TABLES``, TAGE's
+#: folded registers included): lists of scalars or of rows of scalars
+#: (a cache's unmade sets are None), so they are copied row by row and
+#: hashed per table
+_TABLES = frozenset({"_tags", "_lru"}) | PREDICTOR_TABLES
 
 
 def _copy_table(table: list) -> list:

@@ -152,12 +152,9 @@ class FarmServer:
                  quarantine_after: int | None = None,
                  probe_interval: int | None = None) -> None:
         self.spool = pathlib.Path(spool)
-        self.deploy = dep = resolve_deploy(deploy, None)
-        dep.set_breaker(
-            dep.suspect_after if suspect_after is None else suspect_after,
-            dep.quarantine_after if quarantine_after is None
-            else quarantine_after,
-            dep.probe_interval if probe_interval is None else probe_interval)
+        self.deploy = resolve_deploy(deploy, None)
+        self.deploy.set_breaker(suspect_after, quarantine_after,
+                                probe_interval)
         if store is False:
             self.store = None
         elif isinstance(store, SharedResultStore):

@@ -14,10 +14,13 @@ import pytest
 from repro.accel import memo
 from repro.accel.batch import batched_sweep
 from repro.core.branch import BranchUnit
+from repro.reliability.checkpoint import _grab
 from repro.core.vector import VectorConfig
 from repro.isa.trace import TraceBuilder
 from repro.soc import System, get_config
+from repro.soc.config import BranchPredictorConfig
 from repro.soc.presets import ALL_CONFIGS
+from repro.soc.system import build_branch_unit
 from repro.telemetry import StatsRegistry
 from repro.workloads.microbench import get_kernel
 
@@ -221,3 +224,27 @@ def test_checkpoint_of_a_reused_run_equals_a_live_one(binds):
     blob = reused.save_checkpoint().to_bytes()
     assert blob == live.save_checkpoint().to_bytes()
     assert b"_lineage" not in blob
+
+
+@pytest.mark.parametrize("kind", ["rocket", "gshare", "boom"])
+def test_a_walk_changes_only_the_declared_state(kind):
+    """Reuse replays each predictor's declared ``TABLES`` and
+    ``REGISTERS`` only, so a live walk may change nothing else that a
+    checkpoint captures of the direction predictor, its base or the BTB."""
+    unit = build_branch_unit(BranchPredictorConfig(kind=kind))
+    parts = [p for p in (unit.direction, getattr(unit.direction, "base",
+                                                 None), unit.btb) if p]
+    before = [_grab(p) for p in parts]
+    resolve, close = unit.bind()
+    for i in range(3000):
+        pc = 0x1000 + 4 * (i * 7919 % 613)
+        op = (6, 6, 6, 7, 8, 9)[i * 31 % 6]
+        resolve(op, pc, bool(i * 2654435761 >> 7 & 1), 0x8000 + 4 * (i % 97))
+    close()
+    for part, old in zip(parts, before):
+        declared = set(part.TABLES) | set(part.REGISTERS)
+        new = _grab(part)
+        changed = {k for k in new if new[k] != old[k]}
+        assert changed and changed <= declared, type(part).__name__
+        assert all(type(getattr(part, k)) is list for k in part.TABLES)
+        assert all(type(getattr(part, k)) is int for k in part.REGISTERS)

@@ -434,16 +434,18 @@ def test_breaker_thresholds_checked_as_the_deploy_manager_does(tmp_path, kw,
         FarmServer(tmp_path / "spool", store=False, **kw)
 
 
-def test_serve_cli_refuses_a_bad_breaker_threshold(tmp_path):
+@pytest.mark.parametrize("store", [["--no-store"], []])
+def test_serve_cli_refuses_a_bad_breaker_threshold(tmp_path, store):
     """``repro serve`` exits non-zero with the message before it makes
-    the spool (a clamped value would start serving instead)."""
+    the spool or its store (a clamped value would start serving
+    instead)."""
     import subprocess
     import sys
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve()
                                            .parents[2] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "serve", "--spool",
-         str(tmp_path / "spool"), "--no-store", "--suspect-after", "0"],
+         str(tmp_path / "spool"), *store, "--suspect-after", "0"],
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode != 0
     assert "suspect_after must be >= 1, got 0" in proc.stderr
