@@ -7,21 +7,23 @@ stand-ins, because several MicroBench kernels (Cca, Cce, CCh, CRd, CRf,
 CS1, CS3) exist specifically to separate predictable from unpredictable
 control flow.
 
-The direction predictors and the BTB each hold their state and have
-one ``bind`` method, the only implementation of their operations.
-``BranchUnit.bind()`` returns ``(resolve, close)`` over those two binds
-and the RAS stack.  A binder uses the tables in place — every table is a plain list,
-2-D tables a list of per-set rows, only ever mutated in place — keeps
-the scalar registers (the BTB stamp, a global history) in locals and
-writes them back at ``close``.  TAGE's folded-history registers are
-state too, advanced per outcome and saved by checkpoints, so no lookup
-and no bind re-folds the history.
+The direction predictors each hold their state and have one ``bind``
+method, the only implementation of their operations.  The BTB and the
+RAS hold only state: ``BranchUnit._walk`` resolves a run of control ops
+in one loop, calling the bound ``predict_update`` once per conditional
+branch and doing the BTB's lookup and fill and the RAS inline.  Binders
+and the walk use the tables in place — every table is a plain list,
+2-D tables a list of per-set rows, only ever mutated in place — keep
+the scalar registers (the BTB stamp, a global history) and the stats in
+locals and write them back when done.  TAGE's folded-history registers
+are state too, advanced per outcome and saved by checkpoints, so no
+lookup and no bind re-folds the history.
 
 The front end depends on the predictor and the trace, never on timing,
 so ``InOrderCore.run`` and ``OoOCore.run`` resolve a window's control
-ops before their timing loop: ``BranchUnit.resolve_window`` runs the
-bound ``resolve`` over them (stopping at the first vector op the core
-will refuse) and returns every uop's redirect class as one byte.  A
+ops before their timing loop: ``BranchUnit.resolve_window`` walks them
+(stopping at the first vector op the core will refuse) and returns
+every uop's redirect class as one byte.  A
 whole trace resolved by a unit with a lineage — its predictor config
 plus the traces it has resolved since construction — is kept in
 :mod:`repro.accel.memo`, so the next unit of that predictor config in a
@@ -138,7 +140,13 @@ class GShare:
 
 
 class BTB:
-    """Branch target buffer: set-associative PC -> target mapping."""
+    """Branch target buffer: set-associative PC -> target mapping.
+
+    The buffer holds its rows and use stamp; :meth:`BranchUnit._walk`
+    is the one implementation of its lookup and fill.  A lookup hit
+    stamps its way; a fill writes the PC's way, or the least recently
+    stamped one, and stamps it.
+    """
 
     TABLES = ("_tag", "_target", "_lru")
     REGISTERS = ("_stamp",)
@@ -153,57 +161,11 @@ class BTB:
         self._lru = [[0] * assoc for _ in range(self.sets)]
         self._stamp = 0
 
-    def bind(self):
-        """Bind the buffer over its rows; returns ``(lookup, insert, close)``.
-
-        ``lookup(pc)`` returns the stored target or None; ``insert(pc,
-        target)`` fills the PC's way, or the least recently used one.
-        Both stamp the way they touch; the stamp lives in a local until
-        ``close`` writes it back.
-        """
-        nsets = self.sets
-        tag_m = self._tag
-        tgt_m = self._target
-        lru_m = self._lru
-        stamp = self._stamp
-
-        def lookup(pc):
-            nonlocal stamp
-            s = (pc >> 2) % nsets
-            tag = pc >> 2
-            row = tag_m[s]
-            if tag not in row:
-                return None
-            w = row.index(tag)
-            stamp += 1
-            lru_m[s][w] = stamp
-            return tgt_m[s][w]
-
-        def insert(pc, target):
-            nonlocal stamp
-            s = (pc >> 2) % nsets
-            tag = pc >> 2
-            row = tag_m[s]
-            if tag in row:
-                w = row.index(tag)
-            else:
-                lr = lru_m[s]
-                w = lr.index(min(lr))
-            row[w] = tag
-            tgt_m[s][w] = target
-            stamp += 1
-            lru_m[s][w] = stamp
-
-        def close():
-            self._stamp = stamp
-
-        return lookup, insert, close
-
 
 class ReturnAddressStack:
     """Fixed-depth RAS; overflow wraps (overwrites oldest), as in hardware.
 
-    :meth:`BranchUnit.bind` pushes and pops ``_stack`` in place.
+    :meth:`BranchUnit._walk` pushes and pops ``_stack`` in place.
     """
 
     def __init__(self, depth: int = 8) -> None:
@@ -400,17 +362,18 @@ class _Window(NamedTuple):
 class BranchUnit:
     """Front-end control-flow handling shared by both core models.
 
-    The ``resolve`` that :meth:`bind` returns processes one control op
-    and returns the redirect class: ``0`` = correctly predicted, ``1`` =
+    :meth:`_walk` resolves a run of control ops in one loop, giving each
+    its redirect class: ``0`` = correctly predicted, ``1`` =
     taken-but-BTB-miss (front-end bubble), ``2`` = full mispredict
-    (pipeline flush).
+    (pipeline flush).  :meth:`resolve_window` walks a compiled window,
+    :meth:`bind` one op at a time.
 
     A unit given the *config* it was built from has a lineage: that
     config plus the content digest of every whole trace
     :meth:`resolve_window` has resolved since construction.  Its tables
     are a function of the lineage, which is what lets a window be reused
-    across units of one config.  Any other use of the tables (a direct
-    :meth:`bind`, a chunked window, a checkpoint restore) ends it.
+    across units of one config.  Any other use of the tables (a
+    :meth:`bind` walk, a chunked window, a checkpoint restore) ends it.
     """
 
     CORRECT, BUBBLE, FLUSH = 0, 1, 2
@@ -424,67 +387,109 @@ class BranchUnit:
         self._lineage = None if config is None else (config,)
 
     def bind(self):
-        """Bind the unit over its predictor, BTB and RAS; returns
-        ``(resolve, close)``.
-
-        ``resolve(op, pc, taken, target)`` handles one control op and
-        returns its redirect class.  The RAS stack and the stats are used
-        in place; ``close`` writes back what the predictor and the BTB
-        keep in locals, and must run exactly once.
-        """
-        # whatever the caller walks, no lineage accounts for it;
-        # resolve_window sets the lineage again after its own walks
-        self._lineage = None
-        bst = self.stats
-        predict_update, dir_close = self.direction.bind()
-        lookup, insert, btb_close = self.btb.bind()
-        ras = self.ras._stack
-        ras_depth = self.ras.depth
+        """Returns ``(resolve, close)``: ``resolve(op, pc, taken,
+        target)`` handles one control op as a one-op :meth:`_walk` and
+        returns its redirect class.  Each walk writes its state back, so
+        ``close`` has nothing left to do."""
 
         def resolve(op, pc, taken, target):
-            bst.branches += 1
-            if op == 6:  # BRANCH
-                pred = predict_update(pc, taken)
-                if pred != taken:
-                    bst.mispredicts += 1
-                    if taken:
-                        insert(pc, target)
-                    return 2
-                if taken and lookup(pc) != target:
-                    insert(pc, target)
-                    bst.btb_misses += 1
-                    return 1
-                return 0
-            if op == 7 or op == 8:  # JUMP / CALL
-                if op == 8:
-                    ras.append(pc + 4)
-                    if len(ras) > ras_depth:
-                        del ras[0]
-                pred = lookup(pc)
-                if pred == target:
-                    return 0
-                insert(pc, target)
-                if pred is None:
-                    # cold BTB: direct jumps still resolve at decode (bubble)
-                    bst.btb_misses += 1
-                    return 1
-                # stale target: an indirect jump/call went elsewhere — full flush
-                bst.mispredicts += 1
-                return 2
-            if op == 9:  # RET
-                pred_target = ras.pop() if ras else None
-                if pred_target != target:
-                    bst.mispredicts += 1
-                    bst.ras_mispredicts += 1
-                    return 2
-                return 0
-            return 0
+            kinds = bytearray(1)
+            self._walk((0,), (op,), (pc,), (taken,), (target,), kinds)
+            return kinds[0]
 
-        def close():
-            btb_close()
+        return resolve, _nothing_to_close
+
+    def _walk(self, control, op_l, pc_l, taken_l, tgt_l, kinds) -> None:
+        """Resolve the ops at the positions *control* of the columns
+        into *kinds* (left 0 where correctly predicted): the one
+        implementation of the front end.
+
+        The predictor is bound for the walk and only its
+        ``predict_update`` is called, once per conditional branch; the
+        BTB's lookup and fill and the RAS are handled inline, and the
+        stats and the BTB stamp live in locals until the walk ends.
+        Whatever the walk covers, no lineage accounts for it:
+        :meth:`resolve_window` sets the lineage again after its own.
+        """
+        self._lineage = None
+        predict_update, dir_close = self.direction.bind()
+        btb = self.btb
+        nsets = btb.sets
+        tag_m, tgt_m, lru_m = btb._tag, btb._target, btb._lru
+        stamp = btb._stamp
+        ras = self.ras._stack
+        ras_depth = self.ras.depth
+        mispredicts = btb_misses = ras_mispredicts = 0
+        try:
+            for i in control:
+                op = op_l[i]
+                if op == 6:  # BRANCH
+                    pc = pc_l[i]
+                    taken = taken_l[i]
+                    if predict_update(pc, taken) != taken:
+                        mispredicts += 1
+                        kinds[i] = 2
+                        if not taken:
+                            continue
+                        probe = False    # the flush fills without a lookup
+                    elif taken:
+                        probe = True
+                    else:
+                        continue
+                elif op == 7 or op == 8:  # JUMP / CALL
+                    pc = pc_l[i]
+                    if op == 8:
+                        ras.append(pc + 4)
+                        if len(ras) > ras_depth:
+                            del ras[0]
+                    probe = True
+                else:
+                    if op == 9:  # RET
+                        if (ras.pop() if ras else None) != tgt_l[i]:
+                            mispredicts += 1
+                            ras_mispredicts += 1
+                            kinds[i] = 2
+                    continue
+                # the BTB: a lookup where *probe*, then the one fill
+                target = tgt_l[i]
+                tag = pc >> 2
+                s = tag % nsets
+                row = tag_m[s]
+                lru = lru_m[s]
+                if tag in row:
+                    w = row.index(tag)
+                    if probe:
+                        stamp += 1
+                        lru[w] = stamp
+                        if tgt_m[s][w] == target:
+                            continue
+                        if op == 6:
+                            btb_misses += 1
+                            kinds[i] = 1
+                        else:
+                            # stale target: an indirect jump/call went
+                            # elsewhere — full flush
+                            mispredicts += 1
+                            kinds[i] = 2
+                else:
+                    w = lru.index(min(lru))
+                    if probe:
+                        # cold BTB: even a direct jump only resolves at
+                        # decode (bubble)
+                        btb_misses += 1
+                        kinds[i] = 1
+                row[w] = tag
+                tgt_m[s][w] = target
+                stamp += 1
+                lru[w] = stamp
+        finally:
+            btb._stamp = stamp
             dir_close()
-
-        return resolve, close
+            st = self.stats
+            st.branches += len(control)
+            st.mispredicts += mispredicts
+            st.btb_misses += btb_misses
+            st.ras_mispredicts += ras_mispredicts
 
     def resolve_window(self, trace, ct, refuse_vector: bool) -> bytes:
         """Resolve the control ops of *ct*, a compiled window of *trace*,
@@ -493,14 +498,14 @@ class BranchUnit:
 
         The front end depends on the predictor and the control ops only,
         never on timing, so resolving them ahead of the loop leaves what
-        a per-uop ``resolve`` would.  With *refuse_vector* the walk stops
-        at the window's first vector op, where the core will raise.
+        a per-uop resolve would.  With *refuse_vector* the walk stops at
+        the window's first vector op, where the core will raise.
 
         A whole trace resolved under a lineage is kept in
         :func:`~repro.accel.memo.window_get`'s LRU, keyed on the lineage
         extended by the trace's digest.  A unit that reaches the same key
         takes the stored kinds, adds the stored stats delta and writes the
-        stored changes into its tables in place, without binding.  The
+        stored changes into its tables in place, without a walk.  The
         key is made only when the trace's digest is already computed.
         """
         from ..accel import memo
@@ -520,15 +525,9 @@ class BranchUnit:
         if stop < ct.n:
             control = control[:bisect.bisect_left(control, stop)]
         cols = ct.cols
-        op_l, pc_l = cols["op"], cols["pc"]
-        taken_l, tgt_l = cols["taken"], cols["target"]
         kinds = bytearray(ct.n)
-        resolve, close = self.bind()
-        try:
-            for i in control:
-                kinds[i] = resolve(op_l[i], pc_l[i], taken_l[i], tgt_l[i])
-        finally:
-            close()
+        self._walk(control, cols["op"], cols["pc"], cols["taken"],
+                   cols["target"], kinds)
         kinds = bytes(kinds)
         if key is not None:
             memo.window_put(key, self._changes(before, kinds))

@@ -109,9 +109,9 @@ class Cache:
         rows, the dirty set, MSHRs and bank timelines are used in place;
         the stats live in locals until ``close``, which must run exactly
         once.  Two shortcuts are exact by a bound: a booking at or after
-        a bank timeline's last end appends at its tail (the bounded deque
-        drops its oldest interval itself), and past ``mshr_hw`` no fill
-        can still be outstanding.
+        a bank timeline's last start appends at its tail, at the last
+        end or later (the bounded deque drops its oldest interval
+        itself), and past ``mshr_hw`` no fill can still be outstanding.
         """
         cfg = self.cfg
         st = self.stats
@@ -150,6 +150,13 @@ class Cache:
                     # monotone arrival: what reserve() does at the tail
                     bank_starts[bank].append(start)
                     ends.append(start + cyc)
+                elif start >= bank_starts[bank][-1]:
+                    # inside the last interval: reserve() books right
+                    # after it
+                    start = ends[-1]
+                    bank_starts[bank].append(start)
+                    ends.append(start + cyc)
+                    n_conflict += int(start - time)
                 else:
                     start = bank_tl[bank].reserve(time, cyc)
                     if start > time:

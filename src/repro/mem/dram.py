@@ -181,8 +181,9 @@ class DRAM:
         parallelism for streams, like real controllers), banks at row
         granularity.  Bank state, channel timelines and in-flight queues
         are used in place; the read/write counts flush at ``close``.  A
-        booking at or after a channel timeline's last end appends at its
-        tail, and past ``inflight_hw`` no queued request is still live.
+        booking at or after a channel timeline's last start appends at
+        its tail (at the last end, if it falls inside that interval), and
+        past ``inflight_hw`` no queued request is still live.
         """
         cfg = self.cfg
         st = self.stats
@@ -273,6 +274,11 @@ class DRAM:
             if cXFER > 0:
                 ends = bus_ends[chan]
                 if not ends or xfer_start >= ends[-1]:
+                    bus_starts[chan].append(xfer_start)
+                    ends.append(xfer_start + cXFER)
+                elif xfer_start >= bus_starts[chan][-1]:
+                    # inside the last interval: booked right after it
+                    xfer_start = ends[-1]
                     bus_starts[chan].append(xfer_start)
                     ends.append(xfer_start + cXFER)
                 else:

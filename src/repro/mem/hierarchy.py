@@ -97,7 +97,8 @@ class Uncore:
         LLC slice that owns the line (if any) and its DRAM; ``l2_access``
         enters at the L2 (page-table walks).  The bus transfer and the
         directory lookup are fused into ``access``; a bus booking at or
-        after the timeline's last end appends at its tail.
+        after the timeline's last start appends at its tail (at the last
+        end, if it falls inside that interval).
         """
         if self.llc is None:
             below, dram_close = self.drams[0].bind()
@@ -144,6 +145,12 @@ class Uncore:
             if not bus_ends or start >= bus_ends[-1]:
                 bus_starts.append(start)
                 bus_ends.append(start + bus_occ)
+            elif start >= bus_starts[-1]:
+                # inside the last interval: booked right after it
+                start = bus_ends[-1]
+                bus_starts.append(start)
+                bus_ends.append(start + bus_occ)
+                bus_st.contention_cycles += int(start - time)
             else:
                 start = bus_reserve(start, bus_occ)
                 if start > time:

@@ -11,9 +11,11 @@ each request into the earliest real gap at or after its own time.
 ``_starts`` / ``_ends`` are deques bounded at ``max_intervals``, so the
 oldest interval falls off the front by itself.  The bound access paths
 (:meth:`repro.mem.cache.Cache.bind` and friends) book a request at or
-after the last end by appending to both directly, with no trim of their
-own, and call ``reserve`` only for a request that lands inside the
-history.
+after the last interval's start by appending to both directly, with no
+trim of their own: at its own time when that is at or after the last
+end, else at the last end, which is where ``reserve`` would put it.
+They call ``reserve`` only for a request that starts before the last
+interval.
 """
 
 from __future__ import annotations

@@ -56,10 +56,19 @@ class TLB:
         assoc = cfg.assoc or cfg.entries
         self._num_sets = cfg.entries // assoc
         self._assoc = assoc
-        # per-set LRU-ordered dicts of vpn -> True
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        # per-set LRU-ordered dicts of vpn -> True, None until the set's
+        # first miss, as cache rows are: a system's idle tiles and a
+        # large L2 TLB's untouched sets cost nothing
+        self._sets: list[OrderedDict[int, bool] | None] = \
+            [None] * self._num_sets
+
+    def __getstate__(self) -> dict:
+        """Pickled and copied with every set made, an unmade one as an
+        empty dict: a capture reads as an eagerly built TLB's would."""
+        state = self.__dict__.copy()
+        state["_sets"] = [OrderedDict() if s is None else s
+                          for s in self._sets]
+        return state
 
     def __repr__(self) -> str:
         kind = "FA" if self.cfg.assoc in (None, self.cfg.entries) else f"{self._assoc}-way"
@@ -89,8 +98,9 @@ def bind_entry(tlb, walk, access, is_store, observe):
     ``walk(addr, time, False)`` (the L2 cache).  The translated access
     goes to ``access(addr, time, is_store)``, then *observe* (a bound
     prefetcher, or None) sees it.  Returns ``(entry, close)`` with
-    ``entry(addr, time) -> finish``; set dicts and miss counts are
-    updated in place, the access count flushes at ``close``.
+    ``entry(addr, time) -> finish``; set dicts (made by a set's first
+    miss) and miss counts are updated in place, the access count
+    flushes at ``close``.
     """
     if type(tlb) is TwoLevelTLB:
         l1 = tlb.l1
@@ -115,14 +125,18 @@ def bind_entry(tlb, walk, access, is_store, observe):
 
     def miss(addr, time, vpn, s):
         st.misses += 1
-        if len(s) >= assoc:
+        if s is None:
+            s = sets[vpn % nsets] = OrderedDict()
+        elif len(s) >= assoc:
             s.popitem(last=False)
         s[vpn] = True
         if l2_sets is not None:
             l2st.accesses += 1
             vpn2 = addr >> l2_shift
             s = l2_sets[vpn2 % l2_nsets]
-            if vpn2 in s:
+            if s is None:
+                s = l2_sets[vpn2 % l2_nsets] = OrderedDict()
+            elif vpn2 in s:
                 s.move_to_end(vpn2)
                 return time + l2_hit
             l2st.misses += 1
@@ -141,7 +155,7 @@ def bind_entry(tlb, walk, access, is_store, observe):
         n_access += 1
         vpn = addr >> shift
         s = sets[vpn % nsets]
-        if vpn in s:
+        if s is not None and vpn in s:
             s.move_to_end(vpn)
             t = time + hit_lat
         else:

@@ -40,6 +40,7 @@ from typing import Any
 from .._atomic import atomic_write
 from ..core.branch import PREDICTOR_TABLES
 from ..isa.trace import trace_digest
+from ..mem.tlb import TLB
 from ..soc.config import config_digest
 
 __all__ = [
@@ -113,9 +114,11 @@ def _copy_table(table: list) -> list:
 
 
 def _grab(obj) -> dict[str, Any]:
-    """Copy every mutable (non-wiring, non-callable) attribute."""
+    """Copy every mutable (non-wiring, non-callable) attribute, as the
+    object pickles: a TLB's unmade sets as empty ones."""
     out: dict[str, Any] = {}
-    for k, v in vars(obj).items():
+    state = obj.__getstate__() if type(obj) is TLB else vars(obj)
+    for k, v in state.items():
         if k in _WIRING or callable(v):
             continue
         out[k] = _copy_table(v) if k in _TABLES else copy.deepcopy(v)
@@ -241,9 +244,13 @@ def _audit_cache(label: str, cs: dict, ways: int | None,
 
 
 def _audit_tlb(label: str, ts: dict, problems: list[str]) -> None:
+    """TLB sets hold no more entries than their associativity; an
+    unmade set (None) holds none."""
     if "_sets" in ts:  # single-level TLB
         assoc = ts.get("_assoc")
         for s, entries in enumerate(ts["_sets"]):
+            if entries is None:
+                continue
             if assoc is not None and len(entries) > assoc:
                 problems.append(
                     f"{label}: set {s} holds {len(entries)} entries "
@@ -254,6 +261,8 @@ def _audit_tlb(label: str, ts: dict, problems: list[str]) -> None:
             if tlb is None:
                 continue
             for s, entries in enumerate(tlb._sets):
+                if entries is None:
+                    continue
                 if len(entries) > tlb._assoc:
                     problems.append(
                         f"{label}.{lvl}: set {s} holds {len(entries)} "

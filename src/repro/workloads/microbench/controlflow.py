@@ -179,31 +179,35 @@ class CRf(MicroKernel):
         if scale < 1.0:
             fib_n = max(4, int(self.fib_n + np.log2(max(scale, 1e-3))))
         b = TraceBuilder(pc0=CODE_BASE)
-        func = CODE_BASE + 0x200
-        sp = [DATA_BASE + 0x20_0000]
-
-        def fib(n: int, call_site: int) -> None:
-            b.pc = call_site
-            b.call(func)
-            b.store(1, sp[0], base=2)   # push ra
-            sp[0] -= 16
-            b.alu(10, 10, 11)           # n compare
-            if n < 2:
-                b.branch(True, src1=10, target=func + 64)  # base case
-                b.pc = func + 64
-                b.alu(10, 0, 0)         # result = n
-            else:
-                b.branch(False, src1=10, target=func + 64)
-                fib(n - 1, func + 24)
-                b.alu(12, 10, 0)        # save result
-                fib(n - 2, func + 36)
-                b.alu(10, 10, 12)       # add results
-            sp[0] += 16
-            b.load(1, sp[0], base=2)    # pop ra
-            b.ret(call_site + 4)
-
-        fib(fib_n, CODE_BASE + 0x40)
+        _emit_fib(b, fib_n, CODE_BASE + 0x40, CODE_BASE + 0x200,
+                  [DATA_BASE + 0x20_0000])
         return b.build()
+
+
+def _emit_fib(b: TraceBuilder, n: int, call_site: int, func: int,
+              sp: list[int]) -> None:
+    """Emit the call of fib(*n*) at *call_site* into *b*.  A plain
+    function, not a closure that names itself: that would be a reference
+    cycle holding the builder, so the trace would wait for the cyclic
+    collector instead of going with its last reference."""
+    b.pc = call_site
+    b.call(func)
+    b.store(1, sp[0], base=2)   # push ra
+    sp[0] -= 16
+    b.alu(10, 10, 11)           # n compare
+    if n < 2:
+        b.branch(True, src1=10, target=func + 64)  # base case
+        b.pc = func + 64
+        b.alu(10, 0, 0)         # result = n
+    else:
+        b.branch(False, src1=10, target=func + 64)
+        _emit_fib(b, n - 1, func + 24, func, sp)
+        b.alu(12, 10, 0)        # save result
+        _emit_fib(b, n - 2, func + 36, func, sp)
+        b.alu(10, 10, 12)       # add results
+    sp[0] += 16
+    b.load(1, sp[0], base=2)    # pop ra
+    b.ret(call_site + 4)
 
 
 class CRm(MicroKernel):

@@ -1,11 +1,14 @@
 """Fixtures shared across the test packages.
 
 The memory and branch components have one implementation of their
-operations, the closures their ``bind`` methods return; the helpers
-below drive it one request per bind (bind, call, close), so a
-component's stats and registers are current after every call.
+operations, the closures their ``bind`` methods return (the BTB and the
+RAS: a branch unit's walk); the helpers below drive it one request per
+bind (bind, call, close), so a component's stats and registers are
+current after every call.
 """
 
+from repro.core.branch import BimodalBHT, BranchUnit, ReturnAddressStack
+from repro.isa.opcodes import OpClass
 from repro.mem.tlb import bind_entry
 
 
@@ -89,13 +92,13 @@ def predict_update(predictor, pc: int, taken: bool) -> bool:
         close()
 
 
-def btb_call(btb, kind: str, *args):
-    """One ``lookup(pc)`` or ``insert(pc, target)`` through ``btb.bind()``."""
-    lookup, insert, close = btb.bind()
-    try:
-        return {"lookup": lookup, "insert": insert}[kind](*args)
-    finally:
-        close()
+def btb_jump(btb, pc: int, target: int) -> int:
+    """One direct jump at *pc* to *target*, a one-op walk of a branch
+    unit over *btb*; its redirect class: ``CORRECT`` when the BTB held
+    *target* for *pc*, ``BUBBLE`` when it held nothing, ``FLUSH`` when
+    it held another target.  The BTB holds *target* for *pc* after."""
+    bru = BranchUnit(BimodalBHT(64), btb, ReturnAddressStack(1))
+    return resolve(bru, int(OpClass.JUMP), pc, True, target)
 
 
 def resolve(bru, op: int, pc: int, taken: bool, target: int) -> int:

@@ -1,5 +1,7 @@
 """Branch predictor unit tests, through the components' ``bind``."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.core.branch import (
 )
 from repro.isa.opcodes import OpClass
 
-from ..conftest import btb_call, predict_update, resolve
+from ..conftest import btb_jump, predict_update, resolve
 from . import branch_pins
 
 CALL, RET = int(OpClass.CALL), int(OpClass.RET)
@@ -82,9 +84,10 @@ def test_tage_beats_bimodal_on_correlated_branches():
 
 def test_btb_basic():
     btb = BTB(entries=8, assoc=2)
-    assert btb_call(btb, "lookup", 0x100) is None
-    btb_call(btb, "insert", 0x100, 0x2000)
-    assert btb_call(btb, "lookup", 0x100) == 0x2000
+    assert btb_jump(btb, 0x100, 0x2000) == BranchUnit.BUBBLE   # cold
+    assert btb_jump(btb, 0x100, 0x2000) == BranchUnit.CORRECT
+    assert btb_jump(btb, 0x100, 0x3000) == BranchUnit.FLUSH    # stale
+    assert btb_jump(btb, 0x100, 0x3000) == BranchUnit.CORRECT
 
 
 def test_btb_capacity_eviction():
@@ -92,9 +95,12 @@ def test_btb_capacity_eviction():
     # 3 pcs in the same set -> one must be evicted
     pcs = [0x0, 0x10, 0x20]  # (pc>>2) % 2 == 0 for all
     for pc in pcs:
-        btb_call(btb, "insert", pc, pc + 0x1000)
-    found = sum(btb_call(btb, "lookup", pc) is not None for pc in pcs)
+        btb_jump(btb, pc, pc + 0x1000)
+    # each probe on a copy: a miss fills, which would evict another
+    found = sum(btb_jump(copy.deepcopy(btb), pc, pc + 0x1000)
+                == BranchUnit.CORRECT for pc in pcs)
     assert found == 2
+    assert btb_jump(copy.deepcopy(btb), 0x0, 0x1000) == BranchUnit.BUBBLE
 
 
 def _ras_unit(depth):

@@ -36,15 +36,16 @@ def _cold():
 
 @pytest.fixture
 def binds(monkeypatch):
-    """Every live ``BranchUnit.bind``, by the unit's predictor kind."""
+    """Every live walk (``BranchUnit._walk``), by the unit's predictor
+    kind."""
     calls = []
-    live = BranchUnit.bind
+    live = BranchUnit._walk
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(type(self.direction).__name__)
-        return live(self)
+        return live(self, *args)
 
-    monkeypatch.setattr(BranchUnit, "bind", counting)
+    monkeypatch.setattr(BranchUnit, "_walk", counting)
     return calls
 
 

@@ -1,12 +1,19 @@
 """OccupancyTimeline tests: earliest-fit booking under out-of-order requests."""
 
+import copy
+import random
 from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.mem.cache import Cache, CacheConfig
+from repro.mem.dram import DRAM, DRAMConfig, DRAMTimings
+from repro.mem.hierarchy import HierarchyConfig, Uncore
 from repro.mem.timeline import OccupancyTimeline
+
+from ..conftest import Bound, MemoryPort, uncore_call
 
 
 def test_empty_reserve_starts_on_time():
@@ -122,3 +129,76 @@ def test_bounded_deque_matches_list_and_trim(bookings):
             starts, ends, 8, when, duration)
         assert list(t._starts) == starts and list(t._ends) == ends
         assert len(t._starts) == len(t._ends) <= 8
+
+
+def _history(rng, n, at):
+    """*n* disjoint intervals, ascending, the last one holding *at*
+    (from its start on); the earlier ones end at or before the next
+    starts, with or without a gap, on integer or half-unit bounds."""
+    def span():
+        return rng.choice((rng.randrange(1, 40), rng.randrange(1, 80) / 2))
+    if not n:
+        return [], []
+    start = at - rng.choice((0, 0.5, span()))
+    starts, ends = [start], [at + rng.choice((0.5, 1, span()))]
+    for _ in range(n - 1):
+        end = starts[0] - rng.choice((0, 0, span()))
+        starts.insert(0, end - span())
+        ends.insert(0, end)
+    return starts, ends
+
+
+def _cache_bank(at):
+    """A cache whose one bank timeline a request at *at* books at *at*:
+    (timeline, duration, request, conflict cycles)."""
+    cache = Cache(CacheConfig(sets=16, ways=2, cycle_time=3))
+    port = Bound(cache, MemoryPort(50).access)
+    return (cache._bank_free[0], 3, lambda: port.access(0x4000, at),
+            lambda: cache.stats.bank_conflict_cycles)
+
+
+def _bus(at):
+    uncore = Uncore(HierarchyConfig(
+        l1i=CacheConfig(sets=16, ways=2), l1d=CacheConfig(sets=16, ways=2),
+        l2=CacheConfig(sets=64, ways=4), core_ghz=1.0))
+    bus = uncore.bus
+    return (bus._timeline, bus.cfg.beats(64) / bus.cfg.clock_ratio,
+            lambda: uncore_call(uncore, 0, 0x4000, at),
+            lambda: bus.stats.contention_cycles)
+
+
+def _dram_channel(at):
+    """A DRAM whose channel bus a read issued so that its array access
+    ends at *at* books at *at*; the channel bus counts no conflicts."""
+    dram = DRAM(DRAMConfig(timings=DRAMTimings(tREFI=0)), core_ghz=1.0)
+    # a fresh bank's row miss, no refresh: the array access ends this
+    # long after issue
+    lead = dram._cCTRL + dram._cRCD + dram._cCAS
+    port = Bound(dram)
+    return (dram._chan_bus[0], dram._cXFER,
+            lambda: port.access(0x4000, at - lead), None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("resource", [_cache_bank, _bus, _dram_channel])
+def test_bound_walks_book_the_last_interval_as_reserve_does(resource, seed):
+    """A request inside the last interval, ``[_starts[-1], _ends[-1])``,
+    booked by a bound walk (no ``reserve`` call) lands where ``reserve``
+    puts it, leaves the same intervals and counts the same conflict, on
+    empty, partial and full (512-interval) timelines."""
+    rng = random.Random(seed)
+    for n in (0, 1, 2, rng.randrange(3, 512), 511, 512, 512):
+        at = 1_000_000 + rng.randrange(0, 1000)
+        timeline, duration, request, conflicts = resource(at)
+        starts, ends = _history(rng, n, at)
+        timeline._starts.extend(starts)
+        timeline._ends.extend(ends)
+        assert n == 0 or starts[-1] <= at < ends[-1]
+        ref = copy.deepcopy(timeline)
+        booked = ref.reserve(at, duration)
+        request()
+        assert list(timeline._starts) == list(ref._starts)
+        assert list(timeline._ends) == list(ref._ends)
+        assert timeline._starts[-1] == booked
+        if conflicts is not None:
+            assert conflicts() == int(booked - at)

@@ -13,7 +13,7 @@ from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAM, DRAMConfig
 from repro.mem.tlb import TLB, TLBConfig
 
-from .conftest import (Bound, MemoryPort, btb_call, predict_update, resolve,
+from .conftest import (Bound, MemoryPort, btb_jump, predict_update, resolve,
                        translate)
 
 SLOW = settings(max_examples=25, deadline=None,
@@ -226,8 +226,8 @@ def test_bimodal_constant_stream_converges(outcomes):
 def test_btb_insert_then_lookup(pcs):
     btb = BTB(entries=64, assoc=4)
     for pc in pcs:
-        btb_call(btb, "insert", pc * 4, pc * 4 + 0x100)
-        assert btb_call(btb, "lookup", pc * 4) == pc * 4 + 0x100
+        btb_jump(btb, pc * 4, pc * 4 + 0x100)
+        assert btb_jump(btb, pc * 4, pc * 4 + 0x100) == BranchUnit.CORRECT
 
 
 @given(st.lists(st.integers(0, 1 << 30), min_size=1, max_size=64))

@@ -1,6 +1,9 @@
 """Tests of the MicroBench suite: inventory, trace shapes, and the
 microarchitectural behaviours each kernel is supposed to expose."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,22 @@ SCALE = 0.08  # keep unit tests fast; benches run at full scale
 
 
 # ------------------------------------------------------------ inventory
+
+@pytest.mark.parametrize("kernel", [k.spec.name for k in runnable_kernels()])
+def test_a_built_trace_dies_with_its_last_reference(kernel):
+    """No reference cycle holds a trace (CRf's recursive emitter once
+    did), so refcounting frees it and peak memory does not move with
+    the cyclic collector's phase."""
+    gc.collect()
+    gc.disable()
+    try:
+        trace = get_kernel(kernel).build(scale=0.05, seed=0)
+        ref = weakref.ref(trace)
+        del trace
+        assert ref() is None
+    finally:
+        gc.enable()
+
 
 def test_forty_kernels_registered():
     assert len(all_kernels()) == 40
